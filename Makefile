@@ -3,9 +3,9 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check fmt vet build test race bench test-spill test-trace test-serve test-vector test-net test-prob test-plan fuzz-short deprecations
+.PHONY: check fmt vet build test race bench bench-smoke test-spill test-trace test-serve test-vector test-net test-prob test-plan fuzz-short
 
-check: fmt vet build test race deprecations
+check: fmt vet build test race bench-smoke
 
 # gofmt -l prints nonconforming files; any output fails the target.
 fmt:
@@ -28,6 +28,12 @@ test:
 race:
 	$(GO) test -race ./internal/engine/... ./internal/repair/...
 
+# The benchmark is a Go module of its own (benchmark/go.mod), so the root
+# ./... does not descend into it; this builds it against the current
+# internal/ APIs and runs its unit tests and one-workload smoke run.
+bench-smoke:
+	cd benchmark && $(GO) test ./...
+
 # Out-of-core subsystem: the spill package plus every test exercising the
 # budgeted (spill-to-disk) regime of the engine, core e2e and the CLI flag.
 test-spill:
@@ -42,7 +48,7 @@ test-spill:
 # end-to-end CLI runs (-explain golden + -trace JSON validated in-process).
 test-trace:
 	$(GO) test ./internal/trace/...
-	$(GO) test -run 'Observer|Snapshot|DeprecatedGetters' ./internal/engine/
+	$(GO) test -run 'Observer|Snapshot' ./internal/engine/
 	$(GO) test -run 'Report|WithObserver' ./internal/cleanse/
 	$(GO) test -run 'Explain|Trace' ./cmd/bigdansing/
 	$(GO) test -race ./internal/trace/...
@@ -100,30 +106,6 @@ fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 30s ./internal/netexec/
 	$(GO) test -run xxx -fuzz FuzzFrameRoundTrip -fuzztime 30s ./internal/netexec/
 	$(GO) test -run xxx -fuzz FuzzSplitRecords -fuzztime 30s ./internal/netexec/
-
-# deprecations fails when code references the deprecated engine.Stats
-# getters (use Stats().Snapshot() fields instead). Allowed: the getters
-# themselves (context.go), their compatibility test (observer_test.go),
-# and internal/mapred plus its callers — mapred.Stats is a different type
-# whose accessors legitimately share these names.
-# It also fails on calls to the deprecated core.Optimize (use
-# core.NewPlanner().Plan). Allowed: the shim itself (physical.go) and its
-# identity test (planner_test.go).
-deprecations:
-	@matches="$$(grep -rnE '\.Stats\(\)\.(Stages|Tasks|RecordsShuffled|RecordsRead|BytesSpilled|SpillRuns|MergePasses|PeakReservedBytes)\(\)' \
-		--include='*.go' cmd examples internal *.go \
-		| grep -vE 'internal/engine/context\.go|internal/engine/observer_test\.go|internal/mapred/|internal/experiments/extensions\.go' || true)"; \
-	if [ -n "$$matches" ]; then \
-		echo "deprecated engine.Stats getters referenced (use Stats().Snapshot()):"; \
-		echo "$$matches"; exit 1; \
-	fi
-	@matches="$$(grep -rnE '(^|[^A-Za-z_])Optimize\(' \
-		--include='*.go' cmd examples internal *.go \
-		| grep -vE 'internal/core/physical\.go|internal/core/planner_test\.go' || true)"; \
-	if [ -n "$$matches" ]; then \
-		echo "deprecated core.Optimize referenced (use core.NewPlanner().Plan):"; \
-		echo "$$matches"; exit 1; \
-	fi
 
 bench:
 	$(GO) test -run xxx -bench 'Table2Datasets|Fig9' -benchtime 1x -benchmem .

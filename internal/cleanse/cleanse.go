@@ -232,45 +232,12 @@ func (c *Cleaner) attachObserver() {
 	}
 }
 
-// Result reports one cleansing run. Apart from Clean (the repaired
-// relation), every field duplicates a Report field; poke Report() instead
-// of the struct.
+// Result is one cleansing run: the repaired relation plus its Report.
 type Result struct {
 	// Clean is the repaired instance (the input is not modified).
 	Clean *model.Relation
-	// Iterations is the number of detect-repair rounds executed.
-	//
-	// Deprecated: use Report().Iterations.
-	Iterations int
-	// InitialViolations and RemainingViolations bracket the run.
-	//
-	// Deprecated: use Report().InitialViolations / RemainingViolations.
-	InitialViolations int
-	// Deprecated: use Report().RemainingViolations.
-	RemainingViolations int
-	// FrozenCells counts cells pinned by the termination device.
-	//
-	// Deprecated: use Report().FrozenCells.
-	FrozenCells int
-	// TotalAssignments counts applied updates across iterations.
-	//
-	// Deprecated: use Report().UpdatesApplied.
-	TotalAssignments int
-	// DetectTime and RepairTime split the wall time (Figure 8(b)).
-	//
-	// Deprecated: use Report().DetectTime / RepairTime.
-	DetectTime time.Duration
-	// Deprecated: use Report().RepairTime.
-	RepairTime time.Duration
-	// Reports holds the per-iteration parallel repair reports.
-	//
-	// Deprecated: use Report().RepairRounds.
-	Reports []*repair.Report
 
-	// engineSnap is the dataflow snapshot taken when Clean returned, so
-	// Report() can hand callers the engine-side numbers without them
-	// reaching into the Context.
-	engineSnap engine.Snapshot
+	report Report
 }
 
 // Report is the one-struct summary of a cleansing run: what the loop did,
@@ -305,21 +272,7 @@ type Report struct {
 }
 
 // Report summarizes the run as one struct.
-func (r *Result) Report() Report {
-	return Report{
-		Iterations:          r.Iterations,
-		InitialViolations:   r.InitialViolations,
-		RemainingViolations: r.RemainingViolations,
-		UpdatesApplied:      r.TotalAssignments,
-		FrozenCells:         r.FrozenCells,
-		DetectTime:          r.DetectTime,
-		RepairTime:          r.RepairTime,
-		Engine:              r.engineSnap,
-		RepairRounds:        r.Reports,
-		Flush:               1,
-		Tuples:              r.Clean.Len(),
-	}
-}
+func (r *Result) Report() Report { return r.report }
 
 // Clean runs the iterative cleansing process on a copy of rel. It is a
 // thin one-batch session: the relation is cloned into a Session seeded
@@ -340,16 +293,5 @@ func (c *Cleaner) Clean(rel *model.Relation) (*Result, error) {
 		return nil, err
 	}
 	s.closed = true
-	return &Result{
-		Clean:               s.rel,
-		Iterations:          rep.Iterations,
-		InitialViolations:   rep.InitialViolations,
-		RemainingViolations: rep.RemainingViolations,
-		FrozenCells:         rep.FrozenCells,
-		TotalAssignments:    rep.UpdatesApplied,
-		DetectTime:          rep.DetectTime,
-		RepairTime:          rep.RepairTime,
-		Reports:             rep.RepairRounds,
-		engineSnap:          rep.Engine,
-	}, nil
+	return &Result{Clean: s.rel, report: rep}, nil
 }

@@ -62,11 +62,11 @@ func TestCleanRepairsAllFDViolations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.InitialViolations == 0 {
+	if res.Report().InitialViolations == 0 {
 		t.Fatal("generator should produce violations")
 	}
-	if res.RemainingViolations != 0 {
-		t.Fatalf("remaining violations = %d, want 0", res.RemainingViolations)
+	if res.Report().RemainingViolations != 0 {
+		t.Fatalf("remaining violations = %d, want 0", res.Report().RemainingViolations)
 	}
 	// Majority repair restores the correct city everywhere.
 	for _, tp := range res.Clean.Tuples {
@@ -99,11 +99,11 @@ func TestCleanParallelMatchesCentralized(t *testing.T) {
 	}
 	seq := run(false)
 	par := run(true)
-	if seq.RemainingViolations != 0 || par.RemainingViolations != 0 {
-		t.Fatalf("both should converge: seq %d, par %d", seq.RemainingViolations, par.RemainingViolations)
+	if seq.Report().RemainingViolations != 0 || par.Report().RemainingViolations != 0 {
+		t.Fatalf("both should converge: seq %d, par %d", seq.Report().RemainingViolations, par.Report().RemainingViolations)
 	}
-	if seq.Iterations != par.Iterations {
-		t.Errorf("iterations differ: %d vs %d (paper: parallel matches centralized)", seq.Iterations, par.Iterations)
+	if seq.Report().Iterations != par.Report().Iterations {
+		t.Errorf("iterations differ: %d vs %d (paper: parallel matches centralized)", seq.Report().Iterations, par.Report().Iterations)
 	}
 	for i := range seq.Clean.Tuples {
 		if seq.Clean.Tuples[i].Cell(2) != par.Clean.Tuples[i].Cell(2) {
@@ -144,12 +144,12 @@ func TestCleanTerminatesOnContradictoryRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Iterations > 6 {
-		t.Errorf("iterations = %d exceeds bound", res.Iterations)
+	if res.Report().Iterations > 6 {
+		t.Errorf("iterations = %d exceeds bound", res.Report().Iterations)
 	}
 	// b values should converge to a single value satisfying both FDs.
-	if res.RemainingViolations != 0 {
-		t.Logf("remaining = %d (allowed when only frozen-cell violations remain)", res.RemainingViolations)
+	if res.Report().RemainingViolations != 0 {
+		t.Logf("remaining = %d (allowed when only frozen-cell violations remain)", res.Report().RemainingViolations)
 	}
 }
 
@@ -163,13 +163,13 @@ func TestCleanDetectionOnlyRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Iterations != 1 {
-		t.Errorf("detection-only should stop after one iteration, got %d", res.Iterations)
+	if res.Report().Iterations != 1 {
+		t.Errorf("detection-only should stop after one iteration, got %d", res.Report().Iterations)
 	}
-	if res.RemainingViolations == 0 {
+	if res.Report().RemainingViolations == 0 {
 		t.Error("violations should remain reported")
 	}
-	if res.TotalAssignments != 0 {
+	if res.Report().UpdatesApplied != 0 {
 		t.Error("nothing should be repaired")
 	}
 }
@@ -201,11 +201,11 @@ func TestCleanWithHypergraphAlgorithmOnDC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.InitialViolations == 0 {
+	if res.Report().InitialViolations == 0 {
 		t.Fatal("seed data should violate phi2")
 	}
-	if res.RemainingViolations != 0 {
-		t.Errorf("remaining = %d after hypergraph repair", res.RemainingViolations)
+	if res.Report().RemainingViolations != 0 {
+		t.Errorf("remaining = %d after hypergraph repair", res.Report().RemainingViolations)
 	}
 }
 
@@ -223,10 +223,10 @@ func TestCleanSplitTimesAreRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.DetectTime <= 0 {
+	if res.Report().DetectTime <= 0 {
 		t.Error("detect time should be recorded")
 	}
-	if res.RepairTime <= 0 {
+	if res.Report().RepairTime <= 0 {
 		t.Error("repair time should be recorded")
 	}
 }
@@ -272,7 +272,7 @@ func TestNewCleanerOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.RemainingViolations != 0 {
-		t.Errorf("remaining violations: %d", res.RemainingViolations)
+	if res.Report().RemainingViolations != 0 {
+		t.Errorf("remaining violations: %d", res.Report().RemainingViolations)
 	}
 }

@@ -18,21 +18,28 @@ func TestCleanWithDistributedEquivalenceClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
+	diskCtx, err := engine.NewContext(engine.Config{Parallelism: 4, Exchange: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer diskCtx.Close()
 
 	rel := dirtyTax(8, 8, 2)
 	cleaner := &Cleaner{
 		Ctx:      engine.New(4),
 		Rules:    []*core.Rule{fdZipCity(t, rel)},
-		Algo:     &repair.DistributedEquivalenceClass{Engine: eng, Splits: 4, Reduces: 4},
+		Algo:     &repair.DistributedEquivalenceClass{Ctx: diskCtx},
 		Parallel: true,
 	}
 	res, err := cleaner.Clean(rel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.RemainingViolations != 0 {
-		t.Fatalf("remaining = %d", res.RemainingViolations)
+	if res.Report().RemainingViolations != 0 {
+		t.Fatalf("remaining = %d", res.Report().RemainingViolations)
+	}
+	if eng.Stats().BytesSpilled() == 0 || eng.Stats().BytesRead() == 0 {
+		t.Error("the repair jobs never reached the disk backend")
 	}
 
 	// Must produce the same clean instance as the centralized algorithm.
@@ -51,7 +58,7 @@ func TestCleanWithDistributedEquivalenceClass(t *testing.T) {
 				i, res.Clean.Tuples[i].Cell(2), want.Clean.Tuples[i].Cell(2))
 		}
 	}
-	if res.Iterations != want.Iterations {
-		t.Errorf("iterations: distributed %d vs centralized %d", res.Iterations, want.Iterations)
+	if res.Report().Iterations != want.Report().Iterations {
+		t.Errorf("iterations: distributed %d vs centralized %d", res.Report().Iterations, want.Report().Iterations)
 	}
 }

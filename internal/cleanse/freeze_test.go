@@ -70,13 +70,13 @@ func TestFreezeStopsOscillation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Iterations >= 20 {
-		t.Errorf("freeze should terminate early, ran %d iterations", res.Iterations)
+	if res.Report().Iterations >= 20 {
+		t.Errorf("freeze should terminate early, ran %d iterations", res.Report().Iterations)
 	}
-	if res.FrozenCells == 0 {
+	if res.Report().FrozenCells == 0 {
 		t.Error("oscillating cells should be frozen")
 	}
-	if res.RemainingViolations == 0 {
+	if res.Report().RemainingViolations == 0 {
 		t.Error("the unfixable violation should be reported as remaining")
 	}
 }
@@ -94,10 +94,10 @@ func TestParallelRepairReportsCollected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Reports) == 0 {
+	if len(res.Report().RepairRounds) == 0 {
 		t.Fatal("parallel runs should report per iteration")
 	}
-	if res.Reports[0].Components == 0 || res.Reports[0].Assignments == 0 {
-		t.Errorf("first report = %+v", res.Reports[0])
+	if res.Report().RepairRounds[0].Components == 0 || res.Report().RepairRounds[0].Assignments == 0 {
+		t.Errorf("first report = %+v", res.Report().RepairRounds[0])
 	}
 }

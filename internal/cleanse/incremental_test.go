@@ -26,11 +26,11 @@ func TestIncrementalCleanMatchesFull(t *testing.T) {
 	}
 	full := run(false)
 	inc := run(true)
-	if full.RemainingViolations != inc.RemainingViolations {
-		t.Fatalf("remaining: full %d vs incremental %d", full.RemainingViolations, inc.RemainingViolations)
+	if full.Report().RemainingViolations != inc.Report().RemainingViolations {
+		t.Fatalf("remaining: full %d vs incremental %d", full.Report().RemainingViolations, inc.Report().RemainingViolations)
 	}
-	if full.Iterations != inc.Iterations {
-		t.Errorf("iterations: full %d vs incremental %d", full.Iterations, inc.Iterations)
+	if full.Report().Iterations != inc.Report().Iterations {
+		t.Errorf("iterations: full %d vs incremental %d", full.Report().Iterations, inc.Report().Iterations)
 	}
 	for i := range full.Clean.Tuples {
 		for c := range full.Clean.Tuples[i].Cells {
@@ -40,8 +40,8 @@ func TestIncrementalCleanMatchesFull(t *testing.T) {
 			}
 		}
 	}
-	if inc.RemainingViolations != 0 {
-		t.Errorf("incremental cleaning should converge, %d left", inc.RemainingViolations)
+	if inc.Report().RemainingViolations != 0 {
+		t.Errorf("incremental cleaning should converge, %d left", inc.Report().RemainingViolations)
 	}
 }
 
@@ -62,7 +62,7 @@ func TestIncrementalCleanMultiRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.RemainingViolations != 0 {
-		t.Errorf("remaining = %d", res.RemainingViolations)
+	if res.Report().RemainingViolations != 0 {
+		t.Errorf("remaining = %d", res.Report().RemainingViolations)
 	}
 }

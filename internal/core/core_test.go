@@ -7,7 +7,6 @@ import (
 
 	"bigdansing/internal/engine"
 	"bigdansing/internal/join"
-	"bigdansing/internal/mapred"
 	"bigdansing/internal/model"
 )
 
@@ -432,52 +431,6 @@ func TestDetectPanicSurfacesAsError(t *testing.T) {
 	_, err := DetectRule(ctx, r, rel)
 	if err == nil || !strings.Contains(err.Error(), "detect exploded") {
 		t.Fatalf("detect panic should surface: %v", err)
-	}
-}
-
-func TestMapReduceBackendMatchesSparkBackend(t *testing.T) {
-	rel := exampleTax()
-	ctx := engine.New(4)
-	sparkRes, err := DetectRule(ctx, fdRule(), rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	eng, err := mapred.New(t.TempDir(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	mrRes, err := DetectRuleMapReduce(eng, fdRule(), rel, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mrRes.Violations) != len(sparkRes.Violations) {
-		t.Fatalf("MR found %d violations, dataflow %d", len(mrRes.Violations), len(sparkRes.Violations))
-	}
-	keys := map[string]bool{}
-	for _, v := range sparkRes.Violations {
-		keys[v.Key()] = true
-	}
-	for _, v := range mrRes.Violations {
-		if !keys[v.Key()] {
-			t.Errorf("MR violation %v not found by dataflow backend", v)
-		}
-	}
-	if len(mrRes.AllFixes()) != len(sparkRes.AllFixes()) {
-		t.Errorf("fix counts differ: %d vs %d", len(mrRes.AllFixes()), len(sparkRes.AllFixes()))
-	}
-}
-
-func TestMapReduceBackendRejectsOCJoin(t *testing.T) {
-	eng, err := mapred.New(t.TempDir(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	_, err = DetectRuleMapReduce(eng, dcRule(), exampleTax(), 2, 2)
-	if err == nil {
-		t.Fatal("OCJoin rule should be rejected on the MapReduce backend")
 	}
 }
 

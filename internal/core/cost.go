@@ -106,10 +106,19 @@ type CostModel interface {
 	Cost(in CostInputs) Cost
 }
 
-// StaticCost reproduces the legacy Optimize choices exactly: the default
-// (rule-shape) alternative costs zero, everything else costs more, and the
-// planner breaks ties in enumeration order. It needs no statistics, so the
-// planner skips the sampling pass entirely under this model.
+// StaticCost selects enhancers from the rule's structure alone (Section
+// 4.2):
+//
+//   - ordering-comparison rules take OCJoin;
+//   - two-branch (or doubly-keyed) rules take CoBlock;
+//   - symmetric blocked rules take UCrossProduct within blocks;
+//   - asymmetric blocked rules fall back to ordered pairs;
+//   - user Iterates are wrapped unchanged.
+//
+// The default (rule-shape) alternative costs zero, everything else costs
+// more, and the planner breaks ties in enumeration order. It needs no
+// statistics, so the planner skips the sampling pass entirely under this
+// model.
 type StaticCost struct{}
 
 // Name implements CostModel.

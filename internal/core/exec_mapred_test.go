@@ -3,14 +3,14 @@ package core
 import (
 	"testing"
 
+	"bigdansing/internal/datagen"
 	"bigdansing/internal/engine"
 	"bigdansing/internal/mapred"
 	"bigdansing/internal/model"
 )
 
-// TestMapReduceCoBlockParity runs a CoBlock rule (doubly-keyed self join)
-// through both backends and compares results.
-func TestMapReduceCoBlockParity(t *testing.T) {
+// coBlockRule is a doubly-keyed self join (two branches, CoBlock).
+func coBlockRule() (*Rule, *model.Relation) {
 	s := model.MustParseSchema("c_name,c_city,s_name,s_city")
 	rel := model.NewRelation("cs", s)
 	rel.Append(
@@ -19,7 +19,7 @@ func TestMapReduceCoBlockParity(t *testing.T) {
 		model.NewTuple(3, model.S("orbit"), model.S("CH"), model.S("orbit"), model.S("CH")),
 		model.NewTuple(4, model.S("nova"), model.S("SE"), model.S("nova"), model.S("PD")),
 	)
-	r := &Rule{
+	return &Rule{
 		ID:         "dc1",
 		Block:      func(tp model.Tuple) model.Value { return tp.Cell(0) }, // c_name
 		BlockRight: func(tp model.Tuple) model.Value { return tp.Cell(2) }, // s_name
@@ -32,65 +32,79 @@ func TestMapReduceCoBlockParity(t *testing.T) {
 			}
 			return nil
 		},
-	}
-	ctx := engine.New(4)
-	sparkRes, err := DetectRule(ctx, r, rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := mapred.New(t.TempDir(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	mrRes, err := DetectRuleMapReduce(eng, r, rel, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mrRes.Violations) != len(sparkRes.Violations) {
-		t.Fatalf("MR %d vs dataflow %d violations", len(mrRes.Violations), len(sparkRes.Violations))
-	}
-	keys := map[string]bool{}
-	for _, v := range sparkRes.Violations {
-		keys[v.Key()] = true
-	}
-	for _, v := range mrRes.Violations {
-		if !keys[v.Key()] {
-			t.Errorf("MR-only violation %v", v)
-		}
-	}
+	}, rel
 }
 
-// TestMapReduceUnaryRule runs a unary rule through the MapReduce backend.
-func TestMapReduceUnaryRule(t *testing.T) {
-	rel := exampleTax()
-	r := &Rule{
-		ID:    "cap",
-		Unary: true,
-		Detect: func(it Item) []model.Violation {
-			tp := it.One()
-			if tp.Cell(4).Float() > 85000 {
-				return []model.Violation{model.NewViolation("cap",
-					model.NewCell(tp.ID, 4, "salary", tp.Cell(4)))}
+// TestDiskBackendMatchesLocal: the disk backend runs the one executor, so
+// every physical operator — the ones the old hand-written MapReduce pipeline
+// rejected included — must find exactly the local backend's violations and
+// fixes, and plans that shuffle must really have gone through run files.
+func TestDiskBackendMatchesLocal(t *testing.T) {
+	coRule, coRel := coBlockRule()
+	cases := []struct {
+		name      string
+		rule      *Rule
+		rel       *model.Relation
+		planner   *Planner
+		impl      IterImpl
+		broadcast bool
+	}{
+		{name: "fd blocked", rule: fdRule(), rel: exampleTax(), impl: IterUniquePairs},
+		{name: "fd broadcast", rule: planFDRule(), rel: planTaxData(300, 45), planner: costPlanner(),
+			impl: IterUniquePairs, broadcast: true},
+		{name: "dc OCJoin", rule: dcRule(), rel: datagen.TaxB(400, 0.05, 3).Dirty, impl: IterOCJoin},
+		{name: "two-branch CoBlock", rule: coRule, rel: coRel, impl: IterCoBlockPairs},
+		{name: "unary", impl: IterSingles, rel: exampleTax(), rule: &Rule{
+			ID:    "cap",
+			Unary: true,
+			Detect: func(it Item) []model.Violation {
+				tp := it.One()
+				if tp.Cell(4).Float() > 85000 {
+					return []model.Violation{model.NewViolation("cap",
+						model.NewCell(tp.ID, 4, "salary", tp.Cell(4)))}
+				}
+				return nil
+			},
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			pl := c.planner
+			if pl == nil {
+				pl = NewPlanner()
 			}
-			return nil
-		},
-	}
-	eng, err := mapred.New(t.TempDir(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	res, err := DetectRuleMapReduce(eng, r, rel, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Violations) != 1 || res.Violations[0].Cells[0].TupleID != 4 {
-		t.Fatalf("violations = %v", res.Violations)
+			pp := mustPlanRule(t, pl, c.rule, c.rel)
+			if p := pp.Pipelines[0]; p.Impl != c.impl || p.Broadcast != c.broadcast {
+				t.Fatalf("planned %v (broadcast %v), want %v (broadcast %v)", p.Impl, p.Broadcast, c.impl, c.broadcast)
+			}
+			want, err := RunPlanSpark(engine.New(4), pp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want.Violations) == 0 {
+				t.Fatal("case finds no violations; it proves nothing")
+			}
+			eng, err := mapred.New(t.TempDir(), 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			got, err := RunPlanMapReduce(eng, pp, 3, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameOutcome(t, want, got)
+			// Broadcast plans collect instead of shuffling and unary rules
+			// never exchange; everything else must have hit the disk.
+			if shuffles := !c.broadcast && c.impl != IterSingles; shuffles &&
+				(eng.Stats().BytesSpilled() == 0 || eng.Stats().BytesRead() == 0) {
+				t.Errorf("stayed in memory: %d bytes spilled, %d read", eng.Stats().BytesSpilled(), eng.Stats().BytesRead())
+			}
+		})
 	}
 }
 
-// TestMapReduceScopeRuns verifies Scope executes inside the map phase.
+// TestMapReduceScopeRuns verifies Scope executes on the disk backend.
 func TestMapReduceScopeRuns(t *testing.T) {
 	rel := exampleTax()
 	r := fdRule()
@@ -116,7 +130,7 @@ func TestMapReduceScopeRuns(t *testing.T) {
 	}
 }
 
-// TestMapReduceDetectPanic surfaces a Detect panic from inside a reducer.
+// TestMapReduceDetectPanic surfaces a Detect panic from inside a task.
 func TestMapReduceDetectPanic(t *testing.T) {
 	rel := exampleTax()
 	r := fdRule()

@@ -73,24 +73,6 @@ type PhysicalPlan struct {
 	SharedScans int
 }
 
-// Optimize consolidates the logical plan (Algorithm 1) and translates each
-// pipeline into physical operators, selecting enhancers where the rule's
-// structure permits (Section 4.2):
-//
-//   - ordering-comparison rules take OCJoin;
-//   - two-branch (or doubly-keyed) rules take CoBlock;
-//   - symmetric blocked rules take UCrossProduct within blocks;
-//   - asymmetric blocked rules fall back to ordered pairs;
-//   - user Iterates are wrapped unchanged.
-//
-// Deprecated: Optimize is the legacy rule-shape translation. Use
-// NewPlanner().Plan(lp) — the default static cost model reproduces these
-// choices exactly, and NewPlanner(WithCostModel(NewCostModel())) plans
-// from statistics instead.
-func Optimize(lp *LogicalPlan) (*PhysicalPlan, error) {
-	return NewPlanner().Plan(lp)
-}
-
 // Explain renders the physical plan: one operator-sequence line per
 // pipeline, followed (when the planner kept them) by the priced
 // alternatives — chosen and rejected — of each decision.

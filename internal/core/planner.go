@@ -14,7 +14,7 @@ import (
 // pipeline (Section 4.2's wrappers and enhancers plus the broadcast and
 // alternate-key variants), prices each with its CostModel, and picks the
 // cheapest. The zero-configuration planner (NewPlanner()) uses StaticCost
-// and reproduces the legacy Optimize choices exactly; NewPlanner with
+// and makes the rule-shape choices (see StaticCost); NewPlanner with
 // WithCostModel(NewCostModel()) plans from sampled statistics and
 // Observer feedback.
 //
@@ -73,8 +73,8 @@ func WithParallelism(n int) PlannerOption {
 	}
 }
 
-// NewPlanner builds a Planner. With no options it is the drop-in
-// replacement for the deprecated Optimize: StaticCost, no statistics.
+// NewPlanner builds a Planner. With no options it plans by rule shape:
+// StaticCost, no statistics.
 func NewPlanner(opts ...PlannerOption) *Planner {
 	p := &Planner{
 		model:       StaticCost{},
@@ -143,9 +143,9 @@ func blockKeyName(b Branch, alt int) string {
 }
 
 // enumerateAlternatives lists the legal physical choices of one pipeline in
-// deterministic order, legacy choice first (alts[0].Default = true), so
+// deterministic order, rule-shape choice first (alts[0].Default = true), so
 // StaticCost — which prices the default at zero and breaks ties in order —
-// reproduces Optimize exactly.
+// picks it.
 func enumerateAlternatives(p Pipeline, parallelism int) ([]PlanAlternative, error) {
 	switch {
 	case p.Unary:

@@ -105,38 +105,6 @@ func TestStaticPlannerMatchesLegacyChoices(t *testing.T) {
 	}
 }
 
-// TestOptimizeShimMatchesPlanner pins the deprecated Optimize to
-// NewPlanner().Plan.
-func TestOptimizeShimMatchesPlanner(t *testing.T) {
-	rel := exampleTax()
-	for _, r := range []*Rule{fdRule(), dcRule()} {
-		lp1, err := PlanRule(r, rel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shim, err := Optimize(lp1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lp2, err := PlanRule(r, rel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		direct, err := NewPlanner().Plan(lp2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range shim.Pipelines {
-			if shim.Pipelines[i].Impl != direct.Pipelines[i].Impl {
-				t.Errorf("%s: shim impl %v != planner impl %v", r.ID, shim.Pipelines[i].Impl, direct.Pipelines[i].Impl)
-			}
-			if !reflect.DeepEqual(shim.Pipelines[i].Ops, direct.Pipelines[i].Ops) {
-				t.Errorf("%s: shim ops %v != planner ops %v", r.ID, shim.Pipelines[i].Ops, direct.Pipelines[i].Ops)
-			}
-		}
-	}
-}
-
 // TestOpsMarkersForOCJoinAndCoBlock covers the Ops-rendering fix: the
 // OCJoin and CoBlock paths now name their partitioning operators.
 func TestOpsMarkersForOCJoinAndCoBlock(t *testing.T) {

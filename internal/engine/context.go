@@ -185,49 +185,6 @@ func (sn Snapshot) String() string {
 	return b.String()
 }
 
-// Tasks returns the number of partition tasks executed.
-//
-// Deprecated: use Snapshot().Tasks; the accessor sprawl is replaced by the
-// Observer API plus Snapshot.
-func (s *Stats) Tasks() int64 { return s.tasks.Load() }
-
-// Stages returns the number of parallel stages executed.
-//
-// Deprecated: use Snapshot().Stages.
-func (s *Stats) Stages() int64 { return s.stages.Load() }
-
-// RecordsShuffled returns the number of records moved across partitions by
-// wide transformations.
-//
-// Deprecated: use Snapshot().RecordsShuffled.
-func (s *Stats) RecordsShuffled() int64 { return s.recordsShuffled.Load() }
-
-// RecordsRead returns the number of records ingested by Parallelize.
-//
-// Deprecated: use Snapshot().RecordsRead.
-func (s *Stats) RecordsRead() int64 { return s.recordsRead.Load() }
-
-// BytesSpilled returns the total bytes written to spill runs.
-//
-// Deprecated: use Snapshot().BytesSpilled.
-func (s *Stats) BytesSpilled() int64 { return s.bytesSpilled.Load() }
-
-// SpillRuns returns the number of spill run files written.
-//
-// Deprecated: use Snapshot().SpillRuns.
-func (s *Stats) SpillRuns() int64 { return s.spillRuns.Load() }
-
-// MergePasses returns the number of k-way merges executed over spill runs.
-//
-// Deprecated: use Snapshot().MergePasses.
-func (s *Stats) MergePasses() int64 { return s.mergePasses.Load() }
-
-// PeakReservedBytes returns the high-water mark of memory reserved against
-// the context's budget.
-//
-// Deprecated: use Snapshot().PeakReservedBytes.
-func (s *Stats) PeakReservedBytes() int64 { return s.peakReserved.Load() }
-
 // BeginSpan implements Observer: stage spans fold into the per-stage log
 // when they end, task spans count one task, every other kind is dropped
 // (Stats keeps totals, not trees). The task path returns a shared no-op
@@ -394,7 +351,7 @@ type Context struct {
 	// directories under; only set when mem is non-nil.
 	spillDir string
 
-	// exchange, when non-nil, is the networked multi-process backend: the
+	// exchange, when non-nil, is the non-local backend (TCP or disk): the
 	// wide operators route their encoded bytes through it instead of
 	// moving slices between goroutines. It takes precedence over the spill
 	// regime for the scatter-style operators it covers.
@@ -457,9 +414,15 @@ type Config struct {
 	// spawning local processes; NetWorkers is then ignored.
 	NetWorkerAddrs []string
 	// Exchange, when non-nil, installs this pre-built exchange directly,
-	// bypassing the Backend factory. The context takes ownership (Close
-	// closes it). The fault-injection harness uses it to run plans over a
-	// coordinator with chaos hooks armed.
+	// bypassing the Backend factory. Context.Close closes it, so a caller
+	// that closes the context hands the exchange over; a caller that keeps
+	// the exchange (to share it across contexts, or to read its counters
+	// afterwards) closes the exchange itself and leaves the context
+	// unclosed — a context holds nothing else that needs releasing. The
+	// disk backend (a *mapred.Engine, whose Close is a no-op by design so
+	// it can be shared this way) is installed through this field, and the
+	// fault-injection harness uses it to run plans over a coordinator with
+	// chaos hooks armed.
 	Exchange Exchange
 }
 
@@ -535,13 +498,13 @@ func NewContext(cfg Config) (*Context, error) {
 	return c, nil
 }
 
-// Exchange returns the networked exchange backing this context, or nil on
-// the in-process backends.
+// Exchange returns the exchange backing this context, or nil on the
+// in-process backend.
 func (c *Context) Exchange() Exchange { return c.exchange }
 
-// Close shuts down the context's backend: on BackendNet it closes every
-// worker connection and terminates the spawned worker processes. It is
-// idempotent and a no-op for in-process contexts.
+// Close shuts down the context's backend by closing its exchange: on
+// BackendNet that closes every worker connection and terminates the spawned
+// worker processes. It is idempotent and a no-op for in-process contexts.
 func (c *Context) Close() error {
 	x := c.exchange
 	if x == nil {

@@ -5,15 +5,17 @@ import (
 	"sync"
 )
 
-// The Exchange seam is how the engine talks to the networked multi-process
-// backend without importing it. The wide transformations that move data
-// between partitions — shuffleByKey, RangePartitionBy, Cartesian — already
-// know how to turn their records into codec-encoded bytes (the spill regime
-// fixed that wire format in PR 3); with an Exchange installed they hand
-// those bytes to it instead of concatenating slices in-process, and the
-// Exchange moves them through separate OS worker processes over TCP. The
-// engine stays oblivious to sockets, retries and worker placement: the
-// Exchange contract is purely about bytes and ordering.
+// The Exchange seam is how the engine talks to its non-local backends
+// without importing them. The wide transformations that move data between
+// partitions — shuffleByKey, RangePartitionBy, Cartesian — already know how
+// to turn their records into codec-encoded bytes (the spill regime fixed
+// that format in PR 3); with an Exchange installed they hand those bytes to
+// it instead of concatenating slices in-process. internal/netexec moves them
+// through separate OS worker processes over TCP (BackendNet);
+// internal/mapred writes them to run files on disk and reads them back
+// (installed through Config.Exchange). The engine stays oblivious to
+// sockets, files, retries and placement: the Exchange contract is purely
+// about bytes and ordering.
 
 // BackendKind selects a Context's execution backend.
 type BackendKind uint8
@@ -46,7 +48,7 @@ type EncodedRec struct {
 	Data []byte
 }
 
-// Exchange is the data plane of a distributed backend. Implementations must
+// Exchange is the data plane of a non-local backend. Implementations must
 // be safe for concurrent use (independent shuffles may overlap) and must
 // preserve the engine's ordering contract: the records of destination d are
 // returned in (source partition index, within-source order) — exactly the
@@ -64,10 +66,10 @@ type Exchange interface {
 	// the concatenations l||r for each right record r in order — which is
 	// the valid encoding of JoinRow under the engine's sequential codecs.
 	Cartesian(op string, left [][][]byte, right [][]byte) ([][][]byte, error)
-	// Workers reports the number of worker processes.
+	// Workers reports the number of worker processes (or task slots).
 	Workers() int
-	// Close terminates the backend: connections are closed and spawned
-	// worker processes are shut down. Idempotent.
+	// Close releases what the backend holds: connections, spawned worker
+	// processes, files. Idempotent.
 	Close() error
 }
 

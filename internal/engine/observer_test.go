@@ -244,24 +244,6 @@ func TestSnapshotStageOrderDeterministic(t *testing.T) {
 	}
 }
 
-// TestDeprecatedGettersMatchSnapshot: the old accessors must stay truthful
-// shims over Snapshot.
-func TestDeprecatedGettersMatchSnapshot(t *testing.T) {
-	ctx := New(4)
-	g := GroupByKey(KeyBy(Parallelize(ctx, []int{1, 2, 3, 4}, 2), func(v int) int { return v % 2 }))
-	if _, err := g.Collect(); err != nil {
-		t.Fatal(err)
-	}
-	s := ctx.Stats()
-	snap := s.Snapshot()
-	if s.Tasks() != snap.Tasks || s.Stages() != snap.Stages ||
-		s.RecordsRead() != snap.RecordsRead || s.RecordsShuffled() != snap.RecordsShuffled ||
-		s.BytesSpilled() != snap.BytesSpilled || s.SpillRuns() != snap.SpillRuns ||
-		s.MergePasses() != snap.MergePasses || s.PeakReservedBytes() != snap.PeakReservedBytes {
-		t.Errorf("deprecated getters diverge from Snapshot: %+v", snap)
-	}
-}
-
 // noopObserver is the cheapest possible user observer, for overhead
 // benchmarks: real method calls, no recording.
 type noopObserver struct{}

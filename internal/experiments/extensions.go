@@ -95,9 +95,9 @@ func ExtConsolidation(cfg Config) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
-// ExtCombiner measures the distributed equivalence class with and without
-// the map-side combiner, reporting spilled bytes (the quantity the
-// combiner exists to cut) alongside runtime.
+// ExtCombiner measures the distributed equivalence class's first word count
+// on the disk backend with and without the map-side combine, reporting
+// spilled bytes (the quantity the combiner exists to cut).
 func ExtCombiner(cfg Config) ([]*Table, error) {
 	cfg = cfg.withDefaults()
 	t := &Table{ID: "ext-combiner", Title: "distributed equivalence class: MR spill with vs without combiner",
@@ -117,34 +117,50 @@ func ExtCombiner(cfg Config) ([]*Table, error) {
 		}
 		return out
 	}
-	for _, n := range []int{cfg.rows(1000), cfg.rows(5000), cfg.rows(20000)} {
-		fs := mkFixSets(n)
-		// With combiner (the shipped implementation).
+	// spilled runs job on a fresh disk-backed context and reads the bytes
+	// its exchanges wrote.
+	spilled := func(job func(ctx *engine.Context) error) (float64, error) {
 		eng, err := mapred.New("", cfg.Workers)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		algo := &repair.DistributedEquivalenceClass{Engine: eng, Splits: cfg.Workers, Reduces: cfg.Workers}
-		if _, err := algo.Repair(fs); err != nil {
-			eng.Close()
-			return nil, err
+		ctx, err := engine.NewContext(engine.Config{Parallelism: cfg.Workers, Exchange: eng})
+		if err != nil {
+			return 0, err
 		}
-		t.Series[0].Points = append(t.Series[0].Points,
-			Point{X: float64(n), Value: float64(eng.Stats().BytesSpilled())})
-		eng.Close()
-
-		// Without: run the equivalent word count through plain Run.
-		eng2, err := mapred.New("", cfg.Workers)
+		defer ctx.Close()
+		if err := job(ctx); err != nil {
+			return 0, err
+		}
+		return float64(eng.Stats().BytesSpilled()), nil
+	}
+	for _, n := range []int{cfg.rows(1000), cfg.rows(5000), cfg.rows(20000)} {
+		fs := mkFixSets(n)
+		// With combiner (the shipped implementation: ReduceByKey).
+		with, err := spilled(func(ctx *engine.Context) error {
+			_, err := (&repair.DistributedEquivalenceClass{Ctx: ctx}).Repair(fs)
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
-		spilled, err := wordCountSpill(eng2, fs, cfg.Workers)
+		// Without: the same word count as GroupByKey plus a fold, so one
+		// record per element reaches the run files.
+		without, err := spilled(func(ctx *engine.Context) error {
+			var words []engine.Pair[string, int64]
+			for _, f := range fs {
+				for _, c := range f.Violation.Cells {
+					words = append(words, engine.KV(c.Value.Key(), int64(1)))
+				}
+			}
+			grouped := engine.GroupByKey(engine.Parallelize(ctx, words, 0))
+			return engine.Map(grouped, func(g engine.Pair[string, []int64]) int { return len(g.Value) }).Err()
+		})
 		if err != nil {
-			eng2.Close()
 			return nil, err
 		}
-		t.Series[1].Points = append(t.Series[1].Points, Point{X: float64(n), Value: spilled})
-		eng2.Close()
+		t.Series[0].Points = append(t.Series[0].Points, Point{X: float64(n), Value: with})
+		t.Series[1].Points = append(t.Series[1].Points, Point{X: float64(n), Value: without})
 	}
 	t.Notes = append(t.Notes, "extension: the Combine task of Appendix G.2 collapses per-map duplicate keys before spilling")
 	return []*Table{t}, nil
@@ -198,24 +214,6 @@ func ExtNet(cfg Config) ([]*Table, error) {
 		"extension: partitions really cross process boundaries -- frames over loopback TCP, CRC-checked, credit-windowed",
 		"expect net slower than in-process at this scale: the wire cost is real and the point is the trend across workers")
 	return []*Table{t}, nil
-}
-
-// wordCountSpill replays job 1's record volume without a combiner: one
-// record per element reaches the spill files.
-func wordCountSpill(eng *mapred.Engine, fs []model.FixSet, workers int) (float64, error) {
-	var input [][]byte
-	for _, f := range fs {
-		for _, c := range f.Violation.Cells {
-			input = append(input, []byte(c.Value.Key()))
-		}
-	}
-	_, err := eng.Run(input, workers, workers,
-		func(rec []byte, emit mapred.Emit) { emit(string(rec), []byte{1}) },
-		func(key string, values [][]byte, emit func([]byte)) { emit([]byte(key)) })
-	if err != nil {
-		return 0, err
-	}
-	return float64(eng.Stats().BytesSpilled()), nil
 }
 
 // ExtPlan compares the static rule-shape planner against the cost-based

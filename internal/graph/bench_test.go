@@ -2,78 +2,18 @@ package graph
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 )
 
-// randomEdges builds a random sparse graph.
-func randomEdges(n, m int, seed int64) []Edge {
-	r := rand.New(rand.NewSource(seed))
-	edges := make([]Edge, m)
-	for i := range edges {
-		edges[i] = Edge{A: int64(r.Intn(n)), B: int64(r.Intn(n))}
-	}
-	return edges
-}
-
-// BenchmarkConnectedComponents quantifies the cost of the GraphX-faithful
-// BSP label propagation against a plain union-find — the overhead that
-// explains the Figure 12(b) divergence recorded in EXPERIMENTS.md (on a
-// real cluster BSP amortizes over machines; in one process it cannot).
-func BenchmarkConnectedComponents(b *testing.B) {
-	for _, n := range []int{1000, 10000} {
-		edges := randomEdges(n, n*2, int64(n))
-		b.Run(fmt.Sprintf("bsp-%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				g := NewGraph(edges)
-				if _, err := ConnectedComponents(g, 4); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("unionfind-%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				uf := NewUnionFind()
-				for _, e := range edges {
-					uf.Union(e.A, e.B)
-				}
-				_ = uf.Components()
-			}
-		})
-	}
-}
-
-// BenchmarkHypergraphCC measures the repair layer's actual entry point:
-// connected components over violation-shaped hyperedges.
-func BenchmarkHypergraphCC(b *testing.B) {
-	for _, n := range []int{1000, 5000} {
-		edges := make([]Hyperedge, n)
-		for i := range edges {
-			edges[i] = Hyperedge{ID: int64(i), Nodes: []string{
-				fmt.Sprintf("c%d", i%(n/4+1)),
-				fmt.Sprintf("c%d", (i*7)%(n/4+1)),
-			}}
-		}
-		h := NewHypergraph(edges)
-		b.Run(fmt.Sprintf("edges-%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := h.ConnectedComponents(4); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkPartitionKWay measures the oversized-component splitter.
 func BenchmarkPartitionKWay(b *testing.B) {
-	edges := make([]Hyperedge, 5000)
+	edges := make([]HyperedgeOf[string], 5000)
 	for i := range edges {
-		edges[i] = Hyperedge{ID: int64(i), Nodes: []string{
+		edges[i] = HyperedgeOf[string]{ID: int64(i), Nodes: []string{
 			fmt.Sprintf("c%d", i%97), fmt.Sprintf("c%d", (i*3)%97),
 		}}
 	}
-	h := NewHypergraph(edges)
+	h := NewHypergraphOf(edges)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = h.PartitionKWay(8)

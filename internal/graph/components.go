@@ -1,49 +1,14 @@
+// Package graph provides the graph substrate BigDansing's repair layer
+// needs: union-find structures for connected components (sequential, and
+// lock-free for the worker pool) and a greedy k-way hypergraph partitioner
+// standing in for multilevel partitioning [22].
 package graph
 
 import "sync/atomic"
 
-// ConnectedComponents labels every vertex with the smallest vertex ID in its
-// component, computed with HashMin label propagation on the BSP engine —
-// the same algorithm GraphX's connectedComponents() runs for the paper's
-// repair stage (Section 5.1).
-func ConnectedComponents(g *Graph, parallelism int) (map[VertexID]VertexID, error) {
-	prog := Program[VertexID, VertexID]{
-		Init: func(id VertexID) VertexID { return id },
-		Compute: func(id VertexID, state *VertexID, msgs []VertexID, send func(VertexID, VertexID)) bool {
-			best := *state
-			for _, m := range msgs {
-				if m < best {
-					best = m
-				}
-			}
-			if best < *state || len(msgs) == 0 { // superstep 0 or improvement
-				improved := best < *state
-				*state = best
-				if improved || len(msgs) == 0 {
-					for _, nb := range g.Neighbors(id) {
-						send(nb, best)
-					}
-				}
-			}
-			return true
-		},
-		Combine: func(a, b VertexID) VertexID {
-			if a < b {
-				return a
-			}
-			return b
-		},
-	}
-	res, err := Run(g, prog, parallelism, 0)
-	if err != nil {
-		return nil, err
-	}
-	return res.States, nil
-}
-
-// UnionFind is a sequential disjoint-set structure; it is both the oracle
-// the property tests compare the BSP result against and the fast path for
-// small violation graphs.
+// UnionFind is a sequential disjoint-set structure over sparse int64
+// elements; it is also the oracle the property tests compare the concurrent
+// labeling against.
 type UnionFind struct {
 	parent map[int64]int64
 	rank   map[int64]int
@@ -91,7 +56,7 @@ func (u *UnionFind) Union(a, b int64) {
 }
 
 // Components groups all added elements by canonical representative, where
-// the representative reported is the minimum member (matching HashMin).
+// the representative reported is the minimum member.
 func (u *UnionFind) Components() map[int64]int64 {
 	mins := make(map[int64]int64)
 	for x := range u.parent {
@@ -110,9 +75,8 @@ func (u *UnionFind) Components() map[int64]int64 {
 // ConcurrentUnionFind is a lock-free disjoint-set structure over the dense
 // element range [0, n). Union links the larger root under the smaller via
 // compare-and-swap, so after all unions the representative of every set is
-// its minimum member — the same canonical labeling HashMin converges to,
-// which lets the repair layer swap it in for the BSP computation without
-// changing component IDs. Find uses path halving; every parent update is a
+// its minimum member, a canonical labeling independent of union order.
+// Find uses path halving; every parent update is a
 // CAS, so concurrent Union/Find calls from the worker pool are safe.
 type ConcurrentUnionFind struct {
 	parent []atomic.Int32

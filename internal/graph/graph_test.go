@@ -3,129 +3,9 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
-	"testing/quick"
 )
-
-func TestConnectedComponentsSimple(t *testing.T) {
-	g := NewGraph([]Edge{{1, 2}, {2, 3}, {10, 11}})
-	g.AddVertex(99)
-	labels, err := ConnectedComponents(g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if labels[1] != 1 || labels[2] != 1 || labels[3] != 1 {
-		t.Errorf("component of {1,2,3} = %d,%d,%d", labels[1], labels[2], labels[3])
-	}
-	if labels[10] != 10 || labels[11] != 10 {
-		t.Errorf("component of {10,11} = %d,%d", labels[10], labels[11])
-	}
-	if labels[99] != 99 {
-		t.Errorf("isolated vertex = %d", labels[99])
-	}
-}
-
-func TestConnectedComponentsChain(t *testing.T) {
-	// A long chain needs many supersteps for the min label to propagate.
-	var edges []Edge
-	for i := int64(0); i < 200; i++ {
-		edges = append(edges, Edge{i, i + 1})
-	}
-	g := NewGraph(edges)
-	labels, err := ConnectedComponents(g, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, l := range labels {
-		if l != 0 {
-			t.Fatalf("vertex %d labeled %d, want 0", v, l)
-		}
-	}
-}
-
-func TestBSPMatchesUnionFind(t *testing.T) {
-	f := func(raw []uint16, seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := len(raw)
-		if n > 60 {
-			n = 60
-		}
-		uf := NewUnionFind()
-		g := &Graph{adj: map[VertexID][]VertexID{}}
-		for i := 0; i < n; i++ {
-			a := int64(raw[i] % 40)
-			b := int64(r.Intn(40))
-			g.AddEdge(a, b)
-			uf.Union(a, b)
-		}
-		want := uf.Components()
-		got, err := ConnectedComponents(g, 4)
-		if err != nil {
-			return false
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for v, l := range want {
-			if got[v] != l {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBSPPanicSurfaces(t *testing.T) {
-	g := NewGraph([]Edge{{1, 2}})
-	prog := Program[int, int]{
-		Init:    func(id VertexID) int { return 0 },
-		Compute: func(id VertexID, s *int, msgs []int, send func(VertexID, int)) bool { panic("boom") },
-	}
-	if _, err := Run(g, prog, 2, 5); err == nil {
-		t.Fatal("vertex panic should surface as error")
-	}
-}
-
-func TestBSPEmptyGraph(t *testing.T) {
-	g := NewGraph(nil)
-	labels, err := ConnectedComponents(g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(labels) != 0 {
-		t.Error("empty graph has no labels")
-	}
-}
-
-func TestBSPMessageCombining(t *testing.T) {
-	// Sum-combine: each leaf sends 1 to the hub in superstep 0; the hub must
-	// receive the combined total in superstep 1.
-	g := NewGraph([]Edge{{0, 1}, {0, 2}, {0, 3}, {0, 4}})
-	type state struct{ total int }
-	prog := Program[state, int]{
-		Init: func(id VertexID) state { return state{} },
-		Compute: func(id VertexID, s *state, msgs []int, send func(VertexID, int)) bool {
-			for _, m := range msgs {
-				s.total += m
-			}
-			if len(msgs) == 0 && id != 0 { // superstep 0, leaves
-				send(0, 1)
-			}
-			return true
-		},
-		Combine: func(a, b int) int { return a + b },
-	}
-	res, err := Run(g, prog, 4, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.States[0].total != 4 {
-		t.Errorf("hub total = %d, want 4", res.States[0].total)
-	}
-}
 
 func TestUnionFindBasics(t *testing.T) {
 	uf := NewUnionFind()
@@ -149,79 +29,51 @@ func TestUnionFindBasics(t *testing.T) {
 	}
 }
 
-func TestHypergraphConnectedComponents(t *testing.T) {
-	// Mirrors Figure 7: v1 and v2 share element c2 -> CC1; v3 alone -> CC2.
-	h := NewHypergraph([]Hyperedge{
-		{ID: 1, Nodes: []string{"c1", "c2"}},
-		{ID: 2, Nodes: []string{"c2", "c3"}},
-		{ID: 3, Nodes: []string{"c4", "c5"}},
-	})
-	cc, err := h.ConnectedComponents(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cc[1] != cc[2] {
-		t.Error("v1 and v2 share c2, same component")
-	}
-	if cc[3] == cc[1] {
-		t.Error("v3 is independent")
-	}
-	if cc[1] != 1 {
-		t.Errorf("component id should be min hyperedge id, got %d", cc[1])
-	}
-}
-
-func TestHypergraphCCMatchesUnionFindOracle(t *testing.T) {
-	f := func(pairs []uint8) bool {
-		n := len(pairs) / 2
-		if n > 30 {
-			n = 30
+// TestConcurrentUnionFindMinRoot is the labeling contract the repair layer's
+// component IDs rest on: whatever order (and from however many goroutines)
+// the unions arrive in, every set ends up rooted at its minimum member —
+// the labels the sequential UnionFind reports.
+func TestConcurrentUnionFindMinRoot(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		const n = 200
+		pairs := make([][2]int32, 150)
+		oracle := NewUnionFind()
+		for i := int64(0); i < n; i++ {
+			oracle.Add(i)
 		}
-		edges := make([]Hyperedge, 0, n)
-		uf := NewUnionFind()
-		for i := 0; i < n; i++ {
-			a := fmt.Sprintf("n%d", pairs[2*i]%20)
-			b := fmt.Sprintf("n%d", pairs[2*i+1]%20)
-			edges = append(edges, Hyperedge{ID: int64(i), Nodes: []string{a, b}})
+		for i := range pairs {
+			pairs[i] = [2]int32{int32(r.Intn(n)), int32(r.Intn(n))}
+			oracle.Union(int64(pairs[i][0]), int64(pairs[i][1]))
 		}
-		h := NewHypergraph(edges)
-		got, err := h.ConnectedComponents(3)
-		if err != nil {
-			return false
-		}
-		// Oracle: union edges sharing nodes, via node->edge index.
-		nodeFirst := map[string]int64{}
-		for _, e := range edges {
-			uf.Add(e.ID)
-			for _, nd := range e.Nodes {
-				if f, ok := nodeFirst[nd]; ok {
-					uf.Union(f, e.ID)
-				} else {
-					nodeFirst[nd] = e.ID
+		u := NewConcurrentUnionFind(n)
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := w; i < len(pairs); i += 4 {
+					u.Union(pairs[i][0], pairs[i][1])
 				}
+			}()
+		}
+		wg.Wait()
+		for x, want := range oracle.Components() {
+			if got := u.Find(int32(x)); int64(got) != want {
+				t.Fatalf("seed %d: element %d labeled %d, want its set's minimum %d", seed, x, got, want)
 			}
 		}
-		want := uf.Components()
-		for id, c := range want {
-			if got[id] != c {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }
 
 func TestPartitionKWayBalanceAndCompleteness(t *testing.T) {
-	var edges []Hyperedge
+	var edges []HyperedgeOf[string]
 	for i := int64(0); i < 100; i++ {
-		edges = append(edges, Hyperedge{ID: i, Nodes: []string{
+		edges = append(edges, HyperedgeOf[string]{ID: i, Nodes: []string{
 			fmt.Sprintf("c%d", i%17), fmt.Sprintf("c%d", (i*3)%17),
 		}})
 	}
-	h := NewHypergraph(edges)
+	h := NewHypergraphOf(edges)
 	parts := h.PartitionKWay(4)
 	total := 0
 	seen := map[int64]bool{}
@@ -248,14 +100,14 @@ func TestPartitionKWayBalanceAndCompleteness(t *testing.T) {
 
 func TestPartitionKWayPrefersSharedNodes(t *testing.T) {
 	// Two tight clusters: good partitioning keeps each together.
-	var edges []Hyperedge
+	var edges []HyperedgeOf[string]
 	for i := int64(0); i < 10; i++ {
-		edges = append(edges, Hyperedge{ID: i, Nodes: []string{"a1", fmt.Sprintf("x%d", i)}})
+		edges = append(edges, HyperedgeOf[string]{ID: i, Nodes: []string{"a1", fmt.Sprintf("x%d", i)}})
 	}
 	for i := int64(10); i < 20; i++ {
-		edges = append(edges, Hyperedge{ID: i, Nodes: []string{"b1", fmt.Sprintf("y%d", i)}})
+		edges = append(edges, HyperedgeOf[string]{ID: i, Nodes: []string{"b1", fmt.Sprintf("y%d", i)}})
 	}
-	h := NewHypergraph(edges)
+	h := NewHypergraphOf(edges)
 	parts := h.PartitionKWay(2)
 	if len(parts) != 2 {
 		t.Fatalf("parts = %d", len(parts))
@@ -266,19 +118,19 @@ func TestPartitionKWayPrefersSharedNodes(t *testing.T) {
 }
 
 func TestPartitionKWaySmall(t *testing.T) {
-	h := NewHypergraph([]Hyperedge{{ID: 1, Nodes: []string{"a"}}})
+	h := NewHypergraphOf([]HyperedgeOf[string]{{ID: 1, Nodes: []string{"a"}}})
 	parts := h.PartitionKWay(5)
 	if len(parts) != 1 || len(parts[0]) != 1 {
 		t.Errorf("single edge: %v", parts)
 	}
-	empty := NewHypergraph(nil)
+	empty := NewHypergraphOf[string](nil)
 	if got := empty.PartitionKWay(3); len(got) != 1 || len(got[0]) != 0 {
 		t.Errorf("empty hypergraph: %v", got)
 	}
 }
 
 func TestCut(t *testing.T) {
-	parts := [][]Hyperedge{
+	parts := [][]HyperedgeOf[string]{
 		{{ID: 1, Nodes: []string{"a", "b"}}},
 		{{ID: 2, Nodes: []string{"b", "c"}}},
 		{{ID: 3, Nodes: []string{"d"}}},

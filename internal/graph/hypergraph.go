@@ -15,71 +15,14 @@ type HyperedgeOf[N comparable] struct {
 	Nodes []N
 }
 
-// Hyperedge is a string-keyed hyperedge, kept for callers (and tests) that
-// key nodes by rendered strings.
-type Hyperedge = HyperedgeOf[string]
-
 // HypergraphOf is a set of hyperedges over comparable-keyed nodes.
 type HypergraphOf[N comparable] struct {
 	Edges []HyperedgeOf[N]
 }
 
-// Hypergraph is a string-keyed hypergraph.
-type Hypergraph = HypergraphOf[string]
-
 // NewHypergraphOf builds a hypergraph over any comparable node type.
 func NewHypergraphOf[N comparable](edges []HyperedgeOf[N]) *HypergraphOf[N] {
 	return &HypergraphOf[N]{Edges: edges}
-}
-
-// NewHypergraph builds a string-keyed hypergraph.
-func NewHypergraph(edges []Hyperedge) *Hypergraph { return NewHypergraphOf(edges) }
-
-// ConnectedComponents groups hyperedges into connected components: two
-// hyperedges are connected when they share a node. It returns, per
-// hyperedge ID, a component ID (the smallest hyperedge ID in the component).
-//
-// The computation mirrors the paper's use of GraphX: the hypergraph is
-// encoded as a bipartite graph (hyperedge vertices and node vertices) and
-// connected components run on the BSP engine.
-func (h *HypergraphOf[N]) ConnectedComponents(parallelism int) (map[int64]int64, error) {
-	if len(h.Edges) == 0 {
-		return map[int64]int64{}, nil
-	}
-	// Encode: hyperedge e -> vertex 2*idx; node n -> vertex 2*nodeIdx+1.
-	// Using dense indexes keeps vertex IDs disjoint from hyperedge IDs.
-	nodeIdx := make(map[N]int64)
-	g := &Graph{adj: make(map[VertexID][]VertexID)}
-	for i, e := range h.Edges {
-		ev := VertexID(2 * int64(i))
-		g.AddVertex(ev)
-		for _, n := range e.Nodes {
-			ni, ok := nodeIdx[n]
-			if !ok {
-				ni = int64(len(nodeIdx))
-				nodeIdx[n] = ni
-			}
-			g.AddEdge(ev, VertexID(2*ni+1))
-		}
-	}
-	labels, err := ConnectedComponents(g, parallelism)
-	if err != nil {
-		return nil, err
-	}
-	// The label of a component is a vertex id; map it back to the smallest
-	// hyperedge ID carrying that label.
-	compMin := make(map[VertexID]int64)
-	for i, e := range h.Edges {
-		l := labels[VertexID(2*int64(i))]
-		if cur, ok := compMin[l]; !ok || e.ID < cur {
-			compMin[l] = e.ID
-		}
-	}
-	out := make(map[int64]int64, len(h.Edges))
-	for i, e := range h.Edges {
-		out[e.ID] = compMin[labels[VertexID(2*int64(i))]]
-	}
-	return out, nil
 }
 
 // PartitionKWay splits the hyperedges into k balanced parts, a greedy

@@ -1,247 +1,236 @@
-// Package mapred implements a disk-based MapReduce engine, the substrate
-// for the BigDansing-Hadoop backend of the paper's multi-node experiments
-// (Figures 10a and 10c). Unlike package engine, every map output is spilled
-// to intermediate partition files on disk and read back by reduce tasks, so
-// the Hadoop-vs-Spark performance gap of the paper reproduces naturally.
-//
-// Records are opaque byte slices; callers frame their own payloads (tuples
-// use the binary codec in package model). A job is:
-//
-//	map:    rec -> (key, value)*        one map task per input split
-//	reduce: key, values -> out*         one reduce task per hash partition
+// Package mapred is the disk exchange: the substrate of the
+// BigDansing-Hadoop backend of the paper's multi-node experiments (Figures
+// 10a and 10c, Appendix G.2), expressed as an engine.Exchange. A Context
+// built with engine.Config{Exchange: eng} runs the one executor unchanged;
+// the only difference from the in-memory backend is that every partition
+// exchange materialises on disk — each source→destination bucket is written
+// as a CRC-framed internal/spill run file and read back by the destination
+// task — so the Hadoop-vs-Spark gap of the paper reproduces from file I/O
+// alone.
 package mapred
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
+
+	"bigdansing/internal/engine"
+	"bigdansing/internal/spill"
 )
 
-// Emit receives a key-value record from a map function.
-type Emit func(key string, value []byte)
-
-// MapFunc processes one input record.
-type MapFunc func(rec []byte, emit Emit)
-
-// ReduceFunc processes all values of one key and emits output records.
-type ReduceFunc func(key string, values [][]byte, emit func(out []byte))
-
-// Stats counts the disk traffic a job generated.
+// Stats counts the disk traffic the engine's exchanges generated.
 type Stats struct {
 	bytesSpilled atomic.Int64
 	bytesRead    atomic.Int64
-	mapTasks     atomic.Int64
-	reduceTasks  atomic.Int64
 }
 
-// BytesSpilled returns bytes written to intermediate files.
+// BytesSpilled returns bytes written to run files.
 func (s *Stats) BytesSpilled() int64 { return s.bytesSpilled.Load() }
 
-// BytesRead returns bytes read back from intermediate files.
+// BytesRead returns bytes read back from run files.
 func (s *Stats) BytesRead() int64 { return s.bytesRead.Load() }
 
-// MapTasks returns the number of map tasks executed.
-func (s *Stats) MapTasks() int64 { return s.mapTasks.Load() }
-
-// ReduceTasks returns the number of reduce tasks executed.
-func (s *Stats) ReduceTasks() int64 { return s.reduceTasks.Load() }
-
-// Engine runs MapReduce jobs with a fixed number of parallel task slots,
-// spilling all intermediate data under Dir.
+// Engine is a disk-materialising engine.Exchange with a fixed number of
+// parallel I/O task slots. It is safe for concurrent use: every exchange
+// writes into a run directory of its own.
 type Engine struct {
-	dir     string
+	base    string
 	workers int
 	stats   Stats
-	jobSeq  atomic.Int64
 }
 
-// New creates an engine. dir is the spill directory ("" means the OS temp
-// dir); workers is the task-slot count (<=0 means 4, Hadoop's historical
-// default of 2 map + 2 reduce slots).
+var _ engine.Exchange = (*Engine)(nil)
+
+// New creates an engine. dir is the directory run files go under ("" means
+// the OS temp dir); workers is the task-slot count (<=0 means 4, Hadoop's
+// historical default of 2 map + 2 reduce slots). Nothing touches the
+// filesystem until the first exchange.
 func New(dir string, workers int) (*Engine, error) {
 	if workers <= 0 {
 		workers = 4
 	}
-	if dir == "" {
-		d, err := os.MkdirTemp("", "bigdansing-mr-")
-		if err != nil {
-			return nil, fmt.Errorf("mapred: temp dir: %w", err)
+	if dir != "" {
+		if fi, err := os.Stat(dir); err == nil && !fi.IsDir() {
+			return nil, fmt.Errorf("mapred: %s is not a directory", dir)
 		}
-		dir = d
-	} else if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("mapred: mkdir %s: %w", dir, err)
 	}
-	return &Engine{dir: dir, workers: workers}, nil
+	return &Engine{base: dir, workers: workers}, nil
 }
 
 // Stats returns the engine's disk statistics.
 func (e *Engine) Stats() *Stats { return &e.stats }
 
-// Dir returns the spill directory.
-func (e *Engine) Dir() string { return e.dir }
+// Workers reports the task-slot count.
+func (e *Engine) Workers() int { return e.workers }
 
-// Close removes the spill directory.
-func (e *Engine) Close() error { return os.RemoveAll(e.dir) }
+// Close implements engine.Exchange. Every exchange removes its own run
+// directory before it returns, on error paths too, so there is nothing left
+// to release; the directory passed to New is never removed. Close is a no-op
+// on purpose: one engine may back several contexts, and stays usable
+// whichever of them is closed.
+func (e *Engine) Close() error { return nil }
 
-// CombineFunc merges the map-side values of one key before they spill —
-// the Combine task of Appendix G.2. It must be associative and produce
-// output the reducer accepts as input values.
-type CombineFunc func(key string, values [][]byte) [][]byte
-
-// Run executes one map-shuffle-reduce job over the input records, with
-// nSplits map tasks and nReduce reduce tasks (<=0 defaults both to the
-// worker count). The output is the concatenation of all reduce outputs.
-func (e *Engine) Run(input [][]byte, nSplits, nReduce int, mapFn MapFunc, reduceFn ReduceFunc) ([][]byte, error) {
-	return e.RunWithCombiner(input, nSplits, nReduce, mapFn, nil, reduceFn)
+// Shuffle writes every source→destination bucket as one run file (the map
+// side), then has each destination read its buckets back in source order
+// (the reduce side), which is the Exchange ordering contract.
+func (e *Engine) Shuffle(op string, parts [][]engine.EncodedRec, n int) ([][][]byte, error) {
+	dir := spill.NewDir(e.base, "mr")
+	defer dir.Cleanup()
+	runs, err := e.scatter(dir, parts, n)
+	if err != nil {
+		return nil, fmt.Errorf("mapred: %s: %w", op, err)
+	}
+	out, err := e.gather(runs, n)
+	if err != nil {
+		return nil, fmt.Errorf("mapred: %s: %w", op, err)
+	}
+	return out, nil
 }
 
-// RunWithCombiner is Run with an optional map-side combiner: each map
-// task buffers its emits per key and runs combine before spilling, cutting
-// intermediate disk volume — how the distributed equivalence class keeps
-// its first word-count sequence cheap.
-func (e *Engine) RunWithCombiner(input [][]byte, nSplits, nReduce int, mapFn MapFunc, combine CombineFunc, reduceFn ReduceFunc) ([][]byte, error) {
-	if nSplits <= 0 {
-		nSplits = e.workers
-	}
-	if nReduce <= 0 {
-		nReduce = e.workers
-	}
-	if nSplits > len(input) && len(input) > 0 {
-		nSplits = len(input)
-	}
-	if len(input) == 0 {
-		nSplits = 1
-	}
-	jobID := e.jobSeq.Add(1)
-	jobDir := filepath.Join(e.dir, fmt.Sprintf("job-%d", jobID))
-	if err := os.MkdirAll(jobDir, 0o755); err != nil {
-		return nil, fmt.Errorf("mapred: job dir: %w", err)
-	}
-	defer os.RemoveAll(jobDir)
-
-	// ---- Map phase: each split writes nReduce partition files.
-	if err := e.parallel(nSplits, func(split int) error {
-		e.stats.mapTasks.Add(1)
-		chunk := (len(input) + nSplits - 1) / nSplits
-		lo, hi := split*chunk, (split+1)*chunk
-		if lo > len(input) {
-			lo = len(input)
+// scatter is the map side: runs[src][dst] holds source partition src's
+// records bound for destination dst, nil where there are none.
+func (e *Engine) scatter(dir *spill.Dir, parts [][]engine.EncodedRec, n int) ([][]*spill.Run, error) {
+	runs := make([][]*spill.Run, len(parts))
+	err := e.parallel(len(parts), func(src int) error {
+		buckets := make([][][]byte, n)
+		for _, rec := range parts[src] {
+			if int(rec.Dst) >= n {
+				return fmt.Errorf("record bound for partition %d of %d", rec.Dst, n)
+			}
+			buckets[rec.Dst] = append(buckets[rec.Dst], rec.Data)
 		}
-		if hi > len(input) {
-			hi = len(input)
-		}
-		writers := make([]*spillWriter, nReduce)
-		for r := 0; r < nReduce; r++ {
-			w, err := newSpillWriter(partPath(jobDir, split, r), &e.stats)
+		runs[src] = make([]*spill.Run, n)
+		for dst, recs := range buckets {
+			run, err := e.writeRun(dir, recs)
 			if err != nil {
 				return err
 			}
-			writers[r] = w
+			runs[src][dst] = run
 		}
-		var mapErr error
-		var emit Emit
-		// Without a combiner, emits stream straight to the spill files;
-		// with one, they buffer per key and combine before spilling.
-		var pending map[string][][]byte
-		var order []string
-		if combine == nil {
-			emit = func(key string, value []byte) {
-				r := int(hashKey(key) % uint64(nReduce))
-				if err := writers[r].write(key, value); err != nil && mapErr == nil {
-					mapErr = err
-				}
-			}
-		} else {
-			pending = make(map[string][][]byte)
-			emit = func(key string, value []byte) {
-				if _, seen := pending[key]; !seen {
-					order = append(order, key)
-				}
-				cp := make([]byte, len(value))
-				copy(cp, value)
-				pending[key] = append(pending[key], cp)
-			}
-		}
-		func() {
-			defer func() {
-				if rec := recover(); rec != nil && mapErr == nil {
-					mapErr = fmt.Errorf("mapred: map task %d panicked: %v", split, rec)
-				}
-			}()
-			for _, rec := range input[lo:hi] {
-				mapFn(rec, emit)
-			}
-			if combine != nil {
-				for _, key := range order {
-					r := int(hashKey(key) % uint64(nReduce))
-					for _, v := range combine(key, pending[key]) {
-						if err := writers[r].write(key, v); err != nil && mapErr == nil {
-							mapErr = err
-						}
-					}
-				}
-			}
-		}()
-		for _, w := range writers {
-			if err := w.close(); err != nil && mapErr == nil {
-				mapErr = err
-			}
-		}
-		return mapErr
-	}); err != nil {
-		return nil, err
-	}
+		return nil
+	})
+	return runs, err
+}
 
-	// ---- Reduce phase: each reducer merges its partition files from all
-	// map tasks, groups by key, and reduces.
-	outputs := make([][][]byte, nReduce)
-	if err := e.parallel(nReduce, func(r int) error {
-		e.stats.reduceTasks.Add(1)
-		groups := make(map[string][][]byte)
-		var order []string
-		for split := 0; split < nSplits; split++ {
-			if err := readSpill(partPath(jobDir, split, r), &e.stats, func(key string, value []byte) {
-				if _, seen := groups[key]; !seen {
-					order = append(order, key)
-				}
-				groups[key] = append(groups[key], value)
-			}); err != nil {
+// gather is the reduce side: destination dst concatenates its runs in
+// source-partition order.
+func (e *Engine) gather(runs [][]*spill.Run, n int) ([][][]byte, error) {
+	out := make([][][]byte, n)
+	err := e.parallel(n, func(dst int) error {
+		var records int64
+		for _, bySrc := range runs {
+			if r := bySrc[dst]; r != nil {
+				records += r.Records
+			}
+		}
+		recs := make([][]byte, 0, records)
+		for _, bySrc := range runs {
+			var err error
+			if recs, err = e.readRun(bySrc[dst], recs); err != nil {
 				return err
 			}
 		}
-		var out [][]byte
-		var redErr error
-		func() {
-			defer func() {
-				if rec := recover(); rec != nil && redErr == nil {
-					redErr = fmt.Errorf("mapred: reduce task %d panicked: %v", r, rec)
-				}
-			}()
-			for _, key := range order {
-				reduceFn(key, groups[key], func(o []byte) {
-					cp := make([]byte, len(o))
-					copy(cp, o)
-					out = append(out, cp)
-				})
+		out[dst] = recs
+		return nil
+	})
+	return out, err
+}
+
+// Cartesian writes the right side once (the broadcast side, Hadoop's
+// distributed cache) and every left partition as run files; each left
+// partition's task then reads both back and concatenates the encodings.
+func (e *Engine) Cartesian(op string, left [][][]byte, right [][]byte) ([][][]byte, error) {
+	dir := spill.NewDir(e.base, "mr")
+	defer dir.Cleanup()
+	rightRun, err := e.writeRun(dir, right)
+	if err != nil {
+		return nil, fmt.Errorf("mapred: %s: %w", op, err)
+	}
+	out := make([][][]byte, len(left))
+	err = e.parallel(len(left), func(p int) error {
+		leftRun, err := e.writeRun(dir, left[p])
+		if err != nil {
+			return err
+		}
+		ls, err := e.readRun(leftRun, nil)
+		if err != nil {
+			return err
+		}
+		rs, err := e.readRun(rightRun, nil)
+		if err != nil {
+			return err
+		}
+		rows := make([][]byte, 0, len(ls)*len(rs))
+		for _, l := range ls {
+			for _, r := range rs {
+				row := make([]byte, 0, len(l)+len(r))
+				rows = append(rows, append(append(row, l...), r...))
 			}
-		}()
-		outputs[r] = out
-		return redErr
-	}); err != nil {
+		}
+		out[p] = rows
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("mapred: %s: %w", op, err)
+	}
+	return out, nil
+}
+
+// writeRun writes recs as one run file; no records, no file (nil run).
+func (e *Engine) writeRun(dir *spill.Dir, recs [][]byte) (*spill.Run, error) {
+	if len(recs) == 0 {
+		return nil, nil
+	}
+	w, err := dir.NewRun()
+	if err != nil {
 		return nil, err
 	}
-
-	var all [][]byte
-	for _, o := range outputs {
-		all = append(all, o...)
+	for _, rec := range recs {
+		if err := w.Append(rec); err != nil {
+			w.Abort()
+			return nil, err
+		}
 	}
-	return all, nil
+	run, err := w.Finish()
+	if err != nil {
+		return nil, err
+	}
+	e.stats.bytesSpilled.Add(run.Bytes)
+	return run, nil
+}
+
+// readRun appends the records of r (nil: none) to recs. The records share
+// one allocation sized from what the writer counted, never from the file's
+// own length fields; a run that ends early — even cleanly, on a frame
+// boundary — is an error.
+func (e *Engine) readRun(r *spill.Run, recs [][]byte) ([][]byte, error) {
+	if r == nil {
+		return recs, nil
+	}
+	rd, err := r.Open()
+	if err != nil {
+		return nil, err
+	}
+	defer rd.Close()
+	slab := make([]byte, 0, r.Bytes)
+	for got := int64(0); ; got++ {
+		rec, err := rd.Next()
+		if err == io.EOF {
+			if got != r.Records {
+				return nil, fmt.Errorf("run %s holds %d records, %d were written", r.Path, got, r.Records)
+			}
+			e.stats.bytesRead.Add(r.Bytes)
+			return recs, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		start := len(slab)
+		slab = append(slab, rec...)
+		recs = append(recs, slab[start:len(slab):len(slab)])
+	}
 }
 
 // parallel runs f over [0,n) with at most e.workers goroutines, returning
@@ -253,10 +242,7 @@ func (e *Engine) parallel(n int, f func(i int) error) error {
 		mu    sync.Mutex
 		first error
 	)
-	workers := e.workers
-	if workers > n {
-		workers = n
-	}
+	workers := min(e.workers, n)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
@@ -278,87 +264,4 @@ func (e *Engine) parallel(n int, f func(i int) error) error {
 	}
 	wg.Wait()
 	return first
-}
-
-func partPath(jobDir string, split, r int) string {
-	return filepath.Join(jobDir, fmt.Sprintf("m%d-r%d.part", split, r))
-}
-
-func hashKey(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
-}
-
-// spillWriter frames key-value records into a buffered file:
-// keylen:uvarint key vallen:uvarint val.
-type spillWriter struct {
-	f     *os.File
-	w     *bufio.Writer
-	stats *Stats
-	buf   []byte
-}
-
-func newSpillWriter(path string, stats *Stats) (*spillWriter, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("mapred: create spill %s: %w", path, err)
-	}
-	return &spillWriter{f: f, w: bufio.NewWriterSize(f, 1<<16), stats: stats}, nil
-}
-
-func (s *spillWriter) write(key string, value []byte) error {
-	s.buf = s.buf[:0]
-	s.buf = binary.AppendUvarint(s.buf, uint64(len(key)))
-	s.buf = append(s.buf, key...)
-	s.buf = binary.AppendUvarint(s.buf, uint64(len(value)))
-	s.buf = append(s.buf, value...)
-	n, err := s.w.Write(s.buf)
-	s.stats.bytesSpilled.Add(int64(n))
-	return err
-}
-
-func (s *spillWriter) close() error {
-	if err := s.w.Flush(); err != nil {
-		s.f.Close()
-		return err
-	}
-	return s.f.Close()
-}
-
-// readSpill streams a spill file's records into visit. A missing file is
-// treated as empty (a map task may legitimately emit nothing to a reducer).
-func readSpill(path string, stats *Stats, visit func(key string, value []byte)) error {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("mapred: open spill %s: %w", path, err)
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<16)
-	for {
-		klen, err := binary.ReadUvarint(r)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("mapred: spill %s corrupt key length: %w", path, err)
-		}
-		kb := make([]byte, klen)
-		if _, err := io.ReadFull(r, kb); err != nil {
-			return fmt.Errorf("mapred: spill %s truncated key: %w", path, err)
-		}
-		vlen, err := binary.ReadUvarint(r)
-		if err != nil {
-			return fmt.Errorf("mapred: spill %s corrupt value length: %w", path, err)
-		}
-		vb := make([]byte, vlen)
-		if _, err := io.ReadFull(r, vb); err != nil {
-			return fmt.Errorf("mapred: spill %s truncated value: %w", path, err)
-		}
-		stats.bytesRead.Add(int64(klen) + int64(vlen))
-		visit(string(kb), vb)
-	}
 }

@@ -2,221 +2,195 @@ package mapred
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+
+	"bigdansing/internal/engine"
+	"bigdansing/internal/spill"
 )
 
-func newTestEngine(t *testing.T, workers int) *Engine {
+func newTestEngine(t *testing.T, workers int) (*Engine, string) {
 	t.Helper()
-	e, err := New(t.TempDir(), workers)
+	dir := t.TempDir()
+	e, err := New(dir, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e
+	return e, dir
 }
 
-func TestWordCount(t *testing.T) {
-	e := newTestEngine(t, 4)
-	docs := []string{
-		"the quick brown fox",
-		"the lazy dog",
-		"the quick dog",
-	}
-	input := make([][]byte, len(docs))
-	for i, d := range docs {
-		input[i] = []byte(d)
-	}
-	out, err := e.Run(input, 3, 2,
-		func(rec []byte, emit Emit) {
-			for _, w := range strings.Fields(string(rec)) {
-				emit(w, []byte{1})
-			}
-		},
-		func(key string, values [][]byte, emit func([]byte)) {
-			emit([]byte(fmt.Sprintf("%s=%d", key, len(values))))
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := map[string]int{}
-	for _, o := range out {
-		k, v, _ := strings.Cut(string(o), "=")
-		counts[k], _ = strconv.Atoi(v)
-	}
-	want := map[string]int{"the": 3, "quick": 2, "brown": 1, "fox": 1, "lazy": 1, "dog": 2}
-	if len(counts) != len(want) {
-		t.Fatalf("counts = %v", counts)
-	}
-	for k, v := range want {
-		if counts[k] != v {
-			t.Errorf("count[%s] = %d, want %d", k, counts[k], v)
+// testParts builds nSrc source partitions of per records each, addressed
+// round-robin to n destinations.
+func testParts(nSrc, per, n int) [][]engine.EncodedRec {
+	parts := make([][]engine.EncodedRec, nSrc)
+	for src := range parts {
+		for i := 0; i < per; i++ {
+			parts[src] = append(parts[src], engine.EncodedRec{
+				Dst:  uint32((src + i) % n),
+				Data: []byte(fmt.Sprintf("record %d of source %d", i, src)),
+			})
 		}
 	}
+	return parts
 }
 
-func TestAllValuesOfKeyReachOneReducer(t *testing.T) {
-	e := newTestEngine(t, 4)
-	// 100 records across 10 keys; each reducer emits "key:count", so every
-	// key must appear exactly once in the output.
-	var input [][]byte
-	for i := 0; i < 100; i++ {
-		input = append(input, []byte(strconv.Itoa(i%10)))
-	}
-	out, err := e.Run(input, 8, 5,
-		func(rec []byte, emit Emit) { emit(string(rec), rec) },
-		func(key string, values [][]byte, emit func([]byte)) {
-			emit([]byte(key + ":" + strconv.Itoa(len(values))))
-		})
+// leftovers lists the engine-made entries under dir.
+func leftovers(t *testing.T, dir string) []string {
+	t.Helper()
+	m, err := filepath.Glob(filepath.Join(dir, "bigdansing-*"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 10 {
-		t.Fatalf("distinct keys in output = %d, want 10", len(out))
-	}
-	for _, o := range out {
-		_, c, _ := strings.Cut(string(o), ":")
-		if c != "10" {
-			t.Errorf("key group %s should have 10 values", o)
-		}
-	}
-}
-
-func TestEmptyInput(t *testing.T) {
-	e := newTestEngine(t, 2)
-	out, err := e.Run(nil, 0, 0,
-		func(rec []byte, emit Emit) { emit("k", rec) },
-		func(key string, values [][]byte, emit func([]byte)) { emit([]byte(key)) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 0 {
-		t.Errorf("empty input should produce no output, got %d", len(out))
-	}
-}
-
-func TestMapPanicSurfacesAsError(t *testing.T) {
-	e := newTestEngine(t, 2)
-	_, err := e.Run([][]byte{[]byte("a"), []byte("b")}, 2, 2,
-		func(rec []byte, emit Emit) {
-			if string(rec) == "b" {
-				panic("map boom")
-			}
-			emit("k", rec)
-		},
-		func(key string, values [][]byte, emit func([]byte)) {})
-	if err == nil || !strings.Contains(err.Error(), "map boom") {
-		t.Fatalf("map panic should surface, got %v", err)
-	}
-}
-
-func TestReducePanicSurfacesAsError(t *testing.T) {
-	e := newTestEngine(t, 2)
-	_, err := e.Run([][]byte{[]byte("a")}, 1, 1,
-		func(rec []byte, emit Emit) { emit("k", rec) },
-		func(key string, values [][]byte, emit func([]byte)) { panic("reduce boom") })
-	if err == nil || !strings.Contains(err.Error(), "reduce boom") {
-		t.Fatalf("reduce panic should surface, got %v", err)
-	}
+	return m
 }
 
 func TestStatsRecordDiskTraffic(t *testing.T) {
-	e := newTestEngine(t, 2)
-	input := [][]byte{[]byte("hello"), []byte("world")}
-	_, err := e.Run(input, 2, 2,
-		func(rec []byte, emit Emit) { emit(string(rec), rec) },
-		func(key string, values [][]byte, emit func([]byte)) { emit(values[0]) })
-	if err != nil {
+	e, _ := newTestEngine(t, 2)
+	if _, err := e.Shuffle("shuffle", testParts(2, 10, 2), 2); err != nil {
 		t.Fatal(err)
 	}
 	if e.Stats().BytesSpilled() == 0 {
 		t.Error("spill bytes should be counted")
 	}
-	if e.Stats().BytesRead() == 0 {
-		t.Error("read bytes should be counted")
+	if e.Stats().BytesRead() != e.Stats().BytesSpilled() {
+		t.Errorf("read %d bytes back of %d spilled", e.Stats().BytesRead(), e.Stats().BytesSpilled())
 	}
-	if e.Stats().MapTasks() != 2 || e.Stats().ReduceTasks() != 2 {
-		t.Errorf("tasks = %d map, %d reduce", e.Stats().MapTasks(), e.Stats().ReduceTasks())
+	before := e.Stats().BytesSpilled()
+	if _, err := e.Cartesian("cartesian", [][][]byte{{[]byte("a")}, nil}, [][]byte{[]byte("x"), []byte("y")}); err != nil {
+		t.Fatal(err)
+	}
+	if e.Stats().BytesSpilled() == before {
+		t.Error("cartesian should go through disk too")
 	}
 }
 
 func TestBinaryValuesSurviveSpill(t *testing.T) {
-	e := newTestEngine(t, 2)
+	e, _ := newTestEngine(t, 2)
 	payload := []byte{0, 1, 2, 255, 254, 10, 13, 0}
-	out, err := e.Run([][]byte{payload}, 1, 1,
-		func(rec []byte, emit Emit) { emit("bin", rec) },
-		func(key string, values [][]byte, emit func([]byte)) { emit(values[0]) })
+	out, err := e.Shuffle("shuffle", [][]engine.EncodedRec{{{Dst: 0, Data: payload}}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 1 || string(out[0]) != string(payload) {
+	if len(out) != 1 || len(out[0]) != 1 || string(out[0][0]) != string(payload) {
 		t.Fatalf("binary payload corrupted: %v", out)
 	}
 }
 
-func TestChainedJobsSameEngine(t *testing.T) {
-	// The distributed equivalence-class algorithm runs two map-reduce
-	// sequences back to back (Section 5.2); the engine must support chaining.
-	e := newTestEngine(t, 3)
-	var input [][]byte
-	for i := 0; i < 30; i++ {
-		input = append(input, []byte(strconv.Itoa(i%3)))
-	}
-	mid, err := e.Run(input, 3, 3,
-		func(rec []byte, emit Emit) { emit(string(rec), []byte{1}) },
-		func(key string, values [][]byte, emit func([]byte)) {
-			emit([]byte(key + "," + strconv.Itoa(len(values))))
-		})
-	if err != nil {
+// TestCloseKeepsCallersDirectory is the regression test for Close removing
+// the directory the caller passed to New, with everything already in it.
+func TestCloseKeepsCallersDirectory(t *testing.T) {
+	e, dir := newTestEngine(t, 2)
+	mine := filepath.Join(dir, "not-the-engines.txt")
+	if err := os.WriteFile(mine, []byte("keep me"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	out, err := e.Run(mid, 2, 1,
-		func(rec []byte, emit Emit) { emit("total", rec) },
-		func(key string, values [][]byte, emit func([]byte)) {
-			total := 0
-			for _, v := range values {
-				_, c, _ := strings.Cut(string(v), ",")
-				n, _ := strconv.Atoi(c)
-				total += n
-			}
-			emit([]byte(strconv.Itoa(total)))
-		})
-	if err != nil {
+	if _, err := e.Shuffle("shuffle", testParts(3, 20, 4), 4); err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 1 || string(out[0]) != "30" {
-		t.Fatalf("chained total = %v", out)
+	if got := leftovers(t, dir); len(got) != 0 {
+		t.Errorf("left behind after a shuffle: %v", got)
+	}
+	for i := 0; i < 2; i++ { // idempotent
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := os.Stat(mine); err != nil {
+		t.Errorf("Close removed the caller's file: %v", err)
+	}
+	if got := leftovers(t, dir); len(got) != 0 {
+		t.Errorf("left behind after Close: %v", got)
 	}
 }
 
-func TestOutputDeterministicAcrossRuns(t *testing.T) {
-	run := func() []string {
-		e := newTestEngine(t, 4)
-		var input [][]byte
-		for i := 0; i < 50; i++ {
-			input = append(input, []byte(strconv.Itoa(i)))
-		}
-		out, err := e.Run(input, 5, 3,
-			func(rec []byte, emit Emit) { emit(string(rec), rec) },
-			func(key string, values [][]byte, emit func([]byte)) { emit([]byte(key)) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		strs := make([]string, len(out))
-		for i, o := range out {
-			strs[i] = string(o)
-		}
-		sort.Strings(strs)
-		return strs
+func TestFailedShuffleLeavesNothingBehind(t *testing.T) {
+	e, dir := newTestEngine(t, 2)
+	parts := testParts(3, 20, 4)
+	parts[2][19].Dst = 4 // out of range, after run files exist
+	if _, err := e.Shuffle("shuffle", parts, 4); err == nil {
+		t.Fatal("a record addressed past the last partition should fail the shuffle")
 	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatal("nondeterministic output size")
+	if got := leftovers(t, dir); len(got) != 0 {
+		t.Errorf("left behind after a failed shuffle: %v", got)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("nondeterministic output at %d: %s vs %s", i, a[i], b[i])
-		}
+}
+
+// TestCorruptRunFailsShuffle damages one bucket between the map and the
+// reduce side. Every kind of damage must surface as an error: no panic, no
+// silently short partition, no allocation sized by a corrupt length.
+func TestCorruptRunFailsShuffle(t *testing.T) {
+	damage := map[string]func(b []byte) []byte{
+		"truncated mid-frame":       func(b []byte) []byte { return b[:len(b)-3] },
+		"truncated to nothing":      func(b []byte) []byte { return nil },
+		"bit flipped in payload":    func(b []byte) []byte { b[len(b)/2] ^= 0x10; return b },
+		"bit flipped in length":     func(b []byte) []byte { b[3] ^= 0x20; return b }, // claims +512 MB
+		"bit flipped in checksum":   func(b []byte) []byte { b[5] ^= 0x01; return b },
+		"trailing garbage appended": func(b []byte) []byte { return append(b, 1, 2, 3) },
+	}
+	for name, f := range damage {
+		t.Run(name, func(t *testing.T) {
+			e, dir := newTestEngine(t, 2)
+			runDir := spill.NewDir(dir, "mr")
+			defer runDir.Cleanup()
+			runs, err := e.scatter(runDir, testParts(2, 50, 2), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := runs[1][0].Path
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, f(b), 0o600); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.gather(runs, 2); err == nil {
+				t.Fatal("gather over a damaged run should fail")
+			} else if !strings.Contains(err.Error(), filepath.Base(path)) {
+				t.Errorf("error should name the run: %v", err)
+			}
+		})
+	}
+}
+
+// TestConcurrentExchanges: independent shuffles may overlap on one engine.
+func TestConcurrentExchanges(t *testing.T) {
+	e, dir := newTestEngine(t, 3)
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			parts := testParts(4, 30+g, 3)
+			out, err := e.Shuffle("shuffle", parts, 3)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			total := 0
+			for _, p := range out {
+				total += len(p)
+			}
+			if total != 4*(30+g) {
+				t.Errorf("shuffle %d returned %d records, want %d", g, total, 4*(30+g))
+			}
+		}()
+	}
+	wg.Wait()
+	if got := leftovers(t, dir); len(got) != 0 {
+		t.Errorf("left behind: %v", got)
+	}
+}
+
+func TestNewRejectsAFile(t *testing.T) {
+	f := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(f, nil, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(f, 2); err == nil {
+		t.Error("New over a regular file should fail")
 	}
 }

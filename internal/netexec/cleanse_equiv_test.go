@@ -88,17 +88,19 @@ func TestCleanseFDDCMatchesLocal(t *testing.T) {
 	}
 
 	want := run(engine.New(4))
-	for workers := 1; workers <= 5; workers++ {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			got := run(newNetCtx(t, workers))
-			if got.InitialViolations != want.InitialViolations {
-				t.Errorf("initial violations: %d vs %d", got.InitialViolations, want.InitialViolations)
+	wantRep := want.Report()
+	for _, b := range backends(1, 2, 3, 4, 5) {
+		t.Run(b.name, func(t *testing.T) {
+			got := run(b.ctx(t))
+			gotRep := got.Report()
+			if gotRep.InitialViolations != wantRep.InitialViolations {
+				t.Errorf("initial violations: %d vs %d", gotRep.InitialViolations, wantRep.InitialViolations)
 			}
-			if got.RemainingViolations != want.RemainingViolations {
-				t.Errorf("remaining violations: %d vs %d", got.RemainingViolations, want.RemainingViolations)
+			if gotRep.RemainingViolations != wantRep.RemainingViolations {
+				t.Errorf("remaining violations: %d vs %d", gotRep.RemainingViolations, wantRep.RemainingViolations)
 			}
-			if got.Iterations != want.Iterations {
-				t.Errorf("iterations: %d vs %d", got.Iterations, want.Iterations)
+			if gotRep.Iterations != wantRep.Iterations {
+				t.Errorf("iterations: %d vs %d", gotRep.Iterations, wantRep.Iterations)
 			}
 			if len(got.Clean.Tuples) != len(want.Clean.Tuples) {
 				t.Fatalf("tuple count: %d vs %d", len(got.Clean.Tuples), len(want.Clean.Tuples))

@@ -8,13 +8,15 @@ import (
 	"testing"
 
 	"bigdansing/internal/engine"
+	"bigdansing/internal/mapred"
 )
 
 // The cross-backend equivalence property: any plan the engine can run must
 // produce element-for-element identical results on the in-process backend
-// and on the networked backend, for every worker count — including the
-// values that break naive encodings (NaN payloads, negative zero) and the
-// shapes that break naive exchanges (empty partitions, empty datasets).
+// and behind every Exchange — the networked one for every worker count and
+// the disk one — including the values that break naive encodings (NaN
+// payloads, negative zero) and the shapes that break naive exchanges (empty
+// partitions, empty datasets).
 
 func newNetCtx(t *testing.T, workers int) *engine.Context {
 	t.Helper()
@@ -24,6 +26,38 @@ func newNetCtx(t *testing.T, workers int) *engine.Context {
 	}
 	t.Cleanup(func() { ctx.Close() })
 	return ctx
+}
+
+func newDiskCtx(t *testing.T) *engine.Context {
+	t.Helper()
+	eng, err := mapred.New(t.TempDir(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := engine.NewContext(engine.Config{Parallelism: 4, Exchange: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ctx.Close() })
+	return ctx
+}
+
+// backend is one row of the equivalence table: a non-local context to
+// compare with the in-process one.
+type backend struct {
+	name string
+	ctx  func(t *testing.T) *engine.Context
+}
+
+// backends lists the networked backend at each given worker count, then the
+// disk backend.
+func backends(netWorkers ...int) []backend {
+	var bs []backend
+	for _, w := range netWorkers {
+		bs = append(bs, backend{fmt.Sprintf("net/workers=%d", w),
+			func(t *testing.T) *engine.Context { return newNetCtx(t, w) }})
+	}
+	return append(bs, backend{"disk", newDiskCtx})
 }
 
 // genPairs builds a deterministic mix of string keys and adversarial
@@ -73,9 +107,9 @@ func groupsEqual(t *testing.T, label string, a, b []engine.Pair[string, []float6
 }
 
 // TestGroupByKeyMatchesLocal shuffles adversarial pairs through 1..5 worker
-// processes and requires byte-identical grouping versus the in-process
-// backend, including over more partitions than records (empty partitions)
-// and the empty dataset.
+// processes and through disk, and requires byte-identical grouping versus
+// the in-process backend, including over more partitions than records
+// (empty partitions) and the empty dataset.
 func TestGroupByKeyMatchesLocal(t *testing.T) {
 	for _, n := range []int{0, 3, 500} {
 		data := genPairs(42, n)
@@ -84,9 +118,9 @@ func TestGroupByKeyMatchesLocal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for workers := 1; workers <= 5; workers++ {
-			t.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(t *testing.T) {
-				ctx := newNetCtx(t, workers)
+		for _, b := range backends(1, 2, 3, 4, 5) {
+			t.Run(fmt.Sprintf("n=%d/%s", n, b.name), func(t *testing.T) {
+				ctx := b.ctx(t)
 				got, err := engine.GroupByKey(engine.Parallelize(ctx, data, 8)).Collect()
 				if err != nil {
 					t.Fatal(err)
@@ -111,14 +145,14 @@ func TestSortByMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 3, 5} {
-		ctx := newNetCtx(t, workers)
+	for _, b := range backends(1, 3, 5) {
+		ctx := b.ctx(t)
 		got, err := engine.SortBy(engine.Parallelize(ctx, data, 6), less, 6).Collect()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d: sorted output differs", workers)
+			t.Fatalf("%s: sorted output differs", b.name)
 		}
 	}
 }
@@ -136,20 +170,20 @@ func TestReduceByKeyMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := newNetCtx(t, 3)
-	got, err := engine.ReduceByKey(engine.Parallelize(ctx, words, 8),
-		func(a, b int) int { return a + b }).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("reduceByKey output differs between backends")
+	for _, b := range backends(3) {
+		got, err := engine.ReduceByKey(engine.Parallelize(b.ctx(t), words, 8),
+			func(a, b int) int { return a + b }).Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: reduceByKey output differs from local", b.name)
+		}
 	}
 }
 
-// TestCartesianMatchesLocal exercises the worker-local cross-product
-// expansion (EXEC "cartesian" over opaque encodings), including an empty
-// side.
+// TestCartesianMatchesLocal exercises the exchange-side cross-product
+// expansion (concatenation of opaque encodings), including an empty side.
 func TestCartesianMatchesLocal(t *testing.T) {
 	left := []int{1, 2, 3, 5, 8, 13, 21}
 	right := []string{"a", "bb", "", "dddd"}
@@ -161,15 +195,17 @@ func TestCartesianMatchesLocal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx := newNetCtx(t, 2)
-		got, err := engine.Cartesian(
-			engine.Parallelize(ctx, left, 3),
-			engine.Parallelize(ctx, rs, 2)).Collect()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("cartesian output differs between backends (right=%v)", rs)
+		for _, b := range backends(2) {
+			ctx := b.ctx(t)
+			got, err := engine.Cartesian(
+				engine.Parallelize(ctx, left, 3),
+				engine.Parallelize(ctx, rs, 2)).Collect()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s: cartesian output differs from local (right=%v)", b.name, rs)
+			}
 		}
 	}
 }
@@ -187,13 +223,58 @@ func TestDistinctMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := newNetCtx(t, 4)
-	got, err := engine.Distinct(engine.Parallelize(ctx, data, 8), key).Collect()
-	if err != nil {
-		t.Fatal(err)
+	for _, b := range backends(4) {
+		got, err := engine.Distinct(engine.Parallelize(b.ctx(t), data, 8), key).Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: distinct output differs from local", b.name)
+		}
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("distinct output differs between backends")
+}
+
+// TestExchangeOrderingContract drives Exchange.Shuffle directly: whatever
+// moves the bytes, destination d must receive exactly the records addressed
+// to it, in (source partition, within-source) order — with empty sources, an
+// empty destination and a zero-length record in the mix.
+func TestExchangeOrderingContract(t *testing.T) {
+	const n = 5
+	r := rand.New(rand.NewSource(9))
+	parts := make([][]engine.EncodedRec, 7)
+	want := make([][][]byte, n)
+	for src := range parts {
+		if src == 2 || src == 6 {
+			continue // empty source partitions
+		}
+		for seq := 0; seq < 40+src; seq++ {
+			dst := uint32(r.Intn(n - 1)) // destination n-1 stays empty
+			data := []byte(fmt.Sprintf("%d/%d", src, seq))
+			if seq == 7 {
+				data = []byte{}
+			}
+			parts[src] = append(parts[src], engine.EncodedRec{Dst: dst, Data: data})
+			want[dst] = append(want[dst], data)
+		}
+	}
+	for _, b := range backends(1, 3) {
+		got, err := b.ctx(t).Exchange().Shuffle("contract", parts, n)
+		if err != nil {
+			t.Fatalf("%s: %v", b.name, err)
+		}
+		if len(got) != n {
+			t.Fatalf("%s: %d destinations, want %d", b.name, len(got), n)
+		}
+		for dst := range want {
+			if len(got[dst]) != len(want[dst]) {
+				t.Fatalf("%s: destination %d holds %d records, want %d", b.name, dst, len(got[dst]), len(want[dst]))
+			}
+			for i := range want[dst] {
+				if string(got[dst][i]) != string(want[dst][i]) {
+					t.Fatalf("%s: destination %d record %d = %q, want %q", b.name, dst, i, got[dst][i], want[dst][i])
+				}
+			}
+		}
 	}
 }
 

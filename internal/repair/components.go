@@ -11,14 +11,13 @@ import (
 
 // fixSetComponents groups fix sets into connected components: two fix sets
 // are connected when they touch a common cell. It returns, per fix set, the
-// component ID — the smallest fix-set index in the component, matching both
-// the BSP HashMin labeling and the hypergraph ConnectedComponents contract —
-// plus the per-fix-set cell keys (reused by callers that go on to split
-// oversized components).
+// component ID — the smallest fix-set index in the component — plus the
+// per-fix-set cell keys (reused by callers that go on to split oversized
+// components).
 //
-// The computation replaces the bipartite BSP label propagation with interned
-// integer cell IDs and a lock-free union-find, and parallelizes both the
-// cell-collection and the union phases across the worker pool:
+// The computation runs on interned integer cell IDs and a lock-free
+// union-find, and parallelizes both the cell-collection and the union phases
+// across the worker pool:
 //
 //  1. workers extract each fix set's distinct cell keys (comparable
 //     model.CellKey structs — no strings are rendered);

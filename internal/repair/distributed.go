@@ -3,17 +3,15 @@ package repair
 import (
 	"encoding/binary"
 	"fmt"
-	"strconv"
-	"strings"
 
+	"bigdansing/internal/engine"
 	"bigdansing/internal/graph"
-	"bigdansing/internal/mapred"
 	"bigdansing/internal/model"
 )
 
 // DistributedEquivalenceClass is the natively distributed equivalence-class
 // algorithm of Section 5.2, modeled as a distributed word count with two
-// map-reduce sequences:
+// map-reduce sequences, each one engine.ReduceByKey:
 //
 //	job 1  map:    possible fix -> ⟨⟨ccID,value⟩, 1⟩ (each element's value
 //	               counted once per class, as the paper requires)
@@ -22,13 +20,58 @@ import (
 //	       reduce: pick the most frequent value per class and assign it to
 //	               every element of the class
 //
+// ReduceByKey's map-side combine is the Combine task of Appendix G.2. The
+// jobs run on whatever backend Ctx has: in memory, over TCP, or — with a
+// mapred.Engine as its exchange — through run files on disk.
+//
 // The class ("ccID") is the equivalence class the fixes induce — computed
 // with a union-find over equality fixes, which coincides with the connected
 // component for single-FD workloads the paper describes.
 type DistributedEquivalenceClass struct {
-	Engine  *mapred.Engine
-	Splits  int
-	Reduces int
+	Ctx *engine.Context
+}
+
+// classValue is job 1's key: one candidate value of one equivalence class.
+type classValue struct {
+	Class int64
+	Value model.ValueKey
+}
+
+// vote is a candidate value with its weighted occurrence count.
+type vote struct {
+	Count int64
+	Value model.Value
+}
+
+// The codecs that let both jobs' shuffles leave the process (job 2's int64
+// key is an engine built-in).
+func init() {
+	engine.RegisterCodec(engine.Codec[classValue]{
+		Append: func(buf []byte, k classValue) []byte {
+			return model.AppendValueKey(binary.AppendVarint(buf, k.Class), k.Value)
+		},
+		Decode: func(buf []byte) (classValue, int, error) {
+			cc, n := binary.Varint(buf)
+			if n <= 0 {
+				return classValue{}, 0, fmt.Errorf("repair: decode class id")
+			}
+			v, m, err := model.DecodeValueKey(buf[n:])
+			return classValue{Class: cc, Value: v}, n + m, err
+		},
+	})
+	engine.RegisterCodec(engine.Codec[vote]{
+		Append: func(buf []byte, v vote) []byte {
+			return model.AppendValue(binary.AppendVarint(buf, v.Count), v.Value)
+		},
+		Decode: func(buf []byte) (vote, int, error) {
+			c, n := binary.Varint(buf)
+			if n <= 0 {
+				return vote{}, 0, fmt.Errorf("repair: decode vote count")
+			}
+			v, m, err := model.DecodeValue(buf[n:])
+			return vote{Count: c, Value: v}, n + m, err
+		},
+	})
 }
 
 // Name identifies the algorithm.
@@ -36,14 +79,13 @@ func (d *DistributedEquivalenceClass) Name() string { return "equivalence-class-
 
 // Repair implements Algorithm using the two map-reduce sequences.
 func (d *DistributedEquivalenceClass) Repair(component []model.FixSet) ([]Assignment, error) {
-	if d.Engine == nil {
-		return nil, fmt.Errorf("repair: distributed equivalence class needs a MapReduce engine")
+	if d.Ctx == nil {
+		return nil, fmt.Errorf("repair: distributed equivalence class needs an engine context")
 	}
 
 	// Preprocessing (the "connected component ID" the paper's first map
 	// assumes available): union cells linked by equality fixes. In-memory
-	// cell identity is the comparable key; strings appear only at the
-	// map-reduce serialization boundary below.
+	// cell identity is the comparable key.
 	uf := graph.NewUnionFind()
 	idOf := map[model.CellKey]int64{}
 	cells := map[model.CellKey]model.Cell{}
@@ -78,130 +120,46 @@ func (d *DistributedEquivalenceClass) Repair(component []model.FixSet) ([]Assign
 	}
 	classOf := func(k model.CellKey) int64 { return uf.Find(idOf[k]) }
 
-	// ---- Job 1 input: one record per element: ccID value (value counted
-	// once per element, satisfying "if an element exists in multiple fixes,
-	// we only count its value once"). Constants enter with a boosted count
-	// so they win the vote (hard requirements).
-	var input [][]byte
+	// ---- Job 1 input: one vote per element (value counted once per
+	// element, satisfying "if an element exists in multiple fixes, we only
+	// count its value once"). Constants enter with a boosted count so they
+	// win the vote (hard requirements).
 	classSize := map[int64]int{}
 	for k := range idOf {
 		classSize[classOf(k)]++
 	}
-	encodeRec := func(cc int64, v model.Value, weight int) []byte {
-		var buf []byte
-		buf = binary.AppendVarint(buf, cc)
-		buf = binary.AppendVarint(buf, int64(weight))
-		return model.AppendValue(buf, v)
-	}
+	var votes []engine.Pair[classValue, vote]
 	for k, c := range cells {
 		cc := classOf(k)
-		input = append(input, encodeRec(cc, c.Value, 1))
+		votes = append(votes, engine.KV(classValue{cc, c.Value.MapKey()}, vote{1, c.Value}))
 		for _, cv := range consts[k] {
-			input = append(input, encodeRec(cc, cv, classSize[cc]+1))
+			votes = append(votes, engine.KV(classValue{cc, cv.MapKey()}, vote{int64(classSize[cc] + 1), cv}))
 		}
-	}
-
-	decodeRec := func(rec []byte) (int64, int, model.Value, error) {
-		cc, n := binary.Varint(rec)
-		if n <= 0 {
-			return 0, 0, model.Value{}, fmt.Errorf("repair: bad cc id")
-		}
-		w, m := binary.Varint(rec[n:])
-		if m <= 0 {
-			return 0, 0, model.Value{}, fmt.Errorf("repair: bad weight")
-		}
-		v, _, err := model.DecodeValue(rec[n+m:])
-		return cc, int(w), v, err
-	}
-
-	// combineCounts sums the weight prefixes map-side (the Combine task of
-	// Appendix G.2), so each map task spills one record per ⟨ccID,value⟩.
-	combineCounts := func(key string, values [][]byte) [][]byte {
-		total := int64(0)
-		var payload []byte
-		for i, raw := range values {
-			w, n := binary.Varint(raw)
-			total += w
-			if i == 0 {
-				payload = raw[n:]
-			}
-		}
-		var wbuf [10]byte
-		n := binary.PutVarint(wbuf[:], total)
-		return [][]byte{append(wbuf[:n:n], payload...)}
 	}
 
 	// ---- Job 1: count ⟨ccID,value⟩ occurrences.
-	counted, err := d.Engine.RunWithCombiner(input, d.Splits, d.Reduces,
-		func(rec []byte, emit mapred.Emit) {
-			cc, w, v, err := decodeRec(rec)
-			if err != nil {
-				panic(err)
-			}
-			key := strconv.FormatInt(cc, 10) + "\x1f" + v.Key()
-			var wbuf [10]byte
-			n := binary.PutVarint(wbuf[:], int64(w))
-			emit(key, append(wbuf[:n:n], model.AppendValue(nil, v)...))
-		},
-		combineCounts,
-		func(key string, values [][]byte, emit func([]byte)) {
-			total := 0
-			var v model.Value
-			for i, raw := range values {
-				w, n := binary.Varint(raw)
-				total += int(w)
-				if i == 0 {
-					dv, _, err := model.DecodeValue(raw[n:])
-					if err != nil {
-						panic(err)
-					}
-					v = dv
-				}
-			}
-			ccStr, _, _ := strings.Cut(key, "\x1f")
-			cc, _ := strconv.ParseInt(ccStr, 10, 64)
-			emit(encodeRec(cc, v, total))
-		})
-	if err != nil {
-		return nil, fmt.Errorf("repair: MR job 1: %w", err)
-	}
+	counted := engine.ReduceByKey(engine.Parallelize(d.Ctx, votes, 0), func(a, b vote) vote {
+		a.Count += b.Count
+		return a
+	})
 
-	// ---- Job 2: per ccID pick the most frequent value.
-	winners, err := d.Engine.Run(counted, d.Splits, d.Reduces,
-		func(rec []byte, emit mapred.Emit) {
-			cc, _, _, err := decodeRec(rec)
-			if err != nil {
-				panic(err)
-			}
-			emit(strconv.FormatInt(cc, 10), rec)
-		},
-		func(key string, values [][]byte, emit func([]byte)) {
-			bestCount := -1
-			var best model.Value
-			var cc int64
-			for _, raw := range values {
-				c, w, v, err := decodeRec(raw)
-				if err != nil {
-					panic(err)
-				}
-				cc = c
-				if w > bestCount || (w == bestCount && v.String() < best.String()) {
-					bestCount, best = w, v
-				}
-			}
-			emit(encodeRec(cc, best, bestCount))
-		})
-	if err != nil {
-		return nil, fmt.Errorf("repair: MR job 2: %w", err)
-	}
-
-	target := map[int64]model.Value{}
-	for _, rec := range winners {
-		cc, _, v, err := decodeRec(rec)
-		if err != nil {
-			return nil, err
+	// ---- Job 2: per ccID pick the most frequent value (ties: the smaller
+	// rendering, so the choice does not depend on arrival order).
+	byClass := engine.Map(counted, func(p engine.Pair[classValue, vote]) engine.Pair[int64, vote] {
+		return engine.KV(p.Key.Class, p.Value)
+	})
+	winners, err := engine.ReduceByKey(byClass, func(a, b vote) vote {
+		if b.Count > a.Count || (b.Count == a.Count && b.Value.String() < a.Value.String()) {
+			return b
 		}
-		target[cc] = v
+		return a
+	}).Collect()
+	if err != nil {
+		return nil, fmt.Errorf("repair: distributed equivalence class: %w", err)
+	}
+	target := make(map[int64]model.Value, len(winners))
+	for _, w := range winners {
+		target[w.Key] = w.Value.Value
 	}
 
 	// Emit assignments for every element whose value differs from its

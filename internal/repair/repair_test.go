@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"bigdansing/internal/engine"
 	"bigdansing/internal/mapred"
 	"bigdansing/internal/model"
 )
@@ -275,13 +276,26 @@ func TestRepairParallelEmpty(t *testing.T) {
 	}
 }
 
-func TestDistributedEquivalenceClassMatchesCentralized(t *testing.T) {
-	eng, err := mapred.New(t.TempDir(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+// jobExchange records, per Shuffle, how many bytes the disk engine under it
+// wrote and read back.
+type jobExchange struct {
+	*mapred.Engine
+	spilled, read []int64
+}
 
+func (x *jobExchange) Shuffle(op string, parts [][]engine.EncodedRec, n int) ([][][]byte, error) {
+	s0, r0 := x.Stats().BytesSpilled(), x.Stats().BytesRead()
+	out, err := x.Engine.Shuffle(op, parts, n)
+	x.spilled = append(x.spilled, x.Stats().BytesSpilled()-s0)
+	x.read = append(x.read, x.Stats().BytesRead()-r0)
+	return out, err
+}
+
+// TestDistributedEquivalenceClassMatchesCentralized runs the two
+// map-reduce sequences in memory and on the disk backend. On disk, each of
+// the two jobs must really have gone through run files: a key or value type
+// without a registered codec would keep its shuffle in memory silently.
+func TestDistributedEquivalenceClassMatchesCentralized(t *testing.T) {
 	var fs []model.FixSet
 	// Component A: 3 cells, majority LA. Component B: tie SF/NY.
 	fs = append(fs,
@@ -294,21 +308,42 @@ func TestDistributedEquivalenceClassMatchesCentralized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	distributed := &DistributedEquivalenceClass{Engine: eng, Splits: 3, Reduces: 3}
-	got, err := distributed.Repair(fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("distributed %v vs centralized %v", got, want)
-	}
 	wk := map[string]string{}
 	for _, a := range want {
 		wk[a.Key()] = a.Value.String()
 	}
-	for _, a := range got {
-		if wk[a.Key()] != a.Value.String() {
-			t.Errorf("cell %s: distributed %s vs centralized %s", a.Key(), a.Value, wk[a.Key()])
+
+	eng, err := mapred.New(t.TempDir(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk := &jobExchange{Engine: eng}
+	diskCtx, err := engine.NewContext(engine.Config{Parallelism: 3, Exchange: disk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer diskCtx.Close()
+
+	for name, ctx := range map[string]*engine.Context{"local": engine.New(3), "disk": diskCtx} {
+		got, err := (&DistributedEquivalenceClass{Ctx: ctx}).Repair(fs)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: distributed %v vs centralized %v", name, got, want)
+		}
+		for _, a := range got {
+			if wk[a.Key()] != a.Value.String() {
+				t.Errorf("%s: cell %s: distributed %s vs centralized %s", name, a.Key(), a.Value, wk[a.Key()])
+			}
+		}
+	}
+	if len(disk.spilled) != 2 {
+		t.Fatalf("disk backend saw %d shuffles, want one per job", len(disk.spilled))
+	}
+	for job := range disk.spilled {
+		if disk.spilled[job] <= 0 || disk.read[job] <= 0 {
+			t.Errorf("job %d stayed in memory: %d bytes spilled, %d read", job+1, disk.spilled[job], disk.read[job])
 		}
 	}
 }

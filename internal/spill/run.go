@@ -188,7 +188,7 @@ func (r *Run) Open() (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("spill: open run: %w", err)
 	}
-	return &Reader{f: f, br: bufio.NewReaderSize(f, 64<<10)}, nil
+	return &Reader{f: f, br: bufio.NewReaderSize(f, 64<<10), remaining: r.Bytes}, nil
 }
 
 // Reader iterates the records of a run, verifying each frame's checksum.
@@ -197,6 +197,10 @@ type Reader struct {
 	br    *bufio.Reader
 	frame []byte
 	pos   int
+	// remaining is the unread part of the byte count the writer recorded
+	// (Run.Bytes); no frame may claim more, so a corrupt length header cannot
+	// make readFrame allocate past what was written.
+	remaining int64
 }
 
 // Next returns the next record, or io.EOF after the last one. The returned
@@ -232,9 +236,11 @@ func (r *Reader) readFrame() error {
 	}
 	n := binary.LittleEndian.Uint32(hdr[0:])
 	want := binary.LittleEndian.Uint32(hdr[4:])
-	if n == 0 || n > maxFrame {
+	r.remaining -= int64(len(hdr))
+	if n == 0 || n > maxFrame || int64(n) > r.remaining {
 		return fmt.Errorf("spill: %s: implausible frame length %d", r.f.Name(), n)
 	}
+	r.remaining -= int64(n)
 	if cap(r.frame) < int(n) {
 		r.frame = make([]byte, n)
 	}
