@@ -146,9 +146,13 @@ func BenchmarkFig8bErrorRates(b *testing.B) {
 func benchDetect(b *testing.B, system string, rule *core.Rule, rel *model.Relation) {
 	b.Run(system, func(b *testing.B) {
 		b.ReportAllocs()
-		ctx := engine.New(8)
+		batch := 0
 		if system == "bigdansing-vec" {
-			ctx = engine.NewWithConfig(engine.Config{Parallelism: 8, BatchSize: 1024})
+			batch = 1024
+		}
+		ctx, err := engine.NewContext(engine.Config{Parallelism: 8, BatchSize: batch})
+		if err != nil {
+			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
 			var err error

@@ -17,17 +17,17 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"bigdansing/internal/cleanse"
 	"bigdansing/internal/core"
 	"bigdansing/internal/engine"
 	"bigdansing/internal/model"
 	"bigdansing/internal/netexec"
-	"bigdansing/internal/probrepair"
-	"bigdansing/internal/repair"
 	"bigdansing/internal/rules"
 	"bigdansing/internal/trace"
 )
@@ -71,12 +71,6 @@ func run(args []string, out io.Writer) error {
 		mode      = fs.String("mode", "detect", "detect | clean | explain")
 		outPath   = fs.String("out", "", "output CSV for the repaired data (clean mode)")
 		workers   = fs.Int("workers", 8, "parallelism of the dataflow backend")
-		algoName  = fs.String("repair", "eq", "repair algorithm: eq (equivalence class) | hypergraph | sampling | prob (factor-graph inference)")
-		parallel  = fs.Bool("parallel-repair", false, "use the parallel black-box repair (Section 5.1)")
-		seed      = fs.Int64("seed", 1, "base seed for randomized repair (sampling draws, prob inference)")
-		probSamp  = fs.Int("prob-samples", probrepair.DefaultSamples, "recorded Gibbs sweeps per component for -repair=prob (0 degrades to the equivalence-class answer)")
-		probSeed  = fs.Int64("prob-seed", 0, "seed for -repair=prob inference; 0 means use -seed")
-		maxIter   = fs.Int("max-iterations", 10, "bound on the detect-repair loop")
 		verbose   = fs.Bool("v", false, "print every violation")
 		stats     = fs.Bool("stats", false, "print the per-stage dataflow execution breakdown")
 		explain   = fs.Bool("explain", false, "after the run, print the EXPLAIN ANALYZE-style annotated span tree")
@@ -85,17 +79,21 @@ func run(args []string, out io.Writer) error {
 		memBudget = fs.String("mem-budget", "", "memory budget for wide operators, e.g. 64MiB or 512K; shuffles spill to disk past it (default: unbounded)")
 		spillDir  = fs.String("spill-dir", "", "directory for spill run files (default: the system temp dir)")
 		batchSize = fs.Int("batch-size", 0, "rows per column batch for vectorized detection; 0 = tuple-at-a-time (1024 is a good starting point)")
-		backend   = fs.String("backend", "local", "execution backend: local (in-process) | net (worker processes over TCP)")
-		netWork   = fs.Int("net-workers", 0, "worker processes for -backend=net; 0 = the -workers value")
 		netAddrs  = fs.String("net-addrs", "", "comma-separated addresses of pre-started workers (`bigdansing worker -addr ...`) to join instead of spawning")
-		planner   = fs.String("planner", engine.PlannerStatic, "physical planner: static (legacy rule-shape choices) | cost (statistics- and feedback-driven)")
 		statsIn   = fs.String("stats-in", "", "read prior-run pipeline measurements (a -stats-out file) to refine the cost planner's estimates")
 		statsOut  = fs.String("stats-out", "", "write this run's measured pipeline statistics (pairs, violations) for a later -stats-in")
 	)
-	var fds, dcs, cfds, dedups multiFlag
-	fs.Var(&fds, "fd", "functional dependency, e.g. 'zipcode -> city' (repeatable)")
-	fs.Var(&dcs, "dc", "denial constraint, e.g. 't1.a > t2.a & t1.b < t2.b' (repeatable)")
-	fs.Var(&cfds, "cfd", "conditional FD, e.g. 'zip -> city | 90210 => LA ; _ => _' (repeatable)")
+	conf := cleanse.DefaultConfig()
+	configFlags(fs, &conf)
+	var specs []rules.Spec
+	for _, kind := range []struct{ name, usage string }{
+		{"fd", "functional dependency, e.g. 'zipcode -> city' (repeatable)"},
+		{"dc", "denial constraint, e.g. 't1.a > t2.a & t1.b < t2.b' (repeatable)"},
+		{"cfd", "conditional FD, e.g. 'zip -> city | 90210 => LA ; _ => _' (repeatable)"},
+	} {
+		fs.Var(&specFlag{kind: kind.name, specs: &specs}, kind.name, kind.usage)
+	}
+	var dedups multiFlag
 	fs.Var(&dedups, "dedup", "dedup UDF as 'nameAttr[,phoneAttr]' (repeatable)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -105,46 +103,19 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-input and -schema are required")
 	}
 
-	sch := model.MustParseSchema(*schema)
+	sch, err := model.ParseSchema(*schema)
+	if err != nil {
+		return fmt.Errorf("-schema: %w", err)
+	}
 	rel, err := model.ReadCSVFile(*input, "input", sch, *header)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "loaded %d rows from %s\n", rel.Len(), *input)
 
-	var ruleSet []*core.Rule
-	for i, spec := range fds {
-		fd, err := rules.ParseFD(fmt.Sprintf("fd%d", i+1), spec)
-		if err != nil {
-			return err
-		}
-		r, err := fd.Compile(sch)
-		if err != nil {
-			return err
-		}
-		ruleSet = append(ruleSet, r)
-	}
-	for i, spec := range dcs {
-		dc, err := rules.ParseDC(fmt.Sprintf("dc%d", i+1), spec)
-		if err != nil {
-			return err
-		}
-		r, err := dc.Compile(sch)
-		if err != nil {
-			return err
-		}
-		ruleSet = append(ruleSet, r)
-	}
-	for i, spec := range cfds {
-		cfd, err := rules.ParseCFD(fmt.Sprintf("cfd%d", i+1), spec)
-		if err != nil {
-			return err
-		}
-		rs, err := cfd.Compile(sch)
-		if err != nil {
-			return err
-		}
-		ruleSet = append(ruleSet, rs...)
+	ruleSet, err := rules.CompileSpecs(sch, specs)
+	if err != nil {
+		return err
 	}
 	for i, spec := range dedups {
 		nameAttr, phoneAttr, _ := strings.Cut(spec, ",")
@@ -174,8 +145,7 @@ func run(args []string, out io.Writer) error {
 		tracer = trace.New()
 	}
 
-	// The planner: -planner=cost builds the statistics-driven planner, fed
-	// with prior-run measurements when -stats-in names a file; -stats-out
+	// -stats-in feeds prior-run measurements to a cost planner; -stats-out
 	// tees a FeedbackRecorder into the run so the measured pipeline stats
 	// (pairs, violations) round-trip into the next run's estimates.
 	var feedback core.FeedbackSource
@@ -190,47 +160,21 @@ func run(args []string, out io.Writer) error {
 	if *statsOut != "" {
 		recorder = core.NewFeedbackRecorder()
 	}
-	var pl *core.Planner
-	switch *planner {
-	case engine.PlannerStatic:
-	case engine.PlannerCost:
-		popts := []core.PlannerOption{
-			core.WithCostModel(core.NewCostModel()),
-			core.WithMemoryBudget(budget),
-			core.WithParallelism(*workers),
-		}
-		if feedback != nil {
-			popts = append(popts, core.WithObserverFeedback(feedback))
-		}
-		pl = core.NewPlanner(popts...)
-	default:
-		return fmt.Errorf("-planner: unknown planner %q (want %s or %s)", *planner, engine.PlannerStatic, engine.PlannerCost)
-	}
 
 	cfg := engine.Config{
 		Parallelism:       *workers,
 		MemoryBudgetBytes: budget,
 		SpillDir:          *spillDir,
 		BatchSize:         *batchSize,
-		Planner:           *planner,
 	}
-	switch *backend {
-	case "local":
-	case "net":
-		cfg.Backend = engine.BackendNet
-		cfg.NetWorkers = *netWork
-		if cfg.NetWorkers <= 0 {
-			cfg.NetWorkers = *workers
+	for _, a := range strings.Split(*netAddrs, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			cfg.NetWorkerAddrs = append(cfg.NetWorkerAddrs, a)
 		}
-		if *netAddrs != "" {
-			for _, a := range strings.Split(*netAddrs, ",") {
-				if a = strings.TrimSpace(a); a != "" {
-					cfg.NetWorkerAddrs = append(cfg.NetWorkerAddrs, a)
-				}
-			}
-		}
-	default:
-		return fmt.Errorf("unknown backend %q (want local or net)", *backend)
+	}
+	opts, pl, err := conf.Build(&cfg, feedback)
+	if err != nil {
+		return err
 	}
 	switch {
 	case tracer != nil && recorder != nil:
@@ -332,33 +276,6 @@ func run(args []string, out io.Writer) error {
 		return nil
 
 	case "clean":
-		var algo repair.Algorithm
-		switch *algoName {
-		case "eq":
-			algo = &repair.EquivalenceClass{}
-		case "hypergraph":
-			algo = &repair.Hypergraph{}
-		case "sampling":
-			algo = &repair.Sampling{Seed: *seed}
-		case "prob":
-			ps := *probSeed
-			if ps == 0 {
-				ps = *seed
-			}
-			algo = &probrepair.Prob{Samples: *probSamp, Seed: ps}
-		default:
-			return fmt.Errorf("unknown repair algorithm %q", *algoName)
-		}
-		opts := []cleanse.Option{
-			cleanse.WithAlgorithm(algo),
-			cleanse.WithMaxIterations(*maxIter),
-		}
-		if pl != nil {
-			opts = append(opts, cleanse.WithPlanner(pl))
-		}
-		if *parallel {
-			opts = append(opts, cleanse.WithParallelRepair(repair.Options{}))
-		}
 		cleaner, err := cleanse.NewCleaner(ctx, ruleSet, opts...)
 		if err != nil {
 			return err
@@ -440,6 +357,58 @@ func parseByteSize(s string) (int64, error) {
 		return 0, fmt.Errorf("byte size %q overflows", s)
 	}
 	return n * mult, nil
+}
+
+// configFlags registers one flag per cleanse.Config field, named by
+// kebab-casing its JSON tag, defaulting to the field's value in c and
+// writing into it.
+func configFlags(fs *flag.FlagSet, c *cleanse.Config) {
+	v := reflect.ValueOf(c).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		name, help := kebab(f.Tag.Get("json")), f.Tag.Get("help")
+		switch p := v.Field(i).Addr().Interface().(type) {
+		case *string:
+			fs.StringVar(p, name, *p, help)
+		case *bool:
+			fs.BoolVar(p, name, *p, help)
+		case *int:
+			fs.IntVar(p, name, *p, help)
+		case *int64:
+			fs.Int64Var(p, name, *p, help)
+		default:
+			panic(fmt.Sprintf("cleanse.Config.%s: no flag type for %T", f.Name, p))
+		}
+	}
+}
+
+// kebab turns a camelCase JSON key into a flag name: parallelRepair ->
+// parallel-repair.
+func kebab(s string) string {
+	var b strings.Builder
+	for _, r := range s {
+		if unicode.IsUpper(r) {
+			b.WriteByte('-')
+			r = unicode.ToLower(r)
+		}
+		b.WriteRune(r)
+	}
+	return b.String()
+}
+
+// specFlag collects one kind of repeatable rule flag into a shared list,
+// naming each rule after its kind and 1-based position (fd1, dc2, ...).
+type specFlag struct {
+	kind  string
+	n     int
+	specs *[]rules.Spec
+}
+
+func (f *specFlag) String() string { return "" }
+func (f *specFlag) Set(s string) error {
+	f.n++
+	*f.specs = append(*f.specs, rules.Spec{ID: fmt.Sprintf("%s%d", f.kind, f.n), Kind: f.kind, Spec: s})
+	return nil
 }
 
 // multiFlag collects repeatable string flags.

@@ -140,6 +140,14 @@ func TestCLIErrors(t *testing.T) {
 	if err := run([]string{"-input", input, "-schema", taxSchema, "-fd", "zipcode -> city", "-mode", "clean", "-repair", "bogus"}, &out); err == nil {
 		t.Error("bad repair algorithm should fail")
 	}
+	// A bad -schema is an error, not a panic: unknown kind, case-insensitive
+	// duplicate, no attributes.
+	for _, spec := range []string{"a:blob", "a,b,A", " , "} {
+		err := run([]string{"-input", input, "-schema", spec, "-fd", "a -> b"}, &out)
+		if err == nil || !strings.Contains(err.Error(), "-schema") {
+			t.Errorf("-schema %q: err = %v", spec, err)
+		}
+	}
 }
 
 func TestExplainMode(t *testing.T) {
@@ -362,7 +370,7 @@ func TestCleanModeProb(t *testing.T) {
 			"-input", input, "-schema", taxSchema,
 			"-fd", "zipcode -> city",
 			"-mode", "clean", "-repair", "prob",
-			"-prob-samples", "64", "-prob-seed", seed,
+			"-prob-samples", "64", "-seed", seed,
 			"-out", outPath, "-parallel-repair",
 		}, &out)
 		if err != nil {
@@ -380,7 +388,7 @@ func TestCleanModeProb(t *testing.T) {
 	a := cleanOnce("7")
 	b := cleanOnce("7")
 	if a != b {
-		t.Errorf("same -prob-seed must reproduce byte-identical output:\n%s\nvs\n%s", a, b)
+		t.Errorf("same -seed must reproduce byte-identical output:\n%s\nvs\n%s", a, b)
 	}
 	// All 90210 rows must agree on one city after the repair.
 	cities := map[string]bool{}

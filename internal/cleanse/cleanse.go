@@ -19,50 +19,33 @@ import (
 )
 
 // Cleaner couples a rule set with a repair algorithm over one dataflow
-// context.
+// context. Build it with NewCleaner; the options are its configuration.
 type Cleaner struct {
-	// Ctx is the dataflow context detection runs on.
-	Ctx *engine.Context
-	// Rules are detected together (one consolidated plan).
-	Rules []*core.Rule
-	// Algo is the repair algorithm; nil defaults to the equivalence-class
+	// ctx is the dataflow context detection runs on.
+	ctx *engine.Context
+	// rules are detected together (one consolidated plan).
+	rules []*core.Rule
+	// algo is the repair algorithm; nil defaults to the equivalence-class
 	// algorithm.
-	Algo repair.Algorithm
-	// Parallel uses the black-box parallel repair of Section 5.1; false
+	algo repair.Algorithm
+	// parallel uses the black-box parallel repair of Section 5.1; false
 	// runs the algorithm centralized over all violations, the baseline of
 	// Figure 12(b).
-	Parallel bool
-	// RepairOpts configure the parallel repair.
-	RepairOpts repair.Options
-	// MaxIterations bounds the detect-repair loop (<=0: 10).
-	MaxIterations int
-	// FreezeAfter pins a cell after this many updates (<=0: 3).
-	FreezeAfter int
-	// Incremental re-detects only the blocks touched by the previous
-	// iteration's repairs (rules that do not support block-incremental
-	// maintenance re-run in full). The result is identical; later
-	// iterations get cheaper.
-	Incremental bool
-	// Observer, when set, is attached to the dataflow context on the first
-	// Clean so one sink (e.g. a trace.Tracer) sees the whole run: engine
-	// stages, plan compilation, detection pipelines, repair phases and the
-	// detect-repair rounds. Equivalent to building the Context with
-	// engine.Config.Observer.
-	Observer engine.Observer
-	// BatchSize, when positive, runs vectorizable detection pipelines over
-	// column batches of this many rows (see engine.Config.BatchSize); it is
-	// applied to the context on the first Clean or Open. Zero keeps the
-	// tuple-at-a-time path. Results are identical either way.
-	BatchSize int
-	// Planner, when set, plans every detection pass (full and incremental)
-	// of this Cleaner — typically core.NewPlanner with the cost-based model
-	// and an Observer-feedback source, so long-lived sessions re-plan each
-	// flush on measured costs. Nil falls back to the context's planner mode
-	// (engine.Config.Planner).
-	Planner *core.Planner
+	parallel   bool
+	repairOpts repair.Options
+	// maxIterations bounds the detect-repair loop (0: 10).
+	maxIterations int
+	// freezeAfter pins a cell after this many updates (0: 3).
+	freezeAfter int
+	// incremental re-detects only the blocks touched by the previous
+	// iteration's repairs in Clean.
+	incremental bool
+	// planner plans every detection pass (full and incremental); nil plans
+	// by rule shape.
+	planner *core.Planner
 
-	observerAttached bool
-
+	// observer is WithObserver's sink, folded into engineCfg.Observer.
+	observer engine.Observer
 	// engineCfg, when set by WithEngineConfig, makes NewCleaner build the
 	// context itself; ownsCtx records that Close must shut it down (on the
 	// networked backend that terminates the spawned worker processes).
@@ -76,7 +59,7 @@ type Option func(*Cleaner)
 // WithAlgorithm selects the repair algorithm. nil keeps the default
 // equivalence-class algorithm.
 func WithAlgorithm(a repair.Algorithm) Option {
-	return func(c *Cleaner) { c.Algo = a }
+	return func(c *Cleaner) { c.algo = a }
 }
 
 // WithParallelRepair enables the black-box parallel repair of Section 5.1
@@ -84,39 +67,43 @@ func WithAlgorithm(a repair.Algorithm) Option {
 // defaults.
 func WithParallelRepair(opts repair.Options) Option {
 	return func(c *Cleaner) {
-		c.Parallel = true
-		c.RepairOpts = opts
+		c.parallel = true
+		c.repairOpts = opts
 	}
 }
 
 // WithIncremental re-detects only the blocks touched by the previous
-// iteration's repairs on rules that support block-incremental maintenance.
-// It affects Clean only: sessions opened with Open always attempt
-// incremental detection, falling back to full re-detection when no rule in
-// the set is incrementalizable (see Open).
+// iteration's repairs on rules that support block-incremental maintenance;
+// the result is identical and later iterations get cheaper. It affects
+// Clean only: sessions opened with Open always attempt incremental
+// detection, falling back to full re-detection when no rule in the set is
+// incrementalizable (see Open).
 func WithIncremental() Option {
-	return func(c *Cleaner) { c.Incremental = true }
+	return func(c *Cleaner) { c.incremental = true }
 }
 
 // WithMaxIterations bounds the detect-repair loop. Zero keeps the default
 // of 10; negative values are rejected at construction.
 func WithMaxIterations(n int) Option {
-	return func(c *Cleaner) { c.MaxIterations = n }
+	return func(c *Cleaner) { c.maxIterations = n }
 }
 
 // WithFreezeAfter pins a cell after n updates (the termination device of
 // Section 2.2). Zero keeps the default of 3; negative values are rejected
 // at construction.
 func WithFreezeAfter(n int) Option {
-	return func(c *Cleaner) { c.FreezeAfter = n }
+	return func(c *Cleaner) { c.freezeAfter = n }
 }
 
 // WithObserver routes the whole run's execution events — engine stages,
 // plan compilation, detection pipelines, repair phases, detect-repair
-// rounds — to o (for example a trace.Tracer). The context's own Stats
-// keeps counting alongside.
+// rounds — to o (for example a trace.Tracer), in whatever order it comes
+// with WithEngineConfig: o is teed into the configuration's Observer before
+// the context is built. The context's own Stats keeps counting alongside.
+// A caller that supplies its own context sets engine.Config.Observer
+// instead; combining the two is rejected at construction.
 func WithObserver(o engine.Observer) Option {
-	return func(c *Cleaner) { c.Observer = o }
+	return func(c *Cleaner) { c.observer = o }
 }
 
 // WithEngineConfig makes the Cleaner build and own its dataflow context
@@ -134,46 +121,40 @@ func WithEngineConfig(cfg engine.Config) Option {
 // WithPlanner installs the physical Planner detection passes use — e.g.
 // core.NewPlanner(core.WithCostModel(core.NewCostModel()),
 // core.WithObserverFeedback(recorder)) for statistics- and feedback-driven
-// plans. Nil keeps the context's planner mode.
+// plans. Nil plans by rule shape.
 func WithPlanner(p *core.Planner) Option {
-	return func(c *Cleaner) { c.Planner = p }
-}
-
-// WithBatchSize runs vectorizable detection pipelines over column batches
-// of n rows — the engine's vectorized execution path. Zero keeps the
-// tuple-at-a-time path; negative values are rejected at construction.
-// Equivalent to building the Context with engine.Config.BatchSize.
-func WithBatchSize(n int) Option {
-	return func(c *Cleaner) { c.BatchSize = n }
+	return func(c *Cleaner) { c.planner = p }
 }
 
 // NewCleaner builds a Cleaner over ctx and rules, applying any options, and
 // validates the combined configuration: a nil context, an empty or nil rule
 // set, a rule that fails core validation, or a negative WithMaxIterations /
 // WithFreezeAfter is rejected here instead of misbehaving at Clean or Flush
-// time. It is the preferred construction path; the Cleaner struct remains
-// exported for callers that need to set fields directly (those configs are
-// re-validated when Clean or Open runs).
+// time.
 func NewCleaner(ctx *engine.Context, rules []*core.Rule, opts ...Option) (*Cleaner, error) {
-	c := &Cleaner{Ctx: ctx, Rules: rules}
+	c := &Cleaner{ctx: ctx, rules: rules}
 	for _, o := range opts {
 		o(c)
 	}
 	if c.engineCfg != nil {
-		if c.Ctx != nil {
+		if c.ctx != nil {
 			return nil, fmt.Errorf("cleanse: WithEngineConfig combined with a caller-supplied context (pass a nil context)")
 		}
-		built, err := engine.NewContext(*c.engineCfg)
+		cfg := *c.engineCfg
+		if c.observer != nil {
+			cfg.Observer = engine.Tee(cfg.Observer, c.observer)
+		}
+		built, err := engine.NewContext(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("cleanse: building engine context: %w", err)
 		}
-		c.Ctx = built
+		c.ctx = built
 		c.ownsCtx = true
+	} else if c.observer != nil {
+		return nil, fmt.Errorf("cleanse: WithObserver needs WithEngineConfig (a caller-supplied context takes its observer from engine.Config.Observer)")
 	}
 	if err := c.validate(); err != nil {
-		if c.ownsCtx {
-			c.Ctx.Close()
-		}
+		c.Close()
 		return nil, err
 	}
 	return c, nil
@@ -184,22 +165,22 @@ func NewCleaner(ctx *engine.Context, rules []*core.Rule, opts ...Option) (*Clean
 // worker processes. It is idempotent and a no-op for caller-supplied
 // contexts — those stay the caller's to close.
 func (c *Cleaner) Close() error {
-	if !c.ownsCtx || c.Ctx == nil {
+	if !c.ownsCtx || c.ctx == nil {
 		return nil
 	}
-	return c.Ctx.Close()
+	return c.ctx.Close()
 }
 
 // validate checks a configuration for the nonsensical states that used to
 // surface as panics or silent defaults deep inside the loop.
 func (c *Cleaner) validate() error {
-	if c.Ctx == nil {
+	if c.ctx == nil {
 		return fmt.Errorf("cleanse: nil engine context (build one with engine.New)")
 	}
-	if len(c.Rules) == 0 {
+	if len(c.rules) == 0 {
 		return fmt.Errorf("cleanse: no rules")
 	}
-	for i, r := range c.Rules {
+	for i, r := range c.rules {
 		if r == nil {
 			return fmt.Errorf("cleanse: rule %d is nil", i)
 		}
@@ -207,29 +188,13 @@ func (c *Cleaner) validate() error {
 			return fmt.Errorf("cleanse: invalid rule: %w", err)
 		}
 	}
-	if c.MaxIterations < 0 {
-		return fmt.Errorf("cleanse: WithMaxIterations(%d): negative (0 keeps the default of 10)", c.MaxIterations)
+	if c.maxIterations < 0 {
+		return fmt.Errorf("cleanse: WithMaxIterations(%d): negative (0 keeps the default of 10)", c.maxIterations)
 	}
-	if c.FreezeAfter < 0 {
-		return fmt.Errorf("cleanse: WithFreezeAfter(%d): negative (0 keeps the default of 3)", c.FreezeAfter)
-	}
-	if c.BatchSize < 0 {
-		return fmt.Errorf("cleanse: WithBatchSize(%d): negative (0 keeps the tuple path)", c.BatchSize)
+	if c.freezeAfter < 0 {
+		return fmt.Errorf("cleanse: WithFreezeAfter(%d): negative (0 keeps the default of 3)", c.freezeAfter)
 	}
 	return nil
-}
-
-// attachObserver applies the Cleaner's context-level settings once: it tees
-// the configured Observer into the context and installs the vectorized
-// batch size. Both Clean and Open route through it before any dataflow runs.
-func (c *Cleaner) attachObserver() {
-	if c.Observer != nil && !c.observerAttached {
-		c.Ctx.AttachObserver(c.Observer)
-		c.observerAttached = true
-	}
-	if c.BatchSize > 0 {
-		c.Ctx.SetBatchSize(c.BatchSize)
-	}
 }
 
 // Result is one cleansing run: the repaired relation plus its Report.
@@ -277,14 +242,13 @@ func (r *Result) Report() Report { return r.report }
 // Clean runs the iterative cleansing process on a copy of rel. It is a
 // thin one-batch session: the relation is cloned into a Session seeded
 // with the Cleaner's configuration (including the Clean-specific
-// Incremental flag), flushed once, and closed — so its behavior is the
+// WithIncremental), flushed once, and closed — so its behavior is the
 // historical one while the detect-repair loop itself lives in the Session.
 func (c *Cleaner) Clean(rel *model.Relation) (*Result, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	c.attachObserver()
-	s, err := newSession(*c, rel.Clone(), c.Incremental, nil)
+	s, err := newSession(*c, rel.Clone(), c.incremental, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -52,12 +52,19 @@ func fdZipCity(t *testing.T, rel *model.Relation) *core.Rule {
 	return rule
 }
 
+// mustCleaner builds a Cleaner from a configuration the test knows is valid.
+func mustCleaner(t *testing.T, ctx *engine.Context, rules []*core.Rule, opts ...Option) *Cleaner {
+	t.Helper()
+	c, err := NewCleaner(ctx, rules, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestCleanRepairsAllFDViolations(t *testing.T) {
 	rel := dirtyTax(10, 8, 2)
-	cleaner := &Cleaner{
-		Ctx:   engine.New(4),
-		Rules: []*core.Rule{fdZipCity(t, rel)},
-	}
+	cleaner := mustCleaner(t, engine.New(4), []*core.Rule{fdZipCity(t, rel)})
 	res, err := cleaner.Clean(rel)
 	if err != nil {
 		t.Fatal(err)
@@ -86,11 +93,11 @@ func TestCleanRepairsAllFDViolations(t *testing.T) {
 func TestCleanParallelMatchesCentralized(t *testing.T) {
 	rel := dirtyTax(12, 6, 2)
 	run := func(parallel bool) *Result {
-		cleaner := &Cleaner{
-			Ctx:      engine.New(4),
-			Rules:    []*core.Rule{fdZipCity(t, rel)},
-			Parallel: parallel,
+		var opts []Option
+		if parallel {
+			opts = append(opts, WithParallelRepair(repair.Options{}))
 		}
+		cleaner := mustCleaner(t, engine.New(4), []*core.Rule{fdZipCity(t, rel)}, opts...)
 		res, err := cleaner.Clean(rel)
 		if err != nil {
 			t.Fatal(err)
@@ -135,11 +142,7 @@ func TestCleanTerminatesOnContradictoryRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cleaner := &Cleaner{
-		Ctx:           engine.New(2),
-		Rules:         []*core.Rule{r1, r2},
-		MaxIterations: 6,
-	}
+	cleaner := mustCleaner(t, engine.New(2), []*core.Rule{r1, r2}, WithMaxIterations(6))
 	res, err := cleaner.Clean(rel)
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +161,7 @@ func TestCleanDetectionOnlyRule(t *testing.T) {
 	rel := dirtyTax(2, 4, 1)
 	r := fdZipCity(t, rel)
 	r.GenFix = nil
-	cleaner := &Cleaner{Ctx: engine.New(2), Rules: []*core.Rule{r}}
+	cleaner := mustCleaner(t, engine.New(2), []*core.Rule{r})
 	res, err := cleaner.Clean(rel)
 	if err != nil {
 		t.Fatal(err)
@@ -192,11 +195,7 @@ func TestCleanWithHypergraphAlgorithmOnDC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cleaner := &Cleaner{
-		Ctx:   engine.New(2),
-		Rules: []*core.Rule{rule},
-		Algo:  &repair.Hypergraph{},
-	}
+	cleaner := mustCleaner(t, engine.New(2), []*core.Rule{rule}, WithAlgorithm(&repair.Hypergraph{}))
 	res, err := cleaner.Clean(rel)
 	if err != nil {
 		t.Fatal(err)
@@ -210,15 +209,18 @@ func TestCleanWithHypergraphAlgorithmOnDC(t *testing.T) {
 }
 
 func TestCleanNoRules(t *testing.T) {
-	cleaner := &Cleaner{Ctx: engine.New(2)}
-	if _, err := cleaner.Clean(dirtyTax(1, 2, 0)); err == nil {
+	if _, err := NewCleaner(engine.New(2), nil); err == nil {
 		t.Error("no rules should error")
+	}
+	var zero Cleaner
+	if _, err := zero.Clean(dirtyTax(1, 2, 0)); err == nil {
+		t.Error("a zero Cleaner should error, not run")
 	}
 }
 
 func TestCleanSplitTimesAreRecorded(t *testing.T) {
 	rel := dirtyTax(5, 6, 2)
-	cleaner := &Cleaner{Ctx: engine.New(4), Rules: []*core.Rule{fdZipCity(t, rel)}}
+	cleaner := mustCleaner(t, engine.New(4), []*core.Rule{fdZipCity(t, rel)})
 	res, err := cleaner.Clean(rel)
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +234,7 @@ func TestCleanSplitTimesAreRecorded(t *testing.T) {
 }
 
 // TestNewCleanerOptions checks the functional-options constructor wires
-// every option onto the struct it returns.
+// every option onto the Cleaner it returns.
 func TestNewCleanerOptions(t *testing.T) {
 	ctx := engine.New(2)
 	rel := dirtyTax(3, 5, 1)
@@ -248,22 +250,22 @@ func TestNewCleanerOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Ctx != ctx || len(c.Rules) != 1 || c.Rules[0] != r {
+	if c.ctx != ctx || len(c.rules) != 1 || c.rules[0] != r {
 		t.Fatal("ctx/rules not wired")
 	}
-	if c.Algo != hg {
+	if c.algo != hg {
 		t.Error("WithAlgorithm not applied")
 	}
-	if !c.Parallel || c.RepairOpts.Parallelism != 3 {
+	if !c.parallel || c.repairOpts.Parallelism != 3 {
 		t.Error("WithParallelRepair not applied")
 	}
-	if !c.Incremental {
+	if !c.incremental {
 		t.Error("WithIncremental not applied")
 	}
-	if c.MaxIterations != 7 {
+	if c.maxIterations != 7 {
 		t.Error("WithMaxIterations not applied")
 	}
-	if c.FreezeAfter != 2 {
+	if c.freezeAfter != 2 {
 		t.Error("WithFreezeAfter not applied")
 	}
 

@@ -25,12 +25,9 @@ func TestCleanWithDistributedEquivalenceClass(t *testing.T) {
 	defer diskCtx.Close()
 
 	rel := dirtyTax(8, 8, 2)
-	cleaner := &Cleaner{
-		Ctx:      engine.New(4),
-		Rules:    []*core.Rule{fdZipCity(t, rel)},
-		Algo:     &repair.DistributedEquivalenceClass{Ctx: diskCtx},
-		Parallel: true,
-	}
+	cleaner := mustCleaner(t, engine.New(4), []*core.Rule{fdZipCity(t, rel)},
+		WithAlgorithm(&repair.DistributedEquivalenceClass{Ctx: diskCtx}),
+		WithParallelRepair(repair.Options{}))
 	res, err := cleaner.Clean(rel)
 	if err != nil {
 		t.Fatal(err)
@@ -43,11 +40,8 @@ func TestCleanWithDistributedEquivalenceClass(t *testing.T) {
 	}
 
 	// Must produce the same clean instance as the centralized algorithm.
-	centralized := &Cleaner{
-		Ctx:   engine.New(4),
-		Rules: []*core.Rule{fdZipCity(t, rel)},
-		Algo:  &repair.EquivalenceClass{},
-	}
+	centralized := mustCleaner(t, engine.New(4), []*core.Rule{fdZipCity(t, rel)},
+		WithAlgorithm(&repair.EquivalenceClass{}))
 	want, err := centralized.Clean(rel)
 	if err != nil {
 		t.Fatal(err)

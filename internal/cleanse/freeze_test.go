@@ -59,13 +59,8 @@ func TestFreezeStopsOscillation(t *testing.T) {
 			return []model.Fix{model.NewCellFix(v.Cells[0], model.OpEQ, v.Cells[1])}
 		},
 	}
-	cleaner := &Cleaner{
-		Ctx:           engine.New(2),
-		Rules:         []*core.Rule{rule},
-		Algo:          flipAlgo{},
-		MaxIterations: 20,
-		FreezeAfter:   2,
-	}
+	cleaner := mustCleaner(t, engine.New(2), []*core.Rule{rule},
+		WithAlgorithm(flipAlgo{}), WithMaxIterations(20), WithFreezeAfter(2))
 	res, err := cleaner.Clean(rel)
 	if err != nil {
 		t.Fatal(err)
@@ -85,11 +80,8 @@ func TestFreezeStopsOscillation(t *testing.T) {
 // the parallel repair surface in the result.
 func TestParallelRepairReportsCollected(t *testing.T) {
 	rel := dirtyTax(6, 6, 2)
-	cleaner := &Cleaner{
-		Ctx:      engine.New(4),
-		Rules:    []*core.Rule{fdZipCity(t, rel)},
-		Parallel: true,
-	}
+	cleaner := mustCleaner(t, engine.New(4), []*core.Rule{fdZipCity(t, rel)},
+		WithParallelRepair(repair.Options{}))
 	res, err := cleaner.Clean(rel)
 	if err != nil {
 		t.Fatal(err)

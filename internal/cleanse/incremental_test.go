@@ -5,6 +5,7 @@ import (
 
 	"bigdansing/internal/core"
 	"bigdansing/internal/engine"
+	"bigdansing/internal/repair"
 )
 
 // TestIncrementalCleanMatchesFull runs the same cleansing job with and
@@ -12,12 +13,11 @@ import (
 func TestIncrementalCleanMatchesFull(t *testing.T) {
 	rel := dirtyTax(15, 8, 2)
 	run := func(incremental bool) *Result {
-		cleaner := &Cleaner{
-			Ctx:         engine.New(4),
-			Rules:       []*core.Rule{fdZipCity(t, rel)},
-			Parallel:    true,
-			Incremental: incremental,
+		opts := []Option{WithParallelRepair(repair.Options{})}
+		if incremental {
+			opts = append(opts, WithIncremental())
 		}
+		cleaner := mustCleaner(t, engine.New(4), []*core.Rule{fdZipCity(t, rel)}, opts...)
 		res, err := cleaner.Clean(rel)
 		if err != nil {
 			t.Fatal(err)
@@ -53,11 +53,7 @@ func TestIncrementalCleanMultiRule(t *testing.T) {
 	// fires, but its caches must stay consistent through the updates).
 	fd2 := fdZipCity(t, rel)
 	fd2.ID = "phi1b"
-	cleaner := &Cleaner{
-		Ctx:         engine.New(4),
-		Rules:       []*core.Rule{fdZipCity(t, rel), fd2},
-		Incremental: true,
-	}
+	cleaner := mustCleaner(t, engine.New(4), []*core.Rule{fdZipCity(t, rel), fd2}, WithIncremental())
 	res, err := cleaner.Clean(rel)
 	if err != nil {
 		t.Fatal(err)

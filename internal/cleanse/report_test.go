@@ -43,16 +43,36 @@ func TestResultReport(t *testing.T) {
 
 // TestWithObserverTracesWholeRun: an Observer installed via the cleanse
 // option must see every layer — rounds, plan compilation, pipelines,
-// engine stages and repair phases — and leave no span open.
+// engine stages and repair phases — and leave no span open. It is folded
+// into the engine configuration whichever option comes first, and rejected
+// next to a caller-supplied context, whose observer is its own.
 func TestWithObserverTracesWholeRun(t *testing.T) {
 	rel := dirtyTax(6, 6, 2)
+	rules := []*core.Rule{fdZipCity(t, rel)}
+	if _, err := NewCleaner(engine.New(4), rules, WithObserver(trace.New())); err == nil {
+		t.Error("WithObserver next to a caller-supplied context should be rejected")
+	}
+	early := trace.New()
+	c, err := NewCleaner(nil, rules, WithObserver(early), WithEngineConfig(engine.Config{Parallelism: 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Clean(rel); err != nil {
+		t.Fatal(err)
+	}
+	if early.Finish(); len(early.Spans()) == 0 {
+		t.Error("WithObserver before WithEngineConfig recorded nothing")
+	}
+
 	tr := trace.New()
-	cleaner, err := NewCleaner(engine.New(4), []*core.Rule{fdZipCity(t, rel)},
+	cleaner, err := NewCleaner(nil, rules,
 		WithParallelRepair(repair.Options{}),
+		WithEngineConfig(engine.Config{Parallelism: 4}),
 		WithObserver(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer cleaner.Close()
 	res, err := cleaner.Clean(rel)
 	if err != nil {
 		t.Fatal(err)

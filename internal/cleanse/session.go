@@ -37,7 +37,7 @@ import (
 // falls back to full re-detection each Flush round (see Open).
 type Session struct {
 	mu  sync.Mutex
-	cfg Cleaner // frozen configuration copy (per-session options applied)
+	cfg Cleaner // frozen configuration copy
 
 	rel *model.Relation
 	idx map[int64]int // tuple ID -> position, maintained on ingest
@@ -61,10 +61,8 @@ type Session struct {
 	pendingDetect time.Duration // ingest-time detection, attributed to the next flush
 }
 
-// Open starts a streaming cleanse session over schema. Options are applied
-// on top of the Cleaner's own configuration for this session only, and the
-// combined configuration is validated up front (see NewCleaner) — a
-// misconfigured session fails here, not at Flush time.
+// Open starts a streaming cleanse session over schema with the Cleaner's
+// configuration.
 //
 // Sessions always attempt incremental detection regardless of
 // WithIncremental (streaming is what the incremental caches exist for).
@@ -72,26 +70,15 @@ type Session struct {
 // succeeds but the session runs in full-re-detection mode: every Flush
 // round re-detects the whole relation, exactly like Clean. Check
 // Incremental() to see which mode a session got.
-func (c *Cleaner) Open(schema *model.Schema, opts ...Option) (*Session, error) {
+func (c *Cleaner) Open(schema *model.Schema) (*Session, error) {
 	if schema == nil {
 		return nil, fmt.Errorf("cleanse: Open: nil schema")
 	}
-	cfg := *c
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if err := cfg.validate(); err != nil {
+	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Observer != nil && cfg.Observer != c.Observer {
-		// A session-specific observer (WithObserver passed to Open) tees
-		// into the context directly; the cleaner-level one attaches once.
-		cfg.Ctx.AttachObserver(cfg.Observer)
-	} else {
-		c.attachObserver()
-	}
-	incremental := core.NumIncrementalizable(cfg.Rules) > 0
-	return newSession(cfg, model.NewRelation("session", schema), incremental, nil)
+	incremental := core.NumIncrementalizable(c.rules) > 0
+	return newSession(*c, model.NewRelation("session", schema), incremental, nil)
 }
 
 // newSession wires the session state over an initial relation. dirty==nil
@@ -114,18 +101,18 @@ func newSession(cfg Cleaner, rel *model.Relation, incremental bool, dirty []int6
 		}
 	}
 	if incremental {
-		d, err := core.NewIncrementalDetector(cfg.Ctx, cfg.Rules)
+		d, err := core.NewIncrementalDetector(cfg.ctx, cfg.rules)
 		if err != nil {
 			return nil, err
 		}
-		d.SetPlanner(cfg.Planner)
+		d.SetPlanner(cfg.planner)
 		s.det = d
 	}
 	// The repair algorithm: the configured one, or the equivalence-class
 	// default. When it is an equivalence-class instance without a prior,
 	// thread the session's class memory through a copy so streaming repair
 	// stays sticky without mutating the caller's struct.
-	s.algo = cfg.Algo
+	s.algo = cfg.algo
 	if s.algo == nil {
 		s.algo = &repair.EquivalenceClass{Prior: s.memory}
 	} else if ec, ok := s.algo.(*repair.EquivalenceClass); ok && ec.Prior == nil {
@@ -138,9 +125,9 @@ func newSession(cfg Cleaner, rel *model.Relation, incremental bool, dirty []int6
 		// Cleaner never share it.
 		s.algo = cl.CloneAlgorithm()
 	}
-	s.ropts = cfg.RepairOpts
+	s.ropts = cfg.repairOpts
 	if s.ropts.Observer == nil {
-		s.ropts.Observer = cfg.Ctx.Observer()
+		s.ropts.Observer = cfg.ctx.Observer()
 	}
 	return s, nil
 }
@@ -216,15 +203,15 @@ func (s *Session) Flush() (Report, error) {
 
 func (s *Session) flushLocked() (Report, error) {
 	cfg := &s.cfg
-	maxIter := cfg.MaxIterations
+	maxIter := cfg.maxIterations
 	if maxIter <= 0 {
 		maxIter = 10
 	}
-	freezeAfter := cfg.FreezeAfter
+	freezeAfter := cfg.freezeAfter
 	if freezeAfter <= 0 {
 		freezeAfter = 3
 	}
-	obs := cfg.Ctx.Observer()
+	obs := cfg.ctx.Observer()
 
 	rep := Report{Flush: s.flushes + 1}
 	rep.DetectTime = s.pendingDetect
@@ -293,7 +280,7 @@ func (s *Session) flushLocked() (Report, error) {
 				}
 			}
 			var assignments []repair.Assignment
-			if cfg.Parallel {
+			if cfg.parallel {
 				as, rr, err := repair.RepairParallel(actionable, s.algo, s.ropts)
 				if err != nil {
 					return false, fmt.Errorf("cleanse: parallel repair (iteration %d): %w", iter+1, err)
@@ -376,7 +363,7 @@ func (s *Session) flushLocked() (Report, error) {
 // priming full pass), full otherwise.
 func (s *Session) detect() (*core.DetectResult, error) {
 	if s.det == nil {
-		return core.DetectRulesWith(s.cfg.Ctx, s.cfg.Planner, s.cfg.Rules, s.rel)
+		return core.DetectRulesWith(s.cfg.ctx, s.cfg.planner, s.cfg.rules, s.rel)
 	}
 	changed := s.dirty
 	if !s.det.Primed() {
@@ -399,7 +386,7 @@ func (s *Session) finishFlush(rep Report, applied []repair.Assignment) Report {
 	s.totalUpdates += int64(rep.UpdatesApplied)
 	rep.FrozenCells = len(s.frozen)
 	rep.Tuples = s.rel.Len()
-	rep.Engine = s.cfg.Ctx.Stats().Snapshot()
+	rep.Engine = s.cfg.ctx.Stats().Snapshot()
 	return rep
 }
 

@@ -207,7 +207,8 @@ func TestSessionFallbackFullDetection(t *testing.T) {
 	}
 }
 
-// TestOpenValidation: configuration errors surface at Open, not at Flush.
+// TestOpenValidation: configuration errors surface at NewCleaner or Open,
+// not at Flush.
 func TestOpenValidation(t *testing.T) {
 	rel := dirtyTax(2, 4, 1)
 	cleaner, err := NewCleaner(engine.New(2), []*core.Rule{fdZipCity(t, rel)})
@@ -217,27 +218,25 @@ func TestOpenValidation(t *testing.T) {
 	if _, err := cleaner.Open(nil); err == nil {
 		t.Error("nil schema accepted")
 	}
-	if _, err := cleaner.Open(rel.Schema, WithMaxIterations(-1)); err == nil {
-		t.Error("negative WithMaxIterations accepted")
-	}
-	if _, err := cleaner.Open(rel.Schema, WithFreezeAfter(-2)); err == nil {
-		t.Error("negative WithFreezeAfter accepted")
+	var zero Cleaner
+	if _, err := zero.Open(rel.Schema); err == nil || !strings.Contains(err.Error(), "nil engine context") {
+		t.Errorf("zero Cleaner: %v", err)
 	}
 
-	bad := &Cleaner{Ctx: engine.New(2)}
-	if _, err := bad.Open(rel.Schema); err == nil || !strings.Contains(err.Error(), "no rules") {
+	if _, err := NewCleaner(engine.New(2), nil); err == nil || !strings.Contains(err.Error(), "no rules") {
 		t.Errorf("empty rule set: %v", err)
 	}
-	bad = &Cleaner{Rules: []*core.Rule{fdZipCity(t, rel)}}
-	if _, err := bad.Open(rel.Schema); err == nil || !strings.Contains(err.Error(), "nil engine context") {
+	if _, err := NewCleaner(nil, []*core.Rule{fdZipCity(t, rel)}); err == nil || !strings.Contains(err.Error(), "nil engine context") {
 		t.Errorf("nil context: %v", err)
 	}
-
 	if _, err := NewCleaner(engine.New(2), []*core.Rule{nil}); err == nil {
 		t.Error("nil rule accepted")
 	}
 	if _, err := NewCleaner(engine.New(2), []*core.Rule{fdZipCity(t, rel)}, WithMaxIterations(-3)); err == nil {
 		t.Error("NewCleaner accepted negative WithMaxIterations")
+	}
+	if _, err := NewCleaner(engine.New(2), []*core.Rule{fdZipCity(t, rel)}, WithFreezeAfter(-2)); err == nil {
+		t.Error("NewCleaner accepted negative WithFreezeAfter")
 	}
 }
 

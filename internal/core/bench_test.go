@@ -122,7 +122,7 @@ func BenchmarkDetectScan(b *testing.B) {
 		})
 	}
 	tuple := engine.New(4)
-	vec := engine.NewWithConfig(engine.Config{Parallelism: 4, BatchSize: 1024})
+	vec := mustContext(b, engine.Config{Parallelism: 4, BatchSize: 1024})
 	run("fd-tuple", tuple, vecScopedFDRule())
 	run("fd-vec", vec, vecScopedFDRule())
 	run("unary-tuple", tuple, vecUnaryRule())

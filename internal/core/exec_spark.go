@@ -563,7 +563,7 @@ func dedupeResult(r *DetectResult) {
 // compilePlan runs a logical planner and the physical Planner under one
 // plan span, so a tracer sees how long logical->physical compilation took
 // and what the planner decided (pipeline count, consolidated shared scans).
-// A nil Planner resolves via the context's PlannerMode (static by default).
+// A nil Planner plans by rule shape (NewPlanner()).
 func compilePlan(ctx *engine.Context, pl *Planner, plan func() (*LogicalPlan, error)) (*PhysicalPlan, error) {
 	sp := ctx.Observer().BeginSpan(nil, "compile", engine.SpanPlan)
 	defer sp.End()
@@ -571,7 +571,10 @@ func compilePlan(ctx *engine.Context, pl *Planner, plan func() (*LogicalPlan, er
 	if err != nil {
 		return nil, err
 	}
-	pp, err := plannerFor(ctx, pl).Plan(lp)
+	if pl == nil {
+		pl = NewPlanner()
+	}
+	pp, err := pl.Plan(lp)
 	if err != nil {
 		return nil, err
 	}
@@ -581,13 +584,13 @@ func compilePlan(ctx *engine.Context, pl *Planner, plan func() (*LogicalPlan, er
 }
 
 // DetectRule is the convenience entry point: plan and run one rule over a
-// relation on the dataflow backend, under the context's planner mode.
+// relation on the dataflow backend, planned by rule shape.
 func DetectRule(ctx *engine.Context, r *Rule, rel *model.Relation) (*DetectResult, error) {
 	return DetectRuleWith(ctx, nil, r, rel)
 }
 
-// DetectRuleWith is DetectRule with an explicit Planner (nil falls back to
-// the context's planner mode).
+// DetectRuleWith is DetectRule with an explicit Planner (nil plans by rule
+// shape).
 func DetectRuleWith(ctx *engine.Context, pl *Planner, r *Rule, rel *model.Relation) (*DetectResult, error) {
 	pp, err := compilePlan(ctx, pl, func() (*LogicalPlan, error) { return PlanRule(r, rel) })
 	if err != nil {
@@ -602,8 +605,8 @@ func DetectRules(ctx *engine.Context, rs []*Rule, rel *model.Relation) (*DetectR
 	return DetectRulesWith(ctx, nil, rs, rel)
 }
 
-// DetectRulesWith is DetectRules with an explicit Planner (nil falls back
-// to the context's planner mode).
+// DetectRulesWith is DetectRules with an explicit Planner (nil plans by
+// rule shape).
 func DetectRulesWith(ctx *engine.Context, pl *Planner, rs []*Rule, rel *model.Relation) (*DetectResult, error) {
 	pp, err := compilePlan(ctx, pl, func() (*LogicalPlan, error) { return PlanRules(rs, rel) })
 	if err != nil {
@@ -617,8 +620,8 @@ func RunJobSpark(ctx *engine.Context, j *Job) (*DetectResult, error) {
 	return RunJobSparkWith(ctx, nil, j)
 }
 
-// RunJobSparkWith is RunJobSpark with an explicit Planner (nil falls back
-// to the context's planner mode).
+// RunJobSparkWith is RunJobSpark with an explicit Planner (nil plans by
+// rule shape).
 func RunJobSparkWith(ctx *engine.Context, pl *Planner, j *Job) (*DetectResult, error) {
 	pp, err := compilePlan(ctx, pl, func() (*LogicalPlan, error) { return BuildPlan(j) })
 	if err != nil {

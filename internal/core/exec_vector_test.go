@@ -175,7 +175,7 @@ func TestVecPipelineEquivalence(t *testing.T) {
 			t.Fatalf("rule %s: test data produced no violations", rule.ID)
 		}
 		for _, size := range []int{1, 3, 64, 1024} {
-			ctx := engine.NewWithConfig(engine.Config{Parallelism: 4, BatchSize: size})
+			ctx := mustContext(t, engine.Config{Parallelism: 4, BatchSize: size})
 			got, err := DetectRule(ctx, rule, rel)
 			if err != nil {
 				t.Fatal(err)
@@ -186,7 +186,7 @@ func TestVecPipelineEquivalence(t *testing.T) {
 }
 
 func TestVecEligibilityFallbacks(t *testing.T) {
-	ex := newSparkExec(engine.NewWithConfig(engine.Config{Parallelism: 2, BatchSize: 8}))
+	ex := newSparkExec(mustContext(t, engine.Config{Parallelism: 2, BatchSize: 8}))
 	rel := vecTaxData(10, 1)
 
 	mustPlan := func(r *Rule) *PhysicalPipeline {
@@ -247,7 +247,7 @@ func TestVecFallbackResultsMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DetectRule(engine.NewWithConfig(engine.Config{Parallelism: 4, BatchSize: 16}), custom, rel)
+	got, err := DetectRule(mustContext(t, engine.Config{Parallelism: 4, BatchSize: 16}), custom, rel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestDetectRuleOnBatchesMatchesTuples(t *testing.T) {
 	shell := model.NewRelation("tax", rel.Schema)
 
 	for _, size := range []int{0, 50, 1024} {
-		ctx := engine.NewWithConfig(engine.Config{Parallelism: 4, BatchSize: size})
+		ctx := mustContext(t, engine.Config{Parallelism: 4, BatchSize: size})
 		got, err := DetectRuleOnBatches(ctx, vecScopedFDRule(), shell, batches)
 		if err != nil {
 			t.Fatal(err)
@@ -297,7 +297,7 @@ func TestVecPushdownFromStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, usedGot, err := DetectRuleFromStore(
-		engine.NewWithConfig(engine.Config{Parallelism: 4, BatchSize: 32}), st, "tax", rule)
+		mustContext(t, engine.Config{Parallelism: 4, BatchSize: 32}), st, "tax", rule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestVecPushdownFromStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	got2, _, err := DetectRuleFromStore(
-		engine.NewWithConfig(engine.Config{Parallelism: 4, BatchSize: 32}), st, "tax", rule2)
+		mustContext(t, engine.Config{Parallelism: 4, BatchSize: 32}), st, "tax", rule2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ type IncrementalDetector struct {
 	ctx   *engine.Context
 	rules []*Rule
 	// planner, when non-nil, plans the full and block-local re-detections
-	// (see SetPlanner); nil falls back to the context's planner mode.
+	// (see SetPlanner); nil plans by rule shape.
 	planner *Planner
 
 	// state per incremental rule index.
@@ -69,7 +69,7 @@ func NewIncrementalDetector(ctx *engine.Context, rules []*Rule) (*IncrementalDet
 }
 
 // SetPlanner installs the physical Planner the detector's re-detections
-// use (nil keeps the context's planner mode). Long-lived sessions pass
+// use (nil plans by rule shape). Long-lived sessions pass
 // their feedback-fed planner here so every pass re-plans on measured costs.
 func (d *IncrementalDetector) SetPlanner(pl *Planner) { d.planner = pl }
 

@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-
-	"bigdansing/internal/engine"
 )
 
 // Planner is the public planning API: it consolidates a logical plan
@@ -399,23 +397,6 @@ func (pl *Planner) History() []string {
 
 // ModelName names the planner's cost model ("static", "cost").
 func (pl *Planner) ModelName() string { return pl.model.Name() }
-
-// plannerFor resolves the planner an execution entry point should use: an
-// explicitly supplied one wins; otherwise the context's PlannerMode selects
-// the cost-based model or the static default.
-func plannerFor(ctx *engine.Context, explicit *Planner) *Planner {
-	if explicit != nil {
-		return explicit
-	}
-	if ctx != nil && ctx.PlannerMode() == engine.PlannerCost {
-		return NewPlanner(
-			WithCostModel(NewCostModel()),
-			WithMemoryBudget(ctx.MemoryBudget()),
-			WithParallelism(ctx.Parallelism()),
-		)
-	}
-	return NewPlanner()
-}
 
 // explainAlternatives renders the chosen-vs-rejected audit block of one
 // pipeline (used by PhysicalPlan.Explain).

@@ -325,7 +325,7 @@ func TestObserverFeedbackChangesEstimate(t *testing.T) {
 // as the run's Observer captures measured pair and violation counts.
 func TestFeedbackRecorderHarvestsPipelineSpans(t *testing.T) {
 	rec := NewFeedbackRecorder()
-	ctx := engine.NewWithConfig(engine.Config{Parallelism: 4, Observer: rec})
+	ctx := mustContext(t, engine.Config{Parallelism: 4, Observer: rec})
 	rel := planTaxData(200, 20)
 	r := planFDRule()
 	res, err := DetectRule(ctx, r, rel)
@@ -342,35 +342,6 @@ func TestFeedbackRecorderHarvestsPipelineSpans(t *testing.T) {
 	}
 	if pf.Violations != int64(len(res.Violations)) {
 		t.Errorf("measured violations = %d, want %d", pf.Violations, len(res.Violations))
-	}
-}
-
-// TestContextPlannerMode: engine.Config.Planner routes detection through
-// the cost planner without an explicit core.Planner, and unknown modes are
-// rejected at construction.
-func TestContextPlannerMode(t *testing.T) {
-	if _, err := engine.NewContext(engine.Config{Planner: "bogus"}); err == nil {
-		t.Error("bogus planner mode should fail NewContext")
-	}
-	ctx, err := engine.NewContext(engine.Config{Parallelism: 4, Planner: engine.PlannerCost})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctx.PlannerMode() != engine.PlannerCost {
-		t.Fatalf("planner mode = %q", ctx.PlannerMode())
-	}
-	rel := planTaxData(300, 60)
-	r := planFDRule()
-	got, err := DetectRule(ctx, r, rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := DetectRule(engine.New(4), r, rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(violationKeys(got), violationKeys(want)) {
-		t.Errorf("cost-mode context changed results: %d vs %d violations", len(got.Violations), len(want.Violations))
 	}
 }
 

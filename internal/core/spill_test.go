@@ -2,6 +2,7 @@ package core
 
 import (
 	"os"
+	"sync/atomic"
 	"testing"
 
 	"bigdansing/internal/datagen"
@@ -38,7 +39,7 @@ func fixCounts(fs []model.Fix) map[model.Fix]int {
 // result and the context for stats inspection.
 func runDetect(t *testing.T, cfg engine.Config, rules []*Rule, rel *model.Relation) (*DetectResult, *engine.Context) {
 	t.Helper()
-	ctx := engine.NewWithConfig(cfg)
+	ctx := mustContext(t, cfg)
 	res, err := DetectRules(ctx, rules, rel)
 	if err != nil {
 		t.Fatal(err)
@@ -151,18 +152,18 @@ func TestCombinedRulesOutOfCoreMatchesUnbounded(t *testing.T) {
 func TestDetectPanicUnderBudgetCleansUp(t *testing.T) {
 	tr := datagen.TaxA(3000, 0.05, 4)
 	bad := fdRule()
-	calls := 0
+	// Parallel Detect tasks share the counter.
+	var calls atomic.Int64
 	inner := bad.Detect
 	bad.Detect = func(it Item) []model.Violation {
-		calls++
-		if calls > 500 {
+		if calls.Add(1) > 500 {
 			panic("detect exploded")
 		}
 		return inner(it)
 	}
 
 	dir := t.TempDir()
-	ctx := engine.NewWithConfig(engine.Config{Parallelism: 4, MemoryBudgetBytes: spillBudget, SpillDir: dir})
+	ctx := mustContext(t, engine.Config{Parallelism: 4, MemoryBudgetBytes: spillBudget, SpillDir: dir})
 	_, err := DetectRules(ctx, []*Rule{bad}, tr.Dirty)
 	if err == nil {
 		t.Fatal("expected the detect panic to surface as an error")
@@ -177,4 +178,15 @@ func TestDetectPanicUnderBudgetCleansUp(t *testing.T) {
 	if len(entries) != 0 {
 		t.Fatalf("leftover spill files after panic: %d entries", len(entries))
 	}
+}
+
+// mustContext builds a context from a configuration the test knows is
+// valid.
+func mustContext(tb testing.TB, cfg engine.Config) *engine.Context {
+	tb.Helper()
+	ctx, err := engine.NewContext(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ctx
 }

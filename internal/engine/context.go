@@ -340,10 +340,6 @@ type Context struct {
 	// batch path (see Config.BatchSize).
 	batchSize int
 
-	// plannerMode selects the physical planner of the detection layer (see
-	// Config.Planner); "" and PlannerStatic mean the legacy static choices.
-	plannerMode string
-
 	// mem arbitrates the memory budget; nil means unbounded, in which case
 	// every wide operator takes its in-memory fast path.
 	mem *spill.Manager
@@ -367,8 +363,8 @@ type Config struct {
 	// (spans for stages, tasks, plans, pipelines, repair phases; flat
 	// counters for reads and spills). The context's own Stats always keeps
 	// counting, so Snapshot stays truthful with or without an Observer.
-	// Install a *trace.Tracer here (or via cleanse.WithObserver) to capture
-	// the full span tree for EXPLAIN / Chrome-trace export.
+	// Install a *trace.Tracer here to capture the full span tree for
+	// EXPLAIN / Chrome-trace export.
 	Observer Observer
 	// MemoryBudgetBytes bounds the working memory of wide operators
 	// (shuffle buckets, group state, sort buffers). When a task cannot
@@ -387,21 +383,13 @@ type Config struct {
 	// value makes eligible Scope→Detect chains run over model.Batch column
 	// vectors; zero (or negative) keeps every pipeline on the
 	// tuple-at-a-time path. The engine itself is agnostic — batch and
-	// tuple datasets use the same operators.
+	// tuple datasets use the same operators. Negative is rejected.
 	BatchSize int
-
-	// Planner selects the physical planner the detection layer uses when no
-	// explicit core.Planner is supplied: PlannerStatic (or empty, the
-	// default) reproduces the legacy rule-shape choices; PlannerCost plans
-	// from sampled statistics with the cost-based model. The engine itself
-	// is agnostic — it only carries the setting, like BatchSize.
-	Planner string
 
 	// Backend selects the execution backend. BackendLocal (the zero value)
 	// is the in-process worker pool; BackendNet runs partition exchanges
 	// across separate OS worker processes over TCP (requires the netexec
-	// package to be linked in, and NewContext instead of NewWithConfig so
-	// spawn failures surface as errors).
+	// package to be linked in).
 	Backend BackendKind
 	// NetWorkers is the number of worker processes the net backend spawns
 	// (<=0: 2). Ignored by BackendLocal.
@@ -426,29 +414,12 @@ type Config struct {
 	Exchange Exchange
 }
 
-// Planner modes carried by Config.Planner / Context.PlannerMode.
-const (
-	// PlannerStatic is the legacy rule-shape translation (the default).
-	PlannerStatic = "static"
-	// PlannerCost is the statistics-driven cost-based planner.
-	PlannerCost = "cost"
-)
-
-// New creates a Context with the given parallelism (number of workers) and
-// no memory budget. Non-positive parallelism defaults to GOMAXPROCS.
+// New creates an in-process Context with the given parallelism (number of
+// workers) and no memory budget. Non-positive parallelism defaults to
+// GOMAXPROCS.
 func New(parallelism int) *Context {
-	return NewWithConfig(Config{Parallelism: parallelism})
-}
-
-// NewWithConfig creates a Context from a full configuration. It panics when
-// the configuration selects a non-local backend — backend construction can
-// fail (worker spawn, dial), so those callers must use NewContext and handle
-// the error.
-func NewWithConfig(cfg Config) *Context {
-	ctx, err := NewContext(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("engine: NewWithConfig: %v (use NewContext for non-local backends)", err))
-	}
+	// Only a non-local backend or a negative batch size makes NewContext fail.
+	ctx, _ := NewContext(Config{Parallelism: parallelism})
 	return ctx
 }
 
@@ -462,18 +433,10 @@ func NewContext(cfg Config) (*Context, error) {
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
 	}
-	c := &Context{parallelism: p}
-	if cfg.BatchSize > 0 {
-		c.batchSize = cfg.BatchSize
+	if cfg.BatchSize < 0 {
+		return nil, fmt.Errorf("engine: batch size %d is negative (0 keeps the tuple path)", cfg.BatchSize)
 	}
-	switch cfg.Planner {
-	case "", PlannerStatic:
-		c.plannerMode = PlannerStatic
-	case PlannerCost:
-		c.plannerMode = PlannerCost
-	default:
-		return nil, fmt.Errorf("engine: unknown planner %q (want %q or %q)", cfg.Planner, PlannerStatic, PlannerCost)
-	}
+	c := &Context{parallelism: p, batchSize: cfg.BatchSize}
 	c.obs = &c.stats
 	if cfg.Observer != nil {
 		c.obs = Tee(&c.stats, cfg.Observer)
@@ -531,58 +494,9 @@ func (c *Context) Observer() Observer { return c.obs }
 // the default path unburdened.
 func (c *Context) Instrumented() bool { return c.instrumented }
 
-// AttachObserver tees o into the context's observer after construction,
-// for layers (cleanse.WithObserver) that receive an Observer without
-// building the Context themselves. Call it before running any dataflow on
-// the context; it is not safe concurrently with a running stage.
-func (c *Context) AttachObserver(o Observer) {
-	if o == nil || o == Discard {
-		return
-	}
-	c.obs = Tee(c.obs, o)
-	c.instrumented = true
-}
-
 // BatchSize returns the configured vectorized-execution batch size; 0 means
 // the tuple-at-a-time path everywhere.
 func (c *Context) BatchSize() int { return c.batchSize }
-
-// SetBatchSize sets the vectorized-execution batch size after construction,
-// for layers (cleanse.WithBatchSize) that receive the setting without
-// building the Context themselves. Non-positive disables the batch path.
-// Like AttachObserver, call it before running any dataflow on the context.
-func (c *Context) SetBatchSize(n int) {
-	if n < 0 {
-		n = 0
-	}
-	c.batchSize = n
-}
-
-// PlannerMode returns the configured physical-planner mode (PlannerStatic
-// or PlannerCost; never empty).
-func (c *Context) PlannerMode() string {
-	if c.plannerMode == "" {
-		return PlannerStatic
-	}
-	return c.plannerMode
-}
-
-// SetPlannerMode sets the planner mode after construction, for layers
-// (cleanse sessions, serve) that receive the setting without building the
-// Context themselves. Unknown modes are ignored. Like AttachObserver, call
-// it before running any dataflow on the context.
-func (c *Context) SetPlannerMode(mode string) {
-	switch mode {
-	case "", PlannerStatic:
-		c.plannerMode = PlannerStatic
-	case PlannerCost:
-		c.plannerMode = PlannerCost
-	}
-}
-
-// MemoryBudget returns the configured wide-operator memory budget in bytes
-// (0 when unbounded).
-func (c *Context) MemoryBudget() int64 { return c.mem.Budget() }
 
 // MemoryManager exposes the context's budget manager (nil when unbounded),
 // for callers that coordinate their own buffers with the engine's budget.

@@ -13,7 +13,7 @@ import (
 
 func spillBenchCtx(b *testing.B, budget int64) *Context {
 	b.Helper()
-	return NewWithConfig(Config{
+	return mustContext(b, Config{
 		Parallelism:       4,
 		MemoryBudgetBytes: budget,
 		SpillDir:          b.TempDir(),

@@ -16,7 +16,7 @@ import (
 func budgetCtx(t *testing.T, parallelism int, budget int64) (*Context, string) {
 	t.Helper()
 	dir := t.TempDir()
-	ctx := NewWithConfig(Config{
+	ctx := mustContext(t, Config{
 		Parallelism:       parallelism,
 		MemoryBudgetBytes: budget,
 		SpillDir:          dir,

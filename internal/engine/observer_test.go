@@ -79,7 +79,7 @@ func (o *recObserver) leaked(t *testing.T) {
 // parented to its stage, and record counts that reconcile with Stats.
 func TestObserverSeesStagesAndTasks(t *testing.T) {
 	rec := newRecObserver()
-	ctx := NewWithConfig(Config{Parallelism: 4, Observer: rec})
+	ctx := mustContext(t, Config{Parallelism: 4, Observer: rec})
 	data := make([]int, 100)
 	for i := range data {
 		data[i] = i % 10
@@ -136,7 +136,7 @@ func TestObserverSeesStagesAndTasks(t *testing.T) {
 // spans behind.
 func TestObserverSpanHygieneOnPanic(t *testing.T) {
 	rec := newRecObserver()
-	ctx := NewWithConfig(Config{Parallelism: 4, Observer: rec})
+	ctx := mustContext(t, Config{Parallelism: 4, Observer: rec})
 	d := Map(Parallelize(ctx, []int{1, 2, 3, 4, 5, 6, 7, 8}, 4), func(v int) int {
 		if v == 5 {
 			panic("boom")
@@ -153,7 +153,7 @@ func TestObserverSpanHygieneOnPanic(t *testing.T) {
 // TestObserverSpanHygieneOnShufflePanic exercises the wide-op paths.
 func TestObserverSpanHygieneOnShufflePanic(t *testing.T) {
 	rec := newRecObserver()
-	ctx := NewWithConfig(Config{Parallelism: 4, Observer: rec})
+	ctx := mustContext(t, Config{Parallelism: 4, Observer: rec})
 	d := KeyBy(Parallelize(ctx, []int{1, 2, 3, 4, 5, 6}, 3), func(v int) int {
 		if v == 4 {
 			panic("bad key")
@@ -190,7 +190,7 @@ func TestStatsIsDefaultObserver(t *testing.T) {
 func TestTeeKeepsStatsTruthful(t *testing.T) {
 	plain := New(4)
 	rec := newRecObserver()
-	traced := NewWithConfig(Config{Parallelism: 4, Observer: rec})
+	traced := mustContext(t, Config{Parallelism: 4, Observer: rec})
 	if !traced.Instrumented() {
 		t.Error("Instrumented() = false with a user Observer")
 	}
@@ -264,7 +264,7 @@ func benchGroupByKeyWith(b *testing.B, cfg Config) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctx := NewWithConfig(cfg)
+		ctx := mustContext(b, cfg)
 		g := GroupByKey(Parallelize(ctx, data, 8))
 		if _, err := g.Collect(); err != nil {
 			b.Fatal(err)

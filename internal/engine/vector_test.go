@@ -146,7 +146,7 @@ func (sp *rowAttrSpan) End() {
 
 func TestBatchStagesReportRowsNotBatches(t *testing.T) {
 	obs := &rowAttrObserver{}
-	ctx := NewWithConfig(Config{Parallelism: 2, Observer: obs})
+	ctx := mustContext(t, Config{Parallelism: 2, Observer: obs})
 	d := Parallelize(ctx, newTestBatches([]int{1, 2, 3}, []int{4, 5}), 0)
 	// Parallelize counts records read in rows.
 	if got := ctx.Stats().Snapshot().RecordsRead; got != 5 {
@@ -171,23 +171,25 @@ func TestBatchStagesReportRowsNotBatches(t *testing.T) {
 	}
 }
 
+// mustContext builds a context from a configuration the test knows is
+// valid.
+func mustContext(tb testing.TB, cfg Config) *Context {
+	tb.Helper()
+	ctx, err := NewContext(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ctx
+}
+
 func TestBatchSizeConfig(t *testing.T) {
-	if got := NewWithConfig(Config{BatchSize: 256}).BatchSize(); got != 256 {
+	if got := mustContext(t, Config{BatchSize: 256}).BatchSize(); got != 256 {
 		t.Fatalf("BatchSize = %d, want 256", got)
 	}
-	if got := NewWithConfig(Config{BatchSize: -3}).BatchSize(); got != 0 {
-		t.Fatalf("negative config BatchSize = %d, want clamp to 0", got)
+	if _, err := NewContext(Config{BatchSize: -3}); err == nil {
+		t.Fatal("negative BatchSize should be rejected")
 	}
-	ctx := New(1)
-	if ctx.BatchSize() != 0 {
+	if New(1).BatchSize() != 0 {
 		t.Fatal("default BatchSize should be 0 (tuple path)")
-	}
-	ctx.SetBatchSize(64)
-	if ctx.BatchSize() != 64 {
-		t.Fatal("SetBatchSize did not apply")
-	}
-	ctx.SetBatchSize(-1)
-	if ctx.BatchSize() != 0 {
-		t.Fatal("SetBatchSize should clamp negatives to 0")
 	}
 }

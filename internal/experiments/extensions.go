@@ -236,10 +236,11 @@ func ExtPlan(cfg Config) ([]*Table, error) {
 			reps = 3
 		}
 		for si, mode := range []string{"static", "cost"} {
-			var pl *core.Planner
-			if mode == "cost" {
-				pl = core.NewPlanner(core.WithCostModel(core.NewCostModel()),
-					core.WithParallelism(cfg.Workers))
+			conf := cleanse.DefaultConfig()
+			conf.Planner = mode
+			_, pl, err := conf.Build(&engine.Config{Parallelism: cfg.Workers}, nil)
+			if err != nil {
+				return nil, err
 			}
 			if _, err := core.DetectRuleWith(ctx, pl, rule, rel); err != nil {
 				return nil, err

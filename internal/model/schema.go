@@ -33,17 +33,21 @@ func NewSchema(attrs ...Attribute) *Schema {
 	return s
 }
 
-// MustParseSchema parses "name:string,zipcode:int,rate:float" notation.
-// Attributes without an explicit kind default to string.
-func MustParseSchema(spec string) *Schema {
+// ParseSchema parses "name:string,zipcode:int,rate:float" notation.
+// Attributes without an explicit kind default to string. An unknown kind,
+// an empty attribute name, a duplicate attribute (case-insensitive) or a
+// spec without attributes is an error: the spec is user input.
+func ParseSchema(spec string) (*Schema, error) {
 	parts := strings.Split(spec, ",")
 	attrs := make([]Attribute, 0, len(parts))
+	seen := make(map[string]bool, len(parts))
 	for _, p := range parts {
 		p = strings.TrimSpace(p)
 		if p == "" {
 			continue
 		}
 		name, kindName, ok := strings.Cut(p, ":")
+		name = strings.TrimSpace(name)
 		kind := KindString
 		if ok {
 			switch strings.TrimSpace(strings.ToLower(kindName)) {
@@ -54,12 +58,33 @@ func MustParseSchema(spec string) *Schema {
 			case "float", "double", "real":
 				kind = KindFloat
 			default:
-				panic(fmt.Sprintf("model: unknown kind %q in schema spec", kindName))
+				return nil, fmt.Errorf("model: unknown kind %q in schema spec", kindName)
 			}
 		}
-		attrs = append(attrs, Attribute{Name: strings.TrimSpace(name), Kind: kind})
+		if name == "" {
+			return nil, fmt.Errorf("model: attribute without a name in schema spec %q", spec)
+		}
+		key := strings.ToLower(name)
+		if seen[key] {
+			return nil, fmt.Errorf("model: duplicate attribute %q in schema", name)
+		}
+		seen[key] = true
+		attrs = append(attrs, Attribute{Name: name, Kind: kind})
 	}
-	return NewSchema(attrs...)
+	if len(attrs) == 0 {
+		return nil, fmt.Errorf("model: schema spec %q has no attributes", spec)
+	}
+	return NewSchema(attrs...), nil
+}
+
+// MustParseSchema is ParseSchema for specs written in code (tests and
+// generators); it panics on an invalid spec.
+func MustParseSchema(spec string) *Schema {
+	s, err := ParseSchema(spec)
+	if err != nil {
+		panic(err.Error())
+	}
+	return s
 }
 
 // Len returns the number of attributes.

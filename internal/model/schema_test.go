@@ -70,6 +70,20 @@ func TestMustIndexPanics(t *testing.T) {
 	s.MustIndex("nope")
 }
 
+// TestParseSchemaRejectsBadSpecs: a schema spec is user input (the CLI's
+// -schema, the service's create request, a stored replica plan), so every
+// malformed one is an error, never a panic.
+func TestParseSchemaRejectsBadSpecs(t *testing.T) {
+	for _, spec := range []string{"a:blob", "a,b,A", "", " , ", "a,:int"} {
+		if s, err := ParseSchema(spec); err == nil {
+			t.Errorf("ParseSchema(%q) = %v, want an error", spec, s)
+		}
+	}
+	if _, err := ParseSchema(" a:int , b "); err != nil {
+		t.Errorf("valid spec rejected: %v", err)
+	}
+}
+
 func TestUnknownKindPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

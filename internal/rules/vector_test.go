@@ -55,7 +55,10 @@ func requireSameDetect(t *testing.T, r *core.Rule, rel *model.Relation, sizes []
 		t.Fatal(err)
 	}
 	for _, size := range sizes {
-		ctx := engine.NewWithConfig(engine.Config{Parallelism: 4, BatchSize: size})
+		ctx, err := engine.NewContext(engine.Config{Parallelism: 4, BatchSize: size})
+		if err != nil {
+			t.Fatal(err)
+		}
 		got, err := core.DetectRule(ctx, r, rel)
 		if err != nil {
 			t.Fatal(err)
@@ -185,11 +188,8 @@ func TestVecCleanEquivalence(t *testing.T) {
 
 	clean := func(batchSize int) *cleanse.Result {
 		t.Helper()
-		opts := []cleanse.Option{cleanse.WithMaxIterations(4)}
-		if batchSize > 0 {
-			opts = append(opts, cleanse.WithBatchSize(batchSize))
-		}
-		c, err := cleanse.NewCleaner(engine.New(4), buildRules(), opts...)
+		c, err := cleanse.NewCleaner(nil, buildRules(), cleanse.WithMaxIterations(4),
+			cleanse.WithEngineConfig(engine.Config{Parallelism: 4, BatchSize: batchSize}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,10 +235,13 @@ func TestVecBatchSizeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cleanse.NewCleaner(engine.New(2), []*core.Rule{r}, cleanse.WithBatchSize(-1)); err == nil {
-		t.Fatal("negative WithBatchSize should be rejected at construction")
+	withBatch := func(n int) cleanse.Option {
+		return cleanse.WithEngineConfig(engine.Config{Parallelism: 2, BatchSize: n})
 	}
-	if _, err := cleanse.NewCleaner(engine.New(2), []*core.Rule{r}, cleanse.WithBatchSize(0)); err != nil {
-		t.Fatalf("zero WithBatchSize is the tuple path and must validate: %v", err)
+	if _, err := cleanse.NewCleaner(nil, []*core.Rule{r}, withBatch(-1)); err == nil {
+		t.Fatal("negative engine.Config.BatchSize should be rejected at construction")
+	}
+	if _, err := cleanse.NewCleaner(nil, []*core.Rule{r}, withBatch(0)); err != nil {
+		t.Fatalf("zero BatchSize is the tuple path and must validate: %v", err)
 	}
 }

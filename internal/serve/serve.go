@@ -15,7 +15,7 @@
 // API (all bodies JSON unless noted):
 //
 //	GET    /sessions                 list open sessions
-//	POST   /sessions/{name}          create: {schema, rules:[{id,kind,spec}], ...}
+//	POST   /sessions/{name}          create: {schema, rules:[{id,kind,spec}], cleanse.Config keys}
 //	GET    /sessions/{name}          status snapshot
 //	DELETE /sessions/{name}          drain queue, final flush, close; returns the report
 //	POST   /sessions/{name}/ingest   {tuples:[[v,...],...]} -> 202 queued / 429 busy
@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strings"
@@ -39,8 +40,6 @@ import (
 	"bigdansing/internal/core"
 	"bigdansing/internal/engine"
 	"bigdansing/internal/model"
-	"bigdansing/internal/probrepair"
-	"bigdansing/internal/repair"
 	"bigdansing/internal/rules"
 	"bigdansing/internal/trace"
 )
@@ -169,41 +168,18 @@ func (st *stream) noteErr(err error) {
 
 // --- request/response shapes ---
 
-type ruleSpec struct {
-	ID   string `json:"id"`
-	Kind string `json:"kind"` // fd | dc | cfd
-	Spec string `json:"spec"`
-}
+// maxBodyBytes bounds every request body the service reads; a larger body
+// is answered with 413. A 10 000-row ingest of the paper's tax schema is
+// about 0.7 MB.
+const maxBodyBytes = 16 << 20
 
+// createRequest is the create body: the schema in "name,zipcode:int"
+// notation, the rules, and the run settings, whose keys are the JSON tags
+// of cleanse.Config.
 type createRequest struct {
-	// Schema uses the "name,zipcode:int,rate:float" notation.
-	Schema string     `json:"schema"`
-	Rules  []ruleSpec `json:"rules"`
-	// Algorithm: eq (default) | hypergraph | sampling | prob. "repair" is
-	// accepted as an alias key.
-	Algorithm     string `json:"algorithm,omitempty"`
-	Repair        string `json:"repair,omitempty"`
-	Parallel      bool   `json:"parallelRepair,omitempty"`
-	MaxIterations int    `json:"maxIterations,omitempty"`
-	FreezeAfter   int    `json:"freezeAfter,omitempty"`
-	// Seed drives the randomized repair algorithms (sampling, prob);
-	// 0 means their default seed of 1.
-	Seed int64 `json:"seed,omitempty"`
-	// ProbSamples is the recorded Gibbs sweep count per component for the
-	// prob algorithm (<=0: the probrepair default).
-	ProbSamples int `json:"probSamples,omitempty"`
-	// Backend selects the session's execution backend: "local" (default,
-	// in-process) or "net" (partition exchanges across spawned worker
-	// processes). Closing the session terminates its workers.
-	Backend string `json:"backend,omitempty"`
-	// NetWorkers is the worker-process count for the net backend
-	// (<=0: the engine default of 2).
-	NetWorkers int `json:"netWorkers,omitempty"`
-	// Planner selects the physical planner: "static" (default, the legacy
-	// rule-shape choices) or "cost" (statistics-driven, refined every flush
-	// from the session's own measured pipeline stats). Cost-planned
-	// sessions expose their chosen-vs-rejected decisions in /explain.
-	Planner string `json:"planner,omitempty"`
+	Schema string       `json:"schema"`
+	Rules  []rules.Spec `json:"rules"`
+	cleanse.Config
 }
 
 type reportJSON struct {
@@ -244,153 +220,75 @@ type statusJSON struct {
 	LastError      string `json:"lastError,omitempty"`
 }
 
-// --- rule and schema compilation ---
+// --- create decoding ---
 
-// parseSchema wraps the panicking parser into an error return.
-func parseSchema(spec string) (s *model.Schema, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%v", r)
-		}
-	}()
-	if spec == "" {
-		return nil, errors.New("empty schema")
-	}
-	return model.MustParseSchema(spec), nil
+// createPlan is a validated create request: the settings, the parsed
+// schema and the compiled rules.
+type createPlan struct {
+	cfg    cleanse.Config
+	schema *model.Schema
+	rules  []*core.Rule
 }
 
-func compileRules(schema *model.Schema, specs []ruleSpec) ([]*core.Rule, error) {
-	var out []*core.Rule
-	for i, rs := range specs {
-		id := rs.ID
-		if id == "" {
-			id = fmt.Sprintf("rule%d", i+1)
-		}
-		switch rs.Kind {
-		case "fd":
-			fd, err := rules.ParseFD(id, rs.Spec)
-			if err != nil {
-				return nil, err
-			}
-			r, err := fd.Compile(schema)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, r)
-		case "dc":
-			dc, err := rules.ParseDC(id, rs.Spec)
-			if err != nil {
-				return nil, err
-			}
-			r, err := dc.Compile(schema)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, r)
-		case "cfd":
-			cfd, err := rules.ParseCFD(id, rs.Spec)
-			if err != nil {
-				return nil, err
-			}
-			r, err := cfd.Compile(schema)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, r...)
-		default:
-			return nil, fmt.Errorf("rule %s: unknown kind %q (want fd, dc or cfd)", id, rs.Kind)
-		}
+// decodeCreate reads a create body: absent settings take
+// cleanse.DefaultConfig, an unknown key is an error, and the settings, the
+// schema and the rules are checked before anything is built.
+func decodeCreate(body io.Reader) (*createPlan, error) {
+	req := createRequest{Config: cleanse.DefaultConfig()}
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return nil, err
 	}
-	return out, nil
+	if err := req.Validate(); err != nil {
+		return nil, err
+	}
+	schema, err := model.ParseSchema(req.Schema)
+	if err != nil {
+		return nil, fmt.Errorf("schema: %w", err)
+	}
+	ruleSet, err := rules.CompileSpecs(schema, req.Rules)
+	if err != nil {
+		return nil, err
+	}
+	return &createPlan{cfg: req.Config, schema: schema, rules: ruleSet}, nil
 }
 
 // --- lifecycle ---
 
 // open creates a named stream: its own engine context, tracer, and session.
-func (s *Server) open(name string, req createRequest) (*stream, error) {
-	schema, err := parseSchema(req.Schema)
-	if err != nil {
-		return nil, fmt.Errorf("schema: %w", err)
-	}
-	ruleSet, err := compileRules(schema, req.Rules)
+func (s *Server) open(name string, plan *createPlan) (*stream, error) {
+	tracer := trace.New()
+	// A cost-planned session feeds its planner from a FeedbackRecorder teed
+	// into the observer: every flush re-plans against the pipeline stats
+	// (pairs, violations) the previous flush measured, so long-lived
+	// sessions converge on measured costs.
+	rec := core.NewFeedbackRecorder()
+	ecfg := engine.Config{Parallelism: s.cfg.Workers, Observer: tracer}
+	opts, planner, err := plan.cfg.Build(&ecfg, rec)
 	if err != nil {
 		return nil, err
 	}
-	tracer := trace.New()
-	var observer engine.Observer = tracer
-	// A cost-planned session carries its own FeedbackRecorder teed into the
-	// observer: every flush re-plans against the pipeline stats (pairs,
-	// violations) the previous flush measured, so long-lived sessions
-	// converge on measured costs.
-	var planner *core.Planner
-	switch req.Planner {
-	case "", engine.PlannerStatic:
-	case engine.PlannerCost:
-		rec := core.NewFeedbackRecorder()
-		planner = core.NewPlanner(
-			core.WithCostModel(core.NewCostModel()),
-			core.WithObserverFeedback(rec),
-			core.WithParallelism(s.cfg.Workers),
-		)
-		observer = engine.Tee(tracer, rec)
-	default:
-		return nil, fmt.Errorf("unknown planner %q (want %s or %s)", req.Planner, engine.PlannerStatic, engine.PlannerCost)
-	}
-	opts := []cleanse.Option{
-		cleanse.WithObserver(observer),
-		cleanse.WithMaxIterations(req.MaxIterations),
-		cleanse.WithFreezeAfter(req.FreezeAfter),
-	}
 	if planner != nil {
-		opts = append(opts, cleanse.WithPlanner(planner))
-	}
-	algoName := req.Algorithm
-	if algoName == "" {
-		algoName = req.Repair
-	}
-	switch algoName {
-	case "", "eq":
-	case "hypergraph":
-		opts = append(opts, cleanse.WithAlgorithm(&repair.Hypergraph{}))
-	case "sampling":
-		opts = append(opts, cleanse.WithAlgorithm(&repair.Sampling{Seed: req.Seed}))
-	case "prob":
-		samples := req.ProbSamples
-		if samples <= 0 {
-			samples = probrepair.DefaultSamples
-		}
-		opts = append(opts, cleanse.WithAlgorithm(&probrepair.Prob{Samples: samples, Seed: req.Seed}))
-	default:
-		return nil, fmt.Errorf("unknown repair algorithm %q", algoName)
-	}
-	if req.Parallel {
-		opts = append(opts, cleanse.WithParallelRepair(repair.Options{}))
-	}
-	ecfg := engine.Config{Parallelism: s.cfg.Workers}
-	switch req.Backend {
-	case "", "local":
-	case "net":
-		ecfg.Backend = engine.BackendNet
-		ecfg.NetWorkers = req.NetWorkers
-	default:
-		return nil, fmt.Errorf("unknown backend %q (want local or net)", req.Backend)
+		ecfg.Observer = engine.Tee(tracer, rec)
 	}
 	// The cleaner builds and owns the context, so closing the session (the
 	// end of every stream's life, including the error paths below) shuts
 	// the backend down — on "net", that terminates the worker processes.
 	opts = append(opts, cleanse.WithEngineConfig(ecfg))
-	cleaner, err := cleanse.NewCleaner(nil, ruleSet, opts...)
+	cleaner, err := cleanse.NewCleaner(nil, plan.rules, opts...)
 	if err != nil {
 		return nil, err
 	}
-	sess, err := cleaner.Open(schema)
+	sess, err := cleaner.Open(plan.schema)
 	if err != nil {
+		cleaner.Close()
 		return nil, err
 	}
 
 	st := &stream{
 		name:    name,
-		schema:  schema,
+		schema:  plan.schema,
 		session: sess,
 		tracer:  tracer,
 		planner: planner,
@@ -409,7 +307,7 @@ func (s *Server) open(name string, req createRequest) (*stream, error) {
 	}
 	s.streams[name] = st
 	go st.work()
-	s.cfg.Logf("session %s: opened (%d rules, incremental=%v)", name, len(ruleSet), sess.Incremental())
+	s.cfg.Logf("session %s: opened (%d rules, incremental=%v)", name, len(plan.rules), sess.Incremental())
 	return st, nil
 }
 
@@ -526,18 +424,29 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// writeBodyErr answers a request whose body could not be used: 413 when it
+// ran past maxBodyBytes, 400 otherwise.
+func writeBodyErr(w http.ResponseWriter, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeErr(w, http.StatusRequestEntityTooLarge, err)
+		return
+	}
+	writeErr(w, http.StatusBadRequest, err)
+}
+
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"sessions": s.sessionNames()})
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	var req createRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	plan, err := decodeCreate(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		writeBodyErr(w, err)
 		return
 	}
-	st, err := s.open(name, req)
+	st, err := s.open(name, plan)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -584,8 +493,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Tuples [][]any `json:"tuples"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+		writeBodyErr(w, err)
 		return
 	}
 	batch, err := st.parseBatch(req.Tuples)

@@ -29,14 +29,8 @@ func TestServeNetBackendSession(t *testing.T) {
 	defer ts.Close()
 	c := ts.Client()
 
-	req := createRequest{
-		Schema: taxSchema,
-		Rules: []ruleSpec{
-			{ID: "phi1", Kind: "fd", Spec: "zipcode -> city"},
-		},
-		Backend:    "net",
-		NetWorkers: 2,
-	}
+	req := taxRequest()
+	req.Backend, req.NetWorkers = "net", 2
 	b, _ := json.Marshal(req)
 	code, body := do(t, c, "POST", ts.URL+"/sessions/nettax", string(b))
 	if code != http.StatusCreated {
@@ -75,11 +69,8 @@ func TestServeRejectsUnknownBackend(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	req := createRequest{
-		Schema:  taxSchema,
-		Rules:   []ruleSpec{{ID: "phi1", Kind: "fd", Spec: "zipcode -> city"}},
-		Backend: "mesos",
-	}
+	req := taxRequest()
+	req.Backend = "mesos"
 	b, _ := json.Marshal(req)
 	code, body := do(t, ts.Client(), "POST", ts.URL+"/sessions/x", string(b))
 	if code != http.StatusBadRequest || !bytes.Contains(body, []byte("unknown backend")) {

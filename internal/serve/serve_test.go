@@ -13,18 +13,26 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"bigdansing/internal/cleanse"
+	"bigdansing/internal/rules"
 )
 
 const taxSchema = "name,zipcode:int,city,state,salary:float,rate:float"
 
-func createBody(parallel bool) string {
-	req := createRequest{
+// taxRequest is a create request for the tax schema with one FD and the
+// default settings.
+func taxRequest() createRequest {
+	return createRequest{
 		Schema: taxSchema,
-		Rules: []ruleSpec{
-			{ID: "phi1", Kind: "fd", Spec: "zipcode -> city"},
-		},
-		Parallel: parallel,
+		Rules:  []rules.Spec{{ID: "phi1", Kind: "fd", Spec: "zipcode -> city"}},
+		Config: cleanse.DefaultConfig(),
 	}
+}
+
+func createBody(parallel bool) string {
+	req := taxRequest()
+	req.ParallelRepair = parallel
 	b, _ := json.Marshal(req)
 	return string(b)
 }
@@ -315,29 +323,56 @@ func TestServeGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestServeCreateValidation: bad schema, bad rules, bad algorithm and bad
-// options are rejected at session creation with 400.
+// badCreateBodies are create bodies the service must refuse with 400; the
+// fuzz target's checked-in corpus starts from them.
+var badCreateBodies = map[string]string{
+	"empty-schema":   `{"schema":"","rules":[{"kind":"fd","spec":"a -> b"}]}`,
+	"unknown-kind":   `{"schema":"a:blob,b","rules":[{"kind":"fd","spec":"a -> b"}]}`,
+	"dup-attr":       `{"schema":"a,b,A","rules":[{"kind":"fd","spec":"a -> b"}]}`,
+	"bad-kind":       `{"schema":"a,b","rules":[{"kind":"nope","spec":"a -> b"}]}`,
+	"bad-fd":         `{"schema":"a,b","rules":[{"kind":"fd","spec":"a -> missing"}]}`,
+	"no-rules":       `{"schema":"a,b","rules":[]}`,
+	"bad-algo":       `{"schema":"a,b","rules":[{"kind":"fd","spec":"a -> b"}],"repair":"magic"}`,
+	"algorithm-key":  `{"schema":"a,b","rules":[{"kind":"fd","spec":"a -> b"}],"algorithm":"eq"}`,
+	"misspelled-key": `{"schema":"a,b","rules":[{"kind":"fd","spec":"a -> b"}],"paralelRepair":true}`,
+	"bad-iter":       `{"schema":"a,b","rules":[{"kind":"fd","spec":"a -> b"}],"maxIterations":-1}`,
+	"bad-samples":    `{"schema":"a,b","rules":[{"kind":"fd","spec":"a -> b"}],"probSamples":-1}`,
+	"bad-planner":    `{"schema":"a,b","rules":[{"kind":"fd","spec":"a -> b"}],"planner":""}`,
+	"not-json":       `{"schema":`,
+}
+
+// TestServeCreateValidation: bad schema, bad rules, bad algorithm, unknown
+// keys and bad options are rejected at session creation with 400, and an
+// oversized body with 413.
 func TestServeCreateValidation(t *testing.T) {
 	srv := New(Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	c := ts.Client()
 
-	for name, body := range map[string]string{
-		"empty-schema": `{"schema":"","rules":[{"kind":"fd","spec":"a -> b"}]}`,
-		"bad-kind":     `{"schema":"a,b","rules":[{"kind":"nope","spec":"a -> b"}]}`,
-		"bad-fd":       `{"schema":"a,b","rules":[{"kind":"fd","spec":"a -> missing"}]}`,
-		"no-rules":     `{"schema":"a,b","rules":[]}`,
-		"bad-algo":     `{"schema":"a,b","rules":[{"kind":"fd","spec":"a -> b"}],"algorithm":"magic"}`,
-		"bad-iter":     `{"schema":"a,b","rules":[{"kind":"fd","spec":"a -> b"}],"maxIterations":-1}`,
-	} {
+	for name, body := range badCreateBodies {
 		if code, b := do(t, c, "POST", ts.URL+"/sessions/"+name, body); code != http.StatusBadRequest {
 			t.Errorf("%s: %d %s", name, code, b)
 		}
 	}
+	// A misspelled key is named in the answer, not silently ignored.
+	if _, b := do(t, c, "POST", ts.URL+"/sessions/x", badCreateBodies["misspelled-key"]); !bytes.Contains(b, []byte("paralelRepair")) {
+		t.Errorf("unknown key not named: %s", b)
+	}
+	huge := `{"schema":"` + strings.Repeat("a", maxBodyBytes) + `"}`
+	if code, b := do(t, c, "POST", ts.URL+"/sessions/huge", huge); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized create: %d %s", code, b)
+	}
 	// Nothing should have been registered.
 	if names := srv.sessionNames(); len(names) != 0 {
 		t.Errorf("failed creates leaked sessions: %v", names)
+	}
+	if code, b := do(t, c, "POST", ts.URL+"/sessions/ok", createBody(false)); code != http.StatusCreated {
+		t.Fatalf("create: %d %s", code, b)
+	}
+	huge = `{"tuples":[["` + strings.Repeat("a", maxBodyBytes) + `"]]}`
+	if code, b := do(t, c, "POST", ts.URL+"/sessions/ok/ingest", huge); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized ingest: %d %s", code, b)
 	}
 
 	// Unknown session on every per-session route.
@@ -356,7 +391,7 @@ func TestServeCreateValidation(t *testing.T) {
 }
 
 // TestServeProbSession drives a session with the probabilistic repair
-// backend through the HTTP API: the "repair" alias, the seed and the sample
+// backend through the HTTP API: the algorithm, the seed and the sample
 // budget all arrive at the algorithm, the flush repairs the FD violations,
 // and the explain tree shows the prob spans.
 func TestServeProbSession(t *testing.T) {
@@ -365,16 +400,8 @@ func TestServeProbSession(t *testing.T) {
 	defer ts.Close()
 	c := ts.Client()
 
-	req := createRequest{
-		Schema: taxSchema,
-		Rules: []ruleSpec{
-			{ID: "phi1", Kind: "fd", Spec: "zipcode -> city"},
-		},
-		Repair:      "prob",
-		Seed:        7,
-		ProbSamples: 64,
-		Parallel:    true,
-	}
+	req := taxRequest()
+	req.Repair, req.Seed, req.ProbSamples, req.ParallelRepair = "prob", 7, 64, true
 	b, _ := json.Marshal(req)
 	code, body := do(t, c, "POST", ts.URL+"/sessions/prob", string(b))
 	if code != http.StatusCreated {
@@ -423,13 +450,8 @@ func TestServeCostPlannerSession(t *testing.T) {
 	defer ts.Close()
 	c := ts.Client()
 
-	req := createRequest{
-		Schema: taxSchema,
-		Rules: []ruleSpec{
-			{ID: "phi1", Kind: "fd", Spec: "zipcode -> city"},
-		},
-		Planner: "cost",
-	}
+	req := taxRequest()
+	req.Planner = "cost"
 	b, _ := json.Marshal(req)
 	code, body := do(t, c, "POST", ts.URL+"/sessions/cp", string(b))
 	if code != http.StatusCreated {
@@ -464,5 +486,41 @@ func TestServeCostPlannerSession(t *testing.T) {
 	b, _ = json.Marshal(req)
 	if code, body := do(t, c, "POST", ts.URL+"/sessions/bad", string(b)); code != http.StatusBadRequest {
 		t.Errorf("bogus planner create: %d %s", code, body)
+	}
+}
+
+// TestServeProbSamplesZeroIsEq: an explicit "probSamples":0 means what it
+// means to the prob algorithm — no sampling, the equivalence-class answer —
+// not "use the default sample count".
+func TestServeProbSamplesZeroIsEq(t *testing.T) {
+	srv := New(Config{Workers: 2, QueueDepth: 8})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := ts.Client()
+
+	batch, _ := json.Marshal(map[string]any{"tuples": rows(4, 6, 2)})
+	clean := func(name string, req createRequest) (relation, explain []byte) {
+		t.Helper()
+		b, _ := json.Marshal(req)
+		for _, step := range []struct{ method, path, body string }{
+			{"POST", "", string(b)}, {"POST", "/ingest", string(batch)}, {"POST", "/flush", ""},
+		} {
+			if code, body := do(t, c, step.method, ts.URL+"/sessions/"+name+step.path, step.body); code/100 != 2 {
+				t.Fatalf("%s %s: %d %s", name, step.path, code, body)
+			}
+		}
+		_, relation = do(t, c, "GET", ts.URL+"/sessions/"+name+"/relation", "")
+		_, explain = do(t, c, "GET", ts.URL+"/sessions/"+name+"/explain", "")
+		return relation, explain
+	}
+	eq, _ := clean("eq", taxRequest())
+	req := taxRequest()
+	req.Repair, req.ProbSamples = "prob", 0
+	prob, explain := clean("prob0", req)
+	if !bytes.Equal(prob, eq) {
+		t.Errorf("probSamples 0 repaired differently from eq:\n%s\nvs\n%s", prob, eq)
+	}
+	if bytes.Contains(explain, []byte("prob:infer")) {
+		t.Errorf("probSamples 0 still ran Gibbs inference:\n%s", explain)
 	}
 }

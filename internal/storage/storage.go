@@ -249,7 +249,10 @@ func (s *Store) ReadBatches(name, partAttr string, opts ReadOptions) ([]*model.B
 	if err != nil {
 		return nil, nil, err
 	}
-	schema := model.MustParseSchema(plan.Schema)
+	schema, err := model.ParseSchema(plan.Schema)
+	if err != nil {
+		return nil, nil, fmt.Errorf("storage: replica %s/%s: %w", name, partAttr, err)
+	}
 	dir := s.replicaDir(name, partAttr)
 
 	cols := make([]int, 0, schema.Len())

@@ -207,7 +207,10 @@ func TestWriteTreeAggregatesTasks(t *testing.T) {
 // job and reconcile span numbers against the engine's Stats.
 func TestTracerWithEngine(t *testing.T) {
 	tr := New()
-	ctx := engine.NewWithConfig(engine.Config{Parallelism: 4, Observer: tr})
+	ctx, err := engine.NewContext(engine.Config{Parallelism: 4, Observer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
 	data := make([]int, 200)
 	for i := range data {
 		data[i] = i % 20
