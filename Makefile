@@ -3,7 +3,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check fmt vet build test race bench bench-smoke fuzz-short
+.PHONY: check fmt vet build test race bench bench-smoke fuzz-short loc
 
 check: fmt vet build test race bench-smoke
 
@@ -34,15 +34,21 @@ race:
 bench-smoke:
 	cd benchmark && $(GO) test ./...
 
-# 30 seconds of coverage-guided fuzzing per fuzzer (the wire codec and the
-# service's create body), seeded from testdata/fuzz corpora. A finding is
-# checked in as a new corpus file.
+# 30 seconds of coverage-guided fuzzing per fuzzer (the wire codec, the
+# record decoders and the service's create body), seeded from testdata/fuzz
+# corpora. A finding is checked in as a new corpus file.
 fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 30s ./internal/netexec/
 	$(GO) test -run xxx -fuzz FuzzFrameRoundTrip -fuzztime 30s ./internal/netexec/
 	$(GO) test -run xxx -fuzz FuzzSplitRecords -fuzztime 30s ./internal/netexec/
+	$(GO) test -run xxx -fuzz FuzzDecode -fuzztime 30s ./internal/model/
 	$(GO) test -run xxx -fuzz FuzzCreateSession -fuzztime 30s ./internal/serve/
 
 bench:
 	$(GO) test -run xxx -bench 'Table2Datasets|Fig9' -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench . -benchtime 5x -benchmem ./internal/engine/
+
+# The non-test Go line count under internal/ and cmd/, the size ROADMAP.md
+# and CHANGES.md track.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l

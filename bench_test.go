@@ -141,8 +141,8 @@ func BenchmarkFig8bErrorRates(b *testing.B) {
 
 // benchDetect runs one system's detection in a sub-benchmark. The
 // "bigdansing-vec" system is the same engine with 1024-row column batches;
-// rules without vectorized forms fall back to the tuple path, so its numbers
-// are honest for every figure it appears in.
+// only scans with a batch kernel read them, so its numbers are honest for
+// every figure it appears in.
 func benchDetect(b *testing.B, system string, rule *core.Rule, rel *model.Relation) {
 	b.Run(system, func(b *testing.B) {
 		b.ReportAllocs()

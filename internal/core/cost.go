@@ -25,8 +25,8 @@ import (
 type Cost struct {
 	// Scan prices reading the branch inputs.
 	Scan float64
-	// Shuffle prices moving tuples across partitions (or collecting them
-	// onto one node for broadcast variants), including stage-setup overhead.
+	// Shuffle prices moving tuples across partitions (into one partition for
+	// broadcast variants), including stage-setup overhead.
 	Shuffle float64
 	// Pairs prices enumerating and Detect-ing the candidate pairs.
 	Pairs float64
@@ -142,8 +142,9 @@ type CostBased struct {
 	ScanByte float64
 	// ShuffleByte prices moving one byte through a hash shuffle.
 	ShuffleByte float64
-	// CollectByte prices collecting one byte onto a single node (broadcast
-	// variants); it is sequential work, so it is not divided by parallelism.
+	// CollectByte prices moving one byte into the single partition of a
+	// broadcast variant; one task does that work, so it is not divided by
+	// parallelism.
 	CollectByte float64
 	// StageSetup is the fixed overhead of scheduling one shuffle stage.
 	StageSetup float64
@@ -154,8 +155,8 @@ type CostBased struct {
 	// SpillByte penalizes each working-set byte past the budget on
 	// operators that can spill (blocked shuffles).
 	SpillByte float64
-	// NoSpillByte penalizes each byte past the budget on operators that
-	// cannot spill (broadcast collects pin everything in one heap), so
+	// NoSpillByte penalizes each byte past the budget on the broadcast
+	// variants, whose one task must hold or spill the whole working set, so
 	// budgeted runs steer away from them.
 	NoSpillByte float64
 }
@@ -315,8 +316,8 @@ func (m *CostBased) Cost(in CostInputs) Cost {
 		}
 		c.Pairs = pairUnits(n*nr/d) * w.PairCost / p
 	case in.HasBlock && in.Broadcast:
-		// Collect the scoped stream onto one node, group locally, enumerate
-		// pairs there. No shuffle stage, but sequential and unable to spill.
+		// Group the scoped stream into one partition and enumerate pairs
+		// there: one stage setup, but one task and one working set.
 		c.Shuffle = w.StageSetup + n*tb*w.CollectByte
 		c.Pairs = pairUnits(estPairs(in.Rows, in.Block, in.Impl == IterUniquePairs)) * w.PairCost
 		c.Spill = over(n*tb, false)

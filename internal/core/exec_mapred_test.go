@@ -144,3 +144,29 @@ func TestMapReduceDetectPanic(t *testing.T) {
 		t.Fatal("detect panic should surface")
 	}
 }
+
+// TestDedupShuffleCrossesDiskExchange: the violation dedup (Distinct keyed
+// on model.ViolationKey) goes through the disk exchange like every other
+// shuffle, instead of falling back to the coordinator's memory.
+func TestDedupShuffleCrossesDiskExchange(t *testing.T) {
+	eng, err := mapred.New(t.TempDir(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := mustContext(t, engine.Config{Parallelism: 3, Exchange: eng})
+	var vs []model.Violation
+	for i := int64(0); i < 40; i++ {
+		l, r := model.NewCell(i, 1, "city", model.S("a")), model.NewCell(i+100, 1, "city", model.S("b"))
+		vs = append(vs, model.NewViolation("phi", l, r), model.NewViolation("phi", r, l))
+	}
+	got, err := engine.Distinct(engine.Parallelize(ctx, vs, 0), model.Violation.MapKey).Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 40 {
+		t.Errorf("Distinct kept %d of 80 violations, want 40", len(got))
+	}
+	if eng.Stats().BytesSpilled() == 0 {
+		t.Error("the dedup shuffle wrote nothing to the disk exchange")
+	}
+}

@@ -37,44 +37,40 @@ func (r *DetectResult) Merge(o *DetectResult) {
 }
 
 // RunPlanSpark executes the physical plan's detection pipelines on the
-// in-memory dataflow backend (Appendix G.1's translation): Scope becomes
-// map/filter, Block becomes groupByKey, CoBlock becomes cogroup, Iterate
-// becomes the chosen pair enumeration (or OCJoin), Detect and GenFix become
-// flat maps. The backend is lazy, so each pipeline's narrow tail —
-// enumeration, Detect, GenFix — fuses into a single per-partition stage at
-// the pipeline's collect; only Block/CoBlock shuffles break the pipeline
-// into stages. Violations are deduplicated on their canonical key, matching
-// the paper's observation that BigDansing, unlike SQL self-joins, does not
-// emit duplicate violations.
+// dataflow engine (Appendix G.1's translation): Scope becomes map/filter,
+// Block becomes groupByKey, CoBlock becomes cogroup, Iterate becomes the
+// chosen pair enumeration (or OCJoin), Detect and GenFix become flat maps.
+// Every pipeline runs one body — scan, scope, partition, per-group detect,
+// dedup, GenFix, collect — whatever its source format, Iterate choice or
+// backend. The engine is lazy, so per-group detection, dedup's keying and
+// GenFix fuse into per-partition stages at the shuffles that bound them.
+// Violations are deduplicated on their canonical key, matching the paper's
+// observation that BigDansing, unlike SQL self-joins, does not emit
+// duplicate violations.
 func RunPlanSpark(ctx *engine.Context, pp *PhysicalPlan) (*DetectResult, error) {
 	return newSparkExec(ctx).run(pp)
 }
 
-// scanKey identifies a consolidated scoped scan: same dataset (labels over
-// one relation resolve to the same scan) + same scope chain ⇒ one
-// materialization (Algorithm 1's effect at execution time).
+// scanKey identifies one materialized scan: a relation under a scope chain
+// (none for the base scan) — so consolidated scans (Algorithm 1) share one
+// materialization — and, for column batches, the vectors materialized.
 type scanKey struct {
 	rel    *model.Relation
 	scopes [4]uintptr // first scopes' fn pointers; enough to discriminate
+	cols   string
 }
 
 type sparkExec struct {
 	ctx *engine.Context
-	// batchSize is the context's vectorized batch size; 0 keeps every
-	// pipeline on the tuple path.
+	// batchSize is the context's batch size; 0 never reads column batches.
 	batchSize int
 
-	base   map[*model.Relation]*engine.Dataset[model.Tuple]
-	scoped map[scanKey]*engine.Dataset[model.Tuple]
-
-	// Batch-path state (exec_vector.go): the chunked base batches and the
-	// scoped batch streams, cached under the same scan keys as the tuple
-	// path so consolidated scans share materializations on either path.
-	batched   map[batchKey]*engine.Dataset[*model.Batch]
-	scopedVec map[scanKey]*engine.Dataset[*model.Batch]
+	// tuples and batches cache the scans in their two formats.
+	tuples  map[scanKey]*engine.Dataset[model.Tuple]
+	batches map[scanKey]*engine.Dataset[*model.Batch]
 	// pre holds relations whose data arrived as pre-built column batches
-	// (DetectRuleOnBatches); the batch path reads them zero-copy and the
-	// tuple path materializes them once in dataset().
+	// (DetectRuleOnBatches); batch scans window them zero-copy and the tuple
+	// scan materializes them once.
 	pre map[*model.Relation][]*model.Batch
 }
 
@@ -82,10 +78,8 @@ func newSparkExec(ctx *engine.Context) *sparkExec {
 	return &sparkExec{
 		ctx:       ctx,
 		batchSize: ctx.BatchSize(),
-		base:      make(map[*model.Relation]*engine.Dataset[model.Tuple]),
-		scoped:    make(map[scanKey]*engine.Dataset[model.Tuple]),
-		batched:   make(map[batchKey]*engine.Dataset[*model.Batch]),
-		scopedVec: make(map[scanKey]*engine.Dataset[*model.Batch]),
+		tuples:    make(map[scanKey]*engine.Dataset[model.Tuple]),
+		batches:   make(map[scanKey]*engine.Dataset[*model.Batch]),
 		pre:       make(map[*model.Relation][]*model.Batch),
 	}
 }
@@ -101,41 +95,280 @@ func (ex *sparkExec) run(pp *PhysicalPlan) (*DetectResult, error) {
 	return result, nil
 }
 
-func (ex *sparkExec) dataset(pp *PhysicalPlan, name string) (*engine.Dataset[model.Tuple], error) {
-	rel, ok := pp.Logical.Inputs[name]
-	if !ok {
-		return nil, fmt.Errorf("core: plan %s references unknown dataset %q", pp.Name, name)
+func (ex *sparkExec) runPipeline(pp *PhysicalPlan, p *PhysicalPipeline, out *DetectResult) error {
+	sp := ex.ctx.Observer().BeginSpan(nil, p.RuleID, engine.SpanPipeline)
+	defer sp.End()
+	m := &udfMeter{on: ex.ctx.Instrumented()}
+	groups, err := ex.violations(pp, p, m)
+	if err != nil {
+		return err
 	}
-	if d, ok := ex.base[rel]; ok {
-		return d, nil
+	// OCJoin, unique pairs and single units produce each candidate once by
+	// construction, so only the both-orientation enumerations pay the dedup
+	// shuffle; each partition of its output is one group for GenFix.
+	switch p.Impl {
+	case IterOrderedPairs, IterCoBlockPairs, IterCustom:
+		flat := engine.FlatMap(groups, func(vs []model.Violation) []model.Violation { return vs })
+		groups = engine.MapPartitions(engine.Distinct(flat, model.Violation.MapKey), func(_ int, vs []model.Violation) [][]model.Violation {
+			return [][]model.Violation{vs}
+		})
 	}
-	ts := rel.Tuples
-	if pre := ex.pre[rel]; len(pre) > 0 && len(ts) == 0 {
-		// The relation's data arrived columnar; materialize rows once for
-		// the tuple path (the relation itself stays untouched).
-		for _, b := range pre {
-			ts = b.AppendTuples(ts)
-		}
+	sets, err := engine.FlatMap(groups, m.genFix(p.GenFix)).Collect()
+	if err != nil {
+		return fmt.Errorf("core: detection pipeline %s failed: %w", p.RuleID, err)
 	}
-	d := engine.Parallelize(ex.ctx, ts, 0)
-	ex.base[rel] = d
-	return d, nil
+	fixes := 0
+	for _, fs := range sets {
+		out.Violations = append(out.Violations, fs.Violation)
+		out.FixSets = append(out.FixSets, fs)
+		fixes += len(fs.Fixes)
+	}
+	m.finish(sp, len(sets), fixes)
+	return nil
 }
 
-// branchStream materializes a branch's scoped stream, sharing consolidated
-// scans across branches and pipelines. Derived branches (an upstream
-// Iterate's output, Figure 4) are computed by running that Iterate and
-// flattening its items back to data units.
-func (ex *sparkExec) branchStream(pp *PhysicalPlan, b Branch) (*engine.Dataset[model.Tuple], error) {
-	if b.Derived != nil {
-		items, err := ex.iterateItems(pp, b.Derived.Iterate, b.Derived.Branches)
+// violations builds a pipeline's (lazy) violations, one list per group: its
+// branches are scanned and partitioned — grouped by block key into the
+// planner's partition count (one for Broadcast), co-grouped, or
+// range-partitioned by OCJoin — and one detector runs per group, batch or
+// partition task.
+func (ex *sparkExec) violations(pp *PhysicalPlan, p *PhysicalPipeline, m *udfMeter) (*engine.Dataset[[]model.Violation], error) {
+	parts := 0 // the context's parallelism
+	if p.Broadcast {
+		parts = 1
+	}
+	switch p.Impl {
+	case IterCoBlockPairs:
+		cg, err := ex.coGroupBranches(pp, p, p.Branches, parts)
 		if err != nil {
 			return nil, err
 		}
-		d := engine.FlatMap(items, func(it Item) []model.Tuple { return it.Tuples })
+		return engine.Map(cg, metered(m, func(g engine.Pair[model.ValueKey, engine.CoGrouped[model.Tuple, model.Tuple]]) ([]model.Violation, int64) {
+			return pairsAcross(p.Detect, g.Value.Left, g.Value.Right)
+		})), nil
+	case IterCustom:
+		groups, err := ex.iterateGroups(pp, p, p.Branches, parts)
+		if err != nil {
+			return nil, err
+		}
+		return engine.Map(groups, metered(m, func(bags [][]model.Tuple) ([]model.Violation, int64) {
+			return detectItems(p.Detect, p.Iterate(bags))
+		})), nil
+	}
+	b := p.Branches[0]
+	if p.Impl == IterSingles && ex.batchScan(p, b) && p.Vec.DetectBatch != nil {
+		bs, err := ex.batchStream(pp, p, b)
+		if err != nil {
+			return nil, err
+		}
+		return engine.Map(bs, metered(m, func(bt *model.Batch) ([]model.Violation, int64) {
+			return p.Vec.DetectBatch(bt), int64(bt.LiveRows())
+		})), nil
+	}
+	first, err := ex.branchStream(pp, p, b)
+	if err != nil {
+		return nil, err
+	}
+	switch p.Impl {
+	case IterSingles:
+		det := metered(m, func(ts []model.Tuple) ([]model.Violation, int64) {
+			var out []model.Violation
+			for _, t := range ts {
+				out = append(out, p.Detect(Single(t))...)
+			}
+			return out, int64(len(ts))
+		})
+		return engine.MapPartitions(first, func(_ int, ts []model.Tuple) [][]model.Violation { return [][]model.Violation{det(ts)} }), nil
+
+	case IterOCJoin:
+		pairs, err := join.OCJoin(first, p.OrderConds, p.NumParts)
+		if err != nil {
+			return nil, fmt.Errorf("core: OCJoin in %s: %w", p.RuleID, err)
+		}
+		det := metered(m, func(prs []engine.PairOf[model.Tuple]) ([]model.Violation, int64) {
+			// An OCJoin pair satisfies the rule's ordering conditions, so
+			// most pairs are violations.
+			out := make([]model.Violation, 0, len(prs))
+			for _, pr := range prs {
+				out = append(out, p.Detect(PairItem(pr.Left, pr.Right))...)
+			}
+			return out, int64(len(prs))
+		})
+		return engine.MapPartitions(pairs, func(_ int, prs []engine.PairOf[model.Tuple]) [][]model.Violation {
+			return [][]model.Violation{det(prs)}
+		}), nil
+
+	case IterUniquePairs, IterOrderedPairs:
+		ordered := p.Impl == IterOrderedPairs
+		if b.Block == nil {
+			// No Block: the relation is one block, whose outer loop is split
+			// into one contiguous range per task.
+			all, err := first.Collect()
+			if err != nil {
+				return nil, err
+			}
+			step := max(1, (len(all)+ex.ctx.Parallelism()-1)/ex.ctx.Parallelism())
+			var spans [][2]int
+			for lo := 0; lo < len(all); lo += step {
+				spans = append(spans, [2]int{lo, min(lo+step, len(all))})
+			}
+			return engine.Map(engine.Parallelize(ex.ctx, spans, 0), metered(m, func(s [2]int) ([]model.Violation, int64) {
+				return pairsIn(p.Detect, all, s[0], s[1], ordered)
+			})), nil
+		}
+		det := blockDetector(p, ordered)
+		return engine.Map(ex.blocks(first, b.Block, parts), metered(m, func(g engine.Pair[model.ValueKey, []model.Tuple]) ([]model.Violation, int64) {
+			return det(g.Value)
+		})), nil
+	}
+	return nil, fmt.Errorf("core: pipeline %s: unknown iterate implementation", p.RuleID)
+}
+
+// blockDetector is the per-block detector of a blocked pair pipeline: the
+// rule's block kernel when the pipeline groups on the rule's primary key (the
+// planner drops the kernel with an alternate key), otherwise the planner's
+// pair enumeration calling Detect inline. Both feed Detect the same pairs in
+// the same order, n(n-1)/2 unordered or n(n-1) ordered.
+func blockDetector(p *PhysicalPipeline, ordered bool) func([]model.Tuple) ([]model.Violation, int64) {
+	if kernel := p.DetectBlock; kernel != nil {
+		return func(us []model.Tuple) ([]model.Violation, int64) {
+			n := int64(len(us))
+			pairs := n * (n - 1)
+			if !ordered {
+				pairs /= 2
+			}
+			return kernel(us, ordered), pairs
+		}
+	}
+	return func(us []model.Tuple) ([]model.Violation, int64) {
+		return pairsIn(p.Detect, us, 0, len(us), ordered)
+	}
+}
+
+// detectItems feeds Detect the items a user Iterate produced.
+func detectItems(detect DetectFunc, items []Item) ([]model.Violation, int64) {
+	var out []model.Violation
+	for _, it := range items {
+		out = append(out, detect(it)...)
+	}
+	return out, int64(len(items))
+}
+
+// udfMeter is a pipeline's one instrumentation point: the Detect and GenFix
+// timers and the pair counter. Every path reports through it once per group,
+// batch or partition task — never per pair — and only when a user Observer
+// is installed; with the default Stats observer it measures nothing.
+type udfMeter struct {
+	on                        bool
+	detectNs, genfixNs, pairs atomic.Int64
+}
+
+// metered wraps a per-group detector, which returns its violations and the
+// number of candidates it fed to Detect, with the meter's timer and counter.
+func metered[G any](m *udfMeter, detect func(G) ([]model.Violation, int64)) func(G) []model.Violation {
+	return func(g G) []model.Violation {
+		if !m.on {
+			vs, _ := detect(g)
+			return vs
+		}
+		t0 := time.Now()
+		vs, n := detect(g)
+		m.detectNs.Add(int64(time.Since(t0)))
+		m.pairs.Add(n)
+		return vs
+	}
+}
+
+// genFix runs GenFix over one group's violations, timed once per group
+// that has any. A pipeline without GenFix yields fix sets with no fixes.
+func (m *udfMeter) genFix(genfix GenFixFunc) func([]model.Violation) []model.FixSet {
+	return func(vs []model.Violation) []model.FixSet {
+		if len(vs) == 0 {
+			return nil
+		}
+		var t0 time.Time
+		if m.on {
+			t0 = time.Now()
+		}
+		out := make([]model.FixSet, len(vs))
+		for i, v := range vs {
+			out[i].Violation = v
+			if genfix != nil {
+				out[i].Fixes = genfix(v)
+			}
+		}
+		if m.on {
+			m.genfixNs.Add(int64(time.Since(t0)))
+		}
+		return out
+	}
+}
+
+// finish stamps the pipeline span's summary attributes: the counts always,
+// the UDF timers and the pair count only when they were measured.
+func (m *udfMeter) finish(sp engine.Span, violations, fixes int) {
+	sp.Attr(engine.AttrViolations, int64(violations))
+	sp.Attr(engine.AttrFixes, int64(fixes))
+	if m.on {
+		sp.Attr(engine.AttrDetectNanos, m.detectNs.Load())
+		sp.Attr(engine.AttrGenFixNanos, m.genfixNs.Load())
+		sp.Attr(engine.AttrPairs, m.pairs.Load())
+	}
+}
+
+// scan resolves a base branch's relation and the key of its scoped stream.
+func (ex *sparkExec) scan(pp *PhysicalPlan, b Branch) (*model.Relation, scanKey, error) {
+	rel, ok := pp.Logical.Inputs[b.Dataset]
+	if !ok {
+		return nil, scanKey{}, fmt.Errorf("core: plan %s references unknown dataset %q", pp.Name, b.Dataset)
+	}
+	key := scanKey{rel: rel}
+	for i, s := range b.Scopes {
+		if i >= len(key.scopes) {
+			break
+		}
+		key.scopes[i] = reflect.ValueOf(s).Pointer()
+	}
+	return rel, key, nil
+}
+
+// batchScan reports whether a branch is scanned as column batches: only
+// when the context reads batches and a batch kernel consumes them — the
+// Scope kernel of the branch's one scope, or the unary DetectBatch of a
+// scope-free branch. Every other branch reads tuples.
+func (ex *sparkExec) batchScan(p *PhysicalPipeline, b Branch) bool {
+	if ex.batchSize <= 0 || p.Vec == nil || b.Derived != nil {
+		return false
+	}
+	switch len(b.Scopes) {
+	case 0:
+		return p.Impl == IterSingles && p.Vec.DetectBatch != nil
+	case 1:
+		return p.Vec.Scope != nil
+	}
+	return false
+}
+
+// branchStream materializes a branch's scoped tuple stream, cached per scan
+// so consolidated scans run once. A branch scanned as batches turns its
+// scoped batches into tuples here; derived branches (an upstream Iterate's
+// output, Figure 4) run that Iterate and flatten its items back to units.
+func (ex *sparkExec) branchStream(pp *PhysicalPlan, p *PhysicalPipeline, b Branch) (*engine.Dataset[model.Tuple], error) {
+	if b.Derived != nil {
+		groups, err := ex.iterateGroups(pp, p, b.Derived.Branches, 0)
+		if err != nil {
+			return nil, err
+		}
+		iterate := b.Derived.Iterate
+		d := engine.FlatMap(groups, func(bags [][]model.Tuple) []model.Tuple {
+			var units []model.Tuple
+			for _, it := range iterate(bags) {
+				units = append(units, it.Tuples...)
+			}
+			return units
+		})
 		for _, s := range b.Scopes {
-			scope := s
-			d = engine.FlatMap(d, func(t model.Tuple) []model.Tuple { return scope(t) })
+			d = engine.FlatMap(d, s)
 		}
 		// Force the derived stream: it feeds a downstream pipeline and any
 		// upstream failure should surface here with the branch's label.
@@ -144,396 +377,113 @@ func (ex *sparkExec) branchStream(pp *PhysicalPlan, b Branch) (*engine.Dataset[m
 		}
 		return d, nil
 	}
-	key := scanKey{rel: pp.Logical.Inputs[b.Dataset]}
-	for i, s := range b.Scopes {
-		if i >= len(key.scopes) {
-			break
-		}
-		key.scopes[i] = reflect.ValueOf(s).Pointer()
-	}
-	if d, ok := ex.scoped[key]; ok {
-		return d, nil
-	}
-	d, err := ex.dataset(pp, b.Dataset)
+	rel, key, err := ex.scan(pp, b)
 	if err != nil {
 		return nil, err
 	}
-	for _, s := range b.Scopes {
-		scope := s
-		d = engine.FlatMap(d, func(t model.Tuple) []model.Tuple { return scope(t) })
+	if d, ok := ex.tuples[key]; ok {
+		return d, nil
 	}
-	// Err is an action: the whole scope chain runs here as one fused stage
-	// and the materialized stream is cached, so every pipeline sharing this
-	// consolidated scan (Algorithm 1) reuses the computed data instead of
-	// re-running the scopes.
+	var d *engine.Dataset[model.Tuple]
+	if ex.batchScan(p, b) {
+		bs, err := ex.batchStream(pp, p, b)
+		if err != nil {
+			return nil, err
+		}
+		d = engine.FlatMapBatches(bs, func(bt *model.Batch) []model.Tuple { return bt.AppendTuples(nil) })
+	} else {
+		d = ex.baseTuples(rel)
+		for _, s := range b.Scopes {
+			d = engine.FlatMap(d, s)
+		}
+	}
+	// Err is an action: the scope chain runs here as one fused stage and the
+	// stream is cached, so every pipeline sharing this consolidated scan
+	// (Algorithm 1) reuses it instead of re-running the scopes.
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("core: Scope failed: %w", err)
 	}
-	ex.scoped[key] = d
+	ex.tuples[key] = d
 	return d, nil
 }
 
-// iterateItems runs a user Iterate over its branch streams: co-grouped
-// when both of two branches are keyed, blockwise for one keyed branch, and
-// once over the materialized bags otherwise.
-func (ex *sparkExec) iterateItems(pp *PhysicalPlan, iterate IterateFunc, branches []Branch) (*engine.Dataset[Item], error) {
+// baseTuples is a relation's unscoped tuple scan, made once per executor;
+// data that arrived as pre-built batches is materialized into rows here.
+func (ex *sparkExec) baseTuples(rel *model.Relation) *engine.Dataset[model.Tuple] {
+	key := scanKey{rel: rel}
+	if d, ok := ex.tuples[key]; ok {
+		return d
+	}
+	ts := rel.Tuples
+	if len(ts) == 0 {
+		for _, bt := range ex.pre[rel] {
+			ts = bt.AppendTuples(ts)
+		}
+	}
+	d := engine.Parallelize(ex.ctx, ts, 0)
+	ex.tuples[key] = d
+	return d
+}
+
+// iterateGroups lists the inputs of a user Iterate's calls: one per
+// co-grouped key when the first two branches are keyed, one per block of a
+// single keyed branch, and one call over the materialized bags otherwise.
+func (ex *sparkExec) iterateGroups(pp *PhysicalPlan, p *PhysicalPipeline, branches []Branch, parts int) (*engine.Dataset[[][]model.Tuple], error) {
 	switch {
 	case len(branches) >= 2 && branches[0].Block != nil && branches[1].Block != nil:
-		cg, err := ex.coGroupBranches(pp, branches)
+		cg, err := ex.coGroupBranches(pp, p, branches, parts)
 		if err != nil {
 			return nil, err
 		}
-		return engine.FlatMap(cg, func(g engine.Pair[model.ValueKey, engine.CoGrouped[model.Tuple, model.Tuple]]) []Item {
-			return iterate([][]model.Tuple{g.Value.Left, g.Value.Right})
+		return engine.Map(cg, func(g engine.Pair[model.ValueKey, engine.CoGrouped[model.Tuple, model.Tuple]]) [][]model.Tuple {
+			return [][]model.Tuple{g.Value.Left, g.Value.Right}
 		}), nil
-	case len(branches) >= 2:
-		// At least one side unkeyed: materialize every bag and run the
-		// Iterate once over them.
+	case len(branches) == 1 && branches[0].Block != nil:
+		first, err := ex.branchStream(pp, p, branches[0])
+		if err != nil {
+			return nil, err
+		}
+		return engine.Map(ex.blocks(first, branches[0].Block, parts), func(g engine.Pair[model.ValueKey, []model.Tuple]) [][]model.Tuple {
+			return [][]model.Tuple{g.Value}
+		}), nil
+	default:
 		bags := make([][]model.Tuple, len(branches))
 		for i, b := range branches {
-			s, err := ex.branchStream(pp, b)
+			s, err := ex.branchStream(pp, p, b)
 			if err != nil {
 				return nil, err
 			}
-			all, err := s.Collect()
-			if err != nil {
+			if bags[i], err = s.Collect(); err != nil {
 				return nil, err
 			}
-			bags[i] = all
 		}
-		return engine.Parallelize(ex.ctx, iterate(bags), 0), nil
-	default:
-		first, err := ex.branchStream(pp, branches[0])
-		if err != nil {
-			return nil, err
-		}
-		if branches[0].Block != nil {
-			grouped := ex.blocks(first, branches[0].Block)
-			return engine.FlatMap(grouped, func(g engine.Pair[model.ValueKey, []model.Tuple]) []Item {
-				return iterate([][]model.Tuple{g.Value})
-			}), nil
-		}
-		all, err := first.Collect()
-		if err != nil {
-			return nil, err
-		}
-		return engine.Parallelize(ex.ctx, iterate([][]model.Tuple{all}), 0), nil
+		return engine.Parallelize(ex.ctx, [][][]model.Tuple{bags}, 0), nil
 	}
 }
 
-// blocks groups a branch stream by its Block key. Grouping is on the
-// value's comparable MapKey — no per-record key string is materialized.
-func (ex *sparkExec) blocks(d *engine.Dataset[model.Tuple], block BlockFunc) *engine.Dataset[engine.Pair[model.ValueKey, []model.Tuple]] {
+// blocks groups a branch stream by its Block key into parts partitions (0:
+// the context's parallelism). Grouping is on the value's comparable MapKey —
+// no per-record key string is materialized.
+func (ex *sparkExec) blocks(d *engine.Dataset[model.Tuple], block BlockFunc, parts int) *engine.Dataset[engine.Pair[model.ValueKey, []model.Tuple]] {
 	keyed := engine.KeyBy(d, func(t model.Tuple) model.ValueKey { return block(t).MapKey() })
-	return engine.GroupByKey(keyed)
+	return engine.GroupByKeyN(keyed, parts)
 }
 
-func (ex *sparkExec) runPipeline(pp *PhysicalPlan, p *PhysicalPipeline, out *DetectResult) error {
-	sp := ex.ctx.Observer().BeginSpan(nil, p.RuleID, engine.SpanPipeline)
-	defer sp.End()
-	// When a user Observer is installed, wrap the Detect and GenFix UDFs
-	// with cumulative nanosecond timers (one atomic add per item, never per
-	// record cell) and count the candidate items fed to Detect (AttrPairs —
-	// the measurement the cost-based planner's feedback loop learns from).
-	// With only the default Stats observer the closures stay unwrapped and
-	// the hot path pays nothing.
-	var detectNs, genfixNs, pairs atomic.Int64
-	instrumented := ex.ctx.Instrumented()
-
-	var violations *engine.Dataset[model.Violation]
-	if ex.vecEligible(p) {
-		dBatch, dBlock := p.Vec.DetectBatch, p.Vec.DetectBlock
-		if instrumented {
-			if inner := dBatch; inner != nil {
-				dBatch = func(b *model.Batch) []model.Violation {
-					t0 := time.Now()
-					vs := inner(b)
-					detectNs.Add(int64(time.Since(t0)))
-					return vs
-				}
-			}
-			if inner := dBlock; inner != nil {
-				dBlock = func(us []model.Tuple, ordered bool) []model.Violation {
-					t0 := time.Now()
-					vs := inner(us, ordered)
-					detectNs.Add(int64(time.Since(t0)))
-					return vs
-				}
-			}
-		}
-		v, err := ex.vecViolations(pp, p, dBatch, dBlock)
-		if err != nil {
-			return err
-		}
-		violations = v
-	} else {
-		items, err := ex.items(pp, p)
-		if err != nil {
-			return err
-		}
-		detect := p.Detect
-		if instrumented {
-			inner := detect
-			detect = func(it Item) []model.Violation {
-				pairs.Add(1)
-				t0 := time.Now()
-				vs := inner(it)
-				detectNs.Add(int64(time.Since(t0)))
-				return vs
-			}
-		}
-		violations = engine.FlatMap(items, func(it Item) []model.Violation { return detect(it) })
-	}
-	// No action here: Detect stays lazy so the enumeration, detection and
-	// (below) fix generation fuse into a single per-partition stage. A
-	// failure anywhere in the chain surfaces at the pipeline's collect.
-	//
-	// Dedup violations (BigDansing emits each violation once). OCJoin,
-	// unique pairs and single-unit enumeration produce each candidate once
-	// by construction, so only the both-orientation enumerations pay the
-	// dedup shuffle.
-	switch p.Impl {
-	case IterOrderedPairs, IterCoBlockPairs, IterCustom:
-		violations = engine.Distinct(violations, func(v model.Violation) model.ViolationKey { return v.MapKey() })
-	}
-	if p.GenFix != nil {
-		genfix := p.GenFix
-		if instrumented {
-			inner := genfix
-			genfix = func(v model.Violation) []model.Fix {
-				t0 := time.Now()
-				fs := inner(v)
-				genfixNs.Add(int64(time.Since(t0)))
-				return fs
-			}
-		}
-		fixSets := engine.Map(violations, func(v model.Violation) model.FixSet {
-			return model.FixSet{Violation: v, Fixes: genfix(v)}
-		})
-		sets, err := fixSets.Collect()
-		if err != nil {
-			return fmt.Errorf("core: detection pipeline %s failed: %w", p.RuleID, err)
-		}
-		fixes := 0
-		for _, fs := range sets {
-			out.Violations = append(out.Violations, fs.Violation)
-			out.FixSets = append(out.FixSets, fs)
-			fixes += len(fs.Fixes)
-		}
-		finishPipelineSpan(sp, instrumented, int64(len(sets)), int64(fixes), &detectNs, &genfixNs, &pairs)
-		return nil
-	}
-	vs, err := violations.Collect()
-	if err != nil {
-		return fmt.Errorf("core: detection pipeline %s failed: %w", p.RuleID, err)
-	}
-	for _, v := range vs {
-		out.Violations = append(out.Violations, v)
-		out.FixSets = append(out.FixSets, model.FixSet{Violation: v})
-	}
-	finishPipelineSpan(sp, instrumented, int64(len(vs)), 0, &detectNs, &genfixNs, &pairs)
-	return nil
-}
-
-// finishPipelineSpan stamps a pipeline span's summary attributes. The UDF
-// timers and the pair count are only reported when they were actually
-// measured.
-func finishPipelineSpan(sp engine.Span, instrumented bool, violations, fixes int64, detectNs, genfixNs, pairs *atomic.Int64) {
-	sp.Attr(engine.AttrViolations, violations)
-	sp.Attr(engine.AttrFixes, fixes)
-	if instrumented {
-		sp.Attr(engine.AttrDetectNanos, detectNs.Load())
-		sp.Attr(engine.AttrGenFixNanos, genfixNs.Load())
-		sp.Attr(engine.AttrPairs, pairs.Load())
-	}
-}
-
-// items produces the candidate items of a pipeline under its chosen
-// physical Iterate implementation.
-func (ex *sparkExec) items(pp *PhysicalPlan, p *PhysicalPipeline) (*engine.Dataset[Item], error) {
-	// The CoBlock and custom-Iterate paths pull their own branch streams.
-	if p.Impl == IterCoBlockPairs {
-		if p.Broadcast {
-			return ex.broadcastCoBlock(pp, p)
-		}
-		cg, err := ex.coGroupBranches(pp, p.Branches)
-		if err != nil {
-			return nil, err
-		}
-		return engine.FlatMap(cg, func(g engine.Pair[model.ValueKey, engine.CoGrouped[model.Tuple, model.Tuple]]) []Item {
-			return PairsAcross([][]model.Tuple{g.Value.Left, g.Value.Right})
-		}), nil
-	}
-	if p.Impl == IterCustom {
-		return ex.iterateItems(pp, p.Iterate, p.Branches)
-	}
-	first, err := ex.branchStream(pp, p.Branches[0])
+// coGroupBranches keys the first two branches and co-groups them into parts
+// partitions (0: the context's parallelism).
+func (ex *sparkExec) coGroupBranches(pp *PhysicalPlan, p *PhysicalPipeline, branches []Branch, parts int) (*engine.Dataset[engine.Pair[model.ValueKey, engine.CoGrouped[model.Tuple, model.Tuple]]], error) {
+	left, err := ex.branchStream(pp, p, branches[0])
 	if err != nil {
 		return nil, err
 	}
-	switch p.Impl {
-	case IterSingles:
-		return engine.Map(first, Single), nil
-
-	case IterOCJoin:
-		pairs, err := join.OCJoin(first, p.OrderConds, p.NumParts)
-		if err != nil {
-			return nil, fmt.Errorf("core: OCJoin in %s: %w", p.RuleID, err)
-		}
-		return engine.Map(pairs, func(pr engine.PairOf[model.Tuple]) Item {
-			return PairItem(pr.Left, pr.Right)
-		}), nil
-
-	case IterUniquePairs:
-		if b := p.Branches[0].Block; b != nil {
-			if p.Broadcast {
-				return ex.broadcastPairs(first, b, true)
-			}
-			grouped := ex.blocks(first, b)
-			return engine.FlatMap(grouped, func(g engine.Pair[model.ValueKey, []model.Tuple]) []Item {
-				return PairsUnique([][]model.Tuple{g.Value})
-			}), nil
-		}
-		pairs := join.UCrossProduct(first)
-		return engine.Map(pairs, func(pr engine.PairOf[model.Tuple]) Item {
-			return PairItem(pr.Left, pr.Right)
-		}), nil
-
-	case IterOrderedPairs:
-		if b := p.Branches[0].Block; b != nil {
-			if p.Broadcast {
-				return ex.broadcastPairs(first, b, false)
-			}
-			grouped := ex.blocks(first, b)
-			return engine.FlatMap(grouped, func(g engine.Pair[model.ValueKey, []model.Tuple]) []Item {
-				return PairsOrdered([][]model.Tuple{g.Value})
-			}), nil
-		}
-		pairs := join.CrossProduct(first)
-		return engine.Map(pairs, func(pr engine.PairOf[model.Tuple]) Item {
-			return PairItem(pr.Left, pr.Right)
-		}), nil
-
-	default:
-		return nil, fmt.Errorf("core: pipeline %s: unknown iterate implementation", p.RuleID)
-	}
-}
-
-// groupLocal collects a branch stream and groups it by its block key in
-// first-seen order — the broadcast (collect-locally) alternative's grouping,
-// deterministic without a shuffle stage.
-func groupLocal(ts []model.Tuple, block BlockFunc) [][]model.Tuple {
-	idx := make(map[model.ValueKey]int)
-	var bags [][]model.Tuple
-	for _, t := range ts {
-		k := block(t).MapKey()
-		i, ok := idx[k]
-		if !ok {
-			i = len(bags)
-			idx[k] = i
-			bags = append(bags, nil)
-		}
-		bags[i] = append(bags[i], t)
-	}
-	return bags
-}
-
-// broadcastPairs is the collect-locally variant of the blocked pair
-// enumerations: the scoped stream is gathered onto the driver, grouped
-// there, and the per-block pairs are parallelized back out. Chosen by the
-// cost-based planner when the relation is small enough that shuffle-stage
-// setup dominates.
-func (ex *sparkExec) broadcastPairs(first *engine.Dataset[model.Tuple], block BlockFunc, unique bool) (*engine.Dataset[Item], error) {
-	ts, err := first.Collect()
-	if err != nil {
-		return nil, err
-	}
-	var items []Item
-	for _, bag := range groupLocal(ts, block) {
-		if unique {
-			items = append(items, PairsUnique([][]model.Tuple{bag})...)
-		} else {
-			items = append(items, PairsOrdered([][]model.Tuple{bag})...)
-		}
-	}
-	return engine.Parallelize(ex.ctx, items, 0), nil
-}
-
-// broadcastCoBlock is the collect-locally variant of CoBlock: both branch
-// streams are gathered, grouped by their keys, and paired across bags per
-// shared key (left keys in first-seen order).
-func (ex *sparkExec) broadcastCoBlock(pp *PhysicalPlan, p *PhysicalPipeline) (*engine.Dataset[Item], error) {
-	if len(p.Branches) < 2 {
-		return nil, fmt.Errorf("core: CoBlock needs two branches")
-	}
-	lb, rb := p.Branches[0].Block, p.Branches[1].Block
-	if lb == nil || rb == nil {
-		return nil, fmt.Errorf("core: CoBlock requires Block on both branches")
-	}
-	left, err := ex.branchStream(pp, p.Branches[0])
-	if err != nil {
-		return nil, err
-	}
-	right, err := ex.branchStream(pp, p.Branches[1])
-	if err != nil {
-		return nil, err
-	}
-	lts, err := left.Collect()
-	if err != nil {
-		return nil, err
-	}
-	rts, err := right.Collect()
-	if err != nil {
-		return nil, err
-	}
-	rbags := make(map[model.ValueKey][]model.Tuple)
-	for _, t := range rts {
-		k := rb(t).MapKey()
-		rbags[k] = append(rbags[k], t)
-	}
-	type bagPair struct {
-		l []model.Tuple
-		r []model.Tuple
-	}
-	idx := make(map[model.ValueKey]int)
-	var bags []bagPair
-	for _, t := range lts {
-		k := lb(t).MapKey()
-		i, ok := idx[k]
-		if !ok {
-			i = len(bags)
-			idx[k] = i
-			bags = append(bags, bagPair{r: rbags[k]})
-		}
-		bags[i].l = append(bags[i].l, t)
-	}
-	var items []Item
-	for _, bp := range bags {
-		items = append(items, PairsAcross([][]model.Tuple{bp.l, bp.r})...)
-	}
-	return engine.Parallelize(ex.ctx, items, 0), nil
-}
-
-// coGroupBranches keys the first two branches and co-groups them.
-func (ex *sparkExec) coGroupBranches(pp *PhysicalPlan, branches []Branch) (*engine.Dataset[engine.Pair[model.ValueKey, engine.CoGrouped[model.Tuple, model.Tuple]]], error) {
-	if len(branches) < 2 {
-		return nil, fmt.Errorf("core: CoBlock needs two branches")
-	}
-	left, err := ex.branchStream(pp, branches[0])
-	if err != nil {
-		return nil, err
-	}
-	right, err := ex.branchStream(pp, branches[1])
+	right, err := ex.branchStream(pp, p, branches[1])
 	if err != nil {
 		return nil, err
 	}
 	lb, rb := branches[0].Block, branches[1].Block
-	if lb == nil || rb == nil {
-		return nil, fmt.Errorf("core: CoBlock requires Block on both branches")
-	}
 	lk := engine.KeyBy(left, func(t model.Tuple) model.ValueKey { return lb(t).MapKey() })
 	rk := engine.KeyBy(right, func(t model.Tuple) model.ValueKey { return rb(t).MapKey() })
-	cg := engine.CoGroup(lk, rk)
+	cg := engine.CoGroupN(lk, rk, parts)
 	if err := cg.Err(); err != nil {
 		return nil, err
 	}

@@ -2,200 +2,64 @@ package core
 
 import (
 	"fmt"
-	"reflect"
-	"sort"
-	"strings"
+	"slices"
 
 	"bigdansing/internal/engine"
 	"bigdansing/internal/model"
 )
 
-// This file is the vectorized half of the dataflow executor: when the
-// engine context configures a batch size and a pipeline carries vectorized
-// operator forms (VecForms), the Scope→Detect chain runs over model.Batch
-// column vectors — the Scope kernel flips selection bits on flat []Value
-// slices, blocked rules materialize tuples only at the shuffle boundary,
-// and the per-block Detect kernel gathers its comparison columns once per
-// block instead of allocating an Item per candidate pair. Everything
-// downstream (violation dedup, GenFix, collection) is shared with the
-// tuple path, and pipelines the vectorized executor does not support fall
-// back to it transparently.
+// This file is the executor's batch source: column batches are a scan
+// format, read only when the context configures a batch size and a batch
+// kernel consumes them (see sparkExec.batchScan). Everything from the
+// shuffle on is the one pipeline body of exec_spark.go.
 
-// vecEligible reports whether a pipeline can run on the batch path: a
-// batch size is configured, vectorized forms exist, and the pipeline is a
-// single-branch base scan whose shape the vectorized executor supports —
-// unary rules with a batch Detect, or blocked pair rules with a block
-// Detect. Derived streams, CoBlock, OCJoin, custom Iterates, unblocked
-// cross products and transforming or chained Scopes all fall back.
-func (ex *sparkExec) vecEligible(p *PhysicalPipeline) bool {
-	if ex.batchSize <= 0 || p.Vec == nil || p.Broadcast || len(p.Branches) != 1 {
-		return false
-	}
-	b := p.Branches[0]
-	if b.Derived != nil {
-		return false
-	}
-	if len(b.Scopes) > 1 || (len(b.Scopes) == 1 && p.Vec.Scope == nil) {
-		return false
-	}
-	switch p.Impl {
-	case IterSingles:
-		return p.Vec.DetectBatch != nil
-	case IterUniquePairs, IterOrderedPairs:
-		return b.Block != nil && p.Vec.DetectBlock != nil
-	default:
-		return false
-	}
-}
-
-// batchKey identifies one chunked materialization of a relation: cols is the
-// canonical key of the column set transposed into vectors ("*" when the
-// pipeline needs every column, "" when it reads rows only through TupleAt).
-// Keying the cache by column set keeps pipelines with different vector needs
-// from seeing each other's partially materialized batches.
-type batchKey struct {
-	rel  *model.Relation
-	cols string
-}
-
-// vecScanCols decides which column vectors the chunker must materialize for
-// a pipeline: the rule's declared ScanCols plus the block column when the
-// key is a single column read. Shapes that run batch kernels (a vectorized
-// Scope, or a unary batch Detect) without a ScanCols declaration
-// conservatively get every column.
-func vecScanCols(p *PhysicalPipeline, vscope func(*model.Batch) *model.Batch) (cols []int, all bool) {
-	if (vscope != nil || p.Impl == IterSingles) && p.Vec.ScanCols == nil {
-		return nil, true
-	}
-	cols = append(cols, p.Vec.ScanCols...)
-	if p.Impl != IterSingles && p.Vec.BlockCol >= 0 {
-		cols = append(cols, p.Vec.BlockCol)
-	}
-	return cols, false
-}
-
-// colsKey canonicalizes a materialization request (sorted, deduplicated)
-// into a batchKey string.
-func colsKey(cols []int, all bool) string {
-	if all {
-		return "*"
-	}
-	s := append([]int(nil), cols...)
-	sort.Ints(s)
-	var sb strings.Builder
-	for i, c := range s {
-		if i > 0 && c == s[i-1] {
-			continue
-		}
-		fmt.Fprintf(&sb, "%d,", c)
-	}
-	return sb.String()
-}
-
-// batchedStream materializes a branch's scoped column-batch stream,
-// mirroring branchStream: the base relation is chunked into batches once
-// per executor (zero-copy when the relation arrived as pre-built storage
-// batches), the vectorized Scope runs as one fused FilterBatches stage, and
-// the scoped stream is cached under the same scan key the tuple path uses,
-// so pipelines sharing a consolidated scan share the scoped batches too.
-// needCols narrows which column vectors the in-memory chunker transposes
-// (all of them when allCols is set); pre-built storage batches always arrive
-// with every column.
-func (ex *sparkExec) batchedStream(pp *PhysicalPlan, b Branch, vscope func(*model.Batch) *model.Batch, needCols []int, allCols bool) (*engine.Dataset[*model.Batch], error) {
-	rel, ok := pp.Logical.Inputs[b.Dataset]
-	if !ok {
-		return nil, fmt.Errorf("core: plan %s references unknown dataset %q", pp.Name, b.Dataset)
-	}
-	key := scanKey{rel: rel}
-	for i, s := range b.Scopes {
-		if i >= len(key.scopes) {
-			break
-		}
-		key.scopes[i] = reflect.ValueOf(s).Pointer()
-	}
-	if vscope != nil {
-		if d, ok := ex.scopedVec[key]; ok {
-			return d, nil
-		}
-	}
-	bkey := batchKey{rel: rel, cols: colsKey(needCols, allCols)}
-	base, ok := ex.batched[bkey]
-	if !ok {
-		var bs []*model.Batch
-		if pre := ex.pre[rel]; len(pre) > 0 {
-			bs = rechunk(pre, ex.batchSize)
-		} else if allCols {
-			bs = model.MakeBatches(rel.Tuples, rel.Schema.Len(), ex.batchSize)
-		} else {
-			bs = model.MakeBatchesCols(rel.Tuples, rel.Schema.Len(), ex.batchSize, needCols...)
-		}
-		base = engine.Parallelize(ex.ctx, bs, 0)
-		ex.batched[bkey] = base
-	}
-	if vscope == nil {
-		return base, nil
-	}
-	d := engine.FilterBatches(base, vscope)
-	// Force like the tuple path does: the scope kernel runs here as one
-	// fused stage and the scoped batches are cached for reuse.
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("core: Scope failed: %w", err)
-	}
-	ex.scopedVec[key] = d
-	return d, nil
-}
-
-// vecViolations builds a pipeline's violation stream on the batch path.
-// Unary rules flat-map the batch Detect kernel straight over the scoped
-// batches — no tuple is ever materialized. Blocked pair rules materialize
-// each live row into a keyed pair only at the shuffle boundary (reading the
-// block key from its column vector when BlockCol names one), group, and
-// run the block kernel per group; grouping order and within-group row
-// order match the tuple path, so the violations come out in the same order.
-func (ex *sparkExec) vecViolations(pp *PhysicalPlan, p *PhysicalPipeline,
-	detectBatch func(*model.Batch) []model.Violation,
-	detectBlock func([]model.Tuple, bool) []model.Violation,
-) (*engine.Dataset[model.Violation], error) {
-	b := p.Branches[0]
-	var vscope func(*model.Batch) *model.Batch
-	if len(b.Scopes) == 1 {
-		vscope = p.Vec.Scope
-	}
-	// Materialize only the vectors this pipeline's kernels scan (ScanCols
-	// plus the block column); everything else reads through the row backing.
-	// Undeclared kernel shapes conservatively get every column.
-	needCols, allCols := vecScanCols(p, vscope)
-	src, err := ex.batchedStream(pp, b, vscope, needCols, allCols)
+// batchStream materializes a branch's scan as column batches, mirroring
+// branchStream: the base relation is chunked once per column set (windowing
+// pre-built storage batches zero-copy), the Scope kernel runs as one fused
+// FilterBatches stage, and the scoped batches are cached per scan.
+func (ex *sparkExec) batchStream(pp *PhysicalPlan, p *PhysicalPipeline, b Branch) (*engine.Dataset[*model.Batch], error) {
+	rel, key, err := ex.scan(pp, b)
 	if err != nil {
 		return nil, err
 	}
-	if p.Impl == IterSingles {
-		return engine.FlatMapBatches(src, detectBatch), nil
+	key.cols = scanColsKey(p.Vec.ScanCols)
+	if d, ok := ex.batches[key]; ok {
+		return d, nil
 	}
-	block := b.Block
-	blockCol := p.Vec.BlockCol
-	keyed := engine.FlatMapBatches(src, func(bt *model.Batch) []engine.Pair[model.ValueKey, model.Tuple] {
-		out := make([]engine.Pair[model.ValueKey, model.Tuple], 0, bt.LiveRows())
-		var col []model.Value
-		if blockCol >= 0 && blockCol < len(bt.Cols) {
-			col = bt.Cols[blockCol] // nil if this batch never transposed it
+	var d *engine.Dataset[*model.Batch]
+	if len(b.Scopes) == 0 {
+		var bs []*model.Batch
+		switch pre := ex.pre[rel]; {
+		case len(pre) > 0:
+			bs = rechunk(pre, ex.batchSize)
+		case p.Vec.ScanCols == nil:
+			bs = model.MakeBatches(rel.Tuples, rel.Schema.Len(), ex.batchSize)
+		default:
+			bs = model.MakeBatchesCols(rel.Tuples, rel.Schema.Len(), ex.batchSize, p.Vec.ScanCols...)
 		}
-		bt.ForEachLive(func(r int) {
-			var k model.ValueKey
-			if col != nil {
-				k = col[r].MapKey()
-			} else {
-				k = block(bt.TupleAt(r)).MapKey()
-			}
-			out = append(out, engine.Pair[model.ValueKey, model.Tuple]{Key: k, Value: bt.TupleAt(r)})
-		})
-		return out
-	})
-	grouped := engine.GroupByKey(keyed)
-	ordered := p.Impl == IterOrderedPairs
-	return engine.FlatMap(grouped, func(g engine.Pair[model.ValueKey, []model.Tuple]) []model.Violation {
-		return detectBlock(g.Value, ordered)
-	}), nil
+		d = engine.Parallelize(ex.ctx, bs, 0)
+	} else {
+		base, err := ex.batchStream(pp, p, Branch{Dataset: b.Dataset})
+		if err != nil {
+			return nil, err
+		}
+		d = engine.FilterBatches(base, p.Vec.Scope)
+		if err := d.Err(); err != nil {
+			return nil, fmt.Errorf("core: Scope failed: %w", err)
+		}
+	}
+	ex.batches[key] = d
+	return d, nil
+}
+
+// scanColsKey canonicalizes the column vectors a batch scan materializes
+// ("*" for every column, when the kernels declared none).
+func scanColsKey(cols []int) string {
+	if cols == nil {
+		return "*"
+	}
+	s := slices.Compact(slices.Sorted(slices.Values(cols)))
+	return fmt.Sprint(s)
 }
 
 // rechunk re-windows pre-built batches (typically one per storage
@@ -225,10 +89,10 @@ func rechunk(pre []*model.Batch, size int) []*model.Batch {
 
 // DetectRuleOnBatches plans and runs one rule over a relation whose data
 // arrives as pre-built column batches — the storage batch reader's output.
-// The batch path consumes the batches zero-copy; if the rule is not
-// vectorizable (or no batch size is configured) the tuples are materialized
-// once and the tuple path runs, so the result is identical either way.
-// rel carries the schema and name; its Tuples may be empty.
+// Batch scans read them zero-copy; every other scan (including all of them
+// when no batch size is configured) materializes the tuples once, so the
+// result is identical either way. rel carries the schema and name; its
+// Tuples may be empty.
 func DetectRuleOnBatches(ctx *engine.Context, r *Rule, rel *model.Relation, batches []*model.Batch) (*DetectResult, error) {
 	pp, err := compilePlan(ctx, nil, func() (*LogicalPlan, error) { return PlanRule(r, rel) })
 	if err != nil {

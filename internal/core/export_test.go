@@ -1,0 +1,15 @@
+package core
+
+import (
+	"bigdansing/internal/engine"
+	"bigdansing/internal/model"
+)
+
+// RunPlanOnBatches is DetectRuleOnBatches with the plan supplied, so the
+// executor oracle (package core_test) can run storage batches under every
+// grouping.
+func RunPlanOnBatches(ctx *engine.Context, pp *PhysicalPlan, rel *model.Relation, batches []*model.Batch) (*DetectResult, error) {
+	ex := newSparkExec(ctx)
+	ex.pre[rel] = batches
+	return ex.run(pp)
+}

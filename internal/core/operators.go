@@ -43,6 +43,13 @@ type DetectFunc func(Item) []model.Violation
 // operator 5).
 type GenFixFunc func(model.Violation) []model.Fix
 
+// BlockDetectFunc is a block kernel: Detect over every pair of one block at
+// once, receiving the block's units in grouping order. It must find exactly
+// the violations, in exactly the order, that Detect finds over PairsUnique
+// (ordered false) or PairsOrdered (ordered true) — so it can gather the
+// columns it compares once per block instead of being called per pair.
+type BlockDetectFunc func(us []model.Tuple, ordered bool) []model.Violation
+
 // ItemKind distinguishes the three input granularities Detect accepts: a
 // single unit, a pair of units, or a list of units. Distinguishing them
 // lets the executor parallelize at the finest granularity available.
@@ -90,17 +97,7 @@ func PairsUnique(blocks [][]model.Tuple) []Item {
 	if len(blocks) == 0 {
 		return nil
 	}
-	us := blocks[0]
-	if len(us) < 2 {
-		return nil
-	}
-	out := make([]Item, 0, len(us)*(len(us)-1)/2)
-	for i := 0; i < len(us); i++ {
-		for j := i + 1; j < len(us); j++ {
-			out = append(out, PairItem(us[i], us[j]))
-		}
-	}
-	return out
+	return enumerated(func(d DetectFunc) { pairsIn(d, blocks[0], 0, len(blocks[0]), false) })
 }
 
 // PairsOrdered is the default Iterate for asymmetric rules over one stream:
@@ -109,20 +106,7 @@ func PairsOrdered(blocks [][]model.Tuple) []Item {
 	if len(blocks) == 0 {
 		return nil
 	}
-	us := blocks[0]
-	if len(us) < 2 {
-		return nil
-	}
-	out := make([]Item, 0, len(us)*(len(us)-1))
-	for i := range us {
-		for j := range us {
-			if i == j {
-				continue
-			}
-			out = append(out, PairItem(us[i], us[j]))
-		}
-	}
-	return out
+	return enumerated(func(d DetectFunc) { pairsIn(d, blocks[0], 0, len(blocks[0]), true) })
 }
 
 // PairsAcross is the default Iterate for two co-grouped streams: the cross
@@ -132,17 +116,56 @@ func PairsAcross(blocks [][]model.Tuple) []Item {
 	if len(blocks) < 2 {
 		return nil
 	}
-	left, right := blocks[0], blocks[1]
-	out := make([]Item, 0, len(left)*len(right))
-	for _, l := range left {
-		for _, r := range right {
-			if l.ID == r.ID {
-				continue
+	return enumerated(func(d DetectFunc) { pairsAcross(d, blocks[0], blocks[1]) })
+}
+
+// enumerated lists the items an enumeration feeds Detect.
+func enumerated(enumerate func(DetectFunc)) []Item {
+	var items []Item
+	enumerate(func(it Item) []model.Violation {
+		items = append(items, it)
+		return nil
+	})
+	return items
+}
+
+// pairsIn feeds Detect the pairs of block us whose first unit lies in
+// [lo, hi) — the unique pairs i < j, or every ordered pair i != j, outer i,
+// inner j — one at a time, and returns the violations and the number of
+// pairs. It is the one definition of the planner's pair order, which block
+// kernels must reproduce.
+func pairsIn(detect DetectFunc, us []model.Tuple, lo, hi int, ordered bool) ([]model.Violation, int64) {
+	var out []model.Violation
+	var n int64
+	for i := lo; i < hi; i++ {
+		j := i + 1
+		if ordered {
+			j = 0
+		}
+		for ; j < len(us); j++ {
+			if j != i {
+				out = append(out, detect(PairItem(us[i], us[j]))...)
+				n++
 			}
-			out = append(out, PairItem(l, r))
 		}
 	}
-	return out
+	return out, n
+}
+
+// pairsAcross feeds Detect the cross pairs of a co-grouped key's two bags,
+// skipping a unit paired with itself.
+func pairsAcross(detect DetectFunc, left, right []model.Tuple) ([]model.Violation, int64) {
+	var out []model.Violation
+	var n int64
+	for _, l := range left {
+		for _, r := range right {
+			if l.ID != r.ID {
+				out = append(out, detect(PairItem(l, r))...)
+				n++
+			}
+		}
+	}
+	return out, n
 }
 
 // Singles is the Iterate for unary rules: each unit is its own candidate.

@@ -1,0 +1,315 @@
+package core_test
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"bigdansing/internal/core"
+	"bigdansing/internal/engine"
+	"bigdansing/internal/mapred"
+	"bigdansing/internal/model"
+	"bigdansing/internal/rules"
+)
+
+// The executor oracle: every rule shape runs through every source format,
+// grouping, exchange and memory budget of the one pipeline body, and each
+// run must reproduce the reference — the rule's per-pair Detect over the
+// planner's enumeration on the local engine, with its block and batch
+// kernels stripped — violation for violation and fix for fix, and count the
+// same candidate pairs.
+
+const oracleSchema = "name,zipcode:int,city,state,salary:float,rate:float"
+
+// oracleData is a tax-shaped relation dense in block collisions and in the
+// value corners: NaN, -0, NULL and cross-kind numerics, empty-string and
+// NULL block keys, and singleton blocks.
+func oracleData(n int, seed int64) *model.Relation {
+	rng := rand.New(rand.NewSource(seed))
+	rel := model.NewRelation("tax", model.MustParseSchema(oracleSchema))
+	cities := []string{"NY", "LA", "CH", "SF", ""}
+	states := []string{"NY", "CA", "IL"}
+	corner := func(i int) model.Value {
+		switch rng.Intn(6) {
+		case 0:
+			return model.F(math.NaN())
+		case 1:
+			return model.F(math.Copysign(0, -1))
+		case 2:
+			return model.I(int64(rng.Intn(5))) // cross-kind against the floats
+		case 3:
+			return model.Null()
+		default:
+			return model.F(float64(rng.Intn(i)))
+		}
+	}
+	for i := 0; i < n; i++ {
+		zip := model.I(int64(rng.Intn(15)))
+		switch rng.Intn(10) {
+		case 0:
+			zip = model.Null()
+		case 1:
+			zip = model.I(int64(1000 + i)) // a singleton block
+		}
+		rel.Append(model.NewTuple(int64(i+1),
+			model.S(fmt.Sprintf("p%d", i)),
+			zip,
+			model.S(cities[rng.Intn(len(cities))]),
+			model.S(states[rng.Intn(len(states))]),
+			corner(5000),
+			corner(30),
+		))
+	}
+	return rel
+}
+
+// withScope narrows a compiled rule to rows with a non-empty city, through a
+// tuple Scope and the matching Scope kernel.
+func withScope(r *core.Rule) *core.Rule {
+	keep := func(city model.Value) bool { return !city.Equal(model.S("")) }
+	r.Scope = func(t model.Tuple) []model.Tuple {
+		if !keep(t.Cell(2)) {
+			return nil
+		}
+		return []model.Tuple{t}
+	}
+	vec := core.VecForms{}
+	if r.Vec != nil {
+		vec = *r.Vec
+	}
+	vec.Scope = func(b *model.Batch) *model.Batch {
+		s := b.CloneSel()
+		s.ForEachLive(func(row int) {
+			if !keep(s.Value(row, 2)) {
+				s.Kill(row)
+			}
+		})
+		return s
+	}
+	r.Vec = &vec
+	return r
+}
+
+// oracleShapes are the rule shapes of the table, each with the physical
+// plan it must take. A shape compiles a fresh rule per call.
+var oracleShapes = []struct {
+	name string
+	impl core.IterImpl
+	rule func(t *testing.T, s *model.Schema) *core.Rule
+}{
+	{"fd", core.IterUniquePairs, fd("zipcode -> city")},
+	{"fd-composite", core.IterUniquePairs, fd("zipcode, state -> city, rate")},
+	{"fd-scoped", core.IterUniquePairs, scoped(fd("zipcode -> city"))},
+	{"dc-blocked", core.IterUniquePairs, dc("t1.city = t2.city & t1.state != t2.state")},
+	{"dc-blocked-ordered", core.IterOrderedPairs, dc("t1.zipcode = t2.zipcode & t1.salary > t2.salary & t1.rate < 20")},
+	{"dc-unary-scoped", core.IterSingles, scoped(dc("t1.salary > 1000 & t1.rate < 10"))},
+	{"dc-ocjoin", core.IterOCJoin, dc("t1.salary > t2.salary & t1.rate < t2.rate")},
+	{"dc-coblock", core.IterCoBlockPairs, dc("t1.city = t2.state & t1.salary < t2.salary")},
+	{"dc-unblocked", core.IterOrderedPairs, dc("t1.city != t2.city & t1.salary > t2.salary & t1.rate > 25")},
+	{"custom-iterate", core.IterCustom, func(t *testing.T, s *model.Schema) *core.Rule {
+		r := fd("zipcode -> city")(t, s)
+		r.Iterate = core.PairsOrdered
+		return r
+	}},
+}
+
+func fd(spec string) func(*testing.T, *model.Schema) *core.Rule {
+	return func(t *testing.T, s *model.Schema) *core.Rule {
+		f, err := rules.ParseFD("r", spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := f.Compile(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+}
+
+func dc(spec string) func(*testing.T, *model.Schema) *core.Rule {
+	return func(t *testing.T, s *model.Schema) *core.Rule {
+		d, err := rules.ParseDC("r", spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := d.Compile(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+}
+
+func scoped(compile func(*testing.T, *model.Schema) *core.Rule) func(*testing.T, *model.Schema) *core.Rule {
+	return func(t *testing.T, s *model.Schema) *core.Rule { return withScope(compile(t, s)) }
+}
+
+// oracleSource is how a run reads its input: tuples, in-memory column
+// batches of a size, or storage batches (no row backing, fed pre-built).
+type oracleSource struct {
+	name    string
+	batch   int
+	storage bool
+}
+
+var oracleSources = []oracleSource{
+	{"tuples", 0, false},
+	{"batch=1", 1, false},
+	{"batch=3", 3, false},
+	{"batch=64", 64, false},
+	{"batch=1024", 1024, false},
+	{"storage", 64, true},
+}
+
+// oracleRun is one configuration of the table.
+type oracleRun struct {
+	src     oracleSource
+	onePart bool // the planner's Broadcast choice: group into one partition
+	disk    bool // the disk exchange
+	budget  bool // a memory budget of a few KiB: every wide operator spills
+}
+
+func (c oracleRun) String() string {
+	return fmt.Sprintf("%s/onePart=%v/disk=%v/budget=%v", c.src.name, c.onePart, c.disk, c.budget)
+}
+
+// detect plans r over rel, applies the run's grouping, and executes it on a
+// context configured for the run. It returns the result, the candidate pairs
+// the pipeline reported, and the bytes the engine spilled.
+func (c oracleRun) detect(t *testing.T, r *core.Rule, rel *model.Relation) (*core.DetectResult, int64, int64) {
+	t.Helper()
+	rec := core.NewFeedbackRecorder()
+	cfg := engine.Config{Parallelism: 4, BatchSize: c.src.batch, Observer: rec}
+	if c.budget {
+		cfg.MemoryBudgetBytes = 4 << 10
+		cfg.SpillDir = t.TempDir()
+	}
+	if c.disk {
+		eng, err := mapred.New(t.TempDir(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Exchange = eng
+	}
+	ctx, err := engine.NewContext(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := rel
+	var batches []*model.Batch
+	if c.src.storage {
+		// Storage batches carry only column vectors; the relation the plan
+		// reads is an empty shell with the schema.
+		for _, b := range model.MakeBatches(rel.Tuples, rel.Schema.Len(), 50) {
+			batches = append(batches, model.NewBatch(b.IDs, b.Cols))
+		}
+		input = model.NewRelation(rel.Name, rel.Schema)
+	}
+	lp, err := core.PlanRule(r, input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pp, err := core.NewPlanner().Plan(lp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range pp.Pipelines {
+		pp.Pipelines[i].Broadcast = c.onePart
+	}
+	var res *core.DetectResult
+	if c.src.storage {
+		res, err = core.RunPlanOnBatches(ctx, pp, input, batches)
+	} else {
+		res, err = core.RunPlanSpark(ctx, pp)
+	}
+	if err != nil {
+		t.Fatalf("%v: %v", c, err)
+	}
+	return res, rec.PlanFeedback().Pipelines[r.ID].Pairs, ctx.Stats().Snapshot().BytesSpilled
+}
+
+// rendered is a result as comparable lines: each violation with its cells'
+// values and its fixes, in result order.
+func rendered(t *testing.T, res *core.DetectResult) []string {
+	t.Helper()
+	if len(res.Violations) != len(res.FixSets) {
+		t.Fatalf("%d violations but %d fix sets", len(res.Violations), len(res.FixSets))
+	}
+	out := make([]string, len(res.FixSets))
+	for i, fs := range res.FixSets {
+		if res.Violations[i].MapKey() != fs.Violation.MapKey() {
+			t.Fatalf("violation %d is not its fix set's", i)
+		}
+		out[i] = fmt.Sprintf("%v %v", fs.Violation, fs.Fixes)
+	}
+	return out
+}
+
+func TestExecutorOracle(t *testing.T) {
+	schema := model.MustParseSchema(oracleSchema)
+	for _, sh := range oracleShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			t.Parallel()
+			lp, err := core.PlanRule(sh.rule(t, schema), oracleData(0, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pp, err := core.NewPlanner().Plan(lp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if impl := pp.Pipelines[0].Impl; impl != sh.impl {
+				t.Fatalf("planned %v, want %v", impl, sh.impl)
+			}
+			for _, n := range []int{0, 1, 80} {
+				rel := oracleData(n, int64(n)+int64(len(sh.name)))
+				var pairs int64 = -1
+				var shuffled []string
+				for _, onePart := range []bool{false, true} {
+					// The reference: per-pair Detect, kernels stripped, tuples,
+					// local engine, no budget. Grouping into one partition
+					// reorders the groups, and nothing else.
+					ref := sh.rule(t, schema)
+					ref.DetectBlock, ref.Vec = nil, nil
+					want, refPairs, _ := oracleRun{src: oracleSources[0], onePart: onePart}.detect(t, ref, rel)
+					if n == 80 && len(want.Violations) == 0 {
+						t.Fatalf("n=%d: the reference found no violations", n)
+					}
+					wantLines := rendered(t, want)
+					if pairs < 0 {
+						pairs, shuffled = refPairs, slices.Sorted(slices.Values(wantLines))
+					} else if !slices.Equal(slices.Sorted(slices.Values(wantLines)), shuffled) {
+						t.Fatalf("n=%d: the one-partition reference finds other violations than the shuffled one", n)
+					}
+					for _, src := range oracleSources {
+						for _, disk := range []bool{false, true} {
+							for _, budget := range []bool{false, true} {
+								run := oracleRun{src: src, onePart: onePart, disk: disk, budget: budget}
+								got, gotPairs, spilled := run.detect(t, sh.rule(t, schema), rel)
+								if budget && !disk && n > 1 && sh.impl != core.IterSingles && spilled == 0 {
+									t.Fatalf("n=%d %v: the budget spilled nothing", n, run)
+								}
+								gotLines, want := rendered(t, got), wantLines
+								if budget {
+									// The external grouping merges groups in hash
+									// order: compare as multisets.
+									gotLines, want = slices.Sorted(slices.Values(gotLines)), slices.Sorted(slices.Values(want))
+								}
+								if !slices.Equal(gotLines, want) {
+									t.Fatalf("n=%d %v: %d violations differ from the reference's %d\n got  %q\n want %q",
+										n, run, len(gotLines), len(want), gotLines, want)
+								}
+								if gotPairs != pairs || refPairs != pairs {
+									t.Fatalf("n=%d %v: pairs %d, reference %d, first row %d", n, run, gotPairs, refPairs, pairs)
+								}
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}

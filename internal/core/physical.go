@@ -52,9 +52,10 @@ func (i IterImpl) String() string {
 type PhysicalPipeline struct {
 	Pipeline
 	Impl IterImpl
-	// Broadcast marks the collect-locally variants: the scoped stream(s)
-	// are gathered onto one node and grouped there instead of through a
-	// shuffle stage. Chosen by the cost model for tiny relations.
+	// Broadcast marks the one-partition variants: the Block or CoBlock
+	// grouping runs into a single destination partition, so one task holds
+	// every group — no per-partition stage setup, and still spillable under
+	// a budget. Chosen by the cost model for tiny relations.
 	Broadcast bool
 	// Ops lists the physical operator sequence for EXPLAIN-style output.
 	Ops []string

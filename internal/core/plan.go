@@ -61,9 +61,10 @@ type Pipeline struct {
 	Unary      bool
 	NumParts   int
 
-	// Vec carries the rule's vectorized operator forms, when it has any
-	// (see Rule.Vec); nil keeps the pipeline on the tuple path.
-	Vec *VecForms
+	// DetectBlock and Vec carry the rule's block and batch kernels, when it
+	// has any (see Rule.DetectBlock, Rule.Vec).
+	DetectBlock BlockDetectFunc
+	Vec         *VecForms
 }
 
 // LogicalPlan is the validated, resolved form of a job (Figure 3's output):
@@ -200,16 +201,17 @@ func PlanRule(r *Rule, rel *model.Relation) (*LogicalPlan, error) {
 		b.Scopes = []ScopeFunc{r.Scope}
 	}
 	p := Pipeline{
-		RuleID:     r.ID,
-		Detect:     r.Detect,
-		GenFix:     r.GenFix,
-		Iterate:    r.Iterate,
-		Branches:   []Branch{b},
-		Symmetric:  r.Symmetric,
-		OrderConds: r.OrderConds,
-		Unary:      r.Unary,
-		NumParts:   r.NumParts,
-		Vec:        r.Vec,
+		RuleID:      r.ID,
+		Detect:      r.Detect,
+		GenFix:      r.GenFix,
+		Iterate:     r.Iterate,
+		Branches:    []Branch{b},
+		Symmetric:   r.Symmetric,
+		OrderConds:  r.OrderConds,
+		Unary:       r.Unary,
+		NumParts:    r.NumParts,
+		DetectBlock: r.DetectBlock,
+		Vec:         r.Vec,
 	}
 	if r.BlockRight != nil {
 		// A self CoBlock: the same dataset keyed twice.

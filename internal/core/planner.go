@@ -89,8 +89,8 @@ func NewPlanner(opts ...PlannerOption) *Planner {
 // EXPLAIN can audit the decision.
 type PlanAlternative struct {
 	Impl IterImpl
-	// Broadcast marks the collect-locally variant (no shuffle stage; the
-	// scoped stream is grouped on one node).
+	// Broadcast marks the one-partition variant: the same grouping, into
+	// a single destination partition, so every block lands in one task.
 	Broadcast bool
 	// Default marks the alternative the legacy rule-shape switch picks.
 	Default bool
@@ -206,7 +206,7 @@ func enumerateAlternatives(p Pipeline, parallelism int) ([]PlanAlternative, erro
 // renderOps builds the EXPLAIN operator sequence for one pipeline under one
 // alternative. It matches the legacy rendering, plus the markers the legacy
 // path omitted (OCJoin's RangePartition, CoBlock's Co-Block) and the
-// Broadcast marker for collect-locally variants.
+// Broadcast marker for one-partition variants.
 func renderOps(p Pipeline, alt PlanAlternative) []string {
 	var ops []string
 	for _, b := range p.Branches {
@@ -365,10 +365,7 @@ func (pl *Planner) planPipeline(lp *LogicalPlan, p Pipeline, fb *Feedback) (Phys
 		b.Block = b.AltBlocks[chosen.AltBlock]
 		b.BlockAttr = chosen.BlockAttr
 		phys.Branches = branches
-		phys.Vec = nil // the vectorized forms are keyed to the primary Block
-	}
-	if chosen.Broadcast {
-		phys.Vec = nil // the vectorized executor has no broadcast path
+		phys.DetectBlock = nil // the block kernel assumes the primary Block's groups
 	}
 	return phys, nil
 }

@@ -71,9 +71,9 @@ func DetectRuleFromStore(ctx *engine.Context, st *storage.Store, dataset string,
 }
 
 // detectFromReplica reads one partition (or, with part -1, the whole
-// replica) and detects r over it. With vectorized execution enabled the
-// stored columns feed the batch path zero-copy (ReadBatches →
-// DetectRuleOnBatches); otherwise rows are materialized as before. An
+// replica) and detects r over it. With a batch size set the stored columns
+// arrive as batches (ReadBatches → DetectRuleOnBatches), which batch scans
+// read zero-copy; otherwise rows are materialized as before. An
 // empty single partition returns (nil, nil) so the pushdown loop can skip
 // it without planning anything.
 func detectFromReplica(ctx *engine.Context, st *storage.Store, dataset, replica string, part int, r *Rule) (*DetectResult, error) {

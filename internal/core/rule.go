@@ -31,6 +31,11 @@ type Rule struct {
 	Iterate IterateFunc
 	// Detect decides violations. Required.
 	Detect DetectFunc
+	// DetectBlock optionally runs Detect over a whole block (see
+	// BlockDetectFunc). The executor uses it whenever the pipeline groups on
+	// Block, on every backend and source format; with an alternate key, a
+	// CoBlock or a custom Iterate it calls Detect per candidate.
+	DetectBlock BlockDetectFunc
 	// GenFix proposes fixes. Nil means detection-only (violations are
 	// reported but carry no repair candidates).
 	GenFix GenFixFunc
@@ -63,13 +68,12 @@ type Rule struct {
 	AltBlocks     []BlockFunc
 	AltBlockAttrs []string
 
-	// Vec optionally carries vectorized forms of the rule's operators
-	// (a batch Scope kernel, a column-indexed block key, batch/blocked
-	// Detect kernels). Rules that provide them run over column batches
-	// when the engine context enables a batch size; rules without them
-	// fall back transparently to the tuple path. The vectorized forms
-	// must be observationally identical to the tuple operators — same
-	// violations, same order.
+	// Vec optionally carries batch kernels of the rule's operators (a
+	// Scope kernel, a unary DetectBatch). A branch whose operators have them
+	// is scanned as column batches when the engine context enables a batch
+	// size; everything else reads tuples. The kernels must be
+	// observationally identical to the tuple operators — same violations,
+	// same order.
 	Vec *VecForms
 }
 

@@ -33,4 +33,10 @@ func init() {
 		Append: model.AppendViolation,
 		Decode: model.DecodeViolation,
 	})
+	// The dedup shuffle's key: without it, Distinct could not cross an
+	// exchange or spill under a budget.
+	engine.RegisterCodec(engine.Codec[model.ViolationKey]{
+		Append: model.AppendViolationKey,
+		Decode: model.DecodeViolationKey,
+	})
 }

@@ -2,27 +2,23 @@ package core
 
 import "bigdansing/internal/model"
 
-// VecForms holds the vectorized (batch-at-a-time) forms of a rule's
-// operators. A declarative front end that compiles a rule (package rules)
-// can attach them to Rule.Vec; the executor then runs the rule's eligible
-// Scope→Detect chain over model.Batch column vectors instead of
-// tuple-at-a-time closures whenever the engine context configures a batch
-// size.
+// VecForms holds the batch kernels of a rule's operators. A declarative
+// front end that compiles a rule (package rules) can attach them to
+// Rule.Vec; when the engine context configures a batch size, a branch whose
+// operators have kernels is scanned as model.Batch column vectors instead of
+// tuples (see sparkExec.batchScan).
 //
 // Every form is optional and every form must be observationally identical
 // to its tuple counterpart — the same violations emitted in the same order
 // — because equivalence (identical violations, hence identical repairs) is
-// the contract the batch path is tested against. A pipeline whose shape the
-// vectorized executor does not support (CoBlock, OCJoin, custom Iterate,
-// derived streams, multi-branch) silently runs on the tuple path even when
-// forms are present.
+// the contract the batch scan is tested against.
 type VecForms struct {
 	// Scope is the vectorized Scope kernel: it narrows a batch by flipping
 	// selection bits (on a private CloneSel copy — the input batch may be
 	// shared) and returns the narrowed batch. It must select exactly the
 	// rows the tuple ScopeFunc passes through; drop-only — a vectorized
 	// Scope cannot rewrite values or emit extra rows, which is why rules
-	// with transforming Scopes leave this nil and fall back.
+	// with transforming Scopes leave this nil and scan tuples.
 	Scope func(*model.Batch) *model.Batch
 
 	// ScanCols lists the columns the batch kernels (Scope, DetectBatch)
@@ -32,26 +28,11 @@ type VecForms struct {
 	// guaranteed present in Batch.Cols; kernels touching any column not
 	// listed must read it through Batch.Value (which falls back to the rows)
 	// rather than indexing Cols directly. nil means undeclared: the executor
-	// conservatively materializes every column for shapes that run batch
-	// kernels. DetectBlock reads through the block's tuples and needs no
-	// entry here.
+	// materializes every column.
 	ScanCols []int
-
-	// BlockCol, when >= 0, names the column whose value is the Block key,
-	// letting the blocked path read the key straight out of the column
-	// vector. -1 means the key is not a single column read; the executor
-	// then calls the tuple BlockFunc on the materialized row.
-	BlockCol int
 
 	// DetectBatch is the vectorized Detect of a unary rule: one call scans
 	// a whole batch and returns the violations of its live rows, in row
-	// order (the order the tuple path's Singles enumeration produces).
+	// order (the order the tuple Singles enumeration produces).
 	DetectBatch func(*model.Batch) []model.Violation
-
-	// DetectBlock is the vectorized Detect over one block of a pair rule:
-	// it receives the block's tuples in grouping order, gathers the columns
-	// it compares into flat vectors once, and enumerates pairs exactly like
-	// the tuple path — PairsUnique order (i<j) when ordered is false,
-	// PairsOrdered order (all i≠j, outer i, inner j) when true.
-	DetectBlock func(us []model.Tuple, ordered bool) []model.Violation
 }

@@ -78,23 +78,3 @@ func BenchmarkMapFilterPipeline(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkBlockPairsUnique(b *testing.B) {
-	ctx := New(4)
-	// 1000 blocks of 20: the blocked-FD pair enumeration shape.
-	groups := make([]Pair[string, []int], 1000)
-	for g := range groups {
-		us := make([]int, 20)
-		for i := range us {
-			us[i] = g*20 + i
-		}
-		groups[g] = KV(fmt.Sprintf("b%d", g), us)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := Parallelize(ctx, groups, 0)
-		if _, err := BlockPairsUnique(d).Count(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -6,6 +6,12 @@ type PairOf[T any] struct {
 	Left, Right T
 }
 
+// JoinRow is one matched pair of Cartesian.
+type JoinRow[A, B any] struct {
+	Left  A
+	Right B
+}
+
 // Cartesian computes the full cross product of two datasets: every (a, b).
 // The right side is collected and broadcast to every left partition, the
 // strategy Spark uses when one side is small. Collecting the right side is
@@ -17,26 +23,30 @@ func Cartesian[A, B any](da *Dataset[A], db *Dataset[B]) *Dataset[JoinRow[A, B]]
 	if err != nil {
 		return errDataset[JoinRow[A, B]](ctx, err)
 	}
-	// Networked regime: the right side is broadcast to the workers owning
+	// Exchange regime: the right side is broadcast to the workers owning
 	// the left partitions and the pair expansion runs worker-local over
 	// the opaque encodings (the cross product is pure concatenation, so
 	// the workers need no codecs). The result is materialized; contents
 	// and per-partition order match the lazy in-process expansion.
 	if ctx.exchange != nil {
-		if ac, ok := codecFor[A](); ok {
-			if bc, ok := codecFor[B](); ok {
-				left, ferr := da.forced()
-				if ferr != nil {
-					return errDataset[JoinRow[A, B]](ctx, ferr)
-				}
-				ctx.obs.Count(MetricRecordsShuffled, int64(len(right))*int64(len(left)))
-				out, nerr := netCartesian(ctx, left, right, ac, bc)
-				if nerr != nil {
-					return errDataset[JoinRow[A, B]](ctx, nerr)
-				}
-				return fromParts(ctx, out)
-			}
+		ac, err := exchangeCodec[A]("cartesian")
+		if err != nil {
+			return errDataset[JoinRow[A, B]](ctx, err)
 		}
+		bc, err := exchangeCodec[B]("cartesian")
+		if err != nil {
+			return errDataset[JoinRow[A, B]](ctx, err)
+		}
+		left, err := da.forced()
+		if err != nil {
+			return errDataset[JoinRow[A, B]](ctx, err)
+		}
+		ctx.obs.Count(MetricRecordsShuffled, int64(len(right))*int64(len(left)))
+		out, err := exchangeCartesian(ctx, left, right, ac, bc)
+		if err != nil {
+			return errDataset[JoinRow[A, B]](ctx, err)
+		}
+		return fromParts(ctx, out)
 	}
 	ctx.obs.Count(MetricRecordsShuffled, int64(len(right))*int64(da.NumPartitions()))
 	return FlatMap(da, func(a A) []JoinRow[A, B] {
@@ -106,26 +116,6 @@ func SelfCartesianUnique[T any](d *Dataset[T]) *Dataset[PairOf[T]] {
 		out := make([]PairOf[T], 0, len(all)-a.pos-1)
 		for _, b := range all[a.pos+1:] {
 			out = append(out, PairOf[T]{Left: a.v, Right: b})
-		}
-		return out
-	})
-}
-
-// BlockPairsUnique enumerates the unique unordered pairs inside each group
-// of a grouped dataset — UCrossProduct applied blockwise, which is exactly
-// the Iterate of Figure 2 (four pairs instead of thirteen). Lazy: the pair
-// expansion fuses with downstream narrow transformations.
-func BlockPairsUnique[K comparable, T any](d *Dataset[Pair[K, []T]]) *Dataset[PairOf[T]] {
-	return FlatMap(d, func(g Pair[K, []T]) []PairOf[T] {
-		us := g.Value
-		if len(us) < 2 {
-			return nil
-		}
-		out := make([]PairOf[T], 0, len(us)*(len(us)-1)/2)
-		for i := 0; i < len(us); i++ {
-			for j := i + 1; j < len(us); j++ {
-				out = append(out, PairOf[T]{Left: us[i], Right: us[j]})
-			}
 		}
 		return out
 	})

@@ -49,6 +49,18 @@ func codecFor[T any]() (Codec[T], bool) {
 	return c, ok
 }
 
+// exchangeCodec looks up the codec a record type needs to cross an
+// installed Exchange. Unlike the spill regime, which may fall back to memory,
+// an exchange has no in-process path: a type without a codec is an error
+// that names it.
+func exchangeCodec[T any](op string) (Codec[T], error) {
+	c, ok := codecFor[T]()
+	if !ok {
+		return c, fmt.Errorf("engine: %s: %v has no registered codec, so it cannot cross the exchange (see RegisterCodec)", op, reflect.TypeFor[T]())
+	}
+	return c, nil
+}
+
 // pairCodec composes element codecs into a codec for Pair[K, V]: the key
 // encoding followed by the value encoding. No length prefix is needed
 // because Decode is sequential and each codec consumes exactly its own
@@ -112,7 +124,7 @@ func StringCodec() Codec[string] {
 		},
 		Decode: func(buf []byte) (string, int, error) {
 			n, sz := binary.Uvarint(buf)
-			if sz <= 0 || sz+int(n) > len(buf) {
+			if sz <= 0 || n > uint64(len(buf)-sz) {
 				return "", 0, fmt.Errorf("engine: decode string")
 			}
 			return string(buf[sz : sz+int(n)]), sz + int(n), nil

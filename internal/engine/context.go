@@ -12,13 +12,13 @@
 //
 // Narrow transformations (Map, FlatMap, Filter, MapPartitions) are lazy:
 // they record a plan node and return immediately. Execution happens at an
-// action — Collect, Count, Reduce, Err — or at a wide transformation
-// (GroupByKey, ReduceByKey, CoGroup, Join, SortBy, RangePartitionBy,
-// Cartesian, Repartition), which is a stage boundary. When a plan runs, the
-// whole chain of narrow transformations between two stage boundaries fuses
-// into a single per-partition pass: elements are pushed through the
-// composed operator closures one at a time, so no intermediate partition
-// slices are materialized and Stats counts the chain as exactly one stage.
+// action — Collect, Count, Err — or at a wide transformation (GroupByKey,
+// ReduceByKey, CoGroup, SortBy, RangePartitionBy, Cartesian), which is a
+// stage boundary. When a plan runs, the whole chain of narrow
+// transformations between two stage boundaries fuses into a single
+// per-partition pass: elements are pushed through the composed operator
+// closures one at a time, so no intermediate partition slices are
+// materialized and Stats counts the chain as exactly one stage.
 //
 // A dataset that has been executed caches its partitions; building further
 // transformations on top of it reads the cached data. Building on top of a
@@ -336,8 +336,8 @@ type Context struct {
 	// engine take, like per-rule UDF timings.
 	instrumented bool
 
-	// batchSize is the vectorized-execution batch size; 0 disables the
-	// batch path (see Config.BatchSize).
+	// batchSize is the column-batch size; 0 never reads batches (see
+	// Config.BatchSize).
 	batchSize int
 
 	// mem arbitrates the memory budget; nil means unbounded, in which case
@@ -377,13 +377,12 @@ type Config struct {
 	// system temp dir. Operators create (and always remove) per-operator
 	// subdirectories beneath it.
 	SpillDir string
-	// BatchSize is the row count per column batch for vectorized
-	// execution. Layers above the engine (core's detection executor,
-	// storage's batch reader) consult it via Context.BatchSize: a positive
-	// value makes eligible Scope→Detect chains run over model.Batch column
-	// vectors; zero (or negative) keeps every pipeline on the
-	// tuple-at-a-time path. The engine itself is agnostic — batch and
-	// tuple datasets use the same operators. Negative is rejected.
+	// BatchSize is the row count per column batch. Layers above the engine
+	// (core's detection executor, storage's batch reader) consult it via
+	// Context.BatchSize: a positive value lets the executor scan a branch as
+	// model.Batch column vectors wherever a batch kernel consumes them; zero
+	// never reads batches. The engine itself is agnostic — batch and tuple
+	// datasets use the same operators. Negative is rejected.
 	BatchSize int
 
 	// Backend selects the execution backend. BackendLocal (the zero value)
@@ -494,8 +493,8 @@ func (c *Context) Observer() Observer { return c.obs }
 // the default path unburdened.
 func (c *Context) Instrumented() bool { return c.instrumented }
 
-// BatchSize returns the configured vectorized-execution batch size; 0 means
-// the tuple-at-a-time path everywhere.
+// BatchSize returns the configured column-batch size; 0 means no scan reads
+// batches.
 func (c *Context) BatchSize() int { return c.batchSize }
 
 // MemoryManager exposes the context's budget manager (nil when unbounded),

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -9,7 +8,7 @@ import (
 
 // Dataset is a partitioned, immutable collection of T — the analogue of a
 // Spark RDD. Narrow transformations are lazy: they record a plan and return
-// immediately; actions (Collect, Count, Reduce, Err) and wide
+// immediately; actions (Collect, Count, Err) and wide
 // transformations trigger execution, fusing the pending narrow chain into a
 // single per-partition stage. The error of a failed stage sticks to the
 // result and surfaces at the next action.
@@ -276,16 +275,6 @@ func (d *Dataset[T]) Collect() ([]T, error) {
 	return out, nil
 }
 
-// MustCollect is Collect for callers that treat failure as fatal (tests,
-// examples).
-func (d *Dataset[T]) MustCollect() []T {
-	out, err := d.Collect()
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
 // Count is an action: it returns the number of elements. On a dataset with
 // a pending narrow chain it streams the fused pass through a counter
 // without materializing (or caching) the elements; on a materialized
@@ -406,104 +395,6 @@ func MapPartitions[T, U any](d *Dataset[T], f func(part int, in []T) []U) *Datas
 			emit(u)
 		}
 	})
-}
-
-// Union concatenates datasets of the same element type under one context.
-// It is a stage boundary: each input is forced and the materialized
-// partitions are concatenated (element slices are shared, not copied).
-func Union[T any](ds ...*Dataset[T]) *Dataset[T] {
-	if len(ds) == 0 {
-		return nil
-	}
-	ctx := ds[0].ctx
-	var parts [][]T
-	for _, d := range ds {
-		dp, err := d.forced()
-		if err != nil {
-			return errDataset[T](ctx, err)
-		}
-		parts = append(parts, dp...)
-	}
-	return fromParts(ctx, parts)
-}
-
-// Repartition redistributes elements round-robin into n partitions, moving
-// every record (a full shuffle). It is a stage boundary.
-func Repartition[T any](d *Dataset[T], n int) *Dataset[T] {
-	if n <= 0 {
-		n = d.ctx.parallelism
-	}
-	all, err := d.Collect()
-	if err != nil {
-		return d
-	}
-	d.ctx.obs.Count(MetricRecordsShuffled, int64(len(all)))
-	if n > len(all) && len(all) > 0 {
-		n = len(all)
-	}
-	if len(all) == 0 {
-		n = 1
-	}
-	parts := make([][]T, n)
-	chunk := (len(all) + n - 1) / n
-	for i := 0; i < n; i++ {
-		lo := min(i*chunk, len(all))
-		hi := min(lo+chunk, len(all))
-		parts[i] = all[lo:hi:hi]
-	}
-	return fromParts(d.ctx, parts)
-}
-
-// Reduce is an action: it folds all elements with a binary, associative
-// function, consuming any pending narrow chain in the same fused stage
-// (per-partition partial folds, then a final fold of the partials). It
-// returns an error on an empty dataset.
-func Reduce[T any](d *Dataset[T], f func(a, b T) T) (T, error) {
-	var zero T
-	base := narrowBase(d)
-	if base.err != nil {
-		return zero, base.err
-	}
-	if err := base.src.force(); err != nil {
-		return zero, err
-	}
-	n := base.src.partsCount()
-	partials := make([]T, n)
-	hasAny := make([]bool, n)
-	feed := base.feed
-	err := d.ctx.runStage(fusedStageName(appendOp(base.ops, "Reduce")), n, func(tk *taskCtx) {
-		var acc T
-		ok := false
-		feed(tk.part, tk, func(t T) {
-			if !ok {
-				acc, ok = t, true
-				return
-			}
-			tk.op = "Reduce"
-			acc = f(acc, t)
-		})
-		partials[tk.part], hasAny[tk.part] = acc, ok
-		tk.recordsOut = 1
-	})
-	if err != nil {
-		return zero, err
-	}
-	var acc T
-	any := false
-	for p, ok := range hasAny {
-		if !ok {
-			continue
-		}
-		if !any {
-			acc, any = partials[p], true
-			continue
-		}
-		acc = f(acc, partials[p])
-	}
-	if !any {
-		return zero, errors.New("engine: reduce of empty dataset")
-	}
-	return acc, nil
 }
 
 // String describes the dataset shape for diagnostics. It forces execution.

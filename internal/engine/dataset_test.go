@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -87,41 +88,6 @@ func TestMapPanicBecomesError(t *testing.T) {
 	}
 }
 
-func TestReduce(t *testing.T) {
-	ctx := New(4)
-	d := Parallelize(ctx, ints(101), 7)
-	sum, err := Reduce(d, func(a, b int) int { return a + b })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum != 5050 {
-		t.Errorf("sum = %d", sum)
-	}
-	empty := Parallelize(ctx, []int{}, 0)
-	if _, err := Reduce(empty, func(a, b int) int { return a + b }); err == nil {
-		t.Error("reduce of empty should error")
-	}
-}
-
-func TestUnionAndRepartition(t *testing.T) {
-	ctx := New(4)
-	a := Parallelize(ctx, []int{1, 2}, 1)
-	b := Parallelize(ctx, []int{3}, 1)
-	u := Union(a, b)
-	if n, _ := u.Count(); n != 3 {
-		t.Errorf("union count = %d", n)
-	}
-	r := Repartition(u, 2)
-	if r.NumPartitions() != 2 {
-		t.Errorf("repartition parts = %d", r.NumPartitions())
-	}
-	got, _ := r.Collect()
-	sort.Ints(got)
-	if got[0] != 1 || got[2] != 3 {
-		t.Errorf("repartition lost data: %v", got)
-	}
-}
-
 func TestGroupByKey(t *testing.T) {
 	ctx := New(4)
 	data := []Pair[string, int]{
@@ -180,7 +146,7 @@ func TestReduceByKeyMatchesGroupReduce(t *testing.T) {
 	}
 }
 
-func TestCoGroupAndJoin(t *testing.T) {
+func TestCoGroup(t *testing.T) {
 	ctx := New(4)
 	left := Parallelize(ctx, []Pair[string, int]{KV("x", 1), KV("y", 2), KV("x", 3)}, 2)
 	right := Parallelize(ctx, []Pair[string, string]{KV("x", "a"), KV("z", "b")}, 2)
@@ -199,17 +165,31 @@ func TestCoGroupAndJoin(t *testing.T) {
 		t.Errorf("cogroup z = %+v", seen["z"])
 	}
 
-	joined, err := Join(left, right).Collect()
-	if err != nil {
-		t.Fatal(err)
+	// One destination partition: every key in one task, left keys first in
+	// first-seen order, then right-only keys.
+	one := CoGroupN(left, right, 1)
+	if one.NumPartitions() != 1 {
+		t.Fatalf("CoGroupN(1) partitions = %d", one.NumPartitions())
 	}
-	if len(joined) != 2 {
-		t.Fatalf("join rows = %d, want 2 (x1-a, x3-a)", len(joined))
+	var keys []string
+	for _, g := range one.Partition(0) {
+		keys = append(keys, g.Key)
 	}
-	for _, j := range joined {
-		if j.Key != "x" || j.Value.Right != "a" {
-			t.Errorf("unexpected join row %+v", j)
-		}
+	if strings.Join(keys, ",") != "x,y,z" {
+		t.Errorf("CoGroupN(1) key order = %v, want x,y,z", keys)
+	}
+}
+
+func TestGroupByKeyNOnePartition(t *testing.T) {
+	ctx := New(4)
+	data := []Pair[string, int]{KV("b", 1), KV("a", 2), KV("b", 3), KV("c", 4), KV("a", 5)}
+	g := GroupByKeyN(Parallelize(ctx, data, 3), 1)
+	if g.NumPartitions() != 1 {
+		t.Fatalf("partitions = %d, want 1", g.NumPartitions())
+	}
+	got := fmt.Sprint(g.Partition(0))
+	if want := "[{b [1 3]} {a [2 5]} {c [4]}]"; got != want {
+		t.Errorf("one-partition groups = %s, want %s (first-seen order)", got, want)
 	}
 }
 
@@ -233,7 +213,9 @@ func TestStatsCounters(t *testing.T) {
 	if ctx.Stats().Snapshot().RecordsRead != 100 {
 		t.Errorf("records read = %d", ctx.Stats().Snapshot().RecordsRead)
 	}
-	_ = GroupByKey(KeyBy(d, func(i int) int { return i % 3 })).MustCollect()
+	if _, err := GroupByKey(KeyBy(d, func(i int) int { return i % 3 })).Collect(); err != nil {
+		t.Fatal(err)
+	}
 	if ctx.Stats().Snapshot().RecordsShuffled == 0 {
 		t.Error("group by should shuffle")
 	}

@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // failing builds a dataset whose first transformation panics.
 func failing(ctx *Context) *Dataset[int] {
@@ -28,8 +25,11 @@ func TestErrorPropagatesThroughWideOps(t *testing.T) {
 	if CoGroup(good, kv).Err() == nil {
 		t.Error("CoGroup should propagate from right")
 	}
-	if Join(kv, good).Err() == nil {
-		t.Error("Join should propagate")
+	if GroupByKeyN(kv, 1).Err() == nil {
+		t.Error("GroupByKeyN should propagate")
+	}
+	if CoGroupN(good, kv, 1).Err() == nil {
+		t.Error("CoGroupN should propagate")
 	}
 }
 
@@ -55,29 +55,6 @@ func TestErrorPropagatesThroughSortAndCartesian(t *testing.T) {
 	if SelfCartesianUnique(bad).Err() == nil {
 		t.Error("SelfCartesianUnique should propagate")
 	}
-	if Union(good, bad).Err() == nil {
-		t.Error("Union should propagate")
-	}
-	if Repartition(bad, 2).Err() == nil {
-		t.Error("Repartition should propagate")
-	}
-	if _, err := Reduce(bad, func(a, b int) int { return a + b }); err == nil {
-		t.Error("Reduce should propagate")
-	}
-}
-
-func TestMustCollectPanicsOnError(t *testing.T) {
-	ctx := New(2)
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("MustCollect should panic on sticky error")
-		}
-		if err, ok := r.(error); !ok || !strings.Contains(err.Error(), "boom") {
-			t.Errorf("panic should carry the cause: %v", r)
-		}
-	}()
-	failing(ctx).MustCollect()
 }
 
 func TestMapPartitions(t *testing.T) {

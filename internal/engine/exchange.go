@@ -103,13 +103,14 @@ func newExchange(cfg Config, obs Observer) (Exchange, error) {
 	return f(cfg, obs)
 }
 
-// netScatter is the networked counterpart of the scatter/gather shuffle: it
-// encodes every record of every source partition (a parallel stage, so a
-// panicking codec is attributed and recovered like any operator panic),
-// routes the bytes through the exchange, and decodes the gathered
-// destination partitions (another parallel stage). The output is
-// element-for-element identical to the in-memory scatter's.
-func netScatter[T any](ctx *Context, op string, parts [][]T, n int, c Codec[T], dstOf func(T) int) ([][]T, error) {
+// exchangeScatter is the exchange counterpart of the scatter/gather
+// shuffle, on the TCP and disk exchanges alike: it encodes every record of
+// every source partition (a parallel stage, so a panicking codec is
+// attributed and recovered like any operator panic), routes the bytes
+// through the exchange, and decodes the gathered destination partitions
+// (another parallel stage). The output is element-for-element identical to
+// the in-memory scatter's.
+func exchangeScatter[T any](ctx *Context, op string, parts [][]T, n int, c Codec[T], dstOf func(T) int) ([][]T, error) {
 	enc := make([][]EncodedRec, len(parts))
 	err := ctx.runStage(op+":encode", len(parts), func(tk *taskCtx) {
 		in := parts[tk.part]
@@ -161,11 +162,11 @@ func netScatter[T any](ctx *Context, op string, parts [][]T, n int, c Codec[T], 
 	return out, nil
 }
 
-// netCartesian is the networked cross product: the left partitions and the
-// broadcast right side cross the wire once, the pair expansion runs
+// exchangeCartesian is the exchange cross product: the left partitions and
+// the broadcast right side cross the exchange once, the pair expansion runs
 // worker-local (the workers only concatenate opaque encodings, so they need
 // no type knowledge), and the coordinator decodes the JoinRow stream.
-func netCartesian[A, B any](ctx *Context, left [][]A, right []B, ac Codec[A], bc Codec[B]) ([][]JoinRow[A, B], error) {
+func exchangeCartesian[A, B any](ctx *Context, left [][]A, right []B, ac Codec[A], bc Codec[B]) ([][]JoinRow[A, B], error) {
 	encLeft := make([][][]byte, len(left))
 	err := ctx.runStage("cartesian:encode", len(left), func(tk *taskCtx) {
 		in := left[tk.part]

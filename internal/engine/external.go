@@ -391,7 +391,7 @@ func decodeKVRec(b []byte) (spillRec, error) {
 	}
 	h := binary.LittleEndian.Uint64(b)
 	klen, sz := binary.Uvarint(b[8:])
-	if sz <= 0 || 8+sz+int(klen) > len(b) {
+	if sz <= 0 || klen > uint64(len(b)-8-sz) {
 		return spillRec{}, fmt.Errorf("engine: spill record key truncated")
 	}
 	key := b[8+sz : 8+sz+int(klen)]
@@ -496,9 +496,8 @@ func mergeKVDst(
 }
 
 // groupByKeyExternal is GroupByKey in the disk-backed regime.
-func groupByKeyExternal[K comparable, V any](d *Dataset[Pair[K, V]], kc Codec[K], vc Codec[V]) *Dataset[Pair[K, []V]] {
+func groupByKeyExternal[K comparable, V any](d *Dataset[Pair[K, V]], n int, kc Codec[K], vc Codec[V]) *Dataset[Pair[K, []V]] {
 	ctx := d.ctx
-	n := ctx.parallelism
 	parts, err := d.forced()
 	if err != nil {
 		return errDataset[Pair[K, []V]](ctx, err)

@@ -240,31 +240,6 @@ func TestErrIsAnAction(t *testing.T) {
 	}
 }
 
-// TestReduceFusesChain asserts Reduce consumes a pending chain in a single
-// stage without materializing it.
-func TestReduceFusesChain(t *testing.T) {
-	ctx := New(4)
-	ctx.Stats().Reset()
-	d := Parallelize(ctx, ints(100), 4)
-	chain := Filter(Map(d, func(v int) int { return v * 2 }), func(v int) bool { return v%4 == 0 })
-	sum, err := Reduce(chain, func(a, b int) int { return a + b })
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0
-	for _, v := range ints(100) {
-		if (v*2)%4 == 0 {
-			want += v * 2
-		}
-	}
-	if sum != want {
-		t.Fatalf("sum = %d, want %d", sum, want)
-	}
-	if got := ctx.Stats().Snapshot().Stages; got != 1 {
-		t.Fatalf("fused reduce ran as %d stages, want 1", got)
-	}
-}
-
 // TestSnapshotAggregatesByName checks the per-stage breakdown groups
 // repeated stages under one name.
 func TestSnapshotAggregatesByName(t *testing.T) {

@@ -62,18 +62,22 @@ func shuffleByKey[K comparable, V any](d *Dataset[Pair[K, V]], n int) ([][]Pair[
 	if err != nil {
 		return nil, err
 	}
-	// Networked regime: the codec-encoded records cross process boundaries
-	// through the exchange; destinations are computed coordinator-side
-	// (the key hash), so workers never need type knowledge. Takes
-	// precedence over the spill regime — the workers are where the memory
-	// lives on that backend.
+	// Exchange regime: the codec-encoded records cross process boundaries
+	// (or the disk) through the exchange; destinations are computed
+	// coordinator-side (the key hash), so workers never need type knowledge.
+	// Takes precedence over the spill regime — the workers are where the
+	// memory lives on that backend.
 	if d.ctx.exchange != nil {
-		if kc, ok := codecFor[K](); ok {
-			if vc, ok := codecFor[V](); ok {
-				return netScatter(d.ctx, "shuffle", parts, n, pairCodec(kc, vc),
-					func(p Pair[K, V]) int { return int(hashKey(p.Key) % uint64(n)) })
-			}
+		kc, err := exchangeCodec[K]("shuffle")
+		if err != nil {
+			return nil, err
 		}
+		vc, err := exchangeCodec[V]("shuffle")
+		if err != nil {
+			return nil, err
+		}
+		return exchangeScatter(d.ctx, "shuffle", parts, n, pairCodec(kc, vc),
+			func(p Pair[K, V]) int { return int(hashKey(p.Key) % uint64(n)) })
 	}
 	if d.ctx.mem != nil {
 		if kc, ok := codecFor[K](); ok {
@@ -139,6 +143,17 @@ func shuffleByKey[K comparable, V any](d *Dataset[Pair[K, V]], n int) ([][]Pair[
 // boundary: the input's pending narrow chain runs (fused) before the
 // shuffle, and the grouped result is materialized.
 func GroupByKey[K comparable, V any](d *Dataset[Pair[K, V]]) *Dataset[Pair[K, []V]] {
+	return GroupByKeyN(d, d.ctx.parallelism)
+}
+
+// GroupByKeyN is GroupByKey into n destination partitions (n <= 0 means the
+// context's parallelism). n = 1 groups every key in one task, in first-seen
+// order: the broadcast (collect-and-group-locally) plan, as the same
+// operator on every backend and under every budget.
+func GroupByKeyN[K comparable, V any](d *Dataset[Pair[K, V]], n int) *Dataset[Pair[K, []V]] {
+	if n <= 0 {
+		n = d.ctx.parallelism
+	}
 	// Out-of-core regime: sort-spill-merge instead of buckets plus a per-key
 	// map. Group iteration order differs from the in-memory path (merge
 	// order instead of first-seen order); within-group value order is
@@ -149,11 +164,11 @@ func GroupByKey[K comparable, V any](d *Dataset[Pair[K, V]]) *Dataset[Pair[K, []
 	if d.ctx.mem != nil && d.ctx.exchange == nil {
 		if kc, ok := codecFor[K](); ok {
 			if vc, ok := codecFor[V](); ok {
-				return groupByKeyExternal(d, kc, vc)
+				return groupByKeyExternal(d, n, kc, vc)
 			}
 		}
 	}
-	buckets, err := shuffleByKey(d, d.ctx.parallelism)
+	buckets, err := shuffleByKey(d, n)
 	if err != nil {
 		return errDataset[Pair[K, []V]](d.ctx, err)
 	}
@@ -230,8 +245,16 @@ func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], combine func(a, b 
 // values from each side into bags — Pig's COGROUP, the model for the
 // paper's CoBlock enhancer. It is a stage boundary for both inputs.
 func CoGroup[K comparable, A, B any](da *Dataset[Pair[K, A]], db *Dataset[Pair[K, B]]) *Dataset[Pair[K, CoGrouped[A, B]]] {
+	return CoGroupN(da, db, da.ctx.parallelism)
+}
+
+// CoGroupN is CoGroup into n destination partitions (n <= 0 means the
+// context's parallelism); n = 1 is the broadcast CoBlock.
+func CoGroupN[K comparable, A, B any](da *Dataset[Pair[K, A]], db *Dataset[Pair[K, B]], n int) *Dataset[Pair[K, CoGrouped[A, B]]] {
 	ctx := da.ctx
-	n := ctx.parallelism
+	if n <= 0 {
+		n = ctx.parallelism
+	}
 	ba, err := shuffleByKey(da, n)
 	if err != nil {
 		return errDataset[Pair[K, CoGrouped[A, B]]](ctx, err)
@@ -281,31 +304,6 @@ func CoGroup[K comparable, A, B any](da *Dataset[Pair[K, A]], db *Dataset[Pair[K
 type CoGrouped[A, B any] struct {
 	Left  []A
 	Right []B
-}
-
-// Join computes the inner equi-join of two pair datasets. The pair
-// expansion after the co-group is lazy and fuses with downstream narrow
-// transformations.
-func Join[K comparable, A, B any](da *Dataset[Pair[K, A]], db *Dataset[Pair[K, B]]) *Dataset[Pair[K, JoinRow[A, B]]] {
-	cg := CoGroup(da, db)
-	return FlatMap(cg, func(g Pair[K, CoGrouped[A, B]]) []Pair[K, JoinRow[A, B]] {
-		if len(g.Value.Left) == 0 || len(g.Value.Right) == 0 {
-			return nil
-		}
-		out := make([]Pair[K, JoinRow[A, B]], 0, len(g.Value.Left)*len(g.Value.Right))
-		for _, a := range g.Value.Left {
-			for _, b := range g.Value.Right {
-				out = append(out, KV(g.Key, JoinRow[A, B]{Left: a, Right: b}))
-			}
-		}
-		return out
-	})
-}
-
-// JoinRow is one matched pair from Join.
-type JoinRow[A, B any] struct {
-	Left  A
-	Right B
 }
 
 // Distinct removes duplicates using a key function to identify elements.

@@ -63,21 +63,22 @@ func RangePartitionBy[T any](d *Dataset[T], less func(a, b T) bool, n int) *Data
 	bounds := sampleBounds(dparts, total, n, less)
 	target := boundsTarget(bounds, less)
 
-	// Networked regime: the range scatter moves its encoded records
-	// through the worker processes, preserving (source, record) order per
-	// destination like the in-memory path.
+	// Exchange regime: the range scatter moves its encoded records through
+	// the exchange, preserving (source, record) order per destination like
+	// the in-memory path.
 	if d.ctx.exchange != nil {
-		if c, ok := codecFor[T](); ok {
-			out, serr := netScatter(d.ctx, "rangePartition", dparts, n, c,
-				func(v T) int { return target(v) })
-			if serr != nil {
-				return errDataset[T](d.ctx, serr)
-			}
-			return fromParts(d.ctx, out)
+		c, err := exchangeCodec[T]("rangePartition")
+		if err != nil {
+			return errDataset[T](d.ctx, err)
 		}
+		out, err := exchangeScatter(d.ctx, "rangePartition", dparts, n, c, target)
+		if err != nil {
+			return errDataset[T](d.ctx, err)
+		}
+		return fromParts(d.ctx, out)
 	}
 
-	if d.ctx.mem != nil && d.ctx.exchange == nil {
+	if d.ctx.mem != nil {
 		if c, ok := codecFor[T](); ok {
 			out, serr := scatterSpill(d.ctx, "rangePartition", dparts, n, target, c, nil)
 			if serr != nil {

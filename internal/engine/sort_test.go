@@ -154,29 +154,3 @@ func TestSelfCartesianUniquePairsAreUnique(t *testing.T) {
 		seen[k] = true
 	}
 }
-
-func TestBlockPairsUnique(t *testing.T) {
-	ctx := New(4)
-	groups := []Pair[string, []int]{
-		KV("b1", []int{1, 2, 3}),    // 3 pairs
-		KV("b2", []int{4}),          // 0 pairs
-		KV("b3", []int{5, 6, 7, 8}), // 6 pairs
-		KV("b4", []int{}),           // 0 pairs
-	}
-	d := Parallelize(ctx, groups, 2)
-	pairs, err := BlockPairsUnique(d).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pairs) != 9 {
-		t.Fatalf("pairs = %d, want 9", len(pairs))
-	}
-	// No cross-block pairs: 1..3 never pairs with 5..8.
-	for _, p := range pairs {
-		inB1 := p.Left <= 3
-		inB1R := p.Right <= 3
-		if inB1 != inB1R {
-			t.Fatalf("cross-block pair %v", p)
-		}
-	}
-}

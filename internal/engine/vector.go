@@ -36,24 +36,6 @@ func rowsOf[T any](s []T) int64 {
 	return n
 }
 
-// MapBatches records the batch-wise application of f — the vectorized Map:
-// one kernel call transforms a whole batch. It fuses with adjacent narrow
-// operators like Map does.
-func MapBatches[B, C any](d *Dataset[B], f func(B) C) *Dataset[C] {
-	base := narrowBase(d)
-	if base.err != nil {
-		return errDataset[C](d.ctx, base.err)
-	}
-	op := opLabel("MapBatches", base.ops)
-	feed := base.feed
-	return lazyFrom(d.ctx, base.src, appendOp(base.ops, "MapBatches"), base.bounded, func(p int, tk *taskCtx, emit func(C)) {
-		feed(p, tk, func(b B) {
-			tk.op = op
-			emit(f(b))
-		})
-	})
-}
-
 // FilterBatches records a vectorized selection: the kernel narrows each
 // batch (typically by flipping selection bits on a CloneSel copy) and
 // returns the narrowed batch, or one with no live rows to drop it — emptied

@@ -46,25 +46,6 @@ func TestRowsOfCountsBatchRows(t *testing.T) {
 	}
 }
 
-func TestMapBatchesTransformsWholeBatches(t *testing.T) {
-	ctx := New(2)
-	d := Parallelize(ctx, newTestBatches([]int{1, 2}, []int{3}), 0)
-	sums := MapBatches(d, func(b *testBatch) int {
-		s := 0
-		for _, v := range b.vals {
-			s += v
-		}
-		return s
-	})
-	got, err := sums.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0]+got[1] != 6 {
-		t.Fatalf("batch sums = %v", got)
-	}
-}
-
 func TestFilterBatchesDropsEmptiedBatches(t *testing.T) {
 	ctx := New(2)
 	d := Parallelize(ctx, newTestBatches([]int{1, 2, 3}, []int{4, 5}, []int{6}), 0)

@@ -194,3 +194,32 @@ func TestNewRejectsAFile(t *testing.T) {
 		t.Error("New over a regular file should fail")
 	}
 }
+
+// TestCodeclessRecordsAreAnError: a record type without a codec cannot
+// cross the disk exchange, and the shuffle says which type, instead of
+// quietly grouping in memory.
+func TestCodeclessRecordsAreAnError(t *testing.T) {
+	type point struct{ X, Y int }
+	e, _ := newTestEngine(t, 2)
+	ctx, err := engine.NewContext(engine.Config{Parallelism: 2, Exchange: e})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := engine.Parallelize(ctx, []point{{1, 2}, {3, 4}, {1, 2}}, 0)
+	keyed := engine.KeyBy(pts, func(p point) int { return p.X })
+	_, err = engine.GroupByKey(keyed).Collect()
+	if err == nil || !strings.Contains(err.Error(), "mapred.point") {
+		t.Errorf("GroupByKey over a codec-less value: err = %v, want one naming mapred.point", err)
+	}
+	_, err = engine.SortBy(pts, func(a, b point) bool { return a.X < b.X }, 2).Collect()
+	if err == nil || !strings.Contains(err.Error(), "mapred.point") {
+		t.Errorf("SortBy over a codec-less type: err = %v, want one naming mapred.point", err)
+	}
+	_, err = engine.Cartesian(pts, engine.Parallelize(ctx, []int{1}, 0)).Collect()
+	if err == nil || !strings.Contains(err.Error(), "mapred.point") {
+		t.Errorf("Cartesian over a codec-less type: err = %v, want one naming mapred.point", err)
+	}
+	if e.Stats().BytesSpilled() != 0 {
+		t.Error("a refused exchange wrote run files")
+	}
+}

@@ -49,16 +49,11 @@ func DecodeValue(buf []byte) (Value, int, error) {
 	case KindNull:
 		return Null(), pos, nil
 	case KindString:
-		n, sz := binary.Uvarint(buf[pos:])
-		if sz <= 0 {
-			return Value{}, 0, fmt.Errorf("model: decode string length")
+		s, n, err := decodeString(buf[pos:])
+		if err != nil {
+			return Value{}, 0, err
 		}
-		pos += sz
-		if pos+int(n) > len(buf) {
-			return Value{}, 0, fmt.Errorf("model: string payload truncated")
-		}
-		s := string(buf[pos : pos+int(n)])
-		return S(s), pos + int(n), nil
+		return S(s), pos + n, nil
 	case KindInt:
 		i, sz := binary.Varint(buf[pos:])
 		if sz <= 0 {
@@ -74,6 +69,21 @@ func DecodeValue(buf []byte) (Value, int, error) {
 	default:
 		return Value{}, 0, fmt.Errorf("model: unknown value kind %d", kind)
 	}
+}
+
+// decodeString decodes a uvarint length-prefixed string. The length is
+// compared unsigned against the bytes left, so no hostile prefix can wrap
+// past the bounds check.
+func decodeString(buf []byte) (string, int, error) {
+	n, sz := binary.Uvarint(buf)
+	if sz <= 0 {
+		return "", 0, fmt.Errorf("model: decode string length")
+	}
+	if n > uint64(len(buf)-sz) {
+		return "", 0, fmt.Errorf("model: string of %d bytes truncated to %d", n, len(buf)-sz)
+	}
+	end := sz + int(n)
+	return string(buf[sz:end]), end, nil
 }
 
 // AppendValueKey appends the binary encoding of k to buf:
@@ -113,16 +123,11 @@ func DecodeValueKey(buf []byte) (ValueKey, int, error) {
 	case KindNull:
 		return ValueKey{}, pos, nil
 	case KindString:
-		n, sz := binary.Uvarint(buf[pos:])
-		if sz <= 0 {
-			return ValueKey{}, 0, fmt.Errorf("model: decode key string length")
+		s, n, err := decodeString(buf[pos:])
+		if err != nil {
+			return ValueKey{}, 0, err
 		}
-		pos += sz
-		if pos+int(n) > len(buf) {
-			return ValueKey{}, 0, fmt.Errorf("model: key string payload truncated")
-		}
-		s := string(buf[pos : pos+int(n)])
-		return ValueKey{Kind: KindString, Str: s}, pos + int(n), nil
+		return ValueKey{Kind: KindString, Str: s}, pos + n, nil
 	case KindInt, KindFloat:
 		if pos+8 > len(buf) {
 			return ValueKey{}, 0, fmt.Errorf("model: key payload truncated")
@@ -162,6 +167,11 @@ func DecodeTuple(buf []byte) (Tuple, int, error) {
 		return Tuple{}, 0, fmt.Errorf("model: decode tuple arity")
 	}
 	pos += sz
+	// Every value encodes to at least one byte, so the bytes left bound the
+	// arity before anything is allocated.
+	if n > uint64(len(buf)-pos) {
+		return Tuple{}, 0, fmt.Errorf("model: tuple arity %d exceeds the %d bytes left", n, len(buf)-pos)
+	}
 	cells := make([]Value, n)
 	for i := range cells {
 		v, used, err := DecodeValue(buf[pos:])

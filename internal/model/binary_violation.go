@@ -9,6 +9,15 @@ import (
 // MapReduce backend spills detection output to disk and by the storage
 // manager when persisting violation reports.
 
+// The smallest encodings of a cell (four one-byte fields: tuple ID, column,
+// empty attribute, null value) and of a fix (a cell, op, tag and a null
+// constant). Decoders bound element counts by the bytes left divided by
+// these, so a hostile count fails before it allocates.
+const (
+	minCellBytes = 4
+	minFixBytes  = minCellBytes + 3
+)
+
 // AppendCell appends the binary encoding of c to buf.
 func AppendCell(buf []byte, c Cell) []byte {
 	buf = binary.AppendVarint(buf, c.TupleID)
@@ -30,16 +39,11 @@ func DecodeCell(buf []byte) (Cell, int, error) {
 		return Cell{}, 0, fmt.Errorf("model: decode cell col")
 	}
 	pos += n
-	alen, n := binary.Uvarint(buf[pos:])
-	if n <= 0 {
-		return Cell{}, 0, fmt.Errorf("model: decode cell attr length")
+	attr, n, err := decodeString(buf[pos:])
+	if err != nil {
+		return Cell{}, 0, fmt.Errorf("model: decode cell attr: %w", err)
 	}
 	pos += n
-	if pos+int(alen) > len(buf) {
-		return Cell{}, 0, fmt.Errorf("model: cell attr truncated")
-	}
-	attr := string(buf[pos : pos+int(alen)])
-	pos += int(alen)
 	v, n, err := DecodeValue(buf[pos:])
 	if err != nil {
 		return Cell{}, 0, err
@@ -60,21 +64,18 @@ func AppendViolation(buf []byte, v Violation) []byte {
 
 // DecodeViolation decodes one violation, returning it and the bytes consumed.
 func DecodeViolation(buf []byte) (Violation, int, error) {
-	rlen, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return Violation{}, 0, fmt.Errorf("model: decode violation rule length")
+	rule, pos, err := decodeString(buf)
+	if err != nil {
+		return Violation{}, 0, fmt.Errorf("model: decode violation rule: %w", err)
 	}
-	pos := n
-	if pos+int(rlen) > len(buf) {
-		return Violation{}, 0, fmt.Errorf("model: violation rule truncated")
-	}
-	rule := string(buf[pos : pos+int(rlen)])
-	pos += int(rlen)
 	ncells, n := binary.Uvarint(buf[pos:])
 	if n <= 0 {
 		return Violation{}, 0, fmt.Errorf("model: decode violation arity")
 	}
 	pos += n
+	if ncells > uint64(len(buf)-pos)/minCellBytes {
+		return Violation{}, 0, fmt.Errorf("model: violation arity %d exceeds the %d bytes left", ncells, len(buf)-pos)
+	}
 	cells := make([]Cell, ncells)
 	for i := range cells {
 		c, used, err := DecodeCell(buf[pos:])
@@ -85,6 +86,55 @@ func DecodeViolation(buf []byte) (Violation, int, error) {
 		pos += used
 	}
 	return Violation{RuleID: rule, Cells: cells}, pos, nil
+}
+
+// AppendViolationKey appends the binary encoding of k to buf:
+//
+//	violationkey := rule:string n:varint (tupleid:varint col:varint){4} extra:string
+//
+// All four inline cells are written, used or not, so the encoding is
+// injective over the whole struct — what the engine's exchanges and external
+// grouping require of a shuffle key's codec (see engine.Codec).
+func AppendViolationKey(buf []byte, k ViolationKey) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(k.RuleID)))
+	buf = append(buf, k.RuleID...)
+	buf = binary.AppendVarint(buf, int64(k.N))
+	for _, c := range k.Cells {
+		buf = binary.AppendVarint(buf, c.TupleID)
+		buf = binary.AppendVarint(buf, int64(c.Col))
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(k.Extra)))
+	return append(buf, k.Extra...)
+}
+
+// DecodeViolationKey decodes one ViolationKey, returning it and the bytes
+// consumed.
+func DecodeViolationKey(buf []byte) (ViolationKey, int, error) {
+	var k ViolationKey
+	rule, pos, err := decodeString(buf)
+	if err != nil {
+		return k, 0, fmt.Errorf("model: decode violation key rule: %w", err)
+	}
+	k.RuleID = rule
+	var ints [1 + 2*violationKeyInline]int64
+	for i := range ints {
+		v, n := binary.Varint(buf[pos:])
+		if n <= 0 {
+			return ViolationKey{}, 0, fmt.Errorf("model: decode violation key field %d", i)
+		}
+		ints[i] = v
+		pos += n
+	}
+	k.N = int(ints[0])
+	for i := range k.Cells {
+		k.Cells[i] = CellKey{TupleID: ints[1+2*i], Col: int(ints[2+2*i])}
+	}
+	extra, n, err := decodeString(buf[pos:])
+	if err != nil {
+		return ViolationKey{}, 0, fmt.Errorf("model: decode violation key extra: %w", err)
+	}
+	k.Extra = extra
+	return k, pos + n, nil
 }
 
 // AppendFix appends the binary encoding of f to buf.
@@ -146,6 +196,9 @@ func DecodeFixSet(buf []byte) (FixSet, error) {
 		return FixSet{}, fmt.Errorf("model: decode fix count")
 	}
 	pos += n
+	if nf > uint64(len(buf)-pos)/minFixBytes {
+		return FixSet{}, fmt.Errorf("model: fix count %d exceeds the %d bytes left", nf, len(buf)-pos)
+	}
 	fixes := make([]Fix, nf)
 	for i := range fixes {
 		f, used, err := DecodeFix(buf[pos:])

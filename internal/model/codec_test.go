@@ -200,3 +200,33 @@ func TestTupleCodecGrouping(t *testing.T) {
 		}
 	}
 }
+
+// TestViolationKeyCodec checks that the dedup shuffle's key survives the
+// round trip exactly, inline cells and Extra alike, and that distinct keys
+// encode apart.
+func TestViolationKeyCodec(t *testing.T) {
+	seen := make(map[string]ViolationKey)
+	for n := 0; n <= 7; n++ {
+		for _, rule := range []string{"", "phi1", "phi1|x"} {
+			cells := make([]Cell, n)
+			for i := range cells {
+				cells[i] = NewCell(int64(n-i), i%3, "a", I(int64(i)))
+			}
+			k := NewViolation(rule, cells...).MapKey()
+			buf := AppendViolationKey(nil, k)
+			got, used, err := DecodeViolationKey(buf)
+			if err != nil || used != len(buf) || got != k {
+				t.Fatalf("round trip %+v -> %+v (%d of %d bytes, %v)", k, got, used, len(buf), err)
+			}
+			if prev, dup := seen[string(buf)]; dup && prev != k {
+				t.Fatalf("distinct keys share an encoding: %+v and %+v", prev, k)
+			}
+			seen[string(buf)] = k
+			for cut := 0; cut < len(buf); cut++ {
+				if _, _, err := DecodeViolationKey(buf[:cut]); err == nil {
+					t.Fatalf("a key truncated to %d of %d bytes decoded", cut, len(buf))
+				}
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package chaostest
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -15,6 +16,28 @@ import (
 func TestMain(m *testing.M) {
 	netexec.MaybeWorker()
 	os.Exit(m.Run())
+}
+
+// The SortBy step ranges the counted pairs, which must cross the exchange
+// like the shuffled words do.
+func init() {
+	sc := engine.StringCodec()
+	engine.RegisterCodec(engine.Codec[engine.Pair[string, int]]{
+		Append: func(buf []byte, p engine.Pair[string, int]) []byte {
+			return binary.AppendVarint(sc.Append(buf, p.Key), int64(p.Value))
+		},
+		Decode: func(buf []byte) (engine.Pair[string, int], int, error) {
+			k, n, err := sc.Decode(buf)
+			if err != nil {
+				return engine.Pair[string, int]{}, 0, err
+			}
+			v, m := binary.Varint(buf[n:])
+			if m <= 0 {
+				return engine.Pair[string, int]{}, 0, fmt.Errorf("chaostest: decode count")
+			}
+			return engine.KV(k, int(v)), n + m, nil
+		},
+	})
 }
 
 // pipeline runs a two-exchange plan — a word-count ReduceByKey shuffle

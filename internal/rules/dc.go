@@ -359,9 +359,9 @@ func (dc *DC) Compile(schema *model.Schema) (*core.Rule, error) {
 			if len(leftCols) == 1 {
 				rule.BlockAttr = schema.Name(leftCols[0])
 			}
-			// Same-key blocking is the shape the vectorized executor runs;
-			// CoBlock (two-sided keys) stays on the tuple path.
-			rule.Vec = dcPairVecForms(ruleID, res, leftCols, cellsOf)
+			// Same-key blocking groups each block on one key, which is what
+			// the block kernel needs; a CoBlock pairs across two keys.
+			rule.DetectBlock = dcBlockKernel(ruleID, res, cellsOf)
 		}
 	case len(shape.ordering) > 0 && len(shape.others) == 0:
 		conds := make([]join.Cond, 0, len(shape.ordering))
@@ -413,7 +413,6 @@ func dcUnaryVecForms(ruleID string, res []resolvedPred, cellsOf func(a, b model.
 		}
 	}
 	return &core.VecForms{
-		BlockCol: -1,
 		ScanCols: scan,
 		DetectBatch: func(b *model.Batch) []model.Violation {
 			s := b.CloneSel()
@@ -445,13 +444,13 @@ func dcUnaryVecForms(ruleID string, res []resolvedPred, cellsOf func(a, b model.
 	}
 }
 
-// dcPairVecForms builds the vectorized Detect of a same-key blocked DC:
-// per block, every column any predicate reads is gathered into a flat
-// vector once, then pair enumeration evaluates the conjunction against the
-// vectors and materializes cells only for violating pairs. Predicate
-// semantics (t1 = us[i], t2 = us[j]) and enumeration order match the tuple
-// detect fed by PairsUnique/PairsOrdered exactly.
-func dcPairVecForms(ruleID string, res []resolvedPred, leftCols []int, cellsOf func(a, b model.Tuple) []model.Cell) *core.VecForms {
+// dcBlockKernel builds the block kernel of a same-key blocked DC: per
+// block, every column any predicate reads is gathered into a flat vector
+// once, then pair enumeration evaluates the conjunction against the vectors
+// and materializes cells only for violating pairs. Predicate semantics
+// (t1 = us[i], t2 = us[j]) and enumeration order match the per-pair Detect
+// fed by PairsUnique/PairsOrdered exactly.
+func dcBlockKernel(ruleID string, res []resolvedPred, cellsOf func(a, b model.Tuple) []model.Cell) core.BlockDetectFunc {
 	// Map each predicate's columns onto a dense vector index.
 	var usedCols []int
 	colOf := make(map[int]int)
@@ -476,11 +475,7 @@ func dcPairVecForms(ruleID string, res []resolvedPred, leftCols []int, cellsOf f
 		vps[i] = vp
 	}
 
-	vec := &core.VecForms{BlockCol: -1}
-	if len(leftCols) == 1 {
-		vec.BlockCol = leftCols[0]
-	}
-	vec.DetectBlock = func(us []model.Tuple, ordered bool) []model.Violation {
+	return func(us []model.Tuple, ordered bool) []model.Violation {
 		n := len(us)
 		if n < 2 {
 			return nil
@@ -496,7 +491,7 @@ func dcPairVecForms(ruleID string, res []resolvedPred, leftCols []int, cellsOf f
 			}
 		}
 		var out []model.Violation
-		emit := func(i, j int) {
+		forEachPair(n, ordered, func(i, j int) {
 			for _, vp := range vps {
 				li := i
 				if vp.r.p.LeftTuple == 2 {
@@ -517,25 +512,9 @@ func dcPairVecForms(ruleID string, res []resolvedPred, leftCols []int, cellsOf f
 				}
 			}
 			out = append(out, model.NewViolation(ruleID, cellsOf(us[i], us[j])...))
-		}
-		if ordered {
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					if j != i {
-						emit(i, j)
-					}
-				}
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				for j := i + 1; j < n; j++ {
-					emit(i, j)
-				}
-			}
-		}
+		})
 		return out
 	}
-	return vec
 }
 
 // dcGenFix proposes, for each predicate, the update that negates it —

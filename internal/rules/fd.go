@@ -136,93 +136,89 @@ func (fd *FD) Compile(schema *model.Schema) (*core.Rule, error) {
 			rule.AltBlockAttrs = append(rule.AltBlockAttrs, schema.Name(col))
 		}
 	}
-	rule.Vec = fdVecForms(ruleID, lhsIdx, rhsIdx, rhsNames)
+	rule.DetectBlock = fdBlockKernel(ruleID, lhsIdx, rhsIdx, rhsNames)
 	return rule, nil
 }
 
-// fdVecForms builds the FD's vectorized Detect. A single-attribute LHS
-// blocks on the LHS value itself and groups by its exact ValueKey — key
-// equality implies value equality, so every pair in the block already
-// agrees on the LHS and the kernel compares RHS cells directly with no
-// per-block allocation and no per-pair LHS check (which the tuple Detect
-// still pays). A composite LHS blocks on a joined key string that can
-// collide across kinds, so its kernel gathers the LHS and RHS columns into
-// flat vectors once per block and keeps the self-contained LHS equality
-// check. Violations and their order match the tuple Detect exactly.
-func fdVecForms(ruleID string, lhsIdx, rhsIdx []int, rhsNames []string) *core.VecForms {
+// fdBlockKernel builds the FD's block kernel. A single-attribute LHS blocks
+// on the LHS value itself and groups by its exact ValueKey — key equality
+// implies value equality, so every pair in the block already agrees on the
+// LHS and the kernel compares RHS cells directly with no per-block
+// allocation and no per-pair LHS check (which the per-pair Detect still
+// pays). A composite LHS blocks on a joined key string that can collide
+// across kinds, so its kernel gathers the LHS and RHS columns into flat
+// vectors once per block and keeps the self-contained LHS equality check.
+// Violations and their order match the per-pair Detect exactly.
+func fdBlockKernel(ruleID string, lhsIdx, rhsIdx []int, rhsNames []string) core.BlockDetectFunc {
 	nl, nr := len(lhsIdx), len(rhsIdx)
-	vec := &core.VecForms{BlockCol: -1}
-	if nl == 1 {
-		vec.BlockCol = lhsIdx[0]
-	}
 	emitRHS := func(out []model.Violation, l, r model.Tuple, lv, rv model.Value, c int, y int) []model.Violation {
 		return append(out, model.NewViolation(ruleID,
 			model.NewCell(l.ID, c, rhsNames[y], lv),
 			model.NewCell(r.ID, c, rhsNames[y], rv),
 		))
 	}
-	vec.DetectBlock = func(us []model.Tuple, ordered bool) []model.Violation {
+	return func(us []model.Tuple, ordered bool) []model.Violation {
 		n := len(us)
 		if n < 2 {
 			return nil
 		}
 		var out []model.Violation
-		var emit func(i, j int)
 		if nl == 1 {
-			emit = func(i, j int) {
+			forEachPair(n, ordered, func(i, j int) {
 				for y, c := range rhsIdx {
 					lv, rv := us[i].Cell(c), us[j].Cell(c)
 					if !lv.Equal(rv) {
 						out = emitRHS(out, us[i], us[j], lv, rv, c, y)
 					}
 				}
+			})
+			return out
+		}
+		buf := make([]model.Value, (nl+nr)*n) // one allocation for all vectors
+		vecs := make([][]model.Value, nl+nr)
+		for x := range vecs {
+			vecs[x] = buf[x*n : (x+1)*n]
+		}
+		for i, t := range us {
+			for x, c := range lhsIdx {
+				vecs[x][i] = t.Cell(c)
 			}
-		} else {
-			buf := make([]model.Value, (nl+nr)*n) // one allocation for all vectors
-			vecs := make([][]model.Value, nl+nr)
-			for x := range vecs {
-				vecs[x] = buf[x*n : (x+1)*n]
-			}
-			for i, t := range us {
-				for x, c := range lhsIdx {
-					vecs[x][i] = t.Cell(c)
-				}
-				for y, c := range rhsIdx {
-					vecs[nl+y][i] = t.Cell(c)
-				}
-			}
-			emit = func(i, j int) {
-				for x := 0; x < nl; x++ {
-					if !vecs[x][i].Equal(vecs[x][j]) {
-						return
-					}
-				}
-				for y := 0; y < nr; y++ {
-					lv, rv := vecs[nl+y][i], vecs[nl+y][j]
-					if !lv.Equal(rv) {
-						out = emitRHS(out, us[i], us[j], lv, rv, rhsIdx[y], y)
-					}
-				}
+			for y, c := range rhsIdx {
+				vecs[nl+y][i] = t.Cell(c)
 			}
 		}
-		if ordered {
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					if j != i {
-						emit(i, j)
-					}
+		forEachPair(n, ordered, func(i, j int) {
+			for x := 0; x < nl; x++ {
+				if !vecs[x][i].Equal(vecs[x][j]) {
+					return
 				}
 			}
-		} else {
-			for i := 0; i < n; i++ {
-				for j := i + 1; j < n; j++ {
-					emit(i, j)
+			for y := 0; y < nr; y++ {
+				lv, rv := vecs[nl+y][i], vecs[nl+y][j]
+				if !lv.Equal(rv) {
+					out = emitRHS(out, us[i], us[j], lv, rv, rhsIdx[y], y)
 				}
 			}
-		}
+		})
 		return out
 	}
-	return vec
+}
+
+// forEachPair visits the pairs of an n-unit block in the executor's
+// enumeration order: i < j unordered (PairsUnique), every i != j ordered
+// (PairsOrdered), outer i, inner j.
+func forEachPair(n int, ordered bool, visit func(i, j int)) {
+	for i := 0; i < n; i++ {
+		j := i + 1
+		if ordered {
+			j = 0
+		}
+		for ; j < n; j++ {
+			if j != i {
+				visit(i, j)
+			}
+		}
+	}
 }
 
 // compositeKey renders a multi-attribute blocking key into one string
