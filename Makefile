@@ -47,6 +47,7 @@ fuzz-short:
 bench:
 	$(GO) test -run xxx -bench 'Table2Datasets|Fig9' -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench . -benchtime 5x -benchmem ./internal/engine/
+	$(GO) test -run xxx -bench 'DetectScan|ViolationDedup' -benchtime 5x -benchmem ./internal/core/
 
 # The non-test Go line count under internal/ and cmd/, the size ROADMAP.md
 # and CHANGES.md track.

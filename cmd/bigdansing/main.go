@@ -258,7 +258,11 @@ func run(args []string, out io.Writer) error {
 				fmt.Fprintln(out, " ", v)
 			}
 		}
-		fmt.Fprintf(out, "violations: %d (possible fixes: %d)\n", len(res.Violations), len(res.AllFixes()))
+		fixes := 0
+		for _, fs := range res.FixSets {
+			fixes += len(fs.Fixes)
+		}
+		fmt.Fprintf(out, "violations: %d (possible fixes: %d)\n", len(res.Violations), fixes)
 		ruleIDs := make([]string, 0, len(byRule))
 		for r := range byRule {
 			ruleIDs = append(ruleIDs, r)

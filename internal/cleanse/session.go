@@ -237,7 +237,7 @@ func (s *Session) flushLocked() (Report, error) {
 
 			// Drop violations whose every fix touches a frozen cell: they have
 			// no usable possible fixes anymore (Section 2.2's stopping rule).
-			actionable := det.FixSets[:0:0]
+			actionable := make([]model.FixSet, 0, len(det.FixSets))
 			remaining := 0
 			for _, fs := range det.FixSets {
 				if len(fs.Fixes) == 0 {

@@ -57,20 +57,19 @@ func benchFixSets(n int) []model.FixSet {
 	return out
 }
 
-// BenchmarkViolationDedup measures the violation-identity path used by both
-// the per-pipeline Distinct and the cross-pipeline dedupeResult.
+// BenchmarkViolationDedup measures the detect→repair hand-off, assemble:
+// concatenating per-group fix-set lists (16 fix sets a group here) and
+// dropping the repeated violations.
 func BenchmarkViolationDedup(b *testing.B) {
 	sets := benchFixSets(50000)
+	var lists [][]model.FixSet
+	for lo := 0; lo < len(sets); lo += 16 {
+		lists = append(lists, sets[lo:min(lo+16, len(sets))])
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := &DetectResult{}
-		for _, fs := range sets {
-			res.Violations = append(res.Violations, fs.Violation)
-			res.FixSets = append(res.FixSets, fs)
-		}
-		dedupeResult(res)
-		if len(res.Violations) != 50000 {
+		if res := assemble(lists); len(res.Violations) != 50000 {
 			b.Fatalf("got %d", len(res.Violations))
 		}
 	}

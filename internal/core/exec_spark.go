@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"hash/maphash"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -30,12 +32,6 @@ func (r *DetectResult) AllFixes() []model.Fix {
 	return out
 }
 
-// Merge appends another result (used when accumulating over plans).
-func (r *DetectResult) Merge(o *DetectResult) {
-	r.Violations = append(r.Violations, o.Violations...)
-	r.FixSets = append(r.FixSets, o.FixSets...)
-}
-
 // RunPlanSpark executes the physical plan's detection pipelines on the
 // dataflow engine (Appendix G.1's translation): Scope becomes map/filter,
 // Block becomes groupByKey, CoBlock becomes cogroup, Iterate becomes the
@@ -44,7 +40,8 @@ func (r *DetectResult) Merge(o *DetectResult) {
 // dedup, GenFix, collect — whatever its source format, Iterate choice or
 // backend. The engine is lazy, so per-group detection, dedup's keying and
 // GenFix fuse into per-partition stages at the shuffles that bound them.
-// Violations are deduplicated on their canonical key, matching the paper's
+// The pipelines' per-group fix-set lists are assembled into one result
+// deduplicated on the violations' canonical key, matching the paper's
 // observation that BigDansing, unlike SQL self-joins, does not emit
 // duplicate violations.
 func RunPlanSpark(ctx *engine.Context, pp *PhysicalPlan) (*DetectResult, error) {
@@ -85,23 +82,26 @@ func newSparkExec(ctx *engine.Context) *sparkExec {
 }
 
 func (ex *sparkExec) run(pp *PhysicalPlan) (*DetectResult, error) {
-	result := &DetectResult{}
+	var lists [][]model.FixSet
 	for i := range pp.Pipelines {
-		if err := ex.runPipeline(pp, &pp.Pipelines[i], result); err != nil {
+		sets, err := ex.runPipeline(pp, &pp.Pipelines[i])
+		if err != nil {
 			return nil, err
 		}
+		lists = append(lists, sets...)
 	}
-	dedupeResult(result)
-	return result, nil
+	return assemble(lists), nil
 }
 
-func (ex *sparkExec) runPipeline(pp *PhysicalPlan, p *PhysicalPipeline, out *DetectResult) error {
+// runPipeline runs one pipeline and returns its fix sets, one list per group
+// in partition order, for assemble to concatenate.
+func (ex *sparkExec) runPipeline(pp *PhysicalPlan, p *PhysicalPipeline) ([][]model.FixSet, error) {
 	sp := ex.ctx.Observer().BeginSpan(nil, p.RuleID, engine.SpanPipeline)
 	defer sp.End()
 	m := &udfMeter{on: ex.ctx.Instrumented()}
 	groups, err := ex.violations(pp, p, m)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// OCJoin, unique pairs and single units produce each candidate once by
 	// construction, so only the both-orientation enumerations pay the dedup
@@ -113,18 +113,19 @@ func (ex *sparkExec) runPipeline(pp *PhysicalPlan, p *PhysicalPipeline, out *Det
 			return [][]model.Violation{vs}
 		})
 	}
-	sets, err := engine.FlatMap(groups, m.genFix(p.GenFix)).Collect()
+	lists, err := engine.Map(groups, m.genFix(p.GenFix)).Collect()
 	if err != nil {
-		return fmt.Errorf("core: detection pipeline %s failed: %w", p.RuleID, err)
+		return nil, fmt.Errorf("core: detection pipeline %s failed: %w", p.RuleID, err)
 	}
-	fixes := 0
-	for _, fs := range sets {
-		out.Violations = append(out.Violations, fs.Violation)
-		out.FixSets = append(out.FixSets, fs)
-		fixes += len(fs.Fixes)
+	violations, fixes := 0, 0
+	for _, sets := range lists {
+		violations += len(sets)
+		for _, fs := range sets {
+			fixes += len(fs.Fixes)
+		}
 	}
-	m.finish(sp, len(sets), fixes)
-	return nil
+	m.finish(sp, violations, fixes)
+	return lists, nil
 }
 
 // violations builds a pipeline's (lazy) violations, one list per group: its
@@ -490,24 +491,57 @@ func (ex *sparkExec) coGroupBranches(pp *PhysicalPlan, p *PhysicalPipeline, bran
 	return cg, nil
 }
 
-// dedupeResult removes duplicate violations across pipelines while keeping
-// FixSets aligned. Identity is the comparable ViolationKey, so deduping a
-// result allocates nothing per violation.
-func dedupeResult(r *DetectResult) {
-	seen := make(map[model.ViolationKey]bool, len(r.FixSets))
-	outV := r.Violations[:0]
-	outF := r.FixSets[:0]
-	for i, fs := range r.FixSets {
-		k := fs.Violation.MapKey()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		outV = append(outV, r.Violations[i])
-		outF = append(outF, fs)
+// violationSeed seeds the hash of assemble's seen-set; it only has to be
+// consistent within one call.
+var violationSeed = maphash.MakeSeed()
+
+// assemble is the detect→repair hand-off: it concatenates fix-set lists, in
+// order, into one result whose slices are each allocated once at their exact
+// size, dropping every violation already seen — the first occurrence wins,
+// across groups and pipelines alike.
+func assemble(lists [][]model.FixSet) *DetectResult {
+	return assembleHashed(lists, func(k model.ViolationKey) uint64 { return maphash.Comparable(violationSeed, k) })
+}
+
+// assembleHashed is assemble with the seen-set's hash function supplied. The
+// set maps a 64-bit hash of the canonical ViolationKey to the index of the
+// first kept fix set with that hash, so it holds 12 bytes per violation
+// instead of the full key; a hit is confirmed on the full key, and a
+// different key under a taken hash (a true collision) is tracked exactly in
+// a small overflow set.
+func assembleHashed(lists [][]model.FixSet, hash func(model.ViolationKey) uint64) *DetectResult {
+	total := 0
+	for _, sets := range lists {
+		total += len(sets)
 	}
-	r.Violations = outV
-	r.FixSets = outF
+	out := make([]model.FixSet, 0, total)
+	first := make(map[uint64]int32, total)
+	overflow := map[model.ViolationKey]struct{}{}
+	for _, sets := range lists {
+		for _, fs := range sets {
+			k := fs.Violation.MapKey()
+			h := hash(k)
+			i, hit := first[h]
+			switch {
+			case !hit:
+				first[h] = int32(len(out))
+			case out[i].Violation.MapKey() == k:
+				continue
+			default:
+				if _, dup := overflow[k]; dup {
+					continue
+				}
+				overflow[k] = struct{}{}
+			}
+			out = append(out, fs)
+		}
+	}
+	out = slices.Clip(out) // shorter than total only when something repeated
+	vs := make([]model.Violation, len(out))
+	for i := range out {
+		vs[i] = out[i].Violation
+	}
+	return &DetectResult{Violations: vs, FixSets: out}
 }
 
 // compilePlan runs a logical planner and the physical Planner under one

@@ -13,3 +13,7 @@ func RunPlanOnBatches(ctx *engine.Context, pp *PhysicalPlan, rel *model.Relation
 	ex.pre[rel] = batches
 	return ex.run(pp)
 }
+
+// AssembleHashed exposes the hand-off's assembler with its seen-set hash
+// supplied, so a test can force every key to collide.
+var AssembleHashed = assembleHashed

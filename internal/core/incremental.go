@@ -164,9 +164,7 @@ func (d *IncrementalDetector) Detect(rel *model.Relation, changed []int64) (*Det
 			return nil, err
 		}
 	}
-	res := &DetectResult{}
-	d.assemble(res)
-	return res, nil
+	return d.assemble(), nil
 }
 
 // refreshFull re-runs every non-incrementalizable rule over the current
@@ -194,9 +192,7 @@ func (d *IncrementalDetector) fullPass(rel *model.Relation) (*DetectResult, erro
 	if err := d.prime(rel, false); err != nil {
 		return nil, err
 	}
-	out := &DetectResult{}
-	d.assemble(out)
-	return out, nil
+	return d.assemble(), nil
 }
 
 // prime runs the first full pass over the incrementalizable rules and,
@@ -304,18 +300,12 @@ func (d *IncrementalDetector) incrementalPass(idx int, r *Rule, rel *model.Relat
 }
 
 // assemble snapshots the cached state into a result.
-func (d *IncrementalDetector) assemble(res *DetectResult) {
+func (d *IncrementalDetector) assemble() *DetectResult {
+	var lists [][]model.FixSet
 	for _, st := range d.state {
 		for _, sets := range st.byBlock {
-			for _, fs := range sets {
-				res.Violations = append(res.Violations, fs.Violation)
-				res.FixSets = append(res.FixSets, fs)
-			}
+			lists = append(lists, sets)
 		}
 	}
-	for _, fs := range d.full {
-		res.Violations = append(res.Violations, fs.Violation)
-		res.FixSets = append(res.FixSets, fs)
-	}
-	dedupeResult(res)
+	return assemble(append(lists, d.full))
 }

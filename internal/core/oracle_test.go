@@ -232,15 +232,21 @@ func (c oracleRun) detect(t *testing.T, r *core.Rule, rel *model.Relation) (*cor
 }
 
 // rendered is a result as comparable lines: each violation with its cells'
-// values and its fixes, in result order.
+// values and its fixes, in result order. It checks the hand-off's shape on
+// the way: both slices allocated at their exact size, and violation i the
+// violation of fix set i.
 func rendered(t *testing.T, res *core.DetectResult) []string {
 	t.Helper()
 	if len(res.Violations) != len(res.FixSets) {
 		t.Fatalf("%d violations but %d fix sets", len(res.Violations), len(res.FixSets))
 	}
+	if cap(res.Violations) != len(res.Violations) || cap(res.FixSets) != len(res.FixSets) {
+		t.Fatalf("result not exact-size: violations len %d cap %d, fix sets len %d cap %d",
+			len(res.Violations), cap(res.Violations), len(res.FixSets), cap(res.FixSets))
+	}
 	out := make([]string, len(res.FixSets))
 	for i, fs := range res.FixSets {
-		if res.Violations[i].MapKey() != fs.Violation.MapKey() {
+		if fmt.Sprint(res.Violations[i]) != fmt.Sprint(fs.Violation) {
 			t.Fatalf("violation %d is not its fix set's", i)
 		}
 		out[i] = fmt.Sprintf("%v %v", fs.Violation, fs.Fixes)

@@ -56,18 +56,17 @@ func DetectRuleFromStore(ctx *engine.Context, st *storage.Store, dataset string,
 	if err != nil {
 		return nil, false, err
 	}
-	result := &DetectResult{}
+	var lists [][]model.FixSet
 	for p := 0; p < plan.Partitions; p++ {
 		res, err := detectFromReplica(ctx, st, dataset, pick, p, r)
 		if err != nil {
 			return nil, false, err
 		}
 		if res != nil {
-			result.Merge(res)
+			lists = append(lists, res.FixSets)
 		}
 	}
-	dedupeResult(result)
-	return result, true, nil
+	return assemble(lists), true, nil
 }
 
 // detectFromReplica reads one partition (or, with part -1, the whole

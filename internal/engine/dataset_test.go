@@ -193,6 +193,19 @@ func TestGroupByKeyNOnePartition(t *testing.T) {
 	}
 }
 
+func TestGroupByKeyNGroupsDoNotAlias(t *testing.T) {
+	ctx := New(4)
+	data := []Pair[string, int]{KV("b", 1), KV("a", 2), KV("b", 3), KV("c", 4), KV("a", 5)}
+	groups := GroupByKeyN(Parallelize(ctx, data, 3), 1).Partition(0)
+	for i := 0; i+1 < len(groups); i++ {
+		next := fmt.Sprint(groups[i+1].Value)
+		_ = append(groups[i].Value, -1)
+		if got := fmt.Sprint(groups[i+1].Value); got != next {
+			t.Fatalf("appending to group %q changed group %q: %s, was %s", groups[i].Key, groups[i+1].Key, got, next)
+		}
+	}
+}
+
 func TestDistinct(t *testing.T) {
 	ctx := New(4)
 	d := Parallelize(ctx, []int{1, 2, 2, 3, 3, 3}, 3)

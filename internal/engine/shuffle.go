@@ -175,21 +175,40 @@ func GroupByKeyN[K comparable, V any](d *Dataset[Pair[K, V]], n int) *Dataset[Pa
 	out := make([][]Pair[K, []V], len(buckets))
 	gerr := d.ctx.runStage("groupByKey", len(buckets), func(tk *taskCtx) {
 		p := tk.part
-		// One map lookup per record: the map holds indexes into the result
-		// slice (which doubles as the first-seen key order), so existing
-		// keys cost a single hash instead of a seen-check plus two accesses
-		// — the difference is visible with struct keys, which lack the
-		// runtime's specialized string fast path.
+		in := buckets[p]
+		tk.recordsIn = int64(len(in))
+		// Count, then carve. The first pass gives each record its group — one
+		// map lookup per record; the map holds indexes into the result slice,
+		// which doubles as the first-seen key order — and counts each group.
+		// Every group's values are then carved from one slab sized to the
+		// partition, each with its capacity clipped to its own count so an
+		// append to one group can never write into the next.
+		scratch := grabScratch(len(in), 0)
+		defer scratchPool.Put(scratch)
+		gids, counts := scratch.dsts, scratch.counts
 		idx := make(map[K]int32, 64)
 		res := make([]Pair[K, []V], 0, 64)
-		tk.recordsIn = int64(len(buckets[p]))
-		for _, kv := range buckets[p] {
-			if gi, seen := idx[kv.Key]; seen {
-				res[gi].Value = append(res[gi].Value, kv.Value)
-			} else {
-				idx[kv.Key] = int32(len(res))
-				res = append(res, KV(kv.Key, []V{kv.Value}))
+		for i, kv := range in {
+			gi, seen := idx[kv.Key]
+			if !seen {
+				gi = int32(len(res))
+				idx[kv.Key] = gi
+				res = append(res, Pair[K, []V]{Key: kv.Key})
+				counts = append(counts, 0)
 			}
+			gids[i] = uint32(gi)
+			counts[gi]++
+		}
+		scratch.counts = counts // keep the grown array for the next task
+		slab := make([]V, len(in))
+		off := 0
+		for g, c := range counts {
+			res[g].Value = slab[off : off : off+c]
+			off += c
+		}
+		for i, kv := range in {
+			g := gids[i]
+			res[g].Value = append(res[g].Value, kv.Value)
 		}
 		out[p] = res
 		tk.recordsOut = int64(len(res))

@@ -143,63 +143,65 @@ func (fd *FD) Compile(schema *model.Schema) (*core.Rule, error) {
 // fdBlockKernel builds the FD's block kernel. A single-attribute LHS blocks
 // on the LHS value itself and groups by its exact ValueKey — key equality
 // implies value equality, so every pair in the block already agrees on the
-// LHS and the kernel compares RHS cells directly with no per-block
-// allocation and no per-pair LHS check (which the per-pair Detect still
-// pays). A composite LHS blocks on a joined key string that can collide
-// across kinds, so its kernel gathers the LHS and RHS columns into flat
-// vectors once per block and keeps the self-contained LHS equality check.
+// LHS and the kernel compares RHS cells directly with no per-pair LHS check
+// (which the per-pair Detect still pays). A composite LHS blocks on a joined
+// key string that can collide across kinds, so its kernel gathers the LHS
+// columns into flat vectors once per block and keeps the self-contained LHS
+// equality check.
 // Violations and their order match the per-pair Detect exactly.
 func fdBlockKernel(ruleID string, lhsIdx, rhsIdx []int, rhsNames []string) core.BlockDetectFunc {
-	nl, nr := len(lhsIdx), len(rhsIdx)
-	emitRHS := func(out []model.Violation, l, r model.Tuple, lv, rv model.Value, c int, y int) []model.Violation {
-		return append(out, model.NewViolation(ruleID,
-			model.NewCell(l.ID, c, rhsNames[y], lv),
-			model.NewCell(r.ID, c, rhsNames[y], rv),
-		))
-	}
+	nl := len(lhsIdx)
 	return func(us []model.Tuple, ordered bool) []model.Violation {
 		n := len(us)
 		if n < 2 {
 			return nil
 		}
+		var lhs [][]model.Value // a composite LHS's columns, gathered once per block
+		if nl > 1 {
+			buf := make([]model.Value, nl*n) // one allocation for all vectors
+			lhs = make([][]model.Value, nl)
+			for x, c := range lhsIdx {
+				lhs[x] = buf[x*n : (x+1)*n]
+				for i, t := range us {
+					lhs[x][i] = t.Cell(c)
+				}
+			}
+		}
+		// Two passes over the pairs: the first counts the violations, the
+		// second fills the result and a two-cells-per-violation slab, both
+		// allocated at exactly that size.
 		var out []model.Violation
-		if nl == 1 {
+		var cells []model.Cell
+		count := 0
+		pass := func(fill bool) {
 			forEachPair(n, ordered, func(i, j int) {
-				for y, c := range rhsIdx {
-					lv, rv := us[i].Cell(c), us[j].Cell(c)
-					if !lv.Equal(rv) {
-						out = emitRHS(out, us[i], us[j], lv, rv, c, y)
+				for x := range lhs {
+					if !lhs[x][i].Equal(lhs[x][j]) {
+						return
 					}
 				}
+				for y, c := range rhsIdx {
+					lv, rv := us[i].Cell(c), us[j].Cell(c)
+					if lv.Equal(rv) {
+						continue
+					}
+					if !fill {
+						count++
+						continue
+					}
+					k := 2 * len(out)
+					cells[k] = model.NewCell(us[i].ID, c, rhsNames[y], lv)
+					cells[k+1] = model.NewCell(us[j].ID, c, rhsNames[y], rv)
+					out = append(out, model.NewViolation(ruleID, cells[k:k+2:k+2]...))
+				}
 			})
-			return out
 		}
-		buf := make([]model.Value, (nl+nr)*n) // one allocation for all vectors
-		vecs := make([][]model.Value, nl+nr)
-		for x := range vecs {
-			vecs[x] = buf[x*n : (x+1)*n]
+		pass(false)
+		if count == 0 {
+			return nil
 		}
-		for i, t := range us {
-			for x, c := range lhsIdx {
-				vecs[x][i] = t.Cell(c)
-			}
-			for y, c := range rhsIdx {
-				vecs[nl+y][i] = t.Cell(c)
-			}
-		}
-		forEachPair(n, ordered, func(i, j int) {
-			for x := 0; x < nl; x++ {
-				if !vecs[x][i].Equal(vecs[x][j]) {
-					return
-				}
-			}
-			for y := 0; y < nr; y++ {
-				lv, rv := vecs[nl+y][i], vecs[nl+y][j]
-				if !lv.Equal(rv) {
-					out = emitRHS(out, us[i], us[j], lv, rv, rhsIdx[y], y)
-				}
-			}
-		})
+		out, cells = make([]model.Violation, 0, count), make([]model.Cell, 2*count)
+		pass(true)
 		return out
 	}
 }
