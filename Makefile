@@ -30,9 +30,11 @@ race:
 
 # The benchmark is a Go module of its own (benchmark/go.mod), so the root
 # ./... does not descend into it; this builds it against the current
-# internal/ APIs and runs its unit tests and one-workload smoke run.
+# internal/ APIs and runs its unit tests and one-workload smoke run, then
+# builds and runs one iteration of the session-stream benchmark.
 bench-smoke:
 	cd benchmark && $(GO) test ./...
+	$(GO) test -run xxx -bench SessionStream -benchtime 1x ./internal/cleanse/
 
 # 30 seconds of coverage-guided fuzzing per fuzzer (the wire codec, the
 # record decoders and the service's create body), seeded from testdata/fuzz
@@ -48,6 +50,7 @@ bench:
 	$(GO) test -run xxx -bench 'Table2Datasets|Fig9' -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench . -benchtime 5x -benchmem ./internal/engine/
 	$(GO) test -run xxx -bench 'DetectScan|ViolationDedup' -benchtime 5x -benchmem ./internal/core/
+	$(GO) test -run xxx -bench SessionStream -benchtime 256x -benchmem ./internal/cleanse/
 
 # The non-test Go line count under internal/ and cmd/, the size ROADMAP.md
 # and CHANGES.md track.

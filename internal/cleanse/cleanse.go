@@ -248,7 +248,7 @@ func (c *Cleaner) Clean(rel *model.Relation) (*Result, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	s, err := newSession(*c, rel.Clone(), c.incremental, nil)
+	s, err := newSession(*c, rel.Clone(), c.incremental)
 	if err != nil {
 		return nil, err
 	}

@@ -78,14 +78,13 @@ func (c *Cleaner) Open(schema *model.Schema) (*Session, error) {
 		return nil, err
 	}
 	incremental := core.NumIncrementalizable(c.rules) > 0
-	return newSession(*c, model.NewRelation("session", schema), incremental, nil)
+	return newSession(*c, model.NewRelation("session", schema), incremental)
 }
 
-// newSession wires the session state over an initial relation. dirty==nil
-// means the detector has never seen the relation: the first Flush round
-// runs a full pass (the Clean path seeds the relation this way so its
-// behavior is byte-for-byte the old one).
-func newSession(cfg Cleaner, rel *model.Relation, incremental bool, dirty []int64) (*Session, error) {
+// newSession wires the session state over an initial relation. The
+// detector starts unprimed, so the first detection (an Ingest's Observe or
+// a Flush round) runs its one full pass over the relation.
+func newSession(cfg Cleaner, rel *model.Relation, incremental bool) (*Session, error) {
 	s := &Session{
 		cfg:     cfg,
 		rel:     rel,
@@ -93,7 +92,6 @@ func newSession(cfg Cleaner, rel *model.Relation, incremental bool, dirty []int6
 		memory:  repair.NewClassMemory(),
 		frozen:  map[model.CellKey]bool{},
 		updates: map[model.CellKey]int{},
-		dirty:   dirty,
 	}
 	for _, t := range rel.Tuples {
 		if t.ID >= s.nextID {
@@ -176,7 +174,7 @@ func (s *Session) Ingest(batch []model.Tuple) error {
 	s.ingested += int64(len(ids))
 	if s.det != nil {
 		t0 := time.Now()
-		err := s.det.Observe(s.rel, ids)
+		err := s.det.Observe(s.rel, s.idx, ids)
 		s.pendingDetect += time.Since(t0)
 		if err != nil {
 			return fmt.Errorf("cleanse: ingest: %w", err)
@@ -306,7 +304,7 @@ func (s *Session) flushLocked() (Report, error) {
 			}
 			rep.RepairTime += time.Since(t1)
 
-			n := repair.Apply(s.rel, assignments, s.frozen)
+			n := repair.ApplyIndexed(s.rel, s.idx, assignments, s.frozen)
 			rep.UpdatesApplied += n
 			rsp.Attr(engine.AttrAssignments, int64(n))
 			s.dirty = s.dirty[:0]
@@ -359,17 +357,12 @@ func (s *Session) flushLocked() (Report, error) {
 }
 
 // detect runs one detection pass: incremental over the dirty set when the
-// session has a detector (nil dirty — a never-scanned relation — forces the
-// priming full pass), full otherwise.
+// session has a detector, full otherwise.
 func (s *Session) detect() (*core.DetectResult, error) {
 	if s.det == nil {
 		return core.DetectRulesWith(s.cfg.ctx, s.cfg.planner, s.cfg.rules, s.rel)
 	}
-	changed := s.dirty
-	if !s.det.Primed() {
-		changed = nil
-	}
-	res, err := s.det.Detect(s.rel, changed)
+	res, err := s.det.Detect(s.rel, s.idx, s.dirty)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"bigdansing/internal/engine"
 	"bigdansing/internal/model"
 )
@@ -12,6 +14,21 @@ func RunPlanOnBatches(ctx *engine.Context, pp *PhysicalPlan, rel *model.Relation
 	ex := newSparkExec(ctx)
 	ex.pre[rel] = batches
 	return ex.run(pp)
+}
+
+// BlockIndex exposes rule i's block-membership state: each tuple's block,
+// and each non-empty block's member IDs in ascending order, so a test can
+// compare the state an incremental history left with the one a fresh prime
+// builds.
+func (d *IncrementalDetector) BlockIndex(i int) (map[int64]blockID, map[blockID][]int64) {
+	st := d.state[i]
+	members := map[blockID][]int64{}
+	for k, b := range st.blocks {
+		if len(b.members) > 0 {
+			members[k] = slices.Sorted(slices.Values(b.members))
+		}
+	}
+	return st.keyOf, members
 }
 
 // AssembleHashed exposes the hand-off's assembler with its seen-set hash

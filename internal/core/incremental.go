@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"bigdansing/internal/engine"
 	"bigdansing/internal/model"
@@ -18,6 +20,12 @@ import (
 // with no cached blocking key is treated as an append and only its target
 // block is re-detected.
 //
+// Each incremental rule keeps a block-membership index (block → member
+// IDs), updated from the changed IDs alone, and the caller supplies its own
+// live tuple ID → position index to every pass, so no per-pass path touches
+// a tuple outside the touched blocks: a pass costs the batch, not the
+// relation.
+//
 // Rules qualify for incremental maintenance when they are blocked,
 // single-branch, scope-free and planner-enumerated (unique or ordered
 // pairs), or unary; other rules (OCJoin, CoBlock, custom Iterate, scoped)
@@ -31,8 +39,8 @@ type IncrementalDetector struct {
 	// (see SetPlanner); nil plans by rule shape.
 	planner *Planner
 
-	// state per incremental rule index.
-	state map[int]*ruleState
+	// state per rule index (nil for non-incrementalizable rules).
+	state []*ruleState
 	// full holds the latest results of non-incremental rules; fullStale
 	// marks them out of date (changes observed since they last ran).
 	full      []model.FixSet
@@ -51,11 +59,43 @@ type blockID struct {
 	key   model.ValueKey
 }
 
+// block is one blocking key's share of a rule's state.
+type block struct {
+	rank    int            // first-seen order: the order assemble emits blocks in
+	members []int64        // IDs of the tuples currently in the block
+	sets    []model.FixSet // the block's cached fix sets
+}
+
 type ruleState struct {
-	// keyOf is the tuple ID -> blocking key map of the last pass.
+	// keyOf maps each tuple ID to its current block.
 	keyOf map[int64]blockID
-	// byBlock groups the rule's fix sets by blocking key.
-	byBlock map[blockID][]model.FixSet
+	// blocks is the block-membership index: every block with members or
+	// cached fix sets.
+	blocks map[blockID]*block
+	// violating holds the blocks with cached fix sets.
+	violating map[blockID]*block
+	// ranked counts the blocks created so far (the next first-seen rank).
+	ranked int
+}
+
+// at returns block k, creating it (ranked last) when it is new.
+func (st *ruleState) at(k blockID) *block {
+	b := st.blocks[k]
+	if b == nil {
+		b = &block{rank: st.ranked}
+		st.ranked++
+		st.blocks[k] = b
+	}
+	return b
+}
+
+// leave removes tuple id from block k's members.
+func (st *ruleState) leave(k blockID, id int64) {
+	b := st.blocks[k]
+	if i := slices.Index(b.members, id); i >= 0 {
+		b.members[i] = b.members[len(b.members)-1]
+		b.members = b.members[:len(b.members)-1]
+	}
 }
 
 // NewIncrementalDetector validates the rules and prepares state.
@@ -65,7 +105,7 @@ func NewIncrementalDetector(ctx *engine.Context, rules []*Rule) (*IncrementalDet
 			return nil, err
 		}
 	}
-	return &IncrementalDetector{ctx: ctx, rules: rules, state: map[int]*ruleState{}}, nil
+	return &IncrementalDetector{ctx: ctx, rules: rules, state: make([]*ruleState, len(rules))}, nil
 }
 
 // SetPlanner installs the physical Planner the detector's re-detections
@@ -101,25 +141,24 @@ func NumIncrementalizable(rs []*Rule) int {
 }
 
 // Reset drops all cached state: the next Detect (or Observe) runs a full
-// pass. It is the fallback path for callers whose relation changed in ways
-// they cannot enumerate (bulk rewrites, tuple removals they did not track).
+// pass. It is the one way to force a full pass, and the fallback for
+// callers whose relation changed in ways they cannot enumerate (bulk
+// rewrites, tuple removals they did not track).
 func (d *IncrementalDetector) Reset() {
-	d.state = map[int]*ruleState{}
+	clear(d.state)
 	d.full = d.full[:0]
 	d.fullStale = false
 	d.primed = false
 }
-
-// Primed reports whether the first full pass has run.
-func (d *IncrementalDetector) Primed() bool { return d.primed }
 
 // Observe folds changed (updated or appended) tuples into the incremental
 // caches without producing a result: incrementalizable rules re-detect only
 // the affected blocks now, while non-incrementalizable rules are merely
 // marked stale — their bounded full re-detection is deferred to the next
 // Detect. A streaming caller ingesting many batches between flushes pays
-// the per-block cost per batch but the full-rule cost once per flush.
-func (d *IncrementalDetector) Observe(rel *model.Relation, changed []int64) error {
+// the per-block cost per batch but the full-rule cost once per flush. idx
+// is the caller's live tuple ID → position index of rel.
+func (d *IncrementalDetector) Observe(rel *model.Relation, idx map[int64]int, changed []int64) error {
 	if !d.primed {
 		return d.prime(rel, true)
 	}
@@ -127,36 +166,25 @@ func (d *IncrementalDetector) Observe(rel *model.Relation, changed []int64) erro
 		return nil
 	}
 	d.fullStale = true
-	for i, r := range d.rules {
-		if !incrementalizable(r) {
-			continue
-		}
-		if err := d.incrementalPass(i, r, rel, changed); err != nil {
-			return err
-		}
-	}
-	return nil
+	return d.incrementalPasses(rel, idx, changed)
 }
 
-// Detect runs a pass. changed lists the tuple IDs updated since the last
-// pass; nil (or a first call) forces a full pass, while an empty non-nil
-// slice reuses every cache that is not stale. The returned result is a
-// fresh snapshot — callers may retain it.
-func (d *IncrementalDetector) Detect(rel *model.Relation, changed []int64) (*DetectResult, error) {
-	if !d.primed || changed == nil {
-		return d.fullPass(rel)
+// Detect runs a pass. changed lists the tuple IDs updated or appended since
+// the last pass (empty reuses every cache that is not stale); idx is the
+// caller's live tuple ID → position index of rel. Only an unprimed detector
+// (a first call, or one after Reset) runs a full pass. The returned result
+// is a fresh snapshot — callers may retain it.
+func (d *IncrementalDetector) Detect(rel *model.Relation, idx map[int64]int, changed []int64) (*DetectResult, error) {
+	if !d.primed {
+		if err := d.prime(rel, false); err != nil {
+			return nil, err
+		}
+		return d.assemble(), nil
 	}
 	if len(changed) > 0 {
 		d.fullStale = true
-	}
-	for i, r := range d.rules {
-		if incrementalizable(r) {
-			if len(changed) == 0 {
-				continue
-			}
-			if err := d.incrementalPass(i, r, rel, changed); err != nil {
-				return nil, err
-			}
+		if err := d.incrementalPasses(rel, idx, changed); err != nil {
+			return nil, err
 		}
 	}
 	if d.fullStale {
@@ -165,6 +193,19 @@ func (d *IncrementalDetector) Detect(rel *model.Relation, changed []int64) (*Det
 		}
 	}
 	return d.assemble(), nil
+}
+
+// incrementalPasses runs incrementalPass for every incrementalizable rule.
+func (d *IncrementalDetector) incrementalPasses(rel *model.Relation, idx map[int64]int, changed []int64) error {
+	for i, r := range d.rules {
+		if !incrementalizable(r) {
+			continue
+		}
+		if err := d.incrementalPass(i, r, rel, idx, changed); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // refreshFull re-runs every non-incrementalizable rule over the current
@@ -187,43 +228,41 @@ func (d *IncrementalDetector) refreshFull(rel *model.Relation) error {
 	return nil
 }
 
-// fullPass recomputes everything and primes the caches.
-func (d *IncrementalDetector) fullPass(rel *model.Relation) (*DetectResult, error) {
-	if err := d.prime(rel, false); err != nil {
-		return nil, err
-	}
-	return d.assemble(), nil
-}
-
 // prime runs the first full pass over the incrementalizable rules and,
 // unless deferFull is set, the non-incrementalizable ones too (deferFull
-// leaves them stale so Observe never pays for a full-rule run).
+// leaves them stale so Observe never pays for a full-rule run). One scan of
+// the relation per rule fills both the tuple → block map and the
+// block-membership index.
 func (d *IncrementalDetector) prime(rel *model.Relation, deferFull bool) error {
-	d.full = d.full[:0]
-	d.fullStale = deferFull
+	if !deferFull {
+		if err := d.refreshFull(rel); err != nil {
+			return err
+		}
+	} else {
+		d.full = d.full[:0]
+		d.fullStale = true
+	}
 	for i, r := range d.rules {
 		if !incrementalizable(r) {
-			if deferFull {
-				continue
-			}
-			sub, err := DetectRuleWith(d.ctx, d.planner, r, rel)
-			if err != nil {
-				return err
-			}
-			d.full = append(d.full, sub.FixSets...)
 			continue
+		}
+		st := &ruleState{
+			keyOf:     make(map[int64]blockID, rel.Len()),
+			blocks:    map[blockID]*block{},
+			violating: map[blockID]*block{},
+		}
+		for _, t := range rel.Tuples {
+			k := d.blockKey(r, t)
+			st.keyOf[t.ID] = k
+			b := st.at(k)
+			b.members = append(b.members, t.ID)
 		}
 		sub, err := DetectRuleWith(d.ctx, d.planner, r, rel)
 		if err != nil {
 			return err
 		}
-		st := &ruleState{keyOf: map[int64]blockID{}, byBlock: map[blockID][]model.FixSet{}}
-		for _, t := range rel.Tuples {
-			st.keyOf[t.ID] = d.blockKey(r, t)
-		}
 		for _, fs := range sub.FixSets {
-			k := d.violationBlock(r, st, fs)
-			st.byBlock[k] = append(st.byBlock[k], fs)
+			d.cache(st, fs)
 		}
 		d.state[i] = st
 	}
@@ -240,71 +279,102 @@ func (d *IncrementalDetector) blockKey(r *Rule, t model.Tuple) blockID {
 	return blockID{key: r.Block(t).MapKey()}
 }
 
-// violationBlock attributes a fix set to a block through its first cell.
-func (d *IncrementalDetector) violationBlock(r *Rule, st *ruleState, fs model.FixSet) blockID {
-	if len(fs.Violation.Cells) == 0 {
-		return blockID{}
+// cache files a fix set under the block of its first cell.
+func (d *IncrementalDetector) cache(st *ruleState, fs model.FixSet) {
+	var k blockID
+	if len(fs.Violation.Cells) > 0 {
+		k = st.keyOf[fs.Violation.Cells[0].TupleID]
 	}
-	return st.keyOf[fs.Violation.Cells[0].TupleID]
+	b := st.at(k)
+	b.sets = append(b.sets, fs)
+	st.violating[k] = b
 }
 
-// incrementalPass refreshes one rule's state for the changed tuples.
-func (d *IncrementalDetector) incrementalPass(idx int, r *Rule, rel *model.Relation, changed []int64) error {
-	st := d.state[idx]
+// incrementalPass refreshes one rule's state for the changed tuples: it
+// moves each changed tuple to its current block in the membership index,
+// then re-detects the blocks it left and joined over their members alone.
+func (d *IncrementalDetector) incrementalPass(i int, r *Rule, rel *model.Relation, idx map[int64]int, changed []int64) error {
+	st := d.state[i]
 	if st == nil {
 		return fmt.Errorf("core: incremental state missing for rule %s", r.ID)
 	}
-	byID := rel.ByID()
 
 	// Affected blocks: old key and new key of every changed tuple.
-	affected := map[blockID]bool{}
+	affected := map[blockID]*block{}
 	for _, id := range changed {
 		if old, ok := st.keyOf[id]; ok {
-			affected[old] = true
+			affected[old] = st.blocks[old]
+			st.leave(old, id)
+			delete(st.keyOf, id)
 		}
-		if i, ok := byID[id]; ok {
-			t := rel.Tuples[i]
-			k := d.blockKey(r, t)
-			affected[k] = true
-			st.keyOf[id] = k
-		} else {
-			delete(st.keyOf, id) // tuple removed
+		p, ok := idx[id]
+		if !ok {
+			continue // tuple removed
 		}
+		k := d.blockKey(r, rel.Tuples[p])
+		st.keyOf[id] = k
+		b := st.at(k)
+		b.members = append(b.members, id)
+		affected[k] = b
 	}
 	if len(affected) == 0 {
 		return nil
 	}
 
-	// Re-detect the affected blocks only: restrict the relation to tuples
-	// whose current key is affected.
-	sub := model.NewRelation(rel.Name, rel.Schema)
-	for _, t := range rel.Tuples {
-		if affected[d.blockKey(r, t)] {
-			sub.Append(t)
+	// Re-detect the affected blocks only, over their members in relation
+	// order so each block's fix sets come out as a full pass lists them.
+	n := 0
+	for _, b := range affected {
+		n += len(b.members)
+	}
+	pos := make([]int, 0, n)
+	for k, b := range affected {
+		for _, id := range b.members {
+			if p, ok := idx[id]; ok {
+				pos = append(pos, p)
+			}
 		}
+		b.sets = nil
+		delete(st.violating, k)
 	}
-	for k := range affected {
-		delete(st.byBlock, k)
-	}
-	if sub.Len() > 0 {
+	if len(pos) > 0 {
+		slices.Sort(pos)
+		sub := &model.Relation{Name: rel.Name, Schema: rel.Schema, Tuples: make([]model.Tuple, len(pos))}
+		for j, p := range pos {
+			sub.Tuples[j] = rel.Tuples[p]
+		}
 		res, err := DetectRuleWith(d.ctx, d.planner, r, sub)
 		if err != nil {
 			return err
 		}
 		for _, fs := range res.FixSets {
-			k := d.violationBlock(r, st, fs)
-			st.byBlock[k] = append(st.byBlock[k], fs)
+			d.cache(st, fs)
+		}
+	}
+	for k, b := range affected {
+		if len(b.members) == 0 && len(b.sets) == 0 {
+			delete(st.blocks, k)
 		}
 	}
 	return nil
 }
 
-// assemble snapshots the cached state into a result.
+// assemble snapshots the cached state into a result: rules in index order,
+// each rule's blocks in first-seen order, then the non-incremental rules'
+// results — the same order on every run.
 func (d *IncrementalDetector) assemble() *DetectResult {
 	var lists [][]model.FixSet
 	for _, st := range d.state {
-		for _, sets := range st.byBlock {
-			lists = append(lists, sets)
+		if st == nil {
+			continue
+		}
+		bs := make([]*block, 0, len(st.violating))
+		for _, b := range st.violating {
+			bs = append(bs, b)
+		}
+		slices.SortFunc(bs, func(a, b *block) int { return cmp.Compare(a.rank, b.rank) })
+		for _, b := range bs {
+			lists = append(lists, b.sets)
 		}
 	}
 	return assemble(append(lists, d.full))

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bigdansing/internal/engine"
@@ -57,7 +59,7 @@ func TestIncrementalMatchesFullAfterUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := det.Detect(rel, nil)
+	first, err := det.Detect(rel, rel.ByID(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +89,7 @@ func TestIncrementalMatchesFullAfterUpdates(t *testing.T) {
 			}
 			changed = append(changed, id)
 		}
-		inc, err := det.Detect(rel, changed)
+		inc, err := det.Detect(rel, rel.ByID(), changed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +120,7 @@ func TestIncrementalUnaryRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := det.Detect(rel, nil); err != nil {
+	if _, err := det.Detect(rel, rel.ByID(), nil); err != nil {
 		t.Fatal(err)
 	}
 	// Fix one bad city and corrupt a good one.
@@ -133,7 +135,7 @@ func TestIncrementalUnaryRule(t *testing.T) {
 			broken = rel.Tuples[i].ID
 		}
 	}
-	inc, err := det.Detect(rel, []int64{fixed, broken})
+	inc, err := det.Detect(rel, rel.ByID(), []int64{fixed, broken})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +155,7 @@ func TestIncrementalFallsBackForComplexRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := det.Detect(rel, nil)
+	first, err := det.Detect(rel, rel.ByID(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +165,7 @@ func TestIncrementalFallsBackForComplexRules(t *testing.T) {
 	// Repair one rate and pass the change.
 	idx := rel.ByID()
 	rel.Tuples[idx[2]].Cells[5] = model.F(11) // t2 rate 10 -> 11
-	inc, err := det.Detect(rel, []int64{2})
+	inc, err := det.Detect(rel, rel.ByID(), []int64{2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +188,7 @@ func TestIncrementalAppendMatchesFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := det.Detect(rel, nil); err != nil { // prime on the empty relation
+	if _, err := det.Detect(rel, rel.ByID(), nil); err != nil { // prime on the empty relation
 		t.Fatal(err)
 	}
 	const batch = 60
@@ -200,7 +202,7 @@ func TestIncrementalAppendMatchesFull(t *testing.T) {
 			rel.Append(tp)
 			appended = append(appended, tp.ID)
 		}
-		inc, err := det.Detect(rel, appended)
+		inc, err := det.Detect(rel, rel.ByID(), appended)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +233,7 @@ func TestIncrementalBlockKeyChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := det.Detect(rel, nil)
+	first, err := det.Detect(rel, rel.ByID(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +241,7 @@ func TestIncrementalBlockKeyChurn(t *testing.T) {
 		t.Fatalf("clean start expected, got %d violations", len(first.Violations))
 	}
 	rel.Tuples[0].Cells[1] = model.I(10001) // t0 changes block
-	inc, err := det.Detect(rel, []int64{0})
+	inc, err := det.Detect(rel, rel.ByID(), []int64{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +255,7 @@ func TestIncrementalBlockKeyChurn(t *testing.T) {
 	assertSameViolations(t, inc, full, "block churn")
 	// And back: the violation must disappear from both caches.
 	rel.Tuples[0].Cells[1] = model.I(10000)
-	inc, err = det.Detect(rel, []int64{0})
+	inc, err = det.Detect(rel, rel.ByID(), []int64{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,12 +275,12 @@ func TestIncrementalBoundedFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := det.Detect(rel, nil)
+	first, err := det.Detect(rel, rel.ByID(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := ctx.Stats().Snapshot().Stages
-	again, err := det.Detect(rel, []int64{})
+	again, err := det.Detect(rel, rel.ByID(), []int64{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,14 +293,14 @@ func TestIncrementalBoundedFallback(t *testing.T) {
 	// (only the FD's touched block), Detect must.
 	idx := rel.ByID()
 	rel.Tuples[idx[3]].Cells[2] = model.S("Rewritten")
-	if err := det.Observe(rel, []int64{3}); err != nil {
+	if err := det.Observe(rel, rel.ByID(), []int64{3}); err != nil {
 		t.Fatal(err)
 	}
 	full, err := DetectRules(ctx, rules, rel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := det.Detect(rel, []int64{})
+	res, err := det.Detect(rel, rel.ByID(), []int64{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +316,7 @@ func TestIncrementalReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := det.Detect(rel, nil); err != nil {
+	if _, err := det.Detect(rel, rel.ByID(), nil); err != nil {
 		t.Fatal(err)
 	}
 	// Rewrite a swath of tuples without telling the detector, then Reset:
@@ -323,10 +325,10 @@ func TestIncrementalReset(t *testing.T) {
 		rel.Tuples[i].Cells[2] = model.S("Zapped")
 	}
 	det.Reset()
-	if det.Primed() {
+	if det.primed {
 		t.Fatal("Reset must unprime the detector")
 	}
-	res, err := det.Detect(rel, []int64{})
+	res, err := det.Detect(rel, rel.ByID(), []int64{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,13 +343,149 @@ func TestIncrementalNoChanges(t *testing.T) {
 	ctx := engine.New(2)
 	rel := mutableTax(60, 6, 1)
 	det, _ := NewIncrementalDetector(ctx, []*Rule{fdRule()})
-	first, err := det.Detect(rel, nil)
+	first, err := det.Detect(rel, rel.ByID(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := det.Detect(rel, []int64{})
+	again, err := det.Detect(rel, rel.ByID(), []int64{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameViolations(t, again, first, "no-op update")
+}
+
+// blockedFD is fdRule without its identity Scope, so it qualifies for
+// block-incremental maintenance (fdRule itself takes the fallback path).
+func blockedFD() *Rule {
+	r := fdRule()
+	r.Scope = nil
+	return r
+}
+
+// TestIncrementalMatchesScratch is the incremental ≡ from-scratch
+// property: a seeded mix of appends, updates that move a tuple to another
+// block, updates that keep its key, and updates only the fallback DC rule
+// sees. After every step Detect must equal DetectRules over the relation,
+// and the block-membership index must equal the one a fresh prime builds.
+func TestIncrementalMatchesScratch(t *testing.T) {
+	ctx := engine.New(2)
+	rules := []*Rule{blockedFD(), dcRule()}
+	whole := mutableTax(400, 30, 21)
+	rel := model.NewRelation(whole.Name, whole.Schema)
+	rel.Append(whole.Tuples[:100]...)
+	det, err := NewIncrementalDetector(ctx, rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := det.Detect(rel, rel.ByID(), nil); err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(5))
+	next := 100
+	for step := 0; step < 60; step++ {
+		var changed []int64
+		touch := func(i int) { changed = append(changed, rel.Tuples[i].ID) }
+		switch r.Intn(4) {
+		case 0: // append
+			for n := 1 + r.Intn(20); n > 0 && next < whole.Len(); n-- {
+				rel.Append(whole.Tuples[next])
+				touch(rel.Len() - 1)
+				next++
+			}
+		case 1: // move to another block
+			for n := 1 + r.Intn(5); n > 0; n-- {
+				i := r.Intn(rel.Len())
+				rel.Tuples[i].Cells[1] = model.I(int64(10000 + r.Intn(30)))
+				touch(i)
+			}
+		case 2: // rewrite the city, keeping the block
+			for n := 1 + r.Intn(5); n > 0; n-- {
+				i := r.Intn(rel.Len())
+				rel.Tuples[i].Cells[2] = model.S(fmt.Sprintf("C%d", 10000+r.Intn(30)))
+				touch(i)
+			}
+		default: // rewrite salary and rate: only the DC sees it
+			for n := 1 + r.Intn(5); n > 0; n-- {
+				i := r.Intn(rel.Len())
+				rel.Tuples[i].Cells[4] = model.F(float64(r.Intn(8)))
+				rel.Tuples[i].Cells[5] = model.F(float64(r.Intn(8)))
+				touch(i)
+			}
+		}
+		idx := rel.ByID()
+		if r.Intn(3) == 0 { // fold the change in at ingest time
+			if err := det.Observe(rel, idx, changed); err != nil {
+				t.Fatal(err)
+			}
+			changed = nil
+		}
+		got, err := det.Detect(rel, idx, changed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := DetectRules(ctx, rules, rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameViolations(t, got, want, fmt.Sprintf("step %d", step))
+
+		fresh, err := NewIncrementalDetector(ctx, rules)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fresh.Detect(rel, idx, nil); err != nil {
+			t.Fatal(err)
+		}
+		gotKeys, gotMembers := det.BlockIndex(0)
+		wantKeys, wantMembers := fresh.BlockIndex(0)
+		if !maps.Equal(gotKeys, wantKeys) {
+			t.Fatalf("step %d: tuple → block map differs from a fresh prime", step)
+		}
+		if !maps.EqualFunc(gotMembers, wantMembers, slices.Equal[[]int64]) {
+			t.Fatalf("step %d: block members differ from a fresh prime", step)
+		}
+	}
+}
+
+// TestIncrementalAssemblyOrder: two detectors fed the same history return
+// their fix sets in the same order, rules by index and blocks in
+// first-seen order.
+func TestIncrementalAssemblyOrder(t *testing.T) {
+	ctx := engine.New(2)
+	rules := []*Rule{blockedFD(), dcRule()}
+	run := func() [][]string {
+		rel := mutableTax(200, 20, 8)
+		det, err := NewIncrementalDetector(ctx, rules)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out [][]string
+		record := func(res *DetectResult) {
+			var keys []string
+			for _, fs := range res.FixSets {
+				keys = append(keys, fs.Violation.Key())
+			}
+			out = append(out, keys)
+		}
+		res, err := det.Detect(rel, rel.ByID(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		record(res)
+		for i := 0; i < 40; i += 4 {
+			rel.Tuples[i].Cells[1] = model.I(int64(10000 + i%7))
+			res, err := det.Detect(rel, rel.ByID(), []int64{rel.Tuples[i].ID})
+			if err != nil {
+				t.Fatal(err)
+			}
+			record(res)
+		}
+		return out
+	}
+	a, b := run(), run()
+	for i := range a {
+		if !slices.Equal(a[i], b[i]) {
+			t.Fatalf("pass %d: fix-set order differs between identical runs", i)
+		}
+	}
 }

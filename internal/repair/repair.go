@@ -110,7 +110,13 @@ func AlgorithmCode(name string) int64 {
 // frozen (the termination device of Section 2.2). It returns the number of
 // cells actually changed.
 func Apply(rel *model.Relation, assignments []Assignment, frozen map[model.CellKey]bool) int {
-	idx := rel.ByID()
+	return ApplyIndexed(rel, rel.ByID(), assignments, frozen)
+}
+
+// ApplyIndexed is Apply over the caller's live tuple ID → position index of
+// rel, so a long-lived caller (a cleanse.Session) pays per assignment, not
+// per relation.
+func ApplyIndexed(rel *model.Relation, idx map[int64]int, assignments []Assignment, frozen map[model.CellKey]bool) int {
 	changed := 0
 	for _, a := range assignments {
 		if frozen != nil && frozen[a.CellKey()] {
