@@ -31,26 +31,30 @@ race:
 # The benchmark is a Go module of its own (benchmark/go.mod), so the root
 # ./... does not descend into it; this builds it against the current
 # internal/ APIs and runs its unit tests and one-workload smoke run, then
-# builds and runs one iteration of the session-stream benchmark.
+# builds and runs one iteration of the session-stream and hypergraph-repair
+# benchmarks.
 bench-smoke:
 	cd benchmark && $(GO) test ./...
 	$(GO) test -run xxx -bench SessionStream -benchtime 1x ./internal/cleanse/
+	$(GO) test -run xxx -bench HypergraphRepair -benchtime 1x ./internal/repair/
 
 # 30 seconds of coverage-guided fuzzing per fuzzer (the wire codec, the
-# record decoders and the service's create body), seeded from testdata/fuzz
-# corpora. A finding is checked in as a new corpus file.
+# record decoders, the service's create body and the DC parser), seeded from
+# testdata/fuzz corpora. A finding is checked in as a new corpus file.
 fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 30s ./internal/netexec/
 	$(GO) test -run xxx -fuzz FuzzFrameRoundTrip -fuzztime 30s ./internal/netexec/
 	$(GO) test -run xxx -fuzz FuzzSplitRecords -fuzztime 30s ./internal/netexec/
 	$(GO) test -run xxx -fuzz FuzzDecode -fuzztime 30s ./internal/model/
 	$(GO) test -run xxx -fuzz FuzzCreateSession -fuzztime 30s ./internal/serve/
+	$(GO) test -run xxx -fuzz FuzzParseDC -fuzztime 30s ./internal/rules/
 
 bench:
 	$(GO) test -run xxx -bench 'Table2Datasets|Fig9' -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench . -benchtime 5x -benchmem ./internal/engine/
 	$(GO) test -run xxx -bench 'DetectScan|ViolationDedup' -benchtime 5x -benchmem ./internal/core/
 	$(GO) test -run xxx -bench SessionStream -benchtime 256x -benchmem ./internal/cleanse/
+	$(GO) test -run xxx -bench HypergraphRepair -benchtime 5x -benchmem ./internal/repair/
 
 # The non-test Go line count under internal/ and cmd/, the size ROADMAP.md
 # and CHANGES.md track.

@@ -230,6 +230,16 @@ func (v Value) numeric() bool { return v.Kind == KindInt || v.Kind == KindFloat 
 // (across int/float kinds); strings order lexicographically; a numeric
 // compared with a string falls back to string comparison of renderings.
 func Compare(a, b Value) int {
+	if a.Kind == KindFloat && b.Kind == KindFloat { // the hot case of DC repair
+		switch {
+		case a.Flt < b.Flt:
+			return -1
+		case a.Flt > b.Flt:
+			return 1
+		default:
+			return 0
+		}
+	}
 	if a.Kind == KindNull || b.Kind == KindNull {
 		switch {
 		case a.Kind == KindNull && b.Kind == KindNull:

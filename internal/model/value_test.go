@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -48,6 +49,29 @@ func TestCompareNumericAcrossKinds(t *testing.T) {
 	}
 	if Compare(F(3.5), I(3)) != 1 {
 		t.Error("F(3.5) > I(3)")
+	}
+}
+
+func TestCompareFloatsAgreeWithMixedNumerics(t *testing.T) {
+	// Two floats compare exactly as a float against the equal int does: -0
+	// equals +0 and NaN is neither below nor above any number.
+	nan := math.NaN()
+	for _, c := range []struct {
+		a, b float64
+		want int
+	}{
+		{1, 2, -1}, {2, 1, 1}, {2, 2, 0},
+		{math.Copysign(0, -1), 0, 0},
+		{nan, 1, 0}, {1, nan, 0}, {nan, nan, 0},
+	} {
+		if got := Compare(F(c.a), F(c.b)); got != c.want {
+			t.Errorf("Compare(F(%v), F(%v)) = %d, want %d", c.a, c.b, got, c.want)
+		}
+		if c.b == math.Trunc(c.b) {
+			if got := Compare(F(c.a), I(int64(c.b))); got != c.want {
+				t.Errorf("Compare(F(%v), I(%v)) = %d, want %d", c.a, c.b, got, c.want)
+			}
+		}
 	}
 }
 
