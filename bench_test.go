@@ -139,25 +139,15 @@ func BenchmarkFig8bErrorRates(b *testing.B) {
 	}
 }
 
-// benchDetect runs one system's detection in a sub-benchmark. The
-// "bigdansing-vec" system is the same engine with 1024-row column batches;
-// only scans with a batch kernel read them, so its numbers are honest for
-// every figure it appears in.
+// benchDetect runs one system's detection in a sub-benchmark.
 func benchDetect(b *testing.B, system string, rule *core.Rule, rel *model.Relation) {
 	b.Run(system, func(b *testing.B) {
 		b.ReportAllocs()
-		batch := 0
-		if system == "bigdansing-vec" {
-			batch = 1024
-		}
-		ctx, err := engine.NewContext(engine.Config{Parallelism: 8, BatchSize: batch})
-		if err != nil {
-			b.Fatal(err)
-		}
+		ctx := engine.New(8)
 		for i := 0; i < b.N; i++ {
 			var err error
 			switch system {
-			case "bigdansing", "bigdansing-vec":
+			case "bigdansing":
 				_, err = core.DetectRule(ctx, rule, rel)
 			case "nadeef":
 				_, err = baseline.NadeefDetect(rule, rel)
@@ -179,7 +169,7 @@ func benchDetect(b *testing.B, system string, rule *core.Rule, rel *model.Relati
 func BenchmarkFig9aTaxA(b *testing.B) {
 	rel := datagen.TaxA(20000, 0.1, benchSeed).Dirty
 	rule := mustFD(b, "phi1", "zipcode -> city", datagen.TaxSchema())
-	for _, sys := range []string{"bigdansing", "bigdansing-vec", "nadeef", "postgresql", "spark-sql"} {
+	for _, sys := range []string{"bigdansing", "nadeef", "postgresql", "spark-sql"} {
 		benchDetect(b, sys, rule, rel)
 	}
 }
@@ -188,7 +178,7 @@ func BenchmarkFig9aTaxA(b *testing.B) {
 func BenchmarkFig9bTaxB(b *testing.B) {
 	rel := datagen.TaxB(2000, 0.1, benchSeed).Dirty
 	rule := mustDC(b, "phi2", "t1.salary > t2.salary & t1.rate < t2.rate", datagen.TaxSchema())
-	for _, sys := range []string{"bigdansing", "bigdansing-vec", "postgresql", "spark-sql", "shark"} {
+	for _, sys := range []string{"bigdansing", "postgresql", "spark-sql", "shark"} {
 		benchDetect(b, sys, rule, rel)
 	}
 }
@@ -197,7 +187,7 @@ func BenchmarkFig9bTaxB(b *testing.B) {
 func BenchmarkFig9cTPCH(b *testing.B) {
 	rel := datagen.TPCH(20000, 0.1, benchSeed).Dirty
 	rule := mustFD(b, "phi3", "o_custkey -> c_address", datagen.TPCHSchema())
-	for _, sys := range []string{"bigdansing", "bigdansing-vec", "postgresql", "spark-sql"} {
+	for _, sys := range []string{"bigdansing", "postgresql", "spark-sql"} {
 		benchDetect(b, sys, rule, rel)
 	}
 }

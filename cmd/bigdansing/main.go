@@ -78,7 +78,6 @@ func run(args []string, out io.Writer) error {
 		vioOut    = fs.String("violations-out", "", "write the violation report (with possible fixes) to this CSV")
 		memBudget = fs.String("mem-budget", "", "memory budget for wide operators, e.g. 64MiB or 512K; shuffles spill to disk past it (default: unbounded)")
 		spillDir  = fs.String("spill-dir", "", "directory for spill run files (default: the system temp dir)")
-		batchSize = fs.Int("batch-size", 0, "rows per column batch for vectorized detection; 0 = tuple-at-a-time (1024 is a good starting point)")
 		netAddrs  = fs.String("net-addrs", "", "comma-separated addresses of pre-started workers (`bigdansing worker -addr ...`) to join instead of spawning")
 		statsIn   = fs.String("stats-in", "", "read prior-run pipeline measurements (a -stats-out file) to refine the cost planner's estimates")
 		statsOut  = fs.String("stats-out", "", "write this run's measured pipeline statistics (pairs, violations) for a later -stats-in")
@@ -137,9 +136,6 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("-mem-budget: %w", err)
 	}
-	if *batchSize < 0 {
-		return fmt.Errorf("-batch-size: %d is negative (0 disables vectorized execution)", *batchSize)
-	}
 	var tracer *trace.Tracer
 	if *explain || *tracePath != "" {
 		tracer = trace.New()
@@ -165,7 +161,6 @@ func run(args []string, out io.Writer) error {
 		Parallelism:       *workers,
 		MemoryBudgetBytes: budget,
 		SpillDir:          *spillDir,
-		BatchSize:         *batchSize,
 	}
 	for _, a := range strings.Split(*netAddrs, ",") {
 		if a = strings.TrimSpace(a); a != "" {

@@ -310,56 +310,6 @@ func TestStatsFlag(t *testing.T) {
 	}
 }
 
-func TestBatchSizeFlag(t *testing.T) {
-	input := writeTaxCSV(t)
-
-	// A negative batch size is rejected up front.
-	var out bytes.Buffer
-	err := run([]string{
-		"-input", input, "-schema", taxSchema,
-		"-fd", "zipcode -> city",
-		"-batch-size", "-8",
-	}, &out)
-	if err == nil || !strings.Contains(err.Error(), "batch-size") {
-		t.Fatalf("negative -batch-size should fail, got %v", err)
-	}
-
-	// Vectorized detection finds exactly what the tuple path finds.
-	detect := func(extra ...string) string {
-		t.Helper()
-		var buf bytes.Buffer
-		args := append([]string{
-			"-input", input, "-schema", taxSchema,
-			"-fd", "zipcode -> city",
-			"-dc", "t1.city = t2.city & t1.state != t2.state",
-			"-mode", "detect",
-		}, extra...)
-		if err := run(args, &buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	tuple := detect()
-	batch := detect("-batch-size", "2")
-	wantLine := "violations:"
-	for _, text := range []string{tuple, batch} {
-		if !strings.Contains(text, wantLine) {
-			t.Fatalf("no violation summary in output:\n%s", text)
-		}
-	}
-	vioCount := func(text string) string {
-		for _, line := range strings.Split(text, "\n") {
-			if strings.Contains(line, wantLine) {
-				return strings.TrimSpace(line)
-			}
-		}
-		return ""
-	}
-	if vioCount(tuple) != vioCount(batch) {
-		t.Fatalf("batch path found %q, tuple path %q", vioCount(batch), vioCount(tuple))
-	}
-}
-
 func TestCleanModeProb(t *testing.T) {
 	input := writeTaxCSV(t)
 	cleanOnce := func(seed string) string {

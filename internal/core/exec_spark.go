@@ -37,9 +37,9 @@ func (r *DetectResult) AllFixes() []model.Fix {
 // Block becomes groupByKey, CoBlock becomes cogroup, Iterate becomes the
 // chosen pair enumeration (or OCJoin), Detect and GenFix become flat maps.
 // Every pipeline runs one body — scan, scope, partition, per-group detect,
-// dedup, GenFix, collect — whatever its source format, Iterate choice or
-// backend. The engine is lazy, so per-group detection, dedup's keying and
-// GenFix fuse into per-partition stages at the shuffles that bound them.
+// dedup, GenFix, collect — whatever its Iterate choice or backend. The
+// engine is lazy, so per-group detection, dedup's keying and GenFix fuse
+// into per-partition stages at the shuffles that bound them.
 // The pipelines' per-group fix-set lists are assembled into one result
 // deduplicated on the violations' canonical key, matching the paper's
 // observation that BigDansing, unlike SQL self-joins, does not emit
@@ -49,36 +49,21 @@ func RunPlanSpark(ctx *engine.Context, pp *PhysicalPlan) (*DetectResult, error) 
 }
 
 // scanKey identifies one materialized scan: a relation under a scope chain
-// (none for the base scan) — so consolidated scans (Algorithm 1) share one
-// materialization — and, for column batches, the vectors materialized.
+// (none for the base scan), so consolidated scans (Algorithm 1) share one
+// materialization.
 type scanKey struct {
 	rel    *model.Relation
 	scopes [4]uintptr // first scopes' fn pointers; enough to discriminate
-	cols   string
 }
 
 type sparkExec struct {
 	ctx *engine.Context
-	// batchSize is the context's batch size; 0 never reads column batches.
-	batchSize int
-
-	// tuples and batches cache the scans in their two formats.
-	tuples  map[scanKey]*engine.Dataset[model.Tuple]
-	batches map[scanKey]*engine.Dataset[*model.Batch]
-	// pre holds relations whose data arrived as pre-built column batches
-	// (DetectRuleOnBatches); batch scans window them zero-copy and the tuple
-	// scan materializes them once.
-	pre map[*model.Relation][]*model.Batch
+	// tuples caches the scoped scans.
+	tuples map[scanKey]*engine.Dataset[model.Tuple]
 }
 
 func newSparkExec(ctx *engine.Context) *sparkExec {
-	return &sparkExec{
-		ctx:       ctx,
-		batchSize: ctx.BatchSize(),
-		tuples:    make(map[scanKey]*engine.Dataset[model.Tuple]),
-		batches:   make(map[scanKey]*engine.Dataset[*model.Batch]),
-		pre:       make(map[*model.Relation][]*model.Batch),
-	}
+	return &sparkExec{ctx: ctx, tuples: make(map[scanKey]*engine.Dataset[model.Tuple])}
 }
 
 func (ex *sparkExec) run(pp *PhysicalPlan) (*DetectResult, error) {
@@ -131,7 +116,7 @@ func (ex *sparkExec) runPipeline(pp *PhysicalPlan, p *PhysicalPipeline) ([][]mod
 // violations builds a pipeline's (lazy) violations, one list per group: its
 // branches are scanned and partitioned — grouped by block key into the
 // planner's partition count (one for Broadcast), co-grouped, or
-// range-partitioned by OCJoin — and one detector runs per group, batch or
+// range-partitioned by OCJoin — and one detector runs per group or
 // partition task.
 func (ex *sparkExec) violations(pp *PhysicalPlan, p *PhysicalPipeline, m *udfMeter) (*engine.Dataset[[]model.Violation], error) {
 	parts := 0 // the context's parallelism
@@ -157,15 +142,6 @@ func (ex *sparkExec) violations(pp *PhysicalPlan, p *PhysicalPipeline, m *udfMet
 		})), nil
 	}
 	b := p.Branches[0]
-	if p.Impl == IterSingles && ex.batchScan(p, b) && p.Vec.DetectBatch != nil {
-		bs, err := ex.batchStream(pp, p, b)
-		if err != nil {
-			return nil, err
-		}
-		return engine.Map(bs, metered(m, func(bt *model.Batch) ([]model.Violation, int64) {
-			return p.Vec.DetectBatch(bt), int64(bt.LiveRows())
-		})), nil
-	}
 	first, err := ex.branchStream(pp, p, b)
 	if err != nil {
 		return nil, err
@@ -256,9 +232,9 @@ func detectItems(detect DetectFunc, items []Item) ([]model.Violation, int64) {
 }
 
 // udfMeter is a pipeline's one instrumentation point: the Detect and GenFix
-// timers and the pair counter. Every path reports through it once per group,
-// batch or partition task — never per pair — and only when a user Observer
-// is installed; with the default Stats observer it measures nothing.
+// timers and the pair counter. Every path reports through it once per group
+// or partition task — never per pair — and only when a user Observer is
+// installed; with the default Stats observer it measures nothing.
 type udfMeter struct {
 	on                        bool
 	detectNs, genfixNs, pairs atomic.Int64
@@ -333,26 +309,8 @@ func (ex *sparkExec) scan(pp *PhysicalPlan, b Branch) (*model.Relation, scanKey,
 	return rel, key, nil
 }
 
-// batchScan reports whether a branch is scanned as column batches: only
-// when the context reads batches and a batch kernel consumes them — the
-// Scope kernel of the branch's one scope, or the unary DetectBatch of a
-// scope-free branch. Every other branch reads tuples.
-func (ex *sparkExec) batchScan(p *PhysicalPipeline, b Branch) bool {
-	if ex.batchSize <= 0 || p.Vec == nil || b.Derived != nil {
-		return false
-	}
-	switch len(b.Scopes) {
-	case 0:
-		return p.Impl == IterSingles && p.Vec.DetectBatch != nil
-	case 1:
-		return p.Vec.Scope != nil
-	}
-	return false
-}
-
 // branchStream materializes a branch's scoped tuple stream, cached per scan
-// so consolidated scans run once. A branch scanned as batches turns its
-// scoped batches into tuples here; derived branches (an upstream Iterate's
+// so consolidated scans run once; derived branches (an upstream Iterate's
 // output, Figure 4) run that Iterate and flatten its items back to units.
 func (ex *sparkExec) branchStream(pp *PhysicalPlan, p *PhysicalPipeline, b Branch) (*engine.Dataset[model.Tuple], error) {
 	if b.Derived != nil {
@@ -385,18 +343,9 @@ func (ex *sparkExec) branchStream(pp *PhysicalPlan, p *PhysicalPipeline, b Branc
 	if d, ok := ex.tuples[key]; ok {
 		return d, nil
 	}
-	var d *engine.Dataset[model.Tuple]
-	if ex.batchScan(p, b) {
-		bs, err := ex.batchStream(pp, p, b)
-		if err != nil {
-			return nil, err
-		}
-		d = engine.FlatMapBatches(bs, func(bt *model.Batch) []model.Tuple { return bt.AppendTuples(nil) })
-	} else {
-		d = ex.baseTuples(rel)
-		for _, s := range b.Scopes {
-			d = engine.FlatMap(d, s)
-		}
+	d := ex.baseTuples(rel)
+	for _, s := range b.Scopes {
+		d = engine.FlatMap(d, s)
 	}
 	// Err is an action: the scope chain runs here as one fused stage and the
 	// stream is cached, so every pipeline sharing this consolidated scan
@@ -408,20 +357,13 @@ func (ex *sparkExec) branchStream(pp *PhysicalPlan, p *PhysicalPipeline, b Branc
 	return d, nil
 }
 
-// baseTuples is a relation's unscoped tuple scan, made once per executor;
-// data that arrived as pre-built batches is materialized into rows here.
+// baseTuples is a relation's unscoped tuple scan, made once per executor.
 func (ex *sparkExec) baseTuples(rel *model.Relation) *engine.Dataset[model.Tuple] {
 	key := scanKey{rel: rel}
 	if d, ok := ex.tuples[key]; ok {
 		return d
 	}
-	ts := rel.Tuples
-	if len(ts) == 0 {
-		for _, bt := range ex.pre[rel] {
-			ts = bt.AppendTuples(ts)
-		}
-	}
-	d := engine.Parallelize(ex.ctx, ts, 0)
+	d := engine.Parallelize(ex.ctx, rel.Tuples, 0)
 	ex.tuples[key] = d
 	return d
 }

@@ -1,20 +1,6 @@
 package core
 
-import (
-	"slices"
-
-	"bigdansing/internal/engine"
-	"bigdansing/internal/model"
-)
-
-// RunPlanOnBatches is DetectRuleOnBatches with the plan supplied, so the
-// executor oracle (package core_test) can run storage batches under every
-// grouping.
-func RunPlanOnBatches(ctx *engine.Context, pp *PhysicalPlan, rel *model.Relation, batches []*model.Batch) (*DetectResult, error) {
-	ex := newSparkExec(ctx)
-	ex.pre[rel] = batches
-	return ex.run(pp)
-}
+import "slices"
 
 // BlockIndex exposes rule i's block-membership state: each tuple's block,
 // and each non-empty block's member IDs in ascending order, so a test can

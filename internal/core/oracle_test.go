@@ -14,12 +14,12 @@ import (
 	"bigdansing/internal/rules"
 )
 
-// The executor oracle: every rule shape runs through every source format,
-// grouping, exchange and memory budget of the one pipeline body, and each
-// run must reproduce the reference — the rule's per-pair Detect over the
-// planner's enumeration on the local engine, with its block and batch
-// kernels stripped — violation for violation and fix for fix, and count the
-// same candidate pairs.
+// The executor oracle: every rule shape runs through every grouping,
+// exchange and memory budget of the one pipeline body, and each run must
+// reproduce the reference — the rule's per-pair Detect over the planner's
+// enumeration on the local engine, with its block kernel stripped —
+// violation for violation and fix for fix, and count the same candidate
+// pairs.
 
 const oracleSchema = "name,zipcode:int,city,state,salary:float,rate:float"
 
@@ -65,30 +65,14 @@ func oracleData(n int, seed int64) *model.Relation {
 	return rel
 }
 
-// withScope narrows a compiled rule to rows with a non-empty city, through a
-// tuple Scope and the matching Scope kernel.
+// withScope narrows a compiled rule to rows with a non-empty city.
 func withScope(r *core.Rule) *core.Rule {
-	keep := func(city model.Value) bool { return !city.Equal(model.S("")) }
 	r.Scope = func(t model.Tuple) []model.Tuple {
-		if !keep(t.Cell(2)) {
+		if t.Cell(2).Equal(model.S("")) {
 			return nil
 		}
 		return []model.Tuple{t}
 	}
-	vec := core.VecForms{}
-	if r.Vec != nil {
-		vec = *r.Vec
-	}
-	vec.Scope = func(b *model.Batch) *model.Batch {
-		s := b.CloneSel()
-		s.ForEachLive(func(row int) {
-			if !keep(s.Value(row, 2)) {
-				s.Kill(row)
-			}
-		})
-		return s
-	}
-	r.Vec = &vec
 	return r
 }
 
@@ -147,33 +131,15 @@ func scoped(compile func(*testing.T, *model.Schema) *core.Rule) func(*testing.T,
 	return func(t *testing.T, s *model.Schema) *core.Rule { return withScope(compile(t, s)) }
 }
 
-// oracleSource is how a run reads its input: tuples, in-memory column
-// batches of a size, or storage batches (no row backing, fed pre-built).
-type oracleSource struct {
-	name    string
-	batch   int
-	storage bool
-}
-
-var oracleSources = []oracleSource{
-	{"tuples", 0, false},
-	{"batch=1", 1, false},
-	{"batch=3", 3, false},
-	{"batch=64", 64, false},
-	{"batch=1024", 1024, false},
-	{"storage", 64, true},
-}
-
 // oracleRun is one configuration of the table.
 type oracleRun struct {
-	src     oracleSource
 	onePart bool // the planner's Broadcast choice: group into one partition
 	disk    bool // the disk exchange
 	budget  bool // a memory budget of a few KiB: every wide operator spills
 }
 
 func (c oracleRun) String() string {
-	return fmt.Sprintf("%s/onePart=%v/disk=%v/budget=%v", c.src.name, c.onePart, c.disk, c.budget)
+	return fmt.Sprintf("onePart=%v/disk=%v/budget=%v", c.onePart, c.disk, c.budget)
 }
 
 // detect plans r over rel, applies the run's grouping, and executes it on a
@@ -182,7 +148,7 @@ func (c oracleRun) String() string {
 func (c oracleRun) detect(t *testing.T, r *core.Rule, rel *model.Relation) (*core.DetectResult, int64, int64) {
 	t.Helper()
 	rec := core.NewFeedbackRecorder()
-	cfg := engine.Config{Parallelism: 4, BatchSize: c.src.batch, Observer: rec}
+	cfg := engine.Config{Parallelism: 4, Observer: rec}
 	if c.budget {
 		cfg.MemoryBudgetBytes = 4 << 10
 		cfg.SpillDir = t.TempDir()
@@ -198,17 +164,7 @@ func (c oracleRun) detect(t *testing.T, r *core.Rule, rel *model.Relation) (*cor
 	if err != nil {
 		t.Fatal(err)
 	}
-	input := rel
-	var batches []*model.Batch
-	if c.src.storage {
-		// Storage batches carry only column vectors; the relation the plan
-		// reads is an empty shell with the schema.
-		for _, b := range model.MakeBatches(rel.Tuples, rel.Schema.Len(), 50) {
-			batches = append(batches, model.NewBatch(b.IDs, b.Cols))
-		}
-		input = model.NewRelation(rel.Name, rel.Schema)
-	}
-	lp, err := core.PlanRule(r, input)
+	lp, err := core.PlanRule(r, rel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,12 +175,7 @@ func (c oracleRun) detect(t *testing.T, r *core.Rule, rel *model.Relation) (*cor
 	for i := range pp.Pipelines {
 		pp.Pipelines[i].Broadcast = c.onePart
 	}
-	var res *core.DetectResult
-	if c.src.storage {
-		res, err = core.RunPlanOnBatches(ctx, pp, input, batches)
-	} else {
-		res, err = core.RunPlanSpark(ctx, pp)
-	}
+	res, err := core.RunPlanSpark(ctx, pp)
 	if err != nil {
 		t.Fatalf("%v: %v", c, err)
 	}
@@ -279,8 +230,8 @@ func TestExecutorOracle(t *testing.T) {
 					// local engine, no budget. Grouping into one partition
 					// reorders the groups, and nothing else.
 					ref := sh.rule(t, schema)
-					ref.DetectBlock, ref.Vec = nil, nil
-					want, refPairs, _ := oracleRun{src: oracleSources[0], onePart: onePart}.detect(t, ref, rel)
+					ref.DetectBlock = nil
+					want, refPairs, _ := oracleRun{onePart: onePart}.detect(t, ref, rel)
 					if n == 80 && len(want.Violations) == 0 {
 						t.Fatalf("n=%d: the reference found no violations", n)
 					}
@@ -290,27 +241,25 @@ func TestExecutorOracle(t *testing.T) {
 					} else if !slices.Equal(slices.Sorted(slices.Values(wantLines)), shuffled) {
 						t.Fatalf("n=%d: the one-partition reference finds other violations than the shuffled one", n)
 					}
-					for _, src := range oracleSources {
-						for _, disk := range []bool{false, true} {
-							for _, budget := range []bool{false, true} {
-								run := oracleRun{src: src, onePart: onePart, disk: disk, budget: budget}
-								got, gotPairs, spilled := run.detect(t, sh.rule(t, schema), rel)
-								if budget && !disk && n > 1 && sh.impl != core.IterSingles && spilled == 0 {
-									t.Fatalf("n=%d %v: the budget spilled nothing", n, run)
-								}
-								gotLines, want := rendered(t, got), wantLines
-								if budget {
-									// The external grouping merges groups in hash
-									// order: compare as multisets.
-									gotLines, want = slices.Sorted(slices.Values(gotLines)), slices.Sorted(slices.Values(want))
-								}
-								if !slices.Equal(gotLines, want) {
-									t.Fatalf("n=%d %v: %d violations differ from the reference's %d\n got  %q\n want %q",
-										n, run, len(gotLines), len(want), gotLines, want)
-								}
-								if gotPairs != pairs || refPairs != pairs {
-									t.Fatalf("n=%d %v: pairs %d, reference %d, first row %d", n, run, gotPairs, refPairs, pairs)
-								}
+					for _, disk := range []bool{false, true} {
+						for _, budget := range []bool{false, true} {
+							run := oracleRun{onePart: onePart, disk: disk, budget: budget}
+							got, gotPairs, spilled := run.detect(t, sh.rule(t, schema), rel)
+							if budget && !disk && n > 1 && sh.impl != core.IterSingles && spilled == 0 {
+								t.Fatalf("n=%d %v: the budget spilled nothing", n, run)
+							}
+							gotLines, want := rendered(t, got), wantLines
+							if budget {
+								// The external grouping merges groups in hash
+								// order: compare as multisets.
+								gotLines, want = slices.Sorted(slices.Values(gotLines)), slices.Sorted(slices.Values(want))
+							}
+							if !slices.Equal(gotLines, want) {
+								t.Fatalf("n=%d %v: %d violations differ from the reference's %d\n got  %q\n want %q",
+									n, run, len(gotLines), len(want), gotLines, want)
+							}
+							if gotPairs != pairs || refPairs != pairs {
+								t.Fatalf("n=%d %v: pairs %d, reference %d, first row %d", n, run, gotPairs, refPairs, pairs)
 							}
 						}
 					}

@@ -61,10 +61,9 @@ type Pipeline struct {
 	Unary      bool
 	NumParts   int
 
-	// DetectBlock and Vec carry the rule's block and batch kernels, when it
-	// has any (see Rule.DetectBlock, Rule.Vec).
+	// DetectBlock carries the rule's block kernel, when it has one (see
+	// Rule.DetectBlock).
 	DetectBlock BlockDetectFunc
-	Vec         *VecForms
 }
 
 // LogicalPlan is the validated, resolved form of a job (Figure 3's output):
@@ -211,7 +210,6 @@ func PlanRule(r *Rule, rel *model.Relation) (*LogicalPlan, error) {
 		Unary:       r.Unary,
 		NumParts:    r.NumParts,
 		DetectBlock: r.DetectBlock,
-		Vec:         r.Vec,
 	}
 	if r.BlockRight != nil {
 		// A self CoBlock: the same dataset keyed twice.

@@ -70,29 +70,10 @@ func DetectRuleFromStore(ctx *engine.Context, st *storage.Store, dataset string,
 }
 
 // detectFromReplica reads one partition (or, with part -1, the whole
-// replica) and detects r over it. With a batch size set the stored columns
-// arrive as batches (ReadBatches → DetectRuleOnBatches), which batch scans
-// read zero-copy; otherwise rows are materialized as before. An
-// empty single partition returns (nil, nil) so the pushdown loop can skip
-// it without planning anything.
+// replica) and detects r over it. An empty single partition returns
+// (nil, nil) so the pushdown loop can skip it without planning anything.
 func detectFromReplica(ctx *engine.Context, st *storage.Store, dataset, replica string, part int, r *Rule) (*DetectResult, error) {
-	opts := storage.ReadOptions{Partition: part}
-	if ctx.BatchSize() > 0 {
-		batches, schema, err := st.ReadBatches(dataset, replica, opts)
-		if err != nil {
-			return nil, err
-		}
-		total := 0
-		for _, b := range batches {
-			total += b.Len()
-		}
-		if total == 0 && part >= 0 {
-			return nil, nil
-		}
-		rel := model.NewRelation(dataset, schema)
-		return DetectRuleOnBatches(ctx, r, rel, batches)
-	}
-	rel, err := st.Read(dataset, replica, opts)
+	rel, err := st.Read(dataset, replica, storage.ReadOptions{Partition: part})
 	if err != nil {
 		return nil, err
 	}

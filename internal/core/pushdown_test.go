@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"bigdansing/internal/engine"
@@ -117,5 +120,60 @@ func TestPushdownAvoidsShuffle(t *testing.T) {
 	}
 	if len(pushed.Violations) != len(plain.Violations) {
 		t.Errorf("pushdown %d vs plain %d violations", len(pushed.Violations), len(plain.Violations))
+	}
+}
+
+// TestMalformedPlanRejected hand-writes broken upload plans over a valid
+// replica: every read and every detection from the store must return an
+// error, never panic and never return a silently empty relation.
+func TestMalformedPlanRejected(t *testing.T) {
+	schema := exampleTax().Schema.String()
+	plan := func(schema string, parts int64) string {
+		return fmt.Sprintf(`{"name":"tax","schema":%q,"partition_attr":"zipcode","partitions":%d,"rows":6}`, schema, parts)
+	}
+	key := model.I(90210)
+	for _, c := range []struct{ name, plan string }{
+		{"zero-partitions", plan(schema, 0)},
+		{"negative-partitions", plan(schema, -1)},
+		{"huge-partitions", plan(schema, 1<<40)},
+		{"not-json", `{"name":"tax","partitions":`},
+		{"bad-schema", plan("name,zipcode:money", 2)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := storage.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.Upload(exampleTax(), "zipcode", 2); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "tax", "zipcode", "plan.json"), []byte(c.plan), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			mustFail := func(label string, call func() error) {
+				t.Helper()
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("%s panicked: %v", label, p)
+					}
+				}()
+				if err := call(); err == nil {
+					t.Errorf("%s: no error", label)
+				}
+			}
+			for _, opts := range []storage.ReadOptions{{Partition: -1}, {Partition: 0}, {Partition: -1, BlockKey: &key}} {
+				mustFail(fmt.Sprintf("Read %+v", opts), func() error {
+					_, err := st.Read("tax", "zipcode", opts)
+					return err
+				})
+			}
+			for _, r := range []*Rule{pushdownRule(), fdRule()} {
+				mustFail("DetectRuleFromStore BlockAttr="+r.BlockAttr, func() error {
+					_, _, err := DetectRuleFromStore(engine.New(2), st, "tax", r)
+					return err
+				})
+			}
+		})
 	}
 }

@@ -67,14 +67,6 @@ type Rule struct {
 	// ignores them.
 	AltBlocks     []BlockFunc
 	AltBlockAttrs []string
-
-	// Vec optionally carries batch kernels of the rule's operators (a
-	// Scope kernel, a unary DetectBatch). A branch whose operators have them
-	// is scanned as column batches when the engine context enables a batch
-	// size; everything else reads tuples. The kernels must be
-	// observationally identical to the tuple operators — same violations,
-	// same order.
-	Vec *VecForms
 }
 
 // Validate checks the rule is executable.

@@ -336,10 +336,6 @@ type Context struct {
 	// engine take, like per-rule UDF timings.
 	instrumented bool
 
-	// batchSize is the column-batch size; 0 never reads batches (see
-	// Config.BatchSize).
-	batchSize int
-
 	// mem arbitrates the memory budget; nil means unbounded, in which case
 	// every wide operator takes its in-memory fast path.
 	mem *spill.Manager
@@ -377,12 +373,9 @@ type Config struct {
 	// system temp dir. Operators create (and always remove) per-operator
 	// subdirectories beneath it.
 	SpillDir string
-	// BatchSize is the row count per column batch. Layers above the engine
-	// (core's detection executor, storage's batch reader) consult it via
-	// Context.BatchSize: a positive value lets the executor scan a branch as
-	// model.Batch column vectors wherever a batch kernel consumes them; zero
-	// never reads batches. The engine itself is agnostic — batch and tuple
-	// datasets use the same operators. Negative is rejected.
+	// BatchSize is ignored: tuples are the executor's one scan format.
+	//
+	// Deprecated: ignored; kept only so existing callers still compile.
 	BatchSize int
 
 	// Backend selects the execution backend. BackendLocal (the zero value)
@@ -417,7 +410,7 @@ type Config struct {
 // workers) and no memory budget. Non-positive parallelism defaults to
 // GOMAXPROCS.
 func New(parallelism int) *Context {
-	// Only a non-local backend or a negative batch size makes NewContext fail.
+	// Only a non-local backend makes NewContext fail.
 	ctx, _ := NewContext(Config{Parallelism: parallelism})
 	return ctx
 }
@@ -432,10 +425,7 @@ func NewContext(cfg Config) (*Context, error) {
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
 	}
-	if cfg.BatchSize < 0 {
-		return nil, fmt.Errorf("engine: batch size %d is negative (0 keeps the tuple path)", cfg.BatchSize)
-	}
-	c := &Context{parallelism: p, batchSize: cfg.BatchSize}
+	c := &Context{parallelism: p}
 	c.obs = &c.stats
 	if cfg.Observer != nil {
 		c.obs = Tee(&c.stats, cfg.Observer)
@@ -492,10 +482,6 @@ func (c *Context) Observer() Observer { return c.obs }
 // to gate measurements that are not free (per-rule UDF timings), keeping
 // the default path unburdened.
 func (c *Context) Instrumented() bool { return c.instrumented }
-
-// BatchSize returns the configured column-batch size; 0 means no scan reads
-// batches.
-func (c *Context) BatchSize() int { return c.batchSize }
 
 // MemoryManager exposes the context's budget manager (nil when unbounded),
 // for callers that coordinate their own buffers with the engine's budget.

@@ -45,14 +45,10 @@ type narrowPlan[T any] struct {
 
 // forceable is the untyped handle a narrow plan keeps to its source
 // dataset: enough to ensure it is materialized and walk its partitions.
-// partRows reports a partition's record count in rows — it diverges from
-// partLen only for batch element types, where one element carries many rows
-// (see rowsOf).
 type forceable interface {
 	force() error
 	partsCount() int
 	partLen(p int) int
-	partRows(p int) int64
 }
 
 // Parallelize slices data into n partitions (n <= 0 means the context's
@@ -81,9 +77,7 @@ func Parallelize[T any](ctx *Context, data []T, n int) *Dataset[T] {
 		}
 		parts[i] = data[lo:hi:hi]
 	}
-	// Batch-typed data counts its rows, not its batch handles, so the
-	// records-read metric means the same thing on both execution paths.
-	ctx.obs.Count(MetricRecordsRead, rowsOf(data))
+	ctx.obs.Count(MetricRecordsRead, int64(len(data)))
 	return &Dataset[T]{ctx: ctx, state: dsDone, parts: parts}
 }
 
@@ -119,17 +113,14 @@ func (d *Dataset[T]) force() error {
 	n := plan.src.partsCount()
 	parts := make([][]T, n)
 	err := d.ctx.runStage(fusedStageName(plan.ops), n, func(tk *taskCtx) {
-		// Record flow is counted in rows: for batch element types one
-		// element is many records, and the Observer seam should see the
-		// rows, not the batch handles.
-		tk.recordsIn = plan.src.partRows(tk.part)
+		tk.recordsIn = int64(plan.src.partLen(tk.part))
 		var out []T
 		if plan.bounded {
 			out = make([]T, 0, plan.src.partLen(tk.part))
 		}
 		plan.feed(tk.part, tk, func(t T) { out = append(out, t) })
 		parts[tk.part] = out
-		tk.recordsOut = rowsOf(out)
+		tk.recordsOut = int64(len(out))
 	})
 	if err != nil {
 		d.fail(err)
@@ -162,10 +153,6 @@ func (d *Dataset[T]) partsCount() int { return len(d.parts) }
 
 // partLen implements forceable; only valid after force.
 func (d *Dataset[T]) partLen(p int) int { return len(d.parts[p]) }
-
-// partRows implements forceable; only valid after force. It counts rows,
-// which for batch element types means summing live rows per element.
-func (d *Dataset[T]) partRows(p int) int64 { return rowsOf(d.parts[p]) }
 
 // fusedStageName labels the stage of a fused chain, e.g. "Map·Filter".
 func fusedStageName(ops []string) string {

@@ -6,6 +6,17 @@ import (
 	"testing"
 )
 
+// mustContext builds a context from a configuration the test knows is
+// valid.
+func mustContext(tb testing.TB, cfg Config) *Context {
+	tb.Helper()
+	ctx, err := NewContext(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ctx
+}
+
 // recObserver is a minimal recording Observer for tests: it counts span
 // begins/ends and keeps the reported attributes.
 type recObserver struct {

@@ -196,6 +196,11 @@ func splitRecords(payload []byte, copyOut bool) ([][]byte, error) {
 		if sz <= 0 {
 			return nil, fmt.Errorf("netexec: corrupt record length")
 		}
+		// A multi-byte length whose last byte is zero has a shorter
+		// encoding; appendRecord never writes one.
+		if sz > 1 && payload[sz-1] == 0 {
+			return nil, fmt.Errorf("netexec: non-canonical record length")
+		}
 		if n > uint64(len(payload)-sz) {
 			return nil, fmt.Errorf("netexec: record overruns frame (%d > %d)", n, len(payload)-sz)
 		}

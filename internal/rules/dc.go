@@ -303,7 +303,6 @@ func (dc *DC) Compile(schema *model.Schema) (*core.Rule, error) {
 			GenFix: func(v model.Violation) []model.Fix {
 				return dcGenFix(schema, res, v)
 			},
-			Vec: dcUnaryVecForms(ruleID, res, cellsOf),
 		}, nil
 	}
 
@@ -385,63 +384,6 @@ func (dc *DC) Compile(schema *model.Schema) (*core.Rule, error) {
 type resolvedPred struct {
 	p          Pred
 	lCol, rCol int
-}
-
-// dcUnaryVecForms builds a unary DC's vectorized Detect: each predicate
-// scans the batch's column vectors and kills the rows that fail it
-// (narrowing on a private selection copy, with an early exit once the batch
-// is empty), so the common all-clean batch never materializes a tuple.
-// Survivors — rows satisfying the whole conjunction — become violations in
-// row order, exactly as the tuple path's single-unit enumeration emits them.
-func dcUnaryVecForms(ruleID string, res []resolvedPred, cellsOf func(a, b model.Tuple) []model.Cell) *core.VecForms {
-	// Declare the predicate columns so the executor materializes exactly the
-	// vectors the kernel scans. The declaration must stay non-nil even for an
-	// all-constant rule — nil means "materialize everything".
-	scan := []int{}
-	addScan := func(c int) {
-		for _, k := range scan {
-			if k == c {
-				return
-			}
-		}
-		scan = append(scan, c)
-	}
-	for _, r := range res {
-		addScan(r.lCol)
-		if !r.p.RightIsConst {
-			addScan(r.rCol)
-		}
-	}
-	return &core.VecForms{
-		ScanCols: scan,
-		DetectBatch: func(b *model.Batch) []model.Violation {
-			s := b.CloneSel()
-			for _, r := range res {
-				if s.LiveRows() == 0 {
-					return nil
-				}
-				s.ForEachLive(func(row int) {
-					lv := s.Value(row, r.lCol)
-					rv := r.p.Const
-					if !r.p.RightIsConst {
-						rv = s.Value(row, r.rCol)
-					}
-					if !r.p.Op.Eval(lv, rv) {
-						s.Kill(row)
-					}
-				})
-			}
-			if s.LiveRows() == 0 {
-				return nil
-			}
-			out := make([]model.Violation, 0, s.LiveRows())
-			s.ForEachLive(func(row int) {
-				t := s.TupleAt(row)
-				out = append(out, model.NewViolation(ruleID, cellsOf(t, t)...))
-			})
-			return out
-		},
-	}
 }
 
 // dcBlockKernel builds the block kernel of a same-key blocked DC: per

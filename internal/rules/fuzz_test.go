@@ -31,3 +31,50 @@ func FuzzParseDC(f *testing.F) {
 		_, _ = dc.Compile(schema)
 	})
 }
+
+// FuzzParseFD feeds arbitrary rule text through ParseFD and, when it parses,
+// renders it and compiles it against the Tax schema. No step may panic.
+func FuzzParseFD(f *testing.F) {
+	for _, spec := range []string{
+		"zipcode -> city",
+		"zipcode, state -> city, rate",
+		"zipcode -> zipcode",
+		" , -> city",
+		"nosuch -> city",
+		"a -> b -> c",
+	} {
+		f.Add(spec)
+	}
+	schema := datagen.TaxSchema()
+	f.Fuzz(func(t *testing.T, spec string) {
+		fd, err := ParseFD("fz", spec)
+		if err != nil {
+			return
+		}
+		_ = fd.String()
+		_, _ = fd.Compile(schema)
+	})
+}
+
+// FuzzParseCFD feeds arbitrary rule text through ParseCFD and, when it
+// parses, compiles it against the Tax schema. Neither step may panic.
+func FuzzParseCFD(f *testing.F) {
+	for _, spec := range []string{
+		"zipcode -> city | 90210 => LA ; _ => _",
+		"zipcode, state -> city | _, CA => _ ; 10011, NY => NY",
+		"zipcode -> city | ; ;",
+		"zipcode -> city | 1, 2 => 3",
+		"zipcode -> city | => ",
+		"nosuch -> city | _ => _",
+	} {
+		f.Add(spec)
+	}
+	schema := datagen.TaxSchema()
+	f.Fuzz(func(t *testing.T, spec string) {
+		cfd, err := ParseCFD("fz", spec)
+		if err != nil {
+			return
+		}
+		_, _ = cfd.Compile(schema)
+	})
+}

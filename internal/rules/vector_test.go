@@ -46,43 +46,37 @@ func vecRandomTax(n int, seed int64) *model.Relation {
 	return rel
 }
 
-// requireSameDetect asserts the compiled rule's kernels, on tuples and on
-// every batch size, reproduce its per-pair Detect (kernels stripped, tuples,
-// local engine) violation for violation, in order.
-func requireSameDetect(t *testing.T, r *core.Rule, rel *model.Relation, sizes []int) {
+// requireSameDetect asserts the compiled rule's kernels reproduce its
+// per-pair Detect (kernels stripped, local engine of the same parallelism)
+// violation for violation, in order.
+func requireSameDetect(t *testing.T, r *core.Rule, rel *model.Relation) {
 	t.Helper()
 	ref := *r
-	ref.DetectBlock, ref.Vec = nil, nil
-	want, err := core.DetectRule(engine.New(4), &ref, rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, size := range append([]int{0}, sizes...) {
-		ctx, err := engine.NewContext(engine.Config{Parallelism: 4, BatchSize: size})
+	ref.DetectBlock = nil
+	for _, par := range []int{1, 4} {
+		want, err := core.DetectRule(engine.New(par), &ref, rel)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := core.DetectRule(ctx, r, rel)
+		got, err := core.DetectRule(engine.New(par), r, rel)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got.Violations) != len(want.Violations) {
-			t.Fatalf("%s batch=%d rows=%d: %d violations, want %d",
-				r.ID, size, rel.Len(), len(got.Violations), len(want.Violations))
+			t.Fatalf("%s parallelism=%d rows=%d: %d violations, want %d",
+				r.ID, par, rel.Len(), len(got.Violations), len(want.Violations))
 		}
 		for i := range want.Violations {
 			if want.Violations[i].MapKey() != got.Violations[i].MapKey() {
-				t.Fatalf("%s batch=%d: violation %d differs:\n  want %v\n  got  %v",
-					r.ID, size, i, want.Violations[i], got.Violations[i])
+				t.Fatalf("%s parallelism=%d: violation %d differs:\n  want %v\n  got  %v",
+					r.ID, par, i, want.Violations[i], got.Violations[i])
 			}
 			if len(want.FixSets[i].Fixes) != len(got.FixSets[i].Fixes) {
-				t.Fatalf("%s batch=%d: violation %d fix count differs", r.ID, size, i)
+				t.Fatalf("%s parallelism=%d: violation %d fix count differs", r.ID, par, i)
 			}
 		}
 	}
 }
-
-var vecSizes = []int{1, 3, 7, 1024}
 
 func TestVecFDEquivalence(t *testing.T) {
 	schema := model.MustParseSchema("name,zipcode:int,city,state,salary:float,rate:float")
@@ -111,8 +105,8 @@ func TestVecFDEquivalence(t *testing.T) {
 	// Empty, single-row, short-tail and full-size relations.
 	for _, n := range []int{0, 1, 5, 400} {
 		rel := vecRandomTax(n, int64(n)+21)
-		requireSameDetect(t, single, rel, vecSizes)
-		requireSameDetect(t, multi, rel, vecSizes)
+		requireSameDetect(t, single, rel)
+		requireSameDetect(t, multi, rel)
 	}
 }
 
@@ -132,12 +126,12 @@ func TestVecDCEquivalence(t *testing.T) {
 	}
 	rel := vecRandomTax(400, 42)
 
-	// Unary (constant predicates): the DetectBatch kernel.
+	// Unary (constant predicates): single units, no block kernel.
 	unary := compile("t1.salary > 2500 & t1.rate < 3")
-	if unary.Vec == nil || unary.Vec.DetectBatch == nil {
-		t.Fatal("unary DC should compile a batch Detect")
+	if !unary.Unary || unary.DetectBlock != nil {
+		t.Fatal("unary DC should compile a single-unit rule without a block kernel")
 	}
-	requireSameDetect(t, unary, rel, vecSizes)
+	requireSameDetect(t, unary, rel)
 
 	// Blocked symmetric (same attribute both sides): unique pairs through
 	// the block kernel.
@@ -145,42 +139,42 @@ func TestVecDCEquivalence(t *testing.T) {
 	if sym.DetectBlock == nil {
 		t.Fatal("same-key blocked DC should compile a block kernel")
 	}
-	requireSameDetect(t, sym, rel, vecSizes)
+	requireSameDetect(t, sym, rel)
 
 	// Blocked asymmetric: ordered pairs through the block kernel, then dedup.
 	asym := compile("t1.zipcode = t2.zipcode & t1.salary > t2.salary & t1.rate < 20")
 	if asym.DetectBlock == nil {
 		t.Fatal("same-key blocked DC should compile a block kernel")
 	}
-	requireSameDetect(t, asym, rel, vecSizes)
+	requireSameDetect(t, asym, rel)
 
 	// CoBlock pairs across two keys: no block kernel.
 	cob := compile("t1.city = t2.state & t1.salary < t2.salary")
 	if cob.DetectBlock != nil || cob.BlockRight == nil {
 		t.Fatal("CoBlock DC should co-group and carry no block kernel")
 	}
-	requireSameDetect(t, cob, vecRandomTax(120, 5), vecSizes)
+	requireSameDetect(t, cob, vecRandomTax(120, 5))
 
-	// The OCJoin shape compiles no kernels and reads tuples at every size.
+	// The OCJoin shape compiles no kernels.
 	ocj := compile("t1.salary > t2.salary & t1.rate < t2.rate")
-	if ocj.Vec != nil || ocj.DetectBlock != nil {
+	if ocj.DetectBlock != nil {
 		t.Fatal("OCJoin-shaped DC should carry no kernels")
 	}
-	requireSameDetect(t, ocj, vecRandomTax(120, 8), vecSizes)
+	requireSameDetect(t, ocj, vecRandomTax(120, 8))
 
-	// Short tails and empty input for the unary batch kernel.
+	// Short tails and empty input for the unary rule.
 	for _, n := range []int{0, 1, 5} {
-		requireSameDetect(t, unary, vecRandomTax(n, int64(n)+3), vecSizes)
+		requireSameDetect(t, unary, vecRandomTax(n, int64(n)+3))
 	}
 }
 
 func TestVecCleanEquivalence(t *testing.T) {
-	// Full FD+DC cleansing loop: the batch path must produce the exact
-	// repaired instance the tuple path produces.
+	// Full FD+DC cleansing loop: the compiled block kernels must produce the
+	// exact repaired instance the per-pair Detect produces.
 	schema := model.MustParseSchema("name,zipcode:int,city,state,salary:float,rate:float")
 	rel := vecRandomTax(300, 77)
 
-	buildRules := func() []*core.Rule {
+	buildRules := func(kernels bool) []*core.Rule {
 		fd, err := ParseFD("fd1", "zipcode -> city")
 		if err != nil {
 			t.Fatal(err)
@@ -197,13 +191,19 @@ func TestVecCleanEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if fdr.DetectBlock == nil || dcr.DetectBlock == nil {
+			t.Fatal("compiled FD and same-key DC should carry block kernels")
+		}
+		if !kernels {
+			fdr.DetectBlock, dcr.DetectBlock = nil, nil
+		}
 		return []*core.Rule{fdr, dcr}
 	}
 
-	clean := func(batchSize int) *cleanse.Result {
+	clean := func(kernels bool) *cleanse.Result {
 		t.Helper()
-		c, err := cleanse.NewCleaner(nil, buildRules(), cleanse.WithMaxIterations(4),
-			cleanse.WithEngineConfig(engine.Config{Parallelism: 4, BatchSize: batchSize}))
+		c, err := cleanse.NewCleaner(nil, buildRules(kernels), cleanse.WithMaxIterations(4),
+			cleanse.WithEngineConfig(engine.Config{Parallelism: 4}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,48 +214,24 @@ func TestVecCleanEquivalence(t *testing.T) {
 		return res
 	}
 
-	want := clean(0)
-	for _, size := range []int{1, 64, 1024} {
-		got := clean(size)
-		if got.Clean.Len() != want.Clean.Len() {
-			t.Fatalf("batch=%d: %d tuples, want %d", size, got.Clean.Len(), want.Clean.Len())
+	want, got := clean(false), clean(true)
+	if got.Clean.Len() != want.Clean.Len() {
+		t.Fatalf("%d tuples, want %d", got.Clean.Len(), want.Clean.Len())
+	}
+	for i := range want.Clean.Tuples {
+		w, g := want.Clean.Tuples[i], got.Clean.Tuples[i]
+		if w.ID != g.ID {
+			t.Fatalf("tuple %d id %d, want %d", i, g.ID, w.ID)
 		}
-		for i := range want.Clean.Tuples {
-			w, g := want.Clean.Tuples[i], got.Clean.Tuples[i]
-			if w.ID != g.ID {
-				t.Fatalf("batch=%d: tuple %d id %d, want %d", size, i, g.ID, w.ID)
-			}
-			for c := 0; c < schema.Len(); c++ {
-				if !w.Cell(c).Equal(g.Cell(c)) {
-					t.Fatalf("batch=%d: tuple %d col %d: %v, want %v",
-						size, i, c, g.Cell(c), w.Cell(c))
-				}
+		for c := 0; c < schema.Len(); c++ {
+			if !w.Cell(c).Equal(g.Cell(c)) {
+				t.Fatalf("tuple %d col %d: %v, want %v", i, c, g.Cell(c), w.Cell(c))
 			}
 		}
-		wr, gr := want.Report(), got.Report()
-		if wr.InitialViolations != gr.InitialViolations || wr.Iterations != gr.Iterations {
-			t.Fatalf("batch=%d: report differs: %d/%d violations, %d/%d iterations",
-				size, gr.InitialViolations, wr.InitialViolations, gr.Iterations, wr.Iterations)
-		}
 	}
-}
-
-func TestVecBatchSizeValidation(t *testing.T) {
-	fd, err := ParseFD("fd1", "zipcode -> city")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := fd.Compile(model.MustParseSchema("name,zipcode:int,city"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	withBatch := func(n int) cleanse.Option {
-		return cleanse.WithEngineConfig(engine.Config{Parallelism: 2, BatchSize: n})
-	}
-	if _, err := cleanse.NewCleaner(nil, []*core.Rule{r}, withBatch(-1)); err == nil {
-		t.Fatal("negative engine.Config.BatchSize should be rejected at construction")
-	}
-	if _, err := cleanse.NewCleaner(nil, []*core.Rule{r}, withBatch(0)); err != nil {
-		t.Fatalf("zero BatchSize is the tuple path and must validate: %v", err)
+	wr, gr := want.Report(), got.Report()
+	if wr.InitialViolations != gr.InitialViolations || wr.Iterations != gr.Iterations {
+		t.Fatalf("report differs: %d/%d violations, %d/%d iterations",
+			gr.InitialViolations, wr.InitialViolations, gr.Iterations, wr.Iterations)
 	}
 }

@@ -192,17 +192,36 @@ func (s *Store) Replicas(name string) ([]string, error) {
 	return out, nil
 }
 
-// Plan reads the upload plan of a replica.
+// Plan reads the upload plan of a replica. plan.json is read from disk and
+// may have been written by anything, so a plan with fewer than one
+// partition, a schema that does not parse, or a partition count its files
+// do not bear out (the last partition's id file is missing) is rejected.
 func (s *Store) Plan(name, partAttr string) (*UploadPlan, error) {
+	plan, _, err := s.plan(name, partAttr)
+	return plan, err
+}
+
+// plan reads and validates a replica's upload plan and parses its schema.
+func (s *Store) plan(name, partAttr string) (*UploadPlan, *model.Schema, error) {
 	raw, err := os.ReadFile(filepath.Join(s.replicaDir(name, partAttr), "plan.json"))
 	if err != nil {
-		return nil, fmt.Errorf("storage: plan for %s/%s: %w", name, partAttr, err)
+		return nil, nil, fmt.Errorf("storage: plan for %s/%s: %w", name, partAttr, err)
 	}
 	var plan UploadPlan
 	if err := json.Unmarshal(raw, &plan); err != nil {
-		return nil, fmt.Errorf("storage: plan for %s/%s: %w", name, partAttr, err)
+		return nil, nil, fmt.Errorf("storage: plan for %s/%s: %w", name, partAttr, err)
 	}
-	return &plan, nil
+	if plan.Partitions < 1 {
+		return nil, nil, fmt.Errorf("storage: plan for %s/%s: %d partitions, want at least 1", name, partAttr, plan.Partitions)
+	}
+	if _, err := os.Stat(partFile(s.replicaDir(name, partAttr), plan.Partitions-1, -1)); err != nil {
+		return nil, nil, fmt.Errorf("storage: plan for %s/%s claims %d partitions: %w", name, partAttr, plan.Partitions, err)
+	}
+	schema, err := model.ParseSchema(plan.Schema)
+	if err != nil {
+		return nil, nil, fmt.Errorf("storage: plan for %s/%s: %w", name, partAttr, err)
+	}
+	return &plan, schema, nil
 }
 
 // ReadOptions select what Read materializes, implementing the pushdowns.
@@ -223,45 +242,23 @@ type ReadOptions struct {
 }
 
 // Read materializes (part of) a replica according to opts as a row-major
-// relation: the columnar files are read once (ReadBatches) and the rows
-// assembled from them.
+// relation, assembling each stored partition's rows straight from its id
+// and column files. Slices grow with what the files hold, never with the
+// counts plan.json claims.
 func (s *Store) Read(name, partAttr string, opts ReadOptions) (*model.Relation, error) {
-	batches, outSchema, err := s.ReadBatches(name, partAttr, opts)
+	plan, schema, err := s.plan(name, partAttr)
 	if err != nil {
 		return nil, err
 	}
-	rel := model.NewRelation(name, outSchema)
-	for _, b := range batches {
-		rel.Tuples = b.AppendTuples(rel.Tuples)
-	}
-	return rel, nil
-}
-
-// ReadBatches reads (part of) a replica according to opts straight into
-// column batches — one fully-live batch per stored partition, wrapping the
-// decoded column vectors without a row-major copy. This is the zero-copy
-// feed for vectorized execution: the stored layout is already columnar, so
-// the batch path never materializes tuples at read time (rows surface only
-// via Batch.TupleAt / AppendTuples). Column and partition selection match
-// Read exactly; the returned schema covers the selected columns.
-func (s *Store) ReadBatches(name, partAttr string, opts ReadOptions) ([]*model.Batch, *model.Schema, error) {
-	plan, err := s.Plan(name, partAttr)
-	if err != nil {
-		return nil, nil, err
-	}
-	schema, err := model.ParseSchema(plan.Schema)
-	if err != nil {
-		return nil, nil, fmt.Errorf("storage: replica %s/%s: %w", name, partAttr, err)
-	}
 	dir := s.replicaDir(name, partAttr)
 
-	cols := make([]int, 0, schema.Len())
+	var cols []int
 	outSchema := schema
 	if opts.Columns != nil {
 		for _, cn := range opts.Columns {
 			c, ok := schema.Index(cn)
 			if !ok {
-				return nil, nil, fmt.Errorf("storage: unknown column %q", cn)
+				return nil, fmt.Errorf("storage: unknown column %q", cn)
 			}
 			cols = append(cols, c)
 		}
@@ -272,44 +269,50 @@ func (s *Store) ReadBatches(name, partAttr string, opts ReadOptions) ([]*model.B
 		}
 	}
 
-	partsToRead := make([]int, 0, plan.Partitions)
+	lo, hi := 0, plan.Partitions
 	switch {
 	case opts.BlockKey != nil:
 		if plan.PartitionAttr == "" {
-			return nil, nil, fmt.Errorf("storage: block pushdown needs a content-partitioned replica")
+			return nil, fmt.Errorf("storage: block pushdown needs a content-partitioned replica")
 		}
-		partsToRead = append(partsToRead, int(opts.BlockKey.Hash()%uint64(plan.Partitions)))
+		lo = int(opts.BlockKey.Hash() % uint64(plan.Partitions))
+		hi = lo + 1
 	case opts.Partition >= 0:
 		if opts.Partition >= plan.Partitions {
-			return nil, nil, fmt.Errorf("storage: partition %d out of range (%d)", opts.Partition, plan.Partitions)
+			return nil, fmt.Errorf("storage: partition %d out of range (%d)", opts.Partition, plan.Partitions)
 		}
-		partsToRead = append(partsToRead, opts.Partition)
-	default:
-		for p := 0; p < plan.Partitions; p++ {
-			partsToRead = append(partsToRead, p)
-		}
+		lo, hi = opts.Partition, opts.Partition+1
 	}
 
-	batches := make([]*model.Batch, 0, len(partsToRead))
-	for _, p := range partsToRead {
+	rel := model.NewRelation(name, outSchema)
+	for p := lo; p < hi; p++ {
 		ids, err := readIDs(partFile(dir, p, -1))
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if len(ids) == 0 {
 			continue
 		}
-		colVals := make([][]model.Value, len(cols))
+		vecs := make([][]model.Value, len(cols))
 		for i, c := range cols {
-			vals, err := readColumn(partFile(dir, p, c), len(ids))
-			if err != nil {
-				return nil, nil, err
+			if vecs[i], err = readColumn(partFile(dir, p, c), len(ids)); err != nil {
+				return nil, err
 			}
-			colVals[i] = vals
 		}
-		batches = append(batches, model.NewBatch(ids, colVals))
+		// One cell slab per partition, transposed from the column vectors;
+		// each tuple is a capped window of it.
+		w := len(cols)
+		cells := make([]model.Value, len(ids)*w)
+		for i, vals := range vecs {
+			for r, v := range vals {
+				cells[r*w+i] = v
+			}
+		}
+		for r, id := range ids {
+			rel.Tuples = append(rel.Tuples, model.Tuple{ID: id, Cells: cells[r*w : (r+1)*w : (r+1)*w]})
+		}
 	}
-	return batches, outSchema, nil
+	return rel, nil
 }
 
 func partFile(dir string, part, col int) string {
