@@ -135,7 +135,8 @@ func newSession(cfg Cleaner, rel *model.Relation, incremental bool) (*Session, e
 // land in are re-detected, and non-incrementalizable rules are merely
 // marked stale for the next Flush. Tuples are cloned — the caller keeps
 // ownership of the batch. A tuple with a negative ID is assigned the next
-// free one; a duplicate ID fails the whole batch (nothing is appended).
+// free one, past every ID in the session and in the batch; a duplicate ID
+// fails the whole batch (nothing is appended).
 func (s *Session) Ingest(batch []model.Tuple) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -147,6 +148,7 @@ func (s *Session) Ingest(batch []model.Tuple) error {
 	}
 	want := s.rel.Schema.Len()
 	seen := make(map[int64]bool, len(batch))
+	next := s.nextID
 	for i, t := range batch {
 		if len(t.Cells) != want {
 			return fmt.Errorf("cleanse: ingest: tuple %d has %d cells, schema has %d", i, len(t.Cells), want)
@@ -156,16 +158,16 @@ func (s *Session) Ingest(batch []model.Tuple) error {
 				return fmt.Errorf("cleanse: ingest: duplicate tuple id %d", t.ID)
 			}
 			seen[t.ID] = true
+			next = max(next, t.ID+1)
 		}
 	}
+	s.nextID = next
 	ids := make([]int64, 0, len(batch))
 	for _, t := range batch {
 		t = t.Clone()
 		if t.ID < 0 {
 			t.ID = s.nextID
-		}
-		if t.ID >= s.nextID {
-			s.nextID = t.ID + 1
+			s.nextID++
 		}
 		s.idx[t.ID] = len(s.rel.Tuples)
 		s.rel.Append(t)

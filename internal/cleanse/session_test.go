@@ -1,6 +1,7 @@
 package cleanse
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -297,6 +298,53 @@ func TestSessionIngestErrors(t *testing.T) {
 	}
 	if s.Relation() == nil || !s.Status().Closed {
 		t.Error("Relation/Status must survive Close")
+	}
+}
+
+// TestSessionIngestIDs: auto-assigned IDs never collide with an explicit ID
+// of the same batch, whichever comes first, and an explicit ID already in
+// the session still fails the whole batch.
+func TestSessionIngestIDs(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		batches [][]int64 // tuple IDs per Ingest; -1 asks for one
+		wantErr bool      // the last batch fails
+		want    []int64   // the session's IDs afterwards, in order
+	}{
+		{"auto then explicit", [][]int64{{-1, 0}}, false, []int64{1, 0}},
+		{"explicit then auto", [][]int64{{0, -1}}, false, []int64{0, 1}},
+		{"auto around a larger explicit", [][]int64{{-1, 7, -1}}, false, []int64{8, 7, 9}},
+		{"explicit already in the session", [][]int64{{-1, 3}, {5, 3}}, true, []int64{4, 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rel := dirtyTax(1, 1, 0)
+			s, err := mustCleaner(t, engine.New(2), []*core.Rule{fdZipCity(t, rel)}).Open(rel.Schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			for i, ids := range tc.batches {
+				batch := make([]model.Tuple, len(ids))
+				for j, id := range ids {
+					batch[j] = rel.Tuples[0].Clone()
+					batch[j].ID = id
+				}
+				err := s.Ingest(batch)
+				if wantErr := tc.wantErr && i == len(tc.batches)-1; (err != nil) != wantErr {
+					t.Fatalf("batch %d: error %v, want an error: %v", i, err, wantErr)
+				}
+			}
+			var got []int64
+			for p, tp := range s.Relation().Tuples {
+				got = append(got, tp.ID)
+				if s.idx[tp.ID] != p {
+					t.Errorf("idx[%d] = %d, want %d", tp.ID, s.idx[tp.ID], p)
+				}
+			}
+			if !slices.Equal(got, tc.want) || len(s.idx) != len(tc.want) {
+				t.Fatalf("ids %v (%d indexed), want %v", got, len(s.idx), tc.want)
+			}
+		})
 	}
 }
 

@@ -102,14 +102,7 @@ func (ex *sparkExec) runPipeline(pp *PhysicalPlan, p *PhysicalPipeline) ([][]mod
 	if err != nil {
 		return nil, fmt.Errorf("core: detection pipeline %s failed: %w", p.RuleID, err)
 	}
-	violations, fixes := 0, 0
-	for _, sets := range lists {
-		violations += len(sets)
-		for _, fs := range sets {
-			fixes += len(fs.Fixes)
-		}
-	}
-	m.finish(sp, violations, fixes)
+	m.finish(sp, lists)
 	return lists, nil
 }
 
@@ -148,13 +141,7 @@ func (ex *sparkExec) violations(pp *PhysicalPlan, p *PhysicalPipeline, m *udfMet
 	}
 	switch p.Impl {
 	case IterSingles:
-		det := metered(m, func(ts []model.Tuple) ([]model.Violation, int64) {
-			var out []model.Violation
-			for _, t := range ts {
-				out = append(out, p.Detect(Single(t))...)
-			}
-			return out, int64(len(ts))
-		})
+		det := metered(m, singlesDetector(p.Detect))
 		return engine.MapPartitions(first, func(_ int, ts []model.Tuple) [][]model.Violation { return [][]model.Violation{det(ts)} }), nil
 
 	case IterOCJoin:
@@ -193,7 +180,7 @@ func (ex *sparkExec) violations(pp *PhysicalPlan, p *PhysicalPipeline, m *udfMet
 				return pairsIn(p.Detect, all, s[0], s[1], ordered)
 			})), nil
 		}
-		det := blockDetector(p, ordered)
+		det := blockDetector(p.DetectBlock, p.Detect, ordered)
 		return engine.Map(ex.blocks(first, b.Block, parts), metered(m, func(g engine.Pair[model.ValueKey, []model.Tuple]) ([]model.Violation, int64) {
 			return det(g.Value)
 		})), nil
@@ -204,21 +191,25 @@ func (ex *sparkExec) violations(pp *PhysicalPlan, p *PhysicalPipeline, m *udfMet
 // blockDetector is the per-block detector of a blocked pair pipeline: the
 // rule's block kernel when the pipeline groups on the rule's primary key (the
 // planner drops the kernel with an alternate key), otherwise the planner's
-// pair enumeration calling Detect inline. Both feed Detect the same pairs in
-// the same order, n(n-1)/2 unordered or n(n-1) ordered.
-func blockDetector(p *PhysicalPipeline, ordered bool) func([]model.Tuple) ([]model.Violation, int64) {
-	if kernel := p.DetectBlock; kernel != nil {
-		return func(us []model.Tuple) ([]model.Violation, int64) {
-			n := int64(len(us))
-			pairs := n * (n - 1)
-			if !ordered {
-				pairs /= 2
-			}
-			return kernel(us, ordered), pairs
-		}
+// pair enumeration calling Detect inline. Both find the same violations in
+// the same order; each reports the pairs it compared.
+func blockDetector(kernel BlockDetectFunc, detect DetectFunc, ordered bool) func([]model.Tuple) ([]model.Violation, int64) {
+	if kernel != nil {
+		return func(us []model.Tuple) ([]model.Violation, int64) { return kernel(us, ordered) }
 	}
 	return func(us []model.Tuple) ([]model.Violation, int64) {
-		return pairsIn(p.Detect, us, 0, len(us), ordered)
+		return pairsIn(detect, us, 0, len(us), ordered)
+	}
+}
+
+// singlesDetector feeds Detect each unit of a group on its own.
+func singlesDetector(detect DetectFunc) func([]model.Tuple) ([]model.Violation, int64) {
+	return func(ts []model.Tuple) ([]model.Violation, int64) {
+		var out []model.Violation
+		for _, t := range ts {
+			out = append(out, detect(Single(t))...)
+		}
+		return out, int64(len(ts))
 	}
 }
 
@@ -281,9 +272,17 @@ func (m *udfMeter) genFix(genfix GenFixFunc) func([]model.Violation) []model.Fix
 	}
 }
 
-// finish stamps the pipeline span's summary attributes: the counts always,
-// the UDF timers and the pair count only when they were measured.
-func (m *udfMeter) finish(sp engine.Span, violations, fixes int) {
+// finish stamps the pipeline span's summary attributes from its per-group
+// fix-set lists: the counts always, the UDF timers and the pair count only
+// when they were measured.
+func (m *udfMeter) finish(sp engine.Span, lists [][]model.FixSet) {
+	violations, fixes := 0, 0
+	for _, sets := range lists {
+		violations += len(sets)
+		for _, fs := range sets {
+			fixes += len(fs.Fixes)
+		}
+	}
 	sp.Attr(engine.AttrViolations, int64(violations))
 	sp.Attr(engine.AttrFixes, int64(fixes))
 	if m.on {

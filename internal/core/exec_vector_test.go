@@ -76,7 +76,7 @@ func vecScopedFDRule() *Rule {
 			return []model.Fix{model.NewCellFix(v.Cells[0], model.OpEQ, v.Cells[1])}
 		},
 	}
-	r.DetectBlock = func(us []model.Tuple, ordered bool) []model.Violation {
+	r.DetectBlock = func(us []model.Tuple, ordered bool) ([]model.Violation, int64) {
 		n := len(us)
 		cities := make([]model.Value, n)
 		for i, t := range us {
@@ -94,7 +94,7 @@ func vecScopedFDRule() *Rule {
 				))
 			}
 		}
-		return out
+		return out, int64(n) * int64(n-1) / 2
 	}
 	return r
 }

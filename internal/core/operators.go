@@ -46,9 +46,11 @@ type GenFixFunc func(model.Violation) []model.Fix
 // BlockDetectFunc is a block kernel: Detect over every pair of one block at
 // once, receiving the block's units in grouping order. It must find exactly
 // the violations, in exactly the order, that Detect finds over PairsUnique
-// (ordered false) or PairsOrdered (ordered true) — so it can gather the
-// columns it compares once per block instead of being called per pair.
-type BlockDetectFunc func(us []model.Tuple, ordered bool) []model.Violation
+// (ordered false) or PairsOrdered (ordered true) — so it can work on the
+// block as a whole instead of being called per pair, and skip the pairs it
+// can prove agree. It returns the violations and the number of pairs it
+// compared.
+type BlockDetectFunc func(us []model.Tuple, ordered bool) ([]model.Violation, int64)
 
 // ItemKind distinguishes the three input granularities Detect accepts: a
 // single unit, a pair of units, or a list of units. Distinguishing them

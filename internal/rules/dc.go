@@ -417,10 +417,10 @@ func dcBlockKernel(ruleID string, res []resolvedPred, cellsOf func(a, b model.Tu
 		vps[i] = vp
 	}
 
-	return func(us []model.Tuple, ordered bool) []model.Violation {
+	return func(us []model.Tuple, ordered bool) ([]model.Violation, int64) {
 		n := len(us)
 		if n < 2 {
-			return nil
+			return nil, 0
 		}
 		buf := make([]model.Value, len(usedCols)*n) // one allocation for all vectors
 		vecs := make([][]model.Value, len(usedCols))
@@ -433,7 +433,7 @@ func dcBlockKernel(ruleID string, res []resolvedPred, cellsOf func(a, b model.Tu
 			}
 		}
 		var out []model.Violation
-		forEachPair(n, ordered, func(i, j int) {
+		pairs := forEachPair(n, ordered, func(i, j int) {
 			for _, vp := range vps {
 				li := i
 				if vp.r.p.LeftTuple == 2 {
@@ -455,7 +455,7 @@ func dcBlockKernel(ruleID string, res []resolvedPred, cellsOf func(a, b model.Tu
 			}
 			out = append(out, model.NewViolation(ruleID, cellsOf(us[i], us[j])...))
 		})
-		return out
+		return out, pairs
 	}
 }
 

@@ -9,7 +9,10 @@ package rules
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
+	"sync"
 
 	"bigdansing/internal/core"
 	"bigdansing/internal/model"
@@ -136,80 +139,211 @@ func (fd *FD) Compile(schema *model.Schema) (*core.Rule, error) {
 			rule.AltBlockAttrs = append(rule.AltBlockAttrs, schema.Name(col))
 		}
 	}
-	rule.DetectBlock = fdBlockKernel(ruleID, lhsIdx, rhsIdx, rhsNames)
+	rule.DetectBlock = fdBlockKernel(ruleID, lhsIdx, rhsIdx, rhsNames, rule.Detect)
 	return rule, nil
 }
 
-// fdBlockKernel builds the FD's block kernel. A single-attribute LHS blocks
-// on the LHS value itself and groups by its exact ValueKey — key equality
-// implies value equality, so every pair in the block already agrees on the
-// LHS and the kernel compares RHS cells directly with no per-pair LHS check
-// (which the per-pair Detect still pays). A composite LHS blocks on a joined
-// key string that can collide across kinds, so its kernel gathers the LHS
-// columns into flat vectors once per block and keeps the self-contained LHS
-// equality check.
+// fdBlockKernel builds the FD's block kernel, which costs O(members +
+// violations) instead of O(pairs). Every member of a block agrees on the
+// LHS: a single-attribute LHS blocks on the exact ValueKey, and a composite
+// LHS is checked to hold one ValueKey per column (its joined key string can
+// collide). So the kernel splits the block, per RHS attribute, into
+// sub-groups of Equal values, then visits only the pairs whose members lie
+// in different sub-groups of some RHS attribute — the pairs Detect reports —
+// in the executor's pair order, skipping each run of a member's own
+// sub-group in one jump.
+//
+// Sub-grouping needs Equal to be transitive over the block's RHS cells. It
+// is not when they hold a NaN (Equal to every float) or mix non-null kinds,
+// which Equal compares numerically or by rendering (I(1), F(1) and S("1")
+// are all Equal, and F(2^53) is Equal to both I(2^53) and I(2^53+1)), so
+// such a block — like a composite block whose LHS cells differ — runs the
+// rule's per-pair Detect over every pair instead.
 // Violations and their order match the per-pair Detect exactly.
-func fdBlockKernel(ruleID string, lhsIdx, rhsIdx []int, rhsNames []string) core.BlockDetectFunc {
-	nl := len(lhsIdx)
-	return func(us []model.Tuple, ordered bool) []model.Violation {
+func fdBlockKernel(ruleID string, lhsIdx, rhsIdx []int, rhsNames []string, detect core.DetectFunc) core.BlockDetectFunc {
+	return func(us []model.Tuple, ordered bool) ([]model.Violation, int64) {
 		n := len(us)
 		if n < 2 {
-			return nil
+			return nil, 0
 		}
-		var lhs [][]model.Value // a composite LHS's columns, gathered once per block
-		if nl > 1 {
-			buf := make([]model.Value, nl*n) // one allocation for all vectors
-			lhs = make([][]model.Value, nl)
-			for x, c := range lhsIdx {
-				lhs[x] = buf[x*n : (x+1)*n]
-				for i, t := range us {
-					lhs[x][i] = t.Cell(c)
-				}
+		sc := fdScratchPool.Get().(*fdScratch)
+		defer sc.release()
+		comb, violations, pairs, ok := sc.group(us, lhsIdx, rhsIdx)
+		if !ok {
+			var out []model.Violation
+			all := forEachPair(n, ordered, func(i, j int) {
+				out = append(out, detect(core.PairItem(us[i], us[j]))...)
+			})
+			return out, all
+		}
+		if violations == 0 {
+			return nil, 0
+		}
+		if ordered {
+			violations, pairs = 2*violations, 2*pairs
+		}
+		out, cells := make([]model.Violation, 0, violations), make([]model.Cell, 2*violations)
+		for i := 0; i < n; i++ {
+			g := comb[i]
+			j := i + 1
+			if ordered {
+				j = 0
 			}
-		}
-		// Two passes over the pairs: the first counts the violations, the
-		// second fills the result and a two-cells-per-violation slab, both
-		// allocated at exactly that size.
-		var out []model.Violation
-		var cells []model.Cell
-		count := 0
-		pass := func(fill bool) {
-			forEachPair(n, ordered, func(i, j int) {
-				for x := range lhs {
-					if !lhs[x][i].Equal(lhs[x][j]) {
-						return
-					}
+			for j < n {
+				if comb[j] == g {
+					j = int(sc.next[j])
+					continue
 				}
 				for y, c := range rhsIdx {
-					lv, rv := us[i].Cell(c), us[j].Cell(c)
-					if lv.Equal(rv) {
-						continue
-					}
-					if !fill {
-						count++
+					if sc.gid[y*n+i] == sc.gid[y*n+j] {
 						continue
 					}
 					k := 2 * len(out)
-					cells[k] = model.NewCell(us[i].ID, c, rhsNames[y], lv)
-					cells[k+1] = model.NewCell(us[j].ID, c, rhsNames[y], rv)
+					cells[k] = model.NewCell(us[i].ID, c, rhsNames[y], us[i].Cell(c))
+					cells[k+1] = model.NewCell(us[j].ID, c, rhsNames[y], us[j].Cell(c))
 					out = append(out, model.NewViolation(ruleID, cells[k:k+2:k+2]...))
 				}
-			})
+				j++
+			}
 		}
-		pass(false)
-		if count == 0 {
-			return nil
-		}
-		out, cells = make([]model.Violation, 0, count), make([]model.Cell, 2*count)
-		pass(true)
-		return out
+		return out, pairs
 	}
+}
+
+// fdScratch is the FD kernel's working memory, pooled so that a block costs
+// no allocation beyond its result.
+type fdScratch struct {
+	gid  []int32       // gid[y*n+i]: member i's sub-group under RHS attribute y
+	comb []int32       // member i's sub-group under every RHS attribute at once
+	next []int32       // next[j]: the first index after j in another combined sub-group, or n
+	reps []int32       // each sub-group's first member, while grouping
+	vals []model.Value // each sub-group's value, while grouping one attribute
+	size []int64       // each sub-group's size, while grouping
+}
+
+var fdScratchPool = sync.Pool{New: func() any { return new(fdScratch) }}
+
+// release returns the scratch to the pool without the block's cell values,
+// so the pool pins none of their strings.
+func (sc *fdScratch) release() {
+	clear(sc.vals[:cap(sc.vals)])
+	fdScratchPool.Put(sc)
+}
+
+// group sub-groups the block's members and returns the combined sub-group
+// of each member plus the block's unordered violation and pair counts:
+// C(n,2) − Σ C(n_g,2) per RHS attribute for the violations, over the
+// combined sub-groups for the pairs. ok is false when the block must keep
+// the per-pair Detect (see fdBlockKernel).
+func (sc *fdScratch) group(us []model.Tuple, lhsIdx, rhsIdx []int) (comb []int32, violations, pairs int64, ok bool) {
+	n := len(us)
+	if len(lhsIdx) > 1 {
+		for _, c := range lhsIdx {
+			k := us[0].Cell(c).MapKey()
+			for _, t := range us[1:] {
+				if t.Cell(c).MapKey() != k {
+					return nil, 0, 0, false
+				}
+			}
+		}
+	}
+	all := int64(n) * int64(n-1) / 2
+	sc.gid = slices.Grow(sc.gid[:0], len(rhsIdx)*n)[:len(rhsIdx)*n]
+	for y, c := range rhsIdx {
+		same, ok := sc.split(us, c, sc.gid[y*n:(y+1)*n])
+		if !ok {
+			return nil, 0, 0, false
+		}
+		violations += all - same
+	}
+	comb = sc.gid[:n]
+	pairs = violations
+	if len(rhsIdx) > 1 {
+		comb = sc.combine(n, len(rhsIdx))
+		pairs = all - sc.sameWithin()
+	}
+	sc.next = slices.Grow(sc.next[:0], n)[:n]
+	sc.next[n-1] = int32(n)
+	for j := n - 2; j >= 0; j-- {
+		if comb[j+1] != comb[j] {
+			sc.next[j] = int32(j + 1)
+		} else {
+			sc.next[j] = sc.next[j+1]
+		}
+	}
+	return comb, violations, pairs, true
+}
+
+// split sub-groups the members by their Equal values in column c, writing
+// each member's sub-group to gid, and returns Σ C(n_g,2) — the pairs within
+// sub-groups. ok is false when the cells hold a NaN or mix non-null kinds.
+// Matching a member against the sub-groups found so far costs at most one
+// comparison per sub-group, which the pairs across them outnumber.
+func (sc *fdScratch) split(us []model.Tuple, c int, gid []int32) (same int64, ok bool) {
+	sc.vals, sc.size = sc.vals[:0], sc.size[:0]
+	kind := model.KindNull
+	for i, t := range us {
+		v := t.Cell(c)
+		if v.Kind != model.KindNull {
+			if kind == model.KindNull {
+				kind = v.Kind
+			}
+			if v.Kind != kind || (v.Kind == model.KindFloat && math.IsNaN(v.Flt)) {
+				return 0, false
+			}
+		}
+		g := 0
+		for g < len(sc.vals) && !sc.vals[g].Equal(v) {
+			g++
+		}
+		if g == len(sc.vals) {
+			sc.vals, sc.size = append(sc.vals, v), append(sc.size, 0)
+		}
+		gid[i] = int32(g)
+		sc.size[g]++
+	}
+	return sc.sameWithin(), true
+}
+
+// combine sub-groups n members by all k RHS attributes at once: two members
+// share a combined sub-group when they share a sub-group under each one.
+func (sc *fdScratch) combine(n, k int) []int32 {
+	sc.comb = slices.Grow(sc.comb[:0], n)[:n]
+	sc.reps, sc.size = sc.reps[:0], sc.size[:0]
+	for i := 0; i < n; i++ {
+		g := 0
+		for ; g < len(sc.reps); g++ {
+			r, y := int(sc.reps[g]), 0
+			for y < k && sc.gid[y*n+r] == sc.gid[y*n+i] {
+				y++
+			}
+			if y == k {
+				break
+			}
+		}
+		if g == len(sc.reps) {
+			sc.reps, sc.size = append(sc.reps, int32(i)), append(sc.size, 0)
+		}
+		sc.comb[i] = int32(g)
+		sc.size[g]++
+	}
+	return sc.comb
+}
+
+// sameWithin is Σ C(n_g,2) over the sub-group sizes just counted.
+func (sc *fdScratch) sameWithin() int64 {
+	var same int64
+	for _, s := range sc.size {
+		same += s * (s - 1) / 2
+	}
+	return same
 }
 
 // forEachPair visits the pairs of an n-unit block in the executor's
 // enumeration order: i < j unordered (PairsUnique), every i != j ordered
-// (PairsOrdered), outer i, inner j.
-func forEachPair(n int, ordered bool, visit func(i, j int)) {
+// (PairsOrdered), outer i, inner j. It returns the number of pairs visited.
+func forEachPair(n int, ordered bool, visit func(i, j int)) int64 {
+	var pairs int64
 	for i := 0; i < n; i++ {
 		j := i + 1
 		if ordered {
@@ -218,9 +352,11 @@ func forEachPair(n int, ordered bool, visit func(i, j int)) {
 		for ; j < n; j++ {
 			if j != i {
 				visit(i, j)
+				pairs++
 			}
 		}
 	}
+	return pairs
 }
 
 // compositeKey renders a multi-attribute blocking key into one string
