@@ -39,14 +39,16 @@ bench-smoke:
 	$(GO) test -run xxx -bench HypergraphRepair -benchtime 1x ./internal/repair/
 
 # 30 seconds of coverage-guided fuzzing per fuzzer (the wire codec, the
-# record decoders, the service's create body, the DC, FD and CFD parsers, the
-# FD block kernel and the storage reader), seeded from testdata/fuzz corpora.
+# record decoders, the schema and CSV parsers, the service's create body, the
+# DC, FD and CFD parsers, the FD block kernel and the storage reader), seeded
+# from testdata/fuzz corpora.
 # A finding is checked in as a new corpus file.
 fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 30s ./internal/netexec/
 	$(GO) test -run xxx -fuzz FuzzFrameRoundTrip -fuzztime 30s ./internal/netexec/
 	$(GO) test -run xxx -fuzz FuzzSplitRecords -fuzztime 30s ./internal/netexec/
 	$(GO) test -run xxx -fuzz FuzzDecode -fuzztime 30s ./internal/model/
+	$(GO) test -run xxx -fuzz FuzzReadCSV -fuzztime 30s ./internal/model/
 	$(GO) test -run xxx -fuzz FuzzCreateSession -fuzztime 30s ./internal/serve/
 	$(GO) test -run xxx -fuzz FuzzParseDC -fuzztime 30s ./internal/rules/
 	$(GO) test -run xxx -fuzz FuzzParseFD -fuzztime 30s ./internal/rules/

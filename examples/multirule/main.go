@@ -60,9 +60,7 @@ func main() {
 	}
 
 	cleaner, err := cleanse.NewCleaner(engine.New(8), ruleSet,
-		cleanse.WithParallelRepair(repair.Options{}),
-		cleanse.WithIncremental(), // later iterations only re-detect repaired blocks
-	)
+		cleanse.WithParallelRepair(repair.Options{}))
 	if err != nil {
 		log.Fatal(err)
 	}

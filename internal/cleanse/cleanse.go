@@ -23,7 +23,7 @@ import (
 type Cleaner struct {
 	// ctx is the dataflow context detection runs on.
 	ctx *engine.Context
-	// rules are detected together (one consolidated plan).
+	// rules are detected by one core.IncrementalDetector per run.
 	rules []*core.Rule
 	// algo is the repair algorithm; nil defaults to the equivalence-class
 	// algorithm.
@@ -37,11 +37,8 @@ type Cleaner struct {
 	maxIterations int
 	// freezeAfter pins a cell after this many updates (0: 3).
 	freezeAfter int
-	// incremental re-detects only the blocks touched by the previous
-	// iteration's repairs in Clean.
-	incremental bool
-	// planner plans every detection pass (full and incremental); nil plans
-	// by rule shape.
+	// planner plans the re-detections of the rules the incremental
+	// detector cannot maintain block by block; nil plans by rule shape.
 	planner *core.Planner
 
 	// observer is WithObserver's sink, folded into engineCfg.Observer.
@@ -70,16 +67,6 @@ func WithParallelRepair(opts repair.Options) Option {
 		c.parallel = true
 		c.repairOpts = opts
 	}
-}
-
-// WithIncremental re-detects only the blocks touched by the previous
-// iteration's repairs on rules that support block-incremental maintenance;
-// the result is identical and later iterations get cheaper. It affects
-// Clean only: sessions opened with Open always attempt incremental
-// detection, falling back to full re-detection when no rule in the set is
-// incrementalizable (see Open).
-func WithIncremental() Option {
-	return func(c *Cleaner) { c.incremental = true }
 }
 
 // WithMaxIterations bounds the detect-repair loop. Zero keeps the default
@@ -118,10 +105,13 @@ func WithEngineConfig(cfg engine.Config) Option {
 	return func(c *Cleaner) { c.engineCfg = &cfg }
 }
 
-// WithPlanner installs the physical Planner detection passes use — e.g.
+// WithPlanner installs the physical Planner that plans the full
+// re-detections of the rules the incremental detector cannot maintain block
+// by block (OCJoin, CoBlock, custom Iterate, scoped) — e.g.
 // core.NewPlanner(core.WithCostModel(core.NewCostModel()),
 // core.WithObserverFeedback(recorder)) for statistics- and feedback-driven
-// plans. Nil plans by rule shape.
+// plans. The first pass and the block-local passes of the other rules group
+// on each rule's own key and run no plan. Nil plans by rule shape.
 func WithPlanner(p *core.Planner) Option {
 	return func(c *Cleaner) { c.planner = p }
 }
@@ -241,14 +231,13 @@ func (r *Result) Report() Report { return r.report }
 
 // Clean runs the iterative cleansing process on a copy of rel. It is a
 // thin one-batch session: the relation is cloned into a Session seeded
-// with the Cleaner's configuration (including the Clean-specific
-// WithIncremental), flushed once, and closed — so its behavior is the
-// historical one while the detect-repair loop itself lives in the Session.
+// with the Cleaner's configuration, flushed once, and closed — the
+// detect-repair loop, and its incremental detection, live in the Session.
 func (c *Cleaner) Clean(rel *model.Relation) (*Result, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	s, err := newSession(*c, rel.Clone(), c.incremental)
+	s, err := newSession(*c, rel.Clone())
 	if err != nil {
 		return nil, err
 	}

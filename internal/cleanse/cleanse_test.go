@@ -243,7 +243,6 @@ func TestNewCleanerOptions(t *testing.T) {
 	c, err := NewCleaner(ctx, []*core.Rule{r},
 		WithAlgorithm(hg),
 		WithParallelRepair(repair.Options{Parallelism: 3}),
-		WithIncremental(),
 		WithMaxIterations(7),
 		WithFreezeAfter(2),
 	)
@@ -259,9 +258,6 @@ func TestNewCleanerOptions(t *testing.T) {
 	if !c.parallel || c.repairOpts.Parallelism != 3 {
 		t.Error("WithParallelRepair not applied")
 	}
-	if !c.incremental {
-		t.Error("WithIncremental not applied")
-	}
 	if c.maxIterations != 7 {
 		t.Error("WithMaxIterations not applied")
 	}
@@ -269,12 +265,16 @@ func TestNewCleanerOptions(t *testing.T) {
 		t.Error("WithFreezeAfter not applied")
 	}
 
-	// A cleaner built with options must actually clean.
+	// A cleaner built with options must actually clean, with them.
 	res, err := c.Clean(rel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Report().RemainingViolations != 0 {
-		t.Errorf("remaining violations: %d", res.Report().RemainingViolations)
+	rep := res.Report()
+	if rep.RemainingViolations != 0 {
+		t.Errorf("remaining violations: %d", rep.RemainingViolations)
+	}
+	if len(rep.RepairRounds) == 0 || rep.Iterations > 7 {
+		t.Errorf("parallel repair rounds %d, iterations %d (max 7)", len(rep.RepairRounds), rep.Iterations)
 	}
 }

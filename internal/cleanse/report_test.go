@@ -5,6 +5,7 @@ import (
 
 	"bigdansing/internal/core"
 	"bigdansing/internal/engine"
+	"bigdansing/internal/model"
 	"bigdansing/internal/repair"
 	"bigdansing/internal/trace"
 )
@@ -48,7 +49,12 @@ func TestResultReport(t *testing.T) {
 // next to a caller-supplied context, whose observer is its own.
 func TestWithObserverTracesWholeRun(t *testing.T) {
 	rel := dirtyTax(6, 6, 2)
-	rules := []*core.Rule{fdZipCity(t, rel)}
+	// The scoped copy of the FD is not block-incremental: the detector
+	// re-plans it in full, so the run compiles plans as well.
+	scoped := fdZipCity(t, rel)
+	scoped.ID = "phi1-scoped"
+	scoped.Scope = func(tp model.Tuple) []model.Tuple { return []model.Tuple{tp} }
+	rules := []*core.Rule{fdZipCity(t, rel), scoped}
 	if _, err := NewCleaner(engine.New(4), rules, WithObserver(trace.New())); err == nil {
 		t.Error("WithObserver next to a caller-supplied context should be rejected")
 	}

@@ -29,12 +29,13 @@ import (
 // method but Relation and Status errors once it is closed. A Session is
 // safe for concurrent use; calls are serialized on an internal mutex.
 //
-// Incremental detection: Ingest routes new tuples through the
-// IncrementalDetector (only the blocks they land in are re-detected);
-// rules that cannot be maintained incrementally fall back to bounded
-// re-detection — they re-run at most once per Flush, and not at all when
-// nothing changed. If no rule in the set is incrementalizable the session
-// falls back to full re-detection each Flush round (see Open).
+// Incremental detection: every detection goes through one
+// core.IncrementalDetector. Its first pass is a full pass whose grouping
+// stage also builds the block-membership index; after that, Ingest and
+// each Flush round re-detect only the blocks the new or repaired tuples
+// left or joined. Rules that cannot be maintained block by block fall back
+// to bounded re-detection — they re-run, together, at most once per Flush
+// round, and not at all when nothing changed.
 type Session struct {
 	mu  sync.Mutex
 	cfg Cleaner // frozen configuration copy
@@ -42,7 +43,7 @@ type Session struct {
 	rel *model.Relation
 	idx map[int64]int // tuple ID -> position, maintained on ingest
 
-	det    *core.IncrementalDetector // nil: full re-detection every round
+	det    *core.IncrementalDetector
 	algo   repair.Algorithm
 	ropts  repair.Options
 	memory *repair.ClassMemory
@@ -62,14 +63,8 @@ type Session struct {
 }
 
 // Open starts a streaming cleanse session over schema with the Cleaner's
-// configuration.
-//
-// Sessions always attempt incremental detection regardless of
-// WithIncremental (streaming is what the incremental caches exist for).
-// When no rule in the set supports block-incremental maintenance, Open
-// succeeds but the session runs in full-re-detection mode: every Flush
-// round re-detects the whole relation, exactly like Clean. Check
-// Incremental() to see which mode a session got.
+// configuration. Any rule set streams: rules the detector cannot maintain
+// block by block re-run in full once per Flush round that follows a change.
 func (c *Cleaner) Open(schema *model.Schema) (*Session, error) {
 	if schema == nil {
 		return nil, fmt.Errorf("cleanse: Open: nil schema")
@@ -77,14 +72,13 @@ func (c *Cleaner) Open(schema *model.Schema) (*Session, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	incremental := core.NumIncrementalizable(c.rules) > 0
-	return newSession(*c, model.NewRelation("session", schema), incremental)
+	return newSession(*c, model.NewRelation("session", schema))
 }
 
 // newSession wires the session state over an initial relation. The
 // detector starts unprimed, so the first detection (an Ingest's Observe or
 // a Flush round) runs its one full pass over the relation.
-func newSession(cfg Cleaner, rel *model.Relation, incremental bool) (*Session, error) {
+func newSession(cfg Cleaner, rel *model.Relation) (*Session, error) {
 	s := &Session{
 		cfg:     cfg,
 		rel:     rel,
@@ -98,14 +92,12 @@ func newSession(cfg Cleaner, rel *model.Relation, incremental bool) (*Session, e
 			s.nextID = t.ID + 1
 		}
 	}
-	if incremental {
-		d, err := core.NewIncrementalDetector(cfg.ctx, cfg.rules)
-		if err != nil {
-			return nil, err
-		}
-		d.SetPlanner(cfg.planner)
-		s.det = d
+	d, err := core.NewIncrementalDetector(cfg.ctx, cfg.rules)
+	if err != nil {
+		return nil, err
 	}
+	d.SetPlanner(cfg.planner)
+	s.det = d
 	// The repair algorithm: the configured one, or the equivalence-class
 	// default. When it is an equivalence-class instance without a prior,
 	// thread the session's class memory through a copy so streaming repair
@@ -174,13 +166,11 @@ func (s *Session) Ingest(batch []model.Tuple) error {
 		ids = append(ids, t.ID)
 	}
 	s.ingested += int64(len(ids))
-	if s.det != nil {
-		t0 := time.Now()
-		err := s.det.Observe(s.rel, s.idx, ids)
-		s.pendingDetect += time.Since(t0)
-		if err != nil {
-			return fmt.Errorf("cleanse: ingest: %w", err)
-		}
+	t0 := time.Now()
+	err := s.det.Observe(s.rel, s.idx, ids)
+	s.pendingDetect += time.Since(t0)
+	if err != nil {
+		return fmt.Errorf("cleanse: ingest: %w", err)
 	}
 	return nil
 }
@@ -358,12 +348,8 @@ func (s *Session) flushLocked() (Report, error) {
 	return s.finishFlush(rep, applied), nil
 }
 
-// detect runs one detection pass: incremental over the dirty set when the
-// session has a detector, full otherwise.
+// detect runs one detection pass over the tuples changed since the last.
 func (s *Session) detect() (*core.DetectResult, error) {
-	if s.det == nil {
-		return core.DetectRulesWith(s.cfg.ctx, s.cfg.planner, s.cfg.rules, s.rel)
-	}
 	res, err := s.det.Detect(s.rel, s.idx, s.dirty)
 	if err != nil {
 		return nil, err
@@ -407,15 +393,6 @@ func (s *Session) Relation() *model.Relation {
 	return s.rel.Clone()
 }
 
-// Incremental reports whether the session maintains incremental detection
-// state (false means the rule set had nothing incrementalizable and the
-// session fell back to full re-detection per Flush round).
-func (s *Session) Incremental() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.det != nil
-}
-
 // Status is a point-in-time summary of a session, cheap enough to poll.
 type Status struct {
 	// Tuples is the current relation size; Ingested counts tuples accepted
@@ -427,9 +404,8 @@ type Status struct {
 	Flushes        int
 	UpdatesApplied int64
 	FrozenCells    int
-	// Incremental reports the detection mode; Closed the lifecycle state.
-	Incremental bool
-	Closed      bool
+	// Closed reports the lifecycle state.
+	Closed bool
 }
 
 // Status reports the session's current state. It remains available after
@@ -443,7 +419,6 @@ func (s *Session) Status() Status {
 		Flushes:        s.flushes,
 		UpdatesApplied: s.totalUpdates,
 		FrozenCells:    len(s.frozen),
-		Incremental:    s.det != nil,
 		Closed:         s.closed,
 	}
 }

@@ -77,9 +77,6 @@ func TestSessionStreamingEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if !s.Incremental() {
-		t.Fatal("FD in the rule set should enable incremental detection")
-	}
 	const k = 4
 	per := rel.Len() / k
 	for b := 0; b < k; b++ {
@@ -180,11 +177,14 @@ func TestSessionMultiFlushConverges(t *testing.T) {
 }
 
 // TestSessionFallbackFullDetection: a rule set with nothing
-// incrementalizable still opens; the session runs in full re-detection
-// mode and cleansing works.
+// incrementalizable streams too. Ingest defers the fallback rule (no
+// dataflow stage runs), the first Flush round re-detects it in full and
+// counts what a full pass counts, and a flush with nothing new ingested
+// runs no stage at all.
 func TestSessionFallbackFullDetection(t *testing.T) {
 	rel := datagen.TaxB(120, 0.05, 3).Dirty
-	cleaner, err := NewCleaner(engine.New(2), []*core.Rule{dcSalaryRate(t, rel.Schema)})
+	ctx := engine.New(2)
+	cleaner, err := NewCleaner(ctx, []*core.Rule{dcSalaryRate(t, rel.Schema)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,18 +193,30 @@ func TestSessionFallbackFullDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.Incremental() {
-		t.Fatal("a DC-only rule set must fall back to full re-detection")
-	}
+	before := ctx.Stats().Snapshot().Stages
 	if err := s.Ingest(rel.Tuples); err != nil {
 		t.Fatal(err)
+	}
+	if after := ctx.Stats().Snapshot().Stages; after != before {
+		t.Errorf("ingest ran %d stages for a fallback-only rule set", after-before)
 	}
 	rep, err := s.Flush()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.InitialViolations == 0 {
-		t.Error("TaxB dirty instance should violate phi2")
+	full, err := core.DetectRules(engine.New(2), []*core.Rule{dcSalaryRate(t, rel.Schema)}, rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.InitialViolations == 0 || rep.InitialViolations != len(full.Violations) {
+		t.Errorf("first flush found %d violations, a full pass %d", rep.InitialViolations, len(full.Violations))
+	}
+	before = ctx.Stats().Snapshot().Stages
+	if _, err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if after := ctx.Stats().Snapshot().Stages; after != before {
+		t.Errorf("idle flush ran %d stages", after-before)
 	}
 }
 

@@ -1,20 +1,28 @@
 package core
 
-import "slices"
+import (
+	"slices"
 
-// BlockIndex exposes rule i's block-membership state: each tuple's block,
-// and each non-empty block's member IDs in ascending order, so a test can
-// compare the state an incremental history left with the one a fresh prime
-// builds.
-func (d *IncrementalDetector) BlockIndex(i int) (map[int64]blockID, map[blockID][]int64) {
+	"bigdansing/internal/model"
+)
+
+// BlockIndex exposes rule i's block-membership state: each tuple's block
+// key, and each non-empty block's member IDs in ascending order, so a test
+// can compare the state an incremental history left with the one a fresh
+// prime builds.
+func (d *IncrementalDetector) BlockIndex(i int) (map[int64]model.ValueKey, map[model.ValueKey][]int64) {
 	st := d.state[i]
-	members := map[blockID][]int64{}
+	keys := make(map[int64]model.ValueKey, len(st.keyOf))
+	for id, b := range st.keyOf {
+		keys[id] = b.key
+	}
+	members := map[model.ValueKey][]int64{}
 	for k, b := range st.blocks {
 		if len(b.members) > 0 {
 			members[k] = slices.Sorted(slices.Values(b.members))
 		}
 	}
-	return st.keyOf, members
+	return keys, members
 }
 
 // AssembleHashed exposes the hand-off's assembler with its seen-set hash

@@ -20,50 +20,47 @@ import (
 // with no cached blocking key is treated as an append and only its target
 // block is re-detected.
 //
-// Each incremental rule keeps a block-membership index (block → member
-// IDs), updated from the changed IDs alone, and the caller supplies its own
-// live tuple ID → position index to every pass. A pass runs the rule's
-// block detector straight on each touched block's members — no plan, no
-// shuffle — so no per-pass path touches a tuple outside the touched blocks:
-// a pass costs the blocks the batch touches, not the relation.
+// The first pass (the prime) is itself a full pass: per incremental rule,
+// one KeyBy(Block) → GroupByKeyN stage, the shuffle a full pass runs, on the
+// rule's own key. Its groups feed the per-block detector and become the
+// rule's block-membership index (block → member IDs). Later passes update
+// that index from the changed IDs alone, with the caller's live tuple ID →
+// position index, and run the block detector straight on each touched
+// block's members — no plan, no shuffle — so a pass costs the blocks the
+// batch touches, not the relation.
 //
 // Rules qualify for incremental maintenance when they are blocked,
 // single-branch, scope-free and planner-enumerated (unique or ordered
-// pairs), or unary; other rules (OCJoin, CoBlock, custom Iterate, scoped)
-// fall back to bounded re-detection: their cached results are kept until a
-// change marks them stale, and they re-run (in full, over the current
-// relation) at most once per Detect — never during Observe.
+// pairs), or unary; the other rules (OCJoin, CoBlock, custom Iterate,
+// scoped) fall back to bounded re-detection: their cached result is kept
+// until a change marks it stale, and they re-run together, in one
+// consolidated plan over the current relation, at most once per Detect —
+// never during Observe.
 type IncrementalDetector struct {
 	ctx   *engine.Context
 	rules []*Rule
-	// planner, when non-nil, plans the full passes (see SetPlanner); nil
-	// plans by rule shape.
+	// fallback lists the rules that are not incrementalizable, in index
+	// order.
+	fallback []*Rule
+	// planner, when non-nil, plans the fallback rules' re-detections (see
+	// SetPlanner); nil plans by rule shape.
 	planner *Planner
 
-	// state per rule index (nil for non-incrementalizable rules).
+	// state per rule index (nil for fallback rules).
 	state []*ruleState
-	// full holds the latest results of non-incremental rules; fullStale
-	// marks them out of date (changes observed since they last ran).
-	full      []model.FixSet
+	// full holds the fallback rules' latest result; fullStale marks it out
+	// of date (changes observed since it ran).
+	full      *DetectResult
 	fullStale bool
-	// primed reports whether the first full pass ran.
+	// primed reports whether the first pass ran.
 	primed bool
 }
 
-// blockID is the comparable identity of one block in the incremental
-// cache: the Block value's MapKey for blocked rules, or the tuple ID for
-// unary rules (each tuple is its own block). Keeping it a struct avoids the
-// per-tuple "u%d" / key-string formatting of the string-keyed cache.
-type blockID struct {
-	unary bool
-	tuple int64
-	key   model.ValueKey
-}
-
-// block is one blocking key's share of a rule's state.
+// block is one blocking key's share of a rule's state. A unary rule's
+// blocks are its tuples, each keyed by its ID.
 type block struct {
-	key     blockID
-	rank    int            // first-seen order: the order assemble emits blocks in
+	key     model.ValueKey
+	rank    int            // first-seen order: the order result emits blocks in
 	members []int64        // IDs of the tuples currently in the block
 	sets    []model.FixSet // the block's cached fix sets
 	pass    int            // the last pass that touched the block
@@ -71,12 +68,12 @@ type block struct {
 
 type ruleState struct {
 	// keyOf maps each tuple ID to its current block.
-	keyOf map[int64]blockID
+	keyOf map[int64]*block
 	// blocks is the block-membership index: every block with members or
 	// cached fix sets.
-	blocks map[blockID]*block
+	blocks map[model.ValueKey]*block
 	// violating holds the blocks with cached fix sets.
-	violating map[blockID]*block
+	violating map[*block]struct{}
 	// ranked counts the blocks created so far (the next first-seen rank).
 	ranked int
 
@@ -92,7 +89,7 @@ type ruleState struct {
 }
 
 // at returns block k, creating it (ranked last) when it is new.
-func (st *ruleState) at(k blockID) *block {
+func (st *ruleState) at(k model.ValueKey) *block {
 	b := st.blocks[k]
 	if b == nil {
 		b = &block{key: k, rank: st.ranked}
@@ -118,21 +115,34 @@ func (b *block) leave(id int64) {
 	}
 }
 
+// blockKey is a tuple's block under rule r: its Block value's MapKey, or
+// its own ID for a unary rule.
+func blockKey(r *Rule, t model.Tuple) model.ValueKey {
+	if r.Unary {
+		return model.I(t.ID).MapKey()
+	}
+	return r.Block(t).MapKey()
+}
+
 // NewIncrementalDetector validates the rules and prepares state.
 func NewIncrementalDetector(ctx *engine.Context, rules []*Rule) (*IncrementalDetector, error) {
+	d := &IncrementalDetector{ctx: ctx, rules: rules, state: make([]*ruleState, len(rules)), full: &DetectResult{}}
 	for _, r := range rules {
 		if err := r.Validate(); err != nil {
 			return nil, err
 		}
+		if !incrementalizable(r) {
+			d.fallback = append(d.fallback, r)
+		}
 	}
-	return &IncrementalDetector{ctx: ctx, rules: rules, state: make([]*ruleState, len(rules))}, nil
+	return d, nil
 }
 
-// SetPlanner installs the physical Planner the detector's full passes use
-// (nil plans by rule shape): the priming pass and the re-detections of
-// non-incrementalizable rules. Block-local passes run no plan. Long-lived
-// sessions pass their feedback-fed planner here so every full pass re-plans
-// on measured costs.
+// SetPlanner installs the physical Planner that plans the re-detections of
+// the fallback rules (nil plans by rule shape). The prime and the
+// block-local passes run no plan: they group on each rule's own key.
+// Long-lived sessions pass their feedback-fed planner here so every
+// fallback re-detection re-plans on measured costs.
 func (d *IncrementalDetector) SetPlanner(pl *Planner) { d.planner = pl }
 
 // incrementalizable reports whether a rule supports block-incremental
@@ -146,43 +156,20 @@ func incrementalizable(r *Rule) bool {
 }
 
 // Incrementalizable reports whether a rule supports block-incremental
-// maintenance. Callers (cleanse.Open) use it to decide whether a rule set
-// can stream at all or must fall back to full re-detection.
+// maintenance; the detector re-detects every other rule in full whenever a
+// change marks it stale.
 func Incrementalizable(r *Rule) bool { return incrementalizable(r) }
-
-// NumIncrementalizable counts the rules of rs that support block-incremental
-// maintenance.
-func NumIncrementalizable(rs []*Rule) int {
-	n := 0
-	for _, r := range rs {
-		if incrementalizable(r) {
-			n++
-		}
-	}
-	return n
-}
-
-// Reset drops all cached state: the next Detect (or Observe) runs a full
-// pass. It is the one way to force a full pass, and the fallback for
-// callers whose relation changed in ways they cannot enumerate (bulk
-// rewrites, tuple removals they did not track).
-func (d *IncrementalDetector) Reset() {
-	clear(d.state)
-	d.full = d.full[:0]
-	d.fullStale = false
-	d.primed = false
-}
 
 // Observe folds changed (updated or appended) tuples into the incremental
 // caches without producing a result: incrementalizable rules re-detect only
-// the affected blocks now, while non-incrementalizable rules are merely
-// marked stale — their bounded full re-detection is deferred to the next
-// Detect. A streaming caller ingesting many batches between flushes pays
-// the per-block cost per batch but the full-rule cost once per flush. idx
-// is the caller's live tuple ID → position index of rel.
+// the affected blocks now, while the fallback rules are merely marked stale
+// — their bounded full re-detection is deferred to the next Detect. A
+// streaming caller ingesting many batches between flushes pays the
+// per-block cost per batch but the fallback cost once per flush. idx is the
+// caller's live tuple ID → position index of rel.
 func (d *IncrementalDetector) Observe(rel *model.Relation, idx map[int64]int, changed []int64) error {
 	if !d.primed {
-		return d.prime(rel, true)
+		return d.prime(rel)
 	}
 	if len(changed) == 0 {
 		return nil
@@ -193,17 +180,16 @@ func (d *IncrementalDetector) Observe(rel *model.Relation, idx map[int64]int, ch
 
 // Detect runs a pass. changed lists the tuple IDs updated or appended since
 // the last pass (empty reuses every cache that is not stale); idx is the
-// caller's live tuple ID → position index of rel. Only an unprimed detector
-// (a first call, or one after Reset) runs a full pass. The returned result
-// is a fresh snapshot — callers may retain it.
+// caller's live tuple ID → position index of rel. Only the first call (or
+// Observe) primes the detector with a full pass. The result is the
+// caller's to keep but not to modify: with no incrementalizable rule it is
+// the fallback pass's own result, returned again until a change re-runs it.
 func (d *IncrementalDetector) Detect(rel *model.Relation, idx map[int64]int, changed []int64) (*DetectResult, error) {
 	if !d.primed {
-		if err := d.prime(rel, false); err != nil {
+		if err := d.prime(rel); err != nil {
 			return nil, err
 		}
-		return d.assemble(), nil
-	}
-	if len(changed) > 0 {
+	} else if len(changed) > 0 {
 		d.fullStale = true
 		if err := d.incrementalPasses(rel, idx, changed); err != nil {
 			return nil, err
@@ -214,7 +200,7 @@ func (d *IncrementalDetector) Detect(rel *model.Relation, idx map[int64]int, cha
 			return nil, err
 		}
 	}
-	return d.assemble(), nil
+	return d.result(), nil
 }
 
 // incrementalPasses runs incrementalPass for every incrementalizable rule.
@@ -230,86 +216,89 @@ func (d *IncrementalDetector) incrementalPasses(rel *model.Relation, idx map[int
 	return nil
 }
 
-// refreshFull re-runs every non-incrementalizable rule over the current
-// relation and clears the stale mark. This is the bounded fallback: at most
-// one full re-detection per rule per Detect, and none at all while the
-// relation is unchanged.
+// refreshFull re-runs the fallback rules over the current relation as one
+// consolidated plan (Algorithm 1's shared scan) and clears the stale mark.
+// This is the bounded fallback: at most one full re-detection per Detect,
+// and none at all while the relation is unchanged.
 func (d *IncrementalDetector) refreshFull(rel *model.Relation) error {
-	d.full = d.full[:0]
-	for _, r := range d.rules {
-		if incrementalizable(r) {
-			continue
-		}
-		sub, err := DetectRuleWith(d.ctx, d.planner, r, rel)
+	if len(d.fallback) > 0 {
+		res, err := DetectRulesWith(d.ctx, d.planner, d.fallback, rel)
 		if err != nil {
 			return err
 		}
-		d.full = append(d.full, sub.FixSets...)
+		d.full = res
 	}
 	d.fullStale = false
 	return nil
 }
 
-// prime runs the first full pass over the incrementalizable rules and,
-// unless deferFull is set, the non-incrementalizable ones too (deferFull
-// leaves them stale so Observe never pays for a full-rule run). One scan of
-// the relation per rule fills both the tuple → block map and the
-// block-membership index.
-func (d *IncrementalDetector) prime(rel *model.Relation, deferFull bool) error {
-	if !deferFull {
-		if err := d.refreshFull(rel); err != nil {
-			return err
-		}
-	} else {
-		d.full = d.full[:0]
-		d.fullStale = true
-	}
+// prime runs the first pass over the incrementalizable rules and marks the
+// fallback rules stale, so Observe never pays for them and Detect runs them
+// once.
+func (d *IncrementalDetector) prime(rel *model.Relation) error {
 	for i, r := range d.rules {
 		if !incrementalizable(r) {
 			continue
 		}
-		st := &ruleState{
-			keyOf:     make(map[int64]blockID, rel.Len()),
-			blocks:    map[blockID]*block{},
-			violating: map[blockID]*block{},
-		}
-		for _, t := range rel.Tuples {
-			k := d.blockKey(r, t)
-			st.keyOf[t.ID] = k
-			b := st.at(k)
-			b.members = append(b.members, t.ID)
-		}
-		sub, err := DetectRuleWith(d.ctx, d.planner, r, rel)
+		st, err := d.primeRule(r, rel)
 		if err != nil {
 			return err
 		}
-		for _, fs := range sub.FixSets {
-			d.cache(st, fs)
-		}
 		d.state[i] = st
 	}
+	d.fullStale = true
 	d.primed = true
 	return nil
 }
 
-// blockKey computes a tuple's blocking identity (the tuple ID for unary
-// rules, which are keyed per tuple).
-func (d *IncrementalDetector) blockKey(r *Rule, t model.Tuple) blockID {
+// primeRule runs rule r's full pass and builds its state from the pass's
+// own groups: the relation keyed by blockKey and grouped in one GroupByKeyN
+// stage, or, for a unary rule, each tuple as its own group. Each group runs
+// the per-block body of an incremental pass and becomes one block, ranked
+// in group output order, so the first result lists fix sets as a full pass
+// does.
+func (d *IncrementalDetector) primeRule(r *Rule, rel *model.Relation) (*ruleState, error) {
+	keyed := engine.KeyBy(engine.Parallelize(d.ctx, rel.Tuples, 0), func(t model.Tuple) model.ValueKey { return blockKey(r, t) })
+	var groups *engine.Dataset[engine.Pair[model.ValueKey, []model.Tuple]]
 	if r.Unary {
-		return blockID{unary: true, tuple: t.ID}
+		groups = engine.Map(keyed, func(p engine.Pair[model.ValueKey, model.Tuple]) engine.Pair[model.ValueKey, []model.Tuple] {
+			return engine.KV(p.Key, []model.Tuple{p.Value})
+		})
+	} else {
+		groups = engine.GroupByKeyN(keyed, 0)
 	}
-	return blockID{key: r.Block(t).MapKey()}
-}
-
-// cache files a fix set under the block of its first cell.
-func (d *IncrementalDetector) cache(st *ruleState, fs model.FixSet) {
-	var k blockID
-	if len(fs.Violation.Cells) > 0 {
-		k = st.keyOf[fs.Violation.Cells[0].TupleID]
+	gs, err := groups.Collect()
+	if err != nil {
+		return nil, fmt.Errorf("core: grouping %s failed: %w", r.ID, err)
 	}
-	b := st.at(k)
-	b.sets = append(b.sets, fs)
-	st.violating[k] = b
+	lists, err := d.detectBlocks(r, engine.Map(groups, func(g engine.Pair[model.ValueKey, []model.Tuple]) []model.Tuple { return g.Value }))
+	if err != nil {
+		return nil, err
+	}
+	st := &ruleState{
+		keyOf:     make(map[int64]*block, rel.Len()),
+		blocks:    make(map[model.ValueKey]*block, len(gs)),
+		violating: map[*block]struct{}{},
+		ranked:    len(gs),
+	}
+	// One backing array holds every block's members; each block's slice is
+	// capped, so a later append moves only that block.
+	ids := make([]int64, 0, rel.Len())
+	for i, g := range gs {
+		lo := len(ids)
+		for _, t := range g.Value {
+			ids = append(ids, t.ID)
+		}
+		b := &block{key: g.Key, rank: i, members: ids[lo:len(ids):len(ids)], sets: lists[i]}
+		for _, id := range b.members {
+			st.keyOf[id] = b
+		}
+		st.blocks[g.Key] = b
+		if len(b.sets) > 0 {
+			st.violating[b] = struct{}{}
+		}
+	}
+	return st, nil
 }
 
 // incrementalPass refreshes one rule's state for the changed tuples: it
@@ -327,27 +316,26 @@ func (d *IncrementalDetector) incrementalPass(i int, r *Rule, rel *model.Relatio
 	st.pass++
 	st.touched = st.touched[:0]
 	for _, id := range changed {
-		if old, ok := st.keyOf[id]; ok {
-			b := st.blocks[old]
+		if b := st.keyOf[id]; b != nil {
 			b.leave(id)
 			st.touch(b)
-			delete(st.keyOf, id)
 		}
 		p, ok := idx[id]
 		if !ok {
-			continue // tuple removed
+			delete(st.keyOf, id) // tuple removed
+			continue
 		}
-		k := d.blockKey(r, rel.Tuples[p])
-		st.keyOf[id] = k
-		b := st.at(k)
+		b := st.at(blockKey(r, rel.Tuples[p]))
 		b.members = append(b.members, id)
+		st.keyOf[id] = b
 		st.touch(b)
 	}
 	if len(st.touched) == 0 {
 		return nil
 	}
 
-	// Gather each touched block's units, in relation order, into one buffer.
+	// Gather each touched block's members, in relation order, into one
+	// buffer.
 	st.units, st.ends = st.units[:0], st.ends[:0]
 	for _, b := range st.touched {
 		st.pos = st.pos[:0]
@@ -358,11 +346,7 @@ func (d *IncrementalDetector) incrementalPass(i int, r *Rule, rel *model.Relatio
 		}
 		slices.Sort(st.pos)
 		for _, p := range st.pos {
-			if r.Unary && r.Scope != nil {
-				st.units = append(st.units, r.Scope(rel.Tuples[p])...)
-			} else {
-				st.units = append(st.units, rel.Tuples[p])
-			}
+			st.units = append(st.units, rel.Tuples[p])
 		}
 		st.ends = append(st.ends, len(st.units))
 	}
@@ -373,7 +357,7 @@ func (d *IncrementalDetector) incrementalPass(i int, r *Rule, rel *model.Relatio
 		st.spans = append(st.spans, st.units[lo:hi:hi])
 		lo = hi
 	}
-	lists, err := d.detectBlocks(r, st.spans)
+	lists, err := d.detectBlocks(r, engine.Parallelize(d.ctx, st.spans, 0))
 	// The buffers outlive the pass; do not pin old tuples.
 	clear(st.units)
 	clear(st.spans)
@@ -382,24 +366,26 @@ func (d *IncrementalDetector) incrementalPass(i int, r *Rule, rel *model.Relatio
 	}
 	for j, b := range st.touched {
 		b.sets = lists[j]
-		delete(st.violating, b.key)
 		if len(b.sets) > 0 {
-			st.violating[b.key] = b
-		} else if len(b.members) == 0 {
+			st.violating[b] = struct{}{}
+			continue
+		}
+		delete(st.violating, b)
+		if len(b.members) == 0 {
 			delete(st.blocks, b.key)
 		}
 	}
 	return nil
 }
 
-// detectBlocks runs rule r's block detector over each block's units and
+// detectBlocks runs rule r's block detector over each block's tuples and
 // GenFix over what it finds, returning one fix-set list per block. The
 // detector is the one a full pass runs per group: the rule's block kernel,
 // else the planner's pair enumeration (ordered unless the rule is
-// Symmetric), or Detect per unit for a unary rule. The blocks are spread
-// over the context's parallelism by one narrow stage with no shuffle, which
-// reports under one pipeline span like a full pass does.
-func (d *IncrementalDetector) detectBlocks(r *Rule, blocks [][]model.Tuple) ([][]model.FixSet, error) {
+// Symmetric), or Detect per unit for a unary rule (after its Scope, if it
+// has one). The blocks run as one narrow stage over their partitions,
+// reporting under one pipeline span like a full pass does.
+func (d *IncrementalDetector) detectBlocks(r *Rule, blocks *engine.Dataset[[]model.Tuple]) ([][]model.FixSet, error) {
 	sp := d.ctx.Observer().BeginSpan(nil, r.ID, engine.SpanPipeline)
 	defer sp.End()
 	m := &udfMeter{on: d.ctx.Instrumented()}
@@ -410,8 +396,16 @@ func (d *IncrementalDetector) detectBlocks(r *Rule, blocks [][]model.Tuple) ([][
 		det = metered(m, blockDetector(r.DetectBlock, r.Detect, !r.Symmetric))
 	}
 	genFix := m.genFix(r.GenFix)
-	lists, err := engine.Map(engine.Parallelize(d.ctx, blocks, 0), func(us []model.Tuple) []model.FixSet {
-		return genFix(det(us))
+	scope := r.Scope // only a unary rule is incrementalizable with one
+	lists, err := engine.Map(blocks, func(ts []model.Tuple) []model.FixSet {
+		if scope != nil {
+			var units []model.Tuple
+			for _, t := range ts {
+				units = append(units, scope(t)...)
+			}
+			ts = units
+		}
+		return genFix(det(ts))
 	}).Collect()
 	if err != nil {
 		return nil, fmt.Errorf("core: incremental detection of %s failed: %w", r.ID, err)
@@ -420,17 +414,21 @@ func (d *IncrementalDetector) detectBlocks(r *Rule, blocks [][]model.Tuple) ([][
 	return lists, nil
 }
 
-// assemble snapshots the cached state into a result: rules in index order,
-// each rule's blocks in first-seen order, then the non-incremental rules'
-// results — the same order on every run.
-func (d *IncrementalDetector) assemble() *DetectResult {
+// result snapshots the state into a result: the incremental rules in index
+// order, each rule's blocks in first-seen order, then the fallback rules'
+// result — the same order on every run. With no incremental rule the
+// fallback result is already assembled and is returned as it is.
+func (d *IncrementalDetector) result() *DetectResult {
+	if len(d.fallback) == len(d.rules) {
+		return d.full
+	}
 	var lists [][]model.FixSet
 	for _, st := range d.state {
 		if st == nil {
 			continue
 		}
 		bs := make([]*block, 0, len(st.violating))
-		for _, b := range st.violating {
+		for b := range st.violating {
 			bs = append(bs, b)
 		}
 		slices.SortFunc(bs, func(a, b *block) int { return cmp.Compare(a.rank, b.rank) })
@@ -438,5 +436,5 @@ func (d *IncrementalDetector) assemble() *DetectResult {
 			lists = append(lists, b.sets)
 		}
 	}
-	return assemble(append(lists, d.full))
+	return assemble(append(lists, d.full.FixSets))
 }

@@ -307,38 +307,6 @@ func TestIncrementalBoundedFallback(t *testing.T) {
 	assertSameViolations(t, res, full, "stale fallback refresh")
 }
 
-// TestIncrementalReset: Reset drops the caches so the next Detect re-primes
-// with a full pass and still matches full detection.
-func TestIncrementalReset(t *testing.T) {
-	ctx := engine.New(2)
-	rel := mutableTax(80, 8, 4)
-	det, err := NewIncrementalDetector(ctx, []*Rule{fdRule()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := det.Detect(rel, rel.ByID(), nil); err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite a swath of tuples without telling the detector, then Reset:
-	// the fallback path for untracked changes.
-	for i := 0; i < 20; i++ {
-		rel.Tuples[i].Cells[2] = model.S("Zapped")
-	}
-	det.Reset()
-	if det.primed {
-		t.Fatal("Reset must unprime the detector")
-	}
-	res, err := det.Detect(rel, rel.ByID(), []int64{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := DetectRule(ctx, fdRule(), rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameViolations(t, res, full, "post-reset")
-}
-
 func TestIncrementalNoChanges(t *testing.T) {
 	ctx := engine.New(2)
 	rel := mutableTax(60, 6, 1)

@@ -226,7 +226,6 @@ func All() []Experiment {
 		{"fig12a", "Figure 12(a): full API vs Detect-only abstraction", Fig12a},
 		{"fig12b", "Figure 12(b): parallel vs centralized repair", Fig12b},
 		{"table4", "Table 4: repair quality (precision/recall/iterations, distances)", Table4},
-		{"ext-incremental", "Extension: incremental vs full re-detection in the cleansing loop", ExtIncremental},
 		{"ext-consolidation", "Extension: consolidated multi-rule plans vs per-rule plans", ExtConsolidation},
 		{"ext-combiner", "Extension: MR combiner effect on distributed equivalence class spill", ExtCombiner},
 		{"ext-net", "Extension: Fig. 10 rerun across real worker processes (net backend)", ExtNet},

@@ -39,8 +39,8 @@ func TestRegistryIDsUnique(t *testing.T) {
 			t.Errorf("experiment %s incomplete", e.ID)
 		}
 	}
-	if len(seen) != 21 {
-		t.Errorf("experiments = %d, want 21 (every table and figure plus 6 extensions)", len(seen))
+	if len(seen) != 20 {
+		t.Errorf("experiments = %d, want 20 (every table and figure plus 5 extensions)", len(seen))
 	}
 }
 

@@ -16,38 +16,6 @@ import (
 // have no counterpart figure in the paper; EXPERIMENTS.md reports them as
 // extensions).
 
-// ExtIncremental measures the cleansing loop with full re-detection per
-// iteration vs block-incremental detection, across error rates.
-func ExtIncremental(cfg Config) ([]*Table, error) {
-	cfg = cfg.withDefaults()
-	t := &Table{ID: "ext-incremental", Title: "cleansing loop: full vs incremental re-detection (TaxA phi1)",
-		XLabel: "error%", YLabel: "total detect seconds",
-		Series: []Series{{Name: "full-redetect"}, {Name: "incremental"}}}
-	rule := mustRule(phi1())
-	rows := cfg.rows(20000)
-	for _, rate := range []float64{0.01, 0.10, 0.50} {
-		rel := datagen.TaxA(rows, rate, cfg.Seed).Dirty
-		for si, incremental := range []bool{false, true} {
-			opts := []cleanse.Option{cleanse.WithParallelRepair(repair.Options{})}
-			if incremental {
-				opts = append(opts, cleanse.WithIncremental())
-			}
-			cleaner, err := cleanse.NewCleaner(engine.New(cfg.Workers), []*core.Rule{rule}, opts...)
-			if err != nil {
-				return nil, err
-			}
-			res, err := cleaner.Clean(rel)
-			if err != nil {
-				return nil, err
-			}
-			t.Series[si].Points = append(t.Series[si].Points,
-				Point{X: rate * 100, Value: res.Report().DetectTime.Seconds()})
-		}
-	}
-	t.Notes = append(t.Notes, "extension: incremental detection re-processes only repaired blocks after the first pass")
-	return []*Table{t}, nil
-}
-
 // ExtConsolidation measures detecting several same-table rules as one
 // consolidated plan (shared scans, Algorithm 1) vs one plan per rule.
 func ExtConsolidation(cfg Config) ([]*Table, error) {

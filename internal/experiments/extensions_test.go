@@ -6,22 +6,6 @@ import (
 	"testing"
 )
 
-func TestExtIncrementalRuns(t *testing.T) {
-	tables, err := ExtIncremental(tinyCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl := tables[0]
-	if len(tbl.Series) != 2 {
-		t.Fatal("two variants expected")
-	}
-	for _, s := range tbl.Series {
-		if len(s.Points) != 3 {
-			t.Errorf("series %s points = %d", s.Name, len(s.Points))
-		}
-	}
-}
-
 func TestExtConsolidationRuns(t *testing.T) {
 	tables, err := ExtConsolidation(tinyCfg())
 	if err != nil {

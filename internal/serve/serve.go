@@ -215,7 +215,6 @@ type statusJSON struct {
 	Flushes        int    `json:"flushes"`
 	UpdatesApplied int64  `json:"updatesApplied"`
 	FrozenCells    int    `json:"frozenCells"`
-	Incremental    bool   `json:"incremental"`
 	Queued         int    `json:"queued"`
 	LastError      string `json:"lastError,omitempty"`
 }
@@ -307,7 +306,7 @@ func (s *Server) open(name string, plan *createPlan) (*stream, error) {
 	}
 	s.streams[name] = st
 	go st.work()
-	s.cfg.Logf("session %s: opened (%d rules, incremental=%v)", name, len(plan.rules), sess.Incremental())
+	s.cfg.Logf("session %s: opened (%d rules)", name, len(plan.rules))
 	return st, nil
 }
 
@@ -446,15 +445,11 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeBodyErr(w, err)
 		return
 	}
-	st, err := s.open(name, plan)
-	if err != nil {
+	if _, err := s.open(name, plan); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]any{
-		"name":        name,
-		"incremental": st.session.Incremental(),
-	})
+	writeJSON(w, http.StatusCreated, map[string]any{"name": name})
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -478,7 +473,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Flushes:        sess.Flushes,
 		UpdatesApplied: sess.UpdatesApplied,
 		FrozenCells:    sess.FrozenCells,
-		Incremental:    sess.Incremental,
 		Queued:         queued,
 		LastError:      lastErr,
 	})

@@ -92,11 +92,11 @@ func TestServeSessionLifecycle(t *testing.T) {
 		t.Fatalf("create: %d %s", code, body)
 	}
 	var created struct {
-		Incremental bool `json:"incremental"`
+		Name string `json:"name"`
 	}
 	json.Unmarshal(body, &created)
-	if !created.Incremental {
-		t.Error("FD session should be incremental")
+	if created.Name != "tax" {
+		t.Errorf("create answered name %q", created.Name)
 	}
 	// Creating the same name again fails.
 	if code, _ := do(t, c, "POST", ts.URL+"/sessions/tax", createBody(true)); code != http.StatusBadRequest {
