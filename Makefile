@@ -40,8 +40,8 @@ bench-smoke:
 
 # 30 seconds of coverage-guided fuzzing per fuzzer (the wire codec, the
 # record decoders, the schema and CSV parsers, the service's create body, the
-# DC, FD and CFD parsers, the FD block kernel and the storage reader), seeded
-# from testdata/fuzz corpora.
+# DC, FD and CFD parsers, the rule-spec list compiler, the FD block kernel
+# and the storage reader), seeded from testdata/fuzz corpora.
 # A finding is checked in as a new corpus file.
 fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 30s ./internal/netexec/
@@ -53,6 +53,7 @@ fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzParseDC -fuzztime 30s ./internal/rules/
 	$(GO) test -run xxx -fuzz FuzzParseFD -fuzztime 30s ./internal/rules/
 	$(GO) test -run xxx -fuzz FuzzParseCFD -fuzztime 30s ./internal/rules/
+	$(GO) test -run xxx -fuzz FuzzCompileSpecs -fuzztime 30s ./internal/rules/
 	$(GO) test -run xxx -fuzz FuzzFDBlockKernel -fuzztime 30s ./internal/rules/
 	$(GO) test -run xxx -fuzz FuzzStoreRead -fuzztime 30s ./internal/storage/
 

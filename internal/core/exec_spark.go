@@ -404,15 +404,15 @@ func (ex *sparkExec) iterateGroups(pp *PhysicalPlan, p *PhysicalPipeline, branch
 }
 
 // blocks groups a branch stream by its Block key into parts partitions (0:
-// the context's parallelism). Grouping is on the value's comparable MapKey —
-// no per-record key string is materialized.
+// the context's parallelism). Grouping is on the value's comparable MapKey,
+// computed where the tuples lie — no keyed-pair dataset and no per-record
+// key string is materialized.
 func (ex *sparkExec) blocks(d *engine.Dataset[model.Tuple], block BlockFunc, parts int) *engine.Dataset[engine.Pair[model.ValueKey, []model.Tuple]] {
-	keyed := engine.KeyBy(d, func(t model.Tuple) model.ValueKey { return block(t).MapKey() })
-	return engine.GroupByKeyN(keyed, parts)
+	return engine.GroupBy(d, func(t model.Tuple) model.ValueKey { return block(t).MapKey() }, parts)
 }
 
-// coGroupBranches keys the first two branches and co-groups them into parts
-// partitions (0: the context's parallelism).
+// coGroupBranches co-groups the first two branches on their Block keys into
+// parts partitions (0: the context's parallelism).
 func (ex *sparkExec) coGroupBranches(pp *PhysicalPlan, p *PhysicalPipeline, branches []Branch, parts int) (*engine.Dataset[engine.Pair[model.ValueKey, engine.CoGrouped[model.Tuple, model.Tuple]]], error) {
 	left, err := ex.branchStream(pp, p, branches[0])
 	if err != nil {
@@ -423,9 +423,9 @@ func (ex *sparkExec) coGroupBranches(pp *PhysicalPlan, p *PhysicalPipeline, bran
 		return nil, err
 	}
 	lb, rb := branches[0].Block, branches[1].Block
-	lk := engine.KeyBy(left, func(t model.Tuple) model.ValueKey { return lb(t).MapKey() })
-	rk := engine.KeyBy(right, func(t model.Tuple) model.ValueKey { return rb(t).MapKey() })
-	cg := engine.CoGroupN(lk, rk, parts)
+	cg := engine.CoGroupBy(left, right,
+		func(t model.Tuple) model.ValueKey { return lb(t).MapKey() },
+		func(t model.Tuple) model.ValueKey { return rb(t).MapKey() }, parts)
 	if err := cg.Err(); err != nil {
 		return nil, err
 	}

@@ -21,10 +21,10 @@ import (
 // block is re-detected.
 //
 // The first pass (the prime) is itself a full pass: per incremental rule,
-// one KeyBy(Block) → GroupByKeyN stage, the shuffle a full pass runs, on the
-// rule's own key. Its groups feed the per-block detector and become the
-// rule's block-membership index (block → member IDs). Later passes update
-// that index from the changed IDs alone, with the caller's live tuple ID →
+// one GroupBy(Block) stage, the shuffle a full pass runs, on the rule's own
+// key. Its groups feed the per-block detector and become the rule's
+// block-membership index (block → member IDs). Later passes update that
+// index from the changed IDs alone, with the caller's live tuple ID →
 // position index, and run the block detector straight on each touched
 // block's members — no plan, no shuffle — so a pass costs the blocks the
 // batch touches, not the relation.
@@ -252,20 +252,20 @@ func (d *IncrementalDetector) prime(rel *model.Relation) error {
 }
 
 // primeRule runs rule r's full pass and builds its state from the pass's
-// own groups: the relation keyed by blockKey and grouped in one GroupByKeyN
-// stage, or, for a unary rule, each tuple as its own group. Each group runs
-// the per-block body of an incremental pass and becomes one block, ranked
-// in group output order, so the first result lists fix sets as a full pass
-// does.
+// own groups: the relation grouped by blockKey in one GroupBy stage, or, for
+// a unary rule, each tuple as its own group. Each group runs the per-block
+// body of an incremental pass and becomes one block, ranked in group output
+// order, so the first result lists fix sets as a full pass does.
 func (d *IncrementalDetector) primeRule(r *Rule, rel *model.Relation) (*ruleState, error) {
-	keyed := engine.KeyBy(engine.Parallelize(d.ctx, rel.Tuples, 0), func(t model.Tuple) model.ValueKey { return blockKey(r, t) })
+	scan := engine.Parallelize(d.ctx, rel.Tuples, 0)
+	key := func(t model.Tuple) model.ValueKey { return blockKey(r, t) }
 	var groups *engine.Dataset[engine.Pair[model.ValueKey, []model.Tuple]]
 	if r.Unary {
-		groups = engine.Map(keyed, func(p engine.Pair[model.ValueKey, model.Tuple]) engine.Pair[model.ValueKey, []model.Tuple] {
-			return engine.KV(p.Key, []model.Tuple{p.Value})
+		groups = engine.Map(scan, func(t model.Tuple) engine.Pair[model.ValueKey, []model.Tuple] {
+			return engine.KV(key(t), []model.Tuple{t})
 		})
 	} else {
-		groups = engine.GroupByKeyN(keyed, 0)
+		groups = engine.GroupBy(scan, key, 0)
 	}
 	gs, err := groups.Collect()
 	if err != nil {

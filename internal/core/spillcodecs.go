@@ -8,7 +8,7 @@ import (
 // Spill codecs: registering the data model's binary encodings with the
 // engine makes every wide operator over tuples out-of-core capable. With a
 // memory budget configured (engine.Config.MemoryBudgetBytes), the blocking
-// GroupByKey of the FD path, the CoGroup behind joins, and OCJoin's range
+// GroupBy of the FD path, the CoGroupBy behind joins, and OCJoin's range
 // partitioning all spill to disk instead of growing without bound; without
 // a budget the registrations are inert and the in-memory fast paths run
 // unchanged.

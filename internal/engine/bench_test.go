@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"bigdansing/internal/model"
 )
 
 // Substrate micro-benchmarks: the narrow/wide transformation costs that
@@ -31,6 +33,28 @@ func BenchmarkGroupByKey(b *testing.B) {
 			}
 		})
 	}
+	// The Block shape of FD detection: 100 000 tuples grouped by the
+	// ValueKey of one cell, the key computed where the tuples lie.
+	tuples := benchTuples(100000, 7)
+	b.Run("tuples-100000-valuekey", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			d := Parallelize(ctx, tuples, 0)
+			if _, err := GroupBy(d, func(t model.Tuple) model.ValueKey { return t.Cell(1).MapKey() }, 0).Count(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// benchTuples draws n three-cell tuples whose second cell (the grouping
+// key) takes about n/20 distinct string values.
+func benchTuples(n int, seed int64) []model.Tuple {
+	r := rand.New(rand.NewSource(seed))
+	out := make([]model.Tuple, n)
+	for i := range out {
+		out[i] = model.NewTuple(int64(i), model.I(int64(i)), model.S(fmt.Sprintf("z%d", r.Intn(n/20+1))), model.F(r.Float64()))
+	}
+	return out
 }
 
 func BenchmarkReduceByKey(b *testing.B) {

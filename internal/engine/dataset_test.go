@@ -150,11 +150,12 @@ func TestCoGroup(t *testing.T) {
 	ctx := New(4)
 	left := Parallelize(ctx, []Pair[string, int]{KV("x", 1), KV("y", 2), KV("x", 3)}, 2)
 	right := Parallelize(ctx, []Pair[string, string]{KV("x", "a"), KV("z", "b")}, 2)
-	cg, err := CoGroup(left, right).Collect()
+	lk, rk := pairKey[string, int], pairKey[string, string]
+	cg, err := CoGroupBy(left, right, lk, rk, 0).Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[string]CoGrouped[int, string]{}
+	seen := map[string]CoGrouped[Pair[string, int], Pair[string, string]]{}
 	for _, g := range cg {
 		seen[g.Key] = g.Value
 	}
@@ -167,16 +168,16 @@ func TestCoGroup(t *testing.T) {
 
 	// One destination partition: every key in one task, left keys first in
 	// first-seen order, then right-only keys.
-	one := CoGroupN(left, right, 1)
+	one := CoGroupBy(left, right, lk, rk, 1)
 	if one.NumPartitions() != 1 {
-		t.Fatalf("CoGroupN(1) partitions = %d", one.NumPartitions())
+		t.Fatalf("CoGroupBy(1) partitions = %d", one.NumPartitions())
 	}
 	var keys []string
 	for _, g := range one.Partition(0) {
 		keys = append(keys, g.Key)
 	}
 	if strings.Join(keys, ",") != "x,y,z" {
-		t.Errorf("CoGroupN(1) key order = %v, want x,y,z", keys)
+		t.Errorf("CoGroupBy(1) key order = %v, want x,y,z", keys)
 	}
 }
 

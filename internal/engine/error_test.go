@@ -19,17 +19,21 @@ func TestErrorPropagatesThroughWideOps(t *testing.T) {
 		t.Error("ReduceByKey should propagate")
 	}
 	good := Parallelize(ctx, []Pair[string, int]{KV("k", 1)}, 1)
-	if CoGroup(kv, good).Err() == nil {
-		t.Error("CoGroup should propagate from left")
+	key := pairKey[string, int]
+	if CoGroupBy(kv, good, key, key, 0).Err() == nil {
+		t.Error("CoGroupBy should propagate from left")
 	}
-	if CoGroup(good, kv).Err() == nil {
-		t.Error("CoGroup should propagate from right")
+	if CoGroupBy(good, kv, key, key, 0).Err() == nil {
+		t.Error("CoGroupBy should propagate from right")
 	}
 	if GroupByKeyN(kv, 1).Err() == nil {
 		t.Error("GroupByKeyN should propagate")
 	}
-	if CoGroupN(good, kv, 1).Err() == nil {
-		t.Error("CoGroupN should propagate")
+	if GroupBy(failing(ctx), func(i int) int { return i }, 1).Err() == nil {
+		t.Error("GroupBy should propagate")
+	}
+	if CoGroupBy(good, kv, key, key, 1).Err() == nil {
+		t.Error("CoGroupBy(1) should propagate")
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 
 // The Exchange seam is how the engine talks to its non-local backends
 // without importing them. The wide transformations that move data between
-// partitions — shuffleByKey, RangePartitionBy, Cartesian — already know how
+// partitions — grouping, co-grouping, RangePartitionBy, Cartesian — know how
 // to turn their records into codec-encoded bytes (the spill regime fixed
 // that format in PR 3); with an Exchange installed they hand those bytes to
 // it instead of concatenating slices in-process. internal/netexec moves them
@@ -52,8 +52,8 @@ type EncodedRec struct {
 // be safe for concurrent use (independent shuffles may overlap) and must
 // preserve the engine's ordering contract: the records of destination d are
 // returned in (source partition index, within-source order) — exactly the
-// concatenation order of the in-memory gather — so the two backends produce
-// element-for-element identical results.
+// order the in-memory index scatter reads them in — so every backend
+// produces element-for-element identical results.
 type Exchange interface {
 	// Shuffle routes each source partition's encoded records to their Dst
 	// (in [0, n)) through the backend's workers and gathers the n
@@ -103,14 +103,15 @@ func newExchange(cfg Config, obs Observer) (Exchange, error) {
 	return f(cfg, obs)
 }
 
-// exchangeScatter is the exchange counterpart of the scatter/gather
-// shuffle, on the TCP and disk exchanges alike: it encodes every record of
-// every source partition (a parallel stage, so a panicking codec is
-// attributed and recovered like any operator panic), routes the bytes
-// through the exchange, and decodes the gathered destination partitions
-// (another parallel stage). The output is element-for-element identical to
-// the in-memory scatter's.
-func exchangeScatter[T any](ctx *Context, op string, parts [][]T, n int, c Codec[T], dstOf func(T) int) ([][]T, error) {
+// exchangeScatter is the exchange counterpart of the in-memory index
+// scatter, on the TCP and disk exchanges alike: route gives every record of
+// every source partition its destination and the record it travels as,
+// which is encoded (a parallel stage, so a panicking codec is attributed
+// and recovered like any operator panic); the bytes go through the
+// exchange, and the gathered destination partitions are decoded (another
+// parallel stage). Destination p receives its records in (source, arrival)
+// order, the order the in-memory regime reads them in.
+func exchangeScatter[T, U any](ctx *Context, op string, parts [][]T, n int, c Codec[U], route func(T) (int, U)) ([][]U, error) {
 	enc := make([][]EncodedRec, len(parts))
 	err := ctx.runStage(op+":encode", len(parts), func(tk *taskCtx) {
 		in := parts[tk.part]
@@ -118,7 +119,8 @@ func exchangeScatter[T any](ctx *Context, op string, parts [][]T, n int, c Codec
 		tk.op = "Encode"
 		recs := make([]EncodedRec, len(in))
 		for i, v := range in {
-			recs[i] = EncodedRec{Dst: uint32(dstOf(v)), Data: c.Append(nil, v)}
+			dst, u := route(v)
+			recs[i] = EncodedRec{Dst: uint32(dst), Data: c.Append(nil, u)}
 		}
 		tk.op = ""
 		enc[tk.part] = recs
@@ -131,12 +133,12 @@ func exchangeScatter[T any](ctx *Context, op string, parts [][]T, n int, c Codec
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]T, n)
+	out := make([][]U, n)
 	errs := make([]error, n)
 	derr := ctx.runStage(op+":decode", n, func(tk *taskCtx) {
 		in := raw[tk.part]
 		tk.recordsIn = int64(len(in))
-		bucket := make([]T, 0, len(in))
+		bucket := make([]U, 0, len(in))
 		for _, b := range in {
 			v, used, err := c.Decode(b)
 			if err != nil {

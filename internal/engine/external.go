@@ -16,7 +16,7 @@ import (
 // codecs, the wide transformations switch from their in-memory algorithms
 // to the spill regime implemented here:
 //
-//   - GroupByKey / ReduceByKey: each source partition encodes its records,
+//   - grouping / ReduceByKey: each source partition encodes its records,
 //     buffers them under reservation from the budget manager, and — when a
 //     reservation is refused — stable-sorts the buffer by (destination,
 //     64-bit key hash, encoded key bytes) and spills it as per-destination
@@ -30,10 +30,10 @@ import (
 //   - SortBy: the same spill structure with runs ordered by the user's less
 //     function; the per-destination merge yields each output partition
 //     already sorted, turning sample-sort into a true external merge sort.
-//   - shuffleByKey / RangePartitionBy: order-preserving scatter with spill —
+//   - co-grouping / RangePartitionBy: order-preserving scatter with spill —
 //     runs are ordered by destination only and the "merge" concatenates
-//     them in (source, flush) order, so the output is element-for-element
-//     identical to the in-memory path's.
+//     them in (source, flush) order, so every destination reads its
+//     records in the order the in-memory index scatter yields them.
 //
 // Every operator creates its run files under a lazily made temp directory
 // that is removed on all exits — success, error and operator panic alike.
@@ -361,7 +361,7 @@ func kWayMerge[R any](srcs []*mergeSource[R], before func(a, b R) bool, emit fun
 	return nil
 }
 
-// --- key-value records (GroupByKey / ReduceByKey) ---
+// --- key-value records (grouping / ReduceByKey) ---
 
 // spillRec is one key-value record staged for spilling: its destination
 // partition, the key's 64-bit hash, and the codec encodings of key and
@@ -430,21 +430,23 @@ func newKVSpiller(ctx *Context, dir *spill.Dir, st *spillStats) *spiller[spillRe
 }
 
 // externalGroupRuns executes the spill stage of the external group
-// algorithms over the materialized input partitions.
-func externalGroupRuns[K comparable, V any](
+// algorithms over the materialized input partitions, computing each
+// record's (key, value) once, while encoding it.
+func externalGroupRuns[T any, K comparable, V any](
 	ctx *Context, stage string, dir *spill.Dir, st *spillStats,
-	parts [][]Pair[K, V], n int, kc Codec[K], vc Codec[V],
+	parts [][]T, n int, key func(T) K, val func(T) V, kc Codec[K], vc Codec[V],
 ) ([]*spillSource[spillRec], error) {
 	return runSpillStage(ctx, stage, parts,
 		func() *spiller[spillRec] { return newKVSpiller(ctx, dir, st) },
-		func(sp *spiller[spillRec], _ *taskCtx, in []Pair[K, V]) error {
-			for _, kv := range in {
-				h := hashKey(kv.Key)
+		func(sp *spiller[spillRec], _ *taskCtx, in []T) error {
+			for _, t := range in {
+				k := key(t)
+				h := hashKey(k)
 				// One allocation per record: key and value share a buffer,
 				// sliced apart after encoding.
-				enc := kc.Append(make([]byte, 0, 48), kv.Key)
+				enc := kc.Append(make([]byte, 0, 48), k)
 				klen := len(enc)
-				enc = vc.Append(enc, kv.Value)
+				enc = vc.Append(enc, val(t))
 				r := spillRec{
 					dst:  uint32(h % uint64(n)),
 					hash: h,
@@ -495,8 +497,8 @@ func mergeKVDst(
 	})
 }
 
-// groupByKeyExternal is GroupByKey in the disk-backed regime.
-func groupByKeyExternal[K comparable, V any](d *Dataset[Pair[K, V]], n int, kc Codec[K], vc Codec[V]) *Dataset[Pair[K, []V]] {
+// groupByExternal is groupBy in the disk-backed regime.
+func groupByExternal[T any, K comparable, V any](d *Dataset[T], key func(T) K, val func(T) V, n int, kc Codec[K], vc Codec[V]) *Dataset[Pair[K, []V]] {
 	ctx := d.ctx
 	parts, err := d.forced()
 	if err != nil {
@@ -507,7 +509,7 @@ func groupByKeyExternal[K comparable, V any](d *Dataset[Pair[K, V]], n int, kc C
 	st := &spillStats{}
 	defer st.flushInto(ctx)
 
-	sources, err := externalGroupRuns(ctx, "groupByKey", dir, st, parts, n, kc, vc)
+	sources, err := externalGroupRuns(ctx, "groupByKey", dir, st, parts, n, key, val, kc, vc)
 	if err != nil {
 		return errDataset[Pair[K, []V]](ctx, err)
 	}
@@ -564,7 +566,7 @@ func reduceByKeyExternal[K comparable, V any](d *Dataset[Pair[K, V]], combine fu
 	st := &spillStats{}
 	defer st.flushInto(ctx)
 
-	sources, err := externalGroupRuns(ctx, "reduceByKey", dir, st, parts, n, kc, vc)
+	sources, err := externalGroupRuns(ctx, "reduceByKey", dir, st, parts, n, pairKey[K, V], pairValue[K, V], kc, vc)
 	if err != nil {
 		return errDataset[Pair[K, V]](ctx, err)
 	}

@@ -35,23 +35,24 @@ func (e *costEstimator[T]) cost(r dstRec[T]) int64 {
 
 // scatterSpill redistributes parts into n destination partitions under the
 // memory budget, spilling per-destination runs when buffering is refused.
+// route gives each record its destination and the record it is stored as.
 //
 // With runLess == nil the merge order is pure arrival order — each
 // destination concatenates its runs in (source partition, flush) order, so
-// the output is element-for-element identical to the in-memory scatter
-// paths in shuffle.go and sort.go. With runLess set, runs are sorted by it
-// and each destination k-way merges them, yielding partitions that are
-// fully sorted (external merge sort); ties still resolve to arrival order.
-func scatterSpill[T any](
+// every destination holds its records in the order the in-memory index
+// scatter reads them in. With runLess set, runs are sorted by it and each
+// destination k-way merges them, yielding partitions that are fully sorted
+// (external merge sort); ties still resolve to arrival order.
+func scatterSpill[T, U any](
 	ctx *Context, stage string, parts [][]T, n int,
-	dstOf func(T) int, c Codec[T], runLess func(a, b T) bool,
-) ([][]T, error) {
+	route func(T) (int, U), c Codec[U], runLess func(a, b U) bool,
+) ([][]U, error) {
 	dir := spill.NewDir(ctx.spillDir, stage)
 	defer dir.Cleanup()
 	st := &spillStats{}
 	defer st.flushInto(ctx)
 
-	sortRun := func(buf []dstRec[T]) {
+	sortRun := func(buf []dstRec[U]) {
 		sort.SliceStable(buf, func(i, j int) bool {
 			if buf[i].dst != buf[j].dst {
 				return buf[i].dst < buf[j].dst
@@ -63,21 +64,22 @@ func scatterSpill[T any](
 		})
 	}
 	sources, err := runSpillStage(ctx, stage, parts,
-		func() *spiller[dstRec[T]] {
-			est := &costEstimator[T]{c: c}
-			return &spiller[dstRec[T]]{
+		func() *spiller[dstRec[U]] {
+			est := &costEstimator[U]{c: c}
+			return &spiller[dstRec[U]]{
 				mm:      ctx.mem,
 				dir:     dir,
 				stats:   st,
-				dstOf:   func(r dstRec[T]) int { return int(r.dst) },
+				dstOf:   func(r dstRec[U]) int { return int(r.dst) },
 				sortRun: sortRun,
-				encode:  func(buf []byte, r dstRec[T]) []byte { return c.Append(buf, r.v) },
+				encode:  func(buf []byte, r dstRec[U]) []byte { return c.Append(buf, r.v) },
 				cost:    est.cost,
 			}
 		},
-		func(sp *spiller[dstRec[T]], _ *taskCtx, in []T) error {
+		func(sp *spiller[dstRec[U]], _ *taskCtx, in []T) error {
 			for _, v := range in {
-				if err := sp.add(dstRec[T]{dst: uint32(dstOf(v)), v: v}); err != nil {
+				dst, u := route(v)
+				if err := sp.add(dstRec[U]{dst: uint32(dst), v: u}); err != nil {
 					return err
 				}
 			}
@@ -88,23 +90,23 @@ func scatterSpill[T any](
 	}
 	defer releaseSources(ctx, sources)
 
-	before := func(a, b dstRec[T]) bool { return false } // concat in arrival order
+	before := func(a, b dstRec[U]) bool { return false } // concat in arrival order
 	if runLess != nil {
-		before = func(a, b dstRec[T]) bool { return runLess(a.v, b.v) }
+		before = func(a, b dstRec[U]) bool { return runLess(a.v, b.v) }
 	}
-	out := make([][]T, n)
+	out := make([][]U, n)
 	errs := make([]error, n)
 	gerr := ctx.runStage(stage+":merge", n, func(tk *taskCtx) {
 		dst := tk.part
-		decode := func(b []byte) (dstRec[T], error) {
+		decode := func(b []byte) (dstRec[U], error) {
 			v, _, derr := c.Decode(b)
 			if derr != nil {
-				return dstRec[T]{}, derr
+				return dstRec[U]{}, derr
 			}
-			return dstRec[T]{dst: uint32(dst), v: v}, nil
+			return dstRec[U]{dst: uint32(dst), v: v}, nil
 		}
 		srcs, closers, merr := mergeSourcesFor(sources, dst,
-			func(r dstRec[T]) int { return int(r.dst) }, decode)
+			func(r dstRec[U]) int { return int(r.dst) }, decode)
 		defer func() {
 			for _, cl := range closers {
 				cl()
@@ -117,8 +119,8 @@ func scatterSpill[T any](
 		if len(srcs) > 1 {
 			st.merges.Add(1)
 		}
-		var res []T
-		errs[dst] = kWayMerge(srcs, before, func(r dstRec[T]) error {
+		var res []U
+		errs[dst] = kWayMerge(srcs, before, func(r dstRec[U]) error {
 			res = append(res, r.v)
 			tk.shuffled++
 			return nil
@@ -182,6 +184,12 @@ func boundsTarget[T any](bounds []T, less func(a, b T) bool) func(T) int {
 	}
 }
 
+// keepRoute turns a destination function into a scatter route that moves
+// each record as itself.
+func keepRoute[T any](dstOf func(T) int) func(T) (int, T) {
+	return func(v T) (int, T) { return dstOf(v), v }
+}
+
 // sortByExternal is SortBy in the disk-backed regime: a true external merge
 // sort. Elements are range-partitioned by sampled boundaries like the
 // in-memory path, but each destination receives sorted runs and k-way
@@ -201,7 +209,7 @@ func sortByExternal[T any](d *Dataset[T], less func(a, b T) bool, n int, c Codec
 	}
 	bounds := sampleBounds(parts, total, n, less)
 	target := boundsTarget(bounds, less)
-	out, err := scatterSpill(ctx, "sortBy", parts, n, target, c, less)
+	out, err := scatterSpill(ctx, "sortBy", parts, n, keepRoute(target), c, less)
 	if err != nil {
 		return errDataset[T](ctx, err)
 	}

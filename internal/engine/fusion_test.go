@@ -260,9 +260,13 @@ func TestSnapshotAggregatesByName(t *testing.T) {
 	if !ok || sc.Runs != 3 {
 		t.Fatalf("shuffle:scatter should aggregate 3 runs: %+v", snap.PerStage)
 	}
-	ga := byName["shuffle:gather"]
-	if ga.RecordsShuffled != 150 {
-		t.Fatalf("gather shuffled = %d, want 150", ga.RecordsShuffled)
+	// The index scatter moves no record; the grouping stage reads them
+	// where they lie and counts them as shuffled.
+	if g := byName["groupByKey"]; g.Runs != 3 || g.RecordsShuffled != 150 {
+		t.Fatalf("groupByKey = %+v, want 3 runs shuffling 150", g)
+	}
+	if _, ok := byName["shuffle:gather"]; ok {
+		t.Fatalf("no gather stage expected: %+v", snap.PerStage)
 	}
 	if snap.RecordsShuffled != 150 {
 		t.Fatalf("total shuffled = %d, want 150", snap.RecordsShuffled)

@@ -30,7 +30,7 @@ const (
 	// SpanRun is the root of a traced run.
 	SpanRun SpanKind = iota
 	// SpanStage is one parallel engine stage (a fused narrow chain, a
-	// shuffle scatter/gather, a merge pass, ...).
+	// shuffle scatter, a grouping, a merge pass, ...).
 	SpanStage
 	// SpanTask is one partition task inside a stage.
 	SpanTask

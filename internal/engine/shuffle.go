@@ -1,35 +1,28 @@
 package engine
 
-import "sync"
+import (
+	"cmp"
+	"iter"
+	"sync"
+)
 
-// shuffleScratch holds the per-task index arrays of one scatter pass. The
-// arrays are sized to the partition being scattered and reused across
-// stages via a sync.Pool, so steady-state shuffles allocate only the
-// buckets they hand downstream, not their working memory.
-type shuffleScratch struct {
-	dsts   []uint32
-	counts []int
-}
+// int32Pool recycles the per-task index arrays of the wide operators
+// (destinations, group ids, group counts). They are sized to the partition
+// being processed and reused across stages, so a steady-state shuffle
+// allocates only what it hands downstream, not its working memory.
+var int32Pool = sync.Pool{New: func() any { return new([]int32) }}
 
-var scratchPool = sync.Pool{New: func() any { return new(shuffleScratch) }}
-
-// grab returns the pooled scratch with dsts sized to rows and counts sized
-// (and zeroed) to n destinations.
-func grabScratch(rows, n int) *shuffleScratch {
-	s := scratchPool.Get().(*shuffleScratch)
-	if cap(s.dsts) < rows {
-		s.dsts = make([]uint32, rows)
-	}
-	s.dsts = s.dsts[:rows]
-	if cap(s.counts) < n {
-		s.counts = make([]int, n)
+// grabInt32s returns a pooled, zeroed []int32 of length n. Return it with
+// int32Pool.Put (deferred, so an operator panic still returns it).
+func grabInt32s(n int) *[]int32 {
+	p := int32Pool.Get().(*[]int32)
+	if cap(*p) < n {
+		*p = make([]int32, n)
 	} else {
-		s.counts = s.counts[:n]
-		for i := range s.counts {
-			s.counts[i] = 0
-		}
+		*p = (*p)[:n]
+		clear(*p)
 	}
-	return s
+	return p
 }
 
 // Pair is a key-value record, the currency of wide transformations.
@@ -41,182 +34,301 @@ type Pair[K comparable, V any] struct {
 // KV builds a Pair.
 func KV[K comparable, V any](k K, v V) Pair[K, V] { return Pair[K, V]{Key: k, Value: v} }
 
+func pairKey[K comparable, V any](p Pair[K, V]) K   { return p.Key }
+func pairValue[K comparable, V any](p Pair[K, V]) V { return p.Value }
+func identity[T any](t T) T                         { return t }
+
 // KeyBy turns a dataset into a pair dataset using a key extractor.
 func KeyBy[T any, K comparable](d *Dataset[T], key func(T) K) *Dataset[Pair[K, T]] {
 	return Map(d, func(t T) Pair[K, T] { return KV(key(t), t) })
 }
 
-// shuffleByKey hash-partitions pairs into n buckets by key. This is the wide
-// dependency every group/join transformation shares: each input partition
-// scatters its records, then the buckets are concatenated per target. It
-// forces the input (running any pending narrow chain as one fused stage).
-// Scatter computes each record's destination once into an index array and
-// sizes every per-destination bucket exactly before filling it; gather
-// preallocates each output bucket to its exact total — the shuffle path
-// performs no growing appends.
-func shuffleByKey[K comparable, V any](d *Dataset[Pair[K, V]], n int) ([][]Pair[K, V], error) {
-	if n <= 0 {
-		n = d.ctx.parallelism
-	}
-	parts, err := d.forced()
-	if err != nil {
-		return nil, err
-	}
-	// Exchange regime: the codec-encoded records cross process boundaries
-	// (or the disk) through the exchange; destinations are computed
-	// coordinator-side (the key hash), so workers never need type knowledge.
-	// Takes precedence over the spill regime — the workers are where the
-	// memory lives on that backend.
-	if d.ctx.exchange != nil {
-		kc, err := exchangeCodec[K]("shuffle")
-		if err != nil {
-			return nil, err
-		}
-		vc, err := exchangeCodec[V]("shuffle")
-		if err != nil {
-			return nil, err
-		}
-		return exchangeScatter(d.ctx, "shuffle", parts, n, pairCodec(kc, vc),
-			func(p Pair[K, V]) int { return int(hashKey(p.Key) % uint64(n)) })
-	}
-	if d.ctx.mem != nil {
-		if kc, ok := codecFor[K](); ok {
-			if vc, ok := codecFor[V](); ok {
-				return scatterSpill(d.ctx, "shuffle", parts, n,
-					func(p Pair[K, V]) int { return int(hashKey(p.Key) % uint64(n)) },
-					pairCodec(kc, vc), nil)
-			}
-		}
-	}
-	// scatter[src][dst] collects records from source partition src bound for
-	// destination dst; writing per-source keeps the stage lock-free.
-	scatter := make([][][]Pair[K, V], len(parts))
-	err = d.ctx.runStage("shuffle:scatter", len(parts), func(tk *taskCtx) {
+// routing is the result of an index scatter. For each source partition it
+// holds the record indices ordered by destination — a stable counting sort,
+// so arrival order holds within a destination — and the n+1 offsets that
+// cut them per destination. Destination p reads, for each source s in
+// order, parts[s][i] for i in idx[s][off[s][p]:off[s][p+1]]: the (source
+// partition, arrival) order the Exchange contract fixes, with no record
+// copied.
+type routing struct {
+	idx [][]int32
+	off [][]int32
+}
+
+// indexScatter is the in-memory scatter of every wide operator: one task
+// per source partition computes each record's destination once and
+// counting-sorts the record indices by it (4 bytes per record).
+func indexScatter[T any](ctx *Context, stage string, parts [][]T, n int, dstOf func(T) int) (*routing, error) {
+	rt := &routing{idx: make([][]int32, len(parts)), off: make([][]int32, len(parts))}
+	err := ctx.runStage(stage+":scatter", len(parts), func(tk *taskCtx) {
 		in := parts[tk.part]
 		tk.recordsIn = int64(len(in))
-		scratch := grabScratch(len(in), n)
-		defer scratchPool.Put(scratch) // deferred so an operator panic still returns it
-		dsts, counts := scratch.dsts, scratch.counts
-		for i, kv := range in {
-			dst := uint32(hashKey(kv.Key) % uint64(n))
+		dstsBuf := grabInt32s(len(in))
+		defer int32Pool.Put(dstsBuf)
+		dsts := *dstsBuf
+		// Count into off[dst], sum so off[dst] ends dst's segment, then
+		// place backwards: each record lands before the later ones of its
+		// destination and off[dst] is left at the segment's start.
+		off := make([]int32, n+1)
+		for i, v := range in {
+			dst := int32(dstOf(v))
 			dsts[i] = dst
-			counts[dst]++
+			off[dst]++
 		}
-		local := make([][]Pair[K, V], n)
-		for dst, c := range counts {
-			if c > 0 {
-				local[dst] = make([]Pair[K, V], 0, c)
-			}
+		for dst := 1; dst <= n; dst++ {
+			off[dst] += off[dst-1]
 		}
-		for i, kv := range in {
-			local[dsts[i]] = append(local[dsts[i]], kv)
+		idx := make([]int32, len(in))
+		for i := len(in) - 1; i >= 0; i-- {
+			off[dsts[i]]--
+			idx[off[dsts[i]]] = int32(i)
 		}
-		scatter[tk.part] = local
+		rt.idx[tk.part], rt.off[tk.part] = idx, off
 		tk.recordsOut = int64(len(in))
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]Pair[K, V], n)
-	gerr := d.ctx.runStage("shuffle:gather", n, func(tk *taskCtx) {
-		dst := tk.part
-		total := 0
-		for src := range scatter {
-			total += len(scatter[src][dst])
-		}
-		bucket := make([]Pair[K, V], 0, total)
-		for src := range scatter {
-			bucket = append(bucket, scatter[src][dst]...)
-		}
-		tk.shuffled += int64(total)
-		tk.recordsOut = int64(total)
-		out[dst] = bucket
-	})
-	if gerr != nil {
-		return nil, gerr
+	return rt, nil
+}
+
+// routedLen is the number of records bound for destination p. A nil
+// routing means the records were already moved: destination p is parts[p].
+func routedLen[T any](rt *routing, parts [][]T, p int) int {
+	if rt == nil {
+		return len(parts[p])
 	}
-	return out, nil
+	total := 0
+	for _, off := range rt.off {
+		total += int(off[p+1] - off[p])
+	}
+	return total
 }
 
-// GroupByKey shuffles pairs and groups the values of each key, like Spark's
-// groupByKey. The result has one Pair per distinct key. It is a stage
-// boundary: the input's pending narrow chain runs (fused) before the
-// shuffle, and the grouped result is materialized.
-func GroupByKey[K comparable, V any](d *Dataset[Pair[K, V]]) *Dataset[Pair[K, []V]] {
-	return GroupByKeyN(d, d.ctx.parallelism)
+// routed yields f of destination p's records, read where they lie in parts,
+// in (source partition, arrival) order.
+func routed[T, U any](rt *routing, parts [][]T, p int, f func(T) U) iter.Seq[U] {
+	return func(yield func(U) bool) {
+		if rt == nil {
+			for _, t := range parts[p] {
+				if !yield(f(t)) {
+					return
+				}
+			}
+			return
+		}
+		for src, part := range parts {
+			off := rt.off[src]
+			for _, i := range rt.idx[src][off[p]:off[p+1]] {
+				if !yield(f(part[i])) {
+					return
+				}
+			}
+		}
+	}
 }
 
-// GroupByKeyN is GroupByKey into n destination partitions (n <= 0 means the
-// context's parallelism). n = 1 groups every key in one task, in first-seen
-// order: the broadcast (collect-and-group-locally) plan, as the same
-// operator on every backend and under every budget.
-func GroupByKeyN[K comparable, V any](d *Dataset[Pair[K, V]], n int) *Dataset[Pair[K, []V]] {
+// side is one input of a grouping after its shuffle: per destination, its
+// record count, keys and values, each in (source partition, arrival) order.
+// Keys and values are separate passes, so each is computed only where it
+// is used. moved marks records that crossed an exchange or the spill regime
+// and were counted as shuffled there; an index scatter's records are
+// counted where the grouping reads them.
+type side[K comparable, V any] struct {
+	size  func(p int) int
+	keys  func(p int) iter.Seq[K]
+	vals  func(p int) iter.Seq[V]
+	moved bool
+}
+
+func newSide[R any, K comparable, V any](rt *routing, recs [][]R, key func(R) K, val func(R) V) side[K, V] {
+	return side[K, V]{
+		size:  func(p int) int { return routedLen(rt, recs, p) },
+		keys:  func(p int) iter.Seq[K] { return routed(rt, recs, p, key) },
+		vals:  func(p int) iter.Seq[V] { return routed(rt, recs, p, val) },
+		moved: rt == nil,
+	}
+}
+
+// shuffled is the records_shuffled count of destination p of s.
+func (s side[K, V]) shuffled(p int) int64 {
+	if s.moved {
+		return 0
+	}
+	return int64(s.size(p))
+}
+
+// shuffleBy hash-partitions d by key into n destinations: the wide
+// dependency every grouping shares. It forces d (running its pending
+// narrow chain as one fused stage). In memory it is one index scatter and
+// the records stay where they lie. Under an exchange, or a memory budget
+// with codecs for K and V, every record's (key, value) is computed once,
+// while encoding, and moves: through the exchange, or through the
+// order-preserving spill scatter. Either way destination p sees its records
+// in the same order.
+func shuffleBy[T any, K comparable, V any](d *Dataset[T], key func(T) K, val func(T) V, n int) (side[K, V], error) {
+	ctx := d.ctx
+	parts, err := d.forced()
+	if err != nil {
+		return side[K, V]{}, err
+	}
+	c, moves, err := moveCodec[K, V](ctx)
+	if err != nil {
+		return side[K, V]{}, err
+	}
+	if !moves {
+		rt, err := indexScatter(ctx, "shuffle", parts, n, func(t T) int { return int(hashKey(key(t)) % uint64(n)) })
+		return newSide(rt, parts, key, val), err
+	}
+	route := func(t T) (int, Pair[K, V]) {
+		k := key(t)
+		return int(hashKey(k) % uint64(n)), KV(k, val(t))
+	}
+	var recs [][]Pair[K, V]
+	if ctx.exchange != nil {
+		recs, err = exchangeScatter(ctx, "shuffle", parts, n, c, route)
+	} else {
+		recs, err = scatterSpill(ctx, "shuffle", parts, n, route, c, nil)
+	}
+	return newSide(nil, recs, pairKey[K, V], pairValue[K, V]), err
+}
+
+// moveCodec reports whether the context moves shuffled records instead of
+// leaving them where they lie, and the codec of the (key, value) record
+// they move as. An exchange always moves them (a type without a codec is an
+// error naming it); a memory budget moves them through the spill regime
+// when both codecs are registered.
+func moveCodec[K comparable, V any](ctx *Context) (Codec[Pair[K, V]], bool, error) {
+	if ctx.exchange == nil && ctx.mem == nil {
+		return Codec[Pair[K, V]]{}, false, nil
+	}
+	kc, kerr := exchangeCodec[K]("shuffle")
+	vc, verr := exchangeCodec[V]("shuffle")
+	if ctx.exchange == nil {
+		return pairCodec(kc, vc), kerr == nil && verr == nil, nil
+	}
+	return pairCodec(kc, vc), true, cmp.Or(kerr, verr)
+}
+
+// bags is the one grouping of a destination task: it gives each record of
+// one or more sides its group (one map lookup, first-seen key order across
+// the sides) and counts every side's records per group.
+type bags[K comparable] struct {
+	ids  map[K]int32
+	keys []K
+}
+
+// assign gives every record of seq its group id in gids and returns the
+// side's per-group counts (indexed by group id, grown to cover every group
+// seen so far).
+func assign[K comparable](b *bags[K], seq iter.Seq[K], gids, counts []int32) []int32 {
+	i := 0
+	for k := range seq {
+		gi, seen := b.ids[k]
+		if !seen {
+			gi = int32(len(b.keys))
+			b.ids[k] = gi
+			b.keys = append(b.keys, k)
+		}
+		for int(gi) >= len(counts) {
+			counts = append(counts, 0)
+		}
+		gids[i] = gi
+		counts[gi]++
+		i++
+	}
+	return counts
+}
+
+// carve files the values of seq into their groups' bags. Every bag is cut
+// from one slab sized to the records, with its capacity clipped to its own
+// count so an append to one group can never write into the next; a group
+// with no records on this side keeps a nil bag.
+func carve[V any](seq iter.Seq[V], gids, counts []int32, bag func(g int32) *[]V) {
+	slab := make([]V, len(gids))
+	off := 0
+	for g, c := range counts {
+		if c > 0 {
+			*bag(int32(g)) = slab[off : off : off+int(c)]
+			off += int(c)
+		}
+	}
+	i := 0
+	for v := range seq {
+		b := bag(gids[i])
+		*b = append(*b, v)
+		i++
+	}
+}
+
+// groupBy hash-partitions d by key into n partitions (n <= 0 means the
+// context's parallelism) and groups val of each record per key, in
+// first-seen key order per destination and arrival order within a group.
+// It is a stage boundary: d is forced and the grouped result materialized.
+// Under a memory budget (codecs for K and V registered, no exchange) it
+// sort-spill-merges instead: groups come in merge order, within-group order
+// is identical. The networked backend skips that regime — its shuffle
+// already bounds coordinator memory at one destination partition per task.
+func groupBy[T any, K comparable, V any](d *Dataset[T], key func(T) K, val func(T) V, n int) *Dataset[Pair[K, []V]] {
+	ctx := d.ctx
 	if n <= 0 {
-		n = d.ctx.parallelism
+		n = ctx.parallelism
 	}
-	// Out-of-core regime: sort-spill-merge instead of buckets plus a per-key
-	// map. Group iteration order differs from the in-memory path (merge
-	// order instead of first-seen order); within-group value order is
-	// identical. The networked backend skips it — its shuffle already
-	// bounds coordinator memory at one destination partition per task, and
-	// grouping over the net-gathered buckets below matches the in-memory
-	// path exactly.
-	if d.ctx.mem != nil && d.ctx.exchange == nil {
+	if ctx.mem != nil && ctx.exchange == nil {
 		if kc, ok := codecFor[K](); ok {
 			if vc, ok := codecFor[V](); ok {
-				return groupByKeyExternal(d, n, kc, vc)
+				return groupByExternal(d, key, val, n, kc, vc)
 			}
 		}
 	}
-	buckets, err := shuffleByKey(d, n)
+	in, err := shuffleBy(d, key, val, n)
 	if err != nil {
-		return errDataset[Pair[K, []V]](d.ctx, err)
+		return errDataset[Pair[K, []V]](ctx, err)
 	}
-	out := make([][]Pair[K, []V], len(buckets))
-	gerr := d.ctx.runStage("groupByKey", len(buckets), func(tk *taskCtx) {
+	out := make([][]Pair[K, []V], n)
+	err = ctx.runStage("groupByKey", n, func(tk *taskCtx) {
 		p := tk.part
-		in := buckets[p]
-		tk.recordsIn = int64(len(in))
-		// Count, then carve. The first pass gives each record its group — one
-		// map lookup per record; the map holds indexes into the result slice,
-		// which doubles as the first-seen key order — and counts each group.
-		// Every group's values are then carved from one slab sized to the
-		// partition, each with its capacity clipped to its own count so an
-		// append to one group can never write into the next.
-		scratch := grabScratch(len(in), 0)
-		defer scratchPool.Put(scratch)
-		gids, counts := scratch.dsts, scratch.counts
-		idx := make(map[K]int32, 64)
-		res := make([]Pair[K, []V], 0, 64)
-		for i, kv := range in {
-			gi, seen := idx[kv.Key]
-			if !seen {
-				gi = int32(len(res))
-				idx[kv.Key] = gi
-				res = append(res, Pair[K, []V]{Key: kv.Key})
-				counts = append(counts, 0)
-			}
-			gids[i] = uint32(gi)
-			counts[gi]++
+		size := in.size(p)
+		tk.recordsIn = int64(size)
+		tk.shuffled += in.shuffled(p)
+		gids, counts := grabInt32s(size), grabInt32s(0)
+		defer int32Pool.Put(gids)
+		defer int32Pool.Put(counts)
+		b := &bags[K]{ids: make(map[K]int32, 64)}
+		*counts = assign(b, in.keys(p), *gids, *counts)
+		res := make([]Pair[K, []V], len(b.keys))
+		for i, k := range b.keys {
+			res[i].Key = k
 		}
-		scratch.counts = counts // keep the grown array for the next task
-		slab := make([]V, len(in))
-		off := 0
-		for g, c := range counts {
-			res[g].Value = slab[off : off : off+c]
-			off += c
-		}
-		for i, kv := range in {
-			g := gids[i]
-			res[g].Value = append(res[g].Value, kv.Value)
-		}
+		carve(in.vals(p), *gids, *counts, func(g int32) *[]V { return &res[g].Value })
 		out[p] = res
 		tk.recordsOut = int64(len(res))
 	})
-	if gerr != nil {
-		return errDataset[Pair[K, []V]](d.ctx, gerr)
+	if err != nil {
+		return errDataset[Pair[K, []V]](ctx, err)
 	}
-	return fromParts(d.ctx, out)
+	return fromParts(ctx, out)
+}
+
+// GroupBy groups the records of d by key into n partitions (n <= 0 means
+// the context's parallelism), like Spark's groupBy: one Pair per distinct
+// key holding its records. No keyed-pair dataset is materialized; the key
+// function runs where the records lie. n = 1 groups every key in one task,
+// in first-seen order: the broadcast (collect-and-group-locally) plan, as
+// the same operator on every backend and under every budget.
+func GroupBy[T any, K comparable](d *Dataset[T], key func(T) K, n int) *Dataset[Pair[K, []T]] {
+	return groupBy(d, key, identity[T], n)
+}
+
+// GroupByKey groups the values of a pair dataset by key into the context's
+// parallelism, like Spark's groupByKey.
+func GroupByKey[K comparable, V any](d *Dataset[Pair[K, V]]) *Dataset[Pair[K, []V]] {
+	return GroupByKeyN(d, 0)
+}
+
+// GroupByKeyN is GroupByKey into n destination partitions.
+func GroupByKeyN[K comparable, V any](d *Dataset[Pair[K, V]], n int) *Dataset[Pair[K, []V]] {
+	return groupBy(d, pairKey[K, V], pairValue[K, V], n)
 }
 
 // ReduceByKey combines values per key with a map-side combine before the
@@ -226,7 +338,7 @@ func GroupByKeyN[K comparable, V any](d *Dataset[Pair[K, V]], n int) *Dataset[Pa
 func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], combine func(a, b V) V) *Dataset[Pair[K, V]] {
 	// Out-of-core regime: stream the merged runs through the combiner
 	// directly, never materializing groups. Skipped on the networked
-	// backend (see GroupByKey).
+	// backend (see groupBy).
 	if d.ctx.mem != nil && d.ctx.exchange == nil {
 		if kc, ok := codecFor[K](); ok {
 			if vc, ok := codecFor[V](); ok {
@@ -235,7 +347,7 @@ func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], combine func(a, b 
 		}
 	}
 	// Map-side combine (narrow, fuses with whatever precedes it). Like
-	// groupByKey, the map indexes the result slice so each record costs one
+	// grouping, the map indexes the result slice so each record costs one
 	// lookup and combining writes through the slice, not the map.
 	pre := MapPartitions(d, func(_ int, in []Pair[K, V]) []Pair[K, V] {
 		idx := make(map[K]int32, 64)
@@ -260,74 +372,64 @@ func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], combine func(a, b 
 	})
 }
 
-// CoGroup shuffles two pair datasets together and, per key, collects the
-// values from each side into bags — Pig's COGROUP, the model for the
-// paper's CoBlock enhancer. It is a stage boundary for both inputs.
-func CoGroup[K comparable, A, B any](da *Dataset[Pair[K, A]], db *Dataset[Pair[K, B]]) *Dataset[Pair[K, CoGrouped[A, B]]] {
-	return CoGroupN(da, db, da.ctx.parallelism)
-}
-
-// CoGroupN is CoGroup into n destination partitions (n <= 0 means the
-// context's parallelism); n = 1 is the broadcast CoBlock.
-func CoGroupN[K comparable, A, B any](da *Dataset[Pair[K, A]], db *Dataset[Pair[K, B]], n int) *Dataset[Pair[K, CoGrouped[A, B]]] {
+// CoGroupBy shuffles two datasets together by their keys into n partitions
+// (n <= 0 means the context's parallelism; n = 1 is the broadcast CoBlock)
+// and, per key, collects the records of each side into bags — Pig's
+// COGROUP, the model for the paper's CoBlock enhancer. Keys appear in
+// first-seen order per destination, left records first; a side with no
+// records for a key has a nil bag. It is a stage boundary for both inputs,
+// and its bags are the same in every regime.
+func CoGroupBy[A, B any, K comparable](da *Dataset[A], db *Dataset[B], ka func(A) K, kb func(B) K, n int) *Dataset[Pair[K, CoGrouped[A, B]]] {
 	ctx := da.ctx
 	if n <= 0 {
 		n = ctx.parallelism
 	}
-	ba, err := shuffleByKey(da, n)
+	left, err := shuffleBy(da, ka, identity[A], n)
 	if err != nil {
 		return errDataset[Pair[K, CoGrouped[A, B]]](ctx, err)
 	}
-	bb, err := shuffleByKey(db, n)
+	right, err := shuffleBy(db, kb, identity[B], n)
 	if err != nil {
 		return errDataset[Pair[K, CoGrouped[A, B]]](ctx, err)
 	}
 	out := make([][]Pair[K, CoGrouped[A, B]], n)
-	gerr := ctx.runStage("coGroup", n, func(tk *taskCtx) {
+	err = ctx.runStage("coGroup", n, func(tk *taskCtx) {
 		p := tk.part
-		groups := make(map[K]*CoGrouped[A, B])
-		var order []K
-		for _, kv := range ba[p] {
-			g, seen := groups[kv.Key]
-			if !seen {
-				g = &CoGrouped[A, B]{}
-				groups[kv.Key] = g
-				order = append(order, kv.Key)
+		nl, nr := left.size(p), right.size(p)
+		tk.recordsIn = int64(nl + nr)
+		tk.shuffled += left.shuffled(p) + right.shuffled(p)
+		gl, gr, cl, cr := grabInt32s(nl), grabInt32s(nr), grabInt32s(0), grabInt32s(0)
+		defer func() {
+			for _, buf := range []*[]int32{gl, gr, cl, cr} {
+				int32Pool.Put(buf)
 			}
-			g.Left = append(g.Left, kv.Value)
+		}()
+		b := &bags[K]{ids: make(map[K]int32, 64)}
+		*cl = assign(b, left.keys(p), *gl, *cl)
+		*cr = assign(b, right.keys(p), *gr, *cr)
+		res := make([]Pair[K, CoGrouped[A, B]], len(b.keys))
+		for i, k := range b.keys {
+			res[i].Key = k
 		}
-		for _, kv := range bb[p] {
-			g, seen := groups[kv.Key]
-			if !seen {
-				g = &CoGrouped[A, B]{}
-				groups[kv.Key] = g
-				order = append(order, kv.Key)
-			}
-			g.Right = append(g.Right, kv.Value)
-		}
-		res := make([]Pair[K, CoGrouped[A, B]], 0, len(order))
-		for _, k := range order {
-			res = append(res, KV(k, *groups[k]))
-		}
-		tk.recordsIn = int64(len(ba[p]) + len(bb[p]))
+		carve(left.vals(p), *gl, *cl, func(g int32) *[]A { return &res[g].Value.Left })
+		carve(right.vals(p), *gr, *cr, func(g int32) *[]B { return &res[g].Value.Right })
 		out[p] = res
 		tk.recordsOut = int64(len(res))
 	})
-	if gerr != nil {
-		return errDataset[Pair[K, CoGrouped[A, B]]](ctx, gerr)
+	if err != nil {
+		return errDataset[Pair[K, CoGrouped[A, B]]](ctx, err)
 	}
 	return fromParts(ctx, out)
 }
 
-// CoGrouped holds the per-key bags produced by CoGroup.
+// CoGrouped holds the per-key bags produced by CoGroupBy.
 type CoGrouped[A, B any] struct {
 	Left  []A
 	Right []B
 }
 
-// Distinct removes duplicates using a key function to identify elements.
+// Distinct removes duplicates using a key function to identify elements;
+// the first element of each key (in grouping order) survives.
 func Distinct[T any, K comparable](d *Dataset[T], key func(T) K) *Dataset[T] {
-	kv := KeyBy(d, key)
-	grouped := GroupByKey(kv)
-	return Map(grouped, func(g Pair[K, []T]) T { return g.Value[0] })
+	return Map(GroupBy(d, key, 0), func(g Pair[K, []T]) T { return g.Value[0] })
 }

@@ -71,7 +71,7 @@ func RangePartitionBy[T any](d *Dataset[T], less func(a, b T) bool, n int) *Data
 		if err != nil {
 			return errDataset[T](d.ctx, err)
 		}
-		out, err := exchangeScatter(d.ctx, "rangePartition", dparts, n, c, target)
+		out, err := exchangeScatter(d.ctx, "rangePartition", dparts, n, c, keepRoute(target))
 		if err != nil {
 			return errDataset[T](d.ctx, err)
 		}
@@ -80,7 +80,7 @@ func RangePartitionBy[T any](d *Dataset[T], less func(a, b T) bool, n int) *Data
 
 	if d.ctx.mem != nil {
 		if c, ok := codecFor[T](); ok {
-			out, serr := scatterSpill(d.ctx, "rangePartition", dparts, n, target, c, nil)
+			out, serr := scatterSpill(d.ctx, "rangePartition", dparts, n, keepRoute(target), c, nil)
 			if serr != nil {
 				return errDataset[T](d.ctx, serr)
 			}
@@ -88,48 +88,21 @@ func RangePartitionBy[T any](d *Dataset[T], less func(a, b T) bool, n int) *Data
 		}
 	}
 
-	// Scatter with exact bucket sizing (destination indexes are computed
-	// once, then each bucket is allocated at its final capacity).
-	scatter := make([][][]T, len(dparts))
-	err = d.ctx.runStage("rangePartition:scatter", len(dparts), func(tk *taskCtx) {
-		in := dparts[tk.part]
-		tk.recordsIn = int64(len(in))
-		dsts := make([]uint32, len(in))
-		counts := make([]int, n)
-		for i, v := range in {
-			dst := uint32(target(v))
-			dsts[i] = dst
-			counts[dst]++
-		}
-		local := make([][]T, n)
-		for dst, c := range counts {
-			if c > 0 {
-				local[dst] = make([]T, 0, c)
-			}
-		}
-		for i, v := range in {
-			local[dsts[i]] = append(local[dsts[i]], v)
-		}
-		scatter[tk.part] = local
-		tk.recordsOut = int64(len(in))
-	})
+	// One index scatter, then each destination copies its records once,
+	// straight from the source partitions.
+	rt, err := indexScatter(d.ctx, "rangePartition", dparts, n, target)
 	if err != nil {
 		return errDataset[T](d.ctx, err)
 	}
 	out := make([][]T, n)
 	gerr := d.ctx.runStage("rangePartition:gather", n, func(tk *taskCtx) {
-		dst := tk.part
-		total := 0
-		for src := range scatter {
-			total += len(scatter[src][dst])
+		bucket := make([]T, 0, routedLen(rt, dparts, tk.part))
+		for v := range routed(rt, dparts, tk.part, identity[T]) {
+			bucket = append(bucket, v)
 		}
-		bucket := make([]T, 0, total)
-		for src := range scatter {
-			bucket = append(bucket, scatter[src][dst]...)
-		}
-		tk.shuffled += int64(total)
-		tk.recordsOut = int64(total)
-		out[dst] = bucket
+		tk.shuffled += int64(len(bucket))
+		tk.recordsOut = int64(len(bucket))
+		out[tk.part] = bucket
 	})
 	if gerr != nil {
 		return errDataset[T](d.ctx, gerr)

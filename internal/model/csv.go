@@ -1,6 +1,7 @@
 package model
 
 import (
+	"bufio"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -55,9 +56,12 @@ func ReadCSVFile(path, name string, schema *Schema, hasHeader bool) (*Relation, 
 }
 
 // WriteCSV renders the relation as CSV. If withHeader is true the attribute
-// names are written first.
+// names are written first. A null cell renders as an empty field, as does
+// the empty string; a record of one empty field is written as "", because
+// encoding/csv would emit an empty line, which readers skip.
 func WriteCSV(w io.Writer, rel *Relation, withHeader bool) error {
-	cw := csv.NewWriter(w)
+	bw := bufio.NewWriter(w)
+	cw := csv.NewWriter(bw)
 	if withHeader {
 		if err := cw.Write(rel.Schema.Names()); err != nil {
 			return err
@@ -68,12 +72,22 @@ func WriteCSV(w io.Writer, rel *Relation, withHeader bool) error {
 		for i := range row {
 			row[i] = t.Cell(i).String()
 		}
+		if len(row) == 1 && row[0] == "" {
+			cw.Flush()
+			if _, err := bw.WriteString("\"\"\n"); err != nil {
+				return err
+			}
+			continue
+		}
 		if err := cw.Write(row); err != nil {
 			return err
 		}
 	}
 	cw.Flush()
-	return cw.Error()
+	if err := cw.Error(); err != nil {
+		return err
+	}
+	return bw.Flush()
 }
 
 // WriteCSVFile writes the relation to path, creating or truncating it.

@@ -53,9 +53,11 @@ func checkDecode(t *testing.T, name string, b []byte, decode func([]byte) (int, 
 // two parsers every raw input goes through. ParseSchema either fails or
 // yields a schema that its own String parses back to; ReadCSV either fails
 // or yields one tuple per record, each with exactly one cell per attribute,
-// of the attribute's kind or null, and IDs numbered on from startID. The
-// checked-in corpus holds ragged rows, bad numerics, an empty header, a
-// bare quote and a huge field.
+// of the attribute's kind or null, and IDs numbered on from startID.
+// Writing the relation back with WriteCSV and reading it again yields the
+// same relation. The checked-in corpus holds ragged rows, bad numerics, an
+// empty header, a bare quote, a huge field and a one-column relation with a
+// null cell.
 func FuzzReadCSV(f *testing.F) {
 	f.Add("name,zipcode:int,rate:float", []byte("name,zipcode,rate\na,1,2.5\nb,2\nc,3,4,5,6\n"), true)
 	f.Add("zip:int,rate:float", []byte("x,1e400\n 7 ,NaN\n-0,0x10\n"), false)
@@ -93,5 +95,34 @@ func FuzzReadCSV(f *testing.F) {
 				}
 			}
 		}
+		var out bytes.Buffer
+		if err := WriteCSV(&out, rel, header); err != nil {
+			t.Fatalf("WriteCSV: %v", err)
+		}
+		back, err := ReadCSV(bytes.NewReader(out.Bytes()), "fz", schema, header, startID)
+		if err != nil {
+			t.Fatalf("reading WriteCSV output %q: %v", out.Bytes(), err)
+		}
+		if back.Len() != rel.Len() {
+			t.Fatalf("round trip: %d tuples written, %d read back from %q", rel.Len(), back.Len(), out.Bytes())
+		}
+		for i, tp := range rel.Tuples {
+			for c, v := range tp.Cells {
+				if got := back.Tuples[i].Cells[c]; !sameCSVCell(v, got, schema.Attr(c).Kind) {
+					t.Fatalf("round trip: tuple %d cell %d is %#v, read back %#v", i, c, v, got)
+				}
+			}
+		}
 	})
+}
+
+// sameCSVCell reports whether a cell read back from WriteCSV output is the
+// cell written: same kind and same rendering. CSV has no null, so the one
+// loss is a null in a string attribute (a short row's padding), which is
+// written as the empty field and read back as the empty string.
+func sameCSVCell(wrote, read Value, kind Kind) bool {
+	if wrote.IsNull() && kind == KindString {
+		return read == S("")
+	}
+	return wrote.Kind == read.Kind && wrote.String() == read.String()
 }

@@ -2,9 +2,9 @@
 // coordinator that spawns (or joins) worker processes and moves the
 // engine's codec-encoded partition bytes between them over TCP. It
 // implements engine.Exchange, so the engine's wide transformations —
-// shuffleByKey, RangePartitionBy, Cartesian — become distributed exchanges
-// while narrow fused stages keep running in the process that owns the
-// materialized partition.
+// grouping, co-grouping, RangePartitionBy, Cartesian — become distributed
+// exchanges while narrow fused stages keep running in the process that owns
+// the materialized partition.
 //
 // The design mirrors the paper's Fig. 10 deployment shape (one coordinator,
 // N worker nodes) at single-machine scale, with the robustness layer a real

@@ -88,7 +88,7 @@ type workerServer struct {
 	mu sync.Mutex
 	// xfers[xfer][dst][src] is the record bucket of (transfer, destination
 	// partition, source partition). Fetch streams dst's buckets in
-	// ascending src order, preserving the engine's gather order.
+	// ascending src order, preserving the engine's (source, arrival) order.
 	xfers map[uint32]map[uint32]map[uint32][][]byte
 
 	frames     atomic.Int64 // received frames, for the die-after chaos knob

@@ -3,6 +3,7 @@ package rules
 import (
 	"math"
 	"strconv"
+	"strings"
 	"testing"
 
 	"bigdansing/internal/core"
@@ -153,6 +154,52 @@ func FuzzFDBlockKernel(f *testing.F) {
 		}
 		for _, ordered := range []bool{false, true} {
 			checkKernel(t, rules[shape], us, ordered, false)
+		}
+	})
+}
+
+// FuzzCompileSpecs decodes a rule list — one spec per line, its id, kind
+// and text separated by tabs — and compiles it against the Tax schema, the
+// path every service create body and CLI rule flag takes. It must not
+// panic. A failure compiles nothing; a success yields at least one valid
+// rule per spec, each with an ID.
+func FuzzCompileSpecs(f *testing.F) {
+	for _, list := range []string{
+		"phi1\tfd\tzipcode -> city\nphi2\tdc\tt1.salary > t2.salary & t1.rate < t2.rate",
+		"\tfd\tzipcode -> state\n\tcfd\tzipcode -> city | 90210 => LA ; _ => _",
+		"x\tsql\tselect 1",
+		"a\tfd\t\nb\tdc\tt1.nosuch < t2.rate",
+		"\t\t\n\n\tcfd\tzipcode, state -> city | _, CA => _",
+	} {
+		f.Add(list)
+	}
+	schema := datagen.TaxSchema()
+	f.Fuzz(func(t *testing.T, list string) {
+		var specs []Spec
+		for _, line := range strings.Split(list, "\n") {
+			fields := strings.SplitN(line, "\t", 3)
+			for len(fields) < 3 {
+				fields = append(fields, "")
+			}
+			specs = append(specs, Spec{ID: fields[0], Kind: fields[1], Spec: fields[2]})
+		}
+		rules, err := CompileSpecs(schema, specs)
+		if err != nil {
+			if rules != nil {
+				t.Fatalf("failed compile returned %d rules", len(rules))
+			}
+			return
+		}
+		if len(rules) < len(specs) {
+			t.Fatalf("%d specs compiled to %d rules", len(specs), len(rules))
+		}
+		for _, r := range rules {
+			if r == nil || r.ID == "" {
+				t.Fatalf("compiled rule without an ID: %+v", r)
+			}
+			if err := r.Validate(); err != nil {
+				t.Fatalf("compiled rule %s does not validate: %v", r.ID, err)
+			}
 		}
 	})
 }
