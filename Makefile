@@ -3,9 +3,9 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check fmt vet build test race bench bench-smoke fuzz-short loc
+.PHONY: check fmt vet build test race unused bench bench-smoke fuzz-short loc
 
-check: fmt vet build test race bench-smoke
+check: fmt vet build test race unused bench-smoke
 
 # gofmt -l prints nonconforming files; any output fails the target.
 fmt:
@@ -28,6 +28,12 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Lists every exported identifier under internal/ that no non-test file
+# mentions (internal/experiments and cmd/bench do not count as callers) and
+# fails unless DESIGN.md justifies it; `make test` runs the same check.
+unused:
+	$(GO) test -count=1 -v ./internal/unused/
+
 # The benchmark is a Go module of its own (benchmark/go.mod), so the root
 # ./... does not descend into it; this builds it against the current
 # internal/ APIs and runs its unit tests and one-workload smoke run, then
@@ -39,9 +45,9 @@ bench-smoke:
 	$(GO) test -run xxx -bench HypergraphRepair -benchtime 1x ./internal/repair/
 
 # 30 seconds of coverage-guided fuzzing per fuzzer (the wire codec, the
-# record decoders, the schema and CSV parsers, the service's create body, the
-# DC, FD and CFD parsers, the rule-spec list compiler, the FD block kernel
-# and the storage reader), seeded from testdata/fuzz corpora.
+# record decoders, the schema and CSV parsers, the service's create and
+# ingest bodies, the DC, FD and CFD parsers, the rule-spec list compiler, the
+# FD block kernel and the storage reader), seeded from testdata/fuzz corpora.
 # A finding is checked in as a new corpus file.
 fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 30s ./internal/netexec/
@@ -50,6 +56,7 @@ fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzDecode -fuzztime 30s ./internal/model/
 	$(GO) test -run xxx -fuzz FuzzReadCSV -fuzztime 30s ./internal/model/
 	$(GO) test -run xxx -fuzz FuzzCreateSession -fuzztime 30s ./internal/serve/
+	$(GO) test -run xxx -fuzz FuzzIngestBody -fuzztime 30s ./internal/serve/
 	$(GO) test -run xxx -fuzz FuzzParseDC -fuzztime 30s ./internal/rules/
 	$(GO) test -run xxx -fuzz FuzzParseFD -fuzztime 30s ./internal/rules/
 	$(GO) test -run xxx -fuzz FuzzParseCFD -fuzztime 30s ./internal/rules/

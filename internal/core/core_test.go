@@ -126,8 +126,12 @@ func TestFDDetectionFindsExampleViolations(t *testing.T) {
 			t.Errorf("unexpected violation between tuples %v", ids)
 		}
 	}
-	if len(res.AllFixes()) != 2 {
-		t.Errorf("fixes = %d, want 2", len(res.AllFixes()))
+	fixes := 0
+	for _, fs := range res.FixSets {
+		fixes += len(fs.Fixes)
+	}
+	if fixes != 2 {
+		t.Errorf("fixes = %d, want 2", fixes)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"hash/maphash"
-	"reflect"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -20,18 +19,6 @@ type DetectResult struct {
 	FixSets    []model.FixSet
 }
 
-// NumViolations returns the violation count.
-func (r *DetectResult) NumViolations() int { return len(r.Violations) }
-
-// AllFixes flattens every possible fix.
-func (r *DetectResult) AllFixes() []model.Fix {
-	var out []model.Fix
-	for _, fs := range r.FixSets {
-		out = append(out, fs.Fixes...)
-	}
-	return out
-}
-
 // RunPlanSpark executes the physical plan's detection pipelines on the
 // dataflow engine (Appendix G.1's translation): Scope becomes map/filter,
 // Block becomes groupByKey, CoBlock becomes cogroup, Iterate becomes the
@@ -46,14 +33,6 @@ func (r *DetectResult) AllFixes() []model.Fix {
 // duplicate violations.
 func RunPlanSpark(ctx *engine.Context, pp *PhysicalPlan) (*DetectResult, error) {
 	return newSparkExec(ctx).run(pp)
-}
-
-// scanKey identifies one materialized scan: a relation under a scope chain
-// (none for the base scan), so consolidated scans (Algorithm 1) share one
-// materialization.
-type scanKey struct {
-	rel    *model.Relation
-	scopes [4]uintptr // first scopes' fn pointers; enough to discriminate
 }
 
 type sparkExec struct {
@@ -298,14 +277,7 @@ func (ex *sparkExec) scan(pp *PhysicalPlan, b Branch) (*model.Relation, scanKey,
 	if !ok {
 		return nil, scanKey{}, fmt.Errorf("core: plan %s references unknown dataset %q", pp.Name, b.Dataset)
 	}
-	key := scanKey{rel: rel}
-	for i, s := range b.Scopes {
-		if i >= len(key.scopes) {
-			break
-		}
-		key.scopes[i] = reflect.ValueOf(s).Pointer()
-	}
-	return rel, key, nil
+	return rel, scanOf(rel, b.Scopes), nil
 }
 
 // branchStream materializes a branch's scoped tuple stream, cached per scan
@@ -358,7 +330,7 @@ func (ex *sparkExec) branchStream(pp *PhysicalPlan, p *PhysicalPipeline, b Branc
 
 // baseTuples is a relation's unscoped tuple scan, made once per executor.
 func (ex *sparkExec) baseTuples(rel *model.Relation) *engine.Dataset[model.Tuple] {
-	key := scanKey{rel: rel}
+	key := scanOf(rel, nil)
 	if d, ok := ex.tuples[key]; ok {
 		return d
 	}
@@ -511,17 +483,7 @@ func compilePlan(ctx *engine.Context, pl *Planner, plan func() (*LogicalPlan, er
 // DetectRule is the convenience entry point: plan and run one rule over a
 // relation on the dataflow backend, planned by rule shape.
 func DetectRule(ctx *engine.Context, r *Rule, rel *model.Relation) (*DetectResult, error) {
-	return DetectRuleWith(ctx, nil, r, rel)
-}
-
-// DetectRuleWith is DetectRule with an explicit Planner (nil plans by rule
-// shape).
-func DetectRuleWith(ctx *engine.Context, pl *Planner, r *Rule, rel *model.Relation) (*DetectResult, error) {
-	pp, err := compilePlan(ctx, pl, func() (*LogicalPlan, error) { return PlanRule(r, rel) })
-	if err != nil {
-		return nil, err
-	}
-	return RunPlanSpark(ctx, pp)
+	return detect(ctx, nil, func() (*LogicalPlan, error) { return PlanRule(r, rel) })
 }
 
 // DetectRules plans all rules over one relation as a single consolidated
@@ -533,22 +495,12 @@ func DetectRules(ctx *engine.Context, rs []*Rule, rel *model.Relation) (*DetectR
 // DetectRulesWith is DetectRules with an explicit Planner (nil plans by
 // rule shape).
 func DetectRulesWith(ctx *engine.Context, pl *Planner, rs []*Rule, rel *model.Relation) (*DetectResult, error) {
-	pp, err := compilePlan(ctx, pl, func() (*LogicalPlan, error) { return PlanRules(rs, rel) })
-	if err != nil {
-		return nil, err
-	}
-	return RunPlanSpark(ctx, pp)
+	return detect(ctx, pl, func() (*LogicalPlan, error) { return PlanRules(rs, rel) })
 }
 
-// RunJobSpark validates, plans and executes a job.
-func RunJobSpark(ctx *engine.Context, j *Job) (*DetectResult, error) {
-	return RunJobSparkWith(ctx, nil, j)
-}
-
-// RunJobSparkWith is RunJobSpark with an explicit Planner (nil plans by
-// rule shape).
-func RunJobSparkWith(ctx *engine.Context, pl *Planner, j *Job) (*DetectResult, error) {
-	pp, err := compilePlan(ctx, pl, func() (*LogicalPlan, error) { return BuildPlan(j) })
+// detect compiles a logical plan under pl and runs it on ctx.
+func detect(ctx *engine.Context, pl *Planner, plan func() (*LogicalPlan, error)) (*DetectResult, error) {
+	pp, err := compilePlan(ctx, pl, plan)
 	if err != nil {
 		return nil, err
 	}

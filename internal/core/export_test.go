@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 
+	"bigdansing/internal/engine"
 	"bigdansing/internal/model"
 )
 
@@ -28,3 +29,33 @@ func (d *IncrementalDetector) BlockIndex(i int) (map[int64]model.ValueKey, map[m
 // AssembleHashed exposes the hand-off's assembler with its seen-set hash
 // supplied, so a test can force every key to collide.
 var AssembleHashed = assembleHashed
+
+// RunJobSpark validates, plans by rule shape and executes a job.
+func RunJobSpark(ctx *engine.Context, j *Job) (*DetectResult, error) {
+	return detect(ctx, nil, func() (*LogicalPlan, error) { return BuildPlan(j) })
+}
+
+// ListItem wraps a list of units.
+func ListItem(ts []model.Tuple) Item { return Item{Kind: ItemList, Tuples: ts} }
+
+// PairsAcross is the default Iterate for two co-grouped streams: the cross
+// pairs between the left and right bags of one key (the CoBlock pattern of
+// Figure 6).
+func PairsAcross(blocks [][]model.Tuple) []Item {
+	if len(blocks) < 2 {
+		return nil
+	}
+	return enumerated(func(d DetectFunc) { pairsAcross(d, blocks[0], blocks[1]) })
+}
+
+// Singles is the Iterate for unary rules: each unit is its own candidate.
+func Singles(blocks [][]model.Tuple) []Item {
+	if len(blocks) == 0 {
+		return nil
+	}
+	out := make([]Item, 0, len(blocks[0]))
+	for _, t := range blocks[0] {
+		out = append(out, Single(t))
+	}
+	return out
+}

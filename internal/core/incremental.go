@@ -155,11 +155,6 @@ func incrementalizable(r *Rule) bool {
 		r.Scope == nil && len(r.OrderConds) == 0
 }
 
-// Incrementalizable reports whether a rule supports block-incremental
-// maintenance; the detector re-detects every other rule in full whenever a
-// change marks it stale.
-func Incrementalizable(r *Rule) bool { return incrementalizable(r) }
-
 // Observe folds changed (updated or appended) tuples into the incremental
 // caches without producing a result: incrementalizable rules re-detect only
 // the affected blocks now, while the fallback rules are merely marked stale

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"bigdansing/internal/join"
 	"bigdansing/internal/model"
 )
 
@@ -52,6 +53,32 @@ type OpDecl struct {
 	GenFix  GenFixFunc
 	In      []string
 	Out     string
+	// Hints, on a Detect, name its pipeline and carry its rule's
+	// optimization hints.
+	Hints DetectHints
+	// Keys, on a Block, name its key and its alternatives.
+	Keys BlockKeys
+}
+
+// DetectHints name a Detect's pipeline and carry the optimization hints a
+// declarative front end derives into it (see the Rule fields of the same
+// names). A Detect declared without them plans as pipeline "job#k" with
+// none.
+type DetectHints struct {
+	Name        string
+	Symmetric   bool
+	OrderConds  []join.Cond
+	Unary       bool
+	NumParts    int
+	DetectBlock BlockDetectFunc
+}
+
+// BlockKeys name a Block's key and the alternative keys the cost planner
+// may substitute for it (see Rule.BlockAttr and Rule.AltBlocks).
+type BlockKeys struct {
+	Attr     string
+	Alts     []BlockFunc
+	AltAttrs []string
 }
 
 // Job is the UDF-facing specification API of Appendix A: users register
@@ -62,7 +89,6 @@ type Job struct {
 	Name string
 
 	inputs map[string]*model.Relation // label -> dataset
-	order  []string                   // label registration order
 	ops    []OpDecl
 }
 
@@ -77,9 +103,6 @@ func NewJob(name string) *Job {
 // shared scans.
 func (j *Job) AddInput(rel *model.Relation, labels ...string) *Job {
 	for _, l := range labels {
-		if _, dup := j.inputs[l]; !dup {
-			j.order = append(j.order, l)
-		}
 		j.inputs[l] = rel
 	}
 	return j
@@ -91,22 +114,33 @@ func (j *Job) AddScope(fn ScopeFunc, label string) *Job {
 	return j
 }
 
-// AddBlock attaches a Block operator to the stream with the given label.
-func (j *Job) AddBlock(fn BlockFunc, label string) *Job {
-	j.ops = append(j.ops, OpDecl{Kind: OpBlock, Block: fn, In: []string{label}, Out: label})
+// AddBlock attaches a Block operator to the stream with the given label,
+// with its key's names and alternatives when keys (at most one) are given.
+func (j *Job) AddBlock(fn BlockFunc, label string, keys ...BlockKeys) *Job {
+	op := OpDecl{Kind: OpBlock, Block: fn, In: []string{label}, Out: label}
+	if len(keys) > 0 {
+		op.Keys = keys[0]
+	}
+	j.ops = append(j.ops, op)
 	return j
 }
 
 // AddIterate attaches an Iterate operator reading the streams named by in
-// and producing the stream out.
+// and producing the stream out. A nil fn lets the planner choose the
+// enumeration (Section 3.2).
 func (j *Job) AddIterate(fn IterateFunc, out string, in ...string) *Job {
 	j.ops = append(j.ops, OpDecl{Kind: OpIterate, Iterate: fn, In: in, Out: out})
 	return j
 }
 
-// AddDetect attaches a Detect operator to the stream with the given label.
-func (j *Job) AddDetect(fn DetectFunc, label string) *Job {
-	j.ops = append(j.ops, OpDecl{Kind: OpDetect, Detect: fn, In: []string{label}, Out: label})
+// AddDetect attaches a Detect operator to the stream with the given label,
+// with its pipeline's name and hints when hints (at most one) are given.
+func (j *Job) AddDetect(fn DetectFunc, label string, hints ...DetectHints) *Job {
+	op := OpDecl{Kind: OpDetect, Detect: fn, In: []string{label}, Out: label}
+	if len(hints) > 0 {
+		op.Hints = hints[0]
+	}
+	j.ops = append(j.ops, op)
 	return j
 }
 
@@ -116,12 +150,6 @@ func (j *Job) AddGenFix(fn GenFixFunc, label string) *Job {
 	j.ops = append(j.ops, OpDecl{Kind: OpGenFix, GenFix: fn, In: []string{label}, Out: label})
 	return j
 }
-
-// Inputs returns the labeled datasets.
-func (j *Job) Inputs() map[string]*model.Relation { return j.inputs }
-
-// Ops returns the declared operators in order.
-func (j *Job) Ops() []OpDecl { return j.ops }
 
 // validate performs the checks of Section 3.2: all labels resolve and at
 // least one Detect exists.

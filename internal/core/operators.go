@@ -80,9 +80,6 @@ func PairItem(l, r model.Tuple) Item {
 	return Item{Kind: ItemPair, Tuples: []model.Tuple{l, r}}
 }
 
-// ListItem wraps a list of units.
-func ListItem(ts []model.Tuple) Item { return Item{Kind: ItemList, Tuples: ts} }
-
 // One returns the single unit (valid for ItemSingle).
 func (it Item) One() model.Tuple { return it.Tuples[0] }
 
@@ -109,16 +106,6 @@ func PairsOrdered(blocks [][]model.Tuple) []Item {
 		return nil
 	}
 	return enumerated(func(d DetectFunc) { pairsIn(d, blocks[0], 0, len(blocks[0]), true) })
-}
-
-// PairsAcross is the default Iterate for two co-grouped streams: the cross
-// pairs between the left and right bags of one key (the CoBlock pattern of
-// Figure 6).
-func PairsAcross(blocks [][]model.Tuple) []Item {
-	if len(blocks) < 2 {
-		return nil
-	}
-	return enumerated(func(d DetectFunc) { pairsAcross(d, blocks[0], blocks[1]) })
 }
 
 // enumerated lists the items an enumeration feeds Detect.
@@ -168,16 +155,4 @@ func pairsAcross(detect DetectFunc, left, right []model.Tuple) ([]model.Violatio
 		}
 	}
 	return out, n
-}
-
-// Singles is the Iterate for unary rules: each unit is its own candidate.
-func Singles(blocks [][]model.Tuple) []Item {
-	if len(blocks) == 0 {
-		return nil
-	}
-	out := make([]Item, 0, len(blocks[0]))
-	for _, t := range blocks[0] {
-		out = append(out, Single(t))
-	}
-	return out
 }

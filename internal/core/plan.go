@@ -1,8 +1,8 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"reflect"
 
 	"bigdansing/internal/join"
 	"bigdansing/internal/model"
@@ -144,6 +144,7 @@ func BuildPlan(j *Job) (*LogicalPlan, error) {
 						return b, fmt.Errorf("core: job %q: label %q has more than one Block", j.Name, label)
 					}
 					b.Block = op.Block
+					b.BlockAttr, b.AltBlocks, b.AltBlockAttrs = op.Keys.Attr, op.Keys.Alts, op.Keys.AltAttrs
 				}
 			}
 		}
@@ -156,10 +157,16 @@ func BuildPlan(j *Job) (*LogicalPlan, error) {
 			continue
 		}
 		ndetect++
+		h := op.Hints
 		p := Pipeline{
-			RuleID: fmt.Sprintf("%s#%d", j.Name, ndetect),
-			Detect: op.Detect,
-			GenFix: genFixFor(op.In[0]),
+			RuleID:      cmp.Or(h.Name, fmt.Sprintf("%s#%d", j.Name, ndetect)),
+			Detect:      op.Detect,
+			GenFix:      genFixFor(op.In[0]),
+			Symmetric:   h.Symmetric,
+			OrderConds:  h.OrderConds,
+			Unary:       h.Unary,
+			NumParts:    h.NumParts,
+			DetectBlock: h.DetectBlock,
 		}
 		if it := iterateFor(op.In[0]); it != nil {
 			p.Iterate = it.Iterate
@@ -188,61 +195,61 @@ func BuildPlan(j *Job) (*LogicalPlan, error) {
 // PlanRule builds the single-pipeline logical plan of a Rule over one
 // relation — the path declarative rules take after translation.
 func PlanRule(r *Rule, rel *model.Relation) (*LogicalPlan, error) {
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	b := Branch{
-		Label: r.ID, Dataset: rel.Name,
-		Block: r.Block, BlockAttr: r.BlockAttr,
-		AltBlocks: r.AltBlocks, AltBlockAttrs: r.AltBlockAttrs,
-	}
-	if r.Scope != nil {
-		b.Scopes = []ScopeFunc{r.Scope}
-	}
-	p := Pipeline{
-		RuleID:      r.ID,
-		Detect:      r.Detect,
-		GenFix:      r.GenFix,
-		Iterate:     r.Iterate,
-		Branches:    []Branch{b},
-		Symmetric:   r.Symmetric,
-		OrderConds:  r.OrderConds,
-		Unary:       r.Unary,
-		NumParts:    r.NumParts,
-		DetectBlock: r.DetectBlock,
-	}
-	if r.BlockRight != nil {
-		// A self CoBlock: the same dataset keyed twice.
-		right := Branch{Label: r.ID + "/right", Dataset: rel.Name, Block: r.BlockRight}
-		if r.Scope != nil {
-			right.Scopes = []ScopeFunc{r.Scope}
-		}
-		p.Branches = append(p.Branches, right)
-	}
-	return &LogicalPlan{
-		Name:      r.ID,
-		Inputs:    map[string]*model.Relation{rel.Name: rel},
-		Pipelines: []Pipeline{p},
-	}, nil
+	return planRules(r.ID, []*Rule{r}, rel)
 }
 
-// PlanRules merges the single-rule plans of several rules over the same
-// relation into one logical plan, so consolidation can share scans across
-// rules (the multi-rule HAI runs of Table 4 and the bushy plan of
-// Appendix E).
+// PlanRules plans several rules over the same relation as one logical plan,
+// so consolidation can share scans across rules (the multi-rule HAI runs of
+// Table 4 and the bushy plan of Appendix E).
 func PlanRules(rs []*Rule, rel *model.Relation) (*LogicalPlan, error) {
-	lp := &LogicalPlan{
-		Name:   rel.Name,
-		Inputs: map[string]*model.Relation{rel.Name: rel},
-	}
-	for _, r := range rs {
-		sub, err := PlanRule(r, rel)
-		if err != nil {
+	return planRules(rel.Name, rs, rel)
+}
+
+// planRules lowers rules into one job's declarations and builds its plan.
+// Each rule declares the relation under its own label with its Scope and
+// Block; a self CoBlock declares the relation a second time, under its own
+// label, keyed by BlockRight. An Iterate (nil: the planner chooses) reads
+// those labels, and the rule's Detect, carrying its ID and hints, and GenFix
+// read the Iterate's output. Labels are unique per rule position, since rule
+// IDs may repeat.
+func planRules(name string, rs []*Rule, rel *model.Relation) (*LogicalPlan, error) {
+	j := NewJob(name)
+	for i, r := range rs {
+		if err := r.Validate(); err != nil {
 			return nil, err
 		}
-		lp.Pipelines = append(lp.Pipelines, sub.Pipelines...)
+		l := r.ID
+		if len(rs) > 1 {
+			l = fmt.Sprintf("%d:%s", i, r.ID)
+		}
+		j.AddInput(rel, l)
+		if r.Scope != nil {
+			j.AddScope(r.Scope, l)
+		}
+		if r.Block != nil {
+			j.AddBlock(r.Block, l, BlockKeys{Attr: r.BlockAttr, Alts: r.AltBlocks, AltAttrs: r.AltBlockAttrs})
+		}
+		in := []string{l}
+		if r.BlockRight != nil {
+			right := l + "/right"
+			j.AddInput(rel, right)
+			if r.Scope != nil {
+				j.AddScope(r.Scope, right)
+			}
+			j.AddBlock(r.BlockRight, right)
+			in = append(in, right)
+		}
+		cands := l + "/candidates"
+		j.AddIterate(r.Iterate, cands, in...)
+		j.AddDetect(r.Detect, cands, DetectHints{
+			Name: r.ID, Symmetric: r.Symmetric, OrderConds: r.OrderConds,
+			Unary: r.Unary, NumParts: r.NumParts, DetectBlock: r.DetectBlock,
+		})
+		if r.GenFix != nil {
+			j.AddGenFix(r.GenFix, cands)
+		}
 	}
-	return lp, nil
+	return BuildPlan(j)
 }
 
 // Consolidate implements Algorithm 1: logical operators that apply the same
@@ -253,10 +260,6 @@ func PlanRules(rs []*Rule, rel *model.Relation) (*LogicalPlan, error) {
 // plan structure itself is unchanged — merging is a matter of keying, since
 // branches already reference datasets by name).
 func Consolidate(lp *LogicalPlan) *LogicalPlan {
-	type scanKey struct {
-		rel   *model.Relation // labels are resolved to the dataset itself
-		scope uintptr
-	}
 	seen := make(map[scanKey]int)
 	shared := 0
 	for _, p := range lp.Pipelines {
@@ -264,10 +267,7 @@ func Consolidate(lp *LogicalPlan) *LogicalPlan {
 			if b.Derived != nil {
 				continue // derived streams are not base scans
 			}
-			k := scanKey{rel: lp.Inputs[b.Dataset]}
-			if len(b.Scopes) > 0 {
-				k.scope = reflect.ValueOf(b.Scopes[0]).Pointer()
-			}
+			k := scanOf(lp.Inputs[b.Dataset], b.Scopes)
 			seen[k]++
 			if seen[k] > 1 {
 				shared++

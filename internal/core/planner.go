@@ -274,9 +274,6 @@ func (pl *Planner) branchStats(lp *LogicalPlan, b Branch) TableStats {
 	if st, ok := pl.stats[b.Label]; ok {
 		return st
 	}
-	if st, ok := pl.stats[b.Dataset]; ok {
-		return st
-	}
 	if b.Derived != nil {
 		return TableStats{BlockKeys: map[string]BlockKeyStats{}}
 	}

@@ -163,7 +163,7 @@ func TestCostPlannerBroadcastsTinyRelation(t *testing.T) {
 	}
 
 	ctx := engine.New(4)
-	got, err := DetectRuleWith(ctx, costPlanner(), r, rel)
+	got, err := DetectRulesWith(ctx, costPlanner(), []*Rule{r}, rel)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,10 +27,13 @@ func violationCounts(vs []model.Violation) map[model.ViolationKey]int {
 	return m
 }
 
-func fixCounts(fs []model.Fix) map[model.Fix]int {
-	m := make(map[model.Fix]int, len(fs))
-	for _, f := range fs {
-		m[f]++
+// fixCounts counts every possible fix of a result.
+func fixCounts(r *DetectResult) map[model.Fix]int {
+	m := map[model.Fix]int{}
+	for _, fs := range r.FixSets {
+		for _, f := range fs.Fixes {
+			m[f]++
+		}
 	}
 	return m
 }
@@ -61,7 +64,7 @@ func assertSameOutcome(t *testing.T, want, got *DetectResult) {
 			t.Fatalf("violation %v: count %d != %d", k, gv[k], n)
 		}
 	}
-	wf, gf := fixCounts(want.AllFixes()), fixCounts(got.AllFixes())
+	wf, gf := fixCounts(want), fixCounts(got)
 	if len(wf) != len(gf) {
 		t.Fatalf("fix sets diverged: %d distinct vs %d distinct", len(gf), len(wf))
 	}
@@ -97,7 +100,7 @@ func TestFDDetectionOutOfCoreMatchesUnbounded(t *testing.T) {
 	tr := datagen.TaxA(4000, 0.05, 1)
 
 	want, _ := runDetect(t, engine.Config{Parallelism: 4}, []*Rule{fdRule()}, tr.Dirty)
-	if want.NumViolations() == 0 {
+	if len(want.Violations) == 0 {
 		t.Fatal("generator produced no FD violations; test is vacuous")
 	}
 
@@ -113,7 +116,7 @@ func TestDCDetectionOutOfCoreMatchesUnbounded(t *testing.T) {
 	tr := datagen.TaxB(1500, 0.05, 2)
 
 	want, _ := runDetect(t, engine.Config{Parallelism: 4}, []*Rule{dcRule()}, tr.Dirty)
-	if want.NumViolations() == 0 {
+	if len(want.Violations) == 0 {
 		t.Fatal("generator produced no DC violations; test is vacuous")
 	}
 
@@ -133,7 +136,7 @@ func TestCombinedRulesOutOfCoreMatchesUnbounded(t *testing.T) {
 	rules := []*Rule{fdRule(), dcRule()}
 
 	want, _ := runDetect(t, engine.Config{Parallelism: 4}, rules, tr.Dirty)
-	if want.NumViolations() == 0 {
+	if len(want.Violations) == 0 {
 		t.Fatal("no violations; test is vacuous")
 	}
 

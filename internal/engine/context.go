@@ -277,28 +277,6 @@ func (sp *statsStageSpan) End() {
 	})
 }
 
-// Reset zeroes all counters and clears the per-stage log.
-func (s *Stats) Reset() {
-	s.tasks.Store(0)
-	s.stages.Store(0)
-	s.recordsShuffled.Store(0)
-	s.recordsRead.Store(0)
-	s.bytesSpilled.Store(0)
-	s.spillRuns.Store(0)
-	s.mergePasses.Store(0)
-	s.peakReserved.Store(0)
-	s.netBytesSent.Store(0)
-	s.netBytesRecv.Store(0)
-	s.netDials.Store(0)
-	s.netRetries.Store(0)
-	s.netStraggler.Store(0)
-	s.netRecovered.Store(0)
-	s.mu.Lock()
-	s.perStage = nil
-	s.stageIdx = nil
-	s.mu.Unlock()
-}
-
 // record folds one stage execution into the per-name aggregate (first-seen
 // order preserved), taken once per stage, not per task or record.
 func (s *Stats) record(st StageStat) {

@@ -210,12 +210,12 @@ func ExtPlan(cfg Config) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := core.DetectRuleWith(ctx, pl, rule, rel); err != nil {
+			if _, err := core.DetectRulesWith(ctx, pl, []*core.Rule{rule}, rel); err != nil {
 				return nil, err
 			}
 			secs, err := timeIt(func() error {
 				for i := 0; i < reps; i++ {
-					if _, err := core.DetectRuleWith(ctx, pl, rule, rel); err != nil {
+					if _, err := core.DetectRulesWith(ctx, pl, []*core.Rule{rule}, rel); err != nil {
 						return err
 					}
 				}

@@ -5,18 +5,14 @@ import (
 	"fmt"
 )
 
-// Binary encoding for cells, violations, fixes and fix sets, used when the
-// MapReduce backend spills detection output to disk and by the storage
-// manager when persisting violation reports.
+// Binary encoding for cells and violations, used when the MapReduce backend
+// spills detection output to disk.
 
-// The smallest encodings of a cell (four one-byte fields: tuple ID, column,
-// empty attribute, null value) and of a fix (a cell, op, tag and a null
-// constant). Decoders bound element counts by the bytes left divided by
-// these, so a hostile count fails before it allocates.
-const (
-	minCellBytes = 4
-	minFixBytes  = minCellBytes + 3
-)
+// minCellBytes is the smallest encoding of a cell (four one-byte fields:
+// tuple ID, column, empty attribute, null value). Decoders bound element
+// counts by the bytes left divided by it, so a hostile count fails before it
+// allocates.
+const minCellBytes = 4
 
 // AppendCell appends the binary encoding of c to buf.
 func AppendCell(buf []byte, c Cell) []byte {
@@ -135,78 +131,4 @@ func DecodeViolationKey(buf []byte) (ViolationKey, int, error) {
 	}
 	k.Extra = extra
 	return k, pos + n, nil
-}
-
-// AppendFix appends the binary encoding of f to buf.
-func AppendFix(buf []byte, f Fix) []byte {
-	buf = AppendCell(buf, f.Left)
-	buf = append(buf, byte(f.Op))
-	if f.RightIsCell {
-		buf = append(buf, 1)
-		return AppendCell(buf, f.RightCell)
-	}
-	buf = append(buf, 0)
-	return AppendValue(buf, f.RightConst)
-}
-
-// DecodeFix decodes one fix, returning it and the bytes consumed.
-func DecodeFix(buf []byte) (Fix, int, error) {
-	left, pos, err := DecodeCell(buf)
-	if err != nil {
-		return Fix{}, 0, err
-	}
-	if pos+2 > len(buf) {
-		return Fix{}, 0, fmt.Errorf("model: fix header truncated")
-	}
-	op := Op(buf[pos])
-	isCell := buf[pos+1] == 1
-	pos += 2
-	if isCell {
-		right, n, err := DecodeCell(buf[pos:])
-		if err != nil {
-			return Fix{}, 0, err
-		}
-		return Fix{Left: left, Op: op, RightIsCell: true, RightCell: right}, pos + n, nil
-	}
-	v, n, err := DecodeValue(buf[pos:])
-	if err != nil {
-		return Fix{}, 0, err
-	}
-	return Fix{Left: left, Op: op, RightConst: v}, pos + n, nil
-}
-
-// EncodeFixSet encodes a violation with its possible fixes.
-func EncodeFixSet(fs FixSet) []byte {
-	buf := AppendViolation(nil, fs.Violation)
-	buf = binary.AppendUvarint(buf, uint64(len(fs.Fixes)))
-	for _, f := range fs.Fixes {
-		buf = AppendFix(buf, f)
-	}
-	return buf
-}
-
-// DecodeFixSet decodes an encoded fix set.
-func DecodeFixSet(buf []byte) (FixSet, error) {
-	v, pos, err := DecodeViolation(buf)
-	if err != nil {
-		return FixSet{}, err
-	}
-	nf, n := binary.Uvarint(buf[pos:])
-	if n <= 0 {
-		return FixSet{}, fmt.Errorf("model: decode fix count")
-	}
-	pos += n
-	if nf > uint64(len(buf)-pos)/minFixBytes {
-		return FixSet{}, fmt.Errorf("model: fix count %d exceeds the %d bytes left", nf, len(buf)-pos)
-	}
-	fixes := make([]Fix, nf)
-	for i := range fixes {
-		f, used, err := DecodeFix(buf[pos:])
-		if err != nil {
-			return FixSet{}, fmt.Errorf("model: decode fix %d: %w", i, err)
-		}
-		fixes[i] = f
-		pos += used
-	}
-	return FixSet{Violation: v, Fixes: fixes}, nil
 }

@@ -1,7 +1,6 @@
 package model
 
 import (
-	"bufio"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -59,80 +58,4 @@ func WriteViolationsFile(path string, sets []FixSet) error {
 		return err
 	}
 	return f.Close()
-}
-
-// WriteFixSetsBinary streams fix sets in the binary codec with uvarint
-// length framing, the format the MapReduce backend and the storage layer
-// exchange.
-func WriteFixSetsBinary(w io.Writer, sets []FixSet) error {
-	bw := bufio.NewWriter(w)
-	var lenBuf [10]byte
-	for _, fs := range sets {
-		payload := EncodeFixSet(fs)
-		n := putUvarint(lenBuf[:], uint64(len(payload)))
-		if _, err := bw.Write(lenBuf[:n]); err != nil {
-			return err
-		}
-		if _, err := bw.Write(payload); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadFixSetsBinary reads a stream written by WriteFixSetsBinary.
-func ReadFixSetsBinary(r io.Reader) ([]FixSet, error) {
-	br := bufio.NewReader(r)
-	var out []FixSet
-	for {
-		n, err := readUvarint(br)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("model: fix set stream: %w", err)
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil, fmt.Errorf("model: fix set payload: %w", err)
-		}
-		fs, err := DecodeFixSet(payload)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, fs)
-	}
-}
-
-func putUvarint(buf []byte, v uint64) int {
-	i := 0
-	for v >= 0x80 {
-		buf[i] = byte(v) | 0x80
-		v >>= 7
-		i++
-	}
-	buf[i] = byte(v)
-	return i + 1
-}
-
-func readUvarint(r io.ByteReader) (uint64, error) {
-	var v uint64
-	var shift uint
-	for {
-		b, err := r.ReadByte()
-		if err != nil {
-			if err == io.EOF && shift != 0 {
-				return 0, io.ErrUnexpectedEOF
-			}
-			return 0, err
-		}
-		if b < 0x80 {
-			return v | uint64(b)<<shift, nil
-		}
-		v |= uint64(b&0x7f) << shift
-		shift += 7
-		if shift > 63 {
-			return 0, fmt.Errorf("model: uvarint overflow")
-		}
-	}
 }

@@ -43,49 +43,3 @@ func TestWriteViolationsCSV(t *testing.T) {
 		t.Error("report should carry rule ids and values")
 	}
 }
-
-func TestFixSetsBinaryRoundTrip(t *testing.T) {
-	sets := sampleFixSets()
-	var buf bytes.Buffer
-	if err := WriteFixSetsBinary(&buf, sets); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFixSetsBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(sets) {
-		t.Fatalf("round trip count: %d vs %d", len(got), len(sets))
-	}
-	for i := range sets {
-		if got[i].Violation.Key() != sets[i].Violation.Key() {
-			t.Errorf("set %d violation mismatch", i)
-		}
-		if len(got[i].Fixes) != len(sets[i].Fixes) {
-			t.Errorf("set %d fixes: %d vs %d", i, len(got[i].Fixes), len(sets[i].Fixes))
-		}
-		for j := range sets[i].Fixes {
-			if got[i].Fixes[j].String() != sets[i].Fixes[j].String() {
-				t.Errorf("set %d fix %d: %s vs %s", i, j, got[i].Fixes[j], sets[i].Fixes[j])
-			}
-		}
-	}
-}
-
-func TestReadFixSetsBinaryEmpty(t *testing.T) {
-	got, err := ReadFixSetsBinary(bytes.NewReader(nil))
-	if err != nil || len(got) != 0 {
-		t.Errorf("empty stream: %v, %v", got, err)
-	}
-}
-
-func TestReadFixSetsBinaryTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFixSetsBinary(&buf, sampleFixSets()); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	if _, err := ReadFixSetsBinary(bytes.NewReader(raw[:len(raw)-3])); err == nil {
-		t.Error("truncated stream should error")
-	}
-}

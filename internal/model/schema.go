@@ -93,28 +93,11 @@ func (s *Schema) Len() int { return len(s.attrs) }
 // Attr returns the i-th attribute.
 func (s *Schema) Attr(i int) Attribute { return s.attrs[i] }
 
-// Attrs returns a copy of the attribute list.
-func (s *Schema) Attrs() []Attribute {
-	out := make([]Attribute, len(s.attrs))
-	copy(out, s.attrs)
-	return out
-}
-
 // Index returns the position of the named attribute (case-insensitive) and
 // whether it exists.
 func (s *Schema) Index(name string) (int, bool) {
 	i, ok := s.index[strings.ToLower(name)]
 	return i, ok
-}
-
-// MustIndex is Index but panics on a missing attribute; used where rule
-// construction has already validated names.
-func (s *Schema) MustIndex(name string) int {
-	i, ok := s.Index(name)
-	if !ok {
-		panic(fmt.Sprintf("model: schema has no attribute %q", name))
-	}
-	return i
 }
 
 // Name returns the name of the i-th attribute.

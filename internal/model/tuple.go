@@ -36,17 +36,6 @@ func (t Tuple) Cell(i int) Value {
 	return t.Cells[i]
 }
 
-// WithCell returns a copy of the tuple with cell i replaced. The original
-// tuple is not modified; repairs build new instances.
-func (t Tuple) WithCell(i int, v Value) Tuple {
-	cells := make([]Value, len(t.Cells))
-	copy(cells, t.Cells)
-	if i >= 0 && i < len(cells) {
-		cells[i] = v
-	}
-	return Tuple{ID: t.ID, Cells: cells}
-}
-
 // Clone returns a deep copy of the tuple.
 func (t Tuple) Clone() Tuple {
 	cells := make([]Value, len(t.Cells))
@@ -71,12 +60,6 @@ func (t Tuple) String() string {
 		parts[i] = c.String()
 	}
 	return fmt.Sprintf("t%d(%s)", t.ID, strings.Join(parts, ", "))
-}
-
-// TuplePair is an ordered pair of tuples, the unit Iterate feeds to a
-// binary Detect.
-type TuplePair struct {
-	Left, Right Tuple
 }
 
 // Relation couples a schema with its tuples. It is the in-memory dataset

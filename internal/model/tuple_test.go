@@ -16,17 +16,6 @@ func TestTupleCellBounds(t *testing.T) {
 	}
 }
 
-func TestWithCellDoesNotMutate(t *testing.T) {
-	tp := NewTuple(1, S("a"), S("b"))
-	tp2 := tp.WithCell(1, S("z"))
-	if tp.Cell(1) != S("b") {
-		t.Error("original mutated")
-	}
-	if tp2.Cell(1) != S("z") || tp2.ID != 1 {
-		t.Error("copy not updated")
-	}
-}
-
 func TestTupleProjectKeepsID(t *testing.T) {
 	tp := NewTuple(9, S("a"), S("b"), S("c"))
 	p := tp.Project([]int{2, 0})

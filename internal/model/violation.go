@@ -94,9 +94,6 @@ func NewViolation(ruleID string, cells ...Cell) Violation {
 	return Violation{RuleID: ruleID, Cells: cells}
 }
 
-// AddCell appends an element to the violation.
-func (v *Violation) AddCell(c Cell) { v.Cells = append(v.Cells, c) }
-
 // TupleIDs returns the distinct tuple IDs involved, sorted.
 func (v Violation) TupleIDs() []int64 {
 	seen := make(map[int64]struct{}, len(v.Cells))

@@ -60,17 +60,6 @@ func ParseString(s string) ([]Triple, error) { return Parse(strings.NewReader(s)
 // Schema is the triple relation's schema.
 func Schema() *model.Schema { return model.MustParseSchema("subject,predicate,object") }
 
-// ToRelation exposes triples as a relation with one tuple per triple —
-// triples are the data units, their three terms the elements.
-func ToRelation(name string, triples []Triple) *model.Relation {
-	rel := model.NewRelation(name, Schema())
-	for i, t := range triples {
-		rel.Append(model.NewTuple(int64(i),
-			model.S(t.Subject), model.S(t.Predicate), model.S(t.Object)))
-	}
-	return rel
-}
-
 // Write renders triples in the input format, one per line.
 func Write(w io.Writer, triples []Triple) error {
 	for _, t := range triples {

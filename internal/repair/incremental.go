@@ -59,17 +59,6 @@ func (m *ClassMemory) Prefer(k model.CellKey) (model.Value, bool) {
 	return v, ok
 }
 
-// Forget drops the memory of one cell (a caller applying an out-of-band
-// edit invalidates what repair learned about it).
-func (m *ClassMemory) Forget(k model.CellKey) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.prefs, k)
-}
-
 // Len reports how many cells are remembered.
 func (m *ClassMemory) Len() int {
 	if m == nil {

@@ -22,11 +22,11 @@ func bruteForceCFD(cfd *CFD, rel *model.Relation) int {
 	schema := rel.Schema
 	lhsIdx := make([]int, len(cfd.LHS))
 	for i, a := range cfd.LHS {
-		lhsIdx[i] = schema.MustIndex(a)
+		lhsIdx[i], _ = schema.Index(a)
 	}
 	rhsIdx := make([]int, len(cfd.RHS))
 	for i, a := range cfd.RHS {
-		rhsIdx[i] = schema.MustIndex(a)
+		rhsIdx[i], _ = schema.Index(a)
 	}
 	match := func(row PatternRow, t model.Tuple) bool {
 		for i, c := range lhsIdx {

@@ -43,7 +43,8 @@ func blockLocalRules(t *testing.T, schema *model.Schema) []*core.Rule {
 	unary := withCityScope(compileDC("unary", "t1.salary > 2500 & t1.rate < 3"))
 	rs := []*core.Rule{fdr, asym, loop, unary}
 	for _, r := range rs {
-		if !core.Incrementalizable(r) {
+		// The detector's condition for block-incremental maintenance.
+		if !r.Unary && (r.Block == nil || r.Scope != nil || r.Iterate != nil || len(r.OrderConds) > 0) {
 			t.Fatalf("rule %s is not incrementalizable", r.ID)
 		}
 	}
@@ -200,8 +201,8 @@ func TestObserveShufflesNothing(t *testing.T) {
 	if after.RecordsShuffled != before.RecordsShuffled {
 		t.Errorf("block-local passes shuffled %d records", after.RecordsShuffled-before.RecordsShuffled)
 	}
-	if after.RecordsRead == before.RecordsRead || res.NumViolations() == 0 {
+	if after.RecordsRead == before.RecordsRead || len(res.Violations) == 0 {
 		t.Errorf("the passes read %d records and found %d violations; want some of both",
-			after.RecordsRead-before.RecordsRead, res.NumViolations())
+			after.RecordsRead-before.RecordsRead, len(res.Violations))
 	}
 }

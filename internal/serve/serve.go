@@ -32,6 +32,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -484,16 +485,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, errors.New("no such session"))
 		return
 	}
-	var req struct {
-		Tuples [][]any `json:"tuples"`
-	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		writeBodyErr(w, err)
-		return
-	}
-	batch, err := st.parseBatch(req.Tuples)
+	batch, err := decodeIngest(http.MaxBytesReader(w, r.Body, maxBodyBytes), st.schema)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeBodyErr(w, err)
 		return
 	}
 	err = st.enqueue(func() {
@@ -511,21 +505,42 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// parseBatch converts JSON rows into tuples typed by the session schema.
-// IDs are assigned by the session (every tuple is sent with a negative ID).
-func (st *stream) parseBatch(rows [][]any) ([]model.Tuple, error) {
-	batch := make([]model.Tuple, 0, len(rows))
-	for i, row := range rows {
-		if len(row) != st.schema.Len() {
-			return nil, fmt.Errorf("tuple %d has %d values, schema has %d", i, len(row), st.schema.Len())
+// decodeIngest reads an ingest body, {"tuples": [[cell, ...], ...]}, into
+// tuples typed by schema, each sent with a negative ID for the session to
+// replace. A string, number or boolean cell is parsed from its literal text,
+// so an int column takes 1000000 or 9007199254740993 exactly; null is a null
+// cell; an object or array is an error naming the tuple and column.
+func decodeIngest(body io.Reader, schema *model.Schema) ([]model.Tuple, error) {
+	var req struct {
+		Tuples [][]any `json:"tuples"`
+	}
+	dec := json.NewDecoder(body)
+	dec.UseNumber()
+	if err := dec.Decode(&req); err != nil {
+		return nil, err
+	}
+	batch := make([]model.Tuple, 0, len(req.Tuples))
+	for i, row := range req.Tuples {
+		if len(row) != schema.Len() {
+			return nil, fmt.Errorf("tuple %d has %d values, schema has %d", i, len(row), schema.Len())
 		}
 		cells := make([]model.Value, len(row))
 		for c, v := range row {
-			raw, ok := v.(string)
-			if !ok {
-				raw = fmt.Sprintf("%v", v)
+			var raw string
+			switch v := v.(type) {
+			case nil:
+				cells[c] = model.Null()
+				continue
+			case string:
+				raw = v
+			case json.Number:
+				raw = v.String()
+			case bool:
+				raw = strconv.FormatBool(v)
+			default:
+				return nil, fmt.Errorf("tuple %d column %s: a cell is a string, a number, a boolean or null, not an object or array", i, schema.Name(c))
 			}
-			cells[c] = model.Parse(raw, st.schema.Attr(c).Kind)
+			cells[c] = model.Parse(raw, schema.Attr(c).Kind)
 		}
 		batch = append(batch, model.NewTuple(-1, cells...))
 	}

@@ -50,111 +50,6 @@ func LevenshteinSimilarity(a, b string) float64 {
 	return 1 - float64(Levenshtein(a, b))/float64(maxLen)
 }
 
-// JaroWinkler returns the Jaro-Winkler similarity in [0,1] with the standard
-// 0.1 prefix scale over at most 4 common prefix runes.
-func JaroWinkler(a, b string) float64 {
-	j := jaro(a, b)
-	prefix := 0
-	ra, rb := []rune(a), []rune(b)
-	for prefix < len(ra) && prefix < len(rb) && prefix < 4 && ra[prefix] == rb[prefix] {
-		prefix++
-	}
-	return j + float64(prefix)*0.1*(1-j)
-}
-
-func jaro(a, b string) float64 {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) == 0 && len(rb) == 0 {
-		return 1
-	}
-	if len(ra) == 0 || len(rb) == 0 {
-		return 0
-	}
-	window := max2(len(ra), len(rb))/2 - 1
-	if window < 0 {
-		window = 0
-	}
-	aMatch := make([]bool, len(ra))
-	bMatch := make([]bool, len(rb))
-	matches := 0
-	for i := range ra {
-		lo := i - window
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + window + 1
-		if hi > len(rb) {
-			hi = len(rb)
-		}
-		for j := lo; j < hi; j++ {
-			if bMatch[j] || ra[i] != rb[j] {
-				continue
-			}
-			aMatch[i], bMatch[j] = true, true
-			matches++
-			break
-		}
-	}
-	if matches == 0 {
-		return 0
-	}
-	transpositions := 0
-	j := 0
-	for i := range ra {
-		if !aMatch[i] {
-			continue
-		}
-		for !bMatch[j] {
-			j++
-		}
-		if ra[i] != rb[j] {
-			transpositions++
-		}
-		j++
-	}
-	m := float64(matches)
-	return (m/float64(len(ra)) + m/float64(len(rb)) + (m-float64(transpositions)/2)/m) / 3
-}
-
-// NGramJaccard returns the Jaccard similarity of the n-gram sets of a and b
-// (n >= 1). Strings shorter than n are treated as one gram.
-func NGramJaccard(a, b string, n int) float64 {
-	ga, gb := ngrams(a, n), ngrams(b, n)
-	if len(ga) == 0 && len(gb) == 0 {
-		return 1
-	}
-	inter := 0
-	for g := range ga {
-		if gb[g] {
-			inter++
-		}
-	}
-	union := len(ga) + len(gb) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
-}
-
-func ngrams(s string, n int) map[string]bool {
-	if n < 1 {
-		n = 1
-	}
-	r := []rune(s)
-	out := make(map[string]bool)
-	if len(r) == 0 {
-		return out
-	}
-	if len(r) <= n {
-		out[string(r)] = true
-		return out
-	}
-	for i := 0; i+n <= len(r); i++ {
-		out[string(r[i:i+n])] = true
-	}
-	return out
-}
-
 // Soundex returns the 4-character American Soundex code of s, the classic
 // phonetic blocking key for deduplication. Non-letters are ignored; an empty
 // input yields "0000".
@@ -217,11 +112,4 @@ func min3(a, b, c int) int {
 		a = c
 	}
 	return a
-}
-
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -83,44 +83,6 @@ func TestLevenshteinSimilarityRange(t *testing.T) {
 	}
 }
 
-func TestJaroWinkler(t *testing.T) {
-	if JaroWinkler("", "") != 1 {
-		t.Error("empty identical")
-	}
-	if JaroWinkler("abc", "abc") != 1 {
-		t.Error("equal strings")
-	}
-	if JaroWinkler("abc", "") != 0 {
-		t.Error("one empty")
-	}
-	// MARTHA/MARHTA is the textbook example: ~0.961.
-	got := JaroWinkler("MARTHA", "MARHTA")
-	if got < 0.95 || got > 0.97 {
-		t.Errorf("JaroWinkler(MARTHA,MARHTA) = %v", got)
-	}
-	// Prefix boost: DWAYNE/DUANE ~0.84.
-	got = JaroWinkler("DWAYNE", "DUANE")
-	if got < 0.82 || got > 0.86 {
-		t.Errorf("JaroWinkler(DWAYNE,DUANE) = %v", got)
-	}
-}
-
-func TestNGramJaccard(t *testing.T) {
-	if NGramJaccard("night", "night", 2) != 1 {
-		t.Error("identical strings")
-	}
-	if NGramJaccard("", "", 2) != 1 {
-		t.Error("both empty")
-	}
-	if got := NGramJaccard("abcd", "wxyz", 2); got != 0 {
-		t.Errorf("disjoint bigrams = %v", got)
-	}
-	a := NGramJaccard("nacht", "night", 2)
-	if a <= 0 || a >= 1 {
-		t.Errorf("partial overlap should be in (0,1): %v", a)
-	}
-}
-
 func TestSoundexKnownCodes(t *testing.T) {
 	cases := map[string]string{
 		"Robert":   "R163",

@@ -127,49 +127,6 @@ func (s *Store) Upload(rel *model.Relation, partAttr string, nParts int) (*Uploa
 	return plan, nil
 }
 
-// Datasets lists the dataset names in the store, sorted.
-func (s *Store) Datasets() ([]string, error) {
-	entries, err := os.ReadDir(s.root)
-	if err != nil {
-		return nil, fmt.Errorf("storage: list datasets: %w", err)
-	}
-	var out []string
-	for _, e := range entries {
-		if e.IsDir() {
-			out = append(out, e.Name())
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// DeleteReplica removes one replica of a dataset; deleting the last replica
-// removes the dataset directory too.
-func (s *Store) DeleteReplica(name, partAttr string) error {
-	dir := s.replicaDir(name, partAttr)
-	if _, err := os.Stat(dir); err != nil {
-		return fmt.Errorf("storage: replica %s/%s: %w", name, partAttr, err)
-	}
-	if err := os.RemoveAll(dir); err != nil {
-		return err
-	}
-	// Drop the dataset directory when empty.
-	parent := filepath.Join(s.root, name)
-	if entries, err := os.ReadDir(parent); err == nil && len(entries) == 0 {
-		return os.Remove(parent)
-	}
-	return nil
-}
-
-// DeleteDataset removes a dataset and all its replicas.
-func (s *Store) DeleteDataset(name string) error {
-	dir := filepath.Join(s.root, name)
-	if _, err := os.Stat(dir); err != nil {
-		return fmt.Errorf("storage: dataset %s: %w", name, err)
-	}
-	return os.RemoveAll(dir)
-}
-
 // Replicas lists the partitioning attributes of the stored replicas of a
 // dataset (empty string denotes the round-robin replica).
 func (s *Store) Replicas(name string) ([]string, error) {

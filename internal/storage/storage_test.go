@@ -204,55 +204,6 @@ func TestContentPartitioningCoLocatesBlocks(t *testing.T) {
 	}
 }
 
-func TestDatasetsAndDeletion(t *testing.T) {
-	st, _ := Open(t.TempDir())
-	a := sampleRel(10)
-	a.Name = "alpha"
-	b := sampleRel(10)
-	b.Name = "beta"
-	st.Upload(a, "", 2)
-	st.Upload(a, "zipcode", 2)
-	st.Upload(b, "", 2)
-
-	names, err := st.Datasets()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 2 || names[0] != "alpha" || names[1] != "beta" {
-		t.Fatalf("datasets = %v", names)
-	}
-
-	if err := st.DeleteReplica("alpha", "zipcode"); err != nil {
-		t.Fatal(err)
-	}
-	reps, _ := st.Replicas("alpha")
-	if len(reps) != 1 || reps[0] != "" {
-		t.Errorf("alpha replicas after delete = %v", reps)
-	}
-	if err := st.DeleteReplica("alpha", ""); err != nil {
-		t.Fatal(err)
-	}
-	names, _ = st.Datasets()
-	if len(names) != 1 || names[0] != "beta" {
-		t.Errorf("datasets after deleting alpha's last replica = %v", names)
-	}
-
-	if err := st.DeleteDataset("beta"); err != nil {
-		t.Fatal(err)
-	}
-	names, _ = st.Datasets()
-	if len(names) != 0 {
-		t.Errorf("datasets after DeleteDataset = %v", names)
-	}
-
-	if err := st.DeleteReplica("ghost", ""); err == nil {
-		t.Error("deleting a missing replica should fail")
-	}
-	if err := st.DeleteDataset("ghost"); err == nil {
-		t.Error("deleting a missing dataset should fail")
-	}
-}
-
 func TestUnknownDatasetAndColumn(t *testing.T) {
 	st, _ := Open(t.TempDir())
 	if _, err := st.Read("ghost", "", ReadOptions{Partition: -1}); err == nil {
