@@ -10,6 +10,7 @@ package cleanse
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"bigdansing/internal/core"
@@ -189,7 +190,9 @@ func (c *Cleaner) validate() error {
 
 // Result is one cleansing run: the repaired relation plus its Report.
 type Result struct {
-	// Clean is the repaired instance (the input is not modified).
+	// Clean is the repaired instance. The input is not modified: a
+	// repaired tuple has cells of its own, and every other tuple shares its
+	// cells with the input.
 	Clean *model.Relation
 
 	report Report
@@ -229,15 +232,18 @@ type Report struct {
 // Report summarizes the run as one struct.
 func (r *Result) Report() Report { return r.report }
 
-// Clean runs the iterative cleansing process on a copy of rel. It is a
-// thin one-batch session: the relation is cloned into a Session seeded
-// with the Cleaner's configuration, flushed once, and closed — the
+// Clean runs the iterative cleansing process over rel without writing it.
+// It is a thin one-batch session: a Session seeded with the Cleaner's
+// configuration borrows rel's tuples, is flushed once, and is closed — the
 // detect-repair loop, and its incremental detection, live in the Session.
+// The session copies a tuple's cells on its first repair, so rel's cells
+// are never written; Result.Clean shares the cells of every tuple repair
+// left unchanged with rel.
 func (c *Cleaner) Clean(rel *model.Relation) (*Result, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	s, err := newSession(*c, rel.Clone())
+	s, err := newSession(*c, &model.Relation{Name: rel.Name, Schema: rel.Schema, Tuples: slices.Clone(rel.Tuples)})
 	if err != nil {
 		return nil, err
 	}

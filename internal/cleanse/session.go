@@ -2,6 +2,7 @@ package cleanse
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -42,6 +43,9 @@ type Session struct {
 
 	rel *model.Relation
 	idx map[int64]int // tuple ID -> position, maintained on ingest
+	// owned marks, by position, the tuples whose cells the session has
+	// copied; every other tuple borrows its caller's cells (see own).
+	owned []bool
 
 	det    *core.IncrementalDetector
 	algo   repair.Algorithm
@@ -125,10 +129,13 @@ func newSession(cfg Cleaner, rel *model.Relation) (*Session, error) {
 // Ingest appends a batch of tuples to the session's relation and routes
 // them through the incremental detector: only the blocks the new tuples
 // land in are re-detected, and non-incrementalizable rules are merely
-// marked stale for the next Flush. Tuples are cloned — the caller keeps
-// ownership of the batch. A tuple with a negative ID is assigned the next
-// free one, past every ID in the session and in the batch; a duplicate ID
-// fails the whole batch (nothing is appended).
+// marked stale for the next Flush. The session borrows the batch's cells:
+// it never writes them, and copies a tuple's cells on its first repair, so
+// the caller's batch stays as it was handed in. The caller must not write
+// those cells afterwards either: the session keeps reading them. A tuple with
+// a negative ID is assigned the next free one, past every ID in the session
+// and in the batch; a duplicate ID fails the whole batch (nothing is
+// appended).
 func (s *Session) Ingest(batch []model.Tuple) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -156,7 +163,6 @@ func (s *Session) Ingest(batch []model.Tuple) error {
 	s.nextID = next
 	ids := make([]int64, 0, len(batch))
 	for _, t := range batch {
-		t = t.Clone()
 		if t.ID < 0 {
 			t.ID = s.nextID
 			s.nextID++
@@ -227,32 +233,21 @@ func (s *Session) flushLocked() (Report, error) {
 
 			// Drop violations whose every fix touches a frozen cell: they have
 			// no usable possible fixes anymore (Section 2.2's stopping rule).
-			actionable := make([]model.FixSet, 0, len(det.FixSets))
+			// actionable aliases det.FixSets until the first set is dropped,
+			// and from then on holds copies of the kept ones.
+			actionable := det.FixSets
 			remaining := 0
-			for _, fs := range det.FixSets {
-				if len(fs.Fixes) == 0 {
-					remaining++ // detection-only violation: reported, not repairable
+			for i, fs := range det.FixSets {
+				if s.usable(fs) {
+					if remaining > 0 {
+						actionable = append(actionable, fs)
+					}
 					continue
 				}
-				usable := false
-				for _, f := range fs.Fixes {
-					ok := true
-					for _, cell := range f.Cells() {
-						if s.frozen[cell.MapKey()] {
-							ok = false
-							break
-						}
-					}
-					if ok {
-						usable = true
-						break
-					}
+				if remaining == 0 {
+					actionable = append(make([]model.FixSet, 0, len(det.FixSets)-1), det.FixSets[:i]...)
 				}
-				if usable {
-					actionable = append(actionable, fs)
-				} else {
-					remaining++
-				}
+				remaining++
 			}
 			if len(actionable) == 0 {
 				rep.RemainingViolations = remaining
@@ -296,6 +291,7 @@ func (s *Session) flushLocked() (Report, error) {
 			}
 			rep.RepairTime += time.Since(t1)
 
+			s.own(assignments)
 			n := repair.ApplyIndexed(s.rel, s.idx, assignments, s.frozen)
 			rep.UpdatesApplied += n
 			rsp.Attr(engine.AttrAssignments, int64(n))
@@ -346,6 +342,41 @@ func (s *Session) flushLocked() (Report, error) {
 	}
 	rep.RemainingViolations = len(det.Violations)
 	return s.finishFlush(rep, applied), nil
+}
+
+// usable reports whether some fix of fs touches no frozen cell. A
+// detection-only violation (no fixes) is reported, never repairable.
+func (s *Session) usable(fs model.FixSet) bool {
+	for _, f := range fs.Fixes {
+		ok := true
+		for _, cell := range f.Cells() {
+			if s.frozen[cell.MapKey()] {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			return true
+		}
+	}
+	return false
+}
+
+// own copies the cells of every tuple a non-frozen assignment writes that
+// the session does not own yet, so applying the assignments never writes a
+// caller's cells: a tuple is copied on its first repair, and only then.
+func (s *Session) own(assignments []repair.Assignment) {
+	if n := len(s.rel.Tuples); len(s.owned) < n {
+		s.owned = append(s.owned, make([]bool, n-len(s.owned))...)
+	}
+	for _, a := range assignments {
+		i, ok := s.idx[a.TupleID]
+		if !ok || s.owned[i] || s.frozen[a.CellKey()] {
+			continue
+		}
+		s.rel.Tuples[i].Cells = slices.Clone(s.rel.Tuples[i].Cells)
+		s.owned[i] = true
+	}
 }
 
 // detect runs one detection pass over the tuples changed since the last.

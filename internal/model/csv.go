@@ -12,11 +12,18 @@ import (
 // hasHeader is true the first record is skipped. Tuple IDs are assigned
 // sequentially from startID. Short rows are padded with nulls and long rows
 // truncated, mirroring the forgiving parsers BigDansing ships for raw input.
+//
+// Cells are parsed into slabs that double from csvMinSlabRows up to
+// csvSlabRows rows, and each tuple's Cells is its row of a slab, capped at
+// the schema width, so an append to one tuple's cells never writes into the
+// next. Tuples is built once, at its final size, after the last record.
 func ReadCSV(r io.Reader, name string, schema *Schema, hasHeader bool, startID int64) (*Relation, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
-	rel := NewRelation(name, schema)
-	id := startID
+	cr.ReuseRecord = true
+	w := schema.Len()
+	slabs := make([][]Value, 0, 16) // each holds whole rows, w cells apiece
+	rows, room := 0, 0
 	first := true
 	for {
 		rec, err := cr.Read()
@@ -31,19 +38,39 @@ func ReadCSV(r io.Reader, name string, schema *Schema, hasHeader bool, startID i
 			continue
 		}
 		first = false
-		cells := make([]Value, schema.Len())
-		for i := 0; i < schema.Len(); i++ {
-			if i < len(rec) {
-				cells[i] = Parse(rec[i], schema.Attr(i).Kind)
-			} else {
-				cells[i] = Null()
-			}
+		if room == 0 {
+			room = min(max(rows, csvMinSlabRows), csvSlabRows)
+			slabs = append(slabs, make([]Value, 0, room*w))
 		}
-		rel.Append(Tuple{ID: id, Cells: cells})
-		id++
+		slab := slabs[len(slabs)-1]
+		for i := 0; i < w; i++ {
+			v := Null()
+			if i < len(rec) {
+				v = Parse(rec[i], schema.Attr(i).Kind)
+			}
+			slab = append(slab, v)
+		}
+		slabs[len(slabs)-1] = slab
+		room--
+		rows++
+	}
+	rel := &Relation{Name: name, Schema: schema, Tuples: make([]Tuple, rows)}
+	for i := range rel.Tuples {
+		rel.Tuples[i].ID = startID + int64(i)
+	}
+	i := 0
+	for _, slab := range slabs {
+		for ; len(slab) > 0; slab = slab[w:] {
+			rel.Tuples[i].Cells = slab[:w:w]
+			i++
+		}
 	}
 	return rel, nil
 }
+
+// ReadCSV's cell slabs start at csvMinSlabRows rows, so a small input
+// allocates little, and stop doubling at csvSlabRows.
+const csvMinSlabRows, csvSlabRows = 64, 1024
 
 // ReadCSVFile opens path and parses it with ReadCSV.
 func ReadCSVFile(path, name string, schema *Schema, hasHeader bool) (*Relation, error) {

@@ -48,8 +48,9 @@ func checkDecode(t *testing.T, name string, b []byte, decode func([]byte) (int, 
 // FuzzReadCSV feeds an arbitrary schema spec and arbitrary CSV bytes to the
 // two parsers every raw input goes through. ParseSchema either fails or
 // yields a schema that its own String parses back to; ReadCSV either fails
-// or yields one tuple per record, each with exactly one cell per attribute,
-// of the attribute's kind or null, and IDs numbered on from startID.
+// or yields one tuple per record, each with exactly one cell per attribute
+// and no spare capacity (its row of a shared slab), of the attribute's kind
+// or null, and IDs numbered on from startID.
 // Writing the relation back with WriteCSV and reading it again yields the
 // same relation. The checked-in corpus holds ragged rows, bad numerics, an
 // empty header, a bare quote, a huge field and a one-column relation with a
@@ -82,8 +83,8 @@ func FuzzReadCSV(f *testing.F) {
 			if tp.ID != startID+int64(i) {
 				t.Fatalf("tuple %d has id %d", i, tp.ID)
 			}
-			if len(tp.Cells) != schema.Len() {
-				t.Fatalf("tuple %d has %d cells, schema %d", i, len(tp.Cells), schema.Len())
+			if len(tp.Cells) != schema.Len() || cap(tp.Cells) != schema.Len() {
+				t.Fatalf("tuple %d has %d cells of capacity %d, schema %d", i, len(tp.Cells), cap(tp.Cells), schema.Len())
 			}
 			for c, v := range tp.Cells {
 				if k := schema.Attr(c).Kind; v.Kind != k && v.Kind != KindNull {

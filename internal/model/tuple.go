@@ -82,10 +82,19 @@ func (r *Relation) Append(ts ...Tuple) { r.Tuples = append(r.Tuples, ts...) }
 func (r *Relation) Len() int { return len(r.Tuples) }
 
 // Clone deep-copies the relation (schema is shared: schemas are immutable).
+// All cells are copied into one slab; each tuple's Cells is capped at its
+// own length, so an append to one tuple's cells never writes into the next.
 func (r *Relation) Clone() *Relation {
+	n := 0
+	for _, t := range r.Tuples {
+		n += len(t.Cells)
+	}
+	slab := make([]Value, 0, n)
 	out := &Relation{Name: r.Name, Schema: r.Schema, Tuples: make([]Tuple, len(r.Tuples))}
 	for i, t := range r.Tuples {
-		out.Tuples[i] = t.Clone()
+		lo := len(slab)
+		slab = append(slab, t.Cells...)
+		out.Tuples[i] = Tuple{ID: t.ID, Cells: slab[lo:len(slab):len(slab)]}
 	}
 	return out
 }

@@ -43,14 +43,29 @@ func TestRelationApply(t *testing.T) {
 	}
 }
 
+// TestRelationCloneIsDeep checks that a clone's cells alias neither the
+// source's nor each other's: writing every clone cell leaves the source as
+// it was, and each clone tuple's Cells is capped at its own length, so an
+// append to one never writes into the next tuple of the shared slab.
 func TestRelationCloneIsDeep(t *testing.T) {
-	s := MustParseSchema("a")
+	s := MustParseSchema("a,b:int")
 	r := NewRelation("r", s)
-	r.Append(NewTuple(0, S("x")))
+	r.Append(NewTuple(0, S("x"), I(1)), NewTuple(1, S("y")), NewTuple(2, S("z"), I(3)))
 	c := r.Clone()
-	c.Tuples[0].Cells[0] = S("changed")
-	if r.Tuples[0].Cell(0) != S("x") {
-		t.Error("clone should be deep")
+	for i, tp := range c.Tuples {
+		if tp.ID != r.Tuples[i].ID || len(tp.Cells) != len(r.Tuples[i].Cells) || cap(tp.Cells) != len(tp.Cells) {
+			t.Fatalf("clone tuple %d is %v with cap %d, source %v", i, tp, cap(tp.Cells), r.Tuples[i])
+		}
+		for j := range tp.Cells {
+			tp.Cells[j] = S("changed")
+		}
+	}
+	if got := r.Tuples[0].String() + r.Tuples[1].String() + r.Tuples[2].String(); got != "t0(x, 1)t1(y)t2(z, 3)" {
+		t.Errorf("clone writes reached the source: %s", got)
+	}
+	_ = append(c.Tuples[1].Cells, S("appended"))
+	if c.Tuples[2].Cell(0) != S("changed") {
+		t.Errorf("an append to one clone tuple wrote the next: %v", c.Tuples[2])
 	}
 }
 

@@ -1,7 +1,7 @@
 package repair
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -139,6 +139,6 @@ func cellKeysOfFixSet(fs model.FixSet) []model.CellKey {
 			add(c)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	slices.SortFunc(out, model.CellKey.Compare)
 	return out
 }

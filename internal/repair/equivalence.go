@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"slices"
 	"sort"
 
 	"bigdansing/internal/graph"
@@ -156,12 +157,9 @@ func (e *EquivalenceClass) Repair(component []model.FixSet) ([]Assignment, error
 	return out, nil
 }
 
-// sortAssignments orders assignments deterministically.
+// sortAssignments orders assignments deterministically, by (TupleID, Col).
+// Every caller's assignments name distinct cells, so the order is total and
+// an unstable sort is exact.
 func sortAssignments(as []Assignment) {
-	sort.Slice(as, func(i, j int) bool {
-		if as[i].TupleID != as[j].TupleID {
-			return as[i].TupleID < as[j].TupleID
-		}
-		return as[i].Col < as[j].Col
-	})
+	slices.SortFunc(as, func(a, b Assignment) int { return a.CellKey().Compare(b.CellKey()) })
 }

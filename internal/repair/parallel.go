@@ -2,7 +2,7 @@ package repair
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"bigdansing/internal/engine"
@@ -90,7 +90,7 @@ func RepairParallel(fixSets []model.FixSet, algo Algorithm, opts Options) ([]Ass
 	for id := range byComp {
 		compIDs = append(compIDs, id)
 	}
-	sort.Slice(compIDs, func(i, j int) bool { return compIDs[i] < compIDs[j] })
+	slices.Sort(compIDs)
 
 	// 3-4. Repair instances in parallel. Instance spans pass their parent
 	// explicitly — they begin concurrently, so the observer's scoped

@@ -509,7 +509,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // tuples typed by schema, each sent with a negative ID for the session to
 // replace. A string, number or boolean cell is parsed from its literal text,
 // so an int column takes 1000000 or 9007199254740993 exactly; null is a null
-// cell; an object or array is an error naming the tuple and column.
+// cell; an object or array is an error naming the tuple and column. The
+// batch's cells are one slab, each tuple's capped at the schema width.
 func decodeIngest(body io.Reader, schema *model.Schema) ([]model.Tuple, error) {
 	var req struct {
 		Tuples [][]any `json:"tuples"`
@@ -519,12 +520,14 @@ func decodeIngest(body io.Reader, schema *model.Schema) ([]model.Tuple, error) {
 	if err := dec.Decode(&req); err != nil {
 		return nil, err
 	}
+	w := schema.Len()
 	batch := make([]model.Tuple, 0, len(req.Tuples))
+	slab := make([]model.Value, len(req.Tuples)*w)
 	for i, row := range req.Tuples {
-		if len(row) != schema.Len() {
-			return nil, fmt.Errorf("tuple %d has %d values, schema has %d", i, len(row), schema.Len())
+		if len(row) != w {
+			return nil, fmt.Errorf("tuple %d has %d values, schema has %d", i, len(row), w)
 		}
-		cells := make([]model.Value, len(row))
+		cells := slab[i*w : (i+1)*w : (i+1)*w]
 		for c, v := range row {
 			var raw string
 			switch v := v.(type) {
