@@ -37,11 +37,12 @@ unused:
 # The benchmark is a Go module of its own (benchmark/go.mod), so the root
 # ./... does not descend into it; this builds it against the current
 # internal/ APIs and runs its unit tests and one-workload smoke run, then
-# builds and runs one iteration of the CSV-reader, session-stream and
-# hypergraph-repair benchmarks.
+# builds and runs one iteration of the CSV-reader, FD-detection,
+# session-stream and hypergraph-repair benchmarks.
 bench-smoke:
 	cd benchmark && $(GO) test ./...
 	$(GO) test -run xxx -bench ReadCSV -benchtime 1x ./internal/model/
+	$(GO) test -run xxx -bench DetectFD -benchtime 1x ./internal/core/
 	$(GO) test -run xxx -bench SessionStream -benchtime 1x ./internal/cleanse/
 	$(GO) test -run xxx -bench HypergraphRepair -benchtime 1x ./internal/repair/
 
@@ -69,7 +70,7 @@ bench:
 	$(GO) test -run xxx -bench 'Table2Datasets|Fig9' -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench ReadCSV -benchtime 5x -benchmem ./internal/model/
 	$(GO) test -run xxx -bench . -benchtime 5x -benchmem ./internal/engine/
-	$(GO) test -run xxx -bench 'DetectScan|ViolationDedup' -benchtime 5x -benchmem ./internal/core/
+	$(GO) test -run xxx -bench 'DetectScan|ViolationDedup|DetectFD' -benchtime 5x -benchmem ./internal/core/
 	$(GO) test -run xxx -bench SessionStream -benchtime 256x -benchmem ./internal/cleanse/
 	$(GO) test -run xxx -bench HypergraphRepair -benchtime 5x -benchmem ./internal/repair/
 

@@ -267,7 +267,7 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "  %-12s %d\n", r, byRule[r])
 		}
 		if *vioOut != "" {
-			if err := model.WriteViolationsFile(*vioOut, res.FixSets); err != nil {
+			if err := model.WriteViolationsFile(*vioOut, rel.Schema, res.FixSets); err != nil {
 				return err
 			}
 			fmt.Fprintf(out, "violation report written to %s\n", *vioOut)

@@ -57,13 +57,13 @@ func main() {
 			l, r := it.Left(), it.Right()
 			if l.Cell(2).Equal(r.Cell(2)) && !l.Cell(1).Equal(r.Cell(1)) {
 				return []model.Violation{model.NewViolation("sameAdvisorSameUniv",
-					model.NewCell(l.ID, 1, "student_in", l.Cell(1)),
-					model.NewCell(r.ID, 1, "student_in", r.Cell(1)))}
+					model.NewCell(l.ID, 1, l.Cell(1)),
+					model.NewCell(r.ID, 1, r.Cell(1)))}
 			}
 			return nil
 		},
 		GenFix: func(v model.Violation) []model.Fix {
-			return []model.Fix{model.NewCellFix(v.Cells[0], model.OpEQ, v.Cells[1])}
+			return []model.Fix{model.CellFixOf(v.Cells, model.OpEQ)}
 		},
 	}
 

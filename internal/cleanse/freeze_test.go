@@ -22,7 +22,7 @@ func (flipAlgo) Repair(component []model.FixSet) ([]repair.Assignment, error) {
 			// Always change the cell, never to the other cell's value: the
 			// violation survives every "repair".
 			out = append(out, repair.Assignment{
-				TupleID: c.TupleID, Col: c.Col, Attr: c.Attr,
+				TupleID: c.TupleID, Col: c.Col,
 				Value: model.S(c.Value.String() + "x"),
 			})
 			break
@@ -52,8 +52,8 @@ func TestFreezeStopsOscillation(t *testing.T) {
 				return nil
 			}
 			return []model.Violation{model.NewViolation("eq",
-				model.NewCell(l.ID, 1, "v", l.Cell(1)),
-				model.NewCell(r.ID, 1, "v", r.Cell(1)))}
+				model.NewCell(l.ID, 1, l.Cell(1)),
+				model.NewCell(r.ID, 1, r.Cell(1)))}
 		},
 		GenFix: func(v model.Violation) []model.Fix {
 			return []model.Fix{model.NewCellFix(v.Cells[0], model.OpEQ, v.Cells[1])}

@@ -68,13 +68,13 @@ func TestAssembleHashCollisions(t *testing.T) {
 	for g := 0; g < 20; g++ {
 		var sets []model.FixSet
 		for i := 0; i < 10; i++ {
-			a := model.NewCell(int64(g%4+i%4), 2, "city", model.S("a"))
-			b := model.NewCell(int64(100+i%3), 2, "city", model.S("b"))
+			a := model.NewCell(int64(g%4+i%4), 2, model.S("a"))
+			b := model.NewCell(int64(100+i%3), 2, model.S("b"))
 			v := model.NewViolation(fmt.Sprintf("r%d", i%2), a, b)
 			if i%3 == 0 {
 				v = model.NewViolation(v.RuleID, b, a) // the other orientation
 			}
-			at := model.NewCell(int64(g), i, "pos", model.I(int64(i)))
+			at := model.NewCell(int64(g), i, model.I(int64(i)))
 			sets = append(sets, model.FixSet{Violation: v, Fixes: []model.Fix{model.NewCellFix(a, model.OpEQ, at)}})
 		}
 		lists = append(lists, sets)

@@ -47,8 +47,8 @@ func benchFixSets(n int) []model.FixSet {
 	for i := 0; i < n; i++ {
 		// Every violation emitted twice (both orientations), the SQL
 		// self-join duplication dedup exists to remove.
-		l := model.NewCell(int64(i), 2, "city", model.S("a"))
-		r := model.NewCell(int64(i+n), 2, "city", model.S("b"))
+		l := model.NewCell(int64(i), 2, model.S("a"))
+		r := model.NewCell(int64(i+n), 2, model.S("b"))
 		v1 := model.NewViolation("phi1", l, r)
 		v2 := model.NewViolation("phi1", r, l)
 		out = append(out, model.FixSet{Violation: v1}, model.FixSet{Violation: v2})

@@ -56,8 +56,8 @@ func TestTwoRelationJob(t *testing.T) {
 			return nil
 		}
 		return []model.Violation{model.NewViolation("salary",
-			model.NewCell(lt.ID, 6, "sal", lt.Cell(6)),
-			model.NewCell(gt.ID, 6, "sal", gt.Cell(6)))}
+			model.NewCell(lt.ID, 6, lt.Cell(6)),
+			model.NewCell(gt.ID, 6, gt.Cell(6)))}
 	}, "V")
 	job.AddGenFix(func(v model.Violation) []model.Fix {
 		return []model.Fix{model.NewCellFix(v.Cells[0], model.OpEQ, v.Cells[1])}
@@ -110,8 +110,8 @@ func TestBushyPlanSharedScans(t *testing.T) {
 			return nil
 		}
 		return []model.Violation{model.NewViolation("c1",
-			model.NewCell(a.ID, 5, "st", a.Cell(5)),
-			model.NewCell(b.ID, 5, "st", b.Cell(5)))}
+			model.NewCell(a.ID, 5, a.Cell(5)),
+			model.NewCell(b.ID, 5, b.Cell(5)))}
 	}, "V1")
 	// c2: within a city, a manager must earn at least what an employee earns.
 	job.AddBlock(cityKey, "G2")
@@ -125,8 +125,8 @@ func TestBushyPlanSharedScans(t *testing.T) {
 			return nil
 		}
 		return []model.Violation{model.NewViolation("c2",
-			model.NewCell(m.ID, 6, "sal", m.Cell(6)),
-			model.NewCell(e.ID, 6, "sal", e.Cell(6)))}
+			model.NewCell(m.ID, 6, m.Cell(6)),
+			model.NewCell(e.ID, 6, e.Cell(6)))}
 	}, "V2")
 
 	lp, err := BuildPlan(job)

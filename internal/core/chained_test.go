@@ -58,8 +58,8 @@ func TestChainedIterates(t *testing.T) {
 			return nil
 		}
 		return []model.Violation{model.NewViolation("cap",
-			model.NewCell(m.ID, 2, "val", m.Cell(2)),
-			model.NewCell(w.ID, 2, "cap", w.Cell(2)))}
+			model.NewCell(m.ID, 2, m.Cell(2)),
+			model.NewCell(w.ID, 2, w.Cell(2)))}
 	}, "V")
 	job.AddGenFix(func(v model.Violation) []model.Fix {
 		return []model.Fix{model.NewCellFix(v.Cells[0], model.OpLE, v.Cells[1])}

@@ -44,8 +44,8 @@ func fdRule() *Rule {
 				return nil
 			}
 			v := model.NewViolation("phiF",
-				model.NewCell(l.ID, 2, "city", l.Cell(2)),
-				model.NewCell(r.ID, 2, "city", r.Cell(2)),
+				model.NewCell(l.ID, 2, l.Cell(2)),
+				model.NewCell(r.ID, 2, r.Cell(2)),
 			)
 			return []model.Violation{v}
 		},
@@ -66,10 +66,10 @@ func dcRule() *Rule {
 		Detect: func(it Item) []model.Violation {
 			l, r := it.Left(), it.Right()
 			v := model.NewViolation("phiD",
-				model.NewCell(l.ID, 5, "rate", l.Cell(5)),
-				model.NewCell(r.ID, 5, "rate", r.Cell(5)),
-				model.NewCell(l.ID, 4, "salary", l.Cell(4)),
-				model.NewCell(r.ID, 4, "salary", r.Cell(4)),
+				model.NewCell(l.ID, 5, l.Cell(5)),
+				model.NewCell(r.ID, 5, r.Cell(5)),
+				model.NewCell(l.ID, 4, l.Cell(4)),
+				model.NewCell(r.ID, 4, r.Cell(4)),
 			)
 			return []model.Violation{v}
 		},
@@ -341,8 +341,8 @@ func TestCoBlockAcrossTwoKeyings(t *testing.T) {
 				return nil
 			}
 			v := model.NewViolation("coblock",
-				model.NewCell(l.ID, 2, "city", l.Cell(2)),
-				model.NewCell(rr.ID, 2, "city", rr.Cell(2)))
+				model.NewCell(l.ID, 2, l.Cell(2)),
+				model.NewCell(rr.ID, 2, rr.Cell(2)))
 			return []model.Violation{v}
 		},
 	}
@@ -369,7 +369,7 @@ func TestUnaryRule(t *testing.T) {
 			t := it.One()
 			if t.Cell(4).Float() > 85000 {
 				return []model.Violation{model.NewViolation("salaryCap",
-					model.NewCell(t.ID, 4, "salary", t.Cell(4)))}
+					model.NewCell(t.ID, 4, t.Cell(4)))}
 			}
 			return nil
 		},
@@ -408,8 +408,8 @@ func TestCustomIterate(t *testing.T) {
 		},
 		Detect: func(it Item) []model.Violation {
 			return []model.Violation{model.NewViolation("adjacent",
-				model.NewCell(it.Left().ID, 0, "name", it.Left().Cell(0)),
-				model.NewCell(it.Right().ID, 0, "name", it.Right().Cell(0)))}
+				model.NewCell(it.Left().ID, 0, it.Left().Cell(0)),
+				model.NewCell(it.Right().ID, 0, it.Right().Cell(0)))}
 		},
 	}
 	res, err := DetectRule(ctx, r, rel)

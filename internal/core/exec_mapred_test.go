@@ -27,8 +27,8 @@ func coBlockRule() (*Rule, *model.Relation) {
 			c, sup := it.Left(), it.Right()
 			if c.Cell(0).Equal(sup.Cell(2)) && !c.Cell(1).Equal(sup.Cell(3)) {
 				return []model.Violation{model.NewViolation("dc1",
-					model.NewCell(c.ID, 1, "c_city", c.Cell(1)),
-					model.NewCell(sup.ID, 3, "s_city", sup.Cell(3)))}
+					model.NewCell(c.ID, 1, c.Cell(1)),
+					model.NewCell(sup.ID, 3, sup.Cell(3)))}
 			}
 			return nil
 		},
@@ -61,7 +61,7 @@ func TestDiskBackendMatchesLocal(t *testing.T) {
 				tp := it.One()
 				if tp.Cell(4).Float() > 85000 {
 					return []model.Violation{model.NewViolation("cap",
-						model.NewCell(tp.ID, 4, "salary", tp.Cell(4)))}
+						model.NewCell(tp.ID, 4, tp.Cell(4)))}
 				}
 				return nil
 			},
@@ -156,7 +156,7 @@ func TestDedupShuffleCrossesDiskExchange(t *testing.T) {
 	ctx := mustContext(t, engine.Config{Parallelism: 3, Exchange: eng})
 	var vs []model.Violation
 	for i := int64(0); i < 40; i++ {
-		l, r := model.NewCell(i, 1, "city", model.S("a")), model.NewCell(i+100, 1, "city", model.S("b"))
+		l, r := model.NewCell(i, 1, model.S("a")), model.NewCell(i+100, 1, model.S("b"))
 		vs = append(vs, model.NewViolation("phi", l, r), model.NewViolation("phi", r, l))
 	}
 	got, err := engine.Distinct(engine.Parallelize(ctx, vs, 0), model.Violation.MapKey).Collect()

@@ -68,8 +68,8 @@ func vecScopedFDRule() *Rule {
 				return nil
 			}
 			return []model.Violation{model.NewViolation("vfd",
-				model.NewCell(l.ID, 2, "city", l.Cell(2)),
-				model.NewCell(r.ID, 2, "city", r.Cell(2)),
+				model.NewCell(l.ID, 2, l.Cell(2)),
+				model.NewCell(r.ID, 2, r.Cell(2)),
 			)}
 		},
 		GenFix: func(v model.Violation) []model.Fix {
@@ -89,8 +89,8 @@ func vecScopedFDRule() *Rule {
 					continue
 				}
 				out = append(out, model.NewViolation("vfd",
-					model.NewCell(us[i].ID, 2, "city", cities[i]),
-					model.NewCell(us[j].ID, 2, "city", cities[j]),
+					model.NewCell(us[i].ID, 2, cities[i]),
+					model.NewCell(us[j].ID, 2, cities[j]),
 				))
 			}
 		}
@@ -111,7 +111,7 @@ func vecUnaryRule() *Rule {
 				return nil
 			}
 			return []model.Violation{model.NewViolation("vzero",
-				model.NewCell(t.ID, 5, "rate", t.Cell(5)))}
+				model.NewCell(t.ID, 5, t.Cell(5)))}
 		},
 	}
 }

@@ -330,8 +330,12 @@ func (d *IncrementalDetector) incrementalPass(i int, r *Rule, rel *model.Relatio
 	}
 
 	// Gather each touched block's members, in relation order, into one
-	// buffer.
-	st.units, st.ends = st.units[:0], st.ends[:0]
+	// buffer, sized once for all of them.
+	members := 0
+	for _, b := range st.touched {
+		members += len(b.members)
+	}
+	st.units, st.ends = slices.Grow(st.units[:0], members), st.ends[:0]
 	for _, b := range st.touched {
 		st.pos = st.pos[:0]
 		for _, id := range b.members {

@@ -111,7 +111,7 @@ func TestIncrementalUnaryRule(t *testing.T) {
 			tp := it.One()
 			if len(tp.Cell(2).String()) > 0 && tp.Cell(2).String()[0] == 'B' {
 				return []model.Violation{model.NewViolation("badCity",
-					model.NewCell(tp.ID, 2, "city", tp.Cell(2)))}
+					model.NewCell(tp.ID, 2, tp.Cell(2)))}
 			}
 			return nil
 		},

@@ -41,8 +41,8 @@ func planFDRule() *Rule {
 				return nil
 			}
 			return []model.Violation{model.NewViolation("planFD",
-				model.NewCell(l.ID, 2, "city", l.Cell(2)),
-				model.NewCell(r.ID, 2, "city", r.Cell(2)))}
+				model.NewCell(l.ID, 2, l.Cell(2)),
+				model.NewCell(r.ID, 2, r.Cell(2)))}
 		},
 	}
 }
@@ -362,8 +362,8 @@ func TestBroadcastCoBlockEquivalence(t *testing.T) {
 				return nil
 			}
 			return []model.Violation{model.NewViolation("co",
-				model.NewCell(l.ID, 2, "city", l.Cell(2)),
-				model.NewCell(r.ID, 2, "city", r.Cell(2)))}
+				model.NewCell(l.ID, 2, l.Cell(2)),
+				model.NewCell(r.ID, 2, r.Cell(2)))}
 		},
 	}
 	lp, err := PlanRule(co, rel)

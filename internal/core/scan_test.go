@@ -32,7 +32,7 @@ func TestScanIdentityIsTheFuncValue(t *testing.T) {
 	flag := func(id string, scope ScopeFunc) *Rule {
 		return &Rule{ID: id, Scope: scope, Unary: true, Detect: func(it Item) []model.Violation {
 			u := it.One()
-			return []model.Violation{model.NewViolation(id, model.NewCell(u.ID, 1, "zipcode", u.Cell(1)))}
+			return []model.Violation{model.NewViolation(id, model.NewCell(u.ID, 1, u.Cell(1)))}
 		}}
 	}
 	// Built in a loop, so one call site (inlined or not) makes both closures.

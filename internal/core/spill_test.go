@@ -27,12 +27,20 @@ func violationCounts(vs []model.Violation) map[model.ViolationKey]int {
 	return m
 }
 
+// fixKey is a fix's comparable content: its operator and operands.
+type fixKey struct {
+	op          model.Op
+	rightIsCell bool
+	left, right model.Cell
+	konst       model.Value
+}
+
 // fixCounts counts every possible fix of a result.
-func fixCounts(r *DetectResult) map[model.Fix]int {
-	m := map[model.Fix]int{}
+func fixCounts(r *DetectResult) map[fixKey]int {
+	m := map[fixKey]int{}
 	for _, fs := range r.FixSets {
 		for _, f := range fs.Fixes {
-			m[f]++
+			m[fixKey{f.Op, f.RightIsCell, f.Left(), f.RightCell(), f.Const()}]++
 		}
 	}
 	return m

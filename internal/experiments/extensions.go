@@ -74,10 +74,10 @@ func ExtCombiner(cfg Config) ([]*Table, error) {
 
 	// Build star-shaped FD fix sets of growing size.
 	mkFixSets := func(n int) []model.FixSet {
-		hub := model.NewCell(0, 2, "city", model.S("HUB"))
+		hub := model.NewCell(0, 2, model.S("HUB"))
 		out := make([]model.FixSet, 0, n)
 		for i := 1; i <= n; i++ {
-			c := model.NewCell(int64(i), 2, "city", model.S("X"))
+			c := model.NewCell(int64(i), 2, model.S("X"))
 			out = append(out, model.FixSet{
 				Violation: model.NewViolation("fd", hub, c),
 				Fixes:     []model.Fix{model.NewCellFix(c, model.OpEQ, hub)},

@@ -8,18 +8,15 @@ import (
 // Binary encoding for cells and violations, used when the MapReduce backend
 // spills detection output to disk.
 
-// minCellBytes is the smallest encoding of a cell (four one-byte fields:
-// tuple ID, column, empty attribute, null value). Decoders bound element
-// counts by the bytes left divided by it, so a hostile count fails before it
-// allocates.
-const minCellBytes = 4
+// minCellBytes is the smallest encoding of a cell (three one-byte fields:
+// tuple ID, column, null value). Decoders bound element counts by the bytes
+// left divided by it, so a hostile count fails before it allocates.
+const minCellBytes = 3
 
 // AppendCell appends the binary encoding of c to buf.
 func AppendCell(buf []byte, c Cell) []byte {
 	buf = binary.AppendVarint(buf, c.TupleID)
 	buf = binary.AppendVarint(buf, int64(c.Col))
-	buf = binary.AppendUvarint(buf, uint64(len(c.Attr)))
-	buf = append(buf, c.Attr...)
 	return AppendValue(buf, c.Value)
 }
 
@@ -35,16 +32,11 @@ func DecodeCell(buf []byte) (Cell, int, error) {
 		return Cell{}, 0, fmt.Errorf("model: decode cell col")
 	}
 	pos += n
-	attr, n, err := decodeString(buf[pos:])
-	if err != nil {
-		return Cell{}, 0, fmt.Errorf("model: decode cell attr: %w", err)
-	}
-	pos += n
 	v, n, err := DecodeValue(buf[pos:])
 	if err != nil {
 		return Cell{}, 0, err
 	}
-	return Cell{TupleID: id, Col: int(col), Attr: attr, Value: v}, pos + n, nil
+	return Cell{TupleID: id, Col: int(col), Value: v}, pos + n, nil
 }
 
 // AppendViolation appends the binary encoding of v to buf.

@@ -210,7 +210,7 @@ func TestViolationKeyCodec(t *testing.T) {
 		for _, rule := range []string{"", "phi1", "phi1|x"} {
 			cells := make([]Cell, n)
 			for i := range cells {
-				cells[i] = NewCell(int64(n-i), i%3, "a", I(int64(i)))
+				cells[i] = NewCell(int64(n-i), i%3, I(int64(i)))
 			}
 			k := NewViolation(rule, cells...).MapKey()
 			buf := AppendViolationKey(nil, k)
@@ -227,6 +227,47 @@ func TestViolationKeyCodec(t *testing.T) {
 					t.Fatalf("a key truncated to %d of %d bytes decoded", cut, len(buf))
 				}
 			}
+		}
+	}
+}
+
+// TestCellCodecRoundTrip checks that a cell — its position and its value,
+// with no attribute name on the wire — survives the violation codec exactly,
+// for every edge value and for the cells of a cell fix and of a constant fix
+// (whose constant travels as a value).
+func TestCellCodecRoundTrip(t *testing.T) {
+	for i, v := range edgeValues() {
+		c := NewCell(int64(i)-3, i%5, v)
+		buf := AppendCell(nil, c)
+		got, n, err := DecodeCell(buf)
+		if err != nil || n != len(buf) {
+			t.Fatalf("decode %v: %d of %d bytes, %v", c, n, len(buf), err)
+		}
+		if !bytes.Equal(AppendCell(nil, got), buf) || got.MapKey() != c.MapKey() {
+			t.Errorf("round trip %v -> %v", c, got)
+		}
+	}
+	if n := len(AppendCell(nil, NewCell(0, 0, Null()))); n != minCellBytes {
+		t.Errorf("the smallest cell encodes to %d bytes, minCellBytes is %d", n, minCellBytes)
+	}
+
+	l, r := NewCell(4, 2, S("LA")), NewCell(9, 2, S("SF"))
+	for _, f := range []Fix{NewCellFix(l, OpEQ, r), NewConstFix(l, OpLE, F(10))} {
+		buf := AppendValue(AppendViolation(nil, NewViolation("phi", f.Cells()...)), f.Const())
+		v, n, err := DecodeViolation(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		konst, _, err := DecodeValue(buf[n:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		back := NewConstFix(v.Cells[0], f.Op, konst)
+		if f.RightIsCell {
+			back = CellFixOf(v.Cells, f.Op)
+		}
+		if back.String() != f.String() || back.Left() != f.Left() || back.RightCell() != f.RightCell() || back.Const() != f.Const() {
+			t.Errorf("round trip %v -> %v", f, back)
 		}
 	}
 }

@@ -129,40 +129,78 @@ func (o Op) IsOrdering() bool {
 // Fix is one possible update that would help resolve a violation:
 // Left op Right, where Right is either another cell or a constant
 // (Section 2.1). GenFix emits fixes; repair algorithms choose among them.
+//
+// A fix names its cells instead of copying them. A cell fix is a two-cell
+// window [left, right] — normally onto its violation's Cells, which rules
+// lay out so that each fix's pair is adjacent (CellFixOf) — and copies
+// nothing. A constant fix owns a two-cell slice whose second cell carries
+// only the constant, in its Value. Cells are immutable once detected, so
+// sharing them is safe; code that needs different values builds new cells
+// and a new fix.
 type Fix struct {
-	Left Cell
-	Op   Op
-	// RightCell is valid when RightIsCell is true; otherwise RightConst
-	// holds a constant target value.
+	Op Op
+	// RightIsCell tells a cell fix (RightCell) from a constant fix (Const).
 	RightIsCell bool
-	RightCell   Cell
-	RightConst  Value
+	cells       []Cell
 }
 
-// NewCellFix builds a fix relating two cells, e.g. t2[city] = t4[city].
+// CellFixOf builds the fix cells[0] op cells[1] on a window of exactly two
+// cells, sharing it: pass v.Cells[k:k+2:k+2] to relate a violation's
+// adjacent cells without copying them.
+func CellFixOf(cells []Cell, op Op) Fix {
+	if len(cells) != 2 {
+		panic("model: CellFixOf needs a window of exactly two cells")
+	}
+	return Fix{Op: op, RightIsCell: true, cells: cells[:2:2]}
+}
+
+// NewCellFix builds a fix relating two cells, e.g. t2[city] = t4[city],
+// copying them into a window of its own. Rules whose two cells lie side by
+// side in the violation use CellFixOf instead.
 func NewCellFix(left Cell, op Op, right Cell) Fix {
-	return Fix{Left: left, Op: op, RightIsCell: true, RightCell: right}
+	return CellFixOf([]Cell{left, right}, op)
 }
 
 // NewConstFix builds a fix against a constant, e.g. t2[zipcode] != 90210.
 func NewConstFix(left Cell, op Op, c Value) Fix {
-	return Fix{Left: left, Op: op, RightConst: c}
+	return Fix{Op: op, cells: []Cell{left, {Value: c}}}
 }
 
-// Cells returns the cells the fix touches (one or two).
+// Left returns the cell the fix constrains.
+func (f Fix) Left() Cell { return f.cells[0] }
+
+// RightCell returns the right operand of a cell fix (the zero cell for a
+// constant fix).
+func (f Fix) RightCell() Cell {
+	if !f.RightIsCell {
+		return Cell{}
+	}
+	return f.cells[1]
+}
+
+// Const returns the right operand of a constant fix (null for a cell fix).
+func (f Fix) Const() Value {
+	if f.RightIsCell {
+		return Null()
+	}
+	return f.cells[1].Value
+}
+
+// Cells returns the cells the fix touches (one or two): the fix's own
+// window, without allocating. Callers must not write through it.
 func (f Fix) Cells() []Cell {
 	if f.RightIsCell {
-		return []Cell{f.Left, f.RightCell}
+		return f.cells
 	}
-	return []Cell{f.Left}
+	return f.cells[:1:1]
 }
 
 // String renders the fix for diagnostics.
 func (f Fix) String() string {
 	if f.RightIsCell {
-		return fmt.Sprintf("%s %s %s", f.Left, f.Op, f.RightCell)
+		return fmt.Sprintf("%s %s %s", f.Left(), f.Op, f.RightCell())
 	}
-	return fmt.Sprintf("%s %s %s", f.Left, f.Op, f.RightConst)
+	return fmt.Sprintf("%s %s %s", f.Left(), f.Op, f.Const())
 }
 
 // FixSet groups the possible fixes generated for one violation, keeping the

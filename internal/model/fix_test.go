@@ -1,6 +1,9 @@
 package model
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func TestOpEval(t *testing.T) {
 	cases := []struct {
@@ -80,8 +83,8 @@ func TestIsOrdering(t *testing.T) {
 }
 
 func TestViolationKeyOrderInvariant(t *testing.T) {
-	c1 := NewCell(1, 0, "a", S("x"))
-	c2 := NewCell(2, 1, "b", S("y"))
+	c1 := NewCell(1, 0, S("x"))
+	c2 := NewCell(2, 1, S("y"))
 	v1 := NewViolation("r", c1, c2)
 	v2 := NewViolation("r", c2, c1)
 	if v1.Key() != v2.Key() {
@@ -95,9 +98,9 @@ func TestViolationKeyOrderInvariant(t *testing.T) {
 
 func TestViolationTupleIDs(t *testing.T) {
 	v := NewViolation("r",
-		NewCell(5, 0, "a", Null()),
-		NewCell(2, 0, "a", Null()),
-		NewCell(5, 1, "b", Null()))
+		NewCell(5, 0, Null()),
+		NewCell(2, 0, Null()),
+		NewCell(5, 1, Null()))
 	ids := v.TupleIDs()
 	if len(ids) != 2 || ids[0] != 2 || ids[1] != 5 {
 		t.Errorf("TupleIDs = %v", ids)
@@ -105,17 +108,67 @@ func TestViolationTupleIDs(t *testing.T) {
 }
 
 func TestFixCells(t *testing.T) {
-	l := NewCell(1, 0, "a", S("x"))
-	r := NewCell(2, 0, "a", S("y"))
+	l := NewCell(1, 0, S("x"))
+	r := NewCell(2, 0, S("y"))
 	cf := NewCellFix(l, OpEQ, r)
-	if len(cf.Cells()) != 2 {
-		t.Error("cell fix touches two cells")
+	if len(cf.Cells()) != 2 || cf.Left() != l || cf.RightCell() != r || cf.Const() != Null() {
+		t.Errorf("cell fix = %v, cells %v", cf, cf.Cells())
 	}
 	kf := NewConstFix(l, OpNEQ, S("z"))
-	if len(kf.Cells()) != 1 {
-		t.Error("const fix touches one cell")
+	if len(kf.Cells()) != 1 || kf.Left() != l || kf.RightCell() != (Cell{}) || kf.Const() != S("z") {
+		t.Errorf("const fix = %v, cells %v", kf, kf.Cells())
+	}
+	if cap(kf.Cells()) != 1 {
+		t.Error("a const fix's Cells must not expose the constant's slot")
 	}
 	if kf.String() == "" || cf.String() == "" {
 		t.Error("String renders")
+	}
+}
+
+// TestCellFixOfSharesTheWindow checks that a fix built on a violation's
+// adjacent cells names them instead of copying them.
+func TestCellFixOfSharesTheWindow(t *testing.T) {
+	v := NewViolation("r", NewCell(1, 2, S("a")), NewCell(3, 2, S("b")), NewCell(1, 4, I(1)), NewCell(3, 4, I(2)))
+	f := CellFixOf(v.Cells[2:4:4], OpLT)
+	if &f.Cells()[0] != &v.Cells[2] || &f.Cells()[1] != &v.Cells[3] {
+		t.Error("CellFixOf copied its window")
+	}
+	if f.Left() != v.Cells[2] || f.RightCell() != v.Cells[3] || f.Op != OpLT || !f.RightIsCell {
+		t.Errorf("fix = %v", f)
+	}
+	if cap(f.Cells()) != 2 {
+		t.Error("a fix's window must be capped, so an append cannot write the violation's next cell")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("CellFixOf accepted a window of three cells")
+		}
+	}()
+	CellFixOf(v.Cells[:3], OpEQ)
+}
+
+// TestRecordSizes pins the detect→repair records' layout on 64-bit
+// platforms: a cell is its position plus its value, and a fix is its
+// operator plus a window on its cells.
+func TestRecordSizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Cell{}); got != 56 {
+		t.Errorf("Cell is %d bytes, want 56", got)
+	}
+	if got := unsafe.Sizeof(Fix{}); got != 32 {
+		t.Errorf("Fix is %d bytes, want 32", got)
+	}
+}
+
+func TestFixCellsAllocatesNothing(t *testing.T) {
+	v := NewViolation("r", NewCell(1, 2, S("a")), NewCell(3, 2, S("b")))
+	cf := CellFixOf(v.Cells, OpEQ)
+	kf := NewConstFix(v.Cells[0], OpEQ, S("c"))
+	n := 0
+	if a := testing.AllocsPerRun(100, func() { n += len(cf.Cells()) + len(kf.Cells()) }); a != 0 {
+		t.Errorf("Fix.Cells allocated %.1f times per call pair", a)
 	}
 }

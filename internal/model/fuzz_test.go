@@ -14,9 +14,11 @@ import (
 // used to wrap the bounds checks and the counts that used to size a make.
 func FuzzDecode(f *testing.F) {
 	f.Add(AppendTuple(nil, NewTuple(7, S("a"), I(-3), F(2.5), Null())))
-	f.Add(AppendViolation(nil, NewViolation("r", NewCell(1, 2, "city", S("NY")), NewCell(3, 2, "city", S("LA")))))
-	f.Add(AppendViolation(nil, NewViolation("r", NewCell(1, 4, "salary", F(2.5)), NewCell(2, 5, "rate", Null()))))
-	f.Add(AppendViolationKey(nil, NewViolation("r", NewCell(5, 1, "a", I(1)), NewCell(4, 0, "b", I(2))).MapKey()))
+	f.Add(AppendViolation(nil, NewViolation("r", NewCell(1, 2, S("NY")), NewCell(3, 2, S("LA")))))
+	f.Add(AppendViolation(nil, NewViolation("r", NewCell(1, 4, F(2.5)), NewCell(2, 5, Null()))))
+	f.Add(AppendViolation(nil, NewViolation("r", NewCell(0, 0, Null()))))
+	f.Add(AppendViolation(nil, NewViolation("r", NewConstFix(NewCell(9, 5, F(12.5)), OpLE, F(10)).Cells()...)))
+	f.Add(AppendViolationKey(nil, NewViolation("r", NewCell(5, 1, I(1)), NewCell(4, 0, I(2))).MapKey()))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -7,9 +7,9 @@ import (
 )
 
 func sampleFixSets() []FixSet {
-	c1 := NewCell(1, 2, "city", S("LA"))
-	c2 := NewCell(4, 2, "city", S("SF"))
-	c3 := NewCell(9, 5, "rate", F(12.5))
+	c1 := NewCell(1, 2, S("LA"))
+	c2 := NewCell(4, 2, S("SF"))
+	c3 := NewCell(9, 5, F(12.5))
 	return []FixSet{
 		{
 			Violation: NewViolation("phi1", c1, c2),
@@ -27,7 +27,7 @@ func sampleFixSets() []FixSet {
 
 func TestWriteViolationsCSV(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteViolationsCSV(&buf, sampleFixSets()); err != nil {
+	if err := WriteViolationsCSV(&buf, MustParseSchema("name,zipcode:int,city,state,salary:float,rate:float"), sampleFixSets()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

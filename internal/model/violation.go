@@ -9,17 +9,19 @@ import (
 
 // Cell addresses one element of a data unit: attribute Col of tuple TupleID.
 // Value carries the element's value at detection time so repair algorithms
-// can reason about violations without re-reading the dataset.
+// can reason about violations without re-reading the dataset. A cell holds
+// no attribute name: renderers take it from the relation's schema. Cells are
+// immutable once detected — fixes share them (see Fix) — so code that needs
+// a different value builds a new cell.
 type Cell struct {
 	TupleID int64
 	Col     int
-	Attr    string
 	Value   Value
 }
 
 // NewCell builds a cell reference.
-func NewCell(tupleID int64, col int, attr string, v Value) Cell {
-	return Cell{TupleID: tupleID, Col: col, Attr: attr, Value: v}
+func NewCell(tupleID int64, col int, v Value) Cell {
+	return Cell{TupleID: tupleID, Col: col, Value: v}
 }
 
 // CellKey is the comparable identity of a cell position: attribute Col of
@@ -77,9 +79,10 @@ func (c Cell) Key() string {
 	return string(buf)
 }
 
-// String renders the cell for diagnostics.
+// String renders the cell for diagnostics as t<id>[<col>]=<value>; reports
+// name the column from the schema instead (see WriteViolationsCSV).
 func (c Cell) String() string {
-	return fmt.Sprintf("t%d.%s=%s", c.TupleID, c.Attr, c.Value)
+	return fmt.Sprintf("t%d[%d]=%s", c.TupleID, c.Col, c.Value)
 }
 
 // Violation is the output of Detect: the set of elements that together

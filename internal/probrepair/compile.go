@@ -92,23 +92,23 @@ func compile(component []model.FixSet, ls *learnedState, maxDomain int) *fgraph 
 			intern(c)
 		}
 		for _, f := range fs.Fixes {
-			l := intern(f.Left)
+			l := intern(f.Left())
 			if f.Op == model.OpEQ {
 				if f.RightIsCell {
-					uf.Union(l.id, intern(f.RightCell).id)
+					uf.Union(l.id, intern(f.RightCell()).id)
 				} else {
-					k := f.Left.MapKey()
-					constFixes[k] = append(constFixes[k], f.RightConst)
+					k := f.Left().MapKey()
+					constFixes[k] = append(constFixes[k], f.Const())
 				}
 				continue
 			}
-			raw := rawFactor{left: f.Left.MapKey(), op: f.Op}
+			raw := rawFactor{left: f.Left().MapKey(), op: f.Op}
 			if f.RightIsCell {
-				intern(f.RightCell)
+				intern(f.RightCell())
 				raw.rightIsVar = true
-				raw.right = f.RightCell.MapKey()
+				raw.right = f.RightCell().MapKey()
 			} else {
-				raw.rightConst = f.RightConst
+				raw.rightConst = f.Const()
 			}
 			raws = append(raws, raw)
 		}

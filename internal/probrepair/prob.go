@@ -231,7 +231,7 @@ func (p *Prob) RepairSpanned(component []model.FixSet, obs engine.Observer, pare
 			for _, c := range v.cells {
 				if ev, ok := eqByCell[c.MapKey()]; ok && !c.Value.Equal(ev) {
 					out = append(out, repair.Assignment{
-						TupleID: c.TupleID, Col: c.Col, Attr: c.Attr, Value: ev,
+						TupleID: c.TupleID, Col: c.Col, Value: ev,
 					})
 				}
 			}
@@ -241,7 +241,7 @@ func (p *Prob) RepairSpanned(component []model.FixSet, obs engine.Observer, pare
 		for _, c := range v.cells {
 			if !c.Value.Equal(target) {
 				out = append(out, repair.Assignment{
-					TupleID: c.TupleID, Col: c.Col, Attr: c.Attr, Value: target,
+					TupleID: c.TupleID, Col: c.Col, Value: target,
 				})
 			}
 		}

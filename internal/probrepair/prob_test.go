@@ -12,8 +12,8 @@ import (
 
 // fdFixSet builds the fix set of an FD violation between two city cells.
 func fdFixSet(rule string, t1, t2 int64, v1, v2 string) model.FixSet {
-	c1 := model.NewCell(t1, 2, "city", model.S(v1))
-	c2 := model.NewCell(t2, 2, "city", model.S(v2))
+	c1 := model.NewCell(t1, 2, model.S(v1))
+	c2 := model.NewCell(t2, 2, model.S(v2))
 	return model.FixSet{
 		Violation: model.NewViolation(rule, c1, c2),
 		Fixes:     []model.Fix{model.NewCellFix(c1, model.OpEQ, c2)},
@@ -53,8 +53,8 @@ func TestCompileMergesEqualityFixesIntoOneVariable(t *testing.T) {
 func TestCompileConstFixRestrictsDomain(t *testing.T) {
 	// A CFD constant fix makes the domain the constant target alone, the
 	// same hard-requirement treatment the other algorithms use.
-	c1 := model.NewCell(1, 2, "city", model.S("SF"))
-	c2 := model.NewCell(2, 2, "city", model.S("SF"))
+	c1 := model.NewCell(1, 2, model.S("SF"))
+	c2 := model.NewCell(2, 2, model.S("SF"))
 	fs := []model.FixSet{{
 		Violation: model.NewViolation("cfd", c1, c2),
 		Fixes: []model.Fix{
@@ -76,8 +76,8 @@ func TestCompileSkipsImmovableLoneCells(t *testing.T) {
 	// A >= fix connects two rate cells: both become (active) singleton
 	// variables with a cross factor; a lone cell with no constant and no
 	// cross factor would get none.
-	r1 := model.NewCell(1, 3, "rate", model.I(5))
-	r2 := model.NewCell(2, 3, "rate", model.I(9))
+	r1 := model.NewCell(1, 3, model.I(5))
+	r2 := model.NewCell(2, 3, model.I(9))
 	fs := []model.FixSet{{
 		Violation: model.NewViolation("dc", r1, r2),
 		Fixes:     []model.Fix{model.NewCellFix(r1, model.OpGE, r2)},
@@ -103,7 +103,7 @@ func randomComponent(rng *rand.Rand) []model.FixSet {
 			v = model.S(cities[rng.Intn(len(cities))])
 			vals[tid] = v
 		}
-		return model.NewCell(tid, 2, "city", v)
+		return model.NewCell(tid, 2, v)
 	}
 	n := 1 + rng.Intn(6)
 	fss := make([]model.FixSet, 0, n)
@@ -209,7 +209,7 @@ func TestMajorityVoteWinsWithSampling(t *testing.T) {
 }
 
 func TestConstFixCommitted(t *testing.T) {
-	c1 := model.NewCell(1, 2, "city", model.S("SF"))
+	c1 := model.NewCell(1, 2, model.S("SF"))
 	fss := []model.FixSet{{
 		Violation: model.NewViolation("cfd", c1),
 		Fixes:     []model.Fix{model.NewConstFix(c1, model.OpEQ, model.S("LA"))},
@@ -230,9 +230,9 @@ func TestCrossFactorSteersInequalityRepair(t *testing.T) {
 	// Two witnesses agree r1 is too small (both demand r1 >= 9), so the
 	// (9,9,9) mode dominates and the sampler raises r1 instead of lowering
 	// both witnesses.
-	r1 := model.NewCell(1, 3, "rate", model.I(5))
-	r2 := model.NewCell(2, 3, "rate", model.I(9))
-	r3 := model.NewCell(3, 3, "rate", model.I(9))
+	r1 := model.NewCell(1, 3, model.I(5))
+	r2 := model.NewCell(2, 3, model.I(9))
+	r3 := model.NewCell(3, 3, model.I(9))
 	fss := []model.FixSet{
 		{
 			Violation: model.NewViolation("dc", r1, r2),

@@ -121,7 +121,11 @@ func runChunks(n, parallelism int, fn func(lo, hi int)) {
 // nodes its hyperedge covers (violation cells plus fix cells) — as sorted
 // comparable keys.
 func cellKeysOfFixSet(fs model.FixSet) []model.CellKey {
-	var out []model.CellKey
+	n := len(fs.Violation.Cells)
+	for _, f := range fs.Fixes {
+		n += len(f.Cells())
+	}
+	out := make([]model.CellKey, 0, n)
 	add := func(c model.Cell) {
 		k := c.MapKey()
 		for _, have := range out {

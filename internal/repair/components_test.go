@@ -19,8 +19,8 @@ func TestFixSetComponentsMinRootContract(t *testing.T) {
 		oracle := graph.NewUnionFind()
 		firstWith := map[model.CellKey]int64{}
 		for i := range fixSets {
-			a := model.NewCell(int64(r.Intn(25)), 2, "city", model.S("a"))
-			b := model.NewCell(int64(r.Intn(25)), 2, "city", model.S("b"))
+			a := model.NewCell(int64(r.Intn(25)), 2, model.S("a"))
+			b := model.NewCell(int64(r.Intn(25)), 2, model.S("b"))
 			fixSets[i] = model.FixSet{
 				Violation: model.NewViolation("fd", a, b),
 				Fixes:     []model.Fix{model.NewCellFix(a, model.OpEQ, b)},

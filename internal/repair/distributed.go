@@ -110,11 +110,11 @@ func (d *DistributedEquivalenceClass) Repair(component []model.FixSet) ([]Assign
 			if f.Op != model.OpEQ {
 				continue
 			}
-			l := intern(f.Left)
+			l := intern(f.Left())
 			if f.RightIsCell {
-				uf.Union(l, intern(f.RightCell))
+				uf.Union(l, intern(f.RightCell()))
 			} else {
-				consts[f.Left.MapKey()] = append(consts[f.Left.MapKey()], f.RightConst)
+				consts[f.Left().MapKey()] = append(consts[f.Left().MapKey()], f.Const())
 			}
 		}
 	}
@@ -175,7 +175,7 @@ func (d *DistributedEquivalenceClass) Repair(component []model.FixSet) ([]Assign
 		if !ok || c.Value.Equal(t) {
 			continue
 		}
-		out = append(out, Assignment{TupleID: c.TupleID, Col: c.Col, Attr: c.Attr, Value: t})
+		out = append(out, Assignment{TupleID: c.TupleID, Col: c.Col, Value: t})
 	}
 	sortAssignments(out)
 	return out, nil

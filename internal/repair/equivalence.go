@@ -68,23 +68,23 @@ func (e *EquivalenceClass) Repair(component []model.FixSet) ([]Assignment, error
 			if f.Op != model.OpEQ {
 				continue // the equivalence class algorithm consumes equality fixes
 			}
-			l := intern(f.Left)
+			l := intern(f.Left())
 			if f.RightIsCell {
-				r := intern(f.RightCell)
+				r := intern(f.RightCell())
 				uf.Union(l.id, r.id)
 			} else {
-				k := f.Left.MapKey()
+				k := f.Left().MapKey()
 				votes := constVotes[k]
 				found := false
 				for i := range votes {
-					if votes[i].v.Equal(f.RightConst) {
+					if votes[i].v.Equal(f.Const()) {
 						votes[i].count++
 						found = true
 						break
 					}
 				}
 				if !found {
-					votes = append(votes, constVote{v: f.RightConst, count: 1})
+					votes = append(votes, constVote{v: f.Const(), count: 1})
 				}
 				constVotes[k] = votes
 			}
@@ -147,7 +147,6 @@ func (e *EquivalenceClass) Repair(component []model.FixSet) ([]Assignment, error
 				out = append(out, Assignment{
 					TupleID: m.cell.TupleID,
 					Col:     m.cell.Col,
-					Attr:    m.cell.Attr,
 					Value:   target,
 				})
 			}

@@ -115,10 +115,10 @@ func TestRepairSplitWithConflictingMasters(t *testing.T) {
 func TestHypergraphLargeStarComponentFast(t *testing.T) {
 	// A dirty cell conflicting with 20000 others: the indexed greedy must
 	// finish quickly (the taxdc regression).
-	hub := model.NewCell(0, 5, "rate", model.F(99))
+	hub := model.NewCell(0, 5, model.F(99))
 	var fs []model.FixSet
 	for i := int64(1); i <= 20000; i++ {
-		other := model.NewCell(i, 5, "rate", model.F(float64(i%40)))
+		other := model.NewCell(i, 5, model.F(float64(i%40)))
 		fs = append(fs, model.FixSet{
 			Violation: model.NewViolation("dc", hub, other),
 			Fixes:     []model.Fix{model.NewCellFix(hub, model.OpLE, other)},

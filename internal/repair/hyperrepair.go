@@ -112,7 +112,7 @@ func (h *Hypergraph) Repair(component []model.FixSet) ([]Assignment, error) {
 		g.current[pick] = bestVal
 		if !bestVal.Equal(prev) {
 			c := g.cells[pick]
-			out = append(out, Assignment{TupleID: c.TupleID, Col: c.Col, Attr: c.Attr, Value: bestVal})
+			out = append(out, Assignment{TupleID: c.TupleID, Col: c.Col, Value: bestVal})
 		}
 
 		// Update resolution state and degrees for the touched fix sets.
@@ -194,14 +194,14 @@ func compileHyper(component []model.FixSet) *hyperInstance {
 			intern(c)
 		}
 		for _, f := range fs.Fixes {
-			hf := hyperFix{left: intern(f.Left), op: f.Op}
+			hf := hyperFix{left: intern(f.Left()), op: f.Op}
 			note(s, hf.left)
 			if f.RightIsCell {
-				hf.right = intern(f.RightCell)
+				hf.right = intern(f.RightCell())
 				note(s, hf.right)
 			} else {
 				hf.right = ^int32(len(g.konsts))
-				g.konsts = append(g.konsts, f.RightConst)
+				g.konsts = append(g.konsts, f.Const())
 			}
 			g.fixes = append(g.fixes, hf)
 			g.fixSet = append(g.fixSet, int32(s))

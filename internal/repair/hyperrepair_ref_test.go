@@ -47,10 +47,10 @@ func (r *referenceHypergraph) Repair(component []model.FixSet) ([]Assignment, er
 	}
 
 	fixSatisfied := func(f model.Fix) bool {
-		l := current[f.Left.MapKey()]
-		r := f.RightConst
+		l := current[f.Left().MapKey()]
+		r := f.Const()
 		if f.RightIsCell {
-			r = current[f.RightCell.MapKey()]
+			r = current[f.RightCell().MapKey()]
 		}
 		return f.Op.Eval(l, r)
 	}
@@ -143,7 +143,7 @@ func (r *referenceHypergraph) Repair(component []model.FixSet) ([]Assignment, er
 		assigned[pick] = true
 		if !bestVal.Equal(prev) {
 			c := meta[pick]
-			out = append(out, Assignment{TupleID: c.TupleID, Col: c.Col, Attr: c.Attr, Value: bestVal})
+			out = append(out, Assignment{TupleID: c.TupleID, Col: c.Col, Value: bestVal})
 		}
 
 		// Update resolution state and degrees for the touched violations.
@@ -179,17 +179,17 @@ func (r *referenceHypergraph) Repair(component []model.FixSet) ([]Assignment, er
 // referenceCandidateFor derives, from one fix, a value for cell key that would
 // satisfy the fix, if the fix references the cell.
 func (h *Hypergraph) referenceCandidateFor(key model.CellKey, f model.Fix, current map[model.CellKey]model.Value, eps float64) (model.Value, bool) {
-	if f.Left.MapKey() == key {
-		target := f.RightConst
+	if f.Left().MapKey() == key {
+		target := f.Const()
 		if f.RightIsCell {
-			target = current[f.RightCell.MapKey()]
+			target = current[f.RightCell().MapKey()]
 		}
 		return valueSatisfying(f.Op, target, eps)
 	}
-	if f.RightIsCell && f.RightCell.MapKey() == key {
+	if f.RightIsCell && f.RightCell().MapKey() == key {
 		// key is the right operand: key must satisfy left op key, i.e.
 		// key flip(op) left.
-		return valueSatisfying(f.Op.Flip(), current[f.Left.MapKey()], eps)
+		return valueSatisfying(f.Op.Flip(), current[f.Left().MapKey()], eps)
 	}
 	return model.Value{}, false
 }

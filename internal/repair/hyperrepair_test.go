@@ -1,7 +1,6 @@
 package repair
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -19,7 +18,6 @@ import (
 type exactAssignment struct {
 	TupleID int64
 	Col     int
-	Attr    string
 	Kind    model.Kind
 	Str     string
 	Int     int64
@@ -29,7 +27,7 @@ type exactAssignment struct {
 func exactAssignments(as []Assignment) []exactAssignment {
 	out := make([]exactAssignment, len(as))
 	for i, a := range as {
-		out[i] = exactAssignment{a.TupleID, a.Col, a.Attr, a.Value.Kind, a.Value.Str, a.Value.Int, math.Float64bits(a.Value.Flt)}
+		out[i] = exactAssignment{a.TupleID, a.Col, a.Value.Kind, a.Value.Str, a.Value.Int, math.Float64bits(a.Value.Flt)}
 	}
 	return out
 }
@@ -72,7 +70,7 @@ func randomComponent(rng *rand.Rand) []model.FixSet {
 	}
 	cell := func() model.Cell {
 		p := pool[rng.Intn(len(pool))]
-		return model.NewCell(p.tid, p.col, fmt.Sprintf("a%d_%d", p.col, rng.Intn(2)), randomValue(rng))
+		return model.NewCell(p.tid, p.col, randomValue(rng))
 	}
 	ops := []model.Op{model.OpEQ, model.OpNEQ, model.OpLT, model.OpGT, model.OpLE, model.OpGE}
 	comp := make([]model.FixSet, 1+rng.Intn(14))
@@ -156,10 +154,10 @@ func TestHypergraphMatchesReference(t *testing.T) {
 func TestHypergraphMaxCandidatesOne(t *testing.T) {
 	// The hub has two distinct candidates (<= 3 and <= 5); sampling them
 	// down to one used to divide by zero.
-	hub := model.NewCell(0, 0, "x", model.F(9))
+	hub := model.NewCell(0, 0, model.F(9))
 	var fs []model.FixSet
 	for i, v := range []float64{3, 5} {
-		other := model.NewCell(int64(i+1), 0, "x", model.F(v))
+		other := model.NewCell(int64(i+1), 0, model.F(v))
 		fs = append(fs, model.FixSet{
 			Violation: model.NewViolation("dc", hub, other),
 			Fixes:     []model.Fix{model.NewCellFix(hub, model.OpLE, other)},
@@ -169,7 +167,7 @@ func TestHypergraphMaxCandidatesOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Assignment{{TupleID: 0, Col: 0, Attr: "x", Value: model.F(3)}}
+	want := []Assignment{{TupleID: 0, Col: 0, Value: model.F(3)}}
 	if !reflect.DeepEqual(as, want) {
 		t.Errorf("assignments = %v, want %v", as, want)
 	}

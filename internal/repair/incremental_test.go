@@ -25,7 +25,7 @@ func TestClassMemoryBiasesTarget(t *testing.T) {
 
 	// A memory that drove cell (1, city) to "Zed" earlier flips the vote.
 	mem := NewClassMemory()
-	mem.Record([]Assignment{{TupleID: 1, Col: 2, Attr: "city", Value: model.S("Zed")}}, nil)
+	mem.Record([]Assignment{{TupleID: 1, Col: 2, Value: model.S("Zed")}}, nil)
 	sticky := &EquivalenceClass{Prior: mem}
 	as, err = sticky.Repair(comp)
 	if err != nil {
@@ -45,8 +45,8 @@ func TestClassMemorySkipsFrozen(t *testing.T) {
 	mem := NewClassMemory()
 	frozen := map[model.CellKey]bool{{TupleID: 7, Col: 2}: true}
 	mem.Record([]Assignment{
-		{TupleID: 7, Col: 2, Attr: "city", Value: model.S("X")},
-		{TupleID: 8, Col: 2, Attr: "city", Value: model.S("Y")},
+		{TupleID: 7, Col: 2, Value: model.S("X")},
+		{TupleID: 8, Col: 2, Value: model.S("Y")},
 	}, frozen)
 	if _, ok := mem.Prefer(model.CellKey{TupleID: 7, Col: 2}); ok {
 		t.Error("frozen cell remembered")

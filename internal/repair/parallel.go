@@ -2,7 +2,6 @@ package repair
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"bigdansing/internal/engine"
@@ -78,37 +77,31 @@ func RepairParallel(fixSets []model.FixSet, algo Algorithm, opts Options) ([]Ass
 	// union-find); the per-fix-set cell keys are reused for splitting.
 	csp := obs.BeginSpan(sp, "components", engine.SpanRepair)
 	cc, cellKeys := fixSetComponents(fixSets, opts.Parallelism)
-	byComp := map[int64][]int{}
-	for i := range fixSets {
-		byComp[cc[i]] = append(byComp[cc[i]], i)
-	}
-	report.Components = len(byComp)
-	csp.Attr(engine.AttrComponents, int64(len(byComp)))
+	sets, setKeys, bounds := gatherComponents(fixSets, cellKeys, cc)
+	nComp := len(bounds) - 1
+	report.Components = nComp
+	csp.Attr(engine.AttrComponents, int64(nComp))
 	csp.End()
 
-	compIDs := make([]int64, 0, len(byComp))
-	for id := range byComp {
-		compIDs = append(compIDs, id)
-	}
-	slices.Sort(compIDs)
-
-	// 3-4. Repair instances in parallel. Instance spans pass their parent
-	// explicitly — they begin concurrently, so the observer's scoped
-	// nesting cannot apply. Per-slot conflict counts are summed after the
-	// join; the instances never write shared state.
+	// 3-4. Repair instances in parallel, one per component: the instance
+	// gets its component's window of the gathered fix sets. Instance spans
+	// pass their parent explicitly — they begin concurrently, so the
+	// observer's scoped nesting cannot apply. Per-slot conflict counts are
+	// summed after the join; the instances never write shared state.
 	isp := obs.BeginSpan(sp, "instances", engine.SpanRepair)
-	results := make([][]Assignment, len(compIDs))
-	errs := make([]error, len(compIDs))
-	splits := make([]bool, len(compIDs))
-	conflicts := make([]int, len(compIDs))
+	results := make([][]Assignment, nComp)
+	errs := make([]error, nComp)
+	splits := make([]bool, nComp)
+	conflicts := make([]int, nComp)
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, opts.Parallelism)
-	for i, id := range compIDs {
+	for slot := range nComp {
 		wg.Add(1)
-		go func(slot int, compID int64) {
+		go func(slot int) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
+			lo, hi := bounds[slot], bounds[slot+1]
 			esp := obs.BeginSpan(isp, "instance", engine.SpanRepair)
 			defer func() {
 				esp.Attr(engine.AttrPart, int64(slot))
@@ -116,15 +109,10 @@ func RepairParallel(fixSets []model.FixSet, algo Algorithm, opts Options) ([]Ass
 				esp.Attr(engine.AttrConflicts, int64(conflicts[slot]))
 				esp.End()
 				if r := recover(); r != nil {
-					errs[slot] = fmt.Errorf("repair: instance for component %d panicked: %v", compID, r)
+					errs[slot] = fmt.Errorf("repair: instance for component %d of %d panicked: %v", slot, nComp, r)
 				}
 			}()
-			comp := make([]model.FixSet, len(byComp[compID]))
-			keys := make([][]model.CellKey, len(byComp[compID]))
-			for j, fi := range byComp[compID] {
-				comp[j] = fixSets[fi]
-				keys[j] = cellKeys[fi]
-			}
+			comp, keys := sets[lo:hi:hi], setKeys[lo:hi:hi]
 			if opts.MaxComponentSize > 0 && len(comp) > opts.MaxComponentSize {
 				splits[slot] = true
 				as, nc, err := repairSplit(comp, keys, algo, opts, obs, esp)
@@ -134,7 +122,7 @@ func RepairParallel(fixSets []model.FixSet, algo Algorithm, opts Options) ([]Ass
 			}
 			as, err := repairWith(algo, comp, obs, esp)
 			results[slot], errs[slot] = as, err
-		}(i, id)
+		}(slot)
 	}
 	wg.Wait()
 	isp.End()
@@ -157,6 +145,32 @@ func RepairParallel(fixSets []model.FixSet, algo Algorithm, opts Options) ([]Ass
 	sp.Attr(engine.AttrConflicts, int64(report.Conflicts))
 	sp.Attr(engine.AttrAssignments, int64(report.Assignments))
 	return all, report, nil
+}
+
+// gatherComponents lays the fix sets and their cell keys out component by
+// component, components in ID order and each in fix-set index order, by one
+// counting sort: a component's ID is its smallest fix-set index, so it
+// indexes the counts directly. Component c is sets[bounds[c]:bounds[c+1]].
+func gatherComponents(fixSets []model.FixSet, cellKeys [][]model.CellKey, comp []int64) (sets []model.FixSet, keys [][]model.CellKey, bounds []int) {
+	n := len(fixSets)
+	next := make([]int, n+1) // next[id+1]: component id's size, then its start
+	for _, id := range comp {
+		next[id+1]++
+	}
+	for id := 0; id < n; id++ {
+		if next[id+1] > 0 {
+			bounds = append(bounds, next[id])
+		}
+		next[id+1] += next[id]
+	}
+	bounds = append(bounds, n)
+	sets, keys = make([]model.FixSet, n), make([][]model.CellKey, n)
+	for i, id := range comp {
+		p := next[id]
+		sets[p], keys[p] = fixSets[i], cellKeys[i]
+		next[id]++
+	}
+	return sets, keys, bounds
 }
 
 // repairWith runs one repair instance, routing span-reporting algorithms
@@ -269,7 +283,9 @@ func repairSplit(comp []model.FixSet, keys [][]model.CellKey, algo Algorithm, op
 
 // substituteSettled rewrites a fix set so every cell that has a settled
 // (immutable) value carries it, letting a retried repair instance reason
-// from the master's state instead of the stale captured values.
+// from the master's state instead of the stale captured values. Detected
+// cells are shared with the caller's fix sets and never written, so the
+// rewrite builds new cells for the violation and for each fix.
 func substituteSettled(fs model.FixSet, settled map[model.CellKey]model.Value) model.FixSet {
 	subCell := func(c model.Cell) model.Cell {
 		if v, ok := settled[c.MapKey()]; ok {
@@ -282,9 +298,10 @@ func substituteSettled(fs model.FixSet, settled map[model.CellKey]model.Value) m
 		out.Violation.Cells = append(out.Violation.Cells, subCell(c))
 	}
 	for _, f := range fs.Fixes {
-		f.Left = subCell(f.Left)
 		if f.RightIsCell {
-			f.RightCell = subCell(f.RightCell)
+			f = model.NewCellFix(subCell(f.Left()), f.Op, subCell(f.RightCell()))
+		} else {
+			f = model.NewConstFix(subCell(f.Left()), f.Op, f.Const())
 		}
 		out.Fixes = append(out.Fixes, f)
 	}

@@ -20,7 +20,6 @@ import (
 type Assignment struct {
 	TupleID int64
 	Col     int
-	Attr    string
 	Value   model.Value
 }
 
@@ -37,7 +36,7 @@ func (a Assignment) Key() string {
 
 // String renders the assignment.
 func (a Assignment) String() string {
-	return fmt.Sprintf("t%d.%s := %s", a.TupleID, a.Attr, a.Value)
+	return fmt.Sprintf("t%d[%d] := %s", a.TupleID, a.Col, a.Value)
 }
 
 // Algorithm is a (centralized) repair algorithm: given the fix sets of one

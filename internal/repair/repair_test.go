@@ -12,8 +12,8 @@ import (
 // fdFixSet builds the fix set of an FD violation: two city cells that must
 // become equal.
 func fdFixSet(rule string, t1, t2 int64, v1, v2 string) model.FixSet {
-	c1 := model.NewCell(t1, 2, "city", model.S(v1))
-	c2 := model.NewCell(t2, 2, "city", model.S(v2))
+	c1 := model.NewCell(t1, 2, model.S(v1))
+	c2 := model.NewCell(t2, 2, model.S(v2))
 	return model.FixSet{
 		Violation: model.NewViolation(rule, c1, c2),
 		Fixes:     []model.Fix{model.NewCellFix(c1, model.OpEQ, c2)},
@@ -58,8 +58,8 @@ func TestEquivalenceClassDeterministicTieBreak(t *testing.T) {
 
 func TestEquivalenceClassConstantWins(t *testing.T) {
 	// A CFD-style constant fix outweighs the frequency vote.
-	c1 := model.NewCell(1, 2, "city", model.S("SF"))
-	c2 := model.NewCell(2, 2, "city", model.S("SF"))
+	c1 := model.NewCell(1, 2, model.S("SF"))
+	c2 := model.NewCell(2, 2, model.S("SF"))
 	fs := []model.FixSet{
 		{
 			Violation: model.NewViolation("cfd", c1, c2),
@@ -86,7 +86,7 @@ func TestEquivalenceClassConstantWins(t *testing.T) {
 
 func TestEquivalenceClassSingletonUntouched(t *testing.T) {
 	// A violation with no equality fixes leaves cells alone.
-	c := model.NewCell(1, 0, "a", model.S("x"))
+	c := model.NewCell(1, 0, model.S("x"))
 	fs := []model.FixSet{{Violation: model.NewViolation("r", c)}}
 	algo := &EquivalenceClass{}
 	as, err := algo.Repair(fs)
@@ -101,10 +101,10 @@ func TestEquivalenceClassSingletonUntouched(t *testing.T) {
 func TestHypergraphRepairSatisfiesDCFixes(t *testing.T) {
 	// φD-style violation: t1.rate=15 > t2.rate=10 while t1.salary < t2.salary.
 	// Fixes: rate1 <= rate2 or salary1 >= salary2.
-	r1 := model.NewCell(1, 5, "rate", model.F(15))
-	r2 := model.NewCell(2, 5, "rate", model.F(10))
-	s1 := model.NewCell(1, 4, "salary", model.F(24000))
-	s2 := model.NewCell(2, 4, "salary", model.F(25000))
+	r1 := model.NewCell(1, 5, model.F(15))
+	r2 := model.NewCell(2, 5, model.F(10))
+	s1 := model.NewCell(1, 4, model.F(24000))
+	s2 := model.NewCell(2, 4, model.F(25000))
 	fs := []model.FixSet{{
 		Violation: model.NewViolation("dc", r1, r2, s1, s2),
 		Fixes: []model.Fix{
@@ -138,8 +138,8 @@ func TestHypergraphRepairSatisfiesDCFixes(t *testing.T) {
 func TestHypergraphRepairGreedyCoverSharedCell(t *testing.T) {
 	// Example 2's shape: two FDs overlap on the same B cell; repairing B
 	// once should resolve both violations with a single assignment.
-	b1 := model.NewCell(1, 1, "B", model.S("b1"))
-	b2 := model.NewCell(2, 1, "B", model.S("b2"))
+	b1 := model.NewCell(1, 1, model.S("b1"))
+	b2 := model.NewCell(2, 1, model.S("b2"))
 	fs := []model.FixSet{
 		{
 			Violation: model.NewViolation("fd1", b1, b2),
@@ -161,7 +161,7 @@ func TestHypergraphRepairGreedyCoverSharedCell(t *testing.T) {
 }
 
 func TestHypergraphNoFixesNoAction(t *testing.T) {
-	c := model.NewCell(1, 0, "a", model.S("x"))
+	c := model.NewCell(1, 0, model.S("x"))
 	fs := []model.FixSet{{Violation: model.NewViolation("r", c)}}
 	as, err := (&Hypergraph{}).Repair(fs)
 	if err != nil {
@@ -353,8 +353,8 @@ func TestApplyRespectsFrozenCells(t *testing.T) {
 	rel := model.NewRelation("r", s)
 	rel.Append(model.NewTuple(1, model.S("x"), model.S("y")))
 	as := []Assignment{
-		{TupleID: 1, Col: 0, Attr: "a", Value: model.S("new")},
-		{TupleID: 1, Col: 1, Attr: "b", Value: model.S("new")},
+		{TupleID: 1, Col: 0, Value: model.S("new")},
+		{TupleID: 1, Col: 1, Value: model.S("new")},
 	}
 	frozen := map[model.CellKey]bool{{TupleID: 1, Col: 0}: true}
 	changed := Apply(rel, as, frozen)

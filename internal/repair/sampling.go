@@ -72,11 +72,11 @@ func (s *Sampling) Repair(component []model.FixSet) ([]Assignment, error) {
 			if f.Op != model.OpEQ {
 				continue
 			}
-			l := intern(f.Left)
+			l := intern(f.Left())
 			if f.RightIsCell {
-				uf.Union(l.id, intern(f.RightCell).id)
+				uf.Union(l.id, intern(f.RightCell()).id)
 			} else {
-				consts[f.Left.MapKey()] = append(consts[f.Left.MapKey()], f.RightConst)
+				consts[f.Left().MapKey()] = append(consts[f.Left().MapKey()], f.Const())
 			}
 		}
 	}
@@ -146,10 +146,7 @@ func (s *Sampling) Repair(component []model.FixSet) ([]Assignment, error) {
 			}
 			for _, m := range members {
 				if !m.cell.Value.Equal(target) {
-					cur = append(cur, Assignment{
-						TupleID: m.cell.TupleID, Col: m.cell.Col,
-						Attr: m.cell.Attr, Value: target,
-					})
+					cur = append(cur, Assignment{TupleID: m.cell.TupleID, Col: m.cell.Col, Value: target})
 					cost += dis(m.cell.Value, target)
 				}
 			}

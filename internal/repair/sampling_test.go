@@ -36,7 +36,7 @@ func TestSamplingRepairResolvesViolations(t *testing.T) {
 func TestSamplingConvergesToMinCost(t *testing.T) {
 	// Majority value LA (3 of 4 cells): the min-cost repair changes 1 cell.
 	// With enough samples the sampler finds it.
-	c := func(id int64, v string) model.Cell { return model.NewCell(id, 2, "city", model.S(v)) }
+	c := func(id int64, v string) model.Cell { return model.NewCell(id, 2, model.S(v)) }
 	link := func(a, b model.Cell) model.FixSet {
 		return model.FixSet{
 			Violation: model.NewViolation("fd", a, b),
@@ -68,7 +68,7 @@ func TestSamplingDeterministicBySeed(t *testing.T) {
 }
 
 func TestSamplingRespectsConstants(t *testing.T) {
-	c1 := model.NewCell(1, 2, "city", model.S("SF"))
+	c1 := model.NewCell(1, 2, model.S("SF"))
 	fs := []model.FixSet{{
 		Violation: model.NewViolation("cfd", c1),
 		Fixes:     []model.Fix{model.NewConstFix(c1, model.OpEQ, model.S("LA"))},

@@ -95,10 +95,6 @@ func (cfd *CFD) Compile(schema *model.Schema) ([]*core.Rule, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rules: CFD %s: %w", cfd.ID, err)
 	}
-	rhsNames := make([]string, len(rhsIdx))
-	for i, c := range rhsIdx {
-		rhsNames[i] = schema.Name(c)
-	}
 	ruleID := cfd.ID
 
 	matchLHS := func(row PatternRow, t model.Tuple) bool {
@@ -149,7 +145,7 @@ func (cfd *CFD) Compile(schema *model.Schema) ([]*core.Rule, error) {
 						v := t.Cell(rhsIdx[i])
 						if v.String() != pat {
 							vs = append(vs, model.NewViolation(ruleID,
-								model.NewCell(t.ID, rhsIdx[i], rhsNames[i], v)))
+								model.NewCell(t.ID, rhsIdx[i], v)))
 						}
 					}
 				}
@@ -197,19 +193,14 @@ func (cfd *CFD) Compile(schema *model.Schema) ([]*core.Rule, error) {
 						lv, rv := l.Cell(rhsIdx[i]), r.Cell(rhsIdx[i])
 						if !lv.Equal(rv) {
 							vs = append(vs, model.NewViolation(ruleID,
-								model.NewCell(l.ID, rhsIdx[i], rhsNames[i], lv),
-								model.NewCell(r.ID, rhsIdx[i], rhsNames[i], rv)))
+								model.NewCell(l.ID, rhsIdx[i], lv),
+								model.NewCell(r.ID, rhsIdx[i], rv)))
 						}
 					}
 				}
 				return vs
 			},
-			GenFix: func(v model.Violation) []model.Fix {
-				if len(v.Cells) < 2 {
-					return nil
-				}
-				return []model.Fix{model.NewCellFix(v.Cells[0], model.OpEQ, v.Cells[1])}
-			},
+			GenFix: equateAdjacent,
 		})
 	}
 	return out, nil

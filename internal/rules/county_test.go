@@ -30,7 +30,6 @@ func CountyRule(id string, schema *model.Schema, nameAttr, cityAttr string, coun
 		}
 		return city // unknown cities are their own county
 	}
-	nameName, cityName := schema.Name(nameCol), schema.Name(cityCol)
 	return &core.Rule{
 		ID: id,
 		// Block on county so only same-county candidates pair up.
@@ -47,10 +46,10 @@ func CountyRule(id string, schema *model.Schema, nameAttr, cityAttr string, coun
 				return nil
 			}
 			return []model.Violation{model.NewViolation(id,
-				model.NewCell(l.ID, nameCol, nameName, l.Cell(nameCol)),
-				model.NewCell(r.ID, nameCol, nameName, r.Cell(nameCol)),
-				model.NewCell(l.ID, cityCol, cityName, l.Cell(cityCol)),
-				model.NewCell(r.ID, cityCol, cityName, r.Cell(cityCol)),
+				model.NewCell(l.ID, nameCol, l.Cell(nameCol)),
+				model.NewCell(r.ID, nameCol, r.Cell(nameCol)),
+				model.NewCell(l.ID, cityCol, l.Cell(cityCol)),
+				model.NewCell(r.ID, cityCol, r.Cell(cityCol)),
 			)}
 		},
 		GenFix: func(v model.Violation) []model.Fix {

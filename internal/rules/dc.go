@@ -268,7 +268,7 @@ func (dc *DC) Compile(schema *model.Schema) (*core.Rule, error) {
 					return
 				}
 			}
-			cells = append(cells, model.NewCell(t.ID, col, schema.Name(col), t.Cell(col)))
+			cells = append(cells, model.NewCell(t.ID, col, t.Cell(col)))
 		}
 		for _, r := range res {
 			if r.p.LeftTuple == 1 {
@@ -301,7 +301,7 @@ func (dc *DC) Compile(schema *model.Schema) (*core.Rule, error) {
 				return []model.Violation{model.NewViolation(ruleID, cellsOf(t, t)...)}
 			},
 			GenFix: func(v model.Violation) []model.Fix {
-				return dcGenFix(schema, res, v)
+				return dcGenFix(res, v)
 			},
 		}, nil
 	}
@@ -320,7 +320,7 @@ func (dc *DC) Compile(schema *model.Schema) (*core.Rule, error) {
 	}
 
 	genFix := func(v model.Violation) []model.Fix {
-		return dcGenFix(schema, res, v)
+		return dcGenFix(res, v)
 	}
 
 	rule := &core.Rule{ID: ruleID, Detect: detect, GenFix: genFix, Symmetric: dc.Symmetric()}
@@ -460,41 +460,47 @@ func dcBlockKernel(ruleID string, res []resolvedPred, cellsOf func(a, b model.Tu
 }
 
 // dcGenFix proposes, for each predicate, the update that negates it —
-// expressed against the violation's captured cells.
-func dcGenFix(schema *model.Schema, res []resolvedPred, v model.Violation) []model.Fix {
-	// Index the violation's cells by (tupleOrdinal via order, col).
-	// Violations from dc detection store cells in first-seen order; find a
-	// cell by column and side by scanning.
-	findCell := func(col int, nth int) (model.Cell, bool) {
+// expressed against the violation's captured cells. A cross-cell fix whose
+// two cells lie side by side in the violation (cellsOf lays out each
+// predicate's pair that way unless a cell repeats) shares them; any other
+// pair is copied into a window of its own.
+func dcGenFix(res []resolvedPred, v model.Violation) []model.Fix {
+	// Violations from dc detection store cells in first-seen order; find the
+	// nth cell of a column by scanning.
+	findCell := func(col int, nth int) int {
 		count := 0
-		for _, c := range v.Cells {
+		for i, c := range v.Cells {
 			if c.Col == col {
 				if count == nth {
-					return c, true
+					return i
 				}
 				count++
 			}
 		}
-		return model.Cell{}, false
+		return -1
 	}
 	var fixes []model.Fix
 	for _, r := range res {
 		neg := r.p.Op.Negate()
 		if r.p.RightIsConst {
-			if c, ok := findCell(r.lCol, 0); ok {
-				fixes = append(fixes, model.NewConstFix(c, neg, r.p.Const))
+			if i := findCell(r.lCol, 0); i >= 0 {
+				fixes = append(fixes, model.NewConstFix(v.Cells[i], neg, r.p.Const))
 			}
 			continue
 		}
 		// Cross-tuple: left cell is the first with lCol on t1's side.
-		lc, lok := findCell(r.lCol, 0)
+		li := findCell(r.lCol, 0)
 		nth := 0
 		if r.rCol == r.lCol {
 			nth = 1 // same attribute on both tuples: second occurrence
 		}
-		rc, rok := findCell(r.rCol, nth)
-		if lok && rok {
-			fixes = append(fixes, model.NewCellFix(lc, neg, rc))
+		ri := findCell(r.rCol, nth)
+		switch {
+		case li < 0 || ri < 0:
+		case ri == li+1:
+			fixes = append(fixes, model.CellFixOf(v.Cells[li:li+2:li+2], neg))
+		default:
+			fixes = append(fixes, model.NewCellFix(v.Cells[li], neg, v.Cells[ri]))
 		}
 	}
 	return fixes

@@ -75,10 +75,6 @@ func (fd *FD) Compile(schema *model.Schema) (*core.Rule, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rules: FD %s: %w", fd.ID, err)
 	}
-	rhsNames := make([]string, len(rhsIdx))
-	for i, c := range rhsIdx {
-		rhsNames[i] = schema.Name(c)
-	}
 	ruleID := fd.ID
 	blockAttr := ""
 	if len(lhsIdx) == 1 {
@@ -105,25 +101,20 @@ func (fd *FD) Compile(schema *model.Schema) (*core.Rule, error) {
 				}
 			}
 			var out []model.Violation
-			for i, c := range rhsIdx {
+			for _, c := range rhsIdx {
 				lv, rv := l.Cell(c), r.Cell(c)
 				if lv.Equal(rv) {
 					continue
 				}
 				v := model.NewViolation(ruleID,
-					model.NewCell(l.ID, c, rhsNames[i], lv),
-					model.NewCell(r.ID, c, rhsNames[i], rv),
+					model.NewCell(l.ID, c, lv),
+					model.NewCell(r.ID, c, rv),
 				)
 				out = append(out, v)
 			}
 			return out
 		},
-		GenFix: func(v model.Violation) []model.Fix {
-			if len(v.Cells) < 2 {
-				return nil
-			}
-			return []model.Fix{model.NewCellFix(v.Cells[0], model.OpEQ, v.Cells[1])}
-		},
+		GenFix: equateAdjacent,
 	}
 	if len(lhsIdx) > 1 {
 		// Each single LHS attribute is a coarser — but still correct —
@@ -139,8 +130,18 @@ func (fd *FD) Compile(schema *model.Schema) (*core.Rule, error) {
 			rule.AltBlockAttrs = append(rule.AltBlockAttrs, schema.Name(col))
 		}
 	}
-	rule.DetectBlock = fdBlockKernel(ruleID, lhsIdx, rhsIdx, rhsNames, rule.Detect)
+	rule.DetectBlock = fdBlockKernel(ruleID, lhsIdx, rhsIdx, rule.Detect)
 	return rule, nil
+}
+
+// equateAdjacent is the GenFix of FD-style rules, whose violations are one
+// pair of cells: it proposes equating the two, as a fix on the violation's
+// own cells.
+func equateAdjacent(v model.Violation) []model.Fix {
+	if len(v.Cells) < 2 {
+		return nil
+	}
+	return []model.Fix{model.CellFixOf(v.Cells[:2:2], model.OpEQ)}
 }
 
 // fdBlockKernel builds the FD's block kernel, which costs O(members +
@@ -160,7 +161,7 @@ func (fd *FD) Compile(schema *model.Schema) (*core.Rule, error) {
 // such a block — like a composite block whose LHS cells differ — runs the
 // rule's per-pair Detect over every pair instead.
 // Violations and their order match the per-pair Detect exactly.
-func fdBlockKernel(ruleID string, lhsIdx, rhsIdx []int, rhsNames []string, detect core.DetectFunc) core.BlockDetectFunc {
+func fdBlockKernel(ruleID string, lhsIdx, rhsIdx []int, detect core.DetectFunc) core.BlockDetectFunc {
 	return func(us []model.Tuple, ordered bool) ([]model.Violation, int64) {
 		n := len(us)
 		if n < 2 {
@@ -199,8 +200,8 @@ func fdBlockKernel(ruleID string, lhsIdx, rhsIdx []int, rhsNames []string, detec
 						continue
 					}
 					k := 2 * len(out)
-					cells[k] = model.NewCell(us[i].ID, c, rhsNames[y], us[i].Cell(c))
-					cells[k+1] = model.NewCell(us[j].ID, c, rhsNames[y], us[j].Cell(c))
+					cells[k] = model.NewCell(us[i].ID, c, us[i].Cell(c))
+					cells[k+1] = model.NewCell(us[j].ID, c, us[j].Cell(c))
 					out = append(out, model.NewViolation(ruleID, cells[k:k+2:k+2]...))
 				}
 				j++

@@ -76,7 +76,7 @@ func sameViolation(a, b model.Violation) bool {
 	}
 	for i, c := range a.Cells {
 		d := b.Cells[i]
-		if c.TupleID != d.TupleID || c.Col != d.Col || c.Attr != d.Attr || c.Value.Kind != d.Value.Kind ||
+		if c.TupleID != d.TupleID || c.Col != d.Col || c.Value.Kind != d.Value.Kind ||
 			c.Value.Str != d.Value.Str || c.Value.Int != d.Value.Int || math.Float64bits(c.Value.Flt) != math.Float64bits(d.Value.Flt) {
 			return false
 		}

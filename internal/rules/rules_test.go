@@ -65,7 +65,7 @@ func TestFDCompileAndDetect(t *testing.T) {
 	}
 	for _, v := range res.Violations {
 		for _, c := range v.Cells {
-			if c.Attr != "city" || c.Col != 2 {
+			if rel.Schema.Name(c.Col) != "city" || c.Col != 2 {
 				t.Errorf("violation cell should address original city column: %+v", c)
 			}
 		}

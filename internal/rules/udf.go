@@ -54,11 +54,6 @@ func DedupRule(cfg DedupConfig, schema *model.Schema) (*core.Rule, error) {
 		phoneTh = 0.7
 	}
 	ruleID := cfg.ID
-	nameName := schema.Name(nameCol)
-	phoneName := ""
-	if phoneCol >= 0 {
-		phoneName = schema.Name(phoneCol)
-	}
 
 	return &core.Rule{
 		ID: ruleID,
@@ -81,8 +76,8 @@ func DedupRule(cfg DedupConfig, schema *model.Schema) (*core.Rule, error) {
 				return nil
 			}
 			cells := []model.Cell{
-				model.NewCell(l.ID, nameCol, nameName, l.Cell(nameCol)),
-				model.NewCell(r.ID, nameCol, nameName, r.Cell(nameCol)),
+				model.NewCell(l.ID, nameCol, l.Cell(nameCol)),
+				model.NewCell(r.ID, nameCol, r.Cell(nameCol)),
 			}
 			if phoneCol >= 0 {
 				lp, rp := l.Cell(phoneCol).String(), r.Cell(phoneCol).String()
@@ -90,15 +85,17 @@ func DedupRule(cfg DedupConfig, schema *model.Schema) (*core.Rule, error) {
 					return nil
 				}
 				cells = append(cells,
-					model.NewCell(l.ID, phoneCol, phoneName, l.Cell(phoneCol)),
-					model.NewCell(r.ID, phoneCol, phoneName, r.Cell(phoneCol)))
+					model.NewCell(l.ID, phoneCol, l.Cell(phoneCol)),
+					model.NewCell(r.ID, phoneCol, r.Cell(phoneCol)))
 			}
 			return []model.Violation{model.NewViolation(ruleID, cells...)}
 		},
 		GenFix: func(v model.Violation) []model.Fix {
+			// One equality per attribute, each on its adjacent (left, right)
+			// pair of the violation's cells.
 			var fixes []model.Fix
 			for i := 0; i+1 < len(v.Cells); i += 2 {
-				fixes = append(fixes, model.NewCellFix(v.Cells[i+1], model.OpEQ, v.Cells[i]))
+				fixes = append(fixes, model.CellFixOf(v.Cells[i:i+2:i+2], model.OpEQ))
 			}
 			return fixes
 		},
