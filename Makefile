@@ -38,18 +38,20 @@ unused:
 # ./... does not descend into it; this builds it against the current
 # internal/ APIs and runs its unit tests and one-workload smoke run, then
 # builds and runs one iteration of the CSV-reader, FD-detection,
-# session-stream and hypergraph-repair benchmarks.
+# session-stream, hypergraph-repair and equivalence-class-repair benchmarks.
 bench-smoke:
 	cd benchmark && $(GO) test ./...
 	$(GO) test -run xxx -bench ReadCSV -benchtime 1x ./internal/model/
 	$(GO) test -run xxx -bench DetectFD -benchtime 1x ./internal/core/
 	$(GO) test -run xxx -bench SessionStream -benchtime 1x ./internal/cleanse/
 	$(GO) test -run xxx -bench HypergraphRepair -benchtime 1x ./internal/repair/
+	$(GO) test -run xxx -bench EquivalenceRepair -benchtime 1x ./internal/repair/
 
 # 30 seconds of coverage-guided fuzzing per fuzzer (the wire codec, the
 # record decoders, the schema and CSV parsers, the service's create and
 # ingest bodies, the DC, FD and CFD parsers, the rule-spec list compiler, the
-# FD block kernel and the storage reader), seeded from testdata/fuzz corpora.
+# FD block kernel, the storage reader and the RDF triple parser), seeded from
+# testdata/fuzz corpora.
 # A finding is checked in as a new corpus file.
 fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 30s ./internal/netexec/
@@ -65,6 +67,7 @@ fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzCompileSpecs -fuzztime 30s ./internal/rules/
 	$(GO) test -run xxx -fuzz FuzzFDBlockKernel -fuzztime 30s ./internal/rules/
 	$(GO) test -run xxx -fuzz FuzzStoreRead -fuzztime 30s ./internal/storage/
+	$(GO) test -run xxx -fuzz FuzzRDFParse -fuzztime 30s ./internal/rdf/
 
 bench:
 	$(GO) test -run xxx -bench 'Table2Datasets|Fig9' -benchtime 1x -benchmem .
@@ -73,6 +76,7 @@ bench:
 	$(GO) test -run xxx -bench 'DetectScan|ViolationDedup|DetectFD' -benchtime 5x -benchmem ./internal/core/
 	$(GO) test -run xxx -bench SessionStream -benchtime 256x -benchmem ./internal/cleanse/
 	$(GO) test -run xxx -bench HypergraphRepair -benchtime 5x -benchmem ./internal/repair/
+	$(GO) test -run xxx -bench EquivalenceRepair -benchtime 5x -benchmem ./internal/repair/
 
 # The non-test Go line count under internal/ and cmd/, the size ROADMAP.md
 # and CHANGES.md track.

@@ -2,8 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -25,43 +23,6 @@ func TestUnionFindBasics(t *testing.T) {
 	for _, v := range []int64{1, 2, 3, 4} {
 		if comps[v] != 1 {
 			t.Errorf("component of %d = %d", v, comps[v])
-		}
-	}
-}
-
-// TestConcurrentUnionFindMinRoot is the labeling contract the repair layer's
-// component IDs rest on: whatever order (and from however many goroutines)
-// the unions arrive in, every set ends up rooted at its minimum member —
-// the labels the sequential UnionFind reports.
-func TestConcurrentUnionFindMinRoot(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		const n = 200
-		pairs := make([][2]int32, 150)
-		oracle := NewUnionFind()
-		for i := int64(0); i < n; i++ {
-			oracle.Add(i)
-		}
-		for i := range pairs {
-			pairs[i] = [2]int32{int32(r.Intn(n)), int32(r.Intn(n))}
-			oracle.Union(int64(pairs[i][0]), int64(pairs[i][1]))
-		}
-		u := NewConcurrentUnionFind(n)
-		var wg sync.WaitGroup
-		for w := 0; w < 4; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := w; i < len(pairs); i += 4 {
-					u.Union(pairs[i][0], pairs[i][1])
-				}
-			}()
-		}
-		wg.Wait()
-		for x, want := range oracle.Components() {
-			if got := u.Find(int32(x)); int64(got) != want {
-				t.Fatalf("seed %d: element %d labeled %d, want its set's minimum %d", seed, x, got, want)
-			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package repair
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"bigdansing/internal/engine"
@@ -40,11 +41,15 @@ type Report struct {
 // the violations, in parallel (Section 5.1):
 //
 //  1. the fix sets form a hypergraph (nodes: elements; hyperedges: the
-//     elements of one violation plus its fixes) over comparable cell keys;
-//  2. its connected components are computed by interning the cells to dense
-//     integer IDs and running a lock-free union-find across the worker pool
-//     (the role GraphX's connectedComponents plays in Figure 7);
-//  3. each component becomes an independent repair instance;
+//     elements of one violation plus its fixes);
+//  2. its connected components are computed in one sequential pass that
+//     resolves each cell to the first fix set touching it through a dense
+//     owner table and unions on a min-root union-find (the role GraphX's
+//     connectedComponents plays in Figure 7);
+//  3. each component becomes an independent repair instance, handed a
+//     window of the caller's fixSets when the components already lie
+//     contiguous (as one rule's do, in detection's block order) and of a
+//     component-ordered copy otherwise; fixSets is never written;
 //  4. components larger than MaxComponentSize are split k-ways; the first
 //     part plays master and its changes are immutable — a slave assignment
 //     contradicting a master (or earlier-slave) assignment is undone and
@@ -73,11 +78,9 @@ func RepairParallel(fixSets []model.FixSet, algo Algorithm, opts Options) ([]Ass
 	defer sp.End()
 	sp.Attr(engine.AttrAlgorithm, AlgorithmCode(algo.Name()))
 
-	// 1-2. Connected components over interned cell IDs (parallel
-	// union-find); the per-fix-set cell keys are reused for splitting.
+	// 1-2. Connected components, laid out component by component.
 	csp := obs.BeginSpan(sp, "components", engine.SpanRepair)
-	cc, cellKeys := fixSetComponents(fixSets, opts.Parallelism)
-	sets, setKeys, bounds := gatherComponents(fixSets, cellKeys, cc)
+	sets, bounds := gatherComponents(fixSets, fixSetComponents(fixSets))
 	nComp := len(bounds) - 1
 	report.Components = nComp
 	csp.Attr(engine.AttrComponents, int64(nComp))
@@ -112,10 +115,10 @@ func RepairParallel(fixSets []model.FixSet, algo Algorithm, opts Options) ([]Ass
 					errs[slot] = fmt.Errorf("repair: instance for component %d of %d panicked: %v", slot, nComp, r)
 				}
 			}()
-			comp, keys := sets[lo:hi:hi], setKeys[lo:hi:hi]
+			comp := sets[lo:hi:hi]
 			if opts.MaxComponentSize > 0 && len(comp) > opts.MaxComponentSize {
 				splits[slot] = true
-				as, nc, err := repairSplit(comp, keys, algo, opts, obs, esp)
+				as, nc, err := repairSplit(comp, algo, opts, obs, esp)
 				conflicts[slot] = nc
 				results[slot], errs[slot] = as, err
 				return
@@ -126,11 +129,15 @@ func RepairParallel(fixSets []model.FixSet, algo Algorithm, opts Options) ([]Ass
 	}
 	wg.Wait()
 	isp.End()
-	var all []Assignment
+	total := 0
 	for i := range results {
 		if errs[i] != nil {
 			return nil, nil, errs[i]
 		}
+		total += len(results[i])
+	}
+	all := slices.Grow([]Assignment(nil), total)
+	for i := range results {
 		if splits[i] {
 			report.SplitComponents++
 		}
@@ -147,30 +154,31 @@ func RepairParallel(fixSets []model.FixSet, algo Algorithm, opts Options) ([]Ass
 	return all, report, nil
 }
 
-// gatherComponents lays the fix sets and their cell keys out component by
-// component, components in ID order and each in fix-set index order, by one
-// counting sort: a component's ID is its smallest fix-set index, so it
-// indexes the counts directly. Component c is sets[bounds[c]:bounds[c+1]].
-func gatherComponents(fixSets []model.FixSet, cellKeys [][]model.CellKey, comp []int64) (sets []model.FixSet, keys [][]model.CellKey, bounds []int) {
-	n := len(fixSets)
-	next := make([]int, n+1) // next[id+1]: component id's size, then its start
-	for _, id := range comp {
-		next[id+1]++
+// gatherComponents lays the fix sets out component by component,
+// components in ID order and each in fix-set index order; component c is
+// sets[bounds[c]:bounds[c+1]]. A component's ID is its smallest fix-set
+// index, so when the IDs never decrease the components are already
+// contiguous runs and sets is fixSets itself. Otherwise one counting sort,
+// indexed directly by the IDs, copies them into a new slice. fixSets is
+// never written.
+func gatherComponents(fixSets []model.FixSet, comp []int32) (sets []model.FixSet, bounds []int) {
+	sets = fixSets
+	var order []int32 // when copying, the fix set at each position
+	if !slices.IsSorted(comp) {
+		order, _ = countingSort(comp, len(comp))
+		sets = make([]model.FixSet, len(fixSets))
 	}
-	for id := 0; id < n; id++ {
-		if next[id+1] > 0 {
-			bounds = append(bounds, next[id])
+	for p := range comp {
+		i := p
+		if order != nil {
+			i = int(order[p])
+			sets[p] = fixSets[i]
 		}
-		next[id+1] += next[id]
+		if int(comp[i]) == i { // a component's first fix set
+			bounds = append(bounds, p)
+		}
 	}
-	bounds = append(bounds, n)
-	sets, keys = make([]model.FixSet, n), make([][]model.CellKey, n)
-	for i, id := range comp {
-		p := next[id]
-		sets[p], keys[p] = fixSets[i], cellKeys[i]
-		next[id]++
-	}
-	return sets, keys, bounds
+	return sets, append(bounds, len(fixSets))
 }
 
 // repairWith runs one repair instance, routing span-reporting algorithms
@@ -185,13 +193,14 @@ func repairWith(algo Algorithm, component []model.FixSet, obs engine.Observer, p
 
 // repairSplit handles one oversized component: split it k-ways with the
 // greedy hypergraph partitioner, run the algorithm per part, and reconcile
-// under the master-immutable protocol. keys carries each fix set's cell
-// keys, parallel to comp. Each reconciliation iteration is reported as a
-// span under parent (explicitly — the caller runs concurrently with its
-// sibling instances).
-func repairSplit(comp []model.FixSet, keys [][]model.CellKey, algo Algorithm, opts Options, obs engine.Observer, parent engine.Span) ([]Assignment, int, error) {
+// under the master-immutable protocol. Each reconciliation iteration is
+// reported as a span under parent (explicitly — the caller runs
+// concurrently with its sibling instances).
+func repairSplit(comp []model.FixSet, algo Algorithm, opts Options, obs engine.Observer, parent engine.Span) ([]Assignment, int, error) {
+	keys := make([][]model.CellKey, len(comp))
 	edges := make([]graph.HyperedgeOf[model.CellKey], len(comp))
 	for i := range comp {
+		keys[i] = cellKeysOfFixSet(comp[i])
 		edges[i] = graph.HyperedgeOf[model.CellKey]{ID: int64(i), Nodes: keys[i]}
 	}
 	parts := graph.NewHypergraphOf(edges).PartitionKWay(opts.KParts)

@@ -2,6 +2,7 @@ package rules
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -232,6 +233,7 @@ func (dc *DC) Compile(schema *model.Schema) (*core.Rule, error) {
 		}
 		res[i] = r
 	}
+	slots := dcLayout(res)
 	byPred := make(map[string]resolvedPred, len(res))
 	for _, r := range res {
 		byPred[r.p.String()] = r
@@ -257,32 +259,17 @@ func (dc *DC) Compile(schema *model.Schema) (*core.Rule, error) {
 		return r.p.Op.Eval(lv, rv)
 	}
 
-	// cellsOf collects the referenced cells of a violating pair. DCs touch
-	// a handful of cells, so dedupe by linear scan instead of a map — this
-	// runs once per violation and violations number in the millions.
+	// cellsOf collects the referenced cells of a violating pair (a=t1,
+	// b=t2; a unary DC passes its tuple twice) in the slots' layout. Pairs
+	// never join a tuple with itself, so distinct slots are distinct cells.
 	cellsOf := func(a, b model.Tuple) []model.Cell {
-		cells := make([]model.Cell, 0, 2*len(res))
-		addCell := func(t model.Tuple, col int) {
-			for _, c := range cells {
-				if c.TupleID == t.ID && c.Col == col {
-					return
-				}
+		cells := make([]model.Cell, len(slots))
+		for i, sl := range slots {
+			t := a
+			if sl.side == 2 {
+				t = b
 			}
-			cells = append(cells, model.NewCell(t.ID, col, t.Cell(col)))
-		}
-		for _, r := range res {
-			if r.p.LeftTuple == 1 {
-				addCell(a, r.lCol)
-			} else {
-				addCell(b, r.lCol)
-			}
-			if !r.p.RightIsConst {
-				if r.p.RightTuple == 1 {
-					addCell(a, r.rCol)
-				} else {
-					addCell(b, r.rCol)
-				}
-			}
+			cells[i] = model.NewCell(t.ID, sl.col, t.Cell(sl.col))
 		}
 		return cells
 	}
@@ -380,10 +367,39 @@ func (dc *DC) Compile(schema *model.Schema) (*core.Rule, error) {
 }
 
 // resolvedPred is a predicate with its attribute names resolved to column
-// indexes of the rule's schema.
+// indexes of the rule's schema, and its operands to their positions in a
+// violation's cells (rPos is -1 for a constant right side).
 type resolvedPred struct {
 	p          Pred
 	lCol, rCol int
+	lPos, rPos int
+}
+
+// dcSlot is one cell of a DC violation: column col of tuple side (1 or 2).
+type dcSlot struct{ side, col int }
+
+// dcLayout lays out a DC violation's cells, once per rule: one slot per
+// distinct (tuple side, column) the predicates read, in the order they read
+// them. It records each predicate's operand positions in res, so GenFix
+// finds a predicate's cells by the tuple it names, not by column alone.
+func dcLayout(res []resolvedPred) []dcSlot {
+	var slots []dcSlot
+	slotOf := func(side, col int) int {
+		sl := dcSlot{side, col}
+		if i := slices.Index(slots, sl); i >= 0 {
+			return i
+		}
+		slots = append(slots, sl)
+		return len(slots) - 1
+	}
+	for i := range res {
+		r := &res[i]
+		r.lPos, r.rPos = slotOf(r.p.LeftTuple, r.lCol), -1
+		if !r.p.RightIsConst {
+			r.rPos = slotOf(r.p.RightTuple, r.rCol)
+		}
+	}
+	return slots
 }
 
 // dcBlockKernel builds the block kernel of a same-key blocked DC: per
@@ -460,47 +476,22 @@ func dcBlockKernel(ruleID string, res []resolvedPred, cellsOf func(a, b model.Tu
 }
 
 // dcGenFix proposes, for each predicate, the update that negates it —
-// expressed against the violation's captured cells. A cross-cell fix whose
-// two cells lie side by side in the violation (cellsOf lays out each
-// predicate's pair that way unless a cell repeats) shares them; any other
-// pair is copied into a window of its own.
+// expressed against the violation's captured cells, which dcLayout placed.
+// A cross-cell fix whose two cells lie side by side in the violation shares
+// them; any other pair is copied into a window of its own.
 func dcGenFix(res []resolvedPred, v model.Violation) []model.Fix {
-	// Violations from dc detection store cells in first-seen order; find the
-	// nth cell of a column by scanning.
-	findCell := func(col int, nth int) int {
-		count := 0
-		for i, c := range v.Cells {
-			if c.Col == col {
-				if count == nth {
-					return i
-				}
-				count++
-			}
-		}
-		return -1
-	}
 	var fixes []model.Fix
 	for _, r := range res {
 		neg := r.p.Op.Negate()
-		if r.p.RightIsConst {
-			if i := findCell(r.lCol, 0); i >= 0 {
-				fixes = append(fixes, model.NewConstFix(v.Cells[i], neg, r.p.Const))
-			}
-			continue
-		}
-		// Cross-tuple: left cell is the first with lCol on t1's side.
-		li := findCell(r.lCol, 0)
-		nth := 0
-		if r.rCol == r.lCol {
-			nth = 1 // same attribute on both tuples: second occurrence
-		}
-		ri := findCell(r.rCol, nth)
 		switch {
-		case li < 0 || ri < 0:
-		case ri == li+1:
-			fixes = append(fixes, model.CellFixOf(v.Cells[li:li+2:li+2], neg))
+		case r.lPos >= len(v.Cells) || r.rPos >= len(v.Cells):
+			// Not a violation of this rule's layout.
+		case r.rPos < 0:
+			fixes = append(fixes, model.NewConstFix(v.Cells[r.lPos], neg, r.p.Const))
+		case r.rPos == r.lPos+1:
+			fixes = append(fixes, model.CellFixOf(v.Cells[r.lPos:r.rPos+1:r.rPos+1], neg))
 		default:
-			fixes = append(fixes, model.NewCellFix(v.Cells[li], neg, v.Cells[ri]))
+			fixes = append(fixes, model.NewCellFix(v.Cells[r.lPos], neg, v.Cells[r.rPos]))
 		}
 	}
 	return fixes

@@ -1,6 +1,8 @@
 package rules
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"bigdansing/internal/core"
@@ -156,5 +158,74 @@ func TestFDWholeKeyRHS(t *testing.T) {
 	}
 	if len(res.Violations) != 2 {
 		t.Fatalf("violations = %d, want 2 (city and phone)", len(res.Violations))
+	}
+}
+
+// TestDCGenFixNamesPredicateTuple checks that each predicate's fix reads
+// the cells of the tuples the predicate names. The third predicate below
+// relates t2's salary to t1's rate, while t1's salary comes first among
+// the violation's salary cells; φ2's layout, in which every predicate's
+// pair lies side by side, must stay as it was.
+func TestDCGenFixNamesPredicateTuple(t *testing.T) {
+	rel := taxRelation()
+	t1, t2 := rel.Tuples[0], rel.Tuples[4] // Annie (24000, 15), Robert (15000, 20)
+	type side struct {
+		tid int64
+		col int
+	}
+	const salary, rate = 4, 5
+	for _, tc := range []struct {
+		spec   string
+		cells  []side
+		fixes  [][2]side
+		shared []bool // whether each cell fix is a window on the violation's cells
+	}{
+		{
+			spec:   "t1.rate < t2.rate & t1.salary > t2.salary & t2.salary > t1.rate",
+			cells:  []side{{1, rate}, {5, rate}, {1, salary}, {5, salary}},
+			fixes:  [][2]side{{{1, rate}, {5, rate}}, {{1, salary}, {5, salary}}, {{5, salary}, {1, rate}}},
+			shared: []bool{true, true, false},
+		},
+		{
+			spec:   "t1.salary > t2.salary & t1.rate < t2.rate",
+			cells:  []side{{1, salary}, {5, salary}, {1, rate}, {5, rate}},
+			fixes:  [][2]side{{{1, salary}, {5, salary}}, {{1, rate}, {5, rate}}},
+			shared: []bool{true, true},
+		},
+	} {
+		dc, err := ParseDC("dc", tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rule, err := dc.Compile(rel.Schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vs := rule.Detect(core.PairItem(t1, t2))
+		if len(vs) != 1 {
+			t.Fatalf("%s: %d violations of (t1, t5), want 1", tc.spec, len(vs))
+		}
+		v := vs[0]
+		var cells []side
+		for _, c := range v.Cells {
+			cells = append(cells, side{c.TupleID, c.Col})
+		}
+		if !reflect.DeepEqual(cells, tc.cells) {
+			t.Fatalf("%s: cells %v, want %v", tc.spec, cells, tc.cells)
+		}
+		fixes := rule.GenFix(v)
+		if len(fixes) != len(tc.fixes) {
+			t.Fatalf("%s: %d fixes, want %d", tc.spec, len(fixes), len(tc.fixes))
+		}
+		for i, f := range fixes {
+			l, r := f.Left(), f.RightCell()
+			got := [2]side{{l.TupleID, l.Col}, {r.TupleID, r.Col}}
+			if got != tc.fixes[i] || !f.RightIsCell {
+				t.Errorf("%s: fix %d is %v, want %v", tc.spec, i, f, tc.fixes[i])
+			}
+			if shared := &f.Cells()[0] == &v.Cells[slices.Index(v.Cells, l)]; shared != tc.shared[i] {
+				t.Errorf("%s: fix %d shares the violation's cells: %v, want %v", tc.spec, i, shared, tc.shared[i])
+			}
+		}
 	}
 }
