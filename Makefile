@@ -38,12 +38,14 @@ unused:
 # ./... does not descend into it; this builds it against the current
 # internal/ APIs and runs its unit tests and one-workload smoke run, then
 # builds and runs one iteration of the CSV-reader, FD-detection,
-# session-stream, hypergraph-repair and equivalence-class-repair benchmarks.
+# session-stream, FD-clean, hypergraph-repair and equivalence-class-repair
+# benchmarks.
 bench-smoke:
 	cd benchmark && $(GO) test ./...
 	$(GO) test -run xxx -bench ReadCSV -benchtime 1x ./internal/model/
 	$(GO) test -run xxx -bench DetectFD -benchtime 1x ./internal/core/
 	$(GO) test -run xxx -bench SessionStream -benchtime 1x ./internal/cleanse/
+	$(GO) test -run xxx -bench CleanFD -benchtime 1x ./internal/cleanse/
 	$(GO) test -run xxx -bench HypergraphRepair -benchtime 1x ./internal/repair/
 	$(GO) test -run xxx -bench EquivalenceRepair -benchtime 1x ./internal/repair/
 
@@ -75,6 +77,7 @@ bench:
 	$(GO) test -run xxx -bench . -benchtime 5x -benchmem ./internal/engine/
 	$(GO) test -run xxx -bench 'DetectScan|ViolationDedup|DetectFD' -benchtime 5x -benchmem ./internal/core/
 	$(GO) test -run xxx -bench SessionStream -benchtime 256x -benchmem ./internal/cleanse/
+	$(GO) test -run xxx -bench CleanFD -benchtime 5x -benchmem ./internal/cleanse/
 	$(GO) test -run xxx -bench HypergraphRepair -benchtime 5x -benchmem ./internal/repair/
 	$(GO) test -run xxx -bench EquivalenceRepair -benchtime 5x -benchmem ./internal/repair/
 

@@ -68,7 +68,7 @@ func BenchmarkViolationDedup(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := assemble(lists); len(res.Violations) != 50000 {
+		if res := assemble([]detected{{lists: lists}}); len(res.Violations) != 50000 {
 			b.Fatalf("got %d", len(res.Violations))
 		}
 	}

@@ -76,22 +76,22 @@ func vecScopedFDRule() *Rule {
 			return []model.Fix{model.NewCellFix(v.Cells[0], model.OpEQ, v.Cells[1])}
 		},
 	}
-	r.DetectBlock = func(us []model.Tuple, ordered bool) ([]model.Violation, int64) {
+	r.DetectBlock = func(us []model.Tuple, ordered bool) ([]model.FixSet, int64) {
 		n := len(us)
 		cities := make([]model.Value, n)
 		for i, t := range us {
 			cities[i] = t.Cell(2)
 		}
-		var out []model.Violation
+		var out []model.FixSet
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				if cities[i].Equal(cities[j]) {
 					continue
 				}
-				out = append(out, model.NewViolation("vfd",
+				out = append(out, model.FixSet{Violation: model.NewViolation("vfd",
 					model.NewCell(us[i].ID, 2, cities[i]),
 					model.NewCell(us[j].ID, 2, cities[j]),
-				))
+				)})
 			}
 		}
 		return out, int64(n) * int64(n-1) / 2

@@ -27,8 +27,11 @@ func (d *IncrementalDetector) BlockIndex(i int) (map[int64]model.ValueKey, map[m
 }
 
 // AssembleHashed exposes the hand-off's assembler with its seen-set hash
-// supplied, so a test can force every key to collide.
-var AssembleHashed = assembleHashed
+// supplied, so a test can force every key to collide. The lists are one
+// source that may repeat violations, so every fix set is hashed.
+func AssembleHashed(lists [][]model.FixSet, hash func(model.ViolationKey) uint64) *DetectResult {
+	return assembleHashed([]detected{{lists: lists}}, hash)
+}
 
 // RunJobSpark validates, plans by rule shape and executes a job.
 func RunJobSpark(ctx *engine.Context, j *Job) (*DetectResult, error) {

@@ -222,7 +222,7 @@ func TestCostPlannerPicksAlternateKeyUnderSkew(t *testing.T) {
 	r := planFDRule()
 	r.AltBlocks = []BlockFunc{func(t model.Tuple) model.Value { return t.Cell(0) }}
 	r.AltBlockAttrs = []string{"name"}
-	r.DetectBlock = func([]model.Tuple, bool) ([]model.Violation, int64) { return nil, 0 }
+	r.DetectBlock = func([]model.Tuple, bool) ([]model.FixSet, int64) { return nil, 0 }
 
 	stats := map[string]TableStats{
 		r.ID: {

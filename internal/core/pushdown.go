@@ -66,7 +66,7 @@ func DetectRuleFromStore(ctx *engine.Context, st *storage.Store, dataset string,
 			lists = append(lists, res.FixSets)
 		}
 	}
-	return assemble(lists), true, nil
+	return assemble([]detected{{lists: lists}}), true, nil
 }
 
 // detectFromReplica reads one partition (or, with part -1, the whole

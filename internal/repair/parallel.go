@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"bigdansing/internal/engine"
 	"bigdansing/internal/graph"
@@ -86,46 +87,51 @@ func RepairParallel(fixSets []model.FixSet, algo Algorithm, opts Options) ([]Ass
 	csp.Attr(engine.AttrComponents, int64(nComp))
 	csp.End()
 
-	// 3-4. Repair instances in parallel, one per component: the instance
-	// gets its component's window of the gathered fix sets. Instance spans
-	// pass their parent explicitly — they begin concurrently, so the
-	// observer's scoped nesting cannot apply. Per-slot conflict counts are
-	// summed after the join; the instances never write shared state.
+	// 3-4. Repair instances in parallel, one per component, run by a pool
+	// of Parallelism workers that take component slots from a shared
+	// counter: each instance gets its component's window of the gathered
+	// fix sets. Instance spans pass their parent explicitly — they begin
+	// concurrently, so the observer's scoped nesting cannot apply. Per-slot
+	// conflict counts are summed after the join; the instances never write
+	// shared state.
 	isp := obs.BeginSpan(sp, "instances", engine.SpanRepair)
 	results := make([][]Assignment, nComp)
 	errs := make([]error, nComp)
 	splits := make([]bool, nComp)
 	conflicts := make([]int, nComp)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, opts.Parallelism)
-	for slot := range nComp {
-		wg.Add(1)
-		go func(slot int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			lo, hi := bounds[slot], bounds[slot+1]
-			esp := obs.BeginSpan(isp, "instance", engine.SpanRepair)
-			defer func() {
-				esp.Attr(engine.AttrPart, int64(slot))
-				esp.Attr(engine.AttrAssignments, int64(len(results[slot])))
-				esp.Attr(engine.AttrConflicts, int64(conflicts[slot]))
-				esp.End()
-				if r := recover(); r != nil {
-					errs[slot] = fmt.Errorf("repair: instance for component %d of %d panicked: %v", slot, nComp, r)
-				}
-			}()
-			comp := sets[lo:hi:hi]
-			if opts.MaxComponentSize > 0 && len(comp) > opts.MaxComponentSize {
-				splits[slot] = true
-				as, nc, err := repairSplit(comp, algo, opts, obs, esp)
-				conflicts[slot] = nc
-				results[slot], errs[slot] = as, err
-				return
+	instance := func(slot int) {
+		lo, hi := bounds[slot], bounds[slot+1]
+		esp := obs.BeginSpan(isp, "instance", engine.SpanRepair)
+		defer func() {
+			esp.Attr(engine.AttrPart, int64(slot))
+			esp.Attr(engine.AttrAssignments, int64(len(results[slot])))
+			esp.Attr(engine.AttrConflicts, int64(conflicts[slot]))
+			esp.End()
+			if r := recover(); r != nil {
+				errs[slot] = fmt.Errorf("repair: instance for component %d of %d panicked: %v", slot, nComp, r)
 			}
-			as, err := repairWith(algo, comp, obs, esp)
+		}()
+		comp := sets[lo:hi:hi]
+		if opts.MaxComponentSize > 0 && len(comp) > opts.MaxComponentSize {
+			splits[slot] = true
+			as, nc, err := repairSplit(comp, algo, opts, obs, esp)
+			conflicts[slot] = nc
 			results[slot], errs[slot] = as, err
-		}(slot)
+			return
+		}
+		as, err := repairWith(algo, comp, obs, esp)
+		results[slot], errs[slot] = as, err
+	}
+	var wg sync.WaitGroup
+	var next atomic.Int64
+	for range min(opts.Parallelism, nComp) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for slot := int(next.Add(1) - 1); slot < nComp; slot = int(next.Add(1) - 1) {
+				instance(slot)
+			}
+		}()
 	}
 	wg.Wait()
 	isp.End()

@@ -56,8 +56,8 @@ func checkKernel(t testing.TB, r *core.Rule, us []model.Tuple, ordered, exact bo
 		t.Fatalf("ordered=%v: %d violations, want %d:\n got  %v\n want %v", ordered, len(got), len(want), got, want)
 	}
 	for i := range want {
-		if !sameViolation(got[i], want[i]) {
-			t.Fatalf("ordered=%v: violation %d is %v, want %v", ordered, i, got[i], want[i])
+		if !sameViolation(got[i].Violation, want[i]) || got[i].Fixes != nil {
+			t.Fatalf("ordered=%v: fix set %d is %v, want %v with no fixes", ordered, i, got[i], want[i])
 		}
 	}
 	if pairs < violating || pairs > all {
