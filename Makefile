@@ -37,13 +37,13 @@ unused:
 # The benchmark is a Go module of its own (benchmark/go.mod), so the root
 # ./... does not descend into it; this builds it against the current
 # internal/ APIs and runs its unit tests and one-workload smoke run, then
-# builds and runs one iteration of the CSV-reader, FD-detection,
-# session-stream, FD-clean, hypergraph-repair and equivalence-class-repair
-# benchmarks.
+# builds and runs one iteration of the CSV-reader, FD-detection (local, disk
+# exchange and spill: DetectFD, DetectFDDisk, DetectFDSpill), session-stream,
+# FD-clean, hypergraph-repair and equivalence-class-repair benchmarks.
 bench-smoke:
 	cd benchmark && $(GO) test ./...
 	$(GO) test -run xxx -bench ReadCSV -benchtime 1x ./internal/model/
-	$(GO) test -run xxx -bench DetectFD -benchtime 1x ./internal/core/
+	$(GO) test -run xxx -bench 'DetectFD|DetectFDDisk|DetectFDSpill' -benchtime 1x ./internal/core/
 	$(GO) test -run xxx -bench SessionStream -benchtime 1x ./internal/cleanse/
 	$(GO) test -run xxx -bench CleanFD -benchtime 1x ./internal/cleanse/
 	$(GO) test -run xxx -bench HypergraphRepair -benchtime 1x ./internal/repair/
@@ -52,8 +52,8 @@ bench-smoke:
 # 30 seconds of coverage-guided fuzzing per fuzzer (the wire codec, the
 # record decoders, the schema and CSV parsers, the service's create and
 # ingest bodies, the DC, FD and CFD parsers, the rule-spec list compiler, the
-# FD block kernel, the storage reader and the RDF triple parser), seeded from
-# testdata/fuzz corpora.
+# FD block kernel, the storage reader, the spill run reader and the RDF triple
+# parser), seeded from testdata/fuzz corpora.
 # A finding is checked in as a new corpus file.
 fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 30s ./internal/netexec/
@@ -69,13 +69,14 @@ fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzCompileSpecs -fuzztime 30s ./internal/rules/
 	$(GO) test -run xxx -fuzz FuzzFDBlockKernel -fuzztime 30s ./internal/rules/
 	$(GO) test -run xxx -fuzz FuzzStoreRead -fuzztime 30s ./internal/storage/
+	$(GO) test -run xxx -fuzz FuzzSpillRead -fuzztime 30s ./internal/spill/
 	$(GO) test -run xxx -fuzz FuzzRDFParse -fuzztime 30s ./internal/rdf/
 
 bench:
 	$(GO) test -run xxx -bench 'Table2Datasets|Fig9' -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench ReadCSV -benchtime 5x -benchmem ./internal/model/
 	$(GO) test -run xxx -bench . -benchtime 5x -benchmem ./internal/engine/
-	$(GO) test -run xxx -bench 'DetectScan|ViolationDedup|DetectFD' -benchtime 5x -benchmem ./internal/core/
+	$(GO) test -run xxx -bench 'DetectScan|ViolationDedup|DetectFD|DetectFDDisk|DetectFDSpill' -benchtime 5x -benchmem ./internal/core/
 	$(GO) test -run xxx -bench SessionStream -benchtime 256x -benchmem ./internal/cleanse/
 	$(GO) test -run xxx -bench CleanFD -benchtime 5x -benchmem ./internal/cleanse/
 	$(GO) test -run xxx -bench HypergraphRepair -benchtime 5x -benchmem ./internal/repair/

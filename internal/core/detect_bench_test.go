@@ -7,6 +7,8 @@ import (
 	"bigdansing/internal/core"
 	"bigdansing/internal/datagen"
 	"bigdansing/internal/engine"
+	"bigdansing/internal/mapred"
+	"bigdansing/internal/model"
 	"bigdansing/internal/rules"
 )
 
@@ -16,15 +18,7 @@ import (
 // allocation it reports the bytes allocated per violation found — the size
 // of the detect→repair record plus its share of grouping and dedup.
 func BenchmarkDetectFD(b *testing.B) {
-	fd, err := rules.ParseFD("phi3", "o_custkey -> c_address")
-	if err != nil {
-		b.Fatal(err)
-	}
-	rule, err := fd.Compile(datagen.TPCHSchema())
-	if err != nil {
-		b.Fatal(err)
-	}
-	rel := datagen.TPCH(100000, 0.10, 1).Dirty
+	rule, rel := phi3TPCH(b)
 	ctx := engine.New(2)
 	var before, after runtime.MemStats
 	violations := 0
@@ -42,4 +36,68 @@ func BenchmarkDetectFD(b *testing.B) {
 	if violations > 0 {
 		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(violations), "B/violation")
 	}
+}
+
+// phi3TPCH is the input of the tpch_fd_detect workloads: φ3
+// (o_custkey -> c_address) and 100 000 TPC-H rows at 10 % errors, seed 1.
+func phi3TPCH(b *testing.B) (*core.Rule, *model.Relation) {
+	fd, err := rules.ParseFD("phi3", "o_custkey -> c_address")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rule, err := fd.Compile(datagen.TPCHSchema())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rule, datagen.TPCH(100000, 0.10, 1).Dirty
+}
+
+// BenchmarkDetectFDDisk runs the tpch_fd_detect_mapred workload's shape: φ3
+// over the disk exchange, mapred.New("", 2) and DetectRuleMapReduce at 4
+// reducers. Besides the per-op allocation it reports the run-file bytes
+// written per input row, the bytes every moved tuple costs on disk.
+func BenchmarkDetectFDDisk(b *testing.B) {
+	rule, rel := phi3TPCH(b)
+	eng, err := mapred.New("", 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.DetectRuleMapReduce(eng, rule, rel, 4, 4); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(eng.Stats().BytesSpilled())/float64(b.N*rel.Len()), "B-moved/row")
+}
+
+// BenchmarkDetectFDSpill runs the tpch_fd_detect_spill workload's shape: φ3
+// through DetectRule at parallelism 2 under a memory budget of 42 bytes per
+// input row, which makes the grouping sort-spill-merge. Besides the per-op
+// allocation it reports the spilled bytes per input row.
+func BenchmarkDetectFDSpill(b *testing.B) {
+	rule, rel := phi3TPCH(b)
+	ctx, err := engine.NewContext(engine.Config{
+		Parallelism:       2,
+		MemoryBudgetBytes: 42 * int64(rel.Len()),
+		SpillDir:          b.TempDir(),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.DetectRule(ctx, rule, rel); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	spilled := ctx.Stats().Snapshot().BytesSpilled
+	if spilled == 0 {
+		b.Fatal("the budget spilled nothing")
+	}
+	b.ReportMetric(float64(spilled)/float64(b.N*rel.Len()), "B-moved/row")
 }

@@ -127,9 +127,10 @@ func (ex *sparkExec) violations(pp *PhysicalPlan, p *PhysicalPipeline, m *udfMet
 	if p.Broadcast {
 		parts = 1
 	}
+	wire := projection(p.reads)
 	switch p.Impl {
 	case IterCoBlockPairs:
-		cg, err := ex.coGroupBranches(pp, p, p.Branches, parts)
+		cg, err := ex.coGroupBranches(pp, p, p.Branches, parts, wire)
 		if err != nil {
 			return nil, err
 		}
@@ -137,7 +138,7 @@ func (ex *sparkExec) violations(pp *PhysicalPlan, p *PhysicalPipeline, m *udfMet
 			return pairsAcross(p.Detect, g.Value.Left, g.Value.Right)
 		})), nil
 	case IterCustom:
-		groups, err := ex.iterateGroups(pp, p, p.Branches, parts)
+		groups, err := ex.iterateGroups(pp, p, p.Branches, parts, wire)
 		if err != nil {
 			return nil, err
 		}
@@ -156,7 +157,7 @@ func (ex *sparkExec) violations(pp *PhysicalPlan, p *PhysicalPipeline, m *udfMet
 		return engine.MapPartitions(first, func(_ int, ts []model.Tuple) [][]model.FixSet { return [][]model.FixSet{det(ts)} }), nil
 
 	case IterOCJoin:
-		pairs, err := join.OCJoin(first, p.OrderConds, p.NumParts)
+		pairs, err := join.OCJoin(first.MovedAs(wire), p.OrderConds, p.NumParts)
 		if err != nil {
 			return nil, fmt.Errorf("core: OCJoin in %s: %w", p.RuleID, err)
 		}
@@ -192,7 +193,7 @@ func (ex *sparkExec) violations(pp *PhysicalPlan, p *PhysicalPipeline, m *udfMet
 			})), nil
 		}
 		det := blockDetector(p.DetectBlock, p.Detect, ordered)
-		return engine.Map(ex.blocks(first, b.Block, parts), metered(m, func(g engine.Pair[model.ValueKey, []model.Tuple]) ([]model.FixSet, int64) {
+		return engine.Map(ex.blocks(first.MovedAs(wire), b.Block, parts), metered(m, func(g engine.Pair[model.ValueKey, []model.Tuple]) ([]model.FixSet, int64) {
 			return det(g.Value)
 		})), nil
 	}
@@ -317,7 +318,9 @@ func (ex *sparkExec) scan(pp *PhysicalPlan, b Branch) (*model.Relation, scanKey,
 // output, Figure 4) run that Iterate and flatten its items back to units.
 func (ex *sparkExec) branchStream(pp *PhysicalPlan, p *PhysicalPipeline, b Branch) (*engine.Dataset[model.Tuple], error) {
 	if b.Derived != nil {
-		groups, err := ex.iterateGroups(pp, p, b.Derived.Branches, 0)
+		// The upstream Iterate is the job's, not the rule's: its inputs move
+		// whole.
+		groups, err := ex.iterateGroups(pp, p, b.Derived.Branches, 0, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -374,10 +377,11 @@ func (ex *sparkExec) baseTuples(rel *model.Relation) *engine.Dataset[model.Tuple
 // iterateGroups lists the inputs of a user Iterate's calls: one per
 // co-grouped key when the first two branches are keyed, one per block of a
 // single keyed branch, and one call over the materialized bags otherwise.
-func (ex *sparkExec) iterateGroups(pp *PhysicalPlan, p *PhysicalPipeline, branches []Branch, parts int) (*engine.Dataset[[][]model.Tuple], error) {
+// The grouped tuples move as wire encodes them (nil: whole).
+func (ex *sparkExec) iterateGroups(pp *PhysicalPlan, p *PhysicalPipeline, branches []Branch, parts int, wire func([]byte, model.Tuple) []byte) (*engine.Dataset[[][]model.Tuple], error) {
 	switch {
 	case len(branches) >= 2 && branches[0].Block != nil && branches[1].Block != nil:
-		cg, err := ex.coGroupBranches(pp, p, branches, parts)
+		cg, err := ex.coGroupBranches(pp, p, branches, parts, wire)
 		if err != nil {
 			return nil, err
 		}
@@ -389,7 +393,7 @@ func (ex *sparkExec) iterateGroups(pp *PhysicalPlan, p *PhysicalPipeline, branch
 		if err != nil {
 			return nil, err
 		}
-		return engine.Map(ex.blocks(first, branches[0].Block, parts), func(g engine.Pair[model.ValueKey, []model.Tuple]) [][]model.Tuple {
+		return engine.Map(ex.blocks(first.MovedAs(wire), branches[0].Block, parts), func(g engine.Pair[model.ValueKey, []model.Tuple]) [][]model.Tuple {
 			return [][]model.Tuple{g.Value}
 		}), nil
 	default:
@@ -416,8 +420,9 @@ func (ex *sparkExec) blocks(d *engine.Dataset[model.Tuple], block BlockFunc, par
 }
 
 // coGroupBranches co-groups the first two branches on their Block keys into
-// parts partitions (0: the context's parallelism).
-func (ex *sparkExec) coGroupBranches(pp *PhysicalPlan, p *PhysicalPipeline, branches []Branch, parts int) (*engine.Dataset[engine.Pair[model.ValueKey, engine.CoGrouped[model.Tuple, model.Tuple]]], error) {
+// parts partitions (0: the context's parallelism), moving their tuples as
+// wire encodes them (nil: whole).
+func (ex *sparkExec) coGroupBranches(pp *PhysicalPlan, p *PhysicalPipeline, branches []Branch, parts int, wire func([]byte, model.Tuple) []byte) (*engine.Dataset[engine.Pair[model.ValueKey, engine.CoGrouped[model.Tuple, model.Tuple]]], error) {
 	left, err := ex.branchStream(pp, p, branches[0])
 	if err != nil {
 		return nil, err
@@ -427,7 +432,7 @@ func (ex *sparkExec) coGroupBranches(pp *PhysicalPlan, p *PhysicalPipeline, bran
 		return nil, err
 	}
 	lb, rb := branches[0].Block, branches[1].Block
-	cg := engine.CoGroupBy(left, right,
+	cg := engine.CoGroupBy(left.MovedAs(wire), right.MovedAs(wire),
 		func(t model.Tuple) model.ValueKey { return lb(t).MapKey() },
 		func(t model.Tuple) model.ValueKey { return rb(t).MapKey() }, parts)
 	if err := cg.Err(); err != nil {

@@ -253,7 +253,9 @@ func (d *IncrementalDetector) prime(rel *model.Relation) error {
 // own groups: the relation grouped by blockKey in one GroupBy stage, or, for
 // a unary rule, each tuple as its own group. Each group runs the per-block
 // body of an incremental pass and becomes one block, ranked in group output
-// order, so the first result lists fix sets as a full pass does.
+// order, so the first result lists fix sets as a full pass does. Tuples
+// the GroupBy moves are projected onto the rule's declared reads, as in a
+// full pass.
 func (d *IncrementalDetector) primeRule(r *Rule, rel *model.Relation) (*ruleState, error) {
 	scan := engine.Parallelize(d.ctx, rel.Tuples, 0)
 	key := func(t model.Tuple) model.ValueKey { return blockKey(r, t) }
@@ -263,7 +265,7 @@ func (d *IncrementalDetector) primeRule(r *Rule, rel *model.Relation) (*ruleStat
 			return engine.KV(key(t), []model.Tuple{t})
 		})
 	} else {
-		groups = engine.GroupBy(scan, key, 0)
+		groups = engine.GroupBy(scan.MovedAs(projection(r.Reads)), key, 0)
 	}
 	gs, err := groups.Collect()
 	if err != nil {

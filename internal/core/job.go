@@ -71,6 +71,10 @@ type DetectHints struct {
 	Unary       bool
 	NumParts    int
 	DetectBlock BlockDetectFunc
+
+	// reads is the rule's declaration of the columns it reads (Rule.Reads);
+	// only the Rule lowering sets it, so Job-API flows move whole tuples.
+	reads []int
 }
 
 // BlockKeys name a Block's key and the alternative keys the cost planner

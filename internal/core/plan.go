@@ -64,6 +64,11 @@ type Pipeline struct {
 	// DetectBlock carries the rule's block kernel, when it has one (see
 	// Rule.DetectBlock).
 	DetectBlock BlockDetectFunc
+
+	// reads carries the rule's declaration of the columns it reads (see
+	// Rule.Reads): the pipeline moves its tuples projected onto them. Nil
+	// moves them whole.
+	reads []int
 }
 
 // LogicalPlan is the validated, resolved form of a job (Figure 3's output):
@@ -167,6 +172,7 @@ func BuildPlan(j *Job) (*LogicalPlan, error) {
 			Unary:       h.Unary,
 			NumParts:    h.NumParts,
 			DetectBlock: h.DetectBlock,
+			reads:       h.reads,
 		}
 		if it := iterateFor(op.In[0]); it != nil {
 			p.Iterate = it.Iterate
@@ -244,6 +250,7 @@ func planRules(name string, rs []*Rule, rel *model.Relation) (*LogicalPlan, erro
 		j.AddDetect(r.Detect, cands, DetectHints{
 			Name: r.ID, Symmetric: r.Symmetric, OrderConds: r.OrderConds,
 			Unary: r.Unary, NumParts: r.NumParts, DetectBlock: r.DetectBlock,
+			reads: r.Reads,
 		})
 		if r.GenFix != nil {
 			j.AddGenFix(r.GenFix, cands)

@@ -67,6 +67,22 @@ type Rule struct {
 	// ignores them.
 	AltBlocks     []BlockFunc
 	AltBlockAttrs []string
+
+	// Reads declares the columns of a (scoped) unit the rule reads: every
+	// column Block, BlockRight, AltBlocks, Iterate, OrderConds, Detect,
+	// DetectBlock and GenFix look at. Nil means any column. It is the
+	// paper's Scope projection (Section 3.1, Listing 1) as the executor
+	// honours it: a tuple that moves — through the disk or TCP exchange, or
+	// a spill under a memory budget — is encoded with its ID, a width of the
+	// highest declared column + 1, its declared cells and a null in every
+	// other column, so it travels with only what the rule reads. Cells keep
+	// their base-table column indexes and values, so violations, fixes and
+	// everything after them are the same as with the whole tuple. Records
+	// that stay where they lie, on the in-memory path, are not touched. The
+	// declarative front ends (package rules) derive it; a rule whose
+	// operators read an undeclared column finds nulls there once its tuples
+	// move.
+	Reads []int
 }
 
 // Validate checks the rule is executable.
@@ -95,6 +111,11 @@ func (r *Rule) Validate() error {
 	}
 	if len(r.AltBlocks) > 0 && r.Block == nil {
 		return fmt.Errorf("core: rule %s sets AltBlocks without Block", r.ID)
+	}
+	for _, c := range r.Reads {
+		if c < 0 {
+			return fmt.Errorf("core: rule %s declares it reads column %d", r.ID, c)
+		}
 	}
 	return nil
 }

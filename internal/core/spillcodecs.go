@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+
 	"bigdansing/internal/engine"
 	"bigdansing/internal/model"
 )
@@ -39,4 +41,36 @@ func init() {
 		Append: model.AppendViolationKey,
 		Decode: model.DecodeViolationKey,
 	})
+}
+
+// projection is the wire appender of a rule's declared reads (Rule.Reads):
+// a tuple moves as its ID, a width of the highest declared column + 1 (never
+// wider than the tuple), its declared cells and a one-byte null in every
+// other column. That is model.AppendTuple's layout, so the registered codec
+// decodes it as the tuple with its undeclared cells nulled, every cell at
+// its base-table column. Nil reads return nil: tuples move whole.
+func projection(reads []int) func([]byte, model.Tuple) []byte {
+	if reads == nil {
+		return nil
+	}
+	width := 0
+	for _, c := range reads {
+		width = max(width, c+1)
+	}
+	keep := make([]bool, width)
+	for _, c := range reads {
+		keep[c] = true
+	}
+	return func(buf []byte, t model.Tuple) []byte {
+		w := min(width, len(t.Cells))
+		buf = binary.AppendUvarint(buf, uint64(t.ID))
+		buf = binary.AppendUvarint(buf, uint64(w))
+		for c, v := range t.Cells[:w] {
+			if !keep[c] {
+				v = model.Null()
+			}
+			buf = model.AppendValue(buf, v)
+		}
+		return buf
+	}
 }

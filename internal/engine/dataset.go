@@ -20,6 +20,9 @@ type Dataset[T any] struct {
 	parts [][]T          // materialized partitions, valid when state == dsDone
 	err   error          // sticky failure, valid when state == dsFailed
 	plan  *narrowPlan[T] // pending fused chain, valid when state == dsLazy
+	// wire, when set, encodes each record a wide operator moves in place of
+	// the registered codec's Append (see MovedAs).
+	wire func(buf []byte, t T) []byte
 }
 
 type dsState uint8
@@ -218,6 +221,34 @@ func appendOp(ops []string, kind string) []string {
 	out := make([]string, 0, len(ops)+1)
 	out = append(out, ops...)
 	return append(out, kind)
+}
+
+// MovedAs returns d with a different wire appender for its records: when a
+// wide operator moves them out of process memory — GroupBy and CoGroupBy
+// under an exchange or a memory budget, RangePartitionBy under either — wire
+// writes each record in place of the registered codec's Append. The codec
+// still decodes what arrives, so wire must write a valid encoding under it;
+// what that encoding leaves out is the caller's contract (core moves a tuple
+// projected onto the columns its rule reads). Records that stay where they
+// lie, on the in-memory paths, are never encoded and are not affected. A nil
+// wire moves records with the registered codec.
+//
+// The result shares d's partitions, or its failure, or its pending narrow
+// chain: a pending chain is shared as a plan, so force d first (Err) when both
+// d and the result are consumed. A narrow operator over the result starts
+// again from the registered codec.
+func (d *Dataset[T]) MovedAs(wire func(buf []byte, t T) []byte) *Dataset[T] {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return &Dataset[T]{ctx: d.ctx, state: d.state, parts: d.parts, err: d.err, plan: d.plan, wire: wire}
+}
+
+// movedCodec is c with wire, when set, as its Append.
+func movedCodec[T any](c Codec[T], wire func(buf []byte, t T) []byte) Codec[T] {
+	if wire != nil {
+		c.Append = wire
+	}
+	return c
 }
 
 // Context returns the dataset's execution context.

@@ -103,6 +103,9 @@ func newExchange(cfg Config, obs Observer) (Exchange, error) {
 	return f(cfg, obs)
 }
 
+// slabBytes caps the slabs exchangeScatter encodes a source partition into.
+const slabBytes = 256 << 10
+
 // exchangeScatter is the exchange counterpart of the in-memory index
 // scatter, on the TCP and disk exchanges alike: route gives every record of
 // every source partition its destination and the record it travels as,
@@ -111,6 +114,11 @@ func newExchange(cfg Config, obs Observer) (Exchange, error) {
 // exchange, and the gathered destination partitions are decoded (another
 // parallel stage). Destination p receives its records in (source, arrival)
 // order, the order the in-memory regime reads them in.
+//
+// A source partition is encoded into a few large slabs, each record a
+// sub-slice capped at its own end. A new slab starts when the current one
+// has less room left than the largest record so far, and is sized for the
+// records still to come at that size, up to slabBytes.
 func exchangeScatter[T, U any](ctx *Context, op string, parts [][]T, n int, c Codec[U], route func(T) (int, U)) ([][]U, error) {
 	enc := make([][]EncodedRec, len(parts))
 	err := ctx.runStage(op+":encode", len(parts), func(tk *taskCtx) {
@@ -118,9 +126,17 @@ func exchangeScatter[T, U any](ctx *Context, op string, parts [][]T, n int, c Co
 		tk.recordsIn = int64(len(in))
 		tk.op = "Encode"
 		recs := make([]EncodedRec, len(in))
+		var slab []byte
+		largest := 16
 		for i, v := range in {
 			dst, u := route(v)
-			recs[i] = EncodedRec{Dst: uint32(dst), Data: c.Append(nil, u)}
+			if cap(slab)-len(slab) < largest {
+				slab = make([]byte, 0, min(slabBytes, largest*(len(in)-i)))
+			}
+			start := len(slab)
+			slab = c.Append(slab, u)
+			largest = max(largest, len(slab)-start)
+			recs[i] = EncodedRec{Dst: uint32(dst), Data: slab[start:len(slab):len(slab)]}
 		}
 		tk.op = ""
 		enc[tk.part] = recs

@@ -7,6 +7,7 @@ import (
 	"io"
 	"sort"
 	"sync/atomic"
+	"unsafe"
 
 	"bigdansing/internal/spill"
 )
@@ -38,8 +39,8 @@ import (
 // Every operator creates its run files under a lazily made temp directory
 // that is removed on all exits — success, error and operator panic alike.
 
-// recOverhead is the bookkeeping cost charged to the budget per buffered
-// record on top of its encoded payload (slice headers, hash, destination).
+// recOverhead is the bookkeeping cost charged to the budget per record a
+// scatter or sort spiller buffers, on top of its estimated encoded size.
 const recOverhead = 48
 
 // spillStats aggregates one operator's spill activity; folded into the
@@ -399,6 +400,15 @@ func decodeKVRec(b []byte) (spillRec, error) {
 	return spillRec{hash: h, key: key, val: val}, nil
 }
 
+// kvCost prices a buffered key-value record at what it holds: the
+// allocation its key and value encodings share (the value is cut last, so
+// its capacity runs to the allocation's end) and its slot in the buffer.
+// Charging the encoded length alone undercounts small records, whose
+// allocation is rounded up to its size class.
+func kvCost(r spillRec) int64 {
+	return int64(len(r.key)+cap(r.val)) + int64(unsafe.Sizeof(r))
+}
+
 // kvBefore is the merge order of the external group algorithms: key hash,
 // then encoded key bytes (an arbitrary but total tie-break that keeps equal
 // keys adjacent).
@@ -425,7 +435,7 @@ func newKVSpiller(ctx *Context, dir *spill.Dir, st *spillStats) *spiller[spillRe
 			})
 		},
 		encode: appendKVRec,
-		cost:   func(r spillRec) int64 { return int64(len(r.key)+len(r.val)) + recOverhead },
+		cost:   kvCost,
 	}
 }
 

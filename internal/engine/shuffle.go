@@ -165,14 +165,15 @@ func (s side[K, V]) shuffled(p int) int64 {
 // with codecs for K and V, every record's (key, value) is computed once,
 // while encoding, and moves: through the exchange, or through the
 // order-preserving spill scatter. Either way destination p sees its records
-// in the same order.
-func shuffleBy[T any, K comparable, V any](d *Dataset[T], key func(T) K, val func(T) V, n int) (side[K, V], error) {
+// in the same order. vwire, when set, encodes the values that move (see
+// MovedAs).
+func shuffleBy[T any, K comparable, V any](d *Dataset[T], key func(T) K, val func(T) V, vwire func([]byte, V) []byte, n int) (side[K, V], error) {
 	ctx := d.ctx
 	parts, err := d.forced()
 	if err != nil {
 		return side[K, V]{}, err
 	}
-	c, moves, err := moveCodec[K, V](ctx)
+	c, moves, err := moveCodec[K, V](ctx, vwire)
 	if err != nil {
 		return side[K, V]{}, err
 	}
@@ -197,13 +198,14 @@ func shuffleBy[T any, K comparable, V any](d *Dataset[T], key func(T) K, val fun
 // leaving them where they lie, and the codec of the (key, value) record
 // they move as. An exchange always moves them (a type without a codec is an
 // error naming it); a memory budget moves them through the spill regime
-// when both codecs are registered.
-func moveCodec[K comparable, V any](ctx *Context) (Codec[Pair[K, V]], bool, error) {
+// when both codecs are registered. vwire, when set, replaces V's Append.
+func moveCodec[K comparable, V any](ctx *Context, vwire func([]byte, V) []byte) (Codec[Pair[K, V]], bool, error) {
 	if ctx.exchange == nil && ctx.mem == nil {
 		return Codec[Pair[K, V]]{}, false, nil
 	}
 	kc, kerr := exchangeCodec[K]("shuffle")
 	vc, verr := exchangeCodec[V]("shuffle")
+	vc = movedCodec(vc, vwire)
 	if ctx.exchange == nil {
 		return pairCodec(kc, vc), kerr == nil && verr == nil, nil
 	}
@@ -269,7 +271,8 @@ func carve[V any](seq iter.Seq[V], gids, counts []int32, bag func(g int32) *[]V)
 // sort-spill-merges instead: groups come in merge order, within-group order
 // is identical. The networked backend skips that regime — its shuffle
 // already bounds coordinator memory at one destination partition per task.
-func groupBy[T any, K comparable, V any](d *Dataset[T], key func(T) K, val func(T) V, n int) *Dataset[Pair[K, []V]] {
+// vwire, when set, encodes the values that move (see MovedAs).
+func groupBy[T any, K comparable, V any](d *Dataset[T], key func(T) K, val func(T) V, vwire func([]byte, V) []byte, n int) *Dataset[Pair[K, []V]] {
 	ctx := d.ctx
 	if n <= 0 {
 		n = ctx.parallelism
@@ -277,11 +280,11 @@ func groupBy[T any, K comparable, V any](d *Dataset[T], key func(T) K, val func(
 	if ctx.mem != nil && ctx.exchange == nil {
 		if kc, ok := codecFor[K](); ok {
 			if vc, ok := codecFor[V](); ok {
-				return groupByExternal(d, key, val, n, kc, vc)
+				return groupByExternal(d, key, val, n, kc, movedCodec(vc, vwire))
 			}
 		}
 	}
-	in, err := shuffleBy(d, key, val, n)
+	in, err := shuffleBy(d, key, val, vwire, n)
 	if err != nil {
 		return errDataset[Pair[K, []V]](ctx, err)
 	}
@@ -315,9 +318,10 @@ func groupBy[T any, K comparable, V any](d *Dataset[T], key func(T) K, val func(
 // key holding its records. No keyed-pair dataset is materialized; the key
 // function runs where the records lie. n = 1 groups every key in one task,
 // in first-seen order: the broadcast (collect-and-group-locally) plan, as
-// the same operator on every backend and under every budget.
+// the same operator on every backend and under every budget. Records that
+// move are encoded as d's MovedAs appender writes them.
 func GroupBy[T any, K comparable](d *Dataset[T], key func(T) K, n int) *Dataset[Pair[K, []T]] {
-	return groupBy(d, key, identity[T], n)
+	return groupBy(d, key, identity[T], d.wire, n)
 }
 
 // GroupByKey groups the values of a pair dataset by key into the context's
@@ -328,7 +332,7 @@ func GroupByKey[K comparable, V any](d *Dataset[Pair[K, V]]) *Dataset[Pair[K, []
 
 // GroupByKeyN is GroupByKey into n destination partitions.
 func GroupByKeyN[K comparable, V any](d *Dataset[Pair[K, V]], n int) *Dataset[Pair[K, []V]] {
-	return groupBy(d, pairKey[K, V], pairValue[K, V], n)
+	return groupBy(d, pairKey[K, V], pairValue[K, V], nil, n)
 }
 
 // ReduceByKey combines values per key with a map-side combine before the
@@ -378,17 +382,18 @@ func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], combine func(a, b 
 // COGROUP, the model for the paper's CoBlock enhancer. Keys appear in
 // first-seen order per destination, left records first; a side with no
 // records for a key has a nil bag. It is a stage boundary for both inputs,
-// and its bags are the same in every regime.
+// and its bags are the same in every regime. Records that move are encoded
+// as each input's MovedAs appender writes them.
 func CoGroupBy[A, B any, K comparable](da *Dataset[A], db *Dataset[B], ka func(A) K, kb func(B) K, n int) *Dataset[Pair[K, CoGrouped[A, B]]] {
 	ctx := da.ctx
 	if n <= 0 {
 		n = ctx.parallelism
 	}
-	left, err := shuffleBy(da, ka, identity[A], n)
+	left, err := shuffleBy(da, ka, identity[A], da.wire, n)
 	if err != nil {
 		return errDataset[Pair[K, CoGrouped[A, B]]](ctx, err)
 	}
-	right, err := shuffleBy(db, kb, identity[B], n)
+	right, err := shuffleBy(db, kb, identity[B], db.wire, n)
 	if err != nil {
 		return errDataset[Pair[K, CoGrouped[A, B]]](ctx, err)
 	}

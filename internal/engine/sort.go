@@ -39,7 +39,9 @@ func SortBy[T any](d *Dataset[T], less func(a, b T) bool, n int) *Dataset[T] {
 // partitioning phase requires. It is a stage boundary: the input is forced
 // (running any pending narrow chain as one fused stage) before sampling.
 // Under a memory budget the scatter spills to disk; the output is
-// element-for-element identical to the in-memory path's.
+// element-for-element identical to the in-memory path's. Records that move,
+// through an exchange or a spill, are encoded as d's MovedAs appender writes
+// them.
 func RangePartitionBy[T any](d *Dataset[T], less func(a, b T) bool, n int) *Dataset[T] {
 	if n <= 0 {
 		n = d.ctx.parallelism
@@ -71,7 +73,7 @@ func RangePartitionBy[T any](d *Dataset[T], less func(a, b T) bool, n int) *Data
 		if err != nil {
 			return errDataset[T](d.ctx, err)
 		}
-		out, err := exchangeScatter(d.ctx, "rangePartition", dparts, n, c, keepRoute(target))
+		out, err := exchangeScatter(d.ctx, "rangePartition", dparts, n, movedCodec(c, d.wire), keepRoute(target))
 		if err != nil {
 			return errDataset[T](d.ctx, err)
 		}
@@ -80,7 +82,7 @@ func RangePartitionBy[T any](d *Dataset[T], less func(a, b T) bool, n int) *Data
 
 	if d.ctx.mem != nil {
 		if c, ok := codecFor[T](); ok {
-			out, serr := scatterSpill(d.ctx, "rangePartition", dparts, n, keepRoute(target), c, nil)
+			out, serr := scatterSpill(d.ctx, "rangePartition", dparts, n, keepRoute(target), movedCodec(c, d.wire), nil)
 			if serr != nil {
 				return errDataset[T](d.ctx, serr)
 			}

@@ -90,16 +90,14 @@ func (e *Engine) Shuffle(op string, parts [][]engine.EncodedRec, n int) ([][][]b
 }
 
 // scatter is the map side: runs[src][dst] holds source partition src's
-// records bound for destination dst, nil where there are none.
+// records bound for destination dst, nil where there are none. A count pass
+// sizes every bucket, so a source's buckets share one exact allocation.
 func (e *Engine) scatter(dir *spill.Dir, parts [][]engine.EncodedRec, n int) ([][]*spill.Run, error) {
 	runs := make([][]*spill.Run, len(parts))
 	err := e.parallel(len(parts), func(src int) error {
-		buckets := make([][][]byte, n)
-		for _, rec := range parts[src] {
-			if int(rec.Dst) >= n {
-				return fmt.Errorf("record bound for partition %d of %d", rec.Dst, n)
-			}
-			buckets[rec.Dst] = append(buckets[rec.Dst], rec.Data)
+		buckets, err := bucket(parts[src], n)
+		if err != nil {
+			return err
 		}
 		runs[src] = make([]*spill.Run, n)
 		for dst, recs := range buckets {
@@ -112,6 +110,30 @@ func (e *Engine) scatter(dir *spill.Dir, parts [][]engine.EncodedRec, n int) ([]
 		return nil
 	})
 	return runs, err
+}
+
+// bucket splits one source's records by destination, in arrival order. The
+// buckets are cut, each capped, from one slice sized by a count pass.
+func bucket(recs []engine.EncodedRec, n int) ([][][]byte, error) {
+	off := make([]int, n+1)
+	for _, rec := range recs {
+		if int(rec.Dst) >= n {
+			return nil, fmt.Errorf("record bound for partition %d of %d", rec.Dst, n)
+		}
+		off[rec.Dst+1]++
+	}
+	for dst := 1; dst <= n; dst++ {
+		off[dst] += off[dst-1]
+	}
+	all := make([][]byte, len(recs))
+	buckets := make([][][]byte, n)
+	for dst := range buckets {
+		buckets[dst] = all[off[dst]:off[dst]:off[dst+1]]
+	}
+	for _, rec := range recs {
+		buckets[rec.Dst] = append(buckets[rec.Dst], rec.Data)
+	}
+	return buckets, nil
 }
 
 // gather is the reduce side: destination dst concatenates its runs in

@@ -509,16 +509,29 @@ func (c *Coordinator) Shuffle(op string, parts [][]engine.EncodedRec, n int) (_ 
 	}
 	xfer := c.xferSeq.Add(1)
 	// Lineage: lin[dst][src] holds the encoded records, the unit any task
-	// can be restarted from on any worker.
+	// can be restarted from on any worker. A count pass per source sizes its
+	// buckets, which are cut from one exact allocation.
 	lin := make([][][][]byte, n)
 	for dst := range lin {
 		lin[dst] = make([][][]byte, len(parts))
 	}
+	off := make([]int, n+1)
 	for src, p := range parts {
+		clear(off)
 		for _, r := range p {
 			if int(r.Dst) >= n {
 				return nil, fmt.Errorf("netexec: %s: record destined for partition %d of %d", op, r.Dst, n)
 			}
+			off[r.Dst+1]++
+		}
+		for dst := 1; dst <= n; dst++ {
+			off[dst] += off[dst-1]
+		}
+		all := make([][]byte, len(p))
+		for dst := range lin {
+			lin[dst][src] = all[off[dst]:off[dst]:off[dst+1]]
+		}
+		for _, r := range p {
 			lin[r.Dst][src] = append(lin[r.Dst][src], r.Data)
 		}
 	}

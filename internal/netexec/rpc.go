@@ -95,7 +95,14 @@ func (r *rpc) putBucket(xfer, dst, src uint32, recs [][]byte) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	payload := make([]byte, 0, frameTarget+4096)
+	// A bucket smaller than a frame gets a payload of its own size.
+	size := 0
+	for _, rec := range recs {
+		if size += binary.MaxVarintLen64 + len(rec); size >= frameTarget+4096 {
+			break
+		}
+	}
+	payload := make([]byte, 0, min(size, frameTarget+4096))
 	flags := uint8(flagBegin)
 	var seq uint32
 	flush := func(last bool) error {

@@ -15,6 +15,7 @@
 package netexec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -186,10 +187,14 @@ func appendRecord(buf, rec []byte) []byte {
 	return append(buf, rec...)
 }
 
-// splitRecords parses a data payload into its records. The returned slices
-// are copies when copyOut is set (needed whenever the records outlive the
-// frame buffer); corrupt payloads error, never panic.
+// splitRecords parses a data payload into its records, each capped at its
+// own end. With copyOut set (needed whenever the records outlive the frame
+// buffer) they alias one copy of the payload instead of the frame buffer;
+// corrupt payloads error, never panic.
 func splitRecords(payload []byte, copyOut bool) ([][]byte, error) {
+	if copyOut {
+		payload = bytes.Clone(payload)
+	}
 	var out [][]byte
 	for len(payload) > 0 {
 		n, sz := binary.Uvarint(payload)
@@ -204,11 +209,7 @@ func splitRecords(payload []byte, copyOut bool) ([][]byte, error) {
 		if n > uint64(len(payload)-sz) {
 			return nil, fmt.Errorf("netexec: record overruns frame (%d > %d)", n, len(payload)-sz)
 		}
-		rec := payload[sz : sz+int(n)]
-		if copyOut {
-			rec = append([]byte(nil), rec...)
-		}
-		out = append(out, rec)
+		out = append(out, payload[sz:sz+int(n):sz+int(n)])
 		payload = payload[sz+int(n):]
 	}
 	return out, nil

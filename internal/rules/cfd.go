@@ -2,6 +2,7 @@ package rules
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"bigdansing/internal/core"
@@ -96,6 +97,8 @@ func (cfd *CFD) Compile(schema *model.Schema) ([]*core.Rule, error) {
 		return nil, fmt.Errorf("rules: CFD %s: %w", cfd.ID, err)
 	}
 	ruleID := cfd.ID
+	// Both rules read the LHS and RHS attributes, and nothing else.
+	reads := distinct(append(slices.Clone(lhsIdx), rhsIdx...))
 
 	matchLHS := func(row PatternRow, t model.Tuple) bool {
 		for i, c := range lhsIdx {
@@ -131,6 +134,7 @@ func (cfd *CFD) Compile(schema *model.Schema) ([]*core.Rule, error) {
 		out = append(out, &core.Rule{
 			ID:    ruleID + "/const",
 			Unary: true,
+			Reads: reads,
 			Detect: func(it core.Item) []model.Violation {
 				t := it.One()
 				var vs []model.Violation
@@ -171,7 +175,8 @@ func (cfd *CFD) Compile(schema *model.Schema) ([]*core.Rule, error) {
 	if len(varRows) > 0 {
 		rows := varRows
 		out = append(out, &core.Rule{
-			ID: ruleID + "/var",
+			ID:    ruleID + "/var",
+			Reads: reads,
 			Block: func(t model.Tuple) model.Value {
 				if len(lhsIdx) == 1 {
 					return t.Cell(lhsIdx[0])

@@ -274,10 +274,21 @@ func (dc *DC) Compile(schema *model.Schema) (*core.Rule, error) {
 		return cells
 	}
 
+	// The rule reads every column a predicate names, and nothing else.
+	var reads []int
+	for _, r := range res {
+		reads = append(reads, r.lCol)
+		if !r.p.RightIsConst {
+			reads = append(reads, r.rCol)
+		}
+	}
+	reads = distinct(reads)
+
 	if dc.Unary() {
 		return &core.Rule{
 			ID:    ruleID,
 			Unary: true,
+			Reads: reads,
 			Detect: func(it core.Item) []model.Violation {
 				t := it.One()
 				for _, r := range res {
@@ -310,7 +321,7 @@ func (dc *DC) Compile(schema *model.Schema) (*core.Rule, error) {
 		return dcGenFix(res, v)
 	}
 
-	rule := &core.Rule{ID: ruleID, Detect: detect, GenFix: genFix, Symmetric: dc.Symmetric()}
+	rule := &core.Rule{ID: ruleID, Detect: detect, GenFix: genFix, Symmetric: dc.Symmetric(), Reads: reads}
 
 	switch {
 	case len(shape.eqJoins) > 0:

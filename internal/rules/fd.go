@@ -58,9 +58,11 @@ func (fd *FD) String() string {
 // automatic job generation of Section 3.1. The generated operators mirror
 // Listings 1, 2, 5 and 6:
 //
-//	Block   keys on the LHS values (Scope is logically a projection to
-//	        LHS ∪ RHS; physically it is pushed down to the storage layer,
-//	        see package storage, so cells keep their base-table columns),
+//	Scope   is the projection to LHS ∪ RHS, declared as the rule's Reads:
+//	        the executor moves each tuple with only those cells, at their
+//	        base-table columns (the storage layer can push it down further,
+//	        see package storage),
+//	Block   keys on the LHS values,
 //	Iterate defaults to unique pairs (FD detection is symmetric),
 //	Detect  reports pairs agreeing on the LHS but disagreeing on some RHS
 //	        attribute — the LHS check makes Detect self-contained, so the
@@ -87,6 +89,7 @@ func (fd *FD) Compile(schema *model.Schema) (*core.Rule, error) {
 	rule := &core.Rule{
 		ID:        ruleID,
 		BlockAttr: blockAttr,
+		Reads:     distinct(append(slices.Clone(lhsIdx), rhsIdx...)),
 		Block: func(t model.Tuple) model.Value {
 			// Single-attribute LHS (the common case): the cell value itself
 			// is the block key — no per-record string is built.

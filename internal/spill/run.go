@@ -1,7 +1,6 @@
 package spill
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -12,8 +11,43 @@ import (
 )
 
 // frameTarget is the payload size a Writer accumulates before sealing a
-// frame; one frame is the unit of checksumming and of buffered I/O.
+// frame; one frame is the unit of checksumming and of I/O.
 const frameTarget = 256 << 10
+
+// frameHeader is the size of a frame's header: payload length and CRC32.
+const frameHeader = 8
+
+// frames is the one bounded pool of frame buffers, each with room for a
+// header and frameTarget payload bytes. Writers fill one per run, readers
+// load frames into one, and both hand it back when the run is finished or
+// closed. A buffer grown past that size by an oversized record is dropped,
+// not pooled. The pool keeps at most 16 buffers (4 MiB), so what it retains
+// is bounded however many runs an operator opens: a shuffle of 4 source
+// partitions into 4 destinations writes 16 runs, and a k-way merge opens
+// as many at once.
+var frames = make(chan []byte, 16)
+
+// takeFrame returns a pooled frame buffer, if the pool has one.
+func takeFrame() ([]byte, bool) {
+	select {
+	case b := <-frames:
+		return b, true
+	default:
+		return nil, false
+	}
+}
+
+// releaseFrame returns b to the pool, unless it is not a pool-sized buffer
+// or the pool is full.
+func releaseFrame(b []byte) {
+	if cap(b) != frameHeader+frameTarget {
+		return
+	}
+	select {
+	case frames <- b[:0]:
+	default:
+	}
+}
 
 // maxFrame bounds the payload a Reader will accept, so a corrupt length
 // header cannot trigger an absurd allocation. Writers seal frames at
@@ -88,7 +122,11 @@ func (d *Dir) NewRun() (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("spill: create run: %w", err)
 	}
-	return &Writer{f: f, bw: bufio.NewWriterSize(f, 64<<10)}, nil
+	frame, ok := takeFrame()
+	if !ok {
+		frame = make([]byte, 0, frameHeader+frameTarget)
+	}
+	return &Writer{f: f, frame: frame[:frameHeader]}, nil
 }
 
 // Writer streams records into a run file as crc-checked frames:
@@ -96,12 +134,14 @@ func (d *Dir) NewRun() (*Writer, error) {
 //	frame  := payloadLen:uint32le crc32:uint32le payload
 //	payload:= (recLen:uvarint recBytes)*
 //
-// Append buffers records into the current frame and seals it past
-// frameTarget; Finish seals the tail frame and closes the file.
+// Append buffers records into the current frame, behind room for its
+// header, and seals it when the next record would not fit in frameTarget
+// payload bytes, or when it is full; a record larger than that forms a frame
+// of its own. Each sealed frame is one write. Finish seals the tail frame and
+// closes the file.
 type Writer struct {
 	f       *os.File
-	bw      *bufio.Writer
-	frame   []byte
+	frame   []byte // frameHeader bytes for the header, then the payload
 	records int64
 	bytes   int64
 	err     error
@@ -113,47 +153,56 @@ func (w *Writer) Append(rec []byte) error {
 	if w.err != nil {
 		return w.err
 	}
+	size := uvarintLen(uint64(len(rec))) + len(rec)
+	if len(w.frame) > frameHeader && len(w.frame)+size > frameHeader+frameTarget {
+		if err := w.sealFrame(); err != nil {
+			return err
+		}
+	}
 	w.frame = binary.AppendUvarint(w.frame, uint64(len(rec)))
 	w.frame = append(w.frame, rec...)
 	w.records++
-	if len(w.frame) >= frameTarget {
+	if len(w.frame) >= frameHeader+frameTarget {
 		return w.sealFrame()
 	}
 	return nil
 }
 
+// uvarintLen is the encoded size of v as a uvarint.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
 // sealFrame writes the buffered payload as one checksummed frame.
 func (w *Writer) sealFrame() error {
-	if len(w.frame) == 0 {
+	payload := w.frame[frameHeader:]
+	if len(payload) == 0 {
 		return w.err
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(w.frame)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(w.frame))
-	if _, err := w.bw.Write(hdr[:]); err != nil {
+	binary.LittleEndian.PutUint32(w.frame[0:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(w.frame[4:], crc32.ChecksumIEEE(payload))
+	if _, err := w.f.Write(w.frame); err != nil {
 		w.err = err
 		return err
 	}
-	if _, err := w.bw.Write(w.frame); err != nil {
-		w.err = err
-		return err
-	}
-	w.bytes += int64(len(hdr)) + int64(len(w.frame))
-	w.frame = w.frame[:0]
+	w.bytes += int64(len(w.frame))
+	w.frame = w.frame[:frameHeader]
 	return nil
 }
 
-// Finish seals the final frame, flushes and closes the file, and returns
-// the completed Run. The writer is unusable afterwards.
+// Finish seals the final frame, closes the file, and returns the completed
+// Run. The writer is unusable afterwards.
 func (w *Writer) Finish() (*Run, error) {
 	if err := w.sealFrame(); err != nil {
 		w.abort()
 		return nil, fmt.Errorf("spill: write run: %w", err)
 	}
-	if err := w.bw.Flush(); err != nil {
-		w.abort()
-		return nil, fmt.Errorf("spill: flush run: %w", err)
-	}
+	releaseFrame(w.frame)
+	w.frame = nil
 	path := w.f.Name()
 	if err := w.f.Close(); err != nil {
 		return nil, fmt.Errorf("spill: close run: %w", err)
@@ -167,6 +216,8 @@ func (w *Writer) Finish() (*Run, error) {
 func (w *Writer) Abort() { w.abort() }
 
 func (w *Writer) abort() {
+	releaseFrame(w.frame)
+	w.frame = nil
 	if w.f != nil {
 		name := w.f.Name()
 		w.f.Close()
@@ -188,13 +239,16 @@ func (r *Run) Open() (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("spill: open run: %w", err)
 	}
-	return &Reader{f: f, br: bufio.NewReaderSize(f, 64<<10), remaining: r.Bytes}, nil
+	return &Reader{f: f, remaining: r.Bytes}, nil
 }
 
 // Reader iterates the records of a run, verifying each frame's checksum.
+// Frames load into a buffer from the pool when it has one and the frame
+// fits, and otherwise into one of the frame's own size; Close hands a pooled
+// buffer back.
 type Reader struct {
 	f     *os.File
-	br    *bufio.Reader
+	hdr   [frameHeader]byte
 	frame []byte
 	pos   int
 	// remaining is the unread part of the byte count the writer recorded
@@ -217,7 +271,8 @@ func (r *Reader) Next() ([]byte, error) {
 		return nil, fmt.Errorf("spill: %s: corrupt record length", r.f.Name())
 	}
 	r.pos += sz
-	if r.pos+int(n) > len(r.frame) {
+	// Compared unsigned: a length past MaxInt must not wrap negative.
+	if n > uint64(len(r.frame)-r.pos) {
 		return nil, fmt.Errorf("spill: %s: record overruns frame", r.f.Name())
 	}
 	rec := r.frame[r.pos : r.pos+int(n)]
@@ -227,25 +282,30 @@ func (r *Reader) Next() ([]byte, error) {
 
 // readFrame loads and verifies the next frame.
 func (r *Reader) readFrame() error {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r.f, r.hdr[:]); err != nil {
 		if err == io.EOF {
 			return io.EOF
 		}
 		return fmt.Errorf("spill: %s: read frame header: %w", r.f.Name(), err)
 	}
-	n := binary.LittleEndian.Uint32(hdr[0:])
-	want := binary.LittleEndian.Uint32(hdr[4:])
-	r.remaining -= int64(len(hdr))
+	n := binary.LittleEndian.Uint32(r.hdr[0:])
+	want := binary.LittleEndian.Uint32(r.hdr[4:])
+	r.remaining -= frameHeader
 	if n == 0 || n > maxFrame || int64(n) > r.remaining {
 		return fmt.Errorf("spill: %s: implausible frame length %d", r.f.Name(), n)
 	}
 	r.remaining -= int64(n)
 	if cap(r.frame) < int(n) {
-		r.frame = make([]byte, n)
+		releaseFrame(r.frame)
+		b, ok := takeFrame()
+		if !ok || cap(b) < int(n) {
+			releaseFrame(b)
+			b = make([]byte, n)
+		}
+		r.frame = b
 	}
 	r.frame = r.frame[:n]
-	if _, err := io.ReadFull(r.br, r.frame); err != nil {
+	if _, err := io.ReadFull(r.f, r.frame); err != nil {
 		return fmt.Errorf("spill: %s: read frame payload: %w", r.f.Name(), err)
 	}
 	if got := crc32.ChecksumIEEE(r.frame); got != want {
@@ -255,5 +315,10 @@ func (r *Reader) readFrame() error {
 	return nil
 }
 
-// Close releases the underlying file.
-func (r *Reader) Close() error { return r.f.Close() }
+// Close releases the underlying file and hands the frame buffer back to
+// the pool. Records returned by Next are invalid afterwards.
+func (r *Reader) Close() error {
+	releaseFrame(r.frame)
+	r.frame = nil
+	return r.f.Close()
+}

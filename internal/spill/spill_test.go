@@ -192,3 +192,53 @@ func TestDirCleanupRemovesRuns(t *testing.T) {
 		t.Fatal("cleanup must be idempotent")
 	}
 }
+
+// TestOversizedRecordsStayOutOfThePool: a record larger than a frame forms
+// a frame of its own, round-trips intact between ordinary records, and the
+// buffer it grew (writer side) or needed (reader side) is not pooled; only
+// pool-sized buffers come back out of the pool.
+func TestOversizedRecordsStayOutOfThePool(t *testing.T) {
+	d := NewDir(t.TempDir(), "oversized")
+	defer d.Cleanup()
+	w, err := d.NewRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := bytes.Repeat([]byte("x"), 2*frameTarget+3)
+	want := [][]byte{[]byte("before"), big, []byte("after")}
+	for _, rec := range want {
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := run.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, wrec := range want {
+		got, err := rd.Next()
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if !bytes.Equal(got, wrec) {
+			t.Fatalf("record %d: %d bytes, want %d", i, len(got), len(wrec))
+		}
+	}
+	if _, err := rd.Next(); err != io.EOF {
+		t.Fatalf("want EOF, got %v", err)
+	}
+	rd.Close()
+	for {
+		b, ok := takeFrame()
+		if !ok {
+			break
+		}
+		if cap(b) != frameHeader+frameTarget {
+			t.Fatalf("the pool held a %d-byte buffer", cap(b))
+		}
+	}
+}
