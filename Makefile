@@ -37,12 +37,14 @@ unused:
 # The benchmark is a Go module of its own (benchmark/go.mod), so the root
 # ./... does not descend into it; this builds it against the current
 # internal/ APIs and runs its unit tests and one-workload smoke run, then
-# builds and runs one iteration of the CSV-reader, FD-detection (local, disk
+# builds and runs one iteration of the CSV-reader, out-of-core engine
+# (GroupByKeySpill, ReduceByKeySpill, SortBySpill), FD-detection (local, disk
 # exchange and spill: DetectFD, DetectFDDisk, DetectFDSpill), session-stream,
 # FD-clean, hypergraph-repair and equivalence-class-repair benchmarks.
 bench-smoke:
 	cd benchmark && $(GO) test ./...
 	$(GO) test -run xxx -bench ReadCSV -benchtime 1x ./internal/model/
+	$(GO) test -run xxx -bench 'GroupByKeySpill|ReduceByKeySpill|SortBySpill' -benchtime 1x ./internal/engine/
 	$(GO) test -run xxx -bench 'DetectFD|DetectFDDisk|DetectFDSpill' -benchtime 1x ./internal/core/
 	$(GO) test -run xxx -bench SessionStream -benchtime 1x ./internal/cleanse/
 	$(GO) test -run xxx -bench CleanFD -benchtime 1x ./internal/cleanse/

@@ -34,11 +34,12 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"hash/maphash"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -176,7 +177,7 @@ func (sn Snapshot) String() string {
 		return b.String()
 	}
 	stages := append([]StageStat(nil), sn.PerStage...)
-	sort.SliceStable(stages, func(i, j int) bool { return stages[i].ID < stages[j].ID })
+	slices.SortStableFunc(stages, func(a, b StageStat) int { return cmp.Compare(a.ID, b.ID) })
 	fmt.Fprintf(&b, "%4s %-40s %6s %8s %12s %12s\n", "id", "stage", "runs", "tasks", "shuffled", "wall")
 	for _, st := range stages {
 		fmt.Fprintf(&b, "%4d %-40s %6d %8d %12d %12s\n",

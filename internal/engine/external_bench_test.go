@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -32,6 +33,8 @@ func BenchmarkGroupByKeySpill(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			ctx := spillBenchCtx(b, c.budget)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				d := Parallelize(ctx, data, 0)
@@ -40,6 +43,8 @@ func BenchmarkGroupByKeySpill(b *testing.B) {
 				}
 			}
 			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*len(data)), "allocs/record")
 			reportSpill(b, ctx, c.budget)
 		})
 	}

@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"sort"
+	"slices"
 )
 
 // SortBy globally sorts the dataset: elements are range-partitioned using
@@ -27,7 +27,7 @@ func SortBy[T any](d *Dataset[T], less func(a, b T) bool, n int) *Dataset[T] {
 	return MapPartitions(rp, func(_ int, in []T) []T {
 		out := make([]T, len(in))
 		copy(out, in)
-		sort.SliceStable(out, func(i, j int) bool { return less(out[i], out[j]) })
+		slices.SortStableFunc(out, lessCompare(less))
 		return out
 	})
 }
