@@ -23,7 +23,7 @@ func TestConfigFlagsMatchJSON(t *testing.T) {
 	}{
 		{nil, `{}`},
 		{[]string{"-repair", "prob", "-seed", "7", "-prob-samples", "0"}, `{"repair":"prob","seed":7,"probSamples":0}`},
-		{[]string{"-repair", "sampling", "-seed", "9"}, `{"repair":"sampling","seed":9}`},
+		{[]string{"-repair", "eq", "-seed", "9"}, `{"repair":"eq","seed":9}`},
 		{[]string{"-repair", "hypergraph", "-parallel-repair", "-max-iterations", "4", "-freeze-after", "2"},
 			`{"repair":"hypergraph","parallelRepair":true,"maxIterations":4,"freezeAfter":2}`},
 		{[]string{"-planner", "cost", "-backend", "net", "-net-workers", "3"}, `{"planner":"cost","backend":"net","netWorkers":3}`},

@@ -106,22 +106,6 @@ func TestCleanModeHypergraph(t *testing.T) {
 	}
 }
 
-func TestCleanModeSampling(t *testing.T) {
-	input := writeTaxCSV(t)
-	var out bytes.Buffer
-	err := run([]string{
-		"-input", input, "-schema", taxSchema,
-		"-fd", "zipcode -> city",
-		"-mode", "clean", "-repair", "sampling",
-	}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "0 remaining") {
-		t.Errorf("sampling clean: %s", out.String())
-	}
-}
-
 func TestCLIErrors(t *testing.T) {
 	input := writeTaxCSV(t)
 	var out bytes.Buffer
@@ -137,8 +121,11 @@ func TestCLIErrors(t *testing.T) {
 	if err := run([]string{"-input", input, "-schema", taxSchema, "-fd", "zipcode -> city", "-mode", "bogus"}, &out); err == nil {
 		t.Error("bad mode should fail")
 	}
-	if err := run([]string{"-input", input, "-schema", taxSchema, "-fd", "zipcode -> city", "-mode", "clean", "-repair", "bogus"}, &out); err == nil {
-		t.Error("bad repair algorithm should fail")
+	for _, algo := range []string{"bogus", "sampling"} {
+		err := run([]string{"-input", input, "-schema", taxSchema, "-fd", "zipcode -> city", "-mode", "clean", "-repair", algo}, &out)
+		if err == nil || !strings.Contains(err.Error(), "want eq, hypergraph or prob") {
+			t.Errorf("-repair %s: err = %v", algo, err)
+		}
 	}
 	// A bad -schema is an error, not a panic: unknown kind, case-insensitive
 	// duplicate, no attributes.

@@ -21,9 +21,9 @@ import (
 // size, worker addresses) are not here: they are chosen by whoever runs the
 // process, not by a client of the service, and are set on engine.Config.
 type Config struct {
-	Repair         string `json:"repair" help:"repair algorithm: eq (equivalence class) | hypergraph | sampling | prob (factor-graph inference)"`
+	Repair         string `json:"repair" help:"repair algorithm: eq (equivalence class) | hypergraph | prob (factor-graph inference)"`
 	ParallelRepair bool   `json:"parallelRepair" help:"use the parallel black-box repair of Section 5.1"`
-	Seed           int64  `json:"seed" help:"seed of the randomized repair algorithms (sampling draws, prob inference); 0 means 1"`
+	Seed           int64  `json:"seed" help:"seed of the prob repair's inference; 0 means 1"`
 	ProbSamples    int    `json:"probSamples" help:"recorded Gibbs sweeps per component for repair=prob; 0 returns the equivalence-class answer"`
 	MaxIterations  int    `json:"maxIterations" help:"bound on the detect-repair loop; 0 means 10"`
 	FreezeAfter    int    `json:"freezeAfter" help:"freeze a cell after this many updates (the termination device); 0 means 3"`
@@ -79,12 +79,10 @@ func (c Config) Algorithm() (repair.Algorithm, error) {
 		return &repair.EquivalenceClass{}, nil
 	case "hypergraph":
 		return &repair.Hypergraph{}, nil
-	case "sampling":
-		return &repair.Sampling{Seed: c.Seed}, nil
 	case "prob":
 		return &probrepair.Prob{Samples: c.ProbSamples, Seed: c.Seed}, nil
 	}
-	return nil, fmt.Errorf("unknown repair algorithm %q (want eq, hypergraph, sampling or prob)", c.Repair)
+	return nil, fmt.Errorf("unknown repair algorithm %q (want eq, hypergraph or prob)", c.Repair)
 }
 
 // Build validates c and turns it into what a run needs: the Cleaner

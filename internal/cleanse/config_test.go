@@ -23,7 +23,6 @@ func TestConfigBuild(t *testing.T) {
 	}{
 		{"default", func(*Config) {}, &repair.EquivalenceClass{}, "", engine.BackendLocal},
 		{"hypergraph", func(c *Config) { c.Repair = "hypergraph" }, &repair.Hypergraph{}, "", engine.BackendLocal},
-		{"sampling", func(c *Config) { c.Repair, c.Seed = "sampling", 9 }, &repair.Sampling{Seed: 9}, "", engine.BackendLocal},
 		{"prob", func(c *Config) { c.Repair, c.Seed = "prob", 7 },
 			&probrepair.Prob{Samples: probrepair.DefaultSamples, Seed: 7}, "", engine.BackendLocal},
 		{"prob-eq", func(c *Config) { c.Repair, c.ProbSamples = "prob", 0 }, &probrepair.Prob{Seed: 1}, "", engine.BackendLocal},
@@ -77,6 +76,7 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{func(c *Config) { c.Repair = "magic" }, "repair algorithm"},
 		{func(c *Config) { c.Repair = "" }, "repair algorithm"},
+		{func(c *Config) { c.Repair = "sampling" }, "want eq, hypergraph or prob"},
 		{func(c *Config) { c.Planner = "bogus" }, "planner"},
 		{func(c *Config) { c.Backend = "yarn" }, "backend"},
 		{func(c *Config) { c.ProbSamples = -1 }, "probSamples"},

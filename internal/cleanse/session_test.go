@@ -411,7 +411,7 @@ func TestSessionRepairMemorySticky(t *testing.T) {
 // session for a fixed seed.
 func TestSessionProbAlgorithm(t *testing.T) {
 	rel := dirtyTax(8, 8, 2)
-	shared := probrepair.New(7)
+	shared := &probrepair.Prob{Samples: probrepair.DefaultSamples, Seed: 7}
 	cleaner, err := NewCleaner(engine.New(4), []*core.Rule{fdZipCity(t, rel)},
 		WithAlgorithm(shared),
 		WithParallelRepair(repair.Options{}))

@@ -89,21 +89,17 @@ func Evaluate(tr *Truth, repaired *model.Relation) Quality {
 // to the same duplicate cluster, and a truth pair counts as recalled when
 // the detected pairs connect its two tuples (directly or transitively).
 func DedupQuality(tr *Truth, detected [][2]int64) Quality {
-	truthUF := graphLikeUF{}
-	for _, p := range tr.DupPairs {
-		truthUF.union(p[0], p[1])
-	}
+	truth := clusters(tr.DupPairs)
 	correct := 0
-	detUF := graphLikeUF{}
 	for _, p := range detected {
-		if truthUF.sameKnown(p[0], p[1]) {
+		if sameCluster(truth, p) {
 			correct++
 		}
-		detUF.union(p[0], p[1])
 	}
+	found := clusters(detected)
 	recalled := 0
 	for _, p := range tr.DupPairs {
-		if detUF.sameKnown(p[0], p[1]) {
+		if sameCluster(found, p) {
 			recalled++
 		}
 	}
@@ -117,35 +113,38 @@ func DedupQuality(tr *Truth, detected [][2]int64) Quality {
 	return q
 }
 
-// graphLikeUF is a tiny lazy union-find over int64 keys.
-type graphLikeUF map[int64]int64
-
-func (u graphLikeUF) find(x int64) int64 {
-	r, ok := u[x]
-	if !ok || r == x {
-		return x
+// clusters labels every tuple the pairs name with one tuple of its
+// cluster: the tuples the pairs connect, directly or transitively.
+func clusters(pairs [][2]int64) map[int64]int64 {
+	adj := map[int64][]int64{}
+	for _, p := range pairs {
+		adj[p[0]] = append(adj[p[0]], p[1])
+		adj[p[1]] = append(adj[p[1]], p[0])
 	}
-	root := u.find(r)
-	u[x] = root
-	return root
+	label := make(map[int64]int64, len(adj))
+	for start := range adj {
+		if _, ok := label[start]; ok {
+			continue
+		}
+		label[start] = start
+		for stack := []int64{start}; len(stack) > 0; {
+			x := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, y := range adj[x] {
+				if _, ok := label[y]; !ok {
+					label[y] = start
+					stack = append(stack, y)
+				}
+			}
+		}
+	}
+	return label
 }
 
-func (u graphLikeUF) union(a, b int64) {
-	ra, rb := u.find(a), u.find(b)
-	if ra != rb {
-		u[ra] = rb
-	}
-	if _, ok := u[a]; !ok {
-		u[a] = rb
-	}
-	if _, ok := u[b]; !ok {
-		u[b] = rb
-	}
-}
-
-// sameKnown reports whether both keys were seen and share a set.
-func (u graphLikeUF) sameKnown(a, b int64) bool {
-	_, okA := u[a]
-	_, okB := u[b]
-	return okA && okB && u.find(a) == u.find(b)
+// sameCluster reports whether the pairs labeled both tuples of p, into one
+// cluster.
+func sameCluster(label map[int64]int64, p [2]int64) bool {
+	a, okA := label[p[0]]
+	b, okB := label[p[1]]
+	return okA && okB && a == b
 }

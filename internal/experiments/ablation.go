@@ -135,10 +135,7 @@ func Fig12a(cfg Config) ([]*Table, error) {
 	t := &Table{ID: "fig12a", Title: "full API vs Detect-only (dedup UDF on TaxA)", XLabel: "variant#", YLabel: "seconds",
 		Series: []Series{{Name: "full-api"}, {Name: "detect-only"}},
 		Notes:  []string{"variant 1 = full five-operator API, 2 = Detect-only"}}
-	rel := datagen.TaxA(cfg.rows(2000), 0.1, cfg.Seed).Dirty
-	rule, err := rules.DedupRule(rules.DedupConfig{
-		ID: "dedupTax", NameAttr: "name", PhoneAttr: "", NameThreshold: 0.85,
-	}, datagen.TaxSchema())
+	rel, rule, err := fig12aInput(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -164,6 +161,14 @@ func Fig12a(cfg Config) ([]*Table, error) {
 
 	t.Notes = append(t.Notes, "paper: the full API is 3 orders of magnitude faster than Detect-only")
 	return []*Table{t}, nil
+}
+
+// fig12aInput is Figure 12(a)'s relation and dedup rule.
+func fig12aInput(cfg Config) (*model.Relation, *core.Rule, error) {
+	rule, err := rules.DedupRule(rules.DedupConfig{
+		ID: "dedupTax", NameAttr: "name", PhoneAttr: "", NameThreshold: 0.85,
+	}, datagen.TaxSchema())
+	return datagen.TaxA(cfg.rows(2000), 0.1, cfg.Seed).Dirty, rule, err
 }
 
 // Tables23 prints Table 2 (dataset statistics at the configured scale) and

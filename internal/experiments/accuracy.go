@@ -29,7 +29,7 @@ func ExtAccuracy(cfg Config) ([]*Table, error) {
 	}{
 		{"equivalence", func() repair.Algorithm { return &repair.EquivalenceClass{} }},
 		{"hypergraph", func() repair.Algorithm { return &repair.Hypergraph{} }},
-		{"prob", func() repair.Algorithm { return probrepair.New(cfg.Seed) }},
+		{"prob", func() repair.Algorithm { return &probrepair.Prob{Samples: probrepair.DefaultSamples, Seed: cfg.Seed} }},
 	}
 	series := func() []Series {
 		s := make([]Series, len(algos))

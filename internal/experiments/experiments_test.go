@@ -2,15 +2,17 @@ package experiments
 
 import (
 	"bytes"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
+	"bigdansing/internal/baseline"
+	"bigdansing/internal/core"
 	"bigdansing/internal/datagen"
 	"bigdansing/internal/engine"
 	"bigdansing/internal/join"
 	"bigdansing/internal/model"
+	"bigdansing/internal/trace"
 )
 
 // tinyCfg runs experiments at a small scale so the whole suite stays fast
@@ -106,48 +108,66 @@ func TestFig9bOCJoinWins(t *testing.T) {
 }
 
 func TestFig10aHadoopSlowerThanSpark(t *testing.T) {
-	// Compare the two backends directly (Fig10a's full sweep also runs the
-	// Shark cross product, far too slow for the test suite). Needs enough
-	// rows for disk spilling to dominate the backend gap.
-	cfg := tinyCfg()
-	cfg = cfg.withDefaults()
-	rule := mustRule(phi1())
-	rel := mkTaxA(cfg, 40000)
-	eventually(t, 3, "in-memory backend should beat disk backend", func() (bool, error) {
-		spark, err := detectWith(cfg, sysBigDansing, rule, rel)
-		if err != nil {
-			return false, err
-		}
-		hadoop, err := detectWith(cfg, sysBDHadoop, rule, rel)
-		if err != nil {
-			return false, err
-		}
-		return spark < hadoop, nil
-	})
+	cfg := tinyCfg().withDefaults()
+	checkDiskBackendGap(t, cfg, mustRule(phi1()), mkTaxA(cfg, 40000))
 }
 
-func TestFig11aSpeedsUpWithWorkers(t *testing.T) {
-	// Needs enough work per task for parallelism to pay off; the speedup
-	// ceiling is the machine's physical core count, so assert a modest
-	// 1.2x between 1 worker and the best multi-worker run.
-	if runtime.NumCPU() < 2 {
-		t.Skip("speedup needs more than one CPU")
-	}
-	cfg := tinyCfg()
-	cfg.Scale = 0.5
-	tables, err := Fig11a(cfg)
+// tracedDetect runs detect on a context of w workers with a tracer
+// installed and returns the finished trace.
+func tracedDetect(t *testing.T, w int, detect func(*engine.Context) (*core.DetectResult, error)) *trace.Tracer {
+	t.Helper()
+	tr := trace.New()
+	ctx, err := engine.NewContext(engine.Config{Parallelism: w, Observer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bd := tables[0].Get(sysBigDansing)
-	best := bd.Value(1)
-	for _, p := range bd.Points {
-		if p.Value < best {
-			best = p.Value
-		}
+	if _, err := detect(ctx); err != nil {
+		t.Fatal(err)
 	}
-	if best*1.1 >= bd.Value(1) {
-		t.Errorf("multi-worker best (%v) should be faster than 1 worker (%v)", best, bd.Value(1))
+	tr.Finish()
+	return tr
+}
+
+// TestFig11aSpeedsUpWithWorkers checks the mechanism of Figure 11(a)'s
+// scale-out: at each of the figure's worker counts w, every stage that
+// reads the whole input splits it into w tasks, the largest holding about
+// 1/w of the records.
+func TestFig11aSpeedsUpWithWorkers(t *testing.T) {
+	cfg := tinyCfg().withDefaults()
+	rule := mustRule(phi3())
+	rel := mkTPCH(cfg, cfg.rows(200000))
+	n := int64(rel.Len())
+	for _, w := range []int{1, 2, 4, 8, 16} {
+		tr := tracedDetect(t, w, func(ctx *engine.Context) (*core.DetectResult, error) { return core.DetectRule(ctx, rule, rel) })
+		type stage struct{ tasks, sum, largest int64 }
+		stages := map[int]*stage{}
+		for _, sp := range tr.Spans() {
+			if sp.Kind() != engine.SpanTask {
+				continue
+			}
+			in, _ := sp.AttrValue(engine.AttrRecordsIn)
+			st := stages[sp.ParentID()]
+			if st == nil {
+				st = &stage{}
+				stages[sp.ParentID()] = st
+			}
+			st.tasks++
+			st.sum += in
+			st.largest = max(st.largest, in)
+		}
+		whole := 0
+		for _, st := range stages {
+			if st.sum != n {
+				continue
+			}
+			whole++
+			if st.tasks != int64(w) || float64(st.largest) > 1.5*float64(n)/float64(w) {
+				t.Errorf("%d workers: a stage reading all %d records ran %d tasks, the largest reading %d", w, n, st.tasks, st.largest)
+			}
+		}
+		if whole == 0 {
+			t.Errorf("%d workers: no stage read all %d records", w, n)
+		}
 	}
 }
 
@@ -220,16 +240,28 @@ func TestFig11cOCJoinBeatsCrossProducts(t *testing.T) {
 	}
 }
 
+// TestFig12aFullAPIWins checks the mechanism of Figure 12(a): Scope, Block
+// and Iterate prune the pairs the dedup UDF compares, so the full API
+// compares fewer pairs than the same UDF run Detect-only.
 func TestFig12aFullAPIWins(t *testing.T) {
-	tables, err := Fig12a(tinyCfg())
+	rel, rule, err := fig12aInput(tinyCfg().withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := tables[0]
-	full := tbl.Get("full-api").Points[0].Value
-	only := tbl.Get("detect-only").Points[0].Value
-	if full >= only {
-		t.Errorf("full API (%v) should beat Detect-only (%v)", full, only)
+	pairs := func(detect func(*engine.Context) (*core.DetectResult, error)) int64 {
+		total := int64(0)
+		for _, sp := range tracedDetect(t, 4, detect).Spans() {
+			if p, ok := sp.AttrValue(engine.AttrPairs); ok && sp.Kind() == engine.SpanPipeline {
+				total += p
+			}
+		}
+		return total
+	}
+	full := pairs(func(ctx *engine.Context) (*core.DetectResult, error) { return core.DetectRule(ctx, rule, rel) })
+	only := pairs(func(ctx *engine.Context) (*core.DetectResult, error) { return baseline.DetectOnly(ctx, rule, rel) })
+	t.Logf("pairs compared: full API %d, Detect-only %d", full, only)
+	if full <= 0 || full >= only {
+		t.Errorf("full API compared %d pairs, Detect-only %d: the full API should compare fewer", full, only)
 	}
 }
 

@@ -1,10 +1,11 @@
 package probrepair
 
 import (
+	"slices"
 	"sort"
 
-	"bigdansing/internal/graph"
 	"bigdansing/internal/model"
+	"bigdansing/internal/repair"
 )
 
 // variable is one random variable of the factor graph: an equivalence
@@ -57,26 +58,22 @@ func cmpValue(a, b model.Value) int {
 // by their smallest cell key, domains canonically, and the factor list is
 // sorted before indices are handed out.
 func compile(component []model.FixSet, ls *learnedState, maxDomain int) *fgraph {
-	// Intern cells and union the ones equality fixes connect — the same
-	// class construction as the equivalence-class algorithm, so the
-	// fallback's classes and ours coincide.
-	type cellInfo struct {
-		cell model.Cell
-		id   int64
-	}
-	ids := map[model.CellKey]*cellInfo{}
-	uf := graph.NewUnionFind()
-	next := int64(0)
-	intern := func(c model.Cell) *cellInfo {
-		k := c.MapKey()
-		if ci, ok := ids[k]; ok {
-			return ci
+	// The classes are the equivalence-class algorithm's own, so the
+	// fallback's classes and ours coincide. Every other cell the component
+	// touches — a violation cell, a cell of a non-equality fix — is a class
+	// of its own.
+	classes, constFixes := repair.EquivalenceClasses(component)
+	classOf := map[model.CellKey]int{} // member cell -> class index, once classes are sorted
+	for _, class := range classes {
+		for _, c := range class {
+			classOf[c.MapKey()] = 0
 		}
-		ci := &cellInfo{cell: c, id: next}
-		next++
-		ids[k] = ci
-		uf.Add(ci.id)
-		return ci
+	}
+	single := func(c model.Cell) {
+		if _, ok := classOf[c.MapKey()]; !ok {
+			classOf[c.MapKey()] = 0
+			classes = append(classes, []model.Cell{c})
+		}
 	}
 	type rawFactor struct {
 		left       model.CellKey
@@ -85,26 +82,19 @@ func compile(component []model.FixSet, ls *learnedState, maxDomain int) *fgraph 
 		right      model.CellKey
 		rightConst model.Value
 	}
-	constFixes := map[model.CellKey][]model.Value{}
 	var raws []rawFactor
 	for _, fs := range component {
 		for _, c := range fs.Violation.Cells {
-			intern(c)
+			single(c)
 		}
 		for _, f := range fs.Fixes {
-			l := intern(f.Left())
 			if f.Op == model.OpEQ {
-				if f.RightIsCell {
-					uf.Union(l.id, intern(f.RightCell()).id)
-				} else {
-					k := f.Left().MapKey()
-					constFixes[k] = append(constFixes[k], f.Const())
-				}
 				continue
 			}
+			single(f.Left())
 			raw := rawFactor{left: f.Left().MapKey(), op: f.Op}
 			if f.RightIsCell {
-				intern(f.RightCell())
+				single(f.RightCell())
 				raw.rightIsVar = true
 				raw.right = f.RightCell().MapKey()
 			} else {
@@ -114,22 +104,16 @@ func compile(component []model.FixSet, ls *learnedState, maxDomain int) *fgraph 
 		}
 	}
 
-	// Group into classes, sorted members, sorted class order.
-	classMembers := map[int64][]*cellInfo{}
-	for _, ci := range ids {
-		root := uf.Find(ci.id)
-		classMembers[root] = append(classMembers[root], ci)
+	// Sorted members, classes in the order of their smallest member.
+	for _, class := range classes {
+		slices.SortFunc(class, func(a, b model.Cell) int { return a.MapKey().Compare(b.MapKey()) })
 	}
-	roots := make([]int64, 0, len(classMembers))
-	for root, members := range classMembers {
-		sort.Slice(members, func(i, j int) bool {
-			return members[i].cell.MapKey().Less(members[j].cell.MapKey())
-		})
-		roots = append(roots, root)
+	slices.SortFunc(classes, func(a, b []model.Cell) int { return a[0].MapKey().Compare(b[0].MapKey()) })
+	for ci, class := range classes {
+		for _, c := range class {
+			classOf[c.MapKey()] = ci
+		}
 	}
-	sort.Slice(roots, func(i, j int) bool {
-		return classMembers[roots[i]][0].cell.MapKey().Less(classMembers[roots[j]][0].cell.MapKey())
-	})
 
 	// Component-level column co-occurrence counts: the domain-pruning pool
 	// and the frequency fallback when no global table has been learned.
@@ -139,22 +123,20 @@ func compile(component []model.FixSet, ls *learnedState, maxDomain int) *fgraph 
 	}
 	colCounts := map[int]map[model.ValueKey]*valCount{}
 	colMax := map[int]int{}
-	for _, ci := range ids {
-		col := ci.cell.Col
-		m := colCounts[col]
-		if m == nil {
-			m = map[model.ValueKey]*valCount{}
-			colCounts[col] = m
-		}
-		vk := ci.cell.Value.MapKey()
-		vc := m[vk]
-		if vc == nil {
-			vc = &valCount{v: ci.cell.Value}
-			m[vk] = vc
-		}
-		vc.n++
-		if vc.n > colMax[col] {
-			colMax[col] = vc.n
+	for _, class := range classes {
+		for _, c := range class {
+			m := colCounts[c.Col]
+			if m == nil {
+				m = map[model.ValueKey]*valCount{}
+				colCounts[c.Col] = m
+			}
+			vc := m[c.Value.MapKey()]
+			if vc == nil {
+				vc = &valCount{v: c.Value}
+				m[c.Value.MapKey()] = vc
+			}
+			vc.n++
+			colMax[c.Col] = max(colMax[c.Col], vc.n)
 		}
 	}
 	freq := func(col int, v model.Value) float64 {
@@ -171,16 +153,16 @@ func compile(component []model.FixSet, ls *learnedState, maxDomain int) *fgraph 
 	// factor can never change — it gets no variable (matching the
 	// equivalence-class algorithm's skip), but its value still fed the
 	// co-occurrence counts above.
-	crossTouch := map[int64]bool{}
+	crossTouch := map[int]bool{}
 	for _, raw := range raws {
-		crossTouch[uf.Find(ids[raw.left].id)] = true
+		crossTouch[classOf[raw.left]] = true
 		if raw.rightIsVar {
-			crossTouch[uf.Find(ids[raw.right].id)] = true
+			crossTouch[classOf[raw.right]] = true
 		}
 	}
-	hasConst := func(members []*cellInfo) bool {
+	hasConst := func(members []model.Cell) bool {
 		for _, m := range members {
-			if len(constFixes[m.cell.MapKey()]) > 0 {
+			if len(constFixes[m.MapKey()]) > 0 {
 				return true
 			}
 		}
@@ -188,23 +170,19 @@ func compile(component []model.FixSet, ls *learnedState, maxDomain int) *fgraph 
 	}
 
 	g := &fgraph{cellVar: map[model.CellKey]int{}}
-	varOf := map[int64]int{}
+	varOf := map[int]int{}
 	totalConsts := 0
-	for _, root := range roots {
-		members := classMembers[root]
+	for ci, members := range classes {
 		withConst := hasConst(members)
-		if len(members) == 1 && !withConst && !crossTouch[root] {
+		if len(members) == 1 && !withConst && !crossTouch[ci] {
 			continue
 		}
-		v := &variable{cells: make([]model.Cell, len(members))}
-		for i, m := range members {
-			v.cells[i] = m.cell
-		}
+		v := &variable{cells: members}
 
 		// Candidate domain. Constant fixes are hard requirements (CFD
 		// patterns, unary DCs): when present the domain is the constant
-		// targets alone, exactly as the equivalence-class and sampling
-		// algorithms treat them.
+		// targets alone, exactly as the equivalence-class algorithm treats
+		// them.
 		type cand struct {
 			v     model.Value
 			n     int // ranking count (const votes, or co-occurrence)
@@ -224,16 +202,16 @@ func compile(component []model.FixSet, ls *learnedState, maxDomain int) *fgraph 
 		}
 		if withConst {
 			for _, m := range members {
-				for _, cv := range constFixes[m.cell.MapKey()] {
+				for _, cv := range constFixes[m.MapKey()] {
 					add(cv, 1, true)
 				}
 			}
 		} else {
 			for _, m := range members {
-				add(m.cell.Value, 0, true) // originals are always kept
+				add(m.Value, 0, true) // originals are always kept
 			}
 			for _, m := range members {
-				for _, vc := range colCounts[m.cell.Col] {
+				for _, vc := range colCounts[m.Col] {
 					add(vc.v, vc.n, false)
 				}
 			}
@@ -262,12 +240,12 @@ func compile(component []model.FixSet, ls *learnedState, maxDomain int) *fgraph 
 		v.consts = make([]float64, len(v.domain))
 		for d, dv := range v.domain {
 			for _, m := range members {
-				if m.cell.Value.Equal(dv) {
+				if m.Value.Equal(dv) {
 					v.votes[d]++
 					v.cooc[d] += 0.5
 				}
-				v.cooc[d] += 0.5 * freq(m.cell.Col, dv)
-				for _, cv := range constFixes[m.cell.MapKey()] {
+				v.cooc[d] += 0.5 * freq(m.Col, dv)
+				for _, cv := range constFixes[m.MapKey()] {
 					if cv.Equal(dv) {
 						v.consts[d]++
 					}
@@ -280,10 +258,10 @@ func compile(component []model.FixSet, ls *learnedState, maxDomain int) *fgraph 
 			}
 		}
 		for _, m := range members {
-			totalConsts += len(constFixes[m.cell.MapKey()])
+			totalConsts += len(constFixes[m.MapKey()])
 		}
 
-		varOf[root] = len(g.vars)
+		varOf[ci] = len(g.vars)
 		for _, c := range v.cells {
 			g.cellVar[c.MapKey()] = len(g.vars)
 		}
@@ -294,10 +272,10 @@ func compile(component []model.FixSet, ls *learnedState, maxDomain int) *fgraph 
 	// score summation order (and its floating-point rounding) is stable
 	// under fix-set permutation.
 	for _, raw := range raws {
-		f := factor{left: varOf[uf.Find(ids[raw.left].id)], op: raw.op}
+		f := factor{left: varOf[classOf[raw.left]], op: raw.op}
 		if raw.rightIsVar {
 			f.rightIsVar = true
-			f.right = varOf[uf.Find(ids[raw.right].id)]
+			f.right = varOf[classOf[raw.right]]
 		} else {
 			f.rightConst = raw.rightConst
 		}

@@ -51,7 +51,7 @@ func cleanTax(t *testing.T, tr *datagen.Truth, algo repair.Algorithm, parallelis
 func TestProbAccuracyAtLeastEquivalence(t *testing.T) {
 	tr := datagen.TaxA(1500, 0.05, 11)
 	eqQ := datagen.Evaluate(tr, cleanTax(t, tr, &repair.EquivalenceClass{}, 4))
-	probQ := datagen.Evaluate(tr, cleanTax(t, tr, probrepair.New(11), 4))
+	probQ := datagen.Evaluate(tr, cleanTax(t, tr, &probrepair.Prob{Samples: probrepair.DefaultSamples, Seed: 11}, 4))
 	t.Logf("eq:   precision=%.4f recall=%.4f updated=%d", eqQ.Precision, eqQ.Recall, eqQ.Updated)
 	t.Logf("prob: precision=%.4f recall=%.4f updated=%d", probQ.Precision, probQ.Recall, probQ.Updated)
 	if probQ.Precision < eqQ.Precision {
@@ -70,9 +70,9 @@ func TestProbAccuracyAtLeastEquivalence(t *testing.T) {
 // repair parallelism levels (worker scheduling must not leak into results).
 func TestProbByteReproducible(t *testing.T) {
 	tr := datagen.TaxA(600, 0.08, 5)
-	a := cleanTax(t, tr, probrepair.New(5), 4)
-	b := cleanTax(t, tr, probrepair.New(5), 4)
-	c := cleanTax(t, tr, probrepair.New(5), 1)
+	a := cleanTax(t, tr, &probrepair.Prob{Samples: probrepair.DefaultSamples, Seed: 5}, 4)
+	b := cleanTax(t, tr, &probrepair.Prob{Samples: probrepair.DefaultSamples, Seed: 5}, 4)
+	c := cleanTax(t, tr, &probrepair.Prob{Samples: probrepair.DefaultSamples, Seed: 5}, 1)
 	diff := func(x, y *model.Relation, label string) {
 		t.Helper()
 		if x.Len() != y.Len() {

@@ -30,7 +30,7 @@ import (
 // Defaults for the zero-valued tuning knobs of Prob.
 const (
 	// DefaultSamples is the recorded Gibbs sweep count used when Samples
-	// is negative (New uses it too).
+	// is negative, and the standard setting.
 	DefaultSamples = 128
 	// DefaultBurnIn is the discarded warm-up sweep count.
 	DefaultBurnIn = 24
@@ -54,7 +54,8 @@ const (
 // Prob is the probabilistic repair algorithm. The zero value is valid but
 // degenerate — Samples==0 disables sampling entirely and the algorithm
 // returns exactly the equivalence-class answer (the degradation contract
-// the property tests pin down). Use New for the standard configuration.
+// the property tests pin down). Set Samples to DefaultSamples for the
+// standard configuration.
 type Prob struct {
 	// Samples is the number of recorded Gibbs sweeps per component.
 	// 0 disables sampling (exact equivalence-class degradation); negative
@@ -93,12 +94,6 @@ type Prob struct {
 	// library users that interleave Fit and Repair.
 	mu      sync.Mutex
 	learned *learnedState
-}
-
-// New returns a Prob with the standard configuration and the given seed
-// (0 means 1).
-func New(seed int64) *Prob {
-	return &Prob{Samples: DefaultSamples, Seed: seed}
 }
 
 // Name implements repair.Algorithm.

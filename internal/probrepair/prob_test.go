@@ -156,7 +156,7 @@ func TestRepairDeterministicUnderFixSetPermutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		fss := randomComponent(rng)
-		base, err := New(42).Repair(fss)
+		base, err := (&Prob{Samples: DefaultSamples, Seed: 42}).Repair(fss)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestRepairDeterministicUnderFixSetPermutation(t *testing.T) {
 			rng.Shuffle(len(shuffled), func(i, j int) {
 				shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 			})
-			got, err := New(42).Repair(shuffled)
+			got, err := (&Prob{Samples: DefaultSamples, Seed: 42}).Repair(shuffled)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,7 +181,7 @@ func TestSymmetricTieFallsBackToEquivalenceChoice(t *testing.T) {
 	// A two-cell tie has a flat marginal: the margin threshold must route
 	// it to the equivalence-class tie-break (smaller rendered value).
 	fss := []model.FixSet{fdFixSet("fd", 1, 2, "SF", "LA")}
-	as, err := New(3).Repair(fss)
+	as, err := (&Prob{Samples: DefaultSamples, Seed: 3}).Repair(fss)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestMajorityVoteWinsWithSampling(t *testing.T) {
 		fdFixSet("fd", 2, 4, "LA", "SF"),
 		fdFixSet("fd", 3, 4, "LA", "SF"),
 	}
-	as, err := New(1).Repair(fss)
+	as, err := (&Prob{Samples: DefaultSamples, Seed: 1}).Repair(fss)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestConstFixCommitted(t *testing.T) {
 		Violation: model.NewViolation("cfd", c1),
 		Fixes:     []model.Fix{model.NewConstFix(c1, model.OpEQ, model.S("LA"))},
 	}}
-	as, err := New(1).Repair(fss)
+	as, err := (&Prob{Samples: DefaultSamples, Seed: 1}).Repair(fss)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestCrossFactorSteersInequalityRepair(t *testing.T) {
 	if len(eqAs) != 0 {
 		t.Fatalf("eq should propose nothing for inequality fixes, got %v", eqAs)
 	}
-	as, err := New(1).Repair(fss)
+	as, err := (&Prob{Samples: DefaultSamples, Seed: 1}).Repair(fss)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestCrossFactorSteersInequalityRepair(t *testing.T) {
 }
 
 func TestCloneAlgorithmIsolatesLearnedState(t *testing.T) {
-	p := New(5)
+	p := &Prob{Samples: DefaultSamples, Seed: 5}
 	p.setLearned(&learnedState{wMin: 7, wCooc: 7})
 	cl := p.CloneAlgorithm().(*Prob)
 	if cl.learnedRef() != nil {
@@ -274,13 +274,21 @@ func TestCloneAlgorithmIsolatesLearnedState(t *testing.T) {
 }
 
 func TestAlgorithmCodeRegistersProb(t *testing.T) {
-	if repair.AlgorithmCode("prob") != repair.AlgoProb {
-		t.Error("AlgorithmCode(prob) != AlgoProb")
+	// Exported traces carry these numbers, so they never move; a retired
+	// name maps to AlgoUnknown.
+	for name, want := range map[string]int64{
+		"equivalence-class":    1,
+		"hypergraph":           2,
+		"equivalence-class-mr": 4,
+		"prob":                 5,
+		"sampling":             repair.AlgoUnknown,
+		"nope":                 repair.AlgoUnknown,
+	} {
+		if got := repair.AlgorithmCode(name); got != want {
+			t.Errorf("AlgorithmCode(%q) = %d, want %d", name, got, want)
+		}
 	}
-	if repair.AlgorithmCode("equivalence-class") != repair.AlgoEquivalenceClass {
-		t.Error("AlgorithmCode(equivalence-class) != AlgoEquivalenceClass")
-	}
-	if repair.AlgorithmCode("nope") != repair.AlgoUnknown {
-		t.Error("unknown name should map to AlgoUnknown")
+	if repair.AlgoEquivalenceClass != 1 || repair.AlgoHypergraph != 2 || repair.AlgoDistributedEq != 4 || repair.AlgoProb != 5 {
+		t.Error("algorithm code constants moved")
 	}
 }

@@ -57,19 +57,6 @@ func Parse(r io.Reader) ([]Triple, error) {
 // ParseString parses triples from a string.
 func ParseString(s string) ([]Triple, error) { return Parse(strings.NewReader(s)) }
 
-// Schema is the triple relation's schema.
-func Schema() *model.Schema { return model.MustParseSchema("subject,predicate,object") }
-
-// Write renders triples in the input format, one per line.
-func Write(w io.Writer, triples []Triple) error {
-	for _, t := range triples {
-		if _, err := fmt.Fprintln(w, t.String()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // FromPivoted converts a pivoted relation (see Pivot) back to triples: one
 // triple per non-null predicate cell, so repaired tuples translate back to
 // an updated RDF graph (the final step of the Appendix C scenario).

@@ -79,8 +79,8 @@ func TestFromPivotedRoundTrip(t *testing.T) {
 		t.Fatalf("triples = %d, want 4", len(back))
 	}
 	var buf strings.Builder
-	if err := Write(&buf, back); err != nil {
-		t.Fatal(err)
+	for _, tr := range back {
+		buf.WriteString(tr.String() + "\n")
 	}
 	again, err := ParseString(buf.String())
 	if err != nil {

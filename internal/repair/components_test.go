@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"bigdansing/internal/graph"
 	"bigdansing/internal/model"
 )
 
@@ -51,7 +50,7 @@ func randomFixSets(r *rand.Rand) []model.FixSet {
 // component, linking fix sets through every cell they touch (a constant
 // fix's constant is not a cell).
 func componentOracle(fixSets []model.FixSet) []int32 {
-	uf := graph.NewUnionFind()
+	uf := newUnionFind()
 	firstWith := map[model.CellKey]int64{}
 	for i, fs := range fixSets {
 		uf.Add(int64(i))

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"bigdansing/internal/engine"
-	"bigdansing/internal/graph"
 	"bigdansing/internal/model"
 )
 
@@ -24,9 +23,9 @@ import (
 // jobs run on whatever backend Ctx has: in memory, over TCP, or — with a
 // mapred.Engine as its exchange — through run files on disk.
 //
-// The class ("ccID") is the equivalence class the fixes induce — computed
-// with a union-find over equality fixes, which coincides with the connected
-// component for single-FD workloads the paper describes.
+// The class ("ccID") is the equivalence class the fixes induce — built
+// exactly as EquivalenceClass builds it, and coinciding with the connected
+// component for the single-FD workloads the paper describes.
 type DistributedEquivalenceClass struct {
 	Ctx *engine.Context
 }
@@ -84,56 +83,27 @@ func (d *DistributedEquivalenceClass) Repair(component []model.FixSet) ([]Assign
 	}
 
 	// Preprocessing (the "connected component ID" the paper's first map
-	// assumes available): union cells linked by equality fixes. In-memory
-	// cell identity is the comparable key.
-	uf := graph.NewUnionFind()
-	idOf := map[model.CellKey]int64{}
-	cells := map[model.CellKey]model.Cell{}
-	next := int64(0)
-	intern := func(c model.Cell) int64 {
-		k := c.MapKey()
-		if id, ok := idOf[k]; ok {
-			return id
-		}
-		idOf[k] = next
-		cells[k] = c
-		uf.Add(next)
-		next++
-		return idOf[k]
-	}
-	consts := map[model.CellKey][]model.Value{} // cell -> required constants
-	for _, fs := range component {
-		for _, c := range fs.Violation.Cells {
-			intern(c)
-		}
-		for _, f := range fs.Fixes {
-			if f.Op != model.OpEQ {
-				continue
-			}
-			l := intern(f.Left())
-			if f.RightIsCell {
-				uf.Union(l, intern(f.RightCell()))
-			} else {
-				consts[f.Left().MapKey()] = append(consts[f.Left().MapKey()], f.Const())
-			}
-		}
-	}
-	classOf := func(k model.CellKey) int64 { return uf.Find(idOf[k]) }
+	// assumes available): the equivalence classes, each named by its root.
+	c := buildClasses(component)
 
 	// ---- Job 1 input: one vote per element (value counted once per
 	// element, satisfying "if an element exists in multiple fixes, we only
 	// count its value once"). Constants enter with a boosted count so they
-	// win the vote (hard requirements).
-	classSize := map[int64]int{}
-	for k := range idOf {
-		classSize[classOf(k)]++
-	}
+	// win the vote (hard requirements). Lone cells without constants are
+	// never repaired, so they cast no votes.
 	var votes []engine.Pair[classValue, vote]
-	for k, c := range cells {
-		cc := classOf(k)
-		votes = append(votes, engine.KV(classValue{cc, c.Value.MapKey()}, vote{1, c.Value}))
-		for _, cv := range consts[k] {
-			votes = append(votes, engine.KV(classValue{cc, cv.MapKey()}, vote{int64(classSize[cc] + 1), cv}))
+	for r := range c.first {
+		class := c.class(r)
+		if !c.needsRepair(class) {
+			continue
+		}
+		for _, id := range class {
+			v := c.first[id].cell(component).Value
+			votes = append(votes, engine.KV(classValue{int64(r), v.MapKey()}, vote{1, v}))
+			for _, j := range c.consts(id) {
+				cv := c.constFixes[j].fix(component).Const()
+				votes = append(votes, engine.KV(classValue{int64(r), cv.MapKey()}, vote{int64(len(class) + 1), cv}))
+			}
 		}
 	}
 
@@ -163,19 +133,18 @@ func (d *DistributedEquivalenceClass) Repair(component []model.FixSet) ([]Assign
 	}
 
 	// Emit assignments for every element whose value differs from its
-	// class target; singleton classes without constant requirements keep
-	// their value.
+	// class target.
 	var out []Assignment
-	for k, c := range cells {
-		cc := classOf(k)
-		if classSize[cc] == 1 && len(consts[k]) == 0 {
+	for r := range c.first {
+		t, ok := target[int64(r)]
+		if !ok {
 			continue
 		}
-		t, ok := target[cc]
-		if !ok || c.Value.Equal(t) {
-			continue
+		for _, id := range c.class(r) {
+			if cell := c.first[id].cell(component); !cell.Value.Equal(t) {
+				out = append(out, Assignment{TupleID: cell.TupleID, Col: cell.Col, Value: t})
+			}
 		}
-		out = append(out, Assignment{TupleID: c.TupleID, Col: c.Col, Value: t})
 	}
 	sortAssignments(out)
 	return out, nil

@@ -20,8 +20,6 @@ import (
 // since one detection reads each cell once (DESIGN.md §5b). A cell's value
 // is read from its first occurrence.
 type EquivalenceClass struct {
-	// Dis is the distance used for tie reporting; nil means UnitDistance.
-	Dis DistanceFunc
 	// Prior, when set, contributes one extra vote per cell that a previous
 	// repair round drove to a value (a *ClassMemory). Streaming sessions use
 	// it to keep repair decisions stable across flushes; one-shot runs leave
@@ -46,23 +44,32 @@ func (r cellRef) cell(component []model.FixSet) model.Cell {
 	return r.fix(component).Cells()[r.slot&1]
 }
 
-// Repair implements Algorithm. It interns the cells of equality fixes to
-// dense IDs, each remembered by a reference to its first occurrence rather
-// than a copy, unions the two sides of every cell fix on a slice, groups
-// the classes by a counting sort on their roots and picks each class's
-// target from its members' values, prior votes and constants.
-func (e *EquivalenceClass) Repair(component []model.FixSet) ([]Assignment, error) {
+// eqClasses are the equivalence classes of one component's equality fixes
+// over dense cell IDs, each cell remembered by a reference to its first
+// occurrence rather than a copy.
+type eqClasses struct {
+	first      []cellRef // per cell ID: its first occurrence
+	constFixes []cellRef // every equality fix against a constant, in component order
+	// Class r (a root is its class's smallest ID) is members[classAt[r]:classAt[r+1]];
+	// cell c's constant fixes are constFixes[byCell[constAt[c]:constAt[c+1]]].
+	members, classAt, byCell, constAt []int32
+}
+
+// buildClasses interns the cells of equality fixes to dense IDs in
+// first-occurrence order, unions the two sides of every cell fix on a
+// min-root union-find and groups the classes, and each cell's constants, by
+// counting sorts. Every equivalence-class algorithm builds its classes here.
+func buildClasses(component []model.FixSet) eqClasses {
 	ids := map[model.CellKey]int32{}
-	var first []cellRef // per cell ID: its first occurrence
+	var c eqClasses
 	var uf minRootUF
-	var constCells []int32   // per equality fix against a constant: its cell
-	var constFixes []cellRef // and the fix, in component order
-	intern := func(c model.Cell, r cellRef) int32 {
-		id, ok := ids[c.MapKey()]
+	var constCells []int32 // per constant fix: its cell
+	intern := func(cell model.Cell, r cellRef) int32 {
+		id, ok := ids[cell.MapKey()]
 		if !ok {
-			id = int32(len(first))
-			ids[c.MapKey()] = id
-			first = append(first, r)
+			id = int32(len(c.first))
+			ids[cell.MapKey()] = id
+			c.first = append(c.first, r)
 			uf = append(uf, id)
 		}
 		return id
@@ -75,23 +82,68 @@ func (e *EquivalenceClass) Repair(component []model.FixSet) ([]Assignment, error
 			r := cellRef{int32(si), int32(fi) << 1}
 			l := intern(f.Left(), r)
 			if !f.RightIsCell {
-				constCells, constFixes = append(constCells, l), append(constFixes, r)
+				constCells, c.constFixes = append(constCells, l), append(c.constFixes, r)
 				continue
 			}
 			r.slot |= 1
-			rc := intern(f.RightCell(), r)
-			uf.union(l, rc)
+			uf.union(l, intern(f.RightCell(), r))
 		}
 	}
-	n := len(first)
+	n := len(c.first)
+	if n == 0 {
+		return c
+	}
+	c.byCell, c.constAt = countingSort(constCells, n)
+	c.members, c.classAt = countingSort(uf.labels(), n)
+	return c
+}
+
+// class returns the IDs of class r's cells, ascending; it is empty unless r
+// is a root.
+func (c *eqClasses) class(r int) []int32 { return c.members[c.classAt[r]:c.classAt[r+1]] }
+
+// consts returns the indexes into constFixes of cell id's constant fixes.
+func (c *eqClasses) consts(id int32) []int32 { return c.byCell[c.constAt[id]:c.constAt[id+1]] }
+
+// needsRepair reports whether class is one a repair may change: a lone cell
+// without constants is never required to.
+func (c *eqClasses) needsRepair(class []int32) bool {
+	return len(class) > 1 || len(class) == 1 && len(c.consts(class[0])) > 0
+}
+
+// EquivalenceClasses returns the classes component's equality fixes induce
+// — the classes EquivalenceClass repairs, singletons included — each in
+// first-occurrence order, and the constants equality fixes require of each
+// cell, in component order.
+func EquivalenceClasses(component []model.FixSet) ([][]model.Cell, map[model.CellKey][]model.Value) {
+	c := buildClasses(component)
+	var classes [][]model.Cell
+	consts := map[model.CellKey][]model.Value{}
+	for r := range c.first {
+		class := c.class(r)
+		if len(class) == 0 {
+			continue
+		}
+		cells := make([]model.Cell, len(class))
+		for i, id := range class {
+			cells[i] = c.first[id].cell(component)
+			for _, j := range c.consts(id) {
+				consts[cells[i].MapKey()] = append(consts[cells[i].MapKey()], c.constFixes[j].fix(component).Const())
+			}
+		}
+		classes = append(classes, cells)
+	}
+	return classes, consts
+}
+
+// Repair implements Algorithm: it builds the component's classes and picks
+// each class's target from its members' values, prior votes and constants.
+func (e *EquivalenceClass) Repair(component []model.FixSet) ([]Assignment, error) {
+	c := buildClasses(component)
+	n := len(c.first)
 	if n == 0 {
 		return nil, nil
 	}
-	// Cell c's constant fixes are constFixes[byCell[constAt[c]:constAt[c+1]]].
-	byCell, constAt := countingSort(constCells, n)
-	// Class r (a root is its class's smallest ID) is members[classAt[r]:classAt[r+1]].
-	root := uf.labels()
-	members, classAt := countingSort(root, n)
 
 	type vote struct {
 		v     model.Value
@@ -111,17 +163,17 @@ func (e *EquivalenceClass) Repair(component []model.FixSet) ([]Assignment, error
 	var out []Assignment
 	var cands, cellVotes []vote
 	for r := range n {
-		class := members[classAt[r]:classAt[r+1]]
-		if len(class) == 0 || len(class) == 1 && constAt[class[0]] == constAt[class[0]+1] {
-			continue // nothing requires a lone cell without constants to change
+		class := c.class(r)
+		if !c.needsRepair(class) {
+			continue
 		}
 		// Candidate values: current member values, plus prior votes and
 		// constants. A constant requirement outweighs frequency: CFD
 		// constants are hard, so each distinct constant of a cell weighs
 		// above any possible member count.
 		cands = cands[:0]
-		for _, c := range class {
-			cell := first[c].cell(component)
+		for _, id := range class {
+			cell := c.first[id].cell(component)
 			cands = bump(cands, cell.Value, 1)
 			if e.Prior != nil {
 				if v, ok := e.Prior.Prefer(cell.MapKey()); ok {
@@ -129,8 +181,8 @@ func (e *EquivalenceClass) Repair(component []model.FixSet) ([]Assignment, error
 				}
 			}
 			cellVotes = cellVotes[:0]
-			for _, j := range byCell[constAt[c]:constAt[c+1]] {
-				cellVotes = bump(cellVotes, constFixes[j].fix(component).Const(), 1)
+			for _, j := range c.consts(id) {
+				cellVotes = bump(cellVotes, c.constFixes[j].fix(component).Const(), 1)
 			}
 			for _, cv := range cellVotes {
 				cands = bump(cands, cv.v, cv.count+len(class))
@@ -150,8 +202,8 @@ func (e *EquivalenceClass) Repair(component []model.FixSet) ([]Assignment, error
 			})
 		}
 		target := cands[0].v
-		for _, c := range class {
-			if cell := first[c].cell(component); !cell.Value.Equal(target) {
+		for _, id := range class {
+			if cell := c.first[id].cell(component); !cell.Value.Equal(target) {
 				out = append(out, Assignment{TupleID: cell.TupleID, Col: cell.Col, Value: target})
 			}
 		}

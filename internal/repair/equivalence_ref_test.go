@@ -9,7 +9,6 @@ import (
 	"bigdansing/internal/core"
 	"bigdansing/internal/datagen"
 	"bigdansing/internal/engine"
-	"bigdansing/internal/graph"
 	"bigdansing/internal/model"
 	"bigdansing/internal/rules"
 )
@@ -31,7 +30,7 @@ func (r *referenceEquivalenceClass) Repair(component []model.FixSet) ([]Assignme
 	// Collect cells and union the ones equality fixes connect; cells are
 	// interned on their comparable key, never a rendered string.
 	ids := map[model.CellKey]*refCellInfo{}
-	uf := graph.NewUnionFind()
+	uf := newUnionFind()
 	next := int64(0)
 	intern := func(c model.Cell) *refCellInfo {
 		k := c.MapKey()

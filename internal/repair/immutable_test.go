@@ -100,9 +100,8 @@ func TestRepairLeavesDetectedCellsAlone(t *testing.T) {
 	algos := []repair.Algorithm{
 		&repair.EquivalenceClass{},
 		&repair.Hypergraph{},
-		&repair.Sampling{},
 		&repair.DistributedEquivalenceClass{Ctx: engine.New(2)},
-		probrepair.New(1),
+		&probrepair.Prob{Samples: probrepair.DefaultSamples, Seed: 1},
 	}
 	conflicts := 0
 	for _, algo := range algos {

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"bigdansing/internal/engine"
-	"bigdansing/internal/graph"
 	"bigdansing/internal/model"
 )
 
@@ -204,12 +203,10 @@ func repairWith(algo Algorithm, component []model.FixSet, obs engine.Observer, p
 // concurrently with its sibling instances).
 func repairSplit(comp []model.FixSet, algo Algorithm, opts Options, obs engine.Observer, parent engine.Span) ([]Assignment, int, error) {
 	keys := make([][]model.CellKey, len(comp))
-	edges := make([]graph.HyperedgeOf[model.CellKey], len(comp))
 	for i := range comp {
 		keys[i] = cellKeysOfFixSet(comp[i])
-		edges[i] = graph.HyperedgeOf[model.CellKey]{ID: int64(i), Nodes: keys[i]}
 	}
-	parts := graph.NewHypergraphOf(edges).PartitionKWay(opts.KParts)
+	parts := partitionKWay(keys, opts.KParts)
 
 	// immutable holds settled cell values; once a cell lands here it can
 	// never change, which guarantees the loop reaches a fixpoint.
@@ -223,8 +220,8 @@ func repairSplit(comp []model.FixSet, algo Algorithm, opts Options, obs engine.O
 		sub := make([]model.FixSet, len(part))
 		subKeys := make([][]model.CellKey, len(part))
 		for j, e := range part {
-			sub[j] = comp[e.ID]
-			subKeys[j] = keys[e.ID]
+			sub[j] = comp[e]
+			subKeys[j] = keys[e]
 		}
 		pending[pi] = sub
 		pendingKeys[pi] = subKeys

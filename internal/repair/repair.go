@@ -82,7 +82,7 @@ const (
 	AlgoUnknown int64 = iota
 	AlgoEquivalenceClass
 	AlgoHypergraph
-	AlgoSampling
+	_ // 3 is retired: exported traces keep every other code
 	AlgoDistributedEq
 	AlgoProb
 )
@@ -95,8 +95,6 @@ func AlgorithmCode(name string) int64 {
 		return AlgoEquivalenceClass
 	case "hypergraph":
 		return AlgoHypergraph
-	case "sampling":
-		return AlgoSampling
 	case "equivalence-class-mr":
 		return AlgoDistributedEq
 	case "prob":
@@ -126,36 +124,6 @@ func ApplyIndexed(rel *model.Relation, idx map[int64]int, assignments []Assignme
 		}
 	}
 	return changed
-}
-
-// DistanceFunc measures how far a repair value moved from the original;
-// exact matches must return 0 (the cost model of Section 2.1).
-type DistanceFunc func(original, repaired model.Value) float64
-
-// UnitDistance is the exact-match distance: 0 when equal, 1 otherwise.
-func UnitDistance(a, b model.Value) float64 {
-	if a.Equal(b) {
-		return 0
-	}
-	return 1
-}
-
-// Cost sums dis(original, repaired) over all assignments, given the
-// original relation — the repair cost the algorithms greedily minimize.
-func Cost(rel *model.Relation, assignments []Assignment, dis DistanceFunc) float64 {
-	if dis == nil {
-		dis = UnitDistance
-	}
-	idx := rel.ByID()
-	total := 0.0
-	for _, a := range assignments {
-		i, ok := idx[a.TupleID]
-		if !ok {
-			continue
-		}
-		total += dis(rel.Tuples[i].Cell(a.Col), a.Value)
-	}
-	return total
 }
 
 // dedupeAssignments keeps the first assignment per cell.

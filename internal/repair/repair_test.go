@@ -365,16 +365,3 @@ func TestApplyRespectsFrozenCells(t *testing.T) {
 		t.Errorf("tuple = %v", rel.Tuples[0])
 	}
 }
-
-func TestCost(t *testing.T) {
-	s := model.MustParseSchema("a")
-	rel := model.NewRelation("r", s)
-	rel.Append(model.NewTuple(1, model.S("x")), model.NewTuple(2, model.S("y")))
-	as := []Assignment{
-		{TupleID: 1, Col: 0, Value: model.S("x")}, // no-op: cost 0
-		{TupleID: 2, Col: 0, Value: model.S("z")}, // change: cost 1
-	}
-	if got := Cost(rel, as, nil); got != 1 {
-		t.Errorf("cost = %v, want 1", got)
-	}
-}

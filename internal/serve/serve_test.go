@@ -333,6 +333,7 @@ var badCreateBodies = map[string]string{
 	"bad-fd":         `{"schema":"a,b","rules":[{"kind":"fd","spec":"a -> missing"}]}`,
 	"no-rules":       `{"schema":"a,b","rules":[]}`,
 	"bad-algo":       `{"schema":"a,b","rules":[{"kind":"fd","spec":"a -> b"}],"repair":"magic"}`,
+	"retired-algo":   `{"schema":"a,b","rules":[{"kind":"fd","spec":"a -> b"}],"repair":"sampling"}`,
 	"algorithm-key":  `{"schema":"a,b","rules":[{"kind":"fd","spec":"a -> b"}],"algorithm":"eq"}`,
 	"misspelled-key": `{"schema":"a,b","rules":[{"kind":"fd","spec":"a -> b"}],"paralelRepair":true}`,
 	"bad-iter":       `{"schema":"a,b","rules":[{"kind":"fd","spec":"a -> b"}],"maxIterations":-1}`,
@@ -358,6 +359,9 @@ func TestServeCreateValidation(t *testing.T) {
 	// A misspelled key is named in the answer, not silently ignored.
 	if _, b := do(t, c, "POST", ts.URL+"/sessions/x", badCreateBodies["misspelled-key"]); !bytes.Contains(b, []byte("paralelRepair")) {
 		t.Errorf("unknown key not named: %s", b)
+	}
+	if _, b := do(t, c, "POST", ts.URL+"/sessions/x", badCreateBodies["retired-algo"]); !bytes.Contains(b, []byte("want eq, hypergraph or prob")) {
+		t.Errorf("retired algorithm: %s", b)
 	}
 	huge := `{"schema":"` + strings.Repeat("a", maxBodyBytes) + `"}`
 	if code, b := do(t, c, "POST", ts.URL+"/sessions/huge", huge); code != http.StatusRequestEntityTooLarge {
