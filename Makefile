@@ -54,8 +54,8 @@ bench-smoke:
 # 30 seconds of coverage-guided fuzzing per fuzzer (the wire codec, the
 # record decoders, the schema and CSV parsers, the service's create and
 # ingest bodies, the DC, FD and CFD parsers, the rule-spec list compiler, the
-# FD block kernel, the storage reader, the spill run reader, the RDF triple
-# parser and the -stats-in feedback reader), seeded from testdata/fuzz corpora.
+# FD block kernel, the storage reader, the spill run reader and the RDF triple
+# parser), seeded from testdata/fuzz corpora.
 # A finding is checked in as a new corpus file.
 fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 30s ./internal/netexec/
@@ -73,7 +73,6 @@ fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzStoreRead -fuzztime 30s ./internal/storage/
 	$(GO) test -run xxx -fuzz FuzzSpillRead -fuzztime 30s ./internal/spill/
 	$(GO) test -run xxx -fuzz FuzzRDFParse -fuzztime 30s ./internal/rdf/
-	$(GO) test -run xxx -fuzz FuzzReadFeedbackFile -fuzztime 30s ./internal/core/
 
 bench:
 	$(GO) test -run xxx -bench 'Table2Datasets|Fig9' -benchtime 1x -benchmem .

@@ -15,7 +15,7 @@ import (
 
 // TestConfigFlagsMatchJSON decodes one table of settings twice — from CLI
 // flags and from a service create body's keys — and requires equal Configs
-// and equal algorithm, planner and engine values from them.
+// and equal algorithm and engine values from them.
 func TestConfigFlagsMatchJSON(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -26,7 +26,7 @@ func TestConfigFlagsMatchJSON(t *testing.T) {
 		{[]string{"-repair", "eq", "-seed", "9"}, `{"repair":"eq","seed":9}`},
 		{[]string{"-repair", "hypergraph", "-parallel-repair", "-max-iterations", "4", "-freeze-after", "2"},
 			`{"repair":"hypergraph","parallelRepair":true,"maxIterations":4,"freezeAfter":2}`},
-		{[]string{"-planner", "cost", "-backend", "net", "-net-workers", "3"}, `{"planner":"cost","backend":"net","netWorkers":3}`},
+		{[]string{"-backend", "net", "-net-workers", "3"}, `{"backend":"net","netWorkers":3}`},
 		{[]string{"-backend", "net", "-net-workers", "0"}, `{"backend":"net","netWorkers":0}`},
 	} {
 		fromFlags := cleanse.DefaultConfig()
@@ -50,11 +50,10 @@ func TestConfigFlagsMatchJSON(t *testing.T) {
 			t.Errorf("%s: algorithms %#v (%v) vs %#v (%v)", tc.json, a1, err1, a2, err2)
 		}
 		e1, e2 := engine.Config{Parallelism: 4}, engine.Config{Parallelism: 4}
-		_, p1, err1 := fromFlags.Build(&e1, nil)
-		_, p2, err2 := fromJSON.Build(&e2, nil)
-		if err1 != nil || err2 != nil || !reflect.DeepEqual(e1, e2) || (p1 == nil) != (p2 == nil) ||
-			(p1 != nil && p1.ModelName() != p2.ModelName()) {
-			t.Errorf("%s: built %+v/%v (%v) vs %+v/%v (%v)", tc.json, e1, p1, err1, e2, p2, err2)
+		_, err1 = fromFlags.Build(&e1)
+		_, err2 = fromJSON.Build(&e2)
+		if err1 != nil || err2 != nil || !reflect.DeepEqual(e1, e2) {
+			t.Errorf("%s: built %+v (%v) vs %+v (%v)", tc.json, e1, err1, e2, err2)
 		}
 	}
 
@@ -63,7 +62,7 @@ func TestConfigFlagsMatchJSON(t *testing.T) {
 	c := cleanse.DefaultConfig()
 	configFlags(fs, &c)
 	for _, name := range []string{"repair", "parallel-repair", "seed", "prob-samples", "max-iterations",
-		"freeze-after", "planner", "backend", "net-workers"} {
+		"freeze-after", "backend", "net-workers"} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("no -%s flag", name)
 		}

@@ -79,8 +79,6 @@ func run(args []string, out io.Writer) error {
 		memBudget = fs.String("mem-budget", "", "memory budget for wide operators, e.g. 64MiB or 512K; shuffles spill to disk past it (default: unbounded)")
 		spillDir  = fs.String("spill-dir", "", "directory for spill run files (default: the system temp dir)")
 		netAddrs  = fs.String("net-addrs", "", "comma-separated addresses of pre-started workers (`bigdansing worker -addr ...`) to join instead of spawning")
-		statsIn   = fs.String("stats-in", "", "read prior-run pipeline measurements (a -stats-out file) to refine the cost planner's estimates")
-		statsOut  = fs.String("stats-out", "", "write this run's measured pipeline statistics (pairs, violations) for a later -stats-in")
 	)
 	conf := cleanse.DefaultConfig()
 	configFlags(fs, &conf)
@@ -141,22 +139,6 @@ func run(args []string, out io.Writer) error {
 		tracer = trace.New()
 	}
 
-	// -stats-in feeds prior-run measurements to a cost planner; -stats-out
-	// tees a FeedbackRecorder into the run so the measured pipeline stats
-	// (pairs, violations) round-trip into the next run's estimates.
-	var feedback core.FeedbackSource
-	if *statsIn != "" {
-		fb, err := core.ReadFeedbackFile(*statsIn)
-		if err != nil {
-			return fmt.Errorf("-stats-in: %w", err)
-		}
-		feedback = fb
-	}
-	var recorder *core.FeedbackRecorder
-	if *statsOut != "" {
-		recorder = core.NewFeedbackRecorder()
-	}
-
 	cfg := engine.Config{
 		Parallelism:       *workers,
 		MemoryBudgetBytes: budget,
@@ -167,32 +149,18 @@ func run(args []string, out io.Writer) error {
 			cfg.NetWorkerAddrs = append(cfg.NetWorkerAddrs, a)
 		}
 	}
-	opts, pl, err := conf.Build(&cfg, feedback)
+	opts, err := conf.Build(&cfg)
 	if err != nil {
 		return err
 	}
-	switch {
-	case tracer != nil && recorder != nil:
-		cfg.Observer = engine.Tee(tracer, recorder)
-	case tracer != nil:
+	if tracer != nil {
 		cfg.Observer = tracer
-	case recorder != nil:
-		cfg.Observer = recorder
 	}
 	ctx, err := engine.NewContext(cfg)
 	if err != nil {
 		return err
 	}
 	defer ctx.Close()
-	if recorder != nil {
-		defer func() {
-			if err := recorder.PlanFeedback().WriteFile(*statsOut); err != nil {
-				fmt.Fprintln(os.Stderr, "bigdansing: stats-out:", err)
-			} else {
-				fmt.Fprintf(out, "pipeline stats written to %s\n", *statsOut)
-			}
-		}()
-	}
 	if *stats {
 		defer func() {
 			fmt.Fprintf(out, "\ndataflow stages:\n%s", ctx.Stats().Snapshot())
@@ -203,12 +171,6 @@ func run(args []string, out io.Writer) error {
 		// partial span tree is exactly what explains a failure.
 		defer func() {
 			tracer.Finish()
-			if *explain && pl != nil && *mode != "explain" {
-				fmt.Fprintf(out, "\nplanner decisions:\n")
-				for _, h := range pl.History() {
-					fmt.Fprint(out, h)
-				}
-			}
 			if *explain {
 				fmt.Fprintf(out, "\nexecution trace:\n")
 				if err := trace.WriteTree(out, tracer); err != nil {
@@ -230,11 +192,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		plan := pl
-		if plan == nil {
-			plan = core.NewPlanner()
-		}
-		pp, err := plan.Plan(lp)
+		pp, err := core.NewPlanner().Plan(lp)
 		if err != nil {
 			return err
 		}
@@ -242,7 +200,7 @@ func run(args []string, out io.Writer) error {
 		return nil
 
 	case "detect":
-		res, err := core.DetectRulesWith(ctx, pl, ruleSet, rel)
+		res, err := core.DetectRules(ctx, ruleSet, rel)
 		if err != nil {
 			return err
 		}

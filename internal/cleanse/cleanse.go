@@ -38,9 +38,6 @@ type Cleaner struct {
 	maxIterations int
 	// freezeAfter pins a cell after this many updates (0: 3).
 	freezeAfter int
-	// planner plans the re-detections of the rules the incremental
-	// detector cannot maintain block by block; nil plans by rule shape.
-	planner *core.Planner
 
 	// observer is WithObserver's sink, folded into engineCfg.Observer.
 	observer engine.Observer
@@ -104,17 +101,6 @@ func WithObserver(o engine.Observer) Option {
 // spawned worker processes.
 func WithEngineConfig(cfg engine.Config) Option {
 	return func(c *Cleaner) { c.engineCfg = &cfg }
-}
-
-// WithPlanner installs the physical Planner that plans the full
-// re-detections of the rules the incremental detector cannot maintain block
-// by block (OCJoin, CoBlock, custom Iterate, scoped) — e.g.
-// core.NewPlanner(core.WithCostModel(core.NewCostModel()),
-// core.WithObserverFeedback(recorder)) for statistics- and feedback-driven
-// plans. The first pass and the block-local passes of the other rules group
-// on each rule's own key and run no plan. Nil plans by rule shape.
-func WithPlanner(p *core.Planner) Option {
-	return func(c *Cleaner) { c.planner = p }
 }
 
 // NewCleaner builds a Cleaner over ctx and rules, applying any options, and

@@ -3,15 +3,14 @@ package cleanse
 import (
 	"fmt"
 
-	"bigdansing/internal/core"
 	"bigdansing/internal/engine"
 	"bigdansing/internal/probrepair"
 	"bigdansing/internal/repair"
 )
 
 // Config holds the settings of a cleanse run that a user chooses: the
-// repair algorithm and its knobs, the bounds of the detect-repair loop, the
-// physical planner and the execution backend. The command-line tool and the
+// repair algorithm and its knobs, the bounds of the detect-repair loop and
+// the execution backend. The command-line tool and the
 // HTTP service decode their text into it — one flag per field named after
 // the kebab-cased JSON tag, one create-request key per JSON tag — so each
 // setting has one name, one default and one meaning on both. Start from
@@ -27,7 +26,6 @@ type Config struct {
 	ProbSamples    int    `json:"probSamples" help:"recorded Gibbs sweeps per component for repair=prob; 0 returns the equivalence-class answer"`
 	MaxIterations  int    `json:"maxIterations" help:"bound on the detect-repair loop; 0 means 10"`
 	FreezeAfter    int    `json:"freezeAfter" help:"freeze a cell after this many updates (the termination device); 0 means 3"`
-	Planner        string `json:"planner" help:"physical planner: static (rule-shape choices) | cost (statistics- and feedback-driven)"`
 	Backend        string `json:"backend" help:"execution backend: local (in-process) | net (worker processes over TCP)"`
 	NetWorkers     int    `json:"netWorkers" help:"worker processes for backend=net; 0 or less means 2"`
 }
@@ -40,7 +38,6 @@ func DefaultConfig() Config {
 		ProbSamples:   probrepair.DefaultSamples,
 		MaxIterations: 10,
 		FreezeAfter:   3,
-		Planner:       "static",
 		Backend:       "local",
 		NetWorkers:    2,
 	}
@@ -53,9 +50,6 @@ var backends = map[string]engine.BackendKind{"local": engine.BackendLocal, "net"
 func (c Config) Validate() error {
 	if _, err := c.Algorithm(); err != nil {
 		return err
-	}
-	if c.Planner != "static" && c.Planner != "cost" {
-		return fmt.Errorf("unknown planner %q (want static or cost)", c.Planner)
 	}
 	if _, ok := backends[c.Backend]; !ok {
 		return fmt.Errorf("unknown backend %q (want local or net)", c.Backend)
@@ -86,14 +80,10 @@ func (c Config) Algorithm() (repair.Algorithm, error) {
 }
 
 // Build validates c and turns it into what a run needs: the Cleaner
-// options, the physical planner, and the backend fields, which it writes
-// into eng. The planner is nil for "static" (every entry point plans by
-// rule shape given nil); for "cost" it is sized from eng's parallelism and
-// memory budget — set those first — and reads prior measurements from fb
-// when fb is non-nil.
-func (c Config) Build(eng *engine.Config, fb core.FeedbackSource) ([]Option, *core.Planner, error) {
+// options, and the backend fields, which it writes into eng.
+func (c Config) Build(eng *engine.Config) ([]Option, error) {
 	if err := c.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	algo, _ := c.Algorithm()
 	opts := []Option{WithAlgorithm(algo), WithMaxIterations(c.MaxIterations), WithFreezeAfter(c.FreezeAfter)}
@@ -102,15 +92,5 @@ func (c Config) Build(eng *engine.Config, fb core.FeedbackSource) ([]Option, *co
 	}
 	eng.Backend = backends[c.Backend]
 	eng.NetWorkers = c.NetWorkers
-	var pl *core.Planner
-	if c.Planner == "cost" {
-		pl = core.NewPlanner(
-			core.WithCostModel(core.NewCostModel()),
-			core.WithMemoryBudget(eng.MemoryBudgetBytes),
-			core.WithParallelism(eng.Parallelism),
-			core.WithObserverFeedback(fb),
-		)
-		opts = append(opts, WithPlanner(pl))
-	}
-	return opts, pl, nil
+	return opts, nil
 }

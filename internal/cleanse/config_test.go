@@ -5,29 +5,26 @@ import (
 	"strings"
 	"testing"
 
-	"bigdansing/internal/core"
 	"bigdansing/internal/engine"
 	"bigdansing/internal/probrepair"
 	"bigdansing/internal/repair"
 )
 
 // TestConfigBuild pins the one mapping from setting names to Go values:
-// the algorithm (seeded, sized), the planner, and the engine backend fields.
+// the algorithm (seeded, sized) and the engine backend fields.
 func TestConfigBuild(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		set     func(*Config)
 		algo    repair.Algorithm
-		planner string // "" = nil (static)
 		backend engine.BackendKind
 	}{
-		{"default", func(*Config) {}, &repair.EquivalenceClass{}, "", engine.BackendLocal},
-		{"hypergraph", func(c *Config) { c.Repair = "hypergraph" }, &repair.Hypergraph{}, "", engine.BackendLocal},
+		{"default", func(*Config) {}, &repair.EquivalenceClass{}, engine.BackendLocal},
+		{"hypergraph", func(c *Config) { c.Repair = "hypergraph" }, &repair.Hypergraph{}, engine.BackendLocal},
 		{"prob", func(c *Config) { c.Repair, c.Seed = "prob", 7 },
-			&probrepair.Prob{Samples: probrepair.DefaultSamples, Seed: 7}, "", engine.BackendLocal},
-		{"prob-eq", func(c *Config) { c.Repair, c.ProbSamples = "prob", 0 }, &probrepair.Prob{Seed: 1}, "", engine.BackendLocal},
-		{"cost-net", func(c *Config) { c.Planner, c.Backend, c.NetWorkers = "cost", "net", 3 },
-			&repair.EquivalenceClass{}, "cost", engine.BackendNet},
+			&probrepair.Prob{Samples: probrepair.DefaultSamples, Seed: 7}, engine.BackendLocal},
+		{"prob-eq", func(c *Config) { c.Repair, c.ProbSamples = "prob", 0 }, &probrepair.Prob{Seed: 1}, engine.BackendLocal},
+		{"net", func(c *Config) { c.Backend, c.NetWorkers = "net", 3 }, &repair.EquivalenceClass{}, engine.BackendNet},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := DefaultConfig()
@@ -40,16 +37,9 @@ func TestConfigBuild(t *testing.T) {
 				t.Errorf("algorithm = %#v, want %#v", algo, tc.algo)
 			}
 			eng := engine.Config{Parallelism: 4}
-			opts, pl, err := c.Build(&eng, nil)
+			opts, err := c.Build(&eng)
 			if err != nil {
 				t.Fatal(err)
-			}
-			gotPlanner := ""
-			if pl != nil {
-				gotPlanner = pl.ModelName()
-			}
-			if gotPlanner != tc.planner {
-				t.Errorf("planner = %q, want %q", gotPlanner, tc.planner)
 			}
 			if eng.Backend != tc.backend || eng.NetWorkers != c.NetWorkers || eng.Parallelism != 4 {
 				t.Errorf("engine config = %+v", eng)
@@ -58,7 +48,7 @@ func TestConfigBuild(t *testing.T) {
 			for _, o := range opts {
 				o(cl)
 			}
-			if !reflect.DeepEqual(cl.algo, tc.algo) || cl.planner != pl ||
+			if !reflect.DeepEqual(cl.algo, tc.algo) ||
 				cl.maxIterations != c.MaxIterations || cl.freezeAfter != c.FreezeAfter || cl.parallel != c.ParallelRepair {
 				t.Errorf("options wired %+v from %+v", cl, c)
 			}
@@ -77,7 +67,6 @@ func TestConfigValidate(t *testing.T) {
 		{func(c *Config) { c.Repair = "magic" }, "repair algorithm"},
 		{func(c *Config) { c.Repair = "" }, "repair algorithm"},
 		{func(c *Config) { c.Repair = "sampling" }, "want eq, hypergraph or prob"},
-		{func(c *Config) { c.Planner = "bogus" }, "planner"},
 		{func(c *Config) { c.Backend = "yarn" }, "backend"},
 		{func(c *Config) { c.ProbSamples = -1 }, "probSamples"},
 		{func(c *Config) { c.MaxIterations = -1 }, "maxIterations"},
@@ -89,7 +78,7 @@ func TestConfigValidate(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%+v: err = %v, want one naming %s", c, err, tc.want)
 		}
-		if _, _, err := c.Build(&engine.Config{}, core.NewFeedbackRecorder()); err == nil {
+		if _, err := c.Build(&engine.Config{}); err == nil {
 			t.Errorf("%+v: Build accepted an invalid config", c)
 		}
 	}

@@ -100,7 +100,6 @@ func newSession(cfg Cleaner, rel *model.Relation) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.SetPlanner(cfg.planner)
 	s.det = d
 	// The repair algorithm: the configured one, or the equivalence-class
 	// default. When it is an equivalence-class instance without a prior,

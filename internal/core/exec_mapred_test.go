@@ -42,16 +42,12 @@ func coBlockRule() (*Rule, *model.Relation) {
 func TestDiskBackendMatchesLocal(t *testing.T) {
 	coRule, coRel := coBlockRule()
 	cases := []struct {
-		name      string
-		rule      *Rule
-		rel       *model.Relation
-		planner   *Planner
-		impl      IterImpl
-		broadcast bool
+		name string
+		rule *Rule
+		rel  *model.Relation
+		impl IterImpl
 	}{
 		{name: "fd blocked", rule: fdRule(), rel: exampleTax(), impl: IterUniquePairs},
-		{name: "fd broadcast", rule: planFDRule(), rel: planTaxData(300, 45), planner: costPlanner(),
-			impl: IterUniquePairs, broadcast: true},
 		{name: "dc OCJoin", rule: dcRule(), rel: datagen.TaxB(400, 0.05, 3).Dirty, impl: IterOCJoin},
 		{name: "two-branch CoBlock", rule: coRule, rel: coRel, impl: IterCoBlockPairs},
 		{name: "unary", impl: IterSingles, rel: exampleTax(), rule: &Rule{
@@ -69,13 +65,9 @@ func TestDiskBackendMatchesLocal(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			pl := c.planner
-			if pl == nil {
-				pl = NewPlanner()
-			}
-			pp := mustPlanRule(t, pl, c.rule, c.rel)
-			if p := pp.Pipelines[0]; p.Impl != c.impl || p.Broadcast != c.broadcast {
-				t.Fatalf("planned %v (broadcast %v), want %v (broadcast %v)", p.Impl, p.Broadcast, c.impl, c.broadcast)
+			pp := mustPlanRule(t, c.rule, c.rel)
+			if impl := pp.Pipelines[0].Impl; impl != c.impl {
+				t.Fatalf("planned %v, want %v", impl, c.impl)
 			}
 			want, err := RunPlanSpark(engine.New(4), pp)
 			if err != nil {
@@ -94,10 +86,9 @@ func TestDiskBackendMatchesLocal(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertSameOutcome(t, want, got)
-			// Broadcast plans collect instead of shuffling and unary rules
-			// never exchange; everything else must have hit the disk.
-			if shuffles := !c.broadcast && c.impl != IterSingles; shuffles &&
-				(eng.Stats().BytesSpilled() == 0 || eng.Stats().BytesRead() == 0) {
+			// Unary rules never exchange; everything else must have hit the
+			// disk.
+			if c.impl != IterSingles && (eng.Stats().BytesSpilled() == 0 || eng.Stats().BytesRead() == 0) {
 				t.Errorf("stayed in memory: %d bytes spilled, %d read", eng.Stats().BytesSpilled(), eng.Stats().BytesRead())
 			}
 		})

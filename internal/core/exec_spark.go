@@ -119,18 +119,13 @@ func (ex *sparkExec) runPipeline(pp *PhysicalPlan, p *PhysicalPipeline) ([][]mod
 
 // violations builds a pipeline's (lazy) violations, one list of fix sets
 // (Fixes unset) per group: its branches are scanned and partitioned —
-// grouped by block key into the planner's partition count (one for
-// Broadcast), co-grouped, or range-partitioned by OCJoin — and one detector
-// runs per group or partition task.
+// grouped by block key, co-grouped, or range-partitioned by OCJoin — and
+// one detector runs per group or partition task.
 func (ex *sparkExec) violations(pp *PhysicalPlan, p *PhysicalPipeline, m *udfMeter) (*engine.Dataset[[]model.FixSet], error) {
-	parts := 0 // the context's parallelism
-	if p.Broadcast {
-		parts = 1
-	}
 	wire := projection(p.reads)
 	switch p.Impl {
 	case IterCoBlockPairs:
-		cg, err := ex.coGroupBranches(pp, p, p.Branches, parts, wire)
+		cg, err := ex.coGroupBranches(pp, p, p.Branches, wire)
 		if err != nil {
 			return nil, err
 		}
@@ -138,7 +133,7 @@ func (ex *sparkExec) violations(pp *PhysicalPlan, p *PhysicalPipeline, m *udfMet
 			return pairsAcross(p.Detect, g.Value.Left, g.Value.Right)
 		})), nil
 	case IterCustom:
-		groups, err := ex.iterateGroups(pp, p, p.Branches, parts, wire)
+		groups, err := ex.iterateGroups(pp, p, p.Branches, wire)
 		if err != nil {
 			return nil, err
 		}
@@ -193,7 +188,7 @@ func (ex *sparkExec) violations(pp *PhysicalPlan, p *PhysicalPipeline, m *udfMet
 			})), nil
 		}
 		det := blockDetector(p.DetectBlock, p.Detect, ordered)
-		return engine.Map(ex.blocks(first.MovedAs(wire), b.Block, parts), metered(m, func(g engine.Pair[model.ValueKey, []model.Tuple]) ([]model.FixSet, int64) {
+		return engine.Map(ex.blocks(first.MovedAs(wire), b.Block), metered(m, func(g engine.Pair[model.ValueKey, []model.Tuple]) ([]model.FixSet, int64) {
 			return det(g.Value)
 		})), nil
 	}
@@ -201,9 +196,8 @@ func (ex *sparkExec) violations(pp *PhysicalPlan, p *PhysicalPipeline, m *udfMet
 }
 
 // blockDetector is the per-block detector of a blocked pair pipeline: the
-// rule's block kernel when the pipeline groups on the rule's primary key (the
-// planner drops the kernel with an alternate key), otherwise the planner's
-// pair enumeration calling Detect inline. Both find the same violations in
+// rule's block kernel when it has one, otherwise the planner's pair
+// enumeration calling Detect inline. Both find the same violations in
 // the same order; each reports the pairs it compared.
 func blockDetector(kernel BlockDetectFunc, detect DetectFunc, ordered bool) func([]model.Tuple) ([]model.FixSet, int64) {
 	if kernel != nil {
@@ -320,7 +314,7 @@ func (ex *sparkExec) branchStream(pp *PhysicalPlan, p *PhysicalPipeline, b Branc
 	if b.Derived != nil {
 		// The upstream Iterate is the job's, not the rule's: its inputs move
 		// whole.
-		groups, err := ex.iterateGroups(pp, p, b.Derived.Branches, 0, nil)
+		groups, err := ex.iterateGroups(pp, p, b.Derived.Branches, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -378,10 +372,10 @@ func (ex *sparkExec) baseTuples(rel *model.Relation) *engine.Dataset[model.Tuple
 // co-grouped key when the first two branches are keyed, one per block of a
 // single keyed branch, and one call over the materialized bags otherwise.
 // The grouped tuples move as wire encodes them (nil: whole).
-func (ex *sparkExec) iterateGroups(pp *PhysicalPlan, p *PhysicalPipeline, branches []Branch, parts int, wire func([]byte, model.Tuple) []byte) (*engine.Dataset[[][]model.Tuple], error) {
+func (ex *sparkExec) iterateGroups(pp *PhysicalPlan, p *PhysicalPipeline, branches []Branch, wire func([]byte, model.Tuple) []byte) (*engine.Dataset[[][]model.Tuple], error) {
 	switch {
 	case len(branches) >= 2 && branches[0].Block != nil && branches[1].Block != nil:
-		cg, err := ex.coGroupBranches(pp, p, branches, parts, wire)
+		cg, err := ex.coGroupBranches(pp, p, branches, wire)
 		if err != nil {
 			return nil, err
 		}
@@ -393,7 +387,7 @@ func (ex *sparkExec) iterateGroups(pp *PhysicalPlan, p *PhysicalPipeline, branch
 		if err != nil {
 			return nil, err
 		}
-		return engine.Map(ex.blocks(first.MovedAs(wire), branches[0].Block, parts), func(g engine.Pair[model.ValueKey, []model.Tuple]) [][]model.Tuple {
+		return engine.Map(ex.blocks(first.MovedAs(wire), branches[0].Block), func(g engine.Pair[model.ValueKey, []model.Tuple]) [][]model.Tuple {
 			return [][]model.Tuple{g.Value}
 		}), nil
 	default:
@@ -411,18 +405,18 @@ func (ex *sparkExec) iterateGroups(pp *PhysicalPlan, p *PhysicalPipeline, branch
 	}
 }
 
-// blocks groups a branch stream by its Block key into parts partitions (0:
-// the context's parallelism). Grouping is on the value's comparable MapKey,
+// blocks groups a branch stream by its Block key into the context's
+// parallelism of partitions. Grouping is on the value's comparable MapKey,
 // computed where the tuples lie — no keyed-pair dataset and no per-record
 // key string is materialized.
-func (ex *sparkExec) blocks(d *engine.Dataset[model.Tuple], block BlockFunc, parts int) *engine.Dataset[engine.Pair[model.ValueKey, []model.Tuple]] {
-	return engine.GroupBy(d, func(t model.Tuple) model.ValueKey { return block(t).MapKey() }, parts)
+func (ex *sparkExec) blocks(d *engine.Dataset[model.Tuple], block BlockFunc) *engine.Dataset[engine.Pair[model.ValueKey, []model.Tuple]] {
+	return engine.GroupBy(d, func(t model.Tuple) model.ValueKey { return block(t).MapKey() }, 0)
 }
 
 // coGroupBranches co-groups the first two branches on their Block keys into
-// parts partitions (0: the context's parallelism), moving their tuples as
-// wire encodes them (nil: whole).
-func (ex *sparkExec) coGroupBranches(pp *PhysicalPlan, p *PhysicalPipeline, branches []Branch, parts int, wire func([]byte, model.Tuple) []byte) (*engine.Dataset[engine.Pair[model.ValueKey, engine.CoGrouped[model.Tuple, model.Tuple]]], error) {
+// the context's parallelism of partitions, moving their tuples as wire
+// encodes them (nil: whole).
+func (ex *sparkExec) coGroupBranches(pp *PhysicalPlan, p *PhysicalPipeline, branches []Branch, wire func([]byte, model.Tuple) []byte) (*engine.Dataset[engine.Pair[model.ValueKey, engine.CoGrouped[model.Tuple, model.Tuple]]], error) {
 	left, err := ex.branchStream(pp, p, branches[0])
 	if err != nil {
 		return nil, err
@@ -434,7 +428,7 @@ func (ex *sparkExec) coGroupBranches(pp *PhysicalPlan, p *PhysicalPipeline, bran
 	lb, rb := branches[0].Block, branches[1].Block
 	cg := engine.CoGroupBy(left.MovedAs(wire), right.MovedAs(wire),
 		func(t model.Tuple) model.ValueKey { return lb(t).MapKey() },
-		func(t model.Tuple) model.ValueKey { return rb(t).MapKey() }, parts)
+		func(t model.Tuple) model.ValueKey { return rb(t).MapKey() }, 0)
 	if err := cg.Err(); err != nil {
 		return nil, err
 	}
@@ -527,18 +521,14 @@ func fixSetResult(sets []model.FixSet) *DetectResult {
 // compilePlan runs a logical planner and the physical Planner under one
 // plan span, so a tracer sees how long logical->physical compilation took
 // and what the planner decided (pipeline count, consolidated shared scans).
-// A nil Planner plans by rule shape (NewPlanner()).
-func compilePlan(ctx *engine.Context, pl *Planner, plan func() (*LogicalPlan, error)) (*PhysicalPlan, error) {
+func compilePlan(ctx *engine.Context, plan func() (*LogicalPlan, error)) (*PhysicalPlan, error) {
 	sp := ctx.Observer().BeginSpan(nil, "compile", engine.SpanPlan)
 	defer sp.End()
 	lp, err := plan()
 	if err != nil {
 		return nil, err
 	}
-	if pl == nil {
-		pl = NewPlanner()
-	}
-	pp, err := pl.Plan(lp)
+	pp, err := NewPlanner().Plan(lp)
 	if err != nil {
 		return nil, err
 	}
@@ -550,24 +540,18 @@ func compilePlan(ctx *engine.Context, pl *Planner, plan func() (*LogicalPlan, er
 // DetectRule is the convenience entry point: plan and run one rule over a
 // relation on the dataflow backend, planned by rule shape.
 func DetectRule(ctx *engine.Context, r *Rule, rel *model.Relation) (*DetectResult, error) {
-	return detect(ctx, nil, func() (*LogicalPlan, error) { return PlanRule(r, rel) })
+	return detect(ctx, func() (*LogicalPlan, error) { return PlanRule(r, rel) })
 }
 
 // DetectRules plans all rules over one relation as a single consolidated
 // plan and runs it.
 func DetectRules(ctx *engine.Context, rs []*Rule, rel *model.Relation) (*DetectResult, error) {
-	return DetectRulesWith(ctx, nil, rs, rel)
+	return detect(ctx, func() (*LogicalPlan, error) { return PlanRules(rs, rel) })
 }
 
-// DetectRulesWith is DetectRules with an explicit Planner (nil plans by
-// rule shape).
-func DetectRulesWith(ctx *engine.Context, pl *Planner, rs []*Rule, rel *model.Relation) (*DetectResult, error) {
-	return detect(ctx, pl, func() (*LogicalPlan, error) { return PlanRules(rs, rel) })
-}
-
-// detect compiles a logical plan under pl and runs it on ctx.
-func detect(ctx *engine.Context, pl *Planner, plan func() (*LogicalPlan, error)) (*DetectResult, error) {
-	pp, err := compilePlan(ctx, pl, plan)
+// detect compiles a logical plan and runs it on ctx.
+func detect(ctx *engine.Context, plan func() (*LogicalPlan, error)) (*DetectResult, error) {
+	pp, err := compilePlan(ctx, plan)
 	if err != nil {
 		return nil, err
 	}

@@ -35,7 +35,7 @@ func AssembleHashed(lists [][]model.FixSet, hash func(model.ViolationKey) uint64
 
 // RunJobSpark validates, plans by rule shape and executes a job.
 func RunJobSpark(ctx *engine.Context, j *Job) (*DetectResult, error) {
-	return detect(ctx, nil, func() (*LogicalPlan, error) { return BuildPlan(j) })
+	return detect(ctx, func() (*LogicalPlan, error) { return BuildPlan(j) })
 }
 
 // ListItem wraps a list of units.

@@ -42,9 +42,6 @@ type IncrementalDetector struct {
 	// fallback lists the rules that are not incrementalizable, in index
 	// order.
 	fallback []*Rule
-	// planner, when non-nil, plans the fallback rules' re-detections (see
-	// SetPlanner); nil plans by rule shape.
-	planner *Planner
 
 	// state per rule index (nil for fallback rules).
 	state []*ruleState
@@ -141,13 +138,6 @@ func NewIncrementalDetector(ctx *engine.Context, rules []*Rule) (*IncrementalDet
 	return d, nil
 }
 
-// SetPlanner installs the physical Planner that plans the re-detections of
-// the fallback rules (nil plans by rule shape). The prime and the
-// block-local passes run no plan: they group on each rule's own key.
-// Long-lived sessions pass their feedback-fed planner here so every
-// fallback re-detection re-plans on measured costs.
-func (d *IncrementalDetector) SetPlanner(pl *Planner) { d.planner = pl }
-
 // incrementalizable reports whether a rule supports block-incremental
 // maintenance.
 func incrementalizable(r *Rule) bool {
@@ -220,7 +210,7 @@ func (d *IncrementalDetector) incrementalPasses(rel *model.Relation, idx map[int
 // and none at all while the relation is unchanged.
 func (d *IncrementalDetector) refreshFull(rel *model.Relation) error {
 	if len(d.fallback) > 0 {
-		res, err := DetectRulesWith(d.ctx, d.planner, d.fallback, rel)
+		res, err := DetectRules(d.ctx, d.fallback, rel)
 		if err != nil {
 			return err
 		}

@@ -56,8 +56,6 @@ type OpDecl struct {
 	// Hints, on a Detect, name its pipeline and carry its rule's
 	// optimization hints.
 	Hints DetectHints
-	// Keys, on a Block, name its key and its alternatives.
-	Keys BlockKeys
 }
 
 // DetectHints name a Detect's pipeline and carry the optimization hints a
@@ -75,14 +73,6 @@ type DetectHints struct {
 	// reads is the rule's declaration of the columns it reads (Rule.Reads);
 	// only the Rule lowering sets it, so Job-API flows move whole tuples.
 	reads []int
-}
-
-// BlockKeys name a Block's key and the alternative keys the cost planner
-// may substitute for it (see Rule.BlockAttr and Rule.AltBlocks).
-type BlockKeys struct {
-	Attr     string
-	Alts     []BlockFunc
-	AltAttrs []string
 }
 
 // Job is the UDF-facing specification API of Appendix A: users register
@@ -118,14 +108,9 @@ func (j *Job) AddScope(fn ScopeFunc, label string) *Job {
 	return j
 }
 
-// AddBlock attaches a Block operator to the stream with the given label,
-// with its key's names and alternatives when keys (at most one) are given.
-func (j *Job) AddBlock(fn BlockFunc, label string, keys ...BlockKeys) *Job {
-	op := OpDecl{Kind: OpBlock, Block: fn, In: []string{label}, Out: label}
-	if len(keys) > 0 {
-		op.Keys = keys[0]
-	}
-	j.ops = append(j.ops, op)
+// AddBlock attaches a Block operator to the stream with the given label.
+func (j *Job) AddBlock(fn BlockFunc, label string) *Job {
+	j.ops = append(j.ops, OpDecl{Kind: OpBlock, Block: fn, In: []string{label}, Out: label})
 	return j
 }
 

@@ -12,6 +12,7 @@ import (
 	"bigdansing/internal/mapred"
 	"bigdansing/internal/model"
 	"bigdansing/internal/rules"
+	"bigdansing/internal/trace"
 )
 
 // The executor oracle: every rule shape runs through every grouping,
@@ -134,22 +135,21 @@ func scoped(compile func(*testing.T, *model.Schema) *core.Rule) func(*testing.T,
 
 // oracleRun is one configuration of the table.
 type oracleRun struct {
-	onePart bool // the planner's Broadcast choice: group into one partition
-	disk    bool // the disk exchange
-	budget  bool // a memory budget of a few KiB: every wide operator spills
+	disk   bool // the disk exchange
+	budget bool // a memory budget of a few KiB: every wide operator spills
 }
 
 func (c oracleRun) String() string {
-	return fmt.Sprintf("onePart=%v/disk=%v/budget=%v", c.onePart, c.disk, c.budget)
+	return fmt.Sprintf("disk=%v/budget=%v", c.disk, c.budget)
 }
 
-// detect plans r over rel, applies the run's grouping, and executes it on a
-// context configured for the run. It returns the result, the candidate pairs
-// the pipeline reported, and the bytes the engine spilled.
+// detect plans r over rel and executes it on a context configured for the
+// run. It returns the result, the candidate pairs the pipeline reported,
+// and the bytes the engine spilled.
 func (c oracleRun) detect(t *testing.T, r *core.Rule, rel *model.Relation) (*core.DetectResult, int64, int64) {
 	t.Helper()
-	rec := core.NewFeedbackRecorder()
-	cfg := engine.Config{Parallelism: 4, Observer: rec}
+	tracer := trace.New()
+	cfg := engine.Config{Parallelism: 4, Observer: tracer}
 	if c.budget {
 		cfg.MemoryBudgetBytes = 4 << 10
 		cfg.SpillDir = t.TempDir()
@@ -173,14 +173,18 @@ func (c oracleRun) detect(t *testing.T, r *core.Rule, rel *model.Relation) (*cor
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range pp.Pipelines {
-		pp.Pipelines[i].Broadcast = c.onePart
-	}
 	res, err := core.RunPlanSpark(ctx, pp)
 	if err != nil {
 		t.Fatalf("%v: %v", c, err)
 	}
-	return res, rec.PlanFeedback().Pipelines[r.ID].Pairs, ctx.Stats().Snapshot().BytesSpilled
+	tracer.Finish()
+	var pairs int64
+	for _, sp := range tracer.Spans() {
+		if sp.Kind() == engine.SpanPipeline && sp.Name() == r.ID {
+			pairs, _ = sp.AttrValue(engine.AttrPairs)
+		}
+	}
+	return res, pairs, ctx.Stats().Snapshot().BytesSpilled
 }
 
 // rendered is a result as comparable lines: each violation with its cells'
@@ -243,56 +247,45 @@ func TestExecutorOracle(t *testing.T) {
 			exact, kernel := fdKernelPairs[sh.name]
 			for _, n := range []int{0, 1, 80} {
 				rel := oracleData(n, int64(n)+int64(len(sh.name)))
-				var pairs, violating, kernelPairs int64 = -1, -1, -1
-				var shuffled []string
-				for _, onePart := range []bool{false, true} {
-					// The reference: per-pair Detect, kernels stripped, tuples,
-					// local engine, no budget. Grouping into one partition
-					// reorders the groups, and nothing else.
-					ref := sh.rule(t, schema)
-					ref.DetectBlock = nil
-					want, refPairs, _ := oracleRun{onePart: onePart}.detect(t, ref, rel)
-					if n == 80 && len(want.Violations) == 0 {
-						t.Fatalf("n=%d: the reference found no violations", n)
-					}
-					wantLines := rendered(t, want)
-					if pairs < 0 {
-						pairs, shuffled = refPairs, slices.Sorted(slices.Values(wantLines))
-						violating = violatingPairs(want)
-					} else if !slices.Equal(slices.Sorted(slices.Values(wantLines)), shuffled) {
-						t.Fatalf("n=%d: the one-partition reference finds other violations than the shuffled one", n)
-					}
-					for _, disk := range []bool{false, true} {
-						for _, budget := range []bool{false, true} {
-							run := oracleRun{onePart: onePart, disk: disk, budget: budget}
-							got, gotPairs, spilled := run.detect(t, sh.rule(t, schema), rel)
-							if budget && !disk && n > 1 && sh.impl != core.IterSingles && spilled == 0 {
-								t.Fatalf("n=%d %v: the budget spilled nothing", n, run)
-							}
-							gotLines, want := rendered(t, got), wantLines
-							if budget {
-								// The external grouping merges groups in hash
-								// order: compare as multisets.
-								gotLines, want = slices.Sorted(slices.Values(gotLines)), slices.Sorted(slices.Values(want))
-							}
-							if !slices.Equal(gotLines, want) {
-								t.Fatalf("n=%d %v: %d violations differ from the reference's %d\n got  %q\n want %q",
-									n, run, len(gotLines), len(want), gotLines, want)
-							}
-							if kernel && kernelPairs < 0 {
-								kernelPairs = gotPairs
-							}
-							switch {
-							case refPairs != pairs:
-								t.Fatalf("n=%d %v: reference pairs %d, first row %d", n, run, refPairs, pairs)
-							case !kernel && gotPairs != pairs:
-								t.Fatalf("n=%d %v: pairs %d, reference %d", n, run, gotPairs, pairs)
-							case kernel && exact && gotPairs != violating:
-								t.Fatalf("n=%d %v: kernel pairs %d, violating pairs %d", n, run, gotPairs, violating)
-							case kernel && (gotPairs != kernelPairs || gotPairs < violating || gotPairs > pairs):
-								t.Fatalf("n=%d %v: kernel pairs %d, first row %d, violating pairs %d, reference %d",
-									n, run, gotPairs, kernelPairs, violating, pairs)
-							}
+				var kernelPairs int64 = -1
+				// The reference: per-pair Detect, kernels stripped, tuples,
+				// local engine, no budget.
+				ref := sh.rule(t, schema)
+				ref.DetectBlock = nil
+				want, pairs, _ := oracleRun{}.detect(t, ref, rel)
+				if n == 80 && len(want.Violations) == 0 {
+					t.Fatalf("n=%d: the reference found no violations", n)
+				}
+				wantLines := rendered(t, want)
+				violating := violatingPairs(want)
+				for _, disk := range []bool{false, true} {
+					for _, budget := range []bool{false, true} {
+						run := oracleRun{disk: disk, budget: budget}
+						got, gotPairs, spilled := run.detect(t, sh.rule(t, schema), rel)
+						if budget && !disk && n > 1 && sh.impl != core.IterSingles && spilled == 0 {
+							t.Fatalf("n=%d %v: the budget spilled nothing", n, run)
+						}
+						gotLines, want := rendered(t, got), wantLines
+						if budget {
+							// The external grouping merges groups in hash
+							// order: compare as multisets.
+							gotLines, want = slices.Sorted(slices.Values(gotLines)), slices.Sorted(slices.Values(want))
+						}
+						if !slices.Equal(gotLines, want) {
+							t.Fatalf("n=%d %v: %d violations differ from the reference's %d\n got  %q\n want %q",
+								n, run, len(gotLines), len(want), gotLines, want)
+						}
+						if kernel && kernelPairs < 0 {
+							kernelPairs = gotPairs
+						}
+						switch {
+						case !kernel && gotPairs != pairs:
+							t.Fatalf("n=%d %v: pairs %d, reference %d", n, run, gotPairs, pairs)
+						case kernel && exact && gotPairs != violating:
+							t.Fatalf("n=%d %v: kernel pairs %d, violating pairs %d", n, run, gotPairs, violating)
+						case kernel && (gotPairs != kernelPairs || gotPairs < violating || gotPairs > pairs):
+							t.Fatalf("n=%d %v: kernel pairs %d, first row %d, violating pairs %d, reference %d",
+								n, run, gotPairs, kernelPairs, violating, pairs)
 						}
 					}
 				}

@@ -52,18 +52,8 @@ func (i IterImpl) String() string {
 type PhysicalPipeline struct {
 	Pipeline
 	Impl IterImpl
-	// Broadcast marks the one-partition variants: the Block or CoBlock
-	// grouping runs into a single destination partition, so one task holds
-	// every group — no per-partition stage setup, and still spillable under
-	// a budget. Chosen by the cost model for tiny relations.
-	Broadcast bool
 	// Ops lists the physical operator sequence for EXPLAIN-style output.
 	Ops []string
-	// EstCost is the planner's estimate for the chosen alternative;
-	// Alternatives keeps every legal alternative it priced (chosen and
-	// rejected) so EXPLAIN can audit the decision.
-	EstCost      Cost
-	Alternatives []PlanAlternative
 }
 
 // PhysicalPlan is the optimized executable plan.
@@ -75,14 +65,12 @@ type PhysicalPlan struct {
 }
 
 // Explain renders the physical plan: one operator-sequence line per
-// pipeline, followed (when the planner kept them) by the priced
-// alternatives — chosen and rejected — of each decision.
+// pipeline.
 func (pp *PhysicalPlan) Explain() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "plan %s (shared scans: %d)\n", pp.Name, pp.SharedScans)
 	for _, p := range pp.Pipelines {
 		fmt.Fprintf(&b, "  %s: %s\n", p.RuleID, strings.Join(p.Ops, " -> "))
-		explainAlternatives(&b, p)
 	}
 	return b.String()
 }

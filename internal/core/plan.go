@@ -25,15 +25,6 @@ type Branch struct {
 	Scopes []ScopeFunc
 	// Block keys the stream; nil means unkeyed.
 	Block BlockFunc
-	// BlockAttr optionally names the attribute Block keys on, for stats and
-	// EXPLAIN (see Rule.BlockAttr).
-	BlockAttr string
-	// AltBlocks are semantically valid alternative block keys the planner
-	// may substitute for Block (coarser keys for rules whose Detect
-	// re-checks the full predicate per pair); AltBlockAttrs names them
-	// position-for-position.
-	AltBlocks     []BlockFunc
-	AltBlockAttrs []string
 }
 
 // Derived is an upstream Iterate whose emitted units form a stream: the
@@ -149,7 +140,6 @@ func BuildPlan(j *Job) (*LogicalPlan, error) {
 						return b, fmt.Errorf("core: job %q: label %q has more than one Block", j.Name, label)
 					}
 					b.Block = op.Block
-					b.BlockAttr, b.AltBlocks, b.AltBlockAttrs = op.Keys.Attr, op.Keys.Alts, op.Keys.AltAttrs
 				}
 			}
 		}
@@ -233,7 +223,7 @@ func planRules(name string, rs []*Rule, rel *model.Relation) (*LogicalPlan, erro
 			j.AddScope(r.Scope, l)
 		}
 		if r.Block != nil {
-			j.AddBlock(r.Block, l, BlockKeys{Attr: r.BlockAttr, Alts: r.AltBlocks, AltAttrs: r.AltBlockAttrs})
+			j.AddBlock(r.Block, l)
 		}
 		in := []string{l}
 		if r.BlockRight != nil {

@@ -13,50 +13,38 @@ import (
 
 var updatePlans = flag.Bool("update-plans", false, "rewrite testdata/plans.golden with the current plans")
 
-// TestPlansGolden pins the physical plan, with its priced alternatives, of
-// every oracle rule shape on its own and of one plan holding all of them
-// plus a pair sharing one ID, under the rule-shape planner and under the
-// cost planner. It guards the lowering of rules into plans: a change to how
-// a rule becomes pipelines and branches shows up here as a diff.
+// TestPlansGolden pins the physical plan of every oracle rule shape on its
+// own and of one plan holding all of them plus a pair sharing one ID. It
+// guards the lowering of rules into plans: a change to how a rule becomes
+// pipelines and branches shows up here as a diff.
 func TestPlansGolden(t *testing.T) {
 	schema := model.MustParseSchema(oracleSchema)
 	rel := oracleData(80, 1)
-	planners := []struct {
-		name string
-		pl   func() *core.Planner
-	}{
-		{"static", func() *core.Planner { return core.NewPlanner() }},
-		{"cost", func() *core.Planner {
-			return core.NewPlanner(core.WithCostModel(core.NewCostModel()), core.WithParallelism(4))
-		}},
-	}
 	var b strings.Builder
-	explain := func(title string, pl *core.Planner, lp *core.LogicalPlan, err error) {
+	explain := func(title string, lp *core.LogicalPlan, err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatalf("%s: %v", title, err)
 		}
-		pp, err := pl.Plan(lp)
+		pp, err := core.NewPlanner().Plan(lp)
 		if err != nil {
 			t.Fatalf("%s: %v", title, err)
 		}
 		b.WriteString("== " + title + "\n" + pp.Explain())
 	}
-	for _, p := range planners {
-		var all []*core.Rule
-		for _, sh := range oracleShapes {
-			lp, err := core.PlanRule(sh.rule(t, schema), rel)
-			explain(p.name+" "+sh.name, p.pl(), lp, err)
-			all = append(all, sh.rule(t, schema))
-		}
-		for _, spec := range []string{"zipcode -> state", "city -> state"} {
-			r := fd(spec)(t, schema)
-			r.ID = "phiF"
-			all = append(all, r)
-		}
-		lp, err := core.PlanRules(all, rel)
-		explain(p.name+" all", p.pl(), lp, err)
+	var all []*core.Rule
+	for _, sh := range oracleShapes {
+		lp, err := core.PlanRule(sh.rule(t, schema), rel)
+		explain("static "+sh.name, lp, err)
+		all = append(all, sh.rule(t, schema))
 	}
+	for _, spec := range []string{"zipcode -> state", "city -> state"} {
+		r := fd(spec)(t, schema)
+		r.ID = "phiF"
+		all = append(all, r)
+	}
+	lp, err := core.PlanRules(all, rel)
+	explain("static all", lp, err)
 	got := b.String()
 
 	path := filepath.Join("testdata", "plans.golden")

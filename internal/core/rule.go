@@ -33,8 +33,8 @@ type Rule struct {
 	Detect DetectFunc
 	// DetectBlock optionally runs Detect over a whole block (see
 	// BlockDetectFunc). The executor uses it whenever the pipeline groups on
-	// Block, on every backend and source format; with an alternate key, a
-	// CoBlock or a custom Iterate it calls Detect per candidate.
+	// Block, on every backend and source format; with a CoBlock or a custom
+	// Iterate it calls Detect per candidate.
 	DetectBlock BlockDetectFunc
 	// GenFix proposes fixes. Nil means detection-only (violations are
 	// reported but carry no repair candidates).
@@ -58,18 +58,9 @@ type Rule struct {
 	// letting the storage manager push the Block operator down to a
 	// content-partitioned replica (Appendix F; see DetectRuleFromStore).
 	BlockAttr string
-	// AltBlocks lists alternative block keys the cost-based planner may
-	// substitute for Block. They must be semantically valid: every
-	// violation found under Block must also surface under each alternative
-	// (true for coarser keys when Detect re-checks the full predicate per
-	// pair, as the FD/CFD front ends do). AltBlockAttrs names them
-	// position-for-position for stats and EXPLAIN. The static planner
-	// ignores them.
-	AltBlocks     []BlockFunc
-	AltBlockAttrs []string
 
 	// Reads declares the columns of a (scoped) unit the rule reads: every
-	// column Block, BlockRight, AltBlocks, Iterate, OrderConds, Detect,
+	// column Block, BlockRight, Iterate, OrderConds, Detect,
 	// DetectBlock and GenFix look at. Nil means any column. It is the
 	// paper's Scope projection (Section 3.1, Listing 1) as the executor
 	// honours it: a tuple that moves — through the disk or TCP exchange, or
@@ -108,9 +99,6 @@ func (r *Rule) Validate() error {
 	}
 	if r.BlockRight != nil && r.Block == nil {
 		return fmt.Errorf("core: rule %s sets BlockRight without Block", r.ID)
-	}
-	if len(r.AltBlocks) > 0 && r.Block == nil {
-		return fmt.Errorf("core: rule %s sets AltBlocks without Block", r.ID)
 	}
 	for _, c := range r.Reads {
 		if c < 0 {

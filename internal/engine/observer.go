@@ -134,8 +134,7 @@ const (
 	AttrEpochs
 	// AttrPairs counts the candidate items a detection pipeline enumerated
 	// (one per Detect invocation; only measured when an Observer is
-	// installed). The cost-based planner feeds measured pair counts back
-	// into its estimates (core.FeedbackRecorder).
+	// installed).
 	AttrPairs
 
 	// NumAttrs bounds the enum; implementations may use it to size arrays.

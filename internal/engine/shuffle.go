@@ -317,9 +317,8 @@ func groupBy[T any, K comparable, V any](d *Dataset[T], key func(T) K, val func(
 // the context's parallelism), like Spark's groupBy: one Pair per distinct
 // key holding its records. No keyed-pair dataset is materialized; the key
 // function runs where the records lie. n = 1 groups every key in one task,
-// in first-seen order: the broadcast (collect-and-group-locally) plan, as
-// the same operator on every backend and under every budget. Records that
-// move are encoded as d's MovedAs appender writes them.
+// in first-seen order. Records that move are encoded as d's MovedAs
+// appender writes them.
 func GroupBy[T any, K comparable](d *Dataset[T], key func(T) K, n int) *Dataset[Pair[K, []T]] {
 	return groupBy(d, key, identity[T], d.wire, n)
 }
@@ -377,7 +376,7 @@ func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], combine func(a, b 
 }
 
 // CoGroupBy shuffles two datasets together by their keys into n partitions
-// (n <= 0 means the context's parallelism; n = 1 is the broadcast CoBlock)
+// (n <= 0 means the context's parallelism)
 // and, per key, collects the records of each side into bags — Pig's
 // COGROUP, the model for the paper's CoBlock enhancer. Keys appear in
 // first-seen order per destination, left records first; a side with no

@@ -230,7 +230,6 @@ func All() []Experiment {
 		{"ext-combiner", "Extension: MR combiner effect on distributed equivalence class spill", ExtCombiner},
 		{"ext-net", "Extension: Fig. 10 rerun across real worker processes (net backend)", ExtNet},
 		{"ext-accuracy", "Extension: repair accuracy, equivalence vs hypergraph vs prob (precision/recall/distance)", ExtAccuracy},
-		{"ext-plan", "Extension: static vs cost-based physical planner (TaxA phi1)", ExtPlan},
 	}
 }
 

@@ -42,8 +42,8 @@ func TestRegistryIDsUnique(t *testing.T) {
 			t.Errorf("experiment %s incomplete", e.ID)
 		}
 	}
-	if len(seen) != 20 {
-		t.Errorf("experiments = %d, want 20 (every table and figure plus 5 extensions)", len(seen))
+	if len(seen) != 19 {
+		t.Errorf("experiments = %d, want 19 (every table and figure plus 4 extensions)", len(seen))
 	}
 }
 

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
-	"bigdansing/internal/cleanse"
 	"bigdansing/internal/core"
 	"bigdansing/internal/datagen"
 	"bigdansing/internal/engine"
@@ -181,72 +178,5 @@ func ExtNet(cfg Config) ([]*Table, error) {
 	t.Notes = append(t.Notes,
 		"extension: partitions really cross process boundaries -- frames over loopback TCP, CRC-checked, credit-windowed",
 		"expect net slower than in-process at this scale: the wire cost is real and the point is the trend across workers")
-	return []*Table{t}, nil
-}
-
-// ExtPlan compares the static rule-shape planner against the cost-based
-// planner on the Fig. 9(a) workload (TaxA phi1) at a tiny and a large
-// cardinality. At the tiny size the cost planner replaces the two-stage
-// blocked shuffle with a broadcast local-group plan; at the large size it
-// agrees with the static choice.
-func ExtPlan(cfg Config) ([]*Table, error) {
-	cfg = cfg.withDefaults()
-	t := &Table{ID: "ext-plan", Title: "detection: static vs cost-based physical planner (TaxA phi1)",
-		XLabel: "rows", YLabel: "detect seconds",
-		Series: []Series{{Name: "static"}, {Name: "cost"}}}
-	rule := mustRule(phi1())
-	ctx := engine.New(cfg.Workers)
-	for _, base := range []int{150, 20000} {
-		rows := cfg.rows(base)
-		rel := datagen.TaxA(rows, 0.1, cfg.Seed).Dirty
-		reps := 200000 / rows
-		if reps < 3 {
-			reps = 3
-		}
-		for si, mode := range []string{"static", "cost"} {
-			conf := cleanse.DefaultConfig()
-			conf.Planner = mode
-			_, pl, err := conf.Build(&engine.Config{Parallelism: cfg.Workers}, nil)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := core.DetectRulesWith(ctx, pl, []*core.Rule{rule}, rel); err != nil {
-				return nil, err
-			}
-			secs, err := timeIt(func() error {
-				for i := 0; i < reps; i++ {
-					if _, err := core.DetectRulesWith(ctx, pl, []*core.Rule{rule}, rel); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			t.Series[si].Points = append(t.Series[si].Points,
-				Point{X: float64(rows), Value: secs / float64(reps)})
-
-			lp, err := core.PlanRule(rule, rel)
-			if err != nil {
-				return nil, err
-			}
-			planner := pl
-			if planner == nil {
-				planner = core.NewPlanner()
-			}
-			pp, err := planner.Plan(lp)
-			if err != nil {
-				return nil, err
-			}
-			label := pp.Pipelines[0].Impl.String()
-			if pp.Pipelines[0].Broadcast {
-				label = "Broadcast" + label
-			}
-			t.Notes = append(t.Notes,
-				fmt.Sprintf("%s @ %d rows chose %s", mode, rows, label))
-		}
-	}
-	t.Notes = append(t.Notes, "extension: cost model trades shuffle-stage setup against collect+pair cost; tiny inputs broadcast")
 	return []*Table{t}, nil
 }

@@ -149,11 +149,6 @@ func AppendTuple(buf []byte, t Tuple) []byte {
 	return buf
 }
 
-// EncodeTuple encodes a tuple into a fresh buffer.
-func EncodeTuple(t Tuple) []byte {
-	return AppendTuple(make([]byte, 0, 16+8*len(t.Cells)), t)
-}
-
 // DecodeTuple decodes one tuple from buf, returning it and the number of
 // bytes consumed.
 func DecodeTuple(buf []byte) (Tuple, int, error) {

@@ -27,6 +27,11 @@ func TestValueBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// EncodeTuple encodes a tuple into a fresh buffer.
+func EncodeTuple(t Tuple) []byte {
+	return AppendTuple(make([]byte, 0, 16+8*len(t.Cells)), t)
+}
+
 func TestTupleBinaryRoundTrip(t *testing.T) {
 	tp := NewTuple(12345, S("Annie"), I(10011), S("NY"), F(0.15))
 	buf := EncodeTuple(tp)

@@ -84,6 +84,8 @@ func digest(as []repair.Assignment) string {
 // equivalence-class repairs and the probabilistic backend — on seeded
 // components against recorded digests. A change to how classes are formed,
 // which cells join them or which constants they carry moves some digest.
+// The distributed repair is the centralized one run as two map-reduce jobs
+// (Section 5.2), so their digests must be equal on every component.
 func TestClassConsumersMatchGolden(t *testing.T) {
 	algos := []repair.Algorithm{
 		&repair.EquivalenceClass{},
@@ -102,6 +104,9 @@ func TestClassConsumersMatchGolden(t *testing.T) {
 			}
 			assigned[i] += len(as)
 			fields = append(fields, digest(as))
+		}
+		if fields[1] != fields[2] {
+			t.Errorf("component %d: eq digest %s, mr digest %s", seed, fields[1], fields[2])
 		}
 		lines = append(lines, strings.Join(fields, " "))
 	}

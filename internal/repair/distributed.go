@@ -3,6 +3,7 @@ package repair
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"bigdansing/internal/engine"
 	"bigdansing/internal/model"
@@ -89,9 +90,12 @@ func (d *DistributedEquivalenceClass) Repair(component []model.FixSet) ([]Assign
 	// ---- Job 1 input: one vote per element (value counted once per
 	// element, satisfying "if an element exists in multiple fixes, we only
 	// count its value once"). Constants enter with a boosted count so they
-	// win the vote (hard requirements). Lone cells without constants are
-	// never repaired, so they cast no votes.
+	// win the vote (hard requirements): as in EquivalenceClass.Repair, each
+	// distinct constant of a cell weighs its count plus the class size.
+	// Lone cells without constants are never repaired, so they cast no
+	// votes.
 	var votes []engine.Pair[classValue, vote]
+	var cellConsts []vote
 	for r := range c.first {
 		class := c.class(r)
 		if !c.needsRepair(class) {
@@ -100,9 +104,18 @@ func (d *DistributedEquivalenceClass) Repair(component []model.FixSet) ([]Assign
 		for _, id := range class {
 			v := c.first[id].cell(component).Value
 			votes = append(votes, engine.KV(classValue{int64(r), v.MapKey()}, vote{1, v}))
+			cellConsts = cellConsts[:0]
 			for _, j := range c.consts(id) {
 				cv := c.constFixes[j].fix(component).Const()
-				votes = append(votes, engine.KV(classValue{int64(r), cv.MapKey()}, vote{int64(len(class) + 1), cv}))
+				k := slices.IndexFunc(cellConsts, func(x vote) bool { return x.Value.Equal(cv) })
+				if k < 0 {
+					k = len(cellConsts)
+					cellConsts = append(cellConsts, vote{0, cv})
+				}
+				cellConsts[k].Count++
+			}
+			for _, cv := range cellConsts {
+				votes = append(votes, engine.KV(classValue{int64(r), cv.Value.MapKey()}, vote{cv.Count + int64(len(class)), cv.Value}))
 			}
 		}
 	}

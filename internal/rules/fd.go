@@ -122,20 +122,6 @@ func (fd *FD) Compile(schema *model.Schema) (*core.Rule, error) {
 		},
 		GenFix: equateAdjacent,
 	}
-	if len(lhsIdx) > 1 {
-		// Each single LHS attribute is a coarser — but still correct —
-		// block key: Detect re-checks the full LHS per pair, so blocking on
-		// any one LHS column surfaces every violation the composite key
-		// does. The cost planner may pick one when the composite key is
-		// heavily skewed or its key strings dominate the shuffle.
-		for _, c := range lhsIdx {
-			col := c
-			rule.AltBlocks = append(rule.AltBlocks, func(t model.Tuple) model.Value {
-				return t.Cell(col)
-			})
-			rule.AltBlockAttrs = append(rule.AltBlockAttrs, schema.Name(col))
-		}
-	}
 	rule.DetectBlock = fdBlockKernel(ruleID, lhsIdx, rhsIdx, rule.Detect)
 	return rule, nil
 }

@@ -133,7 +133,7 @@ func outside(rng *rand.Rand, ts []model.Tuple, reads []int, scramble bool) []mod
 }
 
 // readsOutput renders, byte for byte, everything a rule's operators make of
-// a relation: the keys Block, BlockRight and AltBlocks give each tuple, the
+// a relation: the keys Block and BlockRight give each tuple, the
 // violations Detect finds on every unit (unary) or ordered pair, the fix
 // sets DetectBlock finds on every block in both orders, and the fixes
 // GenFix proposes for each of those violations, cell values included.
@@ -146,9 +146,6 @@ func readsOutput(r *core.Rule, ts []model.Tuple) string {
 		}
 		if r.BlockRight != nil {
 			fmt.Fprintf(&b, "right %#v\n", r.BlockRight(t).MapKey())
-		}
-		for _, alt := range r.AltBlocks {
-			fmt.Fprintf(&b, "alt %#v\n", alt(t).MapKey())
 		}
 	}
 	if r.Unary {

@@ -538,9 +538,6 @@ func TestStaticPlannerMatchesLegacyOptimize(t *testing.T) {
 			if g.NumParts != w.NumParts {
 				t.Errorf("%s[%d]: parts %d != legacy %d", r.ID, i, g.NumParts, w.NumParts)
 			}
-			if g.Broadcast {
-				t.Errorf("%s[%d]: static plan broadcasts", r.ID, i)
-			}
 			if stripped := stripPlannerMarkers(g.Ops, w.Ops); !reflect.DeepEqual(stripped, w.Ops) {
 				t.Errorf("%s[%d]: ops %v != legacy %v", r.ID, i, g.Ops, w.Ops)
 			}

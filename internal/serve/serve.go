@@ -97,9 +97,6 @@ type stream struct {
 	schema  *model.Schema
 	session *cleanse.Session
 	tracer  *trace.Tracer
-	// planner is the session's cost-based planner (nil for static); its
-	// History feeds the /explain audit.
-	planner *core.Planner
 
 	mu      sync.Mutex
 	closing bool
@@ -259,18 +256,10 @@ func decodeCreate(body io.Reader) (*createPlan, error) {
 // open creates a named stream: its own engine context, tracer, and session.
 func (s *Server) open(name string, plan *createPlan) (*stream, error) {
 	tracer := trace.New()
-	// A cost-planned session feeds its planner from a FeedbackRecorder teed
-	// into the observer: every flush re-plans against the pipeline stats
-	// (pairs, violations) the previous flush measured, so long-lived
-	// sessions converge on measured costs.
-	rec := core.NewFeedbackRecorder()
 	ecfg := engine.Config{Parallelism: s.cfg.Workers, Observer: tracer}
-	opts, planner, err := plan.cfg.Build(&ecfg, rec)
+	opts, err := plan.cfg.Build(&ecfg)
 	if err != nil {
 		return nil, err
-	}
-	if planner != nil {
-		ecfg.Observer = engine.Tee(tracer, rec)
 	}
 	// The cleaner builds and owns the context, so closing the session (the
 	// end of every stream's life, including the error paths below) shuts
@@ -291,7 +280,6 @@ func (s *Server) open(name string, plan *createPlan) (*stream, error) {
 		schema:  plan.schema,
 		session: sess,
 		tracer:  tracer,
-		planner: planner,
 		ops:     make(chan func(), s.cfg.QueueDepth),
 		done:    make(chan struct{}),
 	}
@@ -608,13 +596,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	var terr error
 	err := st.run(func() {
 		var sb strings.Builder
-		if st.planner != nil {
-			sb.WriteString("planner decisions:\n")
-			for _, h := range st.planner.History() {
-				sb.WriteString(h)
-			}
-			sb.WriteString("\n")
-		}
 		terr = trace.WriteTree(&sb, st.tracer)
 		buf = []byte(sb.String())
 	})

@@ -446,50 +446,25 @@ func TestServeProbSession(t *testing.T) {
 	}
 }
 
-// TestServeCostPlannerSession creates a session with "planner":"cost",
-// flushes, and checks the explain audit includes planner decisions.
+// TestServeCostPlannerSession: a cost-planned session can no longer be
+// created. The "planner" key left with the cost planner, so a create body
+// that still sends it — "cost", or the old default "static" — is refused
+// with 400 naming the key.
 func TestServeCostPlannerSession(t *testing.T) {
 	srv := New(Config{Workers: 2, QueueDepth: 8})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	c := ts.Client()
 
-	req := taxRequest()
-	req.Planner = "cost"
-	b, _ := json.Marshal(req)
-	code, body := do(t, c, "POST", ts.URL+"/sessions/cp", string(b))
-	if code != http.StatusCreated {
-		t.Fatalf("create: %d %s", code, body)
+	for _, planner := range []string{"cost", "static"} {
+		body := `{"schema":"` + taxSchema + `","rules":[{"kind":"fd","spec":"zipcode -> city"}],"planner":"` + planner + `"}`
+		code, b := do(t, c, "POST", ts.URL+"/sessions/"+planner, body)
+		if code != http.StatusBadRequest || !bytes.Contains(b, []byte("planner")) {
+			t.Errorf("planner %q: %d %s, want 400 naming the key", planner, code, b)
+		}
 	}
-
-	all := rows(4, 6, 2)
-	rb, _ := json.Marshal(map[string]any{"tuples": all})
-	if code, body := do(t, c, "POST", ts.URL+"/sessions/cp/ingest", string(rb)); code != http.StatusAccepted {
-		t.Fatalf("ingest: %d %s", code, body)
-	}
-	code, body = do(t, c, "POST", ts.URL+"/sessions/cp/flush", "")
-	if code != http.StatusOK {
-		t.Fatalf("flush: %d %s", code, body)
-	}
-	var rep reportJSON
-	json.Unmarshal(body, &rep)
-	if rep.InitialViolations == 0 || rep.RemainingViolations != 0 {
-		t.Errorf("cost-planned flush should still repair: %+v", rep)
-	}
-
-	code, body = do(t, c, "GET", ts.URL+"/sessions/cp/explain", "")
-	if code != http.StatusOK {
-		t.Fatalf("explain: %d", code)
-	}
-	if !bytes.Contains(body, []byte("planner decisions:")) {
-		t.Errorf("explain should include planner audit:\n%s", body)
-	}
-
-	// Unknown planner is rejected at create.
-	req.Planner = "bogus"
-	b, _ = json.Marshal(req)
-	if code, body := do(t, c, "POST", ts.URL+"/sessions/bad", string(b)); code != http.StatusBadRequest {
-		t.Errorf("bogus planner create: %d %s", code, body)
+	if names := srv.sessionNames(); len(names) != 0 {
+		t.Errorf("sessions registered: %v", names)
 	}
 }
 

@@ -31,7 +31,6 @@ var callerDirs = []string{"internal", "cmd", "benchmark"}
 // it.
 var allowed = map[string]string{
 	// (a) user API the examples demonstrate.
-	"core.DetectRules":         "DESIGN.md §11 (a)",
 	"core.DetectRuleFromStore": "DESIGN.md §11 (a)",
 	"storage.Open":             "DESIGN.md §11 (a)",
 	"storage.Store.Upload":     "DESIGN.md §11 (a)",
@@ -54,8 +53,6 @@ var allowed = map[string]string{
 	"core.PairsOrdered": "DESIGN.md §11 (c)",
 	"core.ItemList":     "DESIGN.md §11 (c)",
 	// (d) seams that tests of other packages read.
-	"core.WithTableStats":          "DESIGN.md §11 (d)",
-	"core.Planner.ModelName":       "DESIGN.md §11 (d)",
 	"engine.Context.MemoryManager": "DESIGN.md §11 (d)",
 	"spill.Manager.Budget":         "DESIGN.md §11 (d)",
 	"spill.Manager.Reserved":       "DESIGN.md §11 (d)",
