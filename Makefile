@@ -39,20 +39,22 @@ unused:
 # internal/ APIs and runs its unit tests and one-workload smoke run, then
 # builds and runs one iteration of the CSV-reader, out-of-core engine
 # (GroupByKeySpill, ReduceByKeySpill, SortBySpill), FD-detection (local, disk
-# exchange and spill: DetectFD, DetectFDDisk, DetectFDSpill), session-stream,
-# FD-clean, hypergraph-repair and equivalence-class-repair benchmarks.
+# exchange and spill: DetectFD, DetectFDDisk, DetectFDSpill; TCP exchange with
+# two spawned workers: DetectFDNet), session-stream, FD-clean,
+# hypergraph-repair and equivalence-class-repair benchmarks.
 bench-smoke:
 	cd benchmark && $(GO) test ./...
 	$(GO) test -run xxx -bench ReadCSV -benchtime 1x ./internal/model/
 	$(GO) test -run xxx -bench 'GroupByKeySpill|ReduceByKeySpill|SortBySpill' -benchtime 1x ./internal/engine/
 	$(GO) test -run xxx -bench 'DetectFD|DetectFDDisk|DetectFDSpill' -benchtime 1x ./internal/core/
+	$(GO) test -run xxx -bench DetectFDNet -benchtime 1x ./internal/netexec/
 	$(GO) test -run xxx -bench SessionStream -benchtime 1x ./internal/cleanse/
 	$(GO) test -run xxx -bench CleanFD -benchtime 1x ./internal/cleanse/
 	$(GO) test -run xxx -bench HypergraphRepair -benchtime 1x ./internal/repair/
 	$(GO) test -run xxx -bench EquivalenceRepair -benchtime 1x ./internal/repair/
 
-# 30 seconds of coverage-guided fuzzing per fuzzer (the wire codec, the
-# record decoders, the schema and CSV parsers, the service's create and
+# 30 seconds of coverage-guided fuzzing per fuzzer (the wire codec and its
+# read-into-run path, the run walker the exchanges share, the record decoders, the schema and CSV parsers, the service's create and
 # ingest bodies, the DC, FD and CFD parsers, the rule-spec list compiler, the
 # FD block kernel, the storage reader, the spill run reader and the RDF triple
 # parser), seeded from testdata/fuzz corpora.
@@ -79,6 +81,7 @@ bench:
 	$(GO) test -run xxx -bench ReadCSV -benchtime 5x -benchmem ./internal/model/
 	$(GO) test -run xxx -bench . -benchtime 5x -benchmem ./internal/engine/
 	$(GO) test -run xxx -bench 'DetectScan|ViolationDedup|DetectFD|DetectFDDisk|DetectFDSpill' -benchtime 5x -benchmem ./internal/core/
+	$(GO) test -run xxx -bench DetectFDNet -benchtime 5x -benchmem ./internal/netexec/
 	$(GO) test -run xxx -bench SessionStream -benchtime 256x -benchmem ./internal/cleanse/
 	$(GO) test -run xxx -bench CleanFD -benchtime 5x -benchmem ./internal/cleanse/
 	$(GO) test -run xxx -bench HypergraphRepair -benchtime 5x -benchmem ./internal/repair/

@@ -13,11 +13,13 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -204,16 +206,15 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
+		canonicalOrder(res.FixSets)
 		byRule := map[string]int{}
-		for _, v := range res.Violations {
-			byRule[v.RuleID]++
-			if *verbose {
-				fmt.Fprintln(out, " ", v)
-			}
-		}
 		fixes := 0
 		for _, fs := range res.FixSets {
+			byRule[fs.Violation.RuleID]++
 			fixes += len(fs.Fixes)
+			if *verbose {
+				fmt.Fprintln(out, " ", fs.Violation)
+			}
 		}
 		fmt.Fprintf(out, "violations: %d (possible fixes: %d)\n", len(res.Violations), fixes)
 		ruleIDs := make([]string, 0, len(byRule))
@@ -263,6 +264,20 @@ func run(args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("unknown mode %q", *mode)
 	}
+}
+
+// canonicalOrder sorts sets by rule ID, then by their violation's cell
+// positions (sorted, in CellKey order). The engine hands violations over in
+// the order its tasks found them, which depends on the process's shuffle
+// hash; the detect listing and report are written in this order instead,
+// so that one input always reads the same.
+func canonicalOrder(sets []model.FixSet) {
+	slices.SortStableFunc(sets, func(a, b model.FixSet) int {
+		ka, kb := a.Violation.MapKey(), b.Violation.MapKey()
+		return cmp.Or(strings.Compare(ka.RuleID, kb.RuleID),
+			slices.CompareFunc(ka.Cells[:min(ka.N, len(ka.Cells))], kb.Cells[:min(kb.N, len(kb.Cells))], model.CellKey.Compare),
+			cmp.Compare(ka.N, kb.N), strings.Compare(ka.Extra, kb.Extra))
+	})
 }
 
 // writeTraceFile writes the tracer's Chrome trace-event JSON to path.

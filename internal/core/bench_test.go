@@ -36,7 +36,7 @@ func BenchmarkBlockGroup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := engine.Parallelize(ctx, tuples, 0)
-		if _, err := engine.GroupBy(d, func(t model.Tuple) model.ValueKey { return block(t).MapKey() }, 0).Count(); err != nil {
+		if _, err := engine.GroupBy(d, func(t model.Tuple) model.ValueKey { return block(t).MapKey() }).Count(); err != nil {
 			b.Fatal(err)
 		}
 	}

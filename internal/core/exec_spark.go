@@ -410,7 +410,7 @@ func (ex *sparkExec) iterateGroups(pp *PhysicalPlan, p *PhysicalPipeline, branch
 // computed where the tuples lie — no keyed-pair dataset and no per-record
 // key string is materialized.
 func (ex *sparkExec) blocks(d *engine.Dataset[model.Tuple], block BlockFunc) *engine.Dataset[engine.Pair[model.ValueKey, []model.Tuple]] {
-	return engine.GroupBy(d, func(t model.Tuple) model.ValueKey { return block(t).MapKey() }, 0)
+	return engine.GroupBy(d, func(t model.Tuple) model.ValueKey { return block(t).MapKey() })
 }
 
 // coGroupBranches co-groups the first two branches on their Block keys into
@@ -428,7 +428,7 @@ func (ex *sparkExec) coGroupBranches(pp *PhysicalPlan, p *PhysicalPipeline, bran
 	lb, rb := branches[0].Block, branches[1].Block
 	cg := engine.CoGroupBy(left.MovedAs(wire), right.MovedAs(wire),
 		func(t model.Tuple) model.ValueKey { return lb(t).MapKey() },
-		func(t model.Tuple) model.ValueKey { return rb(t).MapKey() }, 0)
+		func(t model.Tuple) model.ValueKey { return rb(t).MapKey() })
 	if err := cg.Err(); err != nil {
 		return nil, err
 	}

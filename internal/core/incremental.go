@@ -255,7 +255,7 @@ func (d *IncrementalDetector) primeRule(r *Rule, rel *model.Relation) (*ruleStat
 			return engine.KV(key(t), []model.Tuple{t})
 		})
 	} else {
-		groups = engine.GroupBy(scan.MovedAs(projection(r.Reads)), key, 0)
+		groups = engine.GroupBy(scan.MovedAs(projection(r.Reads)), key)
 	}
 	gs, err := groups.Collect()
 	if err != nil {

@@ -39,7 +39,7 @@ func BenchmarkGroupByKey(b *testing.B) {
 	b.Run("tuples-100000-valuekey", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			d := Parallelize(ctx, tuples, 0)
-			if _, err := GroupBy(d, func(t model.Tuple) model.ValueKey { return t.Cell(1).MapKey() }, 0).Count(); err != nil {
+			if _, err := GroupBy(d, func(t model.Tuple) model.ValueKey { return t.Cell(1).MapKey() }).Count(); err != nil {
 				b.Fatal(err)
 			}
 		}

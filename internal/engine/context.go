@@ -472,7 +472,7 @@ func (c *Context) MemoryManager() *spill.Manager { return c.mem }
 // records they moved in shuffled. recordsIn/recordsOut are plain fields the
 // operators set once per task (never per record) — runStage pushes them
 // onto the task's span when it ends, so tracing them costs nothing on the
-// record paths.
+// record paths. A task that fails without panicking sets err.
 type taskCtx struct {
 	part       int
 	worker     int
@@ -480,11 +480,13 @@ type taskCtx struct {
 	shuffled   int64
 	recordsIn  int64
 	recordsOut int64
+	err        error
 }
 
 // runStage executes f for every partition index in [0, n) using at most
 // Parallelism workers, reports the stage (and each task) to the observer
-// under name, and returns the first task failure. A panic inside f is
+// under name, and returns the failure of the lowest failed partition: the
+// err its task set, or its panic. A panic inside f is
 // recovered and returned as an error naming the partition (and, for fused
 // stages, the originating operator), so one bad record fails the stage
 // rather than the process. Spans are closed on every exit path, panics
@@ -503,9 +505,8 @@ func (c *Context) runStage(name string, n int, f func(tk *taskCtx)) error {
 		next     atomic.Int64
 		shuffled atomic.Int64
 		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstEr  error
 	)
+	errs := make([]error, n)
 	run := func(worker, part int) (err error) {
 		tsp := c.obs.BeginSpan(sp, name, SpanTask)
 		tk := &taskCtx{part: part, worker: worker}
@@ -528,7 +529,7 @@ func (c *Context) runStage(name string, n int, f func(tk *taskCtx)) error {
 			}
 		}()
 		f(tk)
-		return nil
+		return tk.err
 	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -539,20 +540,14 @@ func (c *Context) runStage(name string, n int, f func(tk *taskCtx)) error {
 				if i >= n {
 					return
 				}
-				if err := run(worker, i); err != nil {
-					mu.Lock()
-					if firstEr == nil {
-						firstEr = err
-					}
-					mu.Unlock()
-				}
+				errs[i] = run(worker, i)
 			}
 		}(w)
 	}
 	wg.Wait()
 	sp.Attr(AttrRecordsShuffled, shuffled.Load())
 	sp.End()
-	return firstEr
+	return cmp.Or(errs...)
 }
 
 // shuffleSeed is the process-wide seed for shuffle-key hashing; it only has

@@ -148,10 +148,11 @@ func TestReduceByKeyMatchesGroupReduce(t *testing.T) {
 
 func TestCoGroup(t *testing.T) {
 	ctx := New(4)
-	left := Parallelize(ctx, []Pair[string, int]{KV("x", 1), KV("y", 2), KV("x", 3)}, 2)
-	right := Parallelize(ctx, []Pair[string, string]{KV("x", "a"), KV("z", "b")}, 2)
+	lrecs := []Pair[string, int]{KV("x", 1), KV("y", 2), KV("x", 3)}
+	rrecs := []Pair[string, string]{KV("x", "a"), KV("z", "b")}
+	left, right := Parallelize(ctx, lrecs, 2), Parallelize(ctx, rrecs, 2)
 	lk, rk := pairKey[string, int], pairKey[string, string]
-	cg, err := CoGroupBy(left, right, lk, rk, 0).Collect()
+	cg, err := CoGroupBy(left, right, lk, rk).Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,25 +167,26 @@ func TestCoGroup(t *testing.T) {
 		t.Errorf("cogroup z = %+v", seen["z"])
 	}
 
-	// One destination partition: every key in one task, left keys first in
-	// first-seen order, then right-only keys.
-	one := CoGroupBy(left, right, lk, rk, 1)
+	// At parallelism 1, one destination partition: every key in one task,
+	// left keys first in first-seen order, then right-only keys.
+	ctx1 := New(1)
+	one := CoGroupBy(Parallelize(ctx1, lrecs, 2), Parallelize(ctx1, rrecs, 2), lk, rk)
 	if one.NumPartitions() != 1 {
-		t.Fatalf("CoGroupBy(1) partitions = %d", one.NumPartitions())
+		t.Fatalf("CoGroupBy at parallelism 1: partitions = %d", one.NumPartitions())
 	}
 	var keys []string
 	for _, g := range one.Partition(0) {
 		keys = append(keys, g.Key)
 	}
 	if strings.Join(keys, ",") != "x,y,z" {
-		t.Errorf("CoGroupBy(1) key order = %v, want x,y,z", keys)
+		t.Errorf("CoGroupBy at parallelism 1: key order = %v, want x,y,z", keys)
 	}
 }
 
 func TestGroupByKeyNOnePartition(t *testing.T) {
-	ctx := New(4)
+	ctx := New(1)
 	data := []Pair[string, int]{KV("b", 1), KV("a", 2), KV("b", 3), KV("c", 4), KV("a", 5)}
-	g := GroupByKeyN(Parallelize(ctx, data, 3), 1)
+	g := GroupByKey(Parallelize(ctx, data, 3))
 	if g.NumPartitions() != 1 {
 		t.Fatalf("partitions = %d, want 1", g.NumPartitions())
 	}
@@ -195,9 +197,9 @@ func TestGroupByKeyNOnePartition(t *testing.T) {
 }
 
 func TestGroupByKeyNGroupsDoNotAlias(t *testing.T) {
-	ctx := New(4)
+	ctx := New(1)
 	data := []Pair[string, int]{KV("b", 1), KV("a", 2), KV("b", 3), KV("c", 4), KV("a", 5)}
-	groups := GroupByKeyN(Parallelize(ctx, data, 3), 1).Partition(0)
+	groups := GroupByKey(Parallelize(ctx, data, 3)).Partition(0)
 	for i := 0; i+1 < len(groups); i++ {
 		next := fmt.Sprint(groups[i+1].Value)
 		_ = append(groups[i].Value, -1)

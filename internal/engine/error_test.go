@@ -20,20 +20,24 @@ func TestErrorPropagatesThroughWideOps(t *testing.T) {
 	}
 	good := Parallelize(ctx, []Pair[string, int]{KV("k", 1)}, 1)
 	key := pairKey[string, int]
-	if CoGroupBy(kv, good, key, key, 0).Err() == nil {
+	if CoGroupBy(kv, good, key, key).Err() == nil {
 		t.Error("CoGroupBy should propagate from left")
 	}
-	if CoGroupBy(good, kv, key, key, 0).Err() == nil {
+	if CoGroupBy(good, kv, key, key).Err() == nil {
 		t.Error("CoGroupBy should propagate from right")
 	}
-	if GroupByKeyN(kv, 1).Err() == nil {
-		t.Error("GroupByKeyN should propagate")
-	}
-	if GroupBy(failing(ctx), func(i int) int { return i }, 1).Err() == nil {
+	if GroupBy(failing(ctx), func(i int) int { return i }).Err() == nil {
 		t.Error("GroupBy should propagate")
 	}
-	if CoGroupBy(good, kv, key, key, 1).Err() == nil {
-		t.Error("CoGroupBy(1) should propagate")
+	// At parallelism 1 every key is grouped in one task.
+	one := New(1)
+	kv1 := Map(failing(one), func(i int) Pair[string, int] { return KV("k", i) })
+	good1 := Parallelize(one, []Pair[string, int]{KV("k", 1)}, 1)
+	if GroupByKey(kv1).Err() == nil {
+		t.Error("GroupByKey at parallelism 1 should propagate")
+	}
+	if CoGroupBy(good1, kv1, key, key).Err() == nil {
+		t.Error("CoGroupBy at parallelism 1 should propagate")
 	}
 }
 

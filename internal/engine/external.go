@@ -119,9 +119,9 @@ func destLen[R any](sources []*spillSource[R], dst int) int {
 	return n
 }
 
-// minSlab is the smallest slab a grouping spiller encodes records into;
-// slabBytes (exchange.go) is the largest.
-const minSlab = 256
+// minSlab and slabBytes bound the slabs a grouping spiller encodes records
+// into.
+const minSlab, slabBytes = 256, 256 << 10
 
 // slabArena holds the encoded bytes of a spiller's buffered records in a few
 // large slabs, each record a window capped at its own end. Every slab is
@@ -385,7 +385,6 @@ func runSpillStage[T, R any](
 	feed func(sp *spiller[R], tk *taskCtx, in []T) error,
 ) ([]*spillSource[R], error) {
 	sources := make([]*spillSource[R], len(parts))
-	errs := make([]error, len(parts))
 	share := ctx.mem.Budget() / int64(max(len(parts), 1))
 	serr := ctx.runStage(stage+":spill", len(parts), func(tk *taskCtx) {
 		sp := newSpiller()
@@ -396,16 +395,12 @@ func runSpillStage[T, R any](
 			}
 		}()
 		sp.n, sp.share = len(parts[tk.part]), share
-		if err := feed(sp, tk, parts[tk.part]); err != nil {
-			errs[tk.part] = err
+		if tk.err = feed(sp, tk, parts[tk.part]); tk.err != nil {
 			return
 		}
 		sources[tk.part] = sp.finish()
 		handedOver = true
 	})
-	if serr == nil {
-		serr = firstError(errs)
-	}
 	if serr != nil {
 		releaseSources(ctx, sources)
 		return nil, serr
@@ -720,12 +715,11 @@ func groupByExternal[T any, K comparable, V any](d *Dataset[T], key func(T) K, v
 	defer releaseSources(ctx, sources)
 
 	out := make([][]Pair[K, []V], n)
-	errs := make([]error, n)
 	gerr := ctx.runStage("groupByKey:merge", n, func(tk *taskCtx) {
 		vals := make([]V, destLen(sources, tk.part))
 		var res []Pair[K, []V]
 		i, start := 0, 0
-		errs[tk.part] = mergeKVDst(sources, tk.part, st, func(r spillRec, first bool) error {
+		tk.err = mergeKVDst(sources, tk.part, st, func(r spillRec, first bool) error {
 			if first {
 				if len(res) > 0 {
 					res[len(res)-1].Value = vals[start:i:i]
@@ -753,9 +747,6 @@ func groupByExternal[T any, K comparable, V any](d *Dataset[T], key func(T) K, v
 		tk.recordsIn = tk.shuffled
 		tk.recordsOut = int64(len(res))
 	})
-	if gerr == nil {
-		gerr = firstError(errs)
-	}
 	if gerr != nil {
 		return errDataset[Pair[K, []V]](ctx, gerr)
 	}
@@ -786,10 +777,9 @@ func reduceByKeyExternal[K comparable, V any](d *Dataset[Pair[K, V]], combine fu
 	defer releaseSources(ctx, sources)
 
 	out := make([][]Pair[K, V], n)
-	errs := make([]error, n)
 	gerr := ctx.runStage("reduceByKey:merge", n, func(tk *taskCtx) {
 		res := out[tk.part]
-		errs[tk.part] = mergeKVDst(sources, tk.part, st, func(r spillRec, first bool) error {
+		tk.err = mergeKVDst(sources, tk.part, st, func(r spillRec, first bool) error {
 			v, _, derr := vc.Decode(r.val)
 			if derr != nil {
 				return derr
@@ -811,21 +801,8 @@ func reduceByKeyExternal[K comparable, V any](d *Dataset[Pair[K, V]], combine fu
 		tk.recordsIn = tk.shuffled
 		tk.recordsOut = int64(len(res))
 	})
-	if gerr == nil {
-		gerr = firstError(errs)
-	}
 	if gerr != nil {
 		return errDataset[Pair[K, V]](ctx, gerr)
 	}
 	return fromParts(ctx, out)
-}
-
-// firstError returns the first non-nil error of a task error slice.
-func firstError(errs []error) error {
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
 }

@@ -90,7 +90,6 @@ func scatterSpill[T, U any](
 	defer releaseSources(ctx, sources)
 
 	out := make([][]U, n)
-	errs := make([]error, n)
 	gerr := ctx.runStage(stage+":merge", n, func(tk *taskCtx) {
 		dst := tk.part
 		decode := func(b []byte) (U, error) {
@@ -104,14 +103,14 @@ func scatterSpill[T, U any](
 			}
 		}()
 		if merr != nil {
-			errs[dst] = merr
+			tk.err = merr
 			return
 		}
 		if len(srcs) > 1 {
 			st.merges.Add(1)
 		}
 		res := make([]U, 0, destLen(sources, dst))
-		errs[dst] = kWayMerge(srcs, compare, func(v U) error {
+		tk.err = kWayMerge(srcs, compare, func(v U) error {
 			res = append(res, v)
 			return nil
 		})
@@ -119,9 +118,6 @@ func scatterSpill[T, U any](
 		tk.shuffled += int64(len(res))
 		tk.recordsOut = int64(len(res))
 	})
-	if gerr == nil {
-		gerr = firstError(errs)
-	}
 	if gerr != nil {
 		return nil, gerr
 	}

@@ -194,7 +194,8 @@ var regimes = []regime{
 
 // TestGroupingMatchesPairReference checks key-function grouping and
 // co-grouping against the parent's pair grouping, written out as a
-// reference: placement, group order and within-group order, for n = 1..5,
+// reference: placement, group order and within-group order, at a
+// parallelism of n = 1..5,
 // with empty source partitions and NaN / -0 / cross-kind keys, with no
 // budget, under a 4 KiB budget and on the disk exchange.
 func TestGroupingMatchesPairReference(t *testing.T) {
@@ -203,32 +204,35 @@ func TestGroupingMatchesPairReference(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
 				for _, size := range []int{0, 1, 61, 400} {
 					r := rand.New(rand.NewSource(seed*1000 + int64(size)))
-					ctx, err := engine.NewContext(rg.cfg(t))
-					if err != nil {
-						t.Fatal(err)
-					}
-					dl, left := sources(ctx, genRecs(r, size, 0), 5)
-					dr, right := sources(ctx, genRecs(r, size/2+1, size), 4)
+					recsL, recsR := genRecs(r, size, 0), genRecs(r, size/2+1, size)
 					for n := 1; n <= 5; n++ {
+						cfg := rg.cfg(t)
+						cfg.Parallelism = n
+						ctx, err := engine.NewContext(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						dl, left := sources(ctx, recsL, 5)
+						dr, right := sources(ctx, recsR, 4)
 						name := fmt.Sprintf("seed=%d size=%d n=%d", seed, size, n)
 						want := reference(n, left, nil)
 						if rg.merged {
 							want = mergeOrder(want)
 						}
-						got := groupsOf(t, engine.GroupBy(dl, recKey, n), func(g engine.Pair[model.ValueKey, []rec]) refGroup {
+						got := groupsOf(t, engine.GroupBy(dl, recKey), func(g engine.Pair[model.ValueKey, []rec]) refGroup {
 							return refGroup{key: g.Key, left: ids(g.Value)}
 						})
 						if render(got) != render(want) {
 							t.Fatalf("%s: GroupBy\n%s\nwant\n%s", name, render(got), render(want))
 						}
-						got = groupsOf(t, engine.GroupByKeyN(engine.KeyBy(dl, recKey), n), func(g engine.Pair[model.ValueKey, []rec]) refGroup {
+						got = groupsOf(t, engine.GroupByKey(engine.KeyBy(dl, recKey)), func(g engine.Pair[model.ValueKey, []rec]) refGroup {
 							return refGroup{key: g.Key, left: ids(g.Value)}
 						})
 						if render(got) != render(want) {
-							t.Fatalf("%s: GroupByKeyN\n%s\nwant\n%s", name, render(got), render(want))
+							t.Fatalf("%s: GroupByKey\n%s\nwant\n%s", name, render(got), render(want))
 						}
 						cwant := reference(n, left, right)
-						cgot := groupsOf(t, engine.CoGroupBy(dl, dr, recKey, recKey, n), func(g engine.Pair[model.ValueKey, engine.CoGrouped[rec, rec]]) refGroup {
+						cgot := groupsOf(t, engine.CoGroupBy(dl, dr, recKey, recKey), func(g engine.Pair[model.ValueKey, engine.CoGrouped[rec, rec]]) refGroup {
 							return refGroup{key: g.Key, left: ids(g.Value.Left), right: ids(g.Value.Right)}
 						})
 						if render(cgot) != render(cwant) {

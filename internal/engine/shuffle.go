@@ -2,6 +2,7 @@ package engine
 
 import (
 	"cmp"
+	"fmt"
 	"iter"
 	"sync"
 )
@@ -131,85 +132,145 @@ func routed[T, U any](rt *routing, parts [][]T, p int, f func(T) U) iter.Seq[U] 
 // side is one input of a grouping after its shuffle: per destination, its
 // record count, keys and values, each in (source partition, arrival) order.
 // Keys and values are separate passes, so each is computed only where it
-// is used. moved marks records that crossed an exchange or the spill regime
-// and were counted as shuffled there; an index scatter's records are
-// counted where the grouping reads them.
+// is used; err reports, after a pass, a record that did not decode. spilled
+// marks records that crossed the spill regime and were counted as shuffled
+// there; the records of an index scatter or an exchange are counted where
+// the grouping reads them.
 type side[K comparable, V any] struct {
-	size  func(p int) int
-	keys  func(p int) iter.Seq[K]
-	vals  func(p int) iter.Seq[V]
-	moved bool
+	size    func(p int) int
+	keys    func(p int) iter.Seq[K]
+	vals    func(p int) iter.Seq[V]
+	err     func(p int) error
+	spilled bool
 }
 
 func newSide[R any, K comparable, V any](rt *routing, recs [][]R, key func(R) K, val func(R) V) side[K, V] {
 	return side[K, V]{
-		size:  func(p int) int { return routedLen(rt, recs, p) },
-		keys:  func(p int) iter.Seq[K] { return routed(rt, recs, p, key) },
-		vals:  func(p int) iter.Seq[V] { return routed(rt, recs, p, val) },
-		moved: rt == nil,
+		size:    func(p int) int { return routedLen(rt, recs, p) },
+		keys:    func(p int) iter.Seq[K] { return routed(rt, recs, p, key) },
+		vals:    func(p int) iter.Seq[V] { return routed(rt, recs, p, val) },
+		err:     func(int) error { return nil },
+		spilled: rt == nil,
+	}
+}
+
+// runSide is the side of the runs an exchange gathered, decoded where the
+// grouping reads them: the key pass decodes each record's key and notes
+// how many bytes it took, and the value pass decodes the rest of the
+// record, so no (key, value) pair is built first.
+func runSide[K comparable, V any](op string, runs [][]byte, counts []int, kc Codec[K], vc Codec[V]) side[K, V] {
+	keyLens := make([]*[]int32, len(runs))
+	errs := make([]error, len(runs))
+	// walk calls f on each record of destination p until f returns false;
+	// a run that is not whole is p's error.
+	walk := func(p int, f func(i int, rec []byte) bool) {
+		rd := ReadRun(runs[p], counts[p])
+		for i := 0; ; i++ {
+			if rec, ok := rd.Next(); !ok || !f(i, rec) {
+				break
+			}
+		}
+		errs[p] = cmp.Or(errs[p], rd.Err())
+	}
+	return side[K, V]{
+		size: func(p int) int { return counts[p] },
+		keys: func(p int) iter.Seq[K] {
+			return func(yield func(K) bool) {
+				kl := grabInt32s(counts[p])
+				keyLens[p] = kl
+				walk(p, func(i int, rec []byte) bool {
+					k, n, err := kc.Decode(rec)
+					(*kl)[i], errs[p] = int32(n), err
+					return err == nil && yield(k)
+				})
+			}
+		},
+		vals: func(p int) iter.Seq[V] {
+			return func(yield func(V) bool) {
+				kl := keyLens[p]
+				defer int32Pool.Put(kl)
+				walk(p, func(i int, rec []byte) bool {
+					v, n, err := vc.Decode(rec[(*kl)[i]:])
+					if extra := len(rec) - int((*kl)[i]) - n; err == nil && extra != 0 {
+						err = fmt.Errorf("record has %d trailing bytes", extra)
+					}
+					errs[p] = err
+					return err == nil && yield(v)
+				})
+			}
+		},
+		err: func(p int) error {
+			if errs[p] != nil {
+				return fmt.Errorf("engine: %s: destination %d: %w", op, p, errs[p])
+			}
+			return nil
+		},
 	}
 }
 
 // shuffled is the records_shuffled count of destination p of s.
 func (s side[K, V]) shuffled(p int) int64 {
-	if s.moved {
+	if s.spilled {
 		return 0
 	}
 	return int64(s.size(p))
 }
 
-// shuffleBy hash-partitions d by key into n destinations: the wide
-// dependency every grouping shares. It forces d (running its pending
+// shuffleBy hash-partitions d by key into the context's parallelism: the
+// wide dependency every grouping shares. It forces d (running its pending
 // narrow chain as one fused stage). In memory it is one index scatter and
-// the records stay where they lie. Under an exchange, or a memory budget
-// with codecs for K and V, every record's (key, value) is computed once,
-// while encoding, and moves: through the exchange, or through the
+// the records stay where they lie. Under an exchange every record's key and
+// value are encoded into a run and move; the grouping decodes them from the
+// gathered runs. Under a memory budget with codecs for K and V, every
+// record's (key, value) is computed once and moves through the
 // order-preserving spill scatter. Either way destination p sees its records
 // in the same order. vwire, when set, encodes the values that move (see
 // MovedAs).
-func shuffleBy[T any, K comparable, V any](d *Dataset[T], key func(T) K, val func(T) V, vwire func([]byte, V) []byte, n int) (side[K, V], error) {
+func shuffleBy[T any, K comparable, V any](d *Dataset[T], key func(T) K, val func(T) V, vwire func([]byte, V) []byte) (side[K, V], error) {
 	ctx := d.ctx
+	n := ctx.parallelism
 	parts, err := d.forced()
 	if err != nil {
 		return side[K, V]{}, err
 	}
-	c, moves, err := moveCodec[K, V](ctx, vwire)
+	kc, vc, moves, err := moveCodecs[K, V](ctx, vwire)
 	if err != nil {
 		return side[K, V]{}, err
 	}
+	dstOf := func(t T) int { return int(hashKey(key(t)) % uint64(n)) }
 	if !moves {
-		rt, err := indexScatter(ctx, "shuffle", parts, n, func(t T) int { return int(hashKey(key(t)) % uint64(n)) })
+		rt, err := indexScatter(ctx, "shuffle", parts, n, dstOf)
 		return newSide(rt, parts, key, val), err
+	}
+	if ctx.exchange != nil {
+		enc := func(buf []byte, t T) []byte { return vc.Append(kc.Append(buf, key(t)), val(t)) }
+		runs, counts, err := exchangeScatter(ctx, "shuffle", parts, n, dstOf, enc)
+		return runSide("shuffle", runs, counts, kc, vc), err
 	}
 	route := func(t T) (int, Pair[K, V]) {
 		k := key(t)
 		return int(hashKey(k) % uint64(n)), KV(k, val(t))
 	}
-	var recs [][]Pair[K, V]
-	if ctx.exchange != nil {
-		recs, err = exchangeScatter(ctx, "shuffle", parts, n, c, route)
-	} else {
-		recs, err = scatterSpill(ctx, "shuffle", parts, n, route, c, nil)
-	}
+	recs, err := scatterSpill(ctx, "shuffle", parts, n, route, pairCodec(kc, vc), nil)
 	return newSide(nil, recs, pairKey[K, V], pairValue[K, V]), err
 }
 
-// moveCodec reports whether the context moves shuffled records instead of
-// leaving them where they lie, and the codec of the (key, value) record
-// they move as. An exchange always moves them (a type without a codec is an
+// moveCodecs reports whether the context moves shuffled records instead of
+// leaving them where they lie, and the codecs of the key and the value they
+// move as. An exchange always moves them (a type without a codec is an
 // error naming it); a memory budget moves them through the spill regime
 // when both codecs are registered. vwire, when set, replaces V's Append.
-func moveCodec[K comparable, V any](ctx *Context, vwire func([]byte, V) []byte) (Codec[Pair[K, V]], bool, error) {
+func moveCodecs[K comparable, V any](ctx *Context, vwire func([]byte, V) []byte) (Codec[K], Codec[V], bool, error) {
 	if ctx.exchange == nil && ctx.mem == nil {
-		return Codec[Pair[K, V]]{}, false, nil
+		return Codec[K]{}, Codec[V]{}, false, nil
 	}
 	kc, kerr := exchangeCodec[K]("shuffle")
 	vc, verr := exchangeCodec[V]("shuffle")
 	vc = movedCodec(vc, vwire)
 	if ctx.exchange == nil {
-		return pairCodec(kc, vc), kerr == nil && verr == nil, nil
+		return kc, vc, kerr == nil && verr == nil, nil
 	}
-	return pairCodec(kc, vc), true, cmp.Or(kerr, verr)
+	return kc, vc, true, cmp.Or(kerr, verr)
 }
 
 // bags is the one grouping of a destination task: it gives each record of
@@ -263,20 +324,18 @@ func carve[V any](seq iter.Seq[V], gids, counts []int32, bag func(g int32) *[]V)
 	}
 }
 
-// groupBy hash-partitions d by key into n partitions (n <= 0 means the
-// context's parallelism) and groups val of each record per key, in
-// first-seen key order per destination and arrival order within a group.
-// It is a stage boundary: d is forced and the grouped result materialized.
-// Under a memory budget (codecs for K and V registered, no exchange) it
-// sort-spill-merges instead: groups come in merge order, within-group order
-// is identical. The networked backend skips that regime — its shuffle
-// already bounds coordinator memory at one destination partition per task.
-// vwire, when set, encodes the values that move (see MovedAs).
-func groupBy[T any, K comparable, V any](d *Dataset[T], key func(T) K, val func(T) V, vwire func([]byte, V) []byte, n int) *Dataset[Pair[K, []V]] {
+// groupBy hash-partitions d by key into the context's parallelism and
+// groups val of each record per key, in first-seen key order per
+// destination and arrival order within a group. It is a stage boundary: d
+// is forced and the grouped result materialized. Under a memory budget
+// (codecs for K and V registered, no exchange) it sort-spill-merges
+// instead: groups come in merge order, within-group order is identical. The
+// networked backend skips that regime — its shuffle already bounds
+// coordinator memory at one destination partition per task. vwire, when
+// set, encodes the values that move (see MovedAs).
+func groupBy[T any, K comparable, V any](d *Dataset[T], key func(T) K, val func(T) V, vwire func([]byte, V) []byte) *Dataset[Pair[K, []V]] {
 	ctx := d.ctx
-	if n <= 0 {
-		n = ctx.parallelism
-	}
+	n := ctx.parallelism
 	if ctx.mem != nil && ctx.exchange == nil {
 		if kc, ok := codecFor[K](); ok {
 			if vc, ok := codecFor[V](); ok {
@@ -284,7 +343,7 @@ func groupBy[T any, K comparable, V any](d *Dataset[T], key func(T) K, val func(
 			}
 		}
 	}
-	in, err := shuffleBy(d, key, val, vwire, n)
+	in, err := shuffleBy(d, key, val, vwire)
 	if err != nil {
 		return errDataset[Pair[K, []V]](ctx, err)
 	}
@@ -299,11 +358,17 @@ func groupBy[T any, K comparable, V any](d *Dataset[T], key func(T) K, val func(
 		defer int32Pool.Put(counts)
 		b := &bags[K]{ids: make(map[K]int32, 64)}
 		*counts = assign(b, in.keys(p), *gids, *counts)
+		if tk.err = in.err(p); tk.err != nil {
+			return
+		}
 		res := make([]Pair[K, []V], len(b.keys))
 		for i, k := range b.keys {
 			res[i].Key = k
 		}
 		carve(in.vals(p), *gids, *counts, func(g int32) *[]V { return &res[g].Value })
+		if tk.err = in.err(p); tk.err != nil {
+			return
+		}
 		out[p] = res
 		tk.recordsOut = int64(len(res))
 	})
@@ -313,25 +378,19 @@ func groupBy[T any, K comparable, V any](d *Dataset[T], key func(T) K, val func(
 	return fromParts(ctx, out)
 }
 
-// GroupBy groups the records of d by key into n partitions (n <= 0 means
-// the context's parallelism), like Spark's groupBy: one Pair per distinct
-// key holding its records. No keyed-pair dataset is materialized; the key
-// function runs where the records lie. n = 1 groups every key in one task,
-// in first-seen order. Records that move are encoded as d's MovedAs
-// appender writes them.
-func GroupBy[T any, K comparable](d *Dataset[T], key func(T) K, n int) *Dataset[Pair[K, []T]] {
-	return groupBy(d, key, identity[T], d.wire, n)
+// GroupBy groups the records of d by key into the context's parallelism,
+// like Spark's groupBy: one Pair per distinct key holding its records. No
+// keyed-pair dataset is materialized; the key function runs where the
+// records lie. Records that move are encoded as d's MovedAs appender writes
+// them.
+func GroupBy[T any, K comparable](d *Dataset[T], key func(T) K) *Dataset[Pair[K, []T]] {
+	return groupBy(d, key, identity[T], d.wire)
 }
 
 // GroupByKey groups the values of a pair dataset by key into the context's
 // parallelism, like Spark's groupByKey.
 func GroupByKey[K comparable, V any](d *Dataset[Pair[K, V]]) *Dataset[Pair[K, []V]] {
-	return GroupByKeyN(d, 0)
-}
-
-// GroupByKeyN is GroupByKey into n destination partitions.
-func GroupByKeyN[K comparable, V any](d *Dataset[Pair[K, V]], n int) *Dataset[Pair[K, []V]] {
-	return groupBy(d, pairKey[K, V], pairValue[K, V], nil, n)
+	return groupBy(d, pairKey[K, V], pairValue[K, V], nil)
 }
 
 // ReduceByKey combines values per key with a map-side combine before the
@@ -375,24 +434,21 @@ func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], combine func(a, b 
 	})
 }
 
-// CoGroupBy shuffles two datasets together by their keys into n partitions
-// (n <= 0 means the context's parallelism)
-// and, per key, collects the records of each side into bags — Pig's
-// COGROUP, the model for the paper's CoBlock enhancer. Keys appear in
-// first-seen order per destination, left records first; a side with no
-// records for a key has a nil bag. It is a stage boundary for both inputs,
-// and its bags are the same in every regime. Records that move are encoded
-// as each input's MovedAs appender writes them.
-func CoGroupBy[A, B any, K comparable](da *Dataset[A], db *Dataset[B], ka func(A) K, kb func(B) K, n int) *Dataset[Pair[K, CoGrouped[A, B]]] {
+// CoGroupBy shuffles two datasets together by their keys into the
+// context's parallelism and, per key, collects the records of each side
+// into bags — Pig's COGROUP, the model for the paper's CoBlock enhancer.
+// Keys appear in first-seen order per destination, left records first; a
+// side with no records for a key has a nil bag. It is a stage boundary for
+// both inputs, and its bags are the same in every regime. Records that move
+// are encoded as each input's MovedAs appender writes them.
+func CoGroupBy[A, B any, K comparable](da *Dataset[A], db *Dataset[B], ka func(A) K, kb func(B) K) *Dataset[Pair[K, CoGrouped[A, B]]] {
 	ctx := da.ctx
-	if n <= 0 {
-		n = ctx.parallelism
-	}
-	left, err := shuffleBy(da, ka, identity[A], da.wire, n)
+	n := ctx.parallelism
+	left, err := shuffleBy(da, ka, identity[A], da.wire)
 	if err != nil {
 		return errDataset[Pair[K, CoGrouped[A, B]]](ctx, err)
 	}
-	right, err := shuffleBy(db, kb, identity[B], db.wire, n)
+	right, err := shuffleBy(db, kb, identity[B], db.wire)
 	if err != nil {
 		return errDataset[Pair[K, CoGrouped[A, B]]](ctx, err)
 	}
@@ -411,12 +467,18 @@ func CoGroupBy[A, B any, K comparable](da *Dataset[A], db *Dataset[B], ka func(A
 		b := &bags[K]{ids: make(map[K]int32, 64)}
 		*cl = assign(b, left.keys(p), *gl, *cl)
 		*cr = assign(b, right.keys(p), *gr, *cr)
+		if tk.err = cmp.Or(left.err(p), right.err(p)); tk.err != nil {
+			return
+		}
 		res := make([]Pair[K, CoGrouped[A, B]], len(b.keys))
 		for i, k := range b.keys {
 			res[i].Key = k
 		}
 		carve(left.vals(p), *gl, *cl, func(g int32) *[]A { return &res[g].Value.Left })
 		carve(right.vals(p), *gr, *cr, func(g int32) *[]B { return &res[g].Value.Right })
+		if tk.err = cmp.Or(left.err(p), right.err(p)); tk.err != nil {
+			return
+		}
 		out[p] = res
 		tk.recordsOut = int64(len(res))
 	})
@@ -435,5 +497,5 @@ type CoGrouped[A, B any] struct {
 // Distinct removes duplicates using a key function to identify elements;
 // the first element of each key (in grouping order) survives.
 func Distinct[T any, K comparable](d *Dataset[T], key func(T) K) *Dataset[T] {
-	return Map(GroupBy(d, key, 0), func(g Pair[K, []T]) T { return g.Value[0] })
+	return Map(GroupBy(d, key), func(g Pair[K, []T]) T { return g.Value[0] })
 }

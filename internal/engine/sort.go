@@ -67,13 +67,18 @@ func RangePartitionBy[T any](d *Dataset[T], less func(a, b T) bool, n int) *Data
 
 	// Exchange regime: the range scatter moves its encoded records through
 	// the exchange, preserving (source, record) order per destination like
-	// the in-memory path.
+	// the in-memory path, and each destination decodes its gathered run
+	// straight into its partition.
 	if d.ctx.exchange != nil {
 		c, err := exchangeCodec[T]("rangePartition")
 		if err != nil {
 			return errDataset[T](d.ctx, err)
 		}
-		out, err := exchangeScatter(d.ctx, "rangePartition", dparts, n, movedCodec(c, d.wire), keepRoute(target))
+		runs, counts, err := exchangeScatter(d.ctx, "rangePartition", dparts, n, target, movedCodec(c, d.wire).Append)
+		var out [][]T
+		if err == nil {
+			out, err = decodeRuns(d.ctx, "rangePartition", runs, counts, true, c.Decode)
+		}
 		if err != nil {
 			return errDataset[T](d.ctx, err)
 		}

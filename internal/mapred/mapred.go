@@ -3,9 +3,9 @@
 // 10a and 10c, Appendix G.2), expressed as an engine.Exchange. A Context
 // built with engine.Config{Exchange: eng} runs the one executor unchanged;
 // the only difference from the in-memory backend is that every partition
-// exchange materialises on disk — each source→destination bucket is written
-// as a CRC-framed internal/spill run file and read back by the destination
-// task — so the Hadoop-vs-Spark gap of the paper reproduces from file I/O
+// exchange materialises on disk — each source→destination run is written as
+// a CRC-framed internal/spill run file and read back by the destination task
+// — so the Hadoop-vs-Spark gap of the paper reproduces from file I/O
 // alone.
 package mapred
 
@@ -72,127 +72,94 @@ func (e *Engine) Workers() int { return e.workers }
 // whichever of them is closed.
 func (e *Engine) Close() error { return nil }
 
-// Shuffle writes every source→destination bucket as one run file (the map
-// side), then has each destination read its buckets back in source order
-// (the reduce side), which is the Exchange ordering contract.
-func (e *Engine) Shuffle(op string, parts [][]engine.EncodedRec, n int) ([][][]byte, error) {
+// Shuffle writes every source→destination run as one run file (the map
+// side), then has each destination read its runs back in source order (the
+// reduce side), which is the Exchange ordering contract.
+func (e *Engine) Shuffle(op string, runs [][][]byte, n int) ([][]byte, error) {
 	dir := spill.NewDir(e.base, "mr")
 	defer dir.Cleanup()
-	runs, err := e.scatter(dir, parts, n)
+	files, err := e.scatter(dir, runs, n)
 	if err != nil {
 		return nil, fmt.Errorf("mapred: %s: %w", op, err)
 	}
-	out, err := e.gather(runs, n)
+	out, err := e.gather(files, n)
 	if err != nil {
 		return nil, fmt.Errorf("mapred: %s: %w", op, err)
 	}
 	return out, nil
 }
 
-// scatter is the map side: runs[src][dst] holds source partition src's
-// records bound for destination dst, nil where there are none. A count pass
-// sizes every bucket, so a source's buckets share one exact allocation.
-func (e *Engine) scatter(dir *spill.Dir, parts [][]engine.EncodedRec, n int) ([][]*spill.Run, error) {
-	runs := make([][]*spill.Run, len(parts))
-	err := e.parallel(len(parts), func(src int) error {
-		buckets, err := bucket(parts[src], n)
-		if err != nil {
-			return err
+// scatter is the map side: files[src][dst] holds source partition src's
+// run for destination dst, nil where it is empty.
+func (e *Engine) scatter(dir *spill.Dir, runs [][][]byte, n int) ([][]*spill.Run, error) {
+	files := make([][]*spill.Run, len(runs))
+	err := e.parallel(len(runs), func(src int) error {
+		if len(runs[src]) != n {
+			return fmt.Errorf("source %d has runs for %d destinations, not %d", src, len(runs[src]), n)
 		}
-		runs[src] = make([]*spill.Run, n)
-		for dst, recs := range buckets {
-			run, err := e.writeRun(dir, recs)
+		files[src] = make([]*spill.Run, n)
+		for dst, run := range runs[src] {
+			f, err := e.writeRun(dir, run)
 			if err != nil {
 				return err
 			}
-			runs[src][dst] = run
+			files[src][dst] = f
 		}
 		return nil
 	})
-	return runs, err
+	return files, err
 }
 
-// bucket splits one source's records by destination, in arrival order. The
-// buckets are cut, each capped, from one slice sized by a count pass.
-func bucket(recs []engine.EncodedRec, n int) ([][][]byte, error) {
-	off := make([]int, n+1)
-	for _, rec := range recs {
-		if int(rec.Dst) >= n {
-			return nil, fmt.Errorf("record bound for partition %d of %d", rec.Dst, n)
-		}
-		off[rec.Dst+1]++
-	}
-	for dst := 1; dst <= n; dst++ {
-		off[dst] += off[dst-1]
-	}
-	all := make([][]byte, len(recs))
-	buckets := make([][][]byte, n)
-	for dst := range buckets {
-		buckets[dst] = all[off[dst]:off[dst]:off[dst+1]]
-	}
-	for _, rec := range recs {
-		buckets[rec.Dst] = append(buckets[rec.Dst], rec.Data)
-	}
-	return buckets, nil
-}
-
-// gather is the reduce side: destination dst concatenates its runs in
-// source-partition order.
-func (e *Engine) gather(runs [][]*spill.Run, n int) ([][][]byte, error) {
-	out := make([][][]byte, n)
+// gather is the reduce side: destination dst reads its run files back, in
+// source-partition order, into one run sized by the bytes written.
+func (e *Engine) gather(files [][]*spill.Run, n int) ([][]byte, error) {
+	out := make([][]byte, n)
 	err := e.parallel(n, func(dst int) error {
-		var records int64
-		for _, bySrc := range runs {
-			if r := bySrc[dst]; r != nil {
-				records += r.Records
+		var size int64
+		for _, bySrc := range files {
+			if f := bySrc[dst]; f != nil {
+				size += f.Bytes
 			}
 		}
-		recs := make([][]byte, 0, records)
-		for _, bySrc := range runs {
+		run := make([]byte, 0, size)
+		for _, bySrc := range files {
 			var err error
-			if recs, err = e.readRun(bySrc[dst], recs); err != nil {
+			if run, err = e.readRun(bySrc[dst], run); err != nil {
 				return err
 			}
 		}
-		out[dst] = recs
+		out[dst] = run
 		return nil
 	})
 	return out, err
 }
 
-// Cartesian writes the right side once (the broadcast side, Hadoop's
-// distributed cache) and every left partition as run files; each left
-// partition's task then reads both back and concatenates the encodings.
-func (e *Engine) Cartesian(op string, left [][][]byte, right [][]byte) ([][][]byte, error) {
+// Cartesian writes the right run once (the broadcast side, Hadoop's
+// distributed cache) and every left run as run files; each left
+// partition's task then reads both back and expands the cross product.
+func (e *Engine) Cartesian(op string, left [][]byte, right []byte) ([][]byte, error) {
 	dir := spill.NewDir(e.base, "mr")
 	defer dir.Cleanup()
-	rightRun, err := e.writeRun(dir, right)
+	rightFile, err := e.writeRun(dir, right)
 	if err != nil {
 		return nil, fmt.Errorf("mapred: %s: %w", op, err)
 	}
-	out := make([][][]byte, len(left))
+	out := make([][]byte, len(left))
 	err = e.parallel(len(left), func(p int) error {
-		leftRun, err := e.writeRun(dir, left[p])
+		leftFile, err := e.writeRun(dir, left[p])
 		if err != nil {
 			return err
 		}
-		ls, err := e.readRun(leftRun, nil)
+		l, err := e.readRun(leftFile, nil)
 		if err != nil {
 			return err
 		}
-		rs, err := e.readRun(rightRun, nil)
+		r, err := e.readRun(rightFile, nil)
 		if err != nil {
 			return err
 		}
-		rows := make([][]byte, 0, len(ls)*len(rs))
-		for _, l := range ls {
-			for _, r := range rs {
-				row := make([]byte, 0, len(l)+len(r))
-				rows = append(rows, append(append(row, l...), r...))
-			}
-		}
-		out[p] = rows
-		return nil
+		out[p], err = engine.CrossRuns(l, r)
+		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("mapred: %s: %w", op, err)
@@ -200,58 +167,59 @@ func (e *Engine) Cartesian(op string, left [][][]byte, right [][]byte) ([][][]by
 	return out, nil
 }
 
-// writeRun writes recs as one run file; no records, no file (nil run).
-func (e *Engine) writeRun(dir *spill.Dir, recs [][]byte) (*spill.Run, error) {
-	if len(recs) == 0 {
+// writeRun writes the records of run as one run file; an empty run, no
+// file (nil).
+func (e *Engine) writeRun(dir *spill.Dir, run []byte) (*spill.Run, error) {
+	if len(run) == 0 {
 		return nil, nil
 	}
 	w, err := dir.NewRun()
 	if err != nil {
 		return nil, err
 	}
-	for _, rec := range recs {
+	rd := engine.ReadRun(run, -1)
+	for rec, ok := rd.Next(); ok; rec, ok = rd.Next() {
 		if err := w.Append(rec); err != nil {
 			w.Abort()
 			return nil, err
 		}
 	}
-	run, err := w.Finish()
+	if err := rd.Err(); err != nil {
+		w.Abort()
+		return nil, err
+	}
+	f, err := w.Finish()
 	if err != nil {
 		return nil, err
 	}
-	e.stats.bytesSpilled.Add(run.Bytes)
-	return run, nil
+	e.stats.bytesSpilled.Add(f.Bytes)
+	return f, nil
 }
 
-// readRun appends the records of r (nil: none) to recs. The records share
-// one allocation sized from what the writer counted, never from the file's
-// own length fields; a run that ends early — even cleanly, on a frame
-// boundary — is an error.
-func (e *Engine) readRun(r *spill.Run, recs [][]byte) ([][]byte, error) {
-	if r == nil {
-		return recs, nil
+// readRun appends the records of f (nil: none) to run. A file that ends
+// early — even cleanly, on a frame boundary — is an error.
+func (e *Engine) readRun(f *spill.Run, run []byte) ([]byte, error) {
+	if f == nil {
+		return run, nil
 	}
-	rd, err := r.Open()
+	rd, err := f.Open()
 	if err != nil {
 		return nil, err
 	}
 	defer rd.Close()
-	slab := make([]byte, 0, r.Bytes)
 	for got := int64(0); ; got++ {
 		rec, err := rd.Next()
 		if err == io.EOF {
-			if got != r.Records {
-				return nil, fmt.Errorf("run %s holds %d records, %d were written", r.Path, got, r.Records)
+			if got != f.Records {
+				return nil, fmt.Errorf("run %s holds %d records, %d were written", f.Path, got, f.Records)
 			}
-			e.stats.bytesRead.Add(r.Bytes)
-			return recs, nil
+			e.stats.bytesRead.Add(f.Bytes)
+			return run, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		start := len(slab)
-		slab = append(slab, rec...)
-		recs = append(recs, slab[start:len(slab):len(slab)])
+		run = engine.AppendRecord(run, rec)
 	}
 }
 

@@ -2,8 +2,10 @@ package netexec
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"os/exec"
@@ -439,11 +441,11 @@ func (t *taskTimes) straggling(start time.Time, factor float64, minDone int) boo
 // to the next candidate slot (first result wins); a failed attempt fails
 // over down the candidate list, each failover counting as a recovery
 // (the task's data is re-placed from lineage onto another worker).
-func (c *Coordinator) runTask(dst int, tt *taskTimes, ops *opCounters, attempts *sync.WaitGroup, attempt func(slotID int) ([][]byte, error)) ([][]byte, error) {
+func (c *Coordinator) runTask(dst int, tt *taskTimes, ops *opCounters, attempts *sync.WaitGroup, attempt func(slotID int) ([]byte, error)) ([]byte, error) {
 	cands := c.ring.candidates(dst)
 	type result struct {
-		recs [][]byte
-		err  error
+		run []byte
+		err error
 	}
 	ch := make(chan result, len(cands))
 	next := 0
@@ -455,8 +457,8 @@ func (c *Coordinator) runTask(dst int, tt *taskTimes, ops *opCounters, attempts 
 		attempts.Add(1)
 		go func() {
 			defer attempts.Done()
-			recs, err := attempt(sid)
-			ch <- result{recs, err}
+			run, err := attempt(sid)
+			ch <- result{run, err}
 		}()
 	}
 	start := time.Now()
@@ -473,7 +475,7 @@ func (c *Coordinator) runTask(dst int, tt *taskTimes, ops *opCounters, attempts 
 			inflight--
 			if r.err == nil {
 				tt.record(time.Since(start))
-				return r.recs, nil
+				return r.run, nil
 			}
 			lastErr = r.err
 			if inflight == 0 && next < len(cands) {
@@ -500,42 +502,65 @@ func (c *Coordinator) runTask(dst int, tt *taskTimes, ops *opCounters, attempts 
 }
 
 // Shuffle implements engine.Exchange: per destination partition, PUT the
-// destination's records (grouped by source, from the coordinator's lineage)
-// to the owning worker, then FETCH them back gathered in source order. All
-// destination tasks run concurrently under the straggler monitor.
-func (c *Coordinator) Shuffle(op string, parts [][]engine.EncodedRec, n int) (_ [][][]byte, err error) {
+// destination's runs (the caller's runs are the lineage any task can be
+// restarted from on any worker) to the owning worker, then FETCH them back
+// gathered in source order, into one buffer sized by the bytes routed
+// there.
+func (c *Coordinator) Shuffle(op string, runs [][][]byte, n int) ([][]byte, error) {
+	size := make([]int, n)
+	for src, bySrc := range runs {
+		if len(bySrc) != n {
+			return nil, fmt.Errorf("netexec: %s: source %d has runs for %d destinations, not %d", op, src, len(bySrc), n)
+		}
+		for dst, run := range bySrc {
+			size[dst] += len(run)
+		}
+	}
+	return c.exchange(op, n, func(dst int) bool { return size[dst] > 0 }, func(r *rpc, xfer, dst uint32) ([]byte, error) {
+		for src, bySrc := range runs {
+			if err := r.putRun(xfer, dst, uint32(src), bySrc[dst]); err != nil {
+				return nil, err
+			}
+		}
+		// Every attempt reads into a buffer of its own: a straggler's
+		// backup may be filling another beside it.
+		run, err := r.request("fetch", frame{Type: msgFetch, Xfer: xfer, A: dst}, make([]byte, 0, size[dst]), size[dst])
+		if err == nil && len(run) != size[dst] {
+			err = fmt.Errorf("netexec: %s: fetch of destination %d returned %d bytes, %d were routed", op, dst, len(run), size[dst])
+		}
+		return run, err
+	})
+}
+
+// Cartesian implements engine.Exchange: each left run and the broadcast
+// right run are PUT to the partition's owner (sources 0 and 1), then EXEC
+// "cartesian" expands the cross product worker-local over the opaque
+// encodings and streams the product run back.
+func (c *Coordinator) Cartesian(op string, left [][]byte, right []byte) ([][]byte, error) {
+	moves := func(p int) bool { return len(left[p]) > 0 && len(right) > 0 } // else the product is empty
+	return c.exchange(op, len(left), moves, func(r *rpc, xfer, p uint32) ([]byte, error) {
+		if err := r.putRun(xfer, p, 0, left[p]); err != nil {
+			return nil, err
+		}
+		if err := r.putRun(xfer, p, 1, right); err != nil {
+			return nil, err
+		}
+		// Nothing was routed to bound the product's size: only each
+		// frame's own bound holds.
+		return r.request("exec cartesian", frame{Type: msgExec, Xfer: xfer, A: p, Payload: []byte("cartesian")}, nil, math.MaxInt)
+	})
+}
+
+// exchange runs one exchange operation: for every partition p < n that
+// moves anything, a task that runs body on p's owner, under the retries,
+// straggler backups and failover of runTask, all tasks concurrently. A
+// partition that moves nothing stays empty. The transfer's worker state is
+// dropped once every attempt has landed, on error paths too.
+func (c *Coordinator) exchange(op string, n int, moves func(p int) bool, body func(r *rpc, xfer, p uint32) ([]byte, error)) ([][]byte, error) {
 	if c.closed.Load() {
 		return nil, fmt.Errorf("netexec: coordinator is closed")
 	}
 	xfer := c.xferSeq.Add(1)
-	// Lineage: lin[dst][src] holds the encoded records, the unit any task
-	// can be restarted from on any worker. A count pass per source sizes its
-	// buckets, which are cut from one exact allocation.
-	lin := make([][][][]byte, n)
-	for dst := range lin {
-		lin[dst] = make([][][]byte, len(parts))
-	}
-	off := make([]int, n+1)
-	for src, p := range parts {
-		clear(off)
-		for _, r := range p {
-			if int(r.Dst) >= n {
-				return nil, fmt.Errorf("netexec: %s: record destined for partition %d of %d", op, r.Dst, n)
-			}
-			off[r.Dst+1]++
-		}
-		for dst := 1; dst <= n; dst++ {
-			off[dst] += off[dst-1]
-		}
-		all := make([][]byte, len(p))
-		for dst := range lin {
-			lin[dst][src] = all[off[dst]:off[dst]:off[dst+1]]
-		}
-		for _, r := range p {
-			lin[r.Dst][src] = append(lin[r.Dst][src], r.Data)
-		}
-	}
-
 	span := c.obs.BeginSpan(nil, "net:"+op, engine.SpanNet)
 	ops := &opCounters{}
 	var attempts sync.WaitGroup
@@ -550,117 +575,30 @@ func (c *Coordinator) Shuffle(op string, parts [][]engine.EncodedRec, n int) (_ 
 		span.End()
 	}()
 
-	out := make([][][]byte, n)
+	out := make([][]byte, n)
 	errs := make([]error, n)
 	tt := &taskTimes{}
 	var wg sync.WaitGroup
-	for dst := 0; dst < n; dst++ {
-		empty := true
-		for _, recs := range lin[dst] {
-			if len(recs) > 0 {
-				empty = false
-				break
-			}
-		}
-		if empty {
-			continue // nothing to move; the destination partition is empty
+	for p := range n {
+		if !moves(p) {
+			continue
 		}
 		wg.Add(1)
-		go func(dst int) {
+		go func() {
 			defer wg.Done()
-			out[dst], errs[dst] = c.runTask(dst, tt, ops, &attempts, func(slotID int) ([][]byte, error) {
-				var recs [][]byte
-				err := c.withRetry(c.slots[slotID], ops, func(r *rpc) error {
-					for src, b := range lin[dst] {
-						if err := r.putBucket(xfer, uint32(dst), uint32(src), b); err != nil {
-							return err
-						}
-					}
-					if err := r.drainAcks(); err != nil {
-						return err
-					}
-					got, err := r.fetch(xfer, uint32(dst))
-					if err != nil {
-						return err
-					}
-					recs = got
-					return nil
+			out[p], errs[p] = c.runTask(p, tt, ops, &attempts, func(slotID int) ([]byte, error) {
+				var run []byte
+				err := c.withRetry(c.slots[slotID], ops, func(r *rpc) (err error) {
+					run, err = body(r, xfer, uint32(p))
+					return err
 				})
-				return recs, err
+				return run, err
 			})
-		}(dst)
+		}()
 	}
 	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
-	}
-	return out, nil
-}
-
-// Cartesian implements engine.Exchange: each left partition and the
-// broadcast right side are PUT to the partition's owner (buckets 0 and 1),
-// then EXEC "cartesian" expands the cross product worker-local over the
-// opaque encodings and streams the concatenations back.
-func (c *Coordinator) Cartesian(op string, left [][][]byte, right [][]byte) (_ [][][]byte, err error) {
-	if c.closed.Load() {
-		return nil, fmt.Errorf("netexec: coordinator is closed")
-	}
-	xfer := c.xferSeq.Add(1)
-	span := c.obs.BeginSpan(nil, "net:"+op, engine.SpanNet)
-	ops := &opCounters{}
-	var attempts sync.WaitGroup
-	defer func() {
-		attempts.Wait()
-		c.dropXfer(xfer)
-		span.Attr(engine.AttrNetBytesSent, ops.sent.Load())
-		span.Attr(engine.AttrNetBytesRecv, ops.recvd.Load())
-		span.Attr(engine.AttrNetRetries, ops.retries.Load())
-		span.Attr(engine.AttrNetRedispatches, ops.stragglers.Load())
-		span.Attr(engine.AttrNetRecoveries, ops.recovered.Load())
-		span.End()
-	}()
-
-	out := make([][][]byte, len(left))
-	errs := make([]error, len(left))
-	tt := &taskTimes{}
-	var wg sync.WaitGroup
-	for p := range left {
-		if len(left[p]) == 0 || len(right) == 0 {
-			continue // empty side: the product is empty, no traffic needed
-		}
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			out[p], errs[p] = c.runTask(p, tt, ops, &attempts, func(slotID int) ([][]byte, error) {
-				var recs [][]byte
-				err := c.withRetry(c.slots[slotID], ops, func(r *rpc) error {
-					if err := r.putBucket(xfer, uint32(p), 0, left[p]); err != nil {
-						return err
-					}
-					if err := r.putBucket(xfer, uint32(p), 1, right); err != nil {
-						return err
-					}
-					if err := r.drainAcks(); err != nil {
-						return err
-					}
-					got, err := r.exec(xfer, uint32(p), "cartesian")
-					if err != nil {
-						return err
-					}
-					recs = got
-					return nil
-				})
-				return recs, err
-			})
-		}(p)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
+	if err := cmp.Or(errs...); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -241,9 +241,10 @@ func TestDistinctMatchesLocal(t *testing.T) {
 func TestExchangeOrderingContract(t *testing.T) {
 	const n = 5
 	r := rand.New(rand.NewSource(9))
-	parts := make([][]engine.EncodedRec, 7)
+	runs := make([][][]byte, 7)
 	want := make([][][]byte, n)
-	for src := range parts {
+	for src := range runs {
+		runs[src] = make([][]byte, n)
 		if src == 2 || src == 6 {
 			continue // empty source partitions
 		}
@@ -253,12 +254,12 @@ func TestExchangeOrderingContract(t *testing.T) {
 			if seq == 7 {
 				data = []byte{}
 			}
-			parts[src] = append(parts[src], engine.EncodedRec{Dst: dst, Data: data})
+			runs[src][dst] = engine.AppendRecord(runs[src][dst], data)
 			want[dst] = append(want[dst], data)
 		}
 	}
 	for _, b := range backends(1, 3) {
-		got, err := b.ctx(t).Exchange().Shuffle("contract", parts, n)
+		got, err := b.ctx(t).Exchange().Shuffle("contract", runs, n)
 		if err != nil {
 			t.Fatalf("%s: %v", b.name, err)
 		}
@@ -266,13 +267,15 @@ func TestExchangeOrderingContract(t *testing.T) {
 			t.Fatalf("%s: %d destinations, want %d", b.name, len(got), n)
 		}
 		for dst := range want {
-			if len(got[dst]) != len(want[dst]) {
-				t.Fatalf("%s: destination %d holds %d records, want %d", b.name, dst, len(got[dst]), len(want[dst]))
-			}
+			rd := engine.ReadRun(got[dst], len(want[dst]))
 			for i := range want[dst] {
-				if string(got[dst][i]) != string(want[dst][i]) {
-					t.Fatalf("%s: destination %d record %d = %q, want %q", b.name, dst, i, got[dst][i], want[dst][i])
+				rec, _ := rd.Next()
+				if string(rec) != string(want[dst][i]) {
+					t.Fatalf("%s: destination %d record %d = %q, want %q", b.name, dst, i, rec, want[dst][i])
 				}
+			}
+			if _, more := rd.Next(); more || rd.Err() != nil {
+				t.Fatalf("%s: destination %d does not hold exactly its %d records: %v", b.name, dst, len(want[dst]), rd.Err())
 			}
 		}
 	}

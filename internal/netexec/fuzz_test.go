@@ -2,18 +2,23 @@ package netexec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"testing"
+
+	"bigdansing/internal/engine"
 )
 
 // FuzzReadFrame feeds arbitrary bytes into the frame reader. The contract
 // under fuzz: corrupt headers, truncated frames and bad checksums must
 // return errors — never panic, never over-allocate (the length bound), and
-// an accepted frame must survive re-encoding byte for byte.
+// an accepted frame must survive re-encoding byte for byte. The reader that
+// appends data payloads to a run must agree with it, and must refuse a
+// payload longer than the room left after reading only its header.
 func FuzzReadFrame(f *testing.F) {
 	f.Add(appendFrame(nil, frame{Type: msgHello}))
 	f.Add(appendFrame(nil, frame{Type: msgPut, Flags: flagBegin | flagEnd, Xfer: 9, A: 2, B: 4,
-		Payload: appendRecord(nil, []byte("rec"))}))
+		Payload: engine.AppendRecord(nil, []byte("rec"))}))
 	f.Add(appendFrame(nil, frame{Type: msgOK, B: 3, Payload: []byte{1, 2, 3}}))
 	f.Add([]byte("garbage that is not a frame at all"))
 	f.Add([]byte{0xBD, 0x5A})
@@ -21,6 +26,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		fr, _, err := readFrame(r, nil)
+		checkReadInto(t, data, fr, err)
 		if err != nil {
 			return // rejected input is fine; panicking is not
 		}
@@ -57,26 +63,84 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzSplitRecords drives the record packer's parse side: arbitrary
-// payloads must parse or error (no panics, no overruns), and a successful
-// parse must re-pack to the identical payload.
-func FuzzSplitRecords(f *testing.F) {
-	f.Add([]byte(nil))
-	f.Add(appendRecord(appendRecord(nil, []byte("a")), []byte("bc")))
-	f.Add(appendRecord(nil, bytes.Repeat([]byte{9}, 100)))
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
+// checkReadInto reads data with readFrameInto, appending to a run that
+// already holds bytes, and checks it against readFrame's frame fr and error
+// err. A data frame is read twice: with room for one byte less than its
+// payload it must be refused after its header alone, leaving the run as it
+// was; with room for exactly its payload it must read what readFrame read.
+func checkReadInto(t *testing.T, data []byte, fr frame, err error) {
+	prefix := []byte("run")
+	run := make([]byte, len(prefix), 8)
+	copy(run, prefix)
+	room := maxFramePayload
+	if len(data) >= headerSize && msgType(data[0]) == msgData {
+		room = int(binary.LittleEndian.Uint32(data[16:]))
+		if room > 0 && room <= maxFramePayload {
+			r := bytes.NewReader(data)
+			_, _, got, ierr := readFrameInto(r, nil, run, room-1)
+			if ierr == nil {
+				t.Fatal("a data payload longer than the room left was accepted")
+			}
+			if ierr != io.EOF && len(data)-r.Len() > headerSize {
+				t.Fatalf("refusing a data frame read %d bytes, past its header", len(data)-r.Len())
+			}
+			if &got[:1][0] != &run[:1][0] || len(got) != len(prefix) {
+				t.Fatal("refusing a data frame changed the run")
+			}
+		}
+	}
+	gf, _, got, ierr := readFrameInto(bytes.NewReader(data), nil, run, room)
+	if (ierr == nil) != (err == nil) {
+		t.Fatalf("readFrameInto error %v, readFrame error %v", ierr, err)
+	}
+	if ierr != nil {
+		return
+	}
+	if gf.Type != fr.Type || gf.Flags != fr.Flags || gf.Xfer != fr.Xfer || gf.A != fr.A || gf.B != fr.B ||
+		!bytes.Equal(gf.Payload, fr.Payload) {
+		t.Fatal("readFrameInto read another frame than readFrame")
+	}
+	if fr.Type == msgData && !bytes.Equal(got, append(prefix, fr.Payload...)) {
+		t.Fatal("a data payload was not appended to the run")
+	}
+}
 
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		recs, err := splitRecords(payload, true)
-		if err != nil {
+// FuzzSplitRecords drives engine.ReadRun, the one walker of the runs the
+// exchanges move, over bytes as they arrive from the wire: arbitrary runs
+// must walk or error (no panics, no overruns); a walk expecting want records
+// (negative: any number) must end whole only on exactly that many, and a
+// whole walk must re-pack to the identical run, each record capped at its
+// own end.
+func FuzzSplitRecords(f *testing.F) {
+	f.Add([]byte(nil), 0)
+	f.Add(engine.AppendRecord(engine.AppendRecord(nil, []byte("a")), []byte("bc")), 2)
+	f.Add(engine.AppendRecord(nil, bytes.Repeat([]byte{9}, 100)), -1)
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, 1)
+	// A truncated last record, a record more than expected, and a length
+	// written in more bytes than it needs.
+	f.Add(append(engine.AppendRecord(nil, []byte("a")), 3, 'b', 'c'), 2)
+	f.Add(engine.AppendRecord(engine.AppendRecord(nil, []byte("a")), []byte("b")), 1)
+	f.Add([]byte{0x81, 0x00, 'x'}, 1)
+
+	f.Fuzz(func(t *testing.T, run []byte, want int) {
+		rd := engine.ReadRun(run, want)
+		var re []byte
+		n := 0
+		for rec, ok := rd.Next(); ok; rec, ok = rd.Next() {
+			if cap(rec) != len(rec) {
+				t.Fatal("a record is not capped at its own end")
+			}
+			re = engine.AppendRecord(re, rec)
+			n++
+		}
+		if rd.Err() != nil {
 			return
 		}
-		var re []byte
-		for _, r := range recs {
-			re = appendRecord(re, r)
+		if want >= 0 && n != want {
+			t.Fatalf("walk ended whole after %d records, %d expected", n, want)
 		}
-		if !bytes.Equal(re, payload) {
-			t.Fatal("records do not re-pack to the input payload")
+		if !bytes.Equal(re, run) {
+			t.Fatal("records do not re-pack to the input run")
 		}
 	})
 }
@@ -85,7 +149,7 @@ func FuzzSplitRecords(f *testing.F) {
 // exhaustive prefix sweep over one real frame (cheap enough to run always).
 func TestFrameReaderNeverBlocksOnShortInput(t *testing.T) {
 	full := appendFrame(nil, frame{Type: msgData, Xfer: 3, A: 1, B: 2,
-		Payload: appendRecord(nil, bytes.Repeat([]byte{5}, 64))})
+		Payload: engine.AppendRecord(nil, bytes.Repeat([]byte{5}, 64))})
 	for cut := 0; cut <= len(full); cut++ {
 		fr, _, err := readFrame(bytes.NewReader(full[:cut]), nil)
 		if cut < len(full) {

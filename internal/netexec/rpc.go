@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"slices"
 	"time"
 )
 
@@ -88,89 +89,62 @@ func (r *rpc) drainAcks() error {
 	return nil
 }
 
-// putBucket streams recs into worker bucket (xfer, dst, src) as PUT frames
-// of ~frameTarget payload. The first frame carries flagBegin (resetting the
-// bucket, which makes replays idempotent), the last flagEnd.
-func (r *rpc) putBucket(xfer, dst, src uint32, recs [][]byte) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	// A bucket smaller than a frame gets a payload of its own size.
-	size := 0
-	for _, rec := range recs {
-		if size += binary.MaxVarintLen64 + len(rec); size >= frameTarget+4096 {
-			break
+// putRun streams run into the worker's store as (xfer, dst, src), cut
+// into PUT frames of at most frameTarget bytes. The first frame carries
+// flagBegin (resetting what the worker stored there, which makes replays
+// idempotent), the last flagEnd. An empty run sends nothing.
+func (r *rpc) putRun(xfer, dst, src uint32, run []byte) error {
+	flags, sent := uint8(flagBegin), 0
+	for chunk := range slices.Chunk(run, frameTarget) {
+		if sent += len(chunk); sent == len(run) {
+			flags |= flagEnd
 		}
-	}
-	payload := make([]byte, 0, min(size, frameTarget+4096))
-	flags := uint8(flagBegin)
-	var seq uint32
-	flush := func(last bool) error {
-		f := flags
-		if last {
-			f |= flagEnd
+		if err := r.sendWindowed(frame{Type: msgPut, Flags: flags, Xfer: xfer, A: dst, B: src, Payload: chunk}); err != nil {
+			return err
 		}
-		err := r.sendWindowed(frame{Type: msgPut, Flags: f, Xfer: xfer, A: dst, B: src, Payload: payload})
 		flags = 0
-		seq++
-		payload = payload[:0]
-		return err
 	}
-	for i, rec := range recs {
-		payload = appendRecord(payload, rec)
-		if len(payload) >= frameTarget && i != len(recs)-1 {
-			if err := flush(false); err != nil {
-				return err
-			}
-		}
-	}
-	return flush(true)
+	return nil
 }
 
-// readStream collects a msgData stream terminated by msgOK and verifies the
-// count the worker reports against what arrived.
-func (r *rpc) readStream(what string) ([][]byte, error) {
-	var out [][]byte
+// request drains the PUT credits, sends req (a FETCH or an EXEC, named by
+// what) and appends the msgData stream it is answered with, up to msgOK,
+// to run. A frame that would bring more than room bytes in all is refused,
+// and the frame count msgOK reports must match what arrived.
+func (r *rpc) request(what string, req frame, run []byte, room int) ([]byte, error) {
+	if err := r.drainAcks(); err != nil {
+		return nil, err
+	}
+	if err := r.write(req); err != nil {
+		return nil, err
+	}
+	var frames uint32
 	for {
-		f, err := r.read()
-		if err != nil {
+		if err := r.conn.SetReadDeadline(time.Now().Add(r.timeout)); err != nil {
 			return nil, err
 		}
+		f, b, got, err := readFrameInto(r.conn, r.rbuf, run, room)
+		r.rbuf = b
+		if err != nil {
+			return nil, fmt.Errorf("netexec: %s: %w", what, err)
+		}
+		r.recvd += int64(headerSize + len(f.Payload))
 		switch f.Type {
 		case msgData:
-			recs, err := splitRecords(f.Payload, true)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, recs...)
+			run = got
+			room -= len(f.Payload)
+			frames++
 		case msgOK:
-			if uint32(len(out)) != f.B {
-				return nil, fmt.Errorf("netexec: %s returned %d records, worker sent %d", what, len(out), f.B)
+			if f.B != frames {
+				return nil, fmt.Errorf("netexec: %s: %d frames arrived, worker sent %d", what, frames, f.B)
 			}
-			return out, nil
+			return run, nil
 		case msgErr:
 			return nil, fmt.Errorf("netexec: %s: worker error: %s", what, f.Payload)
 		default:
 			return nil, fmt.Errorf("netexec: %s: unexpected message type %d", what, f.Type)
 		}
 	}
-}
-
-// fetch retrieves the gathered records of (xfer, dst) in source order.
-func (r *rpc) fetch(xfer, dst uint32) ([][]byte, error) {
-	if err := r.write(frame{Type: msgFetch, Xfer: xfer, A: dst}); err != nil {
-		return nil, err
-	}
-	return r.readStream("fetch")
-}
-
-// exec runs the named worker-local task over (xfer, dst) and retrieves the
-// result stream.
-func (r *rpc) exec(xfer, dst uint32, task string) ([][]byte, error) {
-	if err := r.write(frame{Type: msgExec, Xfer: xfer, A: dst, Payload: []byte(task)}); err != nil {
-		return nil, err
-	}
-	return r.readStream("exec " + task)
 }
 
 // expectOK reads one frame and requires msgOK, returning its payload copy.
@@ -208,7 +182,7 @@ func (r *rpc) drop(xfer uint32) error {
 }
 
 // stats fetches the worker's store footprint.
-func (r *rpc) stats() (xfers, records uint64, err error) {
+func (r *rpc) stats() (xfers, size uint64, err error) {
 	if err := r.write(frame{Type: msgStats}); err != nil {
 		return 0, 0, err
 	}
@@ -221,6 +195,6 @@ func (r *rpc) stats() (xfers, records uint64, err error) {
 	if n <= 0 {
 		return 0, 0, fmt.Errorf("netexec: stats: corrupt payload")
 	}
-	records, _ = binary.Uvarint(payload[n:])
-	return xfers, records, nil
+	size, _ = binary.Uvarint(payload[n:])
+	return xfers, size, nil
 }

@@ -15,33 +15,33 @@
 package netexec
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // Wire format. Every message is one frame:
 //
 //	frame  := type:1 flags:1 magic:2 xfer:4le a:4le b:4le len:4le crc:4le payload
-//	payload of data-bearing frames := (recLen:uvarint recBytes)*
+//	payload of data-bearing frames := a chunk of a run
 //
 // The CRC32 (IEEE) covers the payload; the header is validated by the magic
-// and the length bound. The framing is deliberately the same shape as the
-// spill run files of internal/spill (length-prefixed records inside
-// CRC-checked frames), so the bytes that spill to disk under a memory
-// budget and the bytes that cross the wire under the net backend share one
-// on-the-wire idiom. xfer identifies the transfer (one per exchange
-// operation), a and b are per-message operands (destination partition,
-// source partition, sequence number).
+// and the length bound. A run is the engine's unit of transfer
+// (engine.AppendRecord): length-prefixed records back to back, the same
+// shape as the payload of internal/spill's run files. The coordinator and
+// the workers move runs as opaque bytes, cut into frames of at most
+// frameTarget bytes wherever the cut falls; only the engine walks the
+// records, and the cartesian task, through engine.CrossRuns. xfer identifies
+// the transfer (one per exchange operation), a and b are per-message
+// operands (destination partition, source partition, frame count).
 const (
 	headerSize = 24
 	// maxFramePayload bounds a frame so a corrupt length header cannot
 	// trigger an absurd allocation (the same defense as spill's maxFrame).
 	maxFramePayload = 64 << 20
-	// frameTarget is the payload size data streams accumulate before
-	// sealing a frame.
+	// frameTarget is the largest payload a run is cut into.
 	frameTarget = 256 << 10
 
 	magic0 = 0xBD
@@ -55,23 +55,23 @@ const (
 	msgInvalid msgType = iota
 	// msgHello is the handshake both directions open a connection with.
 	msgHello
-	// msgPut streams records of (xfer, dst=a, src=b) coordinator→worker.
-	// flagBegin resets the bucket (so replays after a retry do not
+	// msgPut streams the run of (xfer, dst=a, src=b) coordinator→worker.
+	// flagBegin resets the stored run (so replays after a retry do not
 	// duplicate), flagEnd seals it.
 	msgPut
 	// msgAck credits one received frame back to the sender (b echoes the
 	// frame sequence number); the send window counts unacked frames.
 	msgAck
-	// msgOK completes an RPC (b may carry a record count).
+	// msgOK completes an RPC (b may carry a frame count).
 	msgOK
 	// msgErr aborts an RPC; the payload is the error text.
 	msgErr
-	// msgFetch asks for the records of (xfer, dst=a) in source order; the
+	// msgFetch asks for the runs of (xfer, dst=a) in source order; the
 	// worker answers with msgData frames then msgOK.
 	msgFetch
-	// msgData streams response records worker→coordinator.
+	// msgData streams a response run worker→coordinator.
 	msgData
-	// msgExec runs a named task worker-local over the stored partitions of
+	// msgExec runs a named task worker-local over the stored runs of
 	// (xfer, dst=a); the payload is the task name. Response like msgFetch.
 	msgExec
 	// msgDrop releases all state of xfer.
@@ -79,8 +79,8 @@ const (
 	// msgPing is a liveness probe.
 	msgPing
 	// msgStats asks for the worker's store footprint (payload of the msgOK
-	// response: uvarint transfers, uvarint records) — used by hygiene
-	// tests to prove aborted exchanges leave nothing behind.
+	// response: uvarint transfers, uvarint bytes) — used by hygiene tests
+	// to prove aborted exchanges leave nothing behind.
 	msgStats
 )
 
@@ -130,46 +130,56 @@ func writeFrame(w io.Writer, f frame, scratch []byte) ([]byte, error) {
 // mismatch, truncation — returns an error, never panics; the returned
 // frame's Payload aliases buf.
 func readFrame(r io.Reader, buf []byte) (frame, []byte, error) {
+	f, n, sum, err := readHeader(r)
+	if err == nil {
+		buf, err = readPayload(r, buf[:0], n, sum)
+		f.Payload = buf
+	}
+	return f, buf, err
+}
+
+// readFrameInto reads one frame of a response stream. A msgData frame's
+// payload is appended to run, and the frame's Payload is that window of
+// it; a payload longer than room, the bytes the stream may still bring, is
+// refused once its header is read, before any of it is read or allocated
+// for. Any other frame is read as readFrame reads it, into buf.
+func readFrameInto(r io.Reader, buf, run []byte, room int) (frame, []byte, []byte, error) {
+	f, n, sum, err := readHeader(r)
+	switch {
+	case err != nil:
+	case f.Type != msgData:
+		buf, err = readPayload(r, buf[:0], n, sum)
+		f.Payload = buf
+	case int(n) > room:
+		err = fmt.Errorf("netexec: data frame of %d bytes exceeds the %d still expected", n, room)
+	default:
+		start := len(run)
+		run, err = readPayload(r, run, n, sum)
+		f.Payload = run[start:]
+	}
+	return f, buf, run, err
+}
+
+// readHeader reads and validates a frame header, returning the frame shell,
+// its payload length and its payload checksum.
+func readHeader(r io.Reader) (frame, uint32, uint32, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
-			return frame{}, buf, io.EOF
+			return frame{}, 0, 0, io.EOF
 		}
-		return frame{}, buf, fmt.Errorf("netexec: read frame header: %w", err)
+		return frame{}, 0, 0, fmt.Errorf("netexec: read frame header: %w", err)
 	}
-	f, n, err := parseHeader(hdr)
-	if err != nil {
-		return frame{}, buf, err
-	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return frame{}, buf, fmt.Errorf("netexec: read frame payload: %w", err)
-	}
-	want := binary.LittleEndian.Uint32(hdr[20:])
-	if got := crc32.ChecksumIEEE(buf); got != want {
-		return frame{}, buf, fmt.Errorf("netexec: frame checksum mismatch (got %08x want %08x)", got, want)
-	}
-	f.Payload = buf
-	return f, buf, nil
-}
-
-// parseHeader validates the fixed header and returns the frame shell plus
-// its payload length. Split out of readFrame so the fuzzers can drive it on
-// raw bytes.
-func parseHeader(hdr [headerSize]byte) (frame, uint32, error) {
 	if hdr[2] != magic0 || hdr[3] != magic1 {
-		return frame{}, 0, fmt.Errorf("netexec: bad frame magic %02x%02x", hdr[2], hdr[3])
+		return frame{}, 0, 0, fmt.Errorf("netexec: bad frame magic %02x%02x", hdr[2], hdr[3])
 	}
 	t := msgType(hdr[0])
 	if t == msgInvalid || t > msgStats {
-		return frame{}, 0, fmt.Errorf("netexec: unknown message type %d", hdr[0])
+		return frame{}, 0, 0, fmt.Errorf("netexec: unknown message type %d", hdr[0])
 	}
 	n := binary.LittleEndian.Uint32(hdr[16:])
 	if n > maxFramePayload {
-		return frame{}, 0, fmt.Errorf("netexec: implausible frame length %d", n)
+		return frame{}, 0, 0, fmt.Errorf("netexec: implausible frame length %d", n)
 	}
 	f := frame{
 		Type:  t,
@@ -178,39 +188,19 @@ func parseHeader(hdr [headerSize]byte) (frame, uint32, error) {
 		A:     binary.LittleEndian.Uint32(hdr[8:]),
 		B:     binary.LittleEndian.Uint32(hdr[12:]),
 	}
-	return f, n, nil
+	return f, n, binary.LittleEndian.Uint32(hdr[20:]), nil
 }
 
-// appendRecord appends one length-prefixed record to a data payload.
-func appendRecord(buf, rec []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(rec)))
-	return append(buf, rec...)
-}
-
-// splitRecords parses a data payload into its records, each capped at its
-// own end. With copyOut set (needed whenever the records outlive the frame
-// buffer) they alias one copy of the payload instead of the frame buffer;
-// corrupt payloads error, never panic.
-func splitRecords(payload []byte, copyOut bool) ([][]byte, error) {
-	if copyOut {
-		payload = bytes.Clone(payload)
+// readPayload appends the n-byte payload from r to dst and checks it
+// against sum. On error dst comes back as it was.
+func readPayload(r io.Reader, dst []byte, n, sum uint32) ([]byte, error) {
+	start := len(dst)
+	dst = slices.Grow(dst, int(n))[:start+int(n)]
+	if _, err := io.ReadFull(r, dst[start:]); err != nil {
+		return dst[:start], fmt.Errorf("netexec: read frame payload: %w", err)
 	}
-	var out [][]byte
-	for len(payload) > 0 {
-		n, sz := binary.Uvarint(payload)
-		if sz <= 0 {
-			return nil, fmt.Errorf("netexec: corrupt record length")
-		}
-		// A multi-byte length whose last byte is zero has a shorter
-		// encoding; appendRecord never writes one.
-		if sz > 1 && payload[sz-1] == 0 {
-			return nil, fmt.Errorf("netexec: non-canonical record length")
-		}
-		if n > uint64(len(payload)-sz) {
-			return nil, fmt.Errorf("netexec: record overruns frame (%d > %d)", n, len(payload)-sz)
-		}
-		out = append(out, payload[sz:sz+int(n):sz+int(n)])
-		payload = payload[sz+int(n):]
+	if got := crc32.ChecksumIEEE(dst[start:]); got != sum {
+		return dst[:start], fmt.Errorf("netexec: frame checksum mismatch (got %08x want %08x)", got, sum)
 	}
-	return out, nil
+	return dst, nil
 }

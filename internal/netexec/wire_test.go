@@ -5,12 +5,14 @@ import (
 	"encoding/binary"
 	"io"
 	"testing"
+
+	"bigdansing/internal/engine"
 )
 
 func TestFrameRoundTripStream(t *testing.T) {
 	frames := []frame{
 		{Type: msgHello},
-		{Type: msgPut, Flags: flagBegin | flagEnd, Xfer: 7, A: 3, B: 1, Payload: appendRecord(appendRecord(nil, []byte("aa")), []byte{})},
+		{Type: msgPut, Flags: flagBegin | flagEnd, Xfer: 7, A: 3, B: 1, Payload: engine.AppendRecord(engine.AppendRecord(nil, []byte("aa")), []byte{})},
 		{Type: msgData, Xfer: 1<<31 + 5, A: 0xFFFFFFFF, B: 42, Payload: bytes.Repeat([]byte{0xAB}, 3000)},
 		{Type: msgOK, B: 9},
 	}
@@ -71,26 +73,26 @@ func TestReadFrameRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestSplitRecordsRoundTrip walks a run as the exchanges frame it.
 func TestSplitRecordsRoundTrip(t *testing.T) {
 	recs := [][]byte{[]byte("a"), {}, bytes.Repeat([]byte{7}, 500), []byte("zz")}
-	var payload []byte
+	var run []byte
 	for _, r := range recs {
-		payload = appendRecord(payload, r)
+		run = engine.AppendRecord(run, r)
 	}
-	got, err := splitRecords(payload, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("got %d records, want %d", len(got), len(recs))
-	}
+	rd := engine.ReadRun(run, len(recs))
 	for i := range recs {
-		if !bytes.Equal(got[i], recs[i]) {
-			t.Fatalf("record %d mismatch", i)
+		got, ok := rd.Next()
+		if !ok || !bytes.Equal(got, recs[i]) {
+			t.Fatalf("record %d mismatch: %q", i, got)
 		}
 	}
-	// A record length overrunning the payload must error.
-	if _, err := splitRecords(binary.AppendUvarint(nil, 10), false); err == nil {
+	if _, ok := rd.Next(); ok || rd.Err() != nil {
+		t.Fatalf("run did not end whole: %v", rd.Err())
+	}
+	// A record length overrunning the run must error.
+	rd = engine.ReadRun(binary.AppendUvarint(nil, 10), -1)
+	if _, ok := rd.Next(); ok || rd.Err() == nil {
 		t.Error("overrunning record accepted")
 	}
 }

@@ -4,13 +4,16 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"bigdansing/internal/engine"
 )
 
 // Env hooks. WorkerEnv makes any binary that calls MaybeWorker (the
@@ -86,10 +89,10 @@ func WorkerMain(addr string, out io.Writer) error {
 // workerServer holds one worker's partition store and chaos knobs.
 type workerServer struct {
 	mu sync.Mutex
-	// xfers[xfer][dst][src] is the record bucket of (transfer, destination
-	// partition, source partition). Fetch streams dst's buckets in
-	// ascending src order, preserving the engine's (source, arrival) order.
-	xfers map[uint32]map[uint32]map[uint32][][]byte
+	// xfers[xfer][dst][src] is the run of (transfer, destination partition,
+	// source partition). Fetch streams dst's runs in ascending src order,
+	// preserving the engine's (source, arrival) order.
+	xfers map[uint32]map[uint32]map[uint32][]byte
 
 	frames     atomic.Int64 // received frames, for the die-after chaos knob
 	chaosDelay time.Duration
@@ -97,7 +100,7 @@ type workerServer struct {
 }
 
 func newWorkerServer() *workerServer {
-	ws := &workerServer{xfers: make(map[uint32]map[uint32]map[uint32][][]byte)}
+	ws := &workerServer{xfers: make(map[uint32]map[uint32]map[uint32][]byte)}
 	if v := os.Getenv(ChaosDelayEnv); v != "" {
 		if ms, err := strconv.Atoi(v); err == nil {
 			ws.chaosDelay = time.Duration(ms) * time.Millisecond
@@ -151,91 +154,73 @@ func (ws *workerServer) serve(conn net.Conn) {
 	}
 }
 
-// put stores a PUT frame's records into bucket (xfer, dst=A, src=B).
-// flagBegin resets the bucket first, which makes task replays after a retry
-// idempotent instead of duplicating.
+// put appends a PUT frame's chunk to run (xfer, dst=A, src=B). flagBegin
+// resets the run first, which makes task replays after a retry idempotent
+// instead of duplicating.
 func (ws *workerServer) put(f frame) {
-	recs, err := splitRecords(f.Payload, true)
-	if err != nil {
-		recs = nil // corrupt payload would have failed the CRC; be defensive anyway
-	}
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	x := ws.xfers[f.Xfer]
 	if x == nil {
-		x = make(map[uint32]map[uint32][][]byte)
+		x = make(map[uint32]map[uint32][]byte)
 		ws.xfers[f.Xfer] = x
 	}
 	d := x[f.A]
 	if d == nil {
-		d = make(map[uint32][][]byte)
+		d = make(map[uint32][]byte)
 		x[f.A] = d
 	}
 	if f.Flags&flagBegin != 0 {
 		d[f.B] = nil
 	}
-	d[f.B] = append(d[f.B], recs...)
+	d[f.B] = append(d[f.B], f.Payload...)
 }
 
-// snapshot returns dst's buckets in ascending source order.
-func (ws *workerServer) snapshot(xfer, dst uint32) [][]byte {
+// runs returns the runs of (xfer, dst) in ascending source order. A stored
+// run only grows past its end (a replay starts a new one), so the caller
+// may read what it got unlocked.
+func (ws *workerServer) runs(xfer, dst uint32) [][]byte {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	d := ws.xfers[xfer][dst]
-	srcs := make([]uint32, 0, len(d))
-	for s := range d {
-		srcs = append(srcs, s)
-	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-	var out [][]byte
-	for _, s := range srcs {
-		out = append(out, d[s]...)
+	srcs := slices.Sorted(maps.Keys(d))
+	out := make([][]byte, len(srcs))
+	for i, s := range srcs {
+		out[i] = d[s]
 	}
 	return out
 }
 
-// streamRecords sends recs as msgData frames of ~frameTarget payload each,
-// then msgOK carrying the record count.
-func streamRecords(conn net.Conn, xfer, dst uint32, recs [][]byte, wbuf []byte) ([]byte, error) {
-	payload := make([]byte, 0, frameTarget+4096)
-	var seq uint32
-	var err error
-	flush := func() error {
-		if len(payload) == 0 {
-			return nil
-		}
-		wbuf, err = writeFrame(conn, frame{Type: msgData, Xfer: xfer, A: dst, B: seq, Payload: payload}, wbuf)
-		seq++
-		payload = payload[:0]
-		return err
-	}
-	for _, r := range recs {
-		payload = appendRecord(payload, r)
-		if len(payload) >= frameTarget {
-			if err := flush(); err != nil {
+// streamRuns sends runs as msgData frames of at most frameTarget bytes,
+// then msgOK carrying the frame count.
+func streamRuns(conn net.Conn, xfer, dst uint32, runs [][]byte, wbuf []byte) ([]byte, error) {
+	var frames uint32
+	for _, run := range runs {
+		for chunk := range slices.Chunk(run, frameTarget) {
+			var err error
+			if wbuf, err = writeFrame(conn, frame{Type: msgData, Xfer: xfer, A: dst, B: frames, Payload: chunk}, wbuf); err != nil {
 				return wbuf, err
 			}
+			frames++
 		}
 	}
-	if err := flush(); err != nil {
-		return wbuf, err
-	}
-	return writeFrame(conn, frame{Type: msgOK, Xfer: xfer, A: dst, B: uint32(len(recs))}, wbuf)
+	return writeFrame(conn, frame{Type: msgOK, Xfer: xfer, A: dst, B: frames}, wbuf)
 }
 
-// fetch streams the stored records of (xfer, dst) back in source order.
+// fetch streams the stored runs of (xfer, dst) back in source order.
 func (ws *workerServer) fetch(conn net.Conn, f frame, wbuf []byte) ([]byte, error) {
 	if ws.chaosDelay > 0 {
 		time.Sleep(ws.chaosDelay)
 	}
-	return streamRecords(conn, f.Xfer, f.A, ws.snapshot(f.Xfer, f.A), wbuf)
+	return streamRuns(conn, f.Xfer, f.A, ws.runs(f.Xfer, f.A), wbuf)
 }
 
-// exec runs a named worker-local task over the stored buckets of
-// (xfer, dst) and streams the result. The only task today is "cartesian":
-// bucket src=0 holds the left partition, src=1 the broadcast right side,
-// and the cross product is pure concatenation l||r — valid JoinRow
-// encodings under the engine's sequential codecs, no type knowledge needed.
+// exec runs a named worker-local task over the stored runs of (xfer, dst)
+// and streams the resulting run. The only task today is "cartesian": run
+// src=0 is the left partition, src=1 the broadcast right side, and the
+// cross product is pure concatenation l||r (engine.CrossRuns) — valid
+// JoinRow encodings under the engine's sequential codecs, no type knowledge
+// needed.
 func (ws *workerServer) exec(conn net.Conn, f frame, wbuf []byte) ([]byte, error) {
 	if ws.chaosDelay > 0 {
 		time.Sleep(ws.chaosDelay)
@@ -249,16 +234,11 @@ func (ws *workerServer) exec(conn net.Conn, f frame, wbuf []byte) ([]byte, error
 	d := ws.xfers[f.Xfer][f.A]
 	left, right := d[0], d[1]
 	ws.mu.Unlock()
-	out := make([][]byte, 0, len(left)*len(right))
-	for _, l := range left {
-		for _, r := range right {
-			rec := make([]byte, 0, len(l)+len(r))
-			rec = append(rec, l...)
-			rec = append(rec, r...)
-			out = append(out, rec)
-		}
+	out, err := engine.CrossRuns(left, right)
+	if err != nil {
+		return writeFrame(conn, frame{Type: msgErr, Xfer: f.Xfer, Payload: []byte(err.Error())}, wbuf)
 	}
-	return streamRecords(conn, f.Xfer, f.A, out, wbuf)
+	return streamRuns(conn, f.Xfer, f.A, [][]byte{out}, wbuf)
 }
 
 // drop releases all state of a transfer.
@@ -269,21 +249,21 @@ func (ws *workerServer) drop(xfer uint32) {
 }
 
 // stats answers with the store footprint: uvarint transfer count, uvarint
-// total record count. Hygiene tests use it to prove aborted exchanges left
+// total stored bytes. Hygiene tests use it to prove aborted exchanges left
 // nothing behind.
 func (ws *workerServer) stats(conn net.Conn, f frame, wbuf []byte) ([]byte, error) {
 	ws.mu.Lock()
 	nx := len(ws.xfers)
-	var nrec uint64
+	var size uint64
 	for _, x := range ws.xfers {
 		for _, d := range x {
-			for _, b := range d {
-				nrec += uint64(len(b))
+			for _, run := range d {
+				size += uint64(len(run))
 			}
 		}
 	}
 	ws.mu.Unlock()
 	payload := binary.AppendUvarint(nil, uint64(nx))
-	payload = binary.AppendUvarint(payload, nrec)
+	payload = binary.AppendUvarint(payload, size)
 	return writeFrame(conn, frame{Type: msgOK, Xfer: f.Xfer, Payload: payload}, wbuf)
 }

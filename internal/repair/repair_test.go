@@ -283,9 +283,9 @@ type jobExchange struct {
 	spilled, read []int64
 }
 
-func (x *jobExchange) Shuffle(op string, parts [][]engine.EncodedRec, n int) ([][][]byte, error) {
+func (x *jobExchange) Shuffle(op string, runs [][][]byte, n int) ([][]byte, error) {
 	s0, r0 := x.Stats().BytesSpilled(), x.Stats().BytesRead()
-	out, err := x.Engine.Shuffle(op, parts, n)
+	out, err := x.Engine.Shuffle(op, runs, n)
 	x.spilled = append(x.spilled, x.Stats().BytesSpilled()-s0)
 	x.read = append(x.read, x.Stats().BytesRead()-r0)
 	return out, err
