@@ -40,13 +40,14 @@ unused:
 # builds and runs one iteration of the CSV-reader, out-of-core engine
 # (GroupByKeySpill, ReduceByKeySpill, SortBySpill), FD-detection (local, disk
 # exchange and spill: DetectFD, DetectFDDisk, DetectFDSpill; TCP exchange with
-# two spawned workers: DetectFDNet), session-stream, FD-clean,
+# two spawned workers: DetectFDNet), DC-detection through OCJoin (DetectDC),
+# session-stream, FD-clean,
 # hypergraph-repair and equivalence-class-repair benchmarks.
 bench-smoke:
 	cd benchmark && $(GO) test ./...
 	$(GO) test -run xxx -bench ReadCSV -benchtime 1x ./internal/model/
 	$(GO) test -run xxx -bench 'GroupByKeySpill|ReduceByKeySpill|SortBySpill' -benchtime 1x ./internal/engine/
-	$(GO) test -run xxx -bench 'DetectFD|DetectFDDisk|DetectFDSpill' -benchtime 1x ./internal/core/
+	$(GO) test -run xxx -bench 'DetectFD|DetectFDDisk|DetectFDSpill|DetectDC' -benchtime 1x ./internal/core/
 	$(GO) test -run xxx -bench DetectFDNet -benchtime 1x ./internal/netexec/
 	$(GO) test -run xxx -bench SessionStream -benchtime 1x ./internal/cleanse/
 	$(GO) test -run xxx -bench CleanFD -benchtime 1x ./internal/cleanse/
@@ -80,7 +81,7 @@ bench:
 	$(GO) test -run xxx -bench 'Table2Datasets|Fig9' -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench ReadCSV -benchtime 5x -benchmem ./internal/model/
 	$(GO) test -run xxx -bench . -benchtime 5x -benchmem ./internal/engine/
-	$(GO) test -run xxx -bench 'DetectScan|ViolationDedup|DetectFD|DetectFDDisk|DetectFDSpill' -benchtime 5x -benchmem ./internal/core/
+	$(GO) test -run xxx -bench 'DetectScan|ViolationDedup|DetectFD|DetectFDDisk|DetectFDSpill|DetectDC' -benchtime 5x -benchmem ./internal/core/
 	$(GO) test -run xxx -bench DetectFDNet -benchtime 5x -benchmem ./internal/netexec/
 	$(GO) test -run xxx -bench SessionStream -benchtime 256x -benchmem ./internal/cleanse/
 	$(GO) test -run xxx -bench CleanFD -benchtime 5x -benchmem ./internal/cleanse/

@@ -101,3 +101,44 @@ func BenchmarkDetectFDSpill(b *testing.B) {
 	}
 	b.ReportMetric(float64(spilled)/float64(b.N*rel.Len()), "B-moved/row")
 }
+
+// phi2TaxB is the input of the taxb_dc_clean workload's detection: φ2
+// (t1.salary > t2.salary & t1.rate < t2.rate), which plans to OCJoin, and
+// rows TaxB rows at 5 % errors, seed 11.
+func phi2TaxB(tb testing.TB, rows int) (*core.Rule, *model.Relation) {
+	tb.Helper()
+	dc, err := rules.ParseDC("phi2", "t1.salary > t2.salary & t1.rate < t2.rate")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rule, err := dc.Compile(datagen.TaxSchema())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rule, datagen.TaxB(rows, 0.05, 11).Dirty
+}
+
+// BenchmarkDetectDC runs the taxb_dc_clean workload's detection shape
+// through DetectRule: φ2 over 1 400 TaxB rows on the local backend at
+// parallelism 2, where the OCJoin sweep hands each pair to Detect. Besides
+// the per-op allocation it reports the bytes allocated per violation found.
+func BenchmarkDetectDC(b *testing.B) {
+	rule, rel := phi2TaxB(b, 1400)
+	ctx := engine.New(2)
+	var before, after runtime.MemStats
+	violations := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		res, err := core.DetectRule(ctx, rule, rel)
+		if err != nil {
+			b.Fatal(err)
+		}
+		violations += len(res.Violations)
+	}
+	runtime.ReadMemStats(&after)
+	if violations > 0 {
+		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(violations), "B/violation")
+	}
+}

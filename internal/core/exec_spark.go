@@ -152,22 +152,13 @@ func (ex *sparkExec) violations(pp *PhysicalPlan, p *PhysicalPipeline, m *udfMet
 		return engine.MapPartitions(first, func(_ int, ts []model.Tuple) [][]model.FixSet { return [][]model.FixSet{det(ts)} }), nil
 
 	case IterOCJoin:
-		pairs, err := join.OCJoin(first.MovedAs(wire), p.OrderConds, p.NumParts)
+		tasks, err := join.OCJoin(first.MovedAs(wire), p.OrderConds, p.NumParts)
 		if err != nil {
 			return nil, fmt.Errorf("core: OCJoin in %s: %w", p.RuleID, err)
 		}
-		det := metered(m, func(prs []engine.PairOf[model.Tuple]) ([]model.FixSet, int64) {
-			// An OCJoin pair satisfies the rule's ordering conditions, so
-			// most pairs are violations.
-			out := make([]model.FixSet, 0, len(prs))
-			for _, pr := range prs {
-				out = appendSets(out, p.Detect(PairItem(pr.Left, pr.Right)))
-			}
-			return out, int64(len(prs))
-		})
-		return engine.MapPartitions(pairs, func(_ int, prs []engine.PairOf[model.Tuple]) [][]model.FixSet {
-			return [][]model.FixSet{det(prs)}
-		}), nil
+		return engine.Map(tasks, metered(m, func(tk join.Task) ([]model.FixSet, int64) {
+			return joinDetect(p.Detect, tk)
+		})), nil
 
 	case IterUniquePairs, IterOrderedPairs:
 		ordered := p.Impl == IterOrderedPairs
@@ -217,6 +208,22 @@ func singlesDetector(detect DetectFunc) func([]model.Tuple) ([]model.FixSet, int
 		}
 		return out, int64(len(ts))
 	}
+}
+
+// joinDetect feeds Detect the pairs of one OCJoin task as the join visits
+// them, through one reused pair Item. A pair satisfies the rule's ordering
+// conditions, so most pairs are violations: the fix sets are sized once
+// from the join's own count of the task's pairs.
+func joinDetect(detect DetectFunc, tk join.Task) ([]model.FixSet, int64) {
+	out := make([]model.FixSet, 0, tk.Bound())
+	it := Item{Kind: ItemPair, Tuples: make([]model.Tuple, 2)}
+	var n int64
+	tk.Each(func(l, r model.Tuple) {
+		it.Tuples[0], it.Tuples[1] = l, r
+		out = appendSets(out, detect(it))
+		n++
+	})
+	return out, n
 }
 
 // detectItems feeds Detect the items a user Iterate produced.

@@ -62,3 +62,6 @@ func Singles(blocks [][]model.Tuple) []Item {
 	}
 	return out
 }
+
+// JoinDetect runs Detect over one OCJoin task as the executor does.
+var JoinDetect = joinDetect

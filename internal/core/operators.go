@@ -36,7 +36,9 @@ type BlockFunc func(model.Tuple) model.Value
 type IterateFunc func(blocks [][]model.Tuple) []Item
 
 // DetectFunc decides whether a candidate is a real violation, returning
-// zero or more violations (Section 3.1, operator 4).
+// zero or more violations (Section 3.1, operator 4). It must not retain its
+// Item's Tuples slice past the call: the executor may reuse one Item for
+// many candidates (the OCJoin path does). The tuples themselves it may keep.
 type DetectFunc func(Item) []model.Violation
 
 // GenFixFunc computes the possible fixes for one violation (Section 3.1,

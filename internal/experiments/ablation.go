@@ -84,11 +84,15 @@ func Fig11c(cfg Config) ([]*Table, error) {
 		x := float64(n)
 
 		secs, err := timeIt(func() error {
-			out, err := join.OCJoin(d, conds, cfg.Workers)
+			tasks, err := join.OCJoin(d, conds, cfg.Workers)
 			if err != nil {
 				return err
 			}
-			_, err = out.Count()
+			_, err = engine.Map(tasks, func(tk join.Task) int {
+				n := 0
+				tk.Each(func(_, _ model.Tuple) { n++ })
+				return n
+			}).Collect()
 			return err
 		})
 		if err != nil {

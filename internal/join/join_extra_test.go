@@ -31,11 +31,7 @@ func TestOCJoinThreeConditions(t *testing.T) {
 		{LeftCol: 1, Op: model.OpLT, RightCol: 1},
 		{LeftCol: 2, Op: model.OpLE, RightCol: 2},
 	}
-	got, err := OCJoin(d, conds, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotPairs, err := got.Collect()
+	gotPairs, err := ocPairs(d, conds, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,14 +60,11 @@ func TestOCJoinAllOpCombinations(t *testing.T) {
 				{LeftCol: 0, Op: op0, RightCol: 0},
 				{LeftCol: 1, Op: op1, RightCol: 1},
 			}
-			got, err := OCJoin(d, conds, 3)
+			pairs, err := ocPairs(d, conds, 3)
 			if err != nil {
 				t.Fatalf("%v/%v: %v", op0, op1, err)
 			}
-			n, err := got.Count()
-			if err != nil {
-				t.Fatal(err)
-			}
+			n := len(pairs)
 			want := len(NaiveInequalityJoin(tuples, conds))
 			if n != want {
 				t.Errorf("ops %v,%v: OCJoin %d vs naive %d", op0, op1, n, want)
@@ -92,11 +85,7 @@ func TestOCJoinCrossColumnConditions(t *testing.T) {
 			{LeftCol: 0, Op: model.OpLT, RightCol: 1},
 			{LeftCol: 1, Op: model.OpGE, RightCol: 2},
 		}
-		got, err := OCJoin(d, conds, 4)
-		if err != nil {
-			return false
-		}
-		gotPairs, err := got.Collect()
+		gotPairs, err := ocPairs(d, conds, 4)
 		if err != nil {
 			return false
 		}
@@ -121,11 +110,11 @@ func TestOCJoinManyPartitionsFewTuples(t *testing.T) {
 	ctx := engine.New(4)
 	tuples := wideTuples(3, 1)
 	d := engine.Parallelize(ctx, tuples, 2)
-	got, err := OCJoin(d, []Cond{{LeftCol: 0, Op: model.OpLT, RightCol: 0}}, 16)
+	pairs, err := ocPairs(d, []Cond{{LeftCol: 0, Op: model.OpLT, RightCol: 0}}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, _ := got.Count()
+	n := len(pairs)
 	want := len(NaiveInequalityJoin(tuples, []Cond{{LeftCol: 0, Op: model.OpLT, RightCol: 0}}))
 	if n != want {
 		t.Errorf("more partitions than tuples: %d vs %d", n, want)

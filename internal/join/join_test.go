@@ -1,6 +1,7 @@
 package join
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -49,16 +50,35 @@ func sortedKeys(pairs []engine.PairOf[model.Tuple]) [][2]int64 {
 	return keys
 }
 
+// ocPairs runs OCJoin and collects the pairs its tasks visit, in task
+// order. It also checks each task's Bound: never below what Each visits,
+// and equal to it with at most two conditions.
+func ocPairs(d *engine.Dataset[model.Tuple], conds []Cond, parts int) ([]engine.PairOf[model.Tuple], error) {
+	ds, err := OCJoin(d, conds, parts)
+	if err != nil {
+		return nil, err
+	}
+	tasks, err := ds.Collect()
+	if err != nil {
+		return nil, err
+	}
+	var out []engine.PairOf[model.Tuple]
+	for _, tk := range tasks {
+		n := len(out)
+		tk.Each(func(l, r model.Tuple) { out = append(out, engine.PairOf[model.Tuple]{Left: l, Right: r}) })
+		if b := tk.Bound(); b < len(out)-n || len(conds) <= 2 && b != len(out)-n {
+			return nil, fmt.Errorf("task bound %d, visited %d pairs", b, len(out)-n)
+		}
+	}
+	return out, nil
+}
+
 func TestOCJoinMatchesNaiveOracle(t *testing.T) {
 	ctx := engine.New(4)
 	for _, n := range []int{0, 1, 2, 10, 50, 200} {
 		tuples := taxTuples(n, int64(n))
 		d := engine.Parallelize(ctx, tuples, 4)
-		got, err := OCJoin(d, phi2Conds(), 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotPairs, err := got.Collect()
+		gotPairs, err := ocPairs(d, phi2Conds(), 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,11 +102,7 @@ func TestOCJoinProperty(t *testing.T) {
 		parts := int(partsRaw%6) + 1
 		tuples := taxTuples(n, seed)
 		d := engine.Parallelize(ctx, tuples, 3)
-		got, err := OCJoin(d, phi2Conds(), parts)
-		if err != nil {
-			return false
-		}
-		gotPairs, err := got.Collect()
+		gotPairs, err := ocPairs(d, phi2Conds(), parts)
 		if err != nil {
 			return false
 		}
@@ -116,11 +132,10 @@ func TestOCJoinSingleCondition(t *testing.T) {
 	}
 	d := engine.Parallelize(ctx, tuples, 2)
 	conds := []Cond{{LeftCol: 0, Op: model.OpLT, RightCol: 0}}
-	got, err := OCJoin(d, conds, 2)
+	pairs, err := ocPairs(d, conds, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, _ := got.Collect()
 	if len(pairs) != 3 { // (0,1),(0,2),(1,2)
 		t.Fatalf("pairs = %d, want 3: %v", len(pairs), sortedKeys(pairs))
 	}
@@ -139,18 +154,18 @@ func TestOCJoinAllEqualValues(t *testing.T) {
 		tuples[i] = model.NewTuple(int64(i), model.F(5))
 	}
 	d := engine.Parallelize(ctx, tuples, 3)
-	lt, err := OCJoin(d, []Cond{{0, model.OpLT, 0}}, 3)
+	lt, err := ocPairs(d, []Cond{{0, model.OpLT, 0}}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := lt.Count(); n != 0 {
+	if n := len(lt); n != 0 {
 		t.Errorf("strict < on equal values = %d pairs", n)
 	}
-	le, err := OCJoin(d, []Cond{{0, model.OpLE, 0}}, 3)
+	le, err := ocPairs(d, []Cond{{0, model.OpLE, 0}}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := le.Count(); n != 90 {
+	if n := len(le); n != 90 {
 		t.Errorf("<= on equal values = %d pairs, want 90", n)
 	}
 }
@@ -174,11 +189,10 @@ func TestOCJoinGEAndGECombination(t *testing.T) {
 		{LeftCol: 0, Op: model.OpGE, RightCol: 0},
 		{LeftCol: 1, Op: model.OpLE, RightCol: 1},
 	}
-	got, err := OCJoin(d, conds, 4)
+	gotPairs, err := ocPairs(d, conds, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotPairs, _ := got.Collect()
 	want := NaiveInequalityJoin(tuples, conds)
 	if len(gotPairs) != len(want) {
 		t.Fatalf("GE/LE: %d vs naive %d", len(gotPairs), len(want))
@@ -202,11 +216,10 @@ func TestOCJoinNoDuplicatePairs(t *testing.T) {
 	ctx := engine.New(4)
 	tuples := taxTuples(100, 11)
 	d := engine.Parallelize(ctx, tuples, 4)
-	got, err := OCJoin(d, phi2Conds(), 6)
+	pairs, err := ocPairs(d, phi2Conds(), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, _ := got.Collect()
 	seen := map[[2]int64]bool{}
 	for _, p := range pairs {
 		k := pairKey(p)
@@ -235,11 +248,7 @@ func BenchmarkOCJoinVsNaive(b *testing.B) {
 	d := engine.Parallelize(ctx, tuples, 4)
 	b.Run("OCJoin", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := OCJoin(d, phi2Conds(), 8)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := res.Count(); err != nil {
+			if _, err := ocPairs(d, phi2Conds(), 8); err != nil {
 				b.Fatal(err)
 			}
 		}

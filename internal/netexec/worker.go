@@ -92,15 +92,22 @@ type workerServer struct {
 	// xfers[xfer][dst][src] is the run of (transfer, destination partition,
 	// source partition). Fetch streams dst's runs in ascending src order,
 	// preserving the engine's (source, arrival) order.
-	xfers map[uint32]map[uint32]map[uint32][]byte
+	xfers map[uint32]map[uint32]map[uint32]storedRun
 
 	frames     atomic.Int64 // received frames, for the die-after chaos knob
 	chaosDelay time.Duration
 	chaosDie   int64
 }
 
+// storedRun is one run of the store, sealed once the PUT carrying flagEnd
+// arrived: until then its tail may be missing, and it is not served.
+type storedRun struct {
+	data   []byte
+	sealed bool
+}
+
 func newWorkerServer() *workerServer {
-	ws := &workerServer{xfers: make(map[uint32]map[uint32]map[uint32][]byte)}
+	ws := &workerServer{xfers: make(map[uint32]map[uint32]map[uint32]storedRun)}
 	if v := os.Getenv(ChaosDelayEnv); v != "" {
 		if ms, err := strconv.Atoi(v); err == nil {
 			ws.chaosDelay = time.Duration(ms) * time.Millisecond
@@ -156,39 +163,45 @@ func (ws *workerServer) serve(conn net.Conn) {
 
 // put appends a PUT frame's chunk to run (xfer, dst=A, src=B). flagBegin
 // resets the run first, which makes task replays after a retry idempotent
-// instead of duplicating.
+// instead of duplicating; flagEnd seals it.
 func (ws *workerServer) put(f frame) {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	x := ws.xfers[f.Xfer]
 	if x == nil {
-		x = make(map[uint32]map[uint32][]byte)
+		x = make(map[uint32]map[uint32]storedRun)
 		ws.xfers[f.Xfer] = x
 	}
 	d := x[f.A]
 	if d == nil {
-		d = make(map[uint32][]byte)
+		d = make(map[uint32]storedRun)
 		x[f.A] = d
 	}
+	r := d[f.B]
 	if f.Flags&flagBegin != 0 {
-		d[f.B] = nil
+		r = storedRun{}
 	}
-	d[f.B] = append(d[f.B], f.Payload...)
+	r.data = append(r.data, f.Payload...)
+	r.sealed = f.Flags&flagEnd != 0
+	d[f.B] = r
 }
 
-// runs returns the runs of (xfer, dst) in ascending source order. A stored
-// run only grows past its end (a replay starts a new one), so the caller
-// may read what it got unlocked.
-func (ws *workerServer) runs(xfer, dst uint32) [][]byte {
+// runs returns the runs of (xfer, dst) in ascending source order, or an
+// error naming one that is not sealed. A stored run only grows past its end
+// (a replay starts a new one), so the caller may read what it got unlocked.
+func (ws *workerServer) runs(xfer, dst uint32) ([][]byte, error) {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	d := ws.xfers[xfer][dst]
 	srcs := slices.Sorted(maps.Keys(d))
 	out := make([][]byte, len(srcs))
 	for i, s := range srcs {
-		out[i] = d[s]
+		if !d[s].sealed {
+			return nil, fmt.Errorf("run (xfer %d, dst %d, src %d) is not sealed: its last PUT never arrived", xfer, dst, s)
+		}
+		out[i] = d[s].data
 	}
-	return out
+	return out, nil
 }
 
 // streamRuns sends runs as msgData frames of at most frameTarget bytes,
@@ -212,7 +225,11 @@ func (ws *workerServer) fetch(conn net.Conn, f frame, wbuf []byte) ([]byte, erro
 	if ws.chaosDelay > 0 {
 		time.Sleep(ws.chaosDelay)
 	}
-	return streamRuns(conn, f.Xfer, f.A, ws.runs(f.Xfer, f.A), wbuf)
+	runs, err := ws.runs(f.Xfer, f.A)
+	if err != nil {
+		return writeFrame(conn, frame{Type: msgErr, Xfer: f.Xfer, Payload: []byte(err.Error())}, wbuf)
+	}
+	return streamRuns(conn, f.Xfer, f.A, runs, wbuf)
 }
 
 // exec runs a named worker-local task over the stored runs of (xfer, dst)
@@ -230,11 +247,14 @@ func (ws *workerServer) exec(conn net.Conn, f frame, wbuf []byte) ([]byte, error
 		return writeFrame(conn, frame{Type: msgErr, Xfer: f.Xfer,
 			Payload: []byte("unknown exec task " + task)}, wbuf)
 	}
-	ws.mu.Lock()
-	d := ws.xfers[f.Xfer][f.A]
-	left, right := d[0], d[1]
-	ws.mu.Unlock()
-	out, err := engine.CrossRuns(left, right)
+	runs, err := ws.runs(f.Xfer, f.A)
+	if err == nil && len(runs) != 2 {
+		err = fmt.Errorf("cartesian over %d runs, want 2", len(runs))
+	}
+	var out []byte
+	if err == nil {
+		out, err = engine.CrossRuns(runs[0], runs[1])
+	}
 	if err != nil {
 		return writeFrame(conn, frame{Type: msgErr, Xfer: f.Xfer, Payload: []byte(err.Error())}, wbuf)
 	}
@@ -258,7 +278,7 @@ func (ws *workerServer) stats(conn net.Conn, f frame, wbuf []byte) ([]byte, erro
 	for _, x := range ws.xfers {
 		for _, d := range x {
 			for _, run := range d {
-				size += uint64(len(run))
+				size += uint64(len(run.data))
 			}
 		}
 	}

@@ -490,9 +490,10 @@ func dcBlockKernel(ruleID string, res []resolvedPred, cellsOf func(a, b model.Tu
 // dcGenFix proposes, for each predicate, the update that negates it —
 // expressed against the violation's captured cells, which dcLayout placed.
 // A cross-cell fix whose two cells lie side by side in the violation shares
-// them; any other pair is copied into a window of its own.
+// them; any other pair is copied into a window of its own. The fixes are
+// allocated once, a slot per predicate.
 func dcGenFix(res []resolvedPred, v model.Violation) []model.Fix {
-	var fixes []model.Fix
+	fixes := make([]model.Fix, 0, len(res))
 	for _, r := range res {
 		neg := r.p.Op.Negate()
 		switch {
