@@ -38,7 +38,7 @@ unused:
 # ./... does not descend into it; this builds it against the current
 # internal/ APIs and runs its unit tests and one-workload smoke run, then
 # builds and runs one iteration of the CSV-reader, out-of-core engine
-# (GroupByKeySpill, ReduceByKeySpill, SortBySpill), FD-detection (local, disk
+# (GroupByKeySpill, ReduceByKeySpill), FD-detection (local, disk
 # exchange and spill: DetectFD, DetectFDDisk, DetectFDSpill; TCP exchange with
 # two spawned workers: DetectFDNet), DC-detection through OCJoin (DetectDC),
 # session-stream, FD-clean,
@@ -46,7 +46,7 @@ unused:
 bench-smoke:
 	cd benchmark && $(GO) test ./...
 	$(GO) test -run xxx -bench ReadCSV -benchtime 1x ./internal/model/
-	$(GO) test -run xxx -bench 'GroupByKeySpill|ReduceByKeySpill|SortBySpill' -benchtime 1x ./internal/engine/
+	$(GO) test -run xxx -bench 'GroupByKeySpill|ReduceByKeySpill' -benchtime 1x ./internal/engine/
 	$(GO) test -run xxx -bench 'DetectFD|DetectFDDisk|DetectFDSpill|DetectDC' -benchtime 1x ./internal/core/
 	$(GO) test -run xxx -bench DetectFDNet -benchtime 1x ./internal/netexec/
 	$(GO) test -run xxx -bench SessionStream -benchtime 1x ./internal/cleanse/
@@ -55,15 +55,15 @@ bench-smoke:
 	$(GO) test -run xxx -bench EquivalenceRepair -benchtime 1x ./internal/repair/
 
 # 30 seconds of coverage-guided fuzzing per fuzzer (the wire codec and its
-# read-into-run path, the run walker the exchanges share, the record decoders, the schema and CSV parsers, the service's create and
-# ingest bodies, the DC, FD and CFD parsers, the rule-spec list compiler, the
-# FD block kernel, the storage reader, the spill run reader and the RDF triple
-# parser), seeded from testdata/fuzz corpora.
+# read-into-run path, the run walker the exchanges share, the record
+# decoders, the schema and CSV parsers, the service's create and ingest
+# bodies, the DC, FD and CFD parsers, the rule-spec list compiler, the FD
+# block kernel and the spill run reader), seeded from testdata/fuzz corpora.
 # A finding is checked in as a new corpus file.
 fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 30s ./internal/netexec/
 	$(GO) test -run xxx -fuzz FuzzFrameRoundTrip -fuzztime 30s ./internal/netexec/
-	$(GO) test -run xxx -fuzz FuzzSplitRecords -fuzztime 30s ./internal/netexec/
+	$(GO) test -run xxx -fuzz FuzzReadRun -fuzztime 30s ./internal/engine/
 	$(GO) test -run xxx -fuzz FuzzDecode -fuzztime 30s ./internal/model/
 	$(GO) test -run xxx -fuzz FuzzReadCSV -fuzztime 30s ./internal/model/
 	$(GO) test -run xxx -fuzz FuzzCreateSession -fuzztime 30s ./internal/serve/
@@ -73,9 +73,7 @@ fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzParseCFD -fuzztime 30s ./internal/rules/
 	$(GO) test -run xxx -fuzz FuzzCompileSpecs -fuzztime 30s ./internal/rules/
 	$(GO) test -run xxx -fuzz FuzzFDBlockKernel -fuzztime 30s ./internal/rules/
-	$(GO) test -run xxx -fuzz FuzzStoreRead -fuzztime 30s ./internal/storage/
 	$(GO) test -run xxx -fuzz FuzzSpillRead -fuzztime 30s ./internal/spill/
-	$(GO) test -run xxx -fuzz FuzzRDFParse -fuzztime 30s ./internal/rdf/
 
 bench:
 	$(GO) test -run xxx -bench 'Table2Datasets|Fig9' -benchtime 1x -benchmem .

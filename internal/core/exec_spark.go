@@ -152,7 +152,7 @@ func (ex *sparkExec) violations(pp *PhysicalPlan, p *PhysicalPipeline, m *udfMet
 		return engine.MapPartitions(first, func(_ int, ts []model.Tuple) [][]model.FixSet { return [][]model.FixSet{det(ts)} }), nil
 
 	case IterOCJoin:
-		tasks, err := join.OCJoin(first.MovedAs(wire), p.OrderConds, p.NumParts)
+		tasks, err := join.OCJoin(first.MovedAs(wire), p.OrderConds, 0)
 		if err != nil {
 			return nil, fmt.Errorf("core: OCJoin in %s: %w", p.RuleID, err)
 		}

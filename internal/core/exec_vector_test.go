@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"bigdansing/internal/engine"
 	"bigdansing/internal/model"
-	"bigdansing/internal/storage"
 )
 
 // vecTaxData generates a relation with plenty of block collisions, NaN,
@@ -179,49 +177,5 @@ func TestVecFallbackResultsMatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSameResult(t, want, got, fmt.Sprintf("custom-iterate parallelism=%d", par))
-	}
-}
-
-func TestVecPushdownFromStore(t *testing.T) {
-	rel := vecTaxData(250, 9)
-	st, err := storage.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rule := vecScopedFDRule()
-	rule.BlockAttr = "zipcode"
-	if _, err := st.Upload(rel, "zipcode", 5); err != nil {
-		t.Fatal(err)
-	}
-	want, err := DetectRule(engine.New(4), rule, rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Violations) == 0 {
-		t.Fatal("pushdown test data produced no violations")
-	}
-
-	got, used, err := DetectRuleFromStore(engine.New(4), st, "tax", rule)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !used {
-		t.Fatal("block pushdown should engage on a replica partitioned on the block attribute")
-	}
-	// The store reads rows partition by partition: compare as sets.
-	if !slices.Equal(violationKeys(got), violationKeys(want)) {
-		t.Fatalf("pushdown: %d violations differ from the in-memory %d", len(got.Violations), len(want.Violations))
-	}
-
-	// The whole-read fallback (no matching replica attribute) too.
-	got2, used2, err := DetectRuleFromStore(engine.New(4), st, "tax", vecScopedFDRule())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if used2 {
-		t.Fatal("a rule without BlockAttr must read the replica whole")
-	}
-	if !slices.Equal(violationKeys(got2), violationKeys(want)) {
-		t.Fatalf("whole-read fallback: %d violations differ from the in-memory %d", len(got2.Violations), len(want.Violations))
 	}
 }

@@ -67,7 +67,6 @@ type DetectHints struct {
 	Symmetric   bool
 	OrderConds  []join.Cond
 	Unary       bool
-	NumParts    int
 	DetectBlock BlockDetectFunc
 
 	// reads is the rule's declaration of the columns it reads (Rule.Reads);

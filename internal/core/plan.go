@@ -50,7 +50,6 @@ type Pipeline struct {
 	Symmetric  bool
 	OrderConds []join.Cond
 	Unary      bool
-	NumParts   int
 
 	// DetectBlock carries the rule's block kernel, when it has one (see
 	// Rule.DetectBlock).
@@ -160,7 +159,6 @@ func BuildPlan(j *Job) (*LogicalPlan, error) {
 			Symmetric:   h.Symmetric,
 			OrderConds:  h.OrderConds,
 			Unary:       h.Unary,
-			NumParts:    h.NumParts,
 			DetectBlock: h.DetectBlock,
 			reads:       h.reads,
 		}
@@ -239,7 +237,7 @@ func planRules(name string, rs []*Rule, rel *model.Relation) (*LogicalPlan, erro
 		j.AddIterate(r.Iterate, cands, in...)
 		j.AddDetect(r.Detect, cands, DetectHints{
 			Name: r.ID, Symmetric: r.Symmetric, OrderConds: r.OrderConds,
-			Unary: r.Unary, NumParts: r.NumParts, DetectBlock: r.DetectBlock,
+			Unary: r.Unary, DetectBlock: r.DetectBlock,
 			reads: r.Reads,
 		})
 		if r.GenFix != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"strings"
 	"testing"
 
@@ -19,15 +18,6 @@ func mustPlanRule(t *testing.T, r *Rule, rel *model.Relation) *PhysicalPlan {
 		t.Fatal(err)
 	}
 	return pp
-}
-
-func violationKeys(res *DetectResult) []string {
-	keys := make([]string, 0, len(res.Violations))
-	for _, v := range res.Violations {
-		keys = append(keys, v.Key())
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // TestStaticPlannerMatchesLegacyChoices pins the static model to the legacy

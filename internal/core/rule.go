@@ -52,12 +52,6 @@ type Rule struct {
 	// Unary declares a single-tuple rule: Detect examines one unit at a
 	// time and no pairing is needed.
 	Unary bool
-	// NumParts overrides the OCJoin partition count (0 = parallelism).
-	NumParts int
-	// BlockAttr optionally names the single attribute Block keys on,
-	// letting the storage manager push the Block operator down to a
-	// content-partitioned replica (Appendix F; see DetectRuleFromStore).
-	BlockAttr string
 
 	// Reads declares the columns of a (scoped) unit the rule reads: every
 	// column Block, BlockRight, Iterate, OrderConds, Detect,

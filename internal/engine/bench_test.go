@@ -70,23 +70,6 @@ func BenchmarkReduceByKey(b *testing.B) {
 	}
 }
 
-func BenchmarkSortBy(b *testing.B) {
-	ctx := New(4)
-	r := rand.New(rand.NewSource(9))
-	data := make([]int, 100000)
-	for i := range data {
-		data[i] = r.Intn(1 << 20)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := Parallelize(ctx, data, 0)
-		out := SortBy(d, func(a, b int) bool { return a < b }, 8)
-		if _, err := out.Count(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkMapFilterPipeline(b *testing.B) {
 	ctx := New(4)
 	data := make([]int, 200000)

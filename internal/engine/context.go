@@ -13,7 +13,7 @@
 // Narrow transformations (Map, FlatMap, Filter, MapPartitions) are lazy:
 // they record a plan node and return immediately. Execution happens at an
 // action — Collect, Count, Err — or at a wide transformation (GroupBy,
-// ReduceByKey, CoGroupBy, SortBy, RangePartitionBy, Cartesian), which is a
+// ReduceByKey, CoGroupBy, RangePartitionBy, Cartesian), which is a
 // stage boundary. When a plan runs, the whole chain of narrow
 // transformations between two stage boundaries fuses into a single
 // per-partition pass: elements are pushed through the composed operator

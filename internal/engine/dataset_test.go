@@ -229,7 +229,7 @@ func TestStatsCounters(t *testing.T) {
 	if ctx.Stats().Snapshot().RecordsRead != 100 {
 		t.Errorf("records read = %d", ctx.Stats().Snapshot().RecordsRead)
 	}
-	if _, err := GroupByKey(KeyBy(d, func(i int) int { return i % 3 })).Collect(); err != nil {
+	if _, err := GroupByKey(Map(d, func(i int) Pair[int, int] { return KV(i%3, i) })).Collect(); err != nil {
 		t.Fatal(err)
 	}
 	if ctx.Stats().Snapshot().RecordsShuffled == 0 {

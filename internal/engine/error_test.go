@@ -44,9 +44,6 @@ func TestErrorPropagatesThroughWideOps(t *testing.T) {
 func TestErrorPropagatesThroughSortAndCartesian(t *testing.T) {
 	ctx := New(2)
 	bad := failing(ctx)
-	if SortBy(bad, func(a, b int) bool { return a < b }, 2).Err() == nil {
-		t.Error("SortBy should propagate")
-	}
 	if RangePartitionBy(bad, func(a, b int) bool { return a < b }, 2).Err() == nil {
 		t.Error("RangePartitionBy should propagate")
 	}
@@ -88,20 +85,6 @@ func TestMapPartitions(t *testing.T) {
 	}
 	if all != 190 {
 		t.Errorf("sum = %d", all)
-	}
-}
-
-func TestKeyByPreservesValues(t *testing.T) {
-	ctx := New(2)
-	d := Parallelize(ctx, []string{"aa", "b", "cc"}, 2)
-	kv, err := KeyBy(d, func(s string) int { return len(s) }).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range kv {
-		if p.Key != len(p.Value) {
-			t.Errorf("pair %v", p)
-		}
 	}
 }
 

@@ -36,9 +36,6 @@ import (
 //     key ordering is a valid grouping order because codecs are injective:
 //     equal keys have equal hashes and equal encodings, so every record of a
 //     key is adjacent after the merge.
-//   - SortBy: the same spill structure with runs ordered by the user's less
-//     function; the per-destination merge yields each output partition
-//     already sorted, turning sample-sort into a true external merge sort.
 //   - co-grouping / RangePartitionBy: order-preserving scatter with spill —
 //     runs are ordered by destination, then arrival, and the "merge"
 //     concatenates them in (source, flush) order, so every destination

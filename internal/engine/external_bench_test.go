@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math/rand"
 	"runtime"
 	"testing"
 )
@@ -66,35 +65,6 @@ func BenchmarkReduceByKeySpill(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				d := Parallelize(ctx, data, 0)
 				if _, err := ReduceByKey(d, sum).Count(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			reportSpill(b, ctx, c.budget)
-		})
-	}
-}
-
-func BenchmarkSortBySpill(b *testing.B) {
-	r := rand.New(rand.NewSource(10))
-	data := make([]int, 100000)
-	for i := range data {
-		data[i] = r.Intn(1 << 20)
-	}
-	less := func(a, b int) bool { return a < b }
-	for _, c := range []struct {
-		name   string
-		budget int64
-	}{
-		{"inmem", 0},
-		{"budget-128K", 128 << 10},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			ctx := spillBenchCtx(b, c.budget)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d := Parallelize(ctx, data, 0)
-				if _, err := SortBy(d, less, 8).Count(); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"os"
 	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -151,42 +150,6 @@ func TestReduceByKeyExternalMatchesInMemory(t *testing.T) {
 	}
 }
 
-func TestSortByExternalMatchesInMemory(t *testing.T) {
-	r := rand.New(rand.NewSource(21))
-	data := make([]int, 30000)
-	for i := range data {
-		data[i] = r.Intn(5000) // plenty of duplicates to exercise tie-breaks
-	}
-	less := func(a, b int) bool { return a < b }
-
-	want, err := SortBy(Parallelize(New(4), data, 8), less, 0).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, dir := budgetCtx(t, 4, 16<<10)
-	got, err := SortBy(Parallelize(ctx, data, 8), less, 0).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sn := ctx.Stats().Snapshot(); sn.BytesSpilled == 0 || sn.MergePasses == 0 {
-		t.Fatalf("expected external merge sort to spill and merge, stats: %+v", sn)
-	}
-	assertBudgetQuiescent(t, ctx)
-	assertNoLeftovers(t, dir)
-
-	if len(got) != len(want) {
-		t.Fatalf("length %d != %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("element %d: %d != %d", i, got[i], want[i])
-		}
-	}
-	if !sort.IntsAreSorted(got) {
-		t.Fatal("output not sorted")
-	}
-}
-
 // TestRangePartitionByExternalIdenticalOutput checks the order-preserving
 // scatter produces element-for-element identical partitions to the
 // in-memory path — the property OCJoin's determinism rests on.
@@ -270,11 +233,11 @@ func TestExternalOperatorPanicReleasesResources(t *testing.T) {
 		assertNoLeftovers(t, dir)
 	})
 
-	t.Run("panic in sort less", func(t *testing.T) {
+	t.Run("panic in range less", func(t *testing.T) {
 		ctx, dir := budgetCtx(t, 4, 16<<10)
 		var n atomic.Int64
 		badLess := func(a, b int) bool {
-			if n.Add(1) > 50000 { // deep into the spilled merge
+			if n.Add(1) > 50000 { // deep into the spilled scatter
 				panic("less exploded")
 			}
 			return a < b
@@ -283,7 +246,7 @@ func TestExternalOperatorPanicReleasesResources(t *testing.T) {
 		for i := range data {
 			data[i] = i % 997
 		}
-		_, err := SortBy(Parallelize(ctx, data, 4), badLess, 0).Collect()
+		_, err := RangePartitionBy(Parallelize(ctx, data, 4), badLess, 0).Collect()
 		if err == nil || !strings.Contains(err.Error(), "less exploded") {
 			t.Fatalf("want attributed panic error, got %v", err)
 		}

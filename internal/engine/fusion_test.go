@@ -246,7 +246,7 @@ func TestSnapshotAggregatesByName(t *testing.T) {
 	ctx := New(4)
 	ctx.Stats().Reset()
 	for i := 0; i < 3; i++ {
-		kv := KeyBy(Parallelize(ctx, ints(50), 4), func(v int) int { return v % 5 })
+		kv := Map(Parallelize(ctx, ints(50), 4), func(v int) Pair[int, int] { return KV(v%5, v) })
 		if _, err := GroupByKey(kv).Count(); err != nil {
 			t.Fatal(err)
 		}

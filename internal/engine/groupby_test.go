@@ -225,7 +225,7 @@ func TestGroupingMatchesPairReference(t *testing.T) {
 						if render(got) != render(want) {
 							t.Fatalf("%s: GroupBy\n%s\nwant\n%s", name, render(got), render(want))
 						}
-						got = groupsOf(t, engine.GroupByKey(engine.KeyBy(dl, recKey)), func(g engine.Pair[model.ValueKey, []rec]) refGroup {
+						got = groupsOf(t, engine.GroupByKey(engine.Map(dl, func(r rec) engine.Pair[model.ValueKey, rec] { return engine.KV(recKey(r), r) })), func(g engine.Pair[model.ValueKey, []rec]) refGroup {
 							return refGroup{key: g.Key, left: ids(g.Value)}
 						})
 						if render(got) != render(want) {

@@ -96,7 +96,7 @@ func TestObserverSeesStagesAndTasks(t *testing.T) {
 		data[i] = i % 10
 	}
 	d := Map(Parallelize(ctx, data, 4), func(v int) int { return v })
-	g := GroupByKey(KeyBy(d, func(v int) int { return v }))
+	g := GroupByKey(Map(d, func(v int) Pair[int, int] { return KV(v, v) }))
 	if _, err := g.Collect(); err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +165,11 @@ func TestObserverSpanHygieneOnPanic(t *testing.T) {
 func TestObserverSpanHygieneOnShufflePanic(t *testing.T) {
 	rec := newRecObserver()
 	ctx := mustContext(t, Config{Parallelism: 4, Observer: rec})
-	d := KeyBy(Parallelize(ctx, []int{1, 2, 3, 4, 5, 6}, 3), func(v int) int {
+	d := Map(Parallelize(ctx, []int{1, 2, 3, 4, 5, 6}, 3), func(v int) Pair[int, int] {
 		if v == 4 {
 			panic("bad key")
 		}
-		return v % 2
+		return KV(v%2, v)
 	})
 	if _, err := GroupByKey(d).Collect(); err == nil {
 		t.Fatal("want error from panicking key extractor")
@@ -210,7 +210,7 @@ func TestTeeKeepsStatsTruthful(t *testing.T) {
 		data[i] = i
 	}
 	for _, ctx := range []*Context{plain, traced} {
-		g := GroupByKey(KeyBy(Parallelize(ctx, data, 4), func(v int) int { return v % 5 }))
+		g := GroupByKey(Map(Parallelize(ctx, data, 4), func(v int) Pair[int, int] { return KV(v%5, v) }))
 		if _, err := g.Collect(); err != nil {
 			t.Fatal(err)
 		}
@@ -227,12 +227,12 @@ func TestTeeKeepsStatsTruthful(t *testing.T) {
 func TestSnapshotStageOrderDeterministic(t *testing.T) {
 	ctx := New(4)
 	d := Parallelize(ctx, []int{3, 1, 2}, 3)
-	sorted, err := SortBy(d, func(a, b int) bool { return a < b }, 3).Collect()
+	ranged, err := RangePartitionBy(d, func(a, b int) bool { return a < b }, 3).Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sorted) != 3 {
-		t.Fatalf("sorted = %v", sorted)
+	if len(ranged) != 3 {
+		t.Fatalf("ranged = %v", ranged)
 	}
 	snap := ctx.Stats().Snapshot()
 	for i, st := range snap.PerStage {

@@ -39,11 +39,6 @@ func pairKey[K comparable, V any](p Pair[K, V]) K   { return p.Key }
 func pairValue[K comparable, V any](p Pair[K, V]) V { return p.Value }
 func identity[T any](t T) T                         { return t }
 
-// KeyBy turns a dataset into a pair dataset using a key extractor.
-func KeyBy[T any, K comparable](d *Dataset[T], key func(T) K) *Dataset[Pair[K, T]] {
-	return Map(d, func(t T) Pair[K, T] { return KV(key(t), t) })
-}
-
 // routing is the result of an index scatter. For each source partition it
 // holds the record indices ordered by destination — a stable counting sort,
 // so arrival order holds within a destination — and the n+1 offsets that
@@ -251,7 +246,7 @@ func shuffleBy[T any, K comparable, V any](d *Dataset[T], key func(T) K, val fun
 		k := key(t)
 		return int(hashKey(k) % uint64(n)), KV(k, val(t))
 	}
-	recs, err := scatterSpill(ctx, "shuffle", parts, n, route, pairCodec(kc, vc), nil)
+	recs, err := scatterSpill(ctx, "shuffle", parts, n, route, pairCodec(kc, vc))
 	return newSide(nil, recs, pairKey[K, V], pairValue[K, V]), err
 }
 

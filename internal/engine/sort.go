@@ -1,37 +1,5 @@
 package engine
 
-import (
-	"slices"
-)
-
-// SortBy globally sorts the dataset: elements are range-partitioned using
-// sampled boundaries, then each partition is sorted locally — the same
-// sample-sort structure as Spark's sortByKey. The result's partitions are
-// ordered: every element of partition i precedes every element of
-// partition i+1 under less. The range partitioning is a stage boundary; the
-// local sorts are a narrow stage fused over it. Under a memory budget (and
-// a registered codec for T) this becomes a true external merge sort.
-func SortBy[T any](d *Dataset[T], less func(a, b T) bool, n int) *Dataset[T] {
-	if n <= 0 {
-		n = d.ctx.parallelism
-	}
-	// The external merge sort is an in-process algorithm; on the networked
-	// backend the range scatter below moves the data through the workers
-	// and the local sorts stay coordinator-side.
-	if d.ctx.mem != nil && d.ctx.exchange == nil {
-		if c, ok := codecFor[T](); ok {
-			return sortByExternal(d, less, n, c)
-		}
-	}
-	rp := RangePartitionBy(d, less, n)
-	return MapPartitions(rp, func(_ int, in []T) []T {
-		out := make([]T, len(in))
-		copy(out, in)
-		slices.SortStableFunc(out, lessCompare(less))
-		return out
-	})
-}
-
 // RangePartitionBy redistributes elements into n partitions such that all
 // elements of partition i precede those of partition i+1 under less, without
 // sorting within partitions. Boundaries are chosen by deterministic sampling
@@ -87,7 +55,7 @@ func RangePartitionBy[T any](d *Dataset[T], less func(a, b T) bool, n int) *Data
 
 	if d.ctx.mem != nil {
 		if c, ok := codecFor[T](); ok {
-			out, serr := scatterSpill(d.ctx, "rangePartition", dparts, n, keepRoute(target), movedCodec(c, d.wire), nil)
+			out, serr := scatterSpill(d.ctx, "rangePartition", dparts, n, keepRoute(target), movedCodec(c, d.wire))
 			if serr != nil {
 				return errDataset[T](d.ctx, serr)
 			}

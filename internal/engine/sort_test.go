@@ -1,31 +1,10 @@
 package engine
 
 import (
-	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 )
-
-func TestSortByGlobalOrder(t *testing.T) {
-	ctx := New(4)
-	r := rand.New(rand.NewSource(1))
-	data := make([]int, 5000)
-	for i := range data {
-		data[i] = r.Intn(1000)
-	}
-	sorted := SortBy(Parallelize(ctx, data, 8), func(a, b int) bool { return a < b }, 6)
-	got, err := sorted.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(data) {
-		t.Fatalf("lost elements: %d", len(got))
-	}
-	if !sort.IntsAreSorted(got) {
-		t.Fatal("global order violated")
-	}
-}
 
 func TestRangePartitionProperties(t *testing.T) {
 	ctx := New(4)
@@ -82,20 +61,25 @@ func TestRangePartitionProperties(t *testing.T) {
 	}
 }
 
-func TestSortSinglePartition(t *testing.T) {
+func TestRangePartitionSinglePartition(t *testing.T) {
 	ctx := New(2)
-	d := SortBy(Parallelize(ctx, []int{3, 1, 2}, 2), func(a, b int) bool { return a < b }, 1)
-	got, _ := d.Collect()
-	if got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Errorf("sorted = %v", got)
+	d := RangePartitionBy(Parallelize(ctx, []int{3, 1, 2}, 2), func(a, b int) bool { return a < b }, 1)
+	if d.NumPartitions() != 1 {
+		t.Fatalf("partitions = %d, want 1", d.NumPartitions())
+	}
+	if got := d.Partition(0); len(got) != 3 || got[0] != 3 || got[1] != 1 || got[2] != 2 {
+		t.Errorf("partition 0 = %v, want [3 1 2] in arrival order", got)
 	}
 }
 
-func TestSortEmpty(t *testing.T) {
+func TestRangePartitionEmpty(t *testing.T) {
 	ctx := New(2)
-	d := SortBy(Parallelize(ctx, []int{}, 0), func(a, b int) bool { return a < b }, 3)
+	d := RangePartitionBy(Parallelize(ctx, []int{}, 0), func(a, b int) bool { return a < b }, 3)
 	if n, _ := d.Count(); n != 0 {
-		t.Error("empty sort")
+		t.Error("empty range partition")
+	}
+	if d.NumPartitions() != 3 {
+		t.Errorf("partitions = %d, want 3", d.NumPartitions())
 	}
 }
 

@@ -235,14 +235,14 @@ func TestCodeclessRecordsAreAnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	pts := engine.Parallelize(ctx, []point{{1, 2}, {3, 4}, {1, 2}}, 0)
-	keyed := engine.KeyBy(pts, func(p point) int { return p.X })
+	keyed := engine.Map(pts, func(p point) engine.Pair[int, point] { return engine.KV(p.X, p) })
 	_, err = engine.GroupByKey(keyed).Collect()
 	if err == nil || !strings.Contains(err.Error(), "mapred.point") {
 		t.Errorf("GroupByKey over a codec-less value: err = %v, want one naming mapred.point", err)
 	}
-	_, err = engine.SortBy(pts, func(a, b point) bool { return a.X < b.X }, 2).Collect()
+	_, err = engine.RangePartitionBy(pts, func(a, b point) bool { return a.X < b.X }, 2).Collect()
 	if err == nil || !strings.Contains(err.Error(), "mapred.point") {
-		t.Errorf("SortBy over a codec-less type: err = %v, want one naming mapred.point", err)
+		t.Errorf("RangePartitionBy over a codec-less type: err = %v, want one naming mapred.point", err)
 	}
 	_, err = engine.Cartesian(pts, engine.Parallelize(ctx, []int{1}, 0)).Collect()
 	if err == nil || !strings.Contains(err.Error(), "mapred.point") {

@@ -6,9 +6,8 @@ import (
 	"math"
 )
 
-// Binary encoding for values and tuples. The storage manager (Appendix F)
-// stores datasets in binary form to avoid string parsing, and the
-// MapReduce backend frames intermediate records with it.
+// Binary encoding for values and tuples: the form a record takes when it
+// crosses the disk or TCP exchange or spills to disk under a memory budget.
 //
 // Layout:
 //

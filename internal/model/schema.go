@@ -112,16 +112,6 @@ func (s *Schema) Names() []string {
 	return out
 }
 
-// Project builds a schema containing only the attributes at the given
-// positions, in the given order.
-func (s *Schema) Project(cols []int) *Schema {
-	attrs := make([]Attribute, len(cols))
-	for i, c := range cols {
-		attrs[i] = s.attrs[c]
-	}
-	return NewSchema(attrs...)
-}
-
 // String renders the schema in MustParseSchema notation.
 func (s *Schema) String() string {
 	var b strings.Builder

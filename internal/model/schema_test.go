@@ -40,17 +40,6 @@ func TestSchemaDuplicatePanics(t *testing.T) {
 	NewSchema(Attribute{Name: "a"}, Attribute{Name: "A"})
 }
 
-func TestSchemaProject(t *testing.T) {
-	s := MustParseSchema("a:int,b,c:float")
-	p := s.Project([]int{2, 0})
-	if p.Len() != 2 || p.Name(0) != "c" || p.Name(1) != "a" {
-		t.Errorf("projected schema = %s", p)
-	}
-	if p.Attr(0).Kind != KindFloat {
-		t.Error("projection should keep kinds")
-	}
-}
-
 func TestSchemaStringRoundTrip(t *testing.T) {
 	spec := "a:int,b:string,c:float"
 	s := MustParseSchema(spec)

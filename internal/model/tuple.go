@@ -43,16 +43,6 @@ func (t Tuple) Clone() Tuple {
 	return Tuple{ID: t.ID, Cells: cells}
 }
 
-// Project returns a tuple holding only the cells at the given positions,
-// preserving the tuple ID so downstream fixes still address the original.
-func (t Tuple) Project(cols []int) Tuple {
-	cells := make([]Value, len(cols))
-	for i, c := range cols {
-		cells[i] = t.Cell(c)
-	}
-	return Tuple{ID: t.ID, Cells: cells}
-}
-
 // String renders the tuple for diagnostics.
 func (t Tuple) String() string {
 	parts := make([]string, len(t.Cells))

@@ -11,16 +11,8 @@ func TestTupleCellBounds(t *testing.T) {
 	if tp.Cell(0) != S("a") || tp.Cell(1) != I(2) {
 		t.Error("in-range cells")
 	}
-	if !tp.Cell(-1).IsNull() || !tp.Cell(2).IsNull() {
+	if tp.Cell(-1).Kind != KindNull || tp.Cell(2).Kind != KindNull {
 		t.Error("out-of-range cells should be null")
-	}
-}
-
-func TestTupleProjectKeepsID(t *testing.T) {
-	tp := NewTuple(9, S("a"), S("b"), S("c"))
-	p := tp.Project([]int{2, 0})
-	if p.ID != 9 || len(p.Cells) != 2 || p.Cell(0) != S("c") || p.Cell(1) != S("a") {
-		t.Errorf("projection = %v", p)
 	}
 }
 
@@ -158,7 +150,7 @@ func TestCSVShortRowsPadded(t *testing.T) {
 	if rel.Tuples[0].ID != 5 {
 		t.Error("startID respected")
 	}
-	if !rel.Tuples[0].Cell(2).IsNull() {
+	if rel.Tuples[0].Cell(2).Kind != KindNull {
 		t.Error("short row should pad with null")
 	}
 }

@@ -4,8 +4,7 @@
 //
 // The paper abstracts input data as "data units" with "elements" identified
 // by model-specific functions (Section 2.1). In this reproduction the
-// canonical unit is the Tuple; other models (for example RDF triples, see
-// package rdf) are parsed into Tuples with an appropriate Schema.
+// unit is the Tuple.
 package model
 
 import (
@@ -66,9 +65,6 @@ func I(i int64) Value { return Value{Kind: KindInt, Int: i} }
 
 // F returns a float Value.
 func F(f float64) Value { return Value{Kind: KindFloat, Flt: f} }
-
-// IsNull reports whether v is the null value.
-func (v Value) IsNull() bool { return v.Kind == KindNull }
 
 // String renders the value for display and for use as a grouping key.
 // Distinct values of the same kind always render distinctly.

@@ -105,7 +105,7 @@ func TestParse(t *testing.T) {
 	if got := Parse(" 2.5 ", KindFloat); got != F(2.5) {
 		t.Errorf("Parse float = %v", got)
 	}
-	if got := Parse("abc", KindInt); !got.IsNull() {
+	if got := Parse("abc", KindInt); got.Kind != KindNull {
 		t.Errorf("Parse bad int should be null, got %v", got)
 	}
 	if got := Parse("hello", KindString); got != S("hello") {

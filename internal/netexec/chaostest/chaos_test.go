@@ -18,7 +18,7 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// The SortBy step ranges the counted pairs, which must cross the exchange
+// The RangePartitionBy step ranges the counted pairs, which must cross the exchange
 // like the shuffled words do.
 func init() {
 	sc := engine.StringCodec()
@@ -41,9 +41,9 @@ func init() {
 }
 
 // pipeline runs a two-exchange plan — a word-count ReduceByKey shuffle
-// followed by a SortBy range scatter — over the given context, on data
-// derived from the seed.
-func pipeline(ctx *engine.Context, seed int64) ([]engine.Pair[string, int], error) {
+// followed by a RangePartitionBy scatter — over the given context, on data
+// derived from the seed, and returns the output partition by partition.
+func pipeline(ctx *engine.Context, seed int64) ([][]engine.Pair[string, int], error) {
 	r := rand.New(rand.NewSource(seed))
 	words := make([]engine.Pair[string, int], 1500)
 	for i := range words {
@@ -51,10 +51,17 @@ func pipeline(ctx *engine.Context, seed int64) ([]engine.Pair[string, int], erro
 	}
 	counts := engine.ReduceByKey(engine.Parallelize(ctx, words, 8),
 		func(a, b int) int { return a + b })
-	sorted := engine.SortBy(counts, func(a, b engine.Pair[string, int]) bool {
+	ranged := engine.RangePartitionBy(counts, func(a, b engine.Pair[string, int]) bool {
 		return a.Key < b.Key
 	}, 4)
-	return sorted.Collect()
+	if err := ranged.Err(); err != nil {
+		return nil, err
+	}
+	parts := make([][]engine.Pair[string, int], ranged.NumPartitions())
+	for i := range parts {
+		parts[i] = ranged.Partition(i)
+	}
+	return parts, nil
 }
 
 // TestChaosSchedules runs 50 seeded fault schedules. Every schedule must

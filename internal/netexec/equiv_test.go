@@ -131,9 +131,10 @@ func TestGroupByKeyMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestSortByMatchesLocal runs the sample-sort (a RangePartitionBy exchange
-// plus local sorts) on both backends.
-func TestSortByMatchesLocal(t *testing.T) {
+// TestRangePartitionByMatchesLocal runs the range scatter on both backends:
+// every output partition must hold the local backend's records, in its
+// order.
+func TestRangePartitionByMatchesLocal(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	data := make([]int, 4000)
 	for i := range data {
@@ -141,18 +142,22 @@ func TestSortByMatchesLocal(t *testing.T) {
 	}
 	less := func(a, b int) bool { return a < b }
 	local := engine.New(4)
-	want, err := engine.SortBy(engine.Parallelize(local, data, 6), less, 6).Collect()
-	if err != nil {
+	want := engine.RangePartitionBy(engine.Parallelize(local, data, 6), less, 6)
+	if err := want.Err(); err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range backends(1, 3, 5) {
-		ctx := b.ctx(t)
-		got, err := engine.SortBy(engine.Parallelize(ctx, data, 6), less, 6).Collect()
-		if err != nil {
+		got := engine.RangePartitionBy(engine.Parallelize(b.ctx(t), data, 6), less, 6)
+		if err := got.Err(); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("%s: sorted output differs", b.name)
+		if got.NumPartitions() != want.NumPartitions() {
+			t.Fatalf("%s: %d partitions, want %d", b.name, got.NumPartitions(), want.NumPartitions())
+		}
+		for p := 0; p < want.NumPartitions(); p++ {
+			if !reflect.DeepEqual(want.Partition(p), got.Partition(p)) {
+				t.Fatalf("%s: partition %d differs from local", b.name, p)
+			}
 		}
 	}
 }

@@ -353,9 +353,6 @@ func (dc *DC) Compile(schema *model.Schema) (*core.Rule, error) {
 		if !same {
 			rule.BlockRight = keyOf(rightCols)
 		} else {
-			if len(leftCols) == 1 {
-				rule.BlockAttr = schema.Name(leftCols[0])
-			}
 			// Same-key blocking groups each block on one key, which is what
 			// the block kernel needs; a CoBlock pairs across two keys.
 			rule.DetectBlock = dcBlockKernel(ruleID, res, cellsOf)

@@ -60,8 +60,7 @@ func (fd *FD) String() string {
 //
 //	Scope   is the projection to LHS ∪ RHS, declared as the rule's Reads:
 //	        the executor moves each tuple with only those cells, at their
-//	        base-table columns (the storage layer can push it down further,
-//	        see package storage),
+//	        base-table columns,
 //	Block   keys on the LHS values,
 //	Iterate defaults to unique pairs (FD detection is symmetric),
 //	Detect  reports pairs agreeing on the LHS but disagreeing on some RHS
@@ -81,15 +80,10 @@ func (fd *FD) Compile(schema *model.Schema) (*core.Rule, error) {
 	// report each of its violations twice.
 	rhsIdx = distinct(rhsIdx)
 	ruleID := fd.ID
-	blockAttr := ""
-	if len(lhsIdx) == 1 {
-		blockAttr = schema.Name(lhsIdx[0])
-	}
 
 	rule := &core.Rule{
-		ID:        ruleID,
-		BlockAttr: blockAttr,
-		Reads:     distinct(append(slices.Clone(lhsIdx), rhsIdx...)),
+		ID:    ruleID,
+		Reads: distinct(append(slices.Clone(lhsIdx), rhsIdx...)),
 		Block: func(t model.Tuple) model.Value {
 			// Single-attribute LHS (the common case): the cell value itself
 			// is the block key — no per-record string is built.

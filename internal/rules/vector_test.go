@@ -105,13 +105,7 @@ func TestVecFDEquivalence(t *testing.T) {
 		return r
 	}
 	single := compile("zipcode -> city")
-	if single.BlockAttr != "zipcode" {
-		t.Fatalf("single-attribute FD should block on zipcode, got %q", single.BlockAttr)
-	}
 	multi := compile("zipcode, state -> city, rate")
-	if multi.BlockAttr != "" {
-		t.Fatal("composite-LHS FD must not claim a single block attribute")
-	}
 	rs := []*core.Rule{single, multi,
 		compile("zipcode -> city, city"), // every violation twice: dedup keeps one
 		compile("zipcode -> rate"),       // the corners: NaN, -0, NULL, cross-kind

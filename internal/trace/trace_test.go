@@ -215,7 +215,7 @@ func TestTracerWithEngine(t *testing.T) {
 	for i := range data {
 		data[i] = i % 20
 	}
-	g := engine.GroupByKey(engine.KeyBy(engine.Parallelize(ctx, data, 4), func(v int) int { return v }))
+	g := engine.GroupByKey(engine.Map(engine.Parallelize(ctx, data, 4), func(v int) engine.Pair[int, int] { return engine.KV(v, v) }))
 	groups, err := g.Collect()
 	if err != nil {
 		t.Fatal(err)
