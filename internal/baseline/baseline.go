@@ -47,6 +47,7 @@ func NadeefDetect(rule *core.Rule, rel *model.Relation) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{}
+	var out core.Output
 	pairsSinceQuery := 0
 	roundTrip := func() {
 		if NadeefQueryLatency > 0 {
@@ -64,7 +65,7 @@ func NadeefDetect(rule *core.Rule, rel *model.Relation) (*Result, error) {
 			pairsSinceQuery = 0
 			roundTrip()
 		}
-		res.Violations = append(res.Violations, rule.Detect(core.PairItem(a, b))...)
+		rule.Detect(core.PairItem(a, b), &out)
 	}
 	scoped := rel.Tuples
 	if rule.Scope != nil {
@@ -75,8 +76,9 @@ func NadeefDetect(rule *core.Rule, rel *model.Relation) (*Result, error) {
 	}
 	if rule.Unary {
 		for _, t := range scoped {
-			res.Violations = append(res.Violations, rule.Detect(core.Single(t))...)
+			rule.Detect(core.Single(t), &out)
 		}
+		res.Violations = out.Violations()
 		return res, nil
 	}
 	if rule.Block != nil {
@@ -96,6 +98,7 @@ func NadeefDetect(rule *core.Rule, rel *model.Relation) (*Result, error) {
 				}
 			}
 		}
+		res.Violations = out.Violations()
 		return res, nil
 	}
 	// No blocking (inequality DCs, UDFs without Block): full pair space.
@@ -110,6 +113,7 @@ func NadeefDetect(rule *core.Rule, rel *model.Relation) (*Result, error) {
 			check(scoped[i], scoped[j])
 		}
 	}
+	res.Violations = out.Violations()
 	return res, nil
 }
 
@@ -168,14 +172,12 @@ func SQLDetect(ctx *engine.Context, mode SQLMode, rule *core.Rule, rel *model.Re
 	build := scan()
 	probe := scan()
 
-	detectPair := func(a, b model.Tuple) []model.Violation {
-		return rule.Detect(core.PairItem(a, b))
-	}
-
 	if rule.Unary {
+		var out core.Output
 		for _, t := range build {
-			res.Violations = append(res.Violations, rule.Detect(core.Single(t))...)
+			rule.Detect(core.Single(t), &out)
 		}
+		res.Violations = out.Violations()
 		return res, nil
 	}
 
@@ -189,14 +191,14 @@ func SQLDetect(ctx *engine.Context, mode SQLMode, rule *core.Rule, rel *model.Re
 			idx[k] = append(idx[k], t)
 		}
 		probeOne := func(t model.Tuple) []model.Violation {
-			var out []model.Violation
+			var out core.Output
 			for _, m := range idx[rule.Block(t).MapKey()] {
 				if m.ID == t.ID {
 					continue
 				}
-				out = append(out, detectPair(t, m)...) // both orientations reached over the probe scan
+				rule.Detect(core.PairItem(t, m), &out) // both orientations reached over the probe scan
 			}
-			return out
+			return out.Violations()
 		}
 		if mode == SparkSQL {
 			d := engine.Parallelize(ctx, probe, 0)
@@ -232,7 +234,7 @@ func SQLDetect(ctx *engine.Context, mode SQLMode, rule *core.Rule, rel *model.Re
 			t   model.Tuple
 		}
 		probeOne := func(p indexed) []model.Violation {
-			var out []model.Violation
+			var out core.Output
 			for i, m := range build {
 				if m.ID == p.t.ID {
 					continue
@@ -247,9 +249,9 @@ func SQLDetect(ctx *engine.Context, mode SQLMode, rule *core.Rule, rel *model.Re
 				if buildKeys != nil && probeKeys[p.pos] != buildKeys[i] {
 					continue // post-selection on the equality predicate
 				}
-				out = append(out, detectPair(p.t, m)...)
+				rule.Detect(core.PairItem(p.t, m), &out)
 			}
-			return out
+			return out.Violations()
 		}
 		idxProbe := make([]indexed, len(probe))
 		for i, t := range probe {

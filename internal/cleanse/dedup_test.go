@@ -79,8 +79,9 @@ func dedupRel(n int, seed int64) *model.Relation {
 }
 
 // firstOccurrences is the hand-off's contract computed the slow way: every
-// rule in order, its blocks (tuples grouped on Block in relation order, or
-// each tuple alone for a unary rule), each block's candidates in the
+// rule in order, its blocks (tuples grouped on Block in relation order,
+// each tuple alone for a unary rule, or the whole relation for a rule
+// without Block), each block's candidates in the
 // planner's order, every violation Detect finds with its GenFix — keeping
 // the first occurrence of each violation key only. It also reports whether
 // anything repeated. The lines are sorted: the paths list blocks in orders
@@ -95,6 +96,10 @@ func firstOccurrences(rs []*core.Rule, rel *model.Relation) (lines []string, rep
 			if r.Unary {
 				blocks = append(blocks, []model.Tuple{t})
 				continue
+			}
+			if r.Block == nil {
+				blocks = [][]model.Tuple{rel.Tuples}
+				break
 			}
 			k := r.Block(t).MapKey()
 			i, ok := at[k]
@@ -113,14 +118,16 @@ func firstOccurrences(rs []*core.Rule, rel *model.Relation) (lines []string, rep
 		}
 		for _, b := range blocks {
 			for _, it := range iterate([][]model.Tuple{b}) {
-				for _, v := range r.Detect(it) {
+				var out core.Output
+				r.Detect(it, &out)
+				for _, v := range out.Violations() {
 					if k := v.MapKey(); seen[k] {
 						repeated = true
 						continue
 					} else {
 						seen[k] = true
 					}
-					lines = append(lines, fmt.Sprintf("%v %v", v, r.GenFix(v)))
+					lines = append(lines, fmt.Sprintf("%v %v", v, r.GenFix(nil, v)))
 				}
 			}
 		}
@@ -154,15 +161,14 @@ func TestDedupBoundary(t *testing.T) {
 			// x's city, so keeping a later one shows.
 			return []*core.Rule{{
 				ID: "left", Block: zip, Symmetric: true,
-				Detect: func(it core.Item) []model.Violation {
+				Detect: func(it core.Item, out *core.Output) {
 					l, r := it.Left(), it.Right()
-					if l.Cell(2).Equal(r.Cell(2)) {
-						return nil
+					if !l.Cell(2).Equal(r.Cell(2)) {
+						out.Emit("left", model.NewCell(l.ID, 2, r.Cell(2)))
 					}
-					return []model.Violation{model.NewViolation("left", model.NewCell(l.ID, 2, r.Cell(2)))}
 				},
-				GenFix: func(v model.Violation) []model.Fix {
-					return []model.Fix{model.NewConstFix(v.Cells[0], model.OpEQ, v.Cells[0].Value)}
+				GenFix: func(dst []model.Fix, v model.Violation) []model.Fix {
+					return append(dst, model.NewConstFix(v.Cells[0], model.OpEQ, v.Cells[0].Value))
 				},
 			}}
 		}},
@@ -186,8 +192,8 @@ func TestDedupBoundary(t *testing.T) {
 			// A pair agreeing on zipcode and state with other cities violates
 			// both; the second rule's fixes name it.
 			byState := compileFD("phi", "state -> city")
-			byState.GenFix = func(v model.Violation) []model.Fix {
-				return []model.Fix{model.NewConstFix(v.Cells[0], model.OpEQ, model.S("second"))}
+			byState.GenFix = func(dst []model.Fix, v model.Violation) []model.Fix {
+				return append(dst, model.NewConstFix(v.Cells[0], model.OpEQ, model.S("second")))
 			}
 			return []*core.Rule{compileFD("phi", "zipcode -> city"), byState}
 		}},
@@ -221,6 +227,86 @@ func TestDedupBoundary(t *testing.T) {
 				slices.Sort(got)
 				if !slices.Equal(got, want) {
 					t.Errorf("%s: %d fix sets, want the %d first occurrences:\n got  %q\n want %q", path, len(got), len(want), got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestOCJoinDedupBoundary: an OCJoin pipeline is handed to repair without
+// hashing when a strict condition compares a column with itself, as φ2's
+// salary does, since then no pair joins both ways; with strict conditions
+// across two columns only, a pair joins both ways and names the same cells
+// twice, so the repeat must still be dropped. Both must report each
+// violation of the per-pair reference once, on the full path and through
+// Clean: with no repeats exactly the reference's fix sets, and otherwise,
+// per violation, the fix set of one of its orientations (the join visits
+// pairs in an order of its own, so which one comes first is its choice).
+// (Which of the two the executor hashes is checked in core's
+// TestOCJoinUniqueByStrictSelfCondition.)
+func TestOCJoinDedupBoundary(t *testing.T) {
+	rel := dedupRel(200, 9)
+	for _, tc := range []struct {
+		name, spec string
+		repeats    bool
+	}{
+		{"phi2, strict on one column", "t1.salary > t2.salary & t1.rate < t2.rate", false},
+		{"strict across two columns", "t1.salary < t2.rate & t1.rate > t2.salary", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			compile := func() []*core.Rule {
+				d, err := rules.ParseDC("oc", tc.spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := d.Compile(rel.Schema)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(r.OrderConds) == 0 {
+					t.Fatal("the DC should compile to OCJoin")
+				}
+				return []*core.Rule{r}
+			}
+			first, repeated := firstOccurrences(compile(), rel)
+			if repeated != tc.repeats || len(first) == 0 {
+				t.Fatalf("the per-pair reference has %d violations, repeats %v; want some, repeats %v", len(first), repeated, tc.repeats)
+			}
+			// Every occurrence of each violation, over all ordered pairs.
+			r := compile()[0]
+			occurs := map[model.ViolationKey][]string{}
+			for _, it := range core.PairsOrdered([][]model.Tuple{rel.Tuples}) {
+				var out core.Output
+				r.Detect(it, &out)
+				for _, v := range out.Violations() {
+					occurs[v.MapKey()] = append(occurs[v.MapKey()], fmt.Sprintf("%v %v", v, r.GenFix(nil, v)))
+				}
+			}
+			full, err := core.DetectRules(engine.New(4), compile(), rel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for path, sets := range map[string][]model.FixSet{
+				"DetectRules": full.FixSets,
+				"Clean":       cleanFixSets(t, compile(), rel),
+			} {
+				if got := renderSets(sets); !tc.repeats {
+					slices.Sort(got)
+					if !slices.Equal(got, first) {
+						t.Errorf("%s: %d fix sets, want the reference's %d:\n got  %q\n want %q", path, len(got), len(first), got, first)
+					}
+					continue
+				}
+				seen := map[model.ViolationKey]bool{}
+				for _, fs := range sets {
+					k, line := fs.Violation.MapKey(), fmt.Sprintf("%v %v", fs.Violation, fs.Fixes)
+					if seen[k] || !slices.Contains(occurs[k], line) {
+						t.Fatalf("%s: %q is a repeat or no occurrence of the reference's", path, line)
+					}
+					seen[k] = true
+				}
+				if len(seen) != len(occurs) {
+					t.Errorf("%s: %d violations, want the reference's %d", path, len(seen), len(occurs))
 				}
 			}
 		})

@@ -46,17 +46,17 @@ func TestFreezeStopsOscillation(t *testing.T) {
 		ID:        "eq",
 		Block:     func(tp model.Tuple) model.Value { return tp.Cell(0) },
 		Symmetric: true,
-		Detect: func(it core.Item) []model.Violation {
+		Detect: func(it core.Item, out *core.Output) {
 			l, r := it.Left(), it.Right()
 			if l.Cell(1).Equal(r.Cell(1)) {
-				return nil
+				return
 			}
-			return []model.Violation{model.NewViolation("eq",
+			out.Emit("eq",
 				model.NewCell(l.ID, 1, l.Cell(1)),
-				model.NewCell(r.ID, 1, r.Cell(1)))}
+				model.NewCell(r.ID, 1, r.Cell(1)))
 		},
-		GenFix: func(v model.Violation) []model.Fix {
-			return []model.Fix{model.NewCellFix(v.Cells[0], model.OpEQ, v.Cells[1])}
+		GenFix: func(dst []model.Fix, v model.Violation) []model.Fix {
+			return append(dst, model.NewCellFix(v.Cells[0], model.OpEQ, v.Cells[1]))
 		},
 	}
 	cleaner := mustCleaner(t, engine.New(2), []*core.Rule{rule},

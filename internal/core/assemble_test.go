@@ -8,6 +8,7 @@ import (
 	"bigdansing/internal/core"
 	"bigdansing/internal/engine"
 	"bigdansing/internal/model"
+	"bigdansing/internal/rules"
 )
 
 // The detect→repair hand-off reports each violation once, keeping its first
@@ -101,6 +102,73 @@ func TestAssembleHashCollisions(t *testing.T) {
 	} {
 		if got := rendered(t, core.AssembleHashed(lists, hash)); !slices.Equal(got, want) {
 			t.Errorf("%s hash: %d fix sets, want %d:\n got  %q\n want %q", name, len(got), len(want), got, want)
+		}
+	}
+}
+
+// TestOCJoinUniqueByStrictSelfCondition: an OCJoin pipeline skips the
+// seen-set exactly when a strict condition compares a column with itself
+// and its branch has no Scope;
+// cleanse's TestOCJoinDedupBoundary checks both kinds against the per-pair
+// reference.
+func TestOCJoinUniqueByStrictSelfCondition(t *testing.T) {
+	schema := model.MustParseSchema(oracleSchema)
+	for spec, unique := range map[string]bool{
+		"t1.salary > t2.salary & t1.rate < t2.rate":   true,
+		"t1.salary < t2.salary":                       true,
+		"t1.salary >= t2.salary & t1.rate < t2.rate":  true,
+		"t1.salary < t2.rate & t1.rate > t2.salary":   false,
+		"t1.salary <= t2.salary & t1.rate >= t2.rate": false,
+	} {
+		d, err := rules.ParseDC("oc", spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := d.Compile(schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lp, err := core.PlanRule(r, oracleData(10, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pp, err := core.NewPlanner().Plan(lp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := pp.Pipelines[0]; p.Impl != core.IterOCJoin || p.Unique() != unique {
+			t.Errorf("%s: %s pipeline, unique %v; want OCJoin, unique %v", spec, p.Impl, p.Unique(), unique)
+		}
+		// A Scope may replicate a unit, and a replica pairs like its original.
+		r.Scope = func(tp model.Tuple) []model.Tuple { return []model.Tuple{tp, tp} }
+		if lp, err = core.PlanRule(r, oracleData(10, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if pp, err = core.NewPlanner().Plan(lp); err != nil {
+			t.Fatal(err)
+		}
+		if pp.Pipelines[0].Unique() {
+			t.Errorf("%s behind a Scope: unique, want hashed", spec)
+		}
+	}
+}
+
+// TestOutputKeepsEachViolationsRuleID: an output stamps each violation with
+// the rule ID it was emitted under, also when one group's Detect emits
+// under more than one.
+func TestOutputKeepsEachViolationsRuleID(t *testing.T) {
+	var out core.Output
+	ids := []string{"a", "a", "b", "a", "c"}
+	for i, id := range ids {
+		out.Emit(id, model.NewCell(int64(i), 0, model.I(int64(i))))
+	}
+	vs := out.Violations()
+	if len(vs) != len(ids) {
+		t.Fatalf("%d violations, want %d", len(vs), len(ids))
+	}
+	for i, v := range vs {
+		if v.RuleID != ids[i] || len(v.Cells) != 1 || v.Cells[0].TupleID != int64(i) {
+			t.Errorf("violation %d is %v, want rule %s naming tuple %d", i, v, ids[i], i)
 		}
 	}
 }

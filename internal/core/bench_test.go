@@ -61,14 +61,18 @@ func benchFixSets(n int) []model.FixSet {
 // dropping the repeated violations.
 func BenchmarkViolationDedup(b *testing.B) {
 	sets := benchFixSets(50000)
-	var lists [][]model.FixSet
+	var outs []Output
 	for lo := 0; lo < len(sets); lo += 16 {
-		lists = append(lists, sets[lo:min(lo+16, len(sets))])
+		var vs []model.Violation
+		for _, fs := range sets[lo:min(lo+16, len(sets))] {
+			vs = append(vs, fs.Violation)
+		}
+		outs = append(outs, outputOf(vs))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := assemble([]detected{{lists: lists}}); len(res.Violations) != 50000 {
+		if res := assemble([]detected{{parts: [][]Output{outs}}}); len(res.Violations) != 50000 {
 			b.Fatalf("got %d", len(res.Violations))
 		}
 	}

@@ -50,17 +50,17 @@ func TestTwoRelationJob(t *testing.T) {
 	job.AddBlock(nameKeyL, "L")
 	job.AddBlock(nameKeyG, "G")
 	job.AddIterate(PairsAcross, "V", "L", "G")
-	job.AddDetect(func(it Item) []model.Violation {
+	job.AddDetect(func(it Item, out *Output) {
 		lt, gt := it.Left(), it.Right()
 		if lt.Cell(6).Equal(gt.Cell(6)) {
-			return nil
+			return
 		}
-		return []model.Violation{model.NewViolation("salary",
+		out.Emit("salary",
 			model.NewCell(lt.ID, 6, lt.Cell(6)),
-			model.NewCell(gt.ID, 6, gt.Cell(6)))}
+			model.NewCell(gt.ID, 6, gt.Cell(6)))
 	}, "V")
-	job.AddGenFix(func(v model.Violation) []model.Fix {
-		return []model.Fix{model.NewCellFix(v.Cells[0], model.OpEQ, v.Cells[1])}
+	job.AddGenFix(func(dst []model.Fix, v model.Violation) []model.Fix {
+		return append(dst, model.NewCellFix(v.Cells[0], model.OpEQ, v.Cells[1]))
 	}, "V")
 
 	lp, err := BuildPlan(job)
@@ -104,29 +104,29 @@ func TestBushyPlanSharedScans(t *testing.T) {
 	// c1: same city must mean same state.
 	job.AddBlock(cityKey, "G1")
 	job.AddIterate(PairsUnique, "V1", "G1")
-	job.AddDetect(func(it Item) []model.Violation {
+	job.AddDetect(func(it Item, out *Output) {
 		a, b := it.Left(), it.Right()
 		if a.Cell(5).Equal(b.Cell(5)) {
-			return nil
+			return
 		}
-		return []model.Violation{model.NewViolation("c1",
+		out.Emit("c1",
 			model.NewCell(a.ID, 5, a.Cell(5)),
-			model.NewCell(b.ID, 5, b.Cell(5)))}
+			model.NewCell(b.ID, 5, b.Cell(5)))
 	}, "V1")
 	// c2: within a city, a manager must earn at least what an employee earns.
 	job.AddBlock(cityKey, "G2")
 	job.AddIterate(PairsOrdered, "V2", "G2")
-	job.AddDetect(func(it Item) []model.Violation {
+	job.AddDetect(func(it Item, out *Output) {
 		m, e := it.Left(), it.Right()
 		if m.Cell(3).String() != "M" || e.Cell(3).String() != "E" {
-			return nil
+			return
 		}
 		if m.Cell(6).Float() >= e.Cell(6).Float() {
-			return nil
+			return
 		}
-		return []model.Violation{model.NewViolation("c2",
+		out.Emit("c2",
 			model.NewCell(m.ID, 6, m.Cell(6)),
-			model.NewCell(e.ID, 6, e.Cell(6)))}
+			model.NewCell(e.ID, 6, e.Cell(6)))
 	}, "V2")
 
 	lp, err := BuildPlan(job)
@@ -181,11 +181,10 @@ func TestJobCustomIterateTwoStreams(t *testing.T) {
 		}
 		return []Item{ListItem(all)}
 	}, "V", "L", "G")
-	job.AddDetect(func(it Item) []model.Violation {
+	job.AddDetect(func(it Item, _ *Output) {
 		if it.Kind != ItemList {
 			t.Errorf("expected list item, got %v", it.Kind)
 		}
-		return nil
 	}, "V")
 
 	ctx := engine.New(2)

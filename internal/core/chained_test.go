@@ -52,17 +52,17 @@ func TestChainedIterates(t *testing.T) {
 	job.AddBlock(grpKey, "W")
 	// Iterate 2: pair each max unit with its group's cap row -> stream V.
 	job.AddIterate(PairsAcross, "V", "M", "W")
-	job.AddDetect(func(it Item) []model.Violation {
+	job.AddDetect(func(it Item, out *Output) {
 		m, w := it.Left(), it.Right()
 		if m.Cell(2).Float() <= w.Cell(2).Float() {
-			return nil
+			return
 		}
-		return []model.Violation{model.NewViolation("cap",
+		out.Emit("cap",
 			model.NewCell(m.ID, 2, m.Cell(2)),
-			model.NewCell(w.ID, 2, w.Cell(2)))}
+			model.NewCell(w.ID, 2, w.Cell(2)))
 	}, "V")
-	job.AddGenFix(func(v model.Violation) []model.Fix {
-		return []model.Fix{model.NewCellFix(v.Cells[0], model.OpLE, v.Cells[1])}
+	job.AddGenFix(func(dst []model.Fix, v model.Violation) []model.Fix {
+		return append(dst, model.NewCellFix(v.Cells[0], model.OpLE, v.Cells[1]))
 	}, "V")
 
 	lp, err := BuildPlan(job)
@@ -105,7 +105,7 @@ func TestChainedIterateCycleDetected(t *testing.T) {
 	job.AddInput(rel, "S")
 	job.AddIterate(Singles, "A", "B")
 	job.AddIterate(Singles, "B", "A")
-	job.AddDetect(func(Item) []model.Violation { return nil }, "A")
+	job.AddDetect(func(Item, *Output) {}, "A")
 	if _, err := BuildPlan(job); err == nil {
 		t.Fatal("cyclic labels should be rejected")
 	}
@@ -128,7 +128,7 @@ func TestDerivedStreamUnkeyedFallback(t *testing.T) {
 		}
 		return nil
 	}, "V", "S", "T")
-	job.AddDetect(func(Item) []model.Violation { return nil }, "V")
+	job.AddDetect(func(Item, *Output) {}, "V")
 	ctx := engine.New(2)
 	if _, err := RunJobSpark(ctx, job); err != nil {
 		t.Fatal(err)

@@ -38,19 +38,19 @@ func fdRule() *Rule {
 		},
 		Block:     func(t model.Tuple) model.Value { return t.Cell(1) },
 		Symmetric: true,
-		Detect: func(it Item) []model.Violation {
+		Detect: func(it Item, out *Output) {
 			l, r := it.Left(), it.Right()
 			if l.Cell(2).Equal(r.Cell(2)) {
-				return nil
+				return
 			}
 			v := model.NewViolation("phiF",
 				model.NewCell(l.ID, 2, l.Cell(2)),
 				model.NewCell(r.ID, 2, r.Cell(2)),
 			)
-			return []model.Violation{v}
+			out.Emit(v.RuleID, v.Cells...)
 		},
-		GenFix: func(v model.Violation) []model.Fix {
-			return []model.Fix{model.NewCellFix(v.Cells[0], model.OpEQ, v.Cells[1])}
+		GenFix: func(dst []model.Fix, v model.Violation) []model.Fix {
+			return append(dst, model.NewCellFix(v.Cells[0], model.OpEQ, v.Cells[1]))
 		},
 	}
 }
@@ -63,7 +63,7 @@ func dcRule() *Rule {
 			{LeftCol: 5, Op: model.OpGT, RightCol: 5}, // t1.rate > t2.rate
 			{LeftCol: 4, Op: model.OpLT, RightCol: 4}, // t1.salary < t2.salary
 		},
-		Detect: func(it Item) []model.Violation {
+		Detect: func(it Item, out *Output) {
 			l, r := it.Left(), it.Right()
 			v := model.NewViolation("phiD",
 				model.NewCell(l.ID, 5, l.Cell(5)),
@@ -71,39 +71,39 @@ func dcRule() *Rule {
 				model.NewCell(l.ID, 4, l.Cell(4)),
 				model.NewCell(r.ID, 4, r.Cell(4)),
 			)
-			return []model.Violation{v}
+			out.Emit(v.RuleID, v.Cells...)
 		},
-		GenFix: func(v model.Violation) []model.Fix {
-			return []model.Fix{
+		GenFix: func(dst []model.Fix, v model.Violation) []model.Fix {
+			return append(dst,
 				model.NewCellFix(v.Cells[0], model.OpLE, v.Cells[1]),
 				model.NewCellFix(v.Cells[2], model.OpGE, v.Cells[3]),
-			}
+			)
 		},
 	}
 }
 
 func TestRuleValidate(t *testing.T) {
-	if err := (&Rule{ID: "x", Detect: func(Item) []model.Violation { return nil }}).Validate(); err != nil {
+	if err := (&Rule{ID: "x", Detect: func(Item, *Output) {}}).Validate(); err != nil {
 		t.Errorf("minimal rule should validate: %v", err)
 	}
 	if err := (&Rule{ID: "x"}).Validate(); err == nil {
 		t.Error("missing Detect should fail")
 	}
-	if err := (&Rule{Detect: func(Item) []model.Violation { return nil }}).Validate(); err == nil {
+	if err := (&Rule{Detect: func(Item, *Output) {}}).Validate(); err == nil {
 		t.Error("missing ID should fail")
 	}
-	bad := &Rule{ID: "x", Detect: func(Item) []model.Violation { return nil },
+	bad := &Rule{ID: "x", Detect: func(Item, *Output) {},
 		Block:      func(model.Tuple) model.Value { return model.Value{} },
 		OrderConds: []join.Cond{{LeftCol: 0, Op: model.OpLT, RightCol: 0}}}
 	if err := bad.Validate(); err == nil {
 		t.Error("Block plus OrderConds should fail")
 	}
-	badOp := &Rule{ID: "x", Detect: func(Item) []model.Violation { return nil },
+	badOp := &Rule{ID: "x", Detect: func(Item, *Output) {},
 		OrderConds: []join.Cond{{LeftCol: 0, Op: model.OpEQ, RightCol: 0}}}
 	if err := badOp.Validate(); err == nil {
 		t.Error("equality order condition should fail")
 	}
-	brOnly := &Rule{ID: "x", Detect: func(Item) []model.Violation { return nil },
+	brOnly := &Rule{ID: "x", Detect: func(Item, *Output) {},
 		BlockRight: func(model.Tuple) model.Value { return model.Value{} }}
 	if err := brOnly.Validate(); err == nil {
 		t.Error("BlockRight without Block should fail")
@@ -179,7 +179,7 @@ func contains(ids []int64, x int64) bool {
 
 func TestOptimizerEnhancerSelection(t *testing.T) {
 	rel := exampleTax()
-	detect := func(Item) []model.Violation { return nil }
+	detect := func(Item, *Output) {}
 	block := func(t model.Tuple) model.Value { return t.Cell(1) }
 
 	cases := []struct {
@@ -255,7 +255,7 @@ func TestJobValidationErrors(t *testing.T) {
 	rel := exampleTax()
 
 	empty := NewJob("no inputs")
-	empty.AddDetect(func(Item) []model.Violation { return nil }, "X")
+	empty.AddDetect(func(Item, *Output) {}, "X")
 	if _, err := BuildPlan(empty); err == nil {
 		t.Error("job with no inputs should fail")
 	}
@@ -269,15 +269,15 @@ func TestJobValidationErrors(t *testing.T) {
 	badLabel := NewJob("bad label")
 	badLabel.AddInput(rel, "S")
 	badLabel.AddBlock(func(model.Tuple) model.Value { return model.Value{} }, "T")
-	badLabel.AddDetect(func(Item) []model.Violation { return nil }, "S")
+	badLabel.AddDetect(func(Item, *Output) {}, "S")
 	if _, err := BuildPlan(badLabel); err == nil {
 		t.Error("block on undefined label should fail")
 	}
 
 	orphanFix := NewJob("orphan genfix")
 	orphanFix.AddInput(rel, "S")
-	orphanFix.AddDetect(func(Item) []model.Violation { return nil }, "S")
-	orphanFix.AddGenFix(func(model.Violation) []model.Fix { return nil }, "Z")
+	orphanFix.AddDetect(func(Item, *Output) {}, "S")
+	orphanFix.AddGenFix(func(dst []model.Fix, _ model.Violation) []model.Fix { return dst }, "Z")
 	if _, err := BuildPlan(orphanFix); err == nil {
 		t.Error("GenFix without matching Detect should fail")
 	}
@@ -291,7 +291,7 @@ func TestConsolidationSharesScans(t *testing.T) {
 		ID:     "dc1",
 		Scope:  scope,
 		Block:  func(t model.Tuple) model.Value { return t.Cell(0) },
-		Detect: func(Item) []model.Violation { return nil },
+		Detect: func(Item, *Output) {},
 	}
 	r.BlockRight = func(t model.Tuple) model.Value { return t.Cell(0) }
 	lp, err := PlanRule(r, rel)
@@ -335,15 +335,15 @@ func TestCoBlockAcrossTwoKeyings(t *testing.T) {
 		ID:         "coblock",
 		Block:      func(t model.Tuple) model.Value { return t.Cell(1) },
 		BlockRight: func(t model.Tuple) model.Value { return t.Cell(1) },
-		Detect: func(it Item) []model.Violation {
+		Detect: func(it Item, out *Output) {
 			l, rr := it.Left(), it.Right()
 			if l.Cell(2).Equal(rr.Cell(2)) {
-				return nil
+				return
 			}
 			v := model.NewViolation("coblock",
 				model.NewCell(l.ID, 2, l.Cell(2)),
 				model.NewCell(rr.ID, 2, rr.Cell(2)))
-			return []model.Violation{v}
+			out.Emit(v.RuleID, v.Cells...)
 		},
 	}
 	res, err := DetectRule(ctx, r, rel)
@@ -365,16 +365,16 @@ func TestUnaryRule(t *testing.T) {
 	r := &Rule{
 		ID:    "salaryCap",
 		Unary: true,
-		Detect: func(it Item) []model.Violation {
+		Detect: func(it Item, out *Output) {
 			t := it.One()
 			if t.Cell(4).Float() > 85000 {
-				return []model.Violation{model.NewViolation("salaryCap",
-					model.NewCell(t.ID, 4, t.Cell(4)))}
+				out.Emit("salaryCap",
+					model.NewCell(t.ID, 4, t.Cell(4)))
+				return
 			}
-			return nil
 		},
-		GenFix: func(v model.Violation) []model.Fix {
-			return []model.Fix{model.NewConstFix(v.Cells[0], model.OpLE, model.F(85000))}
+		GenFix: func(dst []model.Fix, v model.Violation) []model.Fix {
+			return append(dst, model.NewConstFix(v.Cells[0], model.OpLE, model.F(85000)))
 		},
 	}
 	res, err := DetectRule(ctx, r, rel)
@@ -406,10 +406,10 @@ func TestCustomIterate(t *testing.T) {
 			}
 			return out
 		},
-		Detect: func(it Item) []model.Violation {
-			return []model.Violation{model.NewViolation("adjacent",
+		Detect: func(it Item, out *Output) {
+			out.Emit("adjacent",
 				model.NewCell(it.Left().ID, 0, it.Left().Cell(0)),
-				model.NewCell(it.Right().ID, 0, it.Right().Cell(0)))}
+				model.NewCell(it.Right().ID, 0, it.Right().Cell(0)))
 		},
 	}
 	res, err := DetectRule(ctx, r, rel)
@@ -430,7 +430,7 @@ func TestDetectPanicSurfacesAsError(t *testing.T) {
 	rel := exampleTax()
 	r := &Rule{
 		ID:     "boom",
-		Detect: func(Item) []model.Violation { panic("detect exploded") },
+		Detect: func(Item, *Output) { panic("detect exploded") },
 	}
 	_, err := DetectRule(ctx, r, rel)
 	if err == nil || !strings.Contains(err.Error(), "detect exploded") {

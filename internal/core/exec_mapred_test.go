@@ -23,14 +23,14 @@ func coBlockRule() (*Rule, *model.Relation) {
 		ID:         "dc1",
 		Block:      func(tp model.Tuple) model.Value { return tp.Cell(0) }, // c_name
 		BlockRight: func(tp model.Tuple) model.Value { return tp.Cell(2) }, // s_name
-		Detect: func(it Item) []model.Violation {
+		Detect: func(it Item, out *Output) {
 			c, sup := it.Left(), it.Right()
 			if c.Cell(0).Equal(sup.Cell(2)) && !c.Cell(1).Equal(sup.Cell(3)) {
-				return []model.Violation{model.NewViolation("dc1",
+				out.Emit("dc1",
 					model.NewCell(c.ID, 1, c.Cell(1)),
-					model.NewCell(sup.ID, 3, sup.Cell(3)))}
+					model.NewCell(sup.ID, 3, sup.Cell(3)))
+				return
 			}
-			return nil
 		},
 	}, rel
 }
@@ -53,13 +53,13 @@ func TestDiskBackendMatchesLocal(t *testing.T) {
 		{name: "unary", impl: IterSingles, rel: exampleTax(), rule: &Rule{
 			ID:    "cap",
 			Unary: true,
-			Detect: func(it Item) []model.Violation {
+			Detect: func(it Item, out *Output) {
 				tp := it.One()
 				if tp.Cell(4).Float() > 85000 {
-					return []model.Violation{model.NewViolation("cap",
-						model.NewCell(tp.ID, 4, tp.Cell(4)))}
+					out.Emit("cap",
+						model.NewCell(tp.ID, 4, tp.Cell(4)))
+					return
 				}
-				return nil
 			},
 		}},
 	}
@@ -125,7 +125,7 @@ func TestMapReduceScopeRuns(t *testing.T) {
 func TestMapReduceDetectPanic(t *testing.T) {
 	rel := exampleTax()
 	r := fdRule()
-	r.Detect = func(Item) []model.Violation { panic("reducer boom") }
+	r.Detect = func(Item, *Output) { panic("reducer boom") }
 	eng, err := mapred.New(t.TempDir(), 2)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -26,12 +27,13 @@ type DetectResult struct {
 // Every pipeline runs one body — scan, scope, partition, per-group detect,
 // dedup, GenFix, collect — whatever its Iterate choice or backend. The
 // engine is lazy, so per-group detection, dedup's keying and GenFix fuse
-// into per-partition stages at the shuffles that bound them.
-// The pipelines' per-group fix-set lists are assembled into one result
-// that reports each violation once, matching the paper's observation that
-// BigDansing, unlike SQL self-joins, does not emit duplicate violations: a
-// pipeline that cannot repeat one is concatenated as it is, and the rest
-// are deduplicated on the violations' canonical key (see assemble).
+// into per-partition stages at the shuffles that bound them. Every
+// per-group detector emits into an Output of its own, and the pipelines'
+// outputs are assembled into one result that reports each violation once,
+// matching the paper's observation that BigDansing, unlike SQL self-joins,
+// does not emit duplicate violations: a pipeline that cannot repeat one is
+// concatenated as it is, and the rest are deduplicated on the violations'
+// canonical key (see assemble).
 func RunPlanSpark(ctx *engine.Context, pp *PhysicalPlan) (*DetectResult, error) {
 	return newSparkExec(ctx).run(pp)
 }
@@ -50,18 +52,20 @@ func (ex *sparkExec) run(pp *PhysicalPlan) (*DetectResult, error) {
 	srcs := make([]detected, len(pp.Pipelines))
 	for i := range pp.Pipelines {
 		p := &pp.Pipelines[i]
-		lists, err := ex.runPipeline(pp, p)
+		src, err := ex.runPipeline(pp, p)
 		if err != nil {
 			return nil, err
 		}
-		srcs[i] = detected{lists: lists, unique: p.unique()}
+		src.unique = p.unique()
+		srcs[i] = src
 	}
 	return assemble(srcs), nil
 }
 
 // unique reports whether the pipeline's output repeats no violation by
 // construction: its Distinct stage ran (the both-orientation enumerations),
-// or it runs a unique kernel on its base branch (see kernelUnique).
+// it runs a unique kernel on its base branch (see kernelUnique), or its
+// OCJoin cannot join one pair both ways (see ocJoinUnique).
 func (p *PhysicalPipeline) unique() bool {
 	switch p.Impl {
 	case IterOrderedPairs, IterCoBlockPairs, IterCustom:
@@ -69,6 +73,9 @@ func (p *PhysicalPipeline) unique() bool {
 	case IterUniquePairs:
 		b := p.Branches[0]
 		return kernelUnique(p.DetectBlock, false, b.Block != nil && b.Derived == nil && len(b.Scopes) == 0)
+	case IterOCJoin:
+		b := p.Branches[0]
+		return ocJoinUnique(p.OrderConds, b.Derived == nil && len(b.Scopes) == 0)
 	}
 	return false
 }
@@ -82,46 +89,72 @@ func kernelUnique(kernel BlockDetectFunc, ordered, baseUnscoped bool) bool {
 	return kernel != nil && !ordered && baseUnscoped
 }
 
-// runPipeline runs one pipeline and returns its fix sets, one list per group
-// in partition order, for assemble to concatenate.
-func (ex *sparkExec) runPipeline(pp *PhysicalPlan, p *PhysicalPipeline) ([][]model.FixSet, error) {
+// ocJoinUnique reports whether an OCJoin pipeline repeats no violation by
+// construction. Over a scope-free base scan each tuple is one unit, OCJoin
+// yields each ordered pair of units once, and a Detect behind ordering
+// conditions names cells of both tuples of its pair (Rule.OrderConds states
+// the contract), so a violation can only repeat as the same cells found
+// from both orientations of one pair. A strict condition comparing a column
+// with itself (t1.X < t2.X) joins at most one orientation. Strict
+// conditions across two columns do not: t1.A < t2.B & t1.B > t2.A holds for
+// (a, b) exactly when it holds for (b, a).
+func ocJoinUnique(conds []join.Cond, baseUnscoped bool) bool {
+	if !baseUnscoped {
+		return false
+	}
+	for _, c := range conds {
+		if c.LeftCol == c.RightCol && (c.Op == model.OpLT || c.Op == model.OpGT) {
+			return true
+		}
+	}
+	return false
+}
+
+// runPipeline runs one pipeline and returns its violations, in partition
+// and group order, as a source for assemble to concatenate: one output per
+// group, or, after a Distinct stage, each partition's surviving violations
+// as fix sets.
+func (ex *sparkExec) runPipeline(pp *PhysicalPlan, p *PhysicalPipeline) (detected, error) {
 	sp := ex.ctx.Observer().BeginSpan(nil, p.RuleID, engine.SpanPipeline)
 	defer sp.End()
-	m := &udfMeter{on: ex.ctx.Instrumented()}
+	m := &udfMeter{on: ex.ctx.Instrumented(), genfix: p.GenFix}
 	groups, err := ex.violations(pp, p, m)
 	if err != nil {
-		return nil, err
+		return detected{}, err
 	}
 	// OCJoin, unique pairs and single units produce each candidate once by
 	// construction, so only the both-orientation enumerations pay the dedup
-	// shuffle, on the violations alone; each partition of its output is one
-	// group for GenFix.
+	// shuffle, on the violations alone, and run GenFix after it; each
+	// partition of its output is one group for GenFix.
+	var src detected
 	switch p.Impl {
 	case IterOrderedPairs, IterCoBlockPairs, IterCustom:
-		flat := engine.FlatMap(groups, func(sets []model.FixSet) []model.Violation {
-			vs := make([]model.Violation, len(sets))
-			for i := range sets {
-				vs[i] = sets[i].Violation
+		flat := engine.FlatMap(groups, func(o Output) []model.Violation { return o.Violations() })
+		src.lists, err = engine.MapPartitions(engine.Distinct(flat, model.Violation.MapKey), func(_ int, vs []model.Violation) [][]model.FixSet {
+			return [][]model.FixSet{m.fixSets(vs)}
+		}).Collect()
+	default:
+		// The outputs are read where they lie, one list per partition.
+		fixed := engine.Map(groups, m.genFix)
+		if err = fixed.Err(); err == nil {
+			src.parts = make([][]Output, fixed.NumPartitions())
+			for i := range src.parts {
+				src.parts[i] = fixed.Partition(i)
 			}
-			return vs
-		})
-		groups = engine.MapPartitions(engine.Distinct(flat, model.Violation.MapKey), func(_ int, vs []model.Violation) [][]model.FixSet {
-			return [][]model.FixSet{appendSets(make([]model.FixSet, 0, len(vs)), vs)}
-		})
+		}
 	}
-	lists, err := engine.Map(groups, m.genFix(p.GenFix)).Collect()
 	if err != nil {
-		return nil, fmt.Errorf("core: detection pipeline %s failed: %w", p.RuleID, err)
+		return detected{}, fmt.Errorf("core: detection pipeline %s failed: %w", p.RuleID, err)
 	}
-	m.finish(sp, lists)
-	return lists, nil
+	m.finish(sp, src)
+	return src, nil
 }
 
-// violations builds a pipeline's (lazy) violations, one list of fix sets
-// (Fixes unset) per group: its branches are scanned and partitioned —
-// grouped by block key, co-grouped, or range-partitioned by OCJoin — and
-// one detector runs per group or partition task.
-func (ex *sparkExec) violations(pp *PhysicalPlan, p *PhysicalPipeline, m *udfMeter) (*engine.Dataset[[]model.FixSet], error) {
+// violations builds a pipeline's (lazy) per-group outputs, GenFix not yet
+// run: its branches are scanned and partitioned — grouped by block key,
+// co-grouped, or range-partitioned by OCJoin — and one detector runs per
+// group or partition task.
+func (ex *sparkExec) violations(pp *PhysicalPlan, p *PhysicalPipeline, m *udfMeter) (*engine.Dataset[Output], error) {
 	wire := projection(p.reads)
 	switch p.Impl {
 	case IterCoBlockPairs:
@@ -129,17 +162,17 @@ func (ex *sparkExec) violations(pp *PhysicalPlan, p *PhysicalPipeline, m *udfMet
 		if err != nil {
 			return nil, err
 		}
-		return engine.Map(cg, metered(m, func(g engine.Pair[model.ValueKey, engine.CoGrouped[model.Tuple, model.Tuple]]) ([]model.FixSet, int64) {
-			return pairsAcross(p.Detect, g.Value.Left, g.Value.Right)
-		})), nil
+		return detectEach(cg, m, func(g engine.Pair[model.ValueKey, engine.CoGrouped[model.Tuple, model.Tuple]], o *Output) int64 {
+			return pairsAcross(p.Detect, g.Value.Left, g.Value.Right, o)
+		}), nil
 	case IterCustom:
 		groups, err := ex.iterateGroups(pp, p, p.Branches, wire)
 		if err != nil {
 			return nil, err
 		}
-		return engine.Map(groups, metered(m, func(bags [][]model.Tuple) ([]model.FixSet, int64) {
-			return detectItems(p.Detect, p.Iterate(bags))
-		})), nil
+		return detectEach(groups, m, func(bags [][]model.Tuple, o *Output) int64 {
+			return detectItems(p.Detect, p.Iterate(bags), o)
+		}), nil
 	}
 	b := p.Branches[0]
 	first, err := ex.branchStream(pp, p, b)
@@ -148,17 +181,18 @@ func (ex *sparkExec) violations(pp *PhysicalPlan, p *PhysicalPipeline, m *udfMet
 	}
 	switch p.Impl {
 	case IterSingles:
-		det := metered(m, singlesDetector(p.Detect))
-		return engine.MapPartitions(first, func(_ int, ts []model.Tuple) [][]model.FixSet { return [][]model.FixSet{det(ts)} }), nil
+		return engine.MapPartitions(first, func(_ int, ts []model.Tuple) []Output {
+			return []Output{m.detect(func(o *Output) int64 { return detectSingles(p.Detect, ts, o) })}
+		}), nil
 
 	case IterOCJoin:
 		tasks, err := join.OCJoin(first.MovedAs(wire), p.OrderConds, 0)
 		if err != nil {
 			return nil, fmt.Errorf("core: OCJoin in %s: %w", p.RuleID, err)
 		}
-		return engine.Map(tasks, metered(m, func(tk join.Task) ([]model.FixSet, int64) {
-			return joinDetect(p.Detect, tk)
-		})), nil
+		return detectEach(tasks, m, func(tk join.Task, o *Output) int64 {
+			return joinDetect(p.Detect, tk, o)
+		}), nil
 
 	case IterUniquePairs, IterOrderedPairs:
 		ordered := p.Impl == IterOrderedPairs
@@ -174,128 +208,168 @@ func (ex *sparkExec) violations(pp *PhysicalPlan, p *PhysicalPipeline, m *udfMet
 			for lo := 0; lo < len(all); lo += step {
 				spans = append(spans, [2]int{lo, min(lo+step, len(all))})
 			}
-			return engine.Map(engine.Parallelize(ex.ctx, spans, 0), metered(m, func(s [2]int) ([]model.FixSet, int64) {
-				return pairsIn(p.Detect, all, s[0], s[1], ordered)
-			})), nil
+			return detectEach(engine.Parallelize(ex.ctx, spans, 0), m, func(s [2]int, o *Output) int64 {
+				return pairsIn(p.Detect, all, s[0], s[1], ordered, o)
+			}), nil
 		}
 		det := blockDetector(p.DetectBlock, p.Detect, ordered)
-		return engine.Map(ex.blocks(first.MovedAs(wire), b.Block), metered(m, func(g engine.Pair[model.ValueKey, []model.Tuple]) ([]model.FixSet, int64) {
-			return det(g.Value)
-		})), nil
+		return detectEach(ex.blocks(first.MovedAs(wire), b.Block), m, func(g engine.Pair[model.ValueKey, []model.Tuple], o *Output) int64 {
+			return det(g.Value, o)
+		}), nil
 	}
 	return nil, fmt.Errorf("core: pipeline %s: unknown iterate implementation", p.RuleID)
+}
+
+// detectEach runs detect over every group of d, each into an output of its
+// own (see udfMeter.detect).
+func detectEach[G any](d *engine.Dataset[G], m *udfMeter, detect func(G, *Output) int64) *engine.Dataset[Output] {
+	return engine.Map(d, func(g G) Output {
+		return m.detect(func(o *Output) int64 { return detect(g, o) })
+	})
 }
 
 // blockDetector is the per-block detector of a blocked pair pipeline: the
 // rule's block kernel when it has one, otherwise the planner's pair
 // enumeration calling Detect inline. Both find the same violations in
 // the same order; each reports the pairs it compared.
-func blockDetector(kernel BlockDetectFunc, detect DetectFunc, ordered bool) func([]model.Tuple) ([]model.FixSet, int64) {
+func blockDetector(kernel BlockDetectFunc, detect DetectFunc, ordered bool) func([]model.Tuple, *Output) int64 {
 	if kernel != nil {
-		return func(us []model.Tuple) ([]model.FixSet, int64) { return kernel(us, ordered) }
+		return func(us []model.Tuple, o *Output) int64 { return kernel(us, ordered, o) }
 	}
-	return func(us []model.Tuple) ([]model.FixSet, int64) {
-		return pairsIn(detect, us, 0, len(us), ordered)
+	return func(us []model.Tuple, o *Output) int64 {
+		return pairsIn(detect, us, 0, len(us), ordered, o)
 	}
 }
 
-// singlesDetector feeds Detect each unit of a group on its own.
-func singlesDetector(detect DetectFunc) func([]model.Tuple) ([]model.FixSet, int64) {
-	return func(ts []model.Tuple) ([]model.FixSet, int64) {
-		var out []model.FixSet
-		for _, t := range ts {
-			out = appendSets(out, detect(Single(t)))
-		}
-		return out, int64(len(ts))
+// detectSingles feeds Detect each unit of a group on its own, through one
+// reused Item.
+func detectSingles(detect DetectFunc, ts []model.Tuple, out *Output) int64 {
+	if len(ts) == 0 {
+		return 0
 	}
+	it := Item{Kind: ItemSingle, Tuples: make([]model.Tuple, 1)}
+	for _, t := range ts {
+		it.Tuples[0] = t
+		detect(it, out)
+	}
+	return int64(len(ts))
 }
 
 // joinDetect feeds Detect the pairs of one OCJoin task as the join visits
 // them, through one reused pair Item. A pair satisfies the rule's ordering
-// conditions, so most pairs are violations: the fix sets are sized once
-// from the join's own count of the task's pairs.
-func joinDetect(detect DetectFunc, tk join.Task) ([]model.FixSet, int64) {
-	out := make([]model.FixSet, 0, tk.Bound())
+// conditions, so most pairs are violations: the output is sized once from
+// the join's own count of the task's pairs.
+func joinDetect(detect DetectFunc, tk join.Task, out *Output) int64 {
+	out.Grow(tk.Bound())
 	it := Item{Kind: ItemPair, Tuples: make([]model.Tuple, 2)}
 	var n int64
 	tk.Each(func(l, r model.Tuple) {
 		it.Tuples[0], it.Tuples[1] = l, r
-		out = appendSets(out, detect(it))
+		detect(it, out)
 		n++
 	})
-	return out, n
+	return n
 }
 
 // detectItems feeds Detect the items a user Iterate produced.
-func detectItems(detect DetectFunc, items []Item) ([]model.FixSet, int64) {
-	var out []model.FixSet
+func detectItems(detect DetectFunc, items []Item, out *Output) int64 {
 	for _, it := range items {
-		out = appendSets(out, detect(it))
+		detect(it, out)
 	}
-	return out, int64(len(items))
+	return int64(len(items))
 }
 
 // udfMeter is a pipeline's one instrumentation point: the Detect and GenFix
 // timers and the pair counter. Every path reports through it once per group
 // or partition task — never per pair — and only when a user Observer is
-// installed; with the default Stats observer it measures nothing.
+// installed; with the default Stats observer it measures nothing. It also
+// carries the pipeline's GenFix (nil: detection only).
 type udfMeter struct {
 	on                        bool
+	genfix                    GenFixFunc
 	detectNs, genfixNs, pairs atomic.Int64
 }
 
-// metered wraps a per-group detector, which returns its violations as fix
-// sets and the number of candidates it fed to Detect, with the meter's
-// timer and counter.
-func metered[G any](m *udfMeter, detect func(G) ([]model.FixSet, int64)) func(G) []model.FixSet {
-	return func(g G) []model.FixSet {
-		if !m.on {
-			vs, _ := detect(g)
-			return vs
-		}
+// outputs holds the scratch outputs detectors emit into: a detector takes
+// its Output by pointer, so one of its own would be a heap object per
+// group, though most groups emit nothing.
+var outputs = sync.Pool{New: func() any { return new(Output) }}
+
+// detect runs one group's detector into a pooled scratch output, timed and
+// counted, and returns what it emitted: a group that found nothing
+// returns the zero Output and has allocated nothing.
+func (m *udfMeter) detect(detect func(*Output) int64) Output {
+	o := outputs.Get().(*Output)
+	if m.on {
 		t0 := time.Now()
-		vs, n := detect(g)
+		m.pairs.Add(detect(o))
 		m.detectNs.Add(int64(time.Since(t0)))
-		m.pairs.Add(n)
-		return vs
+	} else {
+		detect(o)
 	}
+	out := *o
+	*o = Output{}
+	outputs.Put(o)
+	return out
 }
 
-// genFix runs GenFix over one group's fix sets, filling each one's Fixes in
-// place, timed once per group that has any. A pipeline without GenFix
-// yields fix sets with no fixes.
-func (m *udfMeter) genFix(genfix GenFixFunc) func([]model.FixSet) []model.FixSet {
-	return func(sets []model.FixSet) []model.FixSet {
-		if len(sets) == 0 {
-			return nil
-		}
-		var t0 time.Time
-		if m.on {
-			t0 = time.Now()
-		}
-		if genfix != nil {
-			for i := range sets {
-				sets[i].Fixes = genfix(sets[i].Violation)
+// genFix runs the pipeline's GenFix over one group's violations, timed once
+// per group that has any.
+func (m *udfMeter) genFix(o Output) Output {
+	if len(o.ends) == 0 {
+		return o
+	}
+	var t0 time.Time
+	if m.on {
+		t0 = time.Now()
+	}
+	o.genFix(m.genfix)
+	if m.on {
+		m.genfixNs.Add(int64(time.Since(t0)))
+	}
+	return o
+}
+
+// fixSets runs the pipeline's GenFix over violations that own their cells
+// (a partition's survivors of the Distinct stage), timed once per
+// partition, into one fixes slab sized as Output.genFix sizes its own; each
+// fix set's fixes are a window on it.
+func (m *udfMeter) fixSets(vs []model.Violation) []model.FixSet {
+	if len(vs) == 0 {
+		return nil
+	}
+	var t0 time.Time
+	if m.on {
+		t0 = time.Now()
+	}
+	sets := make([]model.FixSet, len(vs))
+	n := 0
+	for i, v := range vs {
+		sets[i].Violation = v
+		n += (len(v.Cells) + 1) / 2
+	}
+	if m.genfix != nil {
+		// A slab that grows leaves the earlier windows on its old array,
+		// which they keep alive.
+		fixes := make([]model.Fix, 0, n)
+		for i := range sets {
+			lo := len(fixes)
+			if fixes = m.genfix(fixes, sets[i].Violation); len(fixes) > lo {
+				sets[i].Fixes = fixes[lo:len(fixes):len(fixes)]
 			}
 		}
-		if m.on {
-			m.genfixNs.Add(int64(time.Since(t0)))
-		}
-		return sets
 	}
+	if m.on {
+		m.genfixNs.Add(int64(time.Since(t0)))
+	}
+	return sets
 }
 
-// finish stamps the pipeline span's summary attributes from its per-group
-// fix-set lists: the counts always, the UDF timers and the pair count only
+// finish stamps the pipeline span's summary attributes from its
+// violations: the counts always, the UDF timers and the pair count only
 // when they were measured.
-func (m *udfMeter) finish(sp engine.Span, lists [][]model.FixSet) {
-	violations, fixes := 0, 0
-	for _, sets := range lists {
-		violations += len(sets)
-		for _, fs := range sets {
-			fixes += len(fs.Fixes)
-		}
-	}
+func (m *udfMeter) finish(sp engine.Span, src detected) {
+	violations, fixes := src.counts()
 	sp.Attr(engine.AttrViolations, int64(violations))
 	sp.Attr(engine.AttrFixes, int64(fixes))
 	if m.on {
@@ -446,72 +520,101 @@ func (ex *sparkExec) coGroupBranches(pp *PhysicalPlan, p *PhysicalPipeline, bran
 // consistent within one call.
 var violationSeed = maphash.MakeSeed()
 
-// detected is one source of the detect→repair hand-off: a pipeline's
-// fix-set lists (one per group) or an incremental rule's cached blocks, in
-// order. unique reports that no violation repeats among them by
-// construction.
+// detected is one source of the detect→repair hand-off, in order: a
+// pipeline's or an incremental rule's per-group outputs (parts, listed per
+// partition), or fix sets whose violations own their cells (lists: a
+// Distinct stage's survivors per partition, or an assembled result).
+// unique reports that no violation repeats among them by construction.
 type detected struct {
+	parts  [][]Output
 	lists  [][]model.FixSet
 	unique bool
 }
 
+// counts is the number of violations and of fixes the source holds.
+func (s detected) counts() (violations, fixes int) {
+	for _, outs := range s.parts {
+		for i := range outs {
+			violations += len(outs[i].ends)
+			fixes += len(outs[i].fixes)
+		}
+	}
+	for _, sets := range s.lists {
+		violations += len(sets)
+		for _, fs := range sets {
+			fixes += len(fs.Fixes)
+		}
+	}
+	return violations, fixes
+}
+
+// each visits the source's fix sets in order.
+func (s detected) each(visit func(model.FixSet)) {
+	for _, outs := range s.parts {
+		for i := range outs {
+			for j := range outs[i].ends {
+				visit(outs[i].fixSet(j))
+			}
+		}
+	}
+	for _, sets := range s.lists {
+		for _, fs := range sets {
+			visit(fs)
+		}
+	}
+}
+
 // assemble is the detect→repair hand-off: it concatenates the sources'
-// fix-set lists, in order, into one result whose slices are each allocated
-// once at their exact size, dropping every violation already seen — the
-// first occurrence wins, across groups, pipelines and rules alike.
+// violations, in order, into one result whose slices are each allocated
+// once at their exact size and whose violations and fixes are windows on
+// the detectors' slabs, dropping every violation already seen — the first
+// occurrence wins, across groups, pipelines and rules alike.
 func assemble(srcs []detected) *DetectResult {
 	return assembleHashed(srcs, func(k model.ViolationKey) uint64 { return maphash.Comparable(violationSeed, k) })
 }
 
 // assembleHashed is assemble with the seen-set's hash function supplied.
 //
-// When only one source has fix sets and it is unique, it is copied without
-// hashing. Otherwise every fix set goes through the seen-set, which maps a
-// 64-bit hash of the canonical ViolationKey to the index of the first kept
-// fix set with that hash, so it holds 12 bytes per violation instead of the
-// full key; a hit is confirmed on the full key, and a different key under a
-// taken hash (a true collision) is tracked exactly in a small overflow set.
+// When only one source has violations and it is unique, it is copied
+// without hashing. Otherwise every fix set goes through the seen-set, which
+// maps a 64-bit hash of the canonical ViolationKey to the index of the
+// first kept fix set with that hash, so it holds 12 bytes per violation
+// instead of the full key; a hit is confirmed on the full key, and a
+// different key under a taken hash (a true collision) is tracked exactly in
+// a small overflow set.
 func assembleHashed(srcs []detected, hash func(model.ViolationKey) uint64) *DetectResult {
 	total, live, only := 0, 0, -1
 	for i, s := range srcs {
-		n := 0
-		for _, sets := range s.lists {
-			n += len(sets)
+		if n, _ := s.counts(); n > 0 {
+			total, live, only = total+n, live+1, i
 		}
-		if n > 0 {
-			live, only = live+1, i
-		}
-		total += n
 	}
 	out := make([]model.FixSet, 0, total)
 	if live == 1 && srcs[only].unique {
-		for _, sets := range srcs[only].lists {
-			out = append(out, sets...)
-		}
+		srcs[only].each(func(fs model.FixSet) { out = append(out, fs) })
 		return fixSetResult(out)
 	}
 	first := make(map[uint64]int32, total)
 	overflow := map[model.ViolationKey]struct{}{}
-	for _, s := range srcs {
-		for _, sets := range s.lists {
-			for _, fs := range sets {
-				k := fs.Violation.MapKey()
-				h := hash(k)
-				i, hit := first[h]
-				switch {
-				case !hit:
-					first[h] = int32(len(out))
-				case out[i].Violation.MapKey() == k:
-					continue
-				default:
-					if _, dup := overflow[k]; dup {
-						continue
-					}
-					overflow[k] = struct{}{}
-				}
-				out = append(out, fs)
+	keep := func(fs model.FixSet) {
+		k := fs.Violation.MapKey()
+		h := hash(k)
+		i, hit := first[h]
+		switch {
+		case !hit:
+			first[h] = int32(len(out))
+		case out[i].Violation.MapKey() == k:
+			return
+		default:
+			if _, dup := overflow[k]; dup {
+				return
 			}
+			overflow[k] = struct{}{}
 		}
+		out = append(out, fs)
+	}
+	for _, s := range srcs {
+		s.each(keep)
 	}
 	return fixSetResult(slices.Clip(out)) // shorter than total only when something repeated
 }

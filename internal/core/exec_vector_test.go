@@ -60,39 +60,38 @@ func vecScopedFDRule() *Rule {
 		},
 		Block:     func(t model.Tuple) model.Value { return t.Cell(1) },
 		Symmetric: true,
-		Detect: func(it Item) []model.Violation {
+		Detect: func(it Item, out *Output) {
 			l, r := it.Left(), it.Right()
 			if l.Cell(2).Equal(r.Cell(2)) {
-				return nil
+				return
 			}
-			return []model.Violation{model.NewViolation("vfd",
+			out.Emit("vfd",
 				model.NewCell(l.ID, 2, l.Cell(2)),
 				model.NewCell(r.ID, 2, r.Cell(2)),
-			)}
+			)
 		},
-		GenFix: func(v model.Violation) []model.Fix {
-			return []model.Fix{model.NewCellFix(v.Cells[0], model.OpEQ, v.Cells[1])}
+		GenFix: func(dst []model.Fix, v model.Violation) []model.Fix {
+			return append(dst, model.NewCellFix(v.Cells[0], model.OpEQ, v.Cells[1]))
 		},
 	}
-	r.DetectBlock = func(us []model.Tuple, ordered bool) ([]model.FixSet, int64) {
+	r.DetectBlock = func(us []model.Tuple, ordered bool, out *Output) int64 {
 		n := len(us)
 		cities := make([]model.Value, n)
 		for i, t := range us {
 			cities[i] = t.Cell(2)
 		}
-		var out []model.FixSet
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				if cities[i].Equal(cities[j]) {
 					continue
 				}
-				out = append(out, model.FixSet{Violation: model.NewViolation("vfd",
+				out.Emit("vfd",
 					model.NewCell(us[i].ID, 2, cities[i]),
 					model.NewCell(us[j].ID, 2, cities[j]),
-				)})
+				)
 			}
 		}
-		return out, int64(n) * int64(n-1) / 2
+		return int64(n) * int64(n-1) / 2
 	}
 	return r
 }
@@ -103,13 +102,13 @@ func vecUnaryRule() *Rule {
 	return &Rule{
 		ID:    "vzero",
 		Unary: true,
-		Detect: func(it Item) []model.Violation {
+		Detect: func(it Item, out *Output) {
 			t := it.One()
 			if !t.Cell(5).Equal(model.F(0)) {
-				return nil
+				return
 			}
-			return []model.Violation{model.NewViolation("vzero",
-				model.NewCell(t.ID, 5, t.Cell(5)))}
+			out.Emit("vzero",
+				model.NewCell(t.ID, 5, t.Cell(5)))
 		},
 	}
 }

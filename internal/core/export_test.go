@@ -27,10 +27,24 @@ func (d *IncrementalDetector) BlockIndex(i int) (map[int64]model.ValueKey, map[m
 }
 
 // AssembleHashed exposes the hand-off's assembler with its seen-set hash
-// supplied, so a test can force every key to collide. The lists are one
+// supplied, so a test can force every key to collide. Each list becomes one
+// group's output, with the fixes its fix sets carry; the lists are one
 // source that may repeat violations, so every fix set is hashed.
 func AssembleHashed(lists [][]model.FixSet, hash func(model.ViolationKey) uint64) *DetectResult {
-	return assembleHashed([]detected{{lists: lists}}, hash)
+	outs := make([]Output, len(lists))
+	for i, sets := range lists {
+		vs := make([]model.Violation, len(sets))
+		for j, fs := range sets {
+			vs[j] = fs.Violation
+		}
+		outs[i] = outputOf(vs)
+		k := 0
+		outs[i].genFix(func(dst []model.Fix, _ model.Violation) []model.Fix {
+			k++
+			return append(dst, sets[k-1].Fixes...)
+		})
+	}
+	return assembleHashed([]detected{{parts: [][]Output{outs}}}, hash)
 }
 
 // RunJobSpark validates, plans by rule shape and executes a job.
@@ -48,7 +62,7 @@ func PairsAcross(blocks [][]model.Tuple) []Item {
 	if len(blocks) < 2 {
 		return nil
 	}
-	return enumerated(func(d DetectFunc) { pairsAcross(d, blocks[0], blocks[1]) })
+	return enumerated(func(d DetectFunc) { pairsAcross(d, blocks[0], blocks[1], nil) })
 }
 
 // Singles is the Iterate for unary rules: each unit is its own candidate.
@@ -65,3 +79,29 @@ func Singles(blocks [][]model.Tuple) []Item {
 
 // JoinDetect runs Detect over one OCJoin task as the executor does.
 var JoinDetect = joinDetect
+
+// GenFix runs GenFix over the output's violations as the executor does.
+func (o *Output) GenFix(genfix GenFixFunc) { o.genFix(genfix) }
+
+// Len is the number of violations emitted so far.
+func (o *Output) Len() int { return len(o.ends) }
+
+// CellsCap is the capacity of the output's cells slab.
+func (o *Output) CellsCap() int { return cap(o.cells) }
+
+// Unique reports whether the executor hands the pipeline's output to
+// repair without hashing it for repeats.
+func (p *PhysicalPipeline) Unique() bool { return p.unique() }
+
+// outputOf copies violations into one output, its slabs at exact size.
+func outputOf(vs []model.Violation) Output {
+	n := 0
+	for _, v := range vs {
+		n += len(v.Cells)
+	}
+	o := Output{cells: make([]model.Cell, 0, n), ends: make([]outEnd, 0, len(vs))}
+	for _, v := range vs {
+		copy(o.Add(v.RuleID, len(v.Cells)), v.Cells)
+	}
+	return o
+}

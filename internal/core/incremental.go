@@ -57,10 +57,10 @@ type IncrementalDetector struct {
 // blocks are its tuples, each keyed by its ID.
 type block struct {
 	key     model.ValueKey
-	rank    int            // first-seen order: the order result emits blocks in
-	members []int64        // IDs of the tuples currently in the block
-	sets    []model.FixSet // the block's cached fix sets
-	pass    int            // the last pass that touched the block
+	rank    int     // first-seen order: the order result emits blocks in
+	members []int64 // IDs of the tuples currently in the block
+	out     Output  // the block's cached violations and fixes
+	pass    int     // the last pass that touched the block
 }
 
 type ruleState struct {
@@ -70,9 +70,9 @@ type ruleState struct {
 	// keyOf maps each tuple ID to its current block.
 	keyOf map[int64]*block
 	// blocks is the block-membership index: every block with members or
-	// cached fix sets.
+	// cached violations.
 	blocks map[model.ValueKey]*block
-	// violating holds the blocks with cached fix sets.
+	// violating holds the blocks with cached violations.
 	violating map[*block]struct{}
 	// ranked counts the blocks created so far (the next first-seen rank).
 	ranked int
@@ -86,6 +86,10 @@ type ruleState struct {
 	pos     []int
 	ends    []int
 	spans   [][]model.Tuple
+	// outs gathers the violating blocks' outputs for result, reused from
+	// call to call: the result holds windows on their slabs, not the
+	// records.
+	outs []Output
 }
 
 // at returns block k, creating it (ranked last) when it is new.
@@ -261,7 +265,7 @@ func (d *IncrementalDetector) primeRule(r *Rule, rel *model.Relation) (*ruleStat
 	if err != nil {
 		return nil, fmt.Errorf("core: grouping %s failed: %w", r.ID, err)
 	}
-	lists, err := d.detectBlocks(r, engine.Map(groups, func(g engine.Pair[model.ValueKey, []model.Tuple]) []model.Tuple { return g.Value }))
+	outs, err := d.detectBlocks(r, engine.Map(groups, func(g engine.Pair[model.ValueKey, []model.Tuple]) []model.Tuple { return g.Value }))
 	if err != nil {
 		return nil, err
 	}
@@ -280,12 +284,12 @@ func (d *IncrementalDetector) primeRule(r *Rule, rel *model.Relation) (*ruleStat
 		for _, t := range g.Value {
 			ids = append(ids, t.ID)
 		}
-		b := &block{key: g.Key, rank: i, members: ids[lo:len(ids):len(ids)], sets: lists[i]}
+		b := &block{key: g.Key, rank: i, members: ids[lo:len(ids):len(ids)], out: outs.next()}
 		for _, id := range b.members {
 			st.keyOf[id] = b
 		}
 		st.blocks[g.Key] = b
-		if len(b.sets) > 0 {
+		if len(b.out.ends) > 0 {
 			st.violating[b] = struct{}{}
 		}
 	}
@@ -295,8 +299,8 @@ func (d *IncrementalDetector) primeRule(r *Rule, rel *model.Relation) (*ruleStat
 // incrementalPass refreshes one rule's state for the changed tuples: it
 // moves each changed tuple to its current block in the membership index,
 // then re-detects the blocks it left and joined, each over its own members
-// in relation order, so each block's fix sets come out as a full pass lists
-// them.
+// in relation order, so each block's violations come out as a full pass
+// lists them.
 func (d *IncrementalDetector) incrementalPass(i int, r *Rule, rel *model.Relation, idx map[int64]int, changed []int64) error {
 	st := d.state[i]
 	if st == nil {
@@ -352,16 +356,16 @@ func (d *IncrementalDetector) incrementalPass(i int, r *Rule, rel *model.Relatio
 		st.spans = append(st.spans, st.units[lo:hi:hi])
 		lo = hi
 	}
-	lists, err := d.detectBlocks(r, engine.Parallelize(d.ctx, st.spans, 0))
+	outs, err := d.detectBlocks(r, engine.Parallelize(d.ctx, st.spans, 0))
 	// The buffers outlive the pass; do not pin old tuples.
 	clear(st.units)
 	clear(st.spans)
 	if err != nil {
 		return err
 	}
-	for j, b := range st.touched {
-		b.sets = lists[j]
-		if len(b.sets) > 0 {
+	for _, b := range st.touched {
+		b.out = outs.next()
+		if len(b.out.ends) > 0 {
 			st.violating[b] = struct{}{}
 			continue
 		}
@@ -374,25 +378,23 @@ func (d *IncrementalDetector) incrementalPass(i int, r *Rule, rel *model.Relatio
 }
 
 // detectBlocks runs rule r's block detector over each block's tuples and
-// GenFix over the fix sets it returns, giving one fix-set list per block.
-// The detector is the one a full pass runs per group: the rule's block
-// kernel, else the planner's pair enumeration (ordered unless the rule is
+// GenFix over the violations it emits, giving one output per block, in the
+// blocks' order, read where the stage left them. The
+// detector is the one a full pass runs per group: the rule's block kernel,
+// else the planner's pair enumeration (ordered unless the rule is
 // Symmetric), or Detect per unit for a unary rule (after its Scope, if it
 // has one). The blocks run as one narrow stage over their partitions,
 // reporting under one pipeline span like a full pass does.
-func (d *IncrementalDetector) detectBlocks(r *Rule, blocks *engine.Dataset[[]model.Tuple]) ([][]model.FixSet, error) {
+func (d *IncrementalDetector) detectBlocks(r *Rule, blocks *engine.Dataset[[]model.Tuple]) (*blockOutputs, error) {
 	sp := d.ctx.Observer().BeginSpan(nil, r.ID, engine.SpanPipeline)
 	defer sp.End()
-	m := &udfMeter{on: d.ctx.Instrumented()}
-	var det func([]model.Tuple) []model.FixSet
+	m := &udfMeter{on: d.ctx.Instrumented(), genfix: r.GenFix}
+	det := blockDetector(r.DetectBlock, r.Detect, !r.Symmetric)
 	if r.Unary {
-		det = metered(m, singlesDetector(r.Detect))
-	} else {
-		det = metered(m, blockDetector(r.DetectBlock, r.Detect, !r.Symmetric))
+		det = func(ts []model.Tuple, o *Output) int64 { return detectSingles(r.Detect, ts, o) }
 	}
-	genFix := m.genFix(r.GenFix)
 	scope := r.Scope // only a unary rule is incrementalizable with one
-	lists, err := engine.Map(blocks, func(ts []model.Tuple) []model.FixSet {
+	outs := engine.Map(blocks, func(ts []model.Tuple) Output {
 		if scope != nil {
 			var units []model.Tuple
 			for _, t := range ts {
@@ -400,13 +402,30 @@ func (d *IncrementalDetector) detectBlocks(r *Rule, blocks *engine.Dataset[[]mod
 			}
 			ts = units
 		}
-		return genFix(det(ts))
-	}).Collect()
-	if err != nil {
+		return m.genFix(m.detect(func(o *Output) int64 { return det(ts, o) }))
+	})
+	if err := outs.Err(); err != nil {
 		return nil, fmt.Errorf("core: incremental detection of %s failed: %w", r.ID, err)
 	}
-	m.finish(sp, lists)
-	return lists, nil
+	bo := &blockOutputs{parts: make([][]Output, outs.NumPartitions())}
+	for i := range bo.parts {
+		bo.parts[i] = outs.Partition(i)
+	}
+	m.finish(sp, detected{parts: bo.parts})
+	return bo, nil
+}
+
+// blockOutputs hands out detectBlocks' outputs in order.
+type blockOutputs struct{ parts [][]Output }
+
+// next is the next block's output.
+func (bo *blockOutputs) next() Output {
+	for len(bo.parts[0]) == 0 {
+		bo.parts = bo.parts[1:]
+	}
+	o := bo.parts[0][0]
+	bo.parts[0] = bo.parts[0][1:]
+	return o
 }
 
 // result snapshots the state into a result: the incremental rules in index
@@ -428,11 +447,12 @@ func (d *IncrementalDetector) result() *DetectResult {
 			bs = append(bs, b)
 		}
 		slices.SortFunc(bs, func(a, b *block) int { return cmp.Compare(a.rank, b.rank) })
-		lists := make([][]model.FixSet, len(bs))
-		for i, b := range bs {
-			lists[i] = b.sets
+		clear(st.outs) // do not pin the slabs of blocks that stopped violating
+		st.outs = st.outs[:0]
+		for _, b := range bs {
+			st.outs = append(st.outs, b.out)
 		}
-		srcs = append(srcs, detected{lists: lists, unique: st.unique})
+		srcs = append(srcs, detected{parts: [][]Output{st.outs}, unique: st.unique})
 	}
 	return assemble(append(srcs, detected{lists: [][]model.FixSet{d.full.FixSets}}))
 }

@@ -107,13 +107,13 @@ func TestIncrementalUnaryRule(t *testing.T) {
 	rule := &Rule{
 		ID:    "badCity",
 		Unary: true,
-		Detect: func(it Item) []model.Violation {
+		Detect: func(it Item, out *Output) {
 			tp := it.One()
 			if len(tp.Cell(2).String()) > 0 && tp.Cell(2).String()[0] == 'B' {
-				return []model.Violation{model.NewViolation("badCity",
-					model.NewCell(tp.ID, 2, tp.Cell(2)))}
+				out.Emit("badCity",
+					model.NewCell(tp.ID, 2, tp.Cell(2)))
+				return
 			}
-			return nil
 		},
 	}
 	det, err := NewIncrementalDetector(ctx, []*Rule{rule})

@@ -33,7 +33,7 @@ func TestStaticPlannerMatchesLegacyChoices(t *testing.T) {
 		{"order conds", dcRule(), IterOCJoin},
 		{"unary", &Rule{
 			ID: "u", Unary: true,
-			Detect: func(Item) []model.Violation { return nil },
+			Detect: func(Item, *Output) {},
 		}, IterSingles},
 	}
 	for _, c := range cases {
@@ -60,7 +60,7 @@ func TestOpsMarkersForOCJoinAndCoBlock(t *testing.T) {
 		ID:         "co",
 		Block:      func(t model.Tuple) model.Value { return t.Cell(1) },
 		BlockRight: func(t model.Tuple) model.Value { return t.Cell(2) },
-		Detect:     func(Item) []model.Violation { return nil },
+		Detect:     func(Item, *Output) {},
 	}
 	pp = mustPlanRule(t, co, rel)
 	ops = strings.Join(pp.Pipelines[0].Ops, " -> ")

@@ -31,7 +31,7 @@ func handRule(named *atomic.Int64) *core.Rule {
 		Reads:     []int{1, 2},
 		Block:     func(t model.Tuple) model.Value { return t.Cell(1) },
 		Symmetric: true,
-		Detect: func(it core.Item) []model.Violation {
+		Detect: func(it core.Item, out *core.Output) {
 			l, r := it.Left(), it.Right()
 			for _, u := range []model.Tuple{l, r} {
 				if u.Cell(0).Kind != model.KindNull {
@@ -39,13 +39,13 @@ func handRule(named *atomic.Int64) *core.Rule {
 				}
 			}
 			if !l.Cell(1).Equal(r.Cell(1)) || l.Cell(2).Equal(r.Cell(2)) {
-				return nil
+				return
 			}
-			return []model.Violation{model.NewViolation("hand",
-				model.NewCell(l.ID, 2, l.Cell(2)), model.NewCell(r.ID, 2, r.Cell(2)))}
+			out.Emit("hand",
+				model.NewCell(l.ID, 2, l.Cell(2)), model.NewCell(r.ID, 2, r.Cell(2)))
 		},
-		GenFix: func(v model.Violation) []model.Fix {
-			return []model.Fix{model.NewCellFix(v.Cells[0], model.OpEQ, v.Cells[1])}
+		GenFix: func(dst []model.Fix, v model.Violation) []model.Fix {
+			return append(dst, model.NewCellFix(v.Cells[0], model.OpEQ, v.Cells[1]))
 		},
 	}
 }

@@ -47,7 +47,11 @@ type Rule struct {
 	// OrderConds, when non-empty and Block is nil, declares that candidate
 	// pairs are exactly the pairs satisfying this conjunction of ordering
 	// comparisons, enabling the OCJoin enhancer (Section 4.3). The
-	// conditions refer to columns of the scoped tuples.
+	// conditions refer to columns of the scoped tuples. Detect must name
+	// cells of both tuples of its pair in every violation it emits, and
+	// emit distinct violations for one pair, as a compiled DC does: the
+	// executor then hands repair the output of a join that cannot pair two
+	// tuples both ways without hashing it for repeats.
 	OrderConds []join.Cond
 	// Unary declares a single-tuple rule: Detect examines one unit at a
 	// time and no pairing is needed.

@@ -30,9 +30,9 @@ func TestScanIdentityIsTheFuncValue(t *testing.T) {
 	}
 	// flag reports every tuple its scope keeps as a one-cell violation.
 	flag := func(id string, scope ScopeFunc) *Rule {
-		return &Rule{ID: id, Scope: scope, Unary: true, Detect: func(it Item) []model.Violation {
+		return &Rule{ID: id, Scope: scope, Unary: true, Detect: func(it Item, out *Output) {
 			u := it.One()
-			return []model.Violation{model.NewViolation(id, model.NewCell(u.ID, 1, u.Cell(1)))}
+			out.Emit(id, model.NewCell(u.ID, 1, u.Cell(1)))
 		}}
 	}
 	// Built in a loop, so one call site (inlined or not) makes both closures.

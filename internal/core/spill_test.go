@@ -166,11 +166,11 @@ func TestDetectPanicUnderBudgetCleansUp(t *testing.T) {
 	// Parallel Detect tasks share the counter.
 	var calls atomic.Int64
 	inner := bad.Detect
-	bad.Detect = func(it Item) []model.Violation {
+	bad.Detect = func(it Item, out *Output) {
 		if calls.Add(1) > 500 {
 			panic("detect exploded")
 		}
-		return inner(it)
+		inner(it, out)
 	}
 
 	dir := t.TempDir()

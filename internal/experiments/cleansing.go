@@ -37,7 +37,7 @@ func nadeefClean(rule *core.Rule, rel *model.Relation, algo repair.Algorithm, ma
 			seen[k] = true
 			fs := model.FixSet{Violation: v}
 			if rule.GenFix != nil {
-				fs.Fixes = rule.GenFix(v)
+				fs.Fixes = rule.GenFix(nil, v)
 			}
 			if len(fs.Fixes) > 0 {
 				fixSets = append(fixSets, fs)

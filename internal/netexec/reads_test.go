@@ -58,16 +58,16 @@ func declaredRules(t *testing.T, local bool) map[string]struct {
 		Reads:     []int{1, 2},
 		Block:     func(u model.Tuple) model.Value { return u.Cell(1) },
 		Symmetric: true,
-		Detect: func(it core.Item) []model.Violation {
+		Detect: func(it core.Item, out *core.Output) {
 			l, r := it.Left(), it.Right()
 			if !local && (l.Cell(0).Kind != model.KindNull || r.Cell(0).Kind != model.KindNull) {
 				panic("an undeclared cell crossed the exchange")
 			}
 			if !l.Cell(1).Equal(r.Cell(1)) || l.Cell(2).Equal(r.Cell(2)) {
-				return nil
+				return
 			}
-			return []model.Violation{model.NewViolation("hand",
-				model.NewCell(l.ID, 2, l.Cell(2)), model.NewCell(r.ID, 2, r.Cell(2)))}
+			out.Emit("hand",
+				model.NewCell(l.ID, 2, l.Cell(2)), model.NewCell(r.ID, 2, r.Cell(2)))
 		},
 	}
 	type rr = struct {

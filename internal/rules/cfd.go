@@ -135,9 +135,8 @@ func (cfd *CFD) Compile(schema *model.Schema) ([]*core.Rule, error) {
 			ID:    ruleID + "/const",
 			Unary: true,
 			Reads: reads,
-			Detect: func(it core.Item) []model.Violation {
+			Detect: func(it core.Item, out *core.Output) {
 				t := it.One()
-				var vs []model.Violation
 				for _, row := range rows {
 					if !matchLHS(row, t) {
 						continue
@@ -146,28 +145,24 @@ func (cfd *CFD) Compile(schema *model.Schema) ([]*core.Rule, error) {
 						if pat == Wildcard {
 							continue
 						}
-						v := t.Cell(rhsIdx[i])
-						if v.String() != pat {
-							vs = append(vs, model.NewViolation(ruleID,
-								model.NewCell(t.ID, rhsIdx[i], v)))
+						if v := t.Cell(rhsIdx[i]); v.String() != pat {
+							out.Emit(ruleID, model.NewCell(t.ID, rhsIdx[i], v))
 						}
 					}
 				}
-				return vs
 			},
-			GenFix: func(v model.Violation) []model.Fix {
+			GenFix: func(dst []model.Fix, v model.Violation) []model.Fix {
 				// The constant the pattern demands: recompute by matching
 				// the cell's attribute against the rows.
-				var fixes []model.Fix
 				c := v.Cells[0]
 				for _, row := range rows {
 					for i, pat := range row.RHS {
 						if pat != Wildcard && rhsIdx[i] == c.Col {
-							fixes = append(fixes, model.NewConstFix(c, model.OpEQ, model.S(pat)))
+							dst = append(dst, model.NewConstFix(c, model.OpEQ, model.S(pat)))
 						}
 					}
 				}
-				return fixes
+				return dst
 			},
 		})
 	}
@@ -184,9 +179,8 @@ func (cfd *CFD) Compile(schema *model.Schema) ([]*core.Rule, error) {
 				return compositeKey(t, lhsIdx)
 			},
 			Symmetric: true,
-			Detect: func(it core.Item) []model.Violation {
+			Detect: func(it core.Item, out *core.Output) {
 				l, r := it.Left(), it.Right()
-				var vs []model.Violation
 				for _, row := range rows {
 					if !matchLHS(row, l) || !matchLHS(row, r) {
 						continue
@@ -195,15 +189,11 @@ func (cfd *CFD) Compile(schema *model.Schema) ([]*core.Rule, error) {
 						if pat != Wildcard {
 							continue
 						}
-						lv, rv := l.Cell(rhsIdx[i]), r.Cell(rhsIdx[i])
-						if !lv.Equal(rv) {
-							vs = append(vs, model.NewViolation(ruleID,
-								model.NewCell(l.ID, rhsIdx[i], lv),
-								model.NewCell(r.ID, rhsIdx[i], rv)))
+						if lv, rv := l.Cell(rhsIdx[i]), r.Cell(rhsIdx[i]); !lv.Equal(rv) {
+							out.Emit(ruleID, model.NewCell(l.ID, rhsIdx[i], lv), model.NewCell(r.ID, rhsIdx[i], rv))
 						}
 					}
 				}
-				return vs
 			},
 			GenFix: equateAdjacent,
 		})

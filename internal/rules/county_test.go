@@ -37,25 +37,25 @@ func CountyRule(id string, schema *model.Schema, nameAttr, cityAttr string, coun
 			return model.S(getCounty(t.Cell(cityCol).String()))
 		},
 		Symmetric: true,
-		Detect: func(it core.Item) []model.Violation {
+		Detect: func(it core.Item, out *core.Output) {
 			l, r := it.Left(), it.Right()
 			if simfn.LevenshteinSimilarity(l.Cell(nameCol).String(), r.Cell(nameCol).String()) < threshold {
-				return nil
+				return
 			}
 			if getCounty(l.Cell(cityCol).String()) != getCounty(r.Cell(cityCol).String()) {
-				return nil
+				return
 			}
-			return []model.Violation{model.NewViolation(id,
+			out.Emit(id,
 				model.NewCell(l.ID, nameCol, l.Cell(nameCol)),
 				model.NewCell(r.ID, nameCol, r.Cell(nameCol)),
 				model.NewCell(l.ID, cityCol, l.Cell(cityCol)),
 				model.NewCell(r.ID, cityCol, r.Cell(cityCol)),
-			)}
+			)
 		},
-		GenFix: func(v model.Violation) []model.Fix {
+		GenFix: func(dst []model.Fix, v model.Violation) []model.Fix {
 			// Propose assigning the same name so one tuple subsumes the
 			// other under set semantics.
-			return []model.Fix{model.NewCellFix(v.Cells[1], model.OpEQ, v.Cells[0])}
+			return append(dst, model.NewCellFix(v.Cells[1], model.OpEQ, v.Cells[0]))
 		},
 	}, nil
 }

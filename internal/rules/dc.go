@@ -259,11 +259,12 @@ func (dc *DC) Compile(schema *model.Schema) (*core.Rule, error) {
 		return r.p.Op.Eval(lv, rv)
 	}
 
-	// cellsOf collects the referenced cells of a violating pair (a=t1,
-	// b=t2; a unary DC passes its tuple twice) in the slots' layout. Pairs
-	// never join a tuple with itself, so distinct slots are distinct cells.
-	cellsOf := func(a, b model.Tuple) []model.Cell {
-		cells := make([]model.Cell, len(slots))
+	// emit emits the violation of a violating pair (a=t1, b=t2; a unary
+	// DC passes its tuple twice): its referenced cells in the slots'
+	// layout, written straight into out. Pairs never join a tuple with
+	// itself, so distinct slots are distinct cells.
+	emit := func(out *core.Output, a, b model.Tuple) {
+		cells := out.Add(ruleID, len(slots))
 		for i, sl := range slots {
 			t := a
 			if sl.side == 2 {
@@ -271,7 +272,6 @@ func (dc *DC) Compile(schema *model.Schema) (*core.Rule, error) {
 			}
 			cells[i] = model.NewCell(t.ID, sl.col, t.Cell(sl.col))
 		}
-		return cells
 	}
 
 	// The rule reads every column a predicate names, and nothing else.
@@ -289,17 +289,17 @@ func (dc *DC) Compile(schema *model.Schema) (*core.Rule, error) {
 			ID:    ruleID,
 			Unary: true,
 			Reads: reads,
-			Detect: func(it core.Item) []model.Violation {
+			Detect: func(it core.Item, out *core.Output) {
 				t := it.One()
 				for _, r := range res {
 					if !evalPred(r, t, t) {
-						return nil
+						return
 					}
 				}
-				return []model.Violation{model.NewViolation(ruleID, cellsOf(t, t)...)}
+				emit(out, t, t)
 			},
-			GenFix: func(v model.Violation) []model.Fix {
-				return dcGenFix(res, v)
+			GenFix: func(dst []model.Fix, v model.Violation) []model.Fix {
+				return dcGenFix(dst, res, v)
 			},
 		}, nil
 	}
@@ -307,18 +307,18 @@ func (dc *DC) Compile(schema *model.Schema) (*core.Rule, error) {
 	// detect evaluates the conjunction on the ordered pair it receives.
 	// Symmetric DCs are fed unique unordered pairs (either orientation
 	// finds the violation); asymmetric DCs are fed both orientations.
-	detect := func(it core.Item) []model.Violation {
+	detect := func(it core.Item, out *core.Output) {
 		a, b := it.Left(), it.Right()
 		for _, r := range res {
 			if !evalPred(r, a, b) {
-				return nil
+				return
 			}
 		}
-		return []model.Violation{model.NewViolation(ruleID, cellsOf(a, b)...)}
+		emit(out, a, b)
 	}
 
-	genFix := func(v model.Violation) []model.Fix {
-		return dcGenFix(res, v)
+	genFix := func(dst []model.Fix, v model.Violation) []model.Fix {
+		return dcGenFix(dst, res, v)
 	}
 
 	rule := &core.Rule{ID: ruleID, Detect: detect, GenFix: genFix, Symmetric: dc.Symmetric(), Reads: reads}
@@ -355,7 +355,7 @@ func (dc *DC) Compile(schema *model.Schema) (*core.Rule, error) {
 		} else {
 			// Same-key blocking groups each block on one key, which is what
 			// the block kernel needs; a CoBlock pairs across two keys.
-			rule.DetectBlock = dcBlockKernel(ruleID, res, cellsOf)
+			rule.DetectBlock = dcBlockKernel(res, emit)
 		}
 	case len(shape.ordering) > 0 && len(shape.others) == 0:
 		conds := make([]join.Cond, 0, len(shape.ordering))
@@ -413,11 +413,12 @@ func dcLayout(res []resolvedPred) []dcSlot {
 // dcBlockKernel builds the block kernel of a same-key blocked DC: per
 // block, every column any predicate reads is gathered into a flat vector
 // once, then pair enumeration evaluates the conjunction against the vectors
-// and materializes cells only for violating pairs. Predicate semantics
-// (t1 = us[i], t2 = us[j]) and enumeration order match the per-pair Detect
-// fed by PairsUnique/PairsOrdered exactly, and the kernel meets
-// BlockDetectFunc's unordered contract.
-func dcBlockKernel(ruleID string, res []resolvedPred, cellsOf func(a, b model.Tuple) []model.Cell) core.BlockDetectFunc {
+// and notes the violating pairs; it then emits their violations into an
+// output sized for them once. Predicate semantics (t1 = us[i], t2 = us[j])
+// and enumeration order match the per-pair Detect fed by
+// PairsUnique/PairsOrdered exactly, and the kernel meets BlockDetectFunc's
+// unordered contract.
+func dcBlockKernel(res []resolvedPred, emit func(out *core.Output, a, b model.Tuple)) core.BlockDetectFunc {
 	// Map each predicate's columns onto a dense vector index.
 	var usedCols []int
 	colOf := make(map[int]int)
@@ -442,10 +443,10 @@ func dcBlockKernel(ruleID string, res []resolvedPred, cellsOf func(a, b model.Tu
 		vps[i] = vp
 	}
 
-	return func(us []model.Tuple, ordered bool) ([]model.FixSet, int64) {
+	return func(us []model.Tuple, ordered bool, out *core.Output) int64 {
 		n := len(us)
 		if n < 2 {
-			return nil, 0
+			return 0
 		}
 		buf := make([]model.Value, len(usedCols)*n) // one allocation for all vectors
 		vecs := make([][]model.Value, len(usedCols))
@@ -457,7 +458,7 @@ func dcBlockKernel(ruleID string, res []resolvedPred, cellsOf func(a, b model.Tu
 				vecs[x][i] = t.Cell(c)
 			}
 		}
-		var out []model.FixSet
+		var hits []int32 // the violating pairs' members, i then j
 		pairs := forEachPair(n, ordered, func(i, j int) {
 			for _, vp := range vps {
 				li := i
@@ -478,31 +479,33 @@ func dcBlockKernel(ruleID string, res []resolvedPred, cellsOf func(a, b model.Tu
 					return
 				}
 			}
-			out = append(out, model.FixSet{Violation: model.NewViolation(ruleID, cellsOf(us[i], us[j])...)})
+			hits = append(hits, int32(i), int32(j))
 		})
-		return out, pairs
+		out.Grow(len(hits) / 2)
+		for k := 0; k < len(hits); k += 2 {
+			emit(out, us[hits[k]], us[hits[k+1]])
+		}
+		return pairs
 	}
 }
 
-// dcGenFix proposes, for each predicate, the update that negates it —
+// dcGenFix appends to dst, for each predicate, the update that negates it —
 // expressed against the violation's captured cells, which dcLayout placed.
 // A cross-cell fix whose two cells lie side by side in the violation shares
-// them; any other pair is copied into a window of its own. The fixes are
-// allocated once, a slot per predicate.
-func dcGenFix(res []resolvedPred, v model.Violation) []model.Fix {
-	fixes := make([]model.Fix, 0, len(res))
+// them; any other pair is copied into a window of its own.
+func dcGenFix(dst []model.Fix, res []resolvedPred, v model.Violation) []model.Fix {
 	for _, r := range res {
 		neg := r.p.Op.Negate()
 		switch {
 		case r.lPos >= len(v.Cells) || r.rPos >= len(v.Cells):
 			// Not a violation of this rule's layout.
 		case r.rPos < 0:
-			fixes = append(fixes, model.NewConstFix(v.Cells[r.lPos], neg, r.p.Const))
+			dst = append(dst, model.NewConstFix(v.Cells[r.lPos], neg, r.p.Const))
 		case r.rPos == r.lPos+1:
-			fixes = append(fixes, model.CellFixOf(v.Cells[r.lPos:r.rPos+1:r.rPos+1], neg))
+			dst = append(dst, model.CellFixOf(v.Cells[r.lPos:r.rPos+1:r.rPos+1], neg))
 		default:
-			fixes = append(fixes, model.NewCellFix(v.Cells[r.lPos], neg, v.Cells[r.rPos]))
+			dst = append(dst, model.NewCellFix(v.Cells[r.lPos], neg, v.Cells[r.rPos]))
 		}
 	}
-	return fixes
+	return dst
 }

@@ -201,7 +201,9 @@ func TestDCGenFixNamesPredicateTuple(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vs := rule.Detect(core.PairItem(t1, t2))
+		var out core.Output
+		rule.Detect(core.PairItem(t1, t2), &out)
+		vs := out.Violations()
 		if len(vs) != 1 {
 			t.Fatalf("%s: %d violations of (t1, t5), want 1", tc.spec, len(vs))
 		}
@@ -213,7 +215,7 @@ func TestDCGenFixNamesPredicateTuple(t *testing.T) {
 		if !reflect.DeepEqual(cells, tc.cells) {
 			t.Fatalf("%s: cells %v, want %v", tc.spec, cells, tc.cells)
 		}
-		fixes := rule.GenFix(v)
+		fixes := rule.GenFix(nil, v)
 		if len(fixes) != len(tc.fixes) {
 			t.Fatalf("%s: %d fixes, want %d", tc.spec, len(fixes), len(tc.fixes))
 		}

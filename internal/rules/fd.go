@@ -93,26 +93,18 @@ func (fd *FD) Compile(schema *model.Schema) (*core.Rule, error) {
 			return compositeKey(t, lhsIdx)
 		},
 		Symmetric: true,
-		Detect: func(it core.Item) []model.Violation {
+		Detect: func(it core.Item, out *core.Output) {
 			l, r := it.Left(), it.Right()
 			for _, c := range lhsIdx {
 				if !l.Cell(c).Equal(r.Cell(c)) {
-					return nil
+					return
 				}
 			}
-			var out []model.Violation
 			for _, c := range rhsIdx {
-				lv, rv := l.Cell(c), r.Cell(c)
-				if lv.Equal(rv) {
-					continue
+				if lv, rv := l.Cell(c), r.Cell(c); !lv.Equal(rv) {
+					out.Emit(ruleID, model.NewCell(l.ID, c, lv), model.NewCell(r.ID, c, rv))
 				}
-				v := model.NewViolation(ruleID,
-					model.NewCell(l.ID, c, lv),
-					model.NewCell(r.ID, c, rv),
-				)
-				out = append(out, v)
 			}
-			return out
 		},
 		GenFix: equateAdjacent,
 	}
@@ -123,11 +115,11 @@ func (fd *FD) Compile(schema *model.Schema) (*core.Rule, error) {
 // equateAdjacent is the GenFix of FD-style rules, whose violations are one
 // pair of cells: it proposes equating the two, as a fix on the violation's
 // own cells.
-func equateAdjacent(v model.Violation) []model.Fix {
+func equateAdjacent(dst []model.Fix, v model.Violation) []model.Fix {
 	if len(v.Cells) < 2 {
-		return nil
+		return dst
 	}
-	return []model.Fix{model.CellFixOf(v.Cells[:2:2], model.OpEQ)}
+	return append(dst, model.CellFixOf(v.Cells[:2:2], model.OpEQ))
 }
 
 // fdBlockKernel builds the FD's block kernel, which costs O(members +
@@ -150,30 +142,28 @@ func equateAdjacent(v model.Violation) []model.Fix {
 // BlockDetectFunc's unordered contract given distinct RHS attributes (see
 // Compile).
 func fdBlockKernel(ruleID string, lhsIdx, rhsIdx []int, detect core.DetectFunc) core.BlockDetectFunc {
-	return func(us []model.Tuple, ordered bool) ([]model.FixSet, int64) {
+	return func(us []model.Tuple, ordered bool, out *core.Output) int64 {
 		n := len(us)
 		if n < 2 {
-			return nil, 0
+			return 0
 		}
 		sc := fdScratchPool.Get().(*fdScratch)
 		defer sc.release()
 		comb, violations, pairs, ok := sc.group(us, lhsIdx, rhsIdx)
 		if !ok {
-			var out []model.FixSet
-			all := forEachPair(n, ordered, func(i, j int) {
-				for _, v := range detect(core.PairItem(us[i], us[j])) {
-					out = append(out, model.FixSet{Violation: v})
-				}
+			it := core.Item{Kind: core.ItemPair, Tuples: make([]model.Tuple, 2)}
+			return forEachPair(n, ordered, func(i, j int) {
+				it.Tuples[0], it.Tuples[1] = us[i], us[j]
+				detect(it, out)
 			})
-			return out, all
 		}
 		if violations == 0 {
-			return nil, 0
+			return 0
 		}
 		if ordered {
 			violations, pairs = 2*violations, 2*pairs
 		}
-		out, cells := make([]model.FixSet, 0, violations), make([]model.Cell, 2*violations)
+		out.Grow(int(violations))
 		for i := 0; i < n; i++ {
 			g := comb[i]
 			j := i + 1
@@ -189,20 +179,17 @@ func fdBlockKernel(ruleID string, lhsIdx, rhsIdx []int, detect core.DetectFunc) 
 					if sc.gid[y*n+i] == sc.gid[y*n+j] {
 						continue
 					}
-					k := 2 * len(out)
-					cells[k] = model.NewCell(us[i].ID, c, us[i].Cell(c))
-					cells[k+1] = model.NewCell(us[j].ID, c, us[j].Cell(c))
-					out = append(out, model.FixSet{Violation: model.NewViolation(ruleID, cells[k:k+2:k+2]...)})
+					out.Emit(ruleID, model.NewCell(us[i].ID, c, us[i].Cell(c)), model.NewCell(us[j].ID, c, us[j].Cell(c)))
 				}
 				j++
 			}
 		}
-		return out, pairs
+		return pairs
 	}
 }
 
 // fdScratch is the FD kernel's working memory, pooled so that a block costs
-// no allocation beyond its result.
+// no allocation beyond its output.
 type fdScratch struct {
 	gid  []int32       // gid[y*n+i]: member i's sub-group under RHS attribute y
 	comb []int32       // member i's sub-group under every RHS attribute at once

@@ -3,9 +3,11 @@ package rules
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"bigdansing/internal/core"
+	"bigdansing/internal/engine"
 	"bigdansing/internal/model"
 )
 
@@ -35,7 +37,9 @@ func pairReference(r *core.Rule, us []model.Tuple, ordered bool) (vs []model.Vio
 		iterate = core.PairsOrdered
 	}
 	for _, it := range iterate([][]model.Tuple{us}) {
-		found := r.Detect(it)
+		var out core.Output
+		r.Detect(it, &out)
+		found := out.Violations()
 		vs = append(vs, found...)
 		pairs++
 		if len(found) > 0 {
@@ -50,14 +54,16 @@ func pairReference(r *core.Rule, us []model.Tuple, ordered bool) (vs []model.Vio
 // pairs and every pair — exactly the violating pairs when exact is set.
 func checkKernel(t testing.TB, r *core.Rule, us []model.Tuple, ordered, exact bool) {
 	t.Helper()
-	got, pairs := r.DetectBlock(us, ordered)
+	var out core.Output
+	pairs := r.DetectBlock(us, ordered, &out)
+	got := out.Violations()
 	want, all, violating := pairReference(r, us, ordered)
 	if len(got) != len(want) {
 		t.Fatalf("ordered=%v: %d violations, want %d:\n got  %v\n want %v", ordered, len(got), len(want), got, want)
 	}
 	for i := range want {
-		if !sameViolation(got[i].Violation, want[i]) || got[i].Fixes != nil {
-			t.Fatalf("ordered=%v: fix set %d is %v, want %v with no fixes", ordered, i, got[i], want[i])
+		if !sameViolation(got[i], want[i]) {
+			t.Fatalf("ordered=%v: violation %d is %v, want %v", ordered, i, got[i], want[i])
 		}
 	}
 	if pairs < violating || pairs > all {
@@ -167,5 +173,64 @@ func TestFDBlockKernelMatchesPairs(t *testing.T) {
 	mixed[2].Cells[1], mixed[4].Cells[1] = model.S("t"), model.S("t")
 	for _, ordered := range []bool{false, true} {
 		checkKernel(t, compileFD(t, "k1, k2 -> r1, r2"), mixed, ordered, false)
+	}
+}
+
+// TestFDKernelFallbackInPipeline runs, in one pipeline, blocks the kernel
+// sizes beside one block of each kind that falls back to the per-pair
+// Detect — a NaN, mixed kinds, a composite LHS whose cells differ under a
+// colliding key — so the fallback emits into the same per-group outputs.
+// Violations, fixes and their order must match, byte for byte, the
+// pipeline with the kernel stripped.
+func TestFDKernelFallbackInPipeline(t *testing.T) {
+	rel := model.NewRelation("kernel", kernelSchema)
+	id := int64(0)
+	add := func(k1, k2, r1, r2 model.Value) {
+		id++
+		rel.Append(model.NewTuple(id, k1, k2, r1, r2))
+	}
+	for b := 0; b < 40; b++ { // sized blocks
+		for i := 0; i < 2+b%7; i++ {
+			add(model.I(int64(b)), model.S("s"), model.S(fmt.Sprint("c", i%3*(b%2))), model.I(int64(i%2)))
+		}
+	}
+	for i, v := range []model.Value{model.F(1), model.F(math.NaN()), model.F(2), model.F(1)} {
+		add(model.I(100), model.S("nan"), v, model.I(int64(i)))
+	}
+	for _, v := range []model.Value{model.I(1), model.S("1"), model.F(2), model.Null(), model.I(3)} {
+		add(model.I(101), model.S("mixed"), v, model.S("x"))
+	}
+	// "s|a\x1fs|b" + "\x1f" + "s|c" and "s|a" + "\x1f" + "s|b\x1fs|c" render
+	// one composite key.
+	for i := 0; i < 4; i++ {
+		k1, k2 := model.S("a\x1fs|b"), model.S("c")
+		if i%2 == 1 {
+			k1, k2 = model.S("a"), model.S("b\x1fs|c")
+		}
+		add(k1, k2, model.S(fmt.Sprint("r", i%3)), model.I(int64(i)))
+	}
+	kernel := compileFD(t, "k1, k2 -> r1, r2")
+	stripped := *kernel
+	stripped.DetectBlock = nil
+	render := func(r *core.Rule) []string {
+		res, err := core.DetectRule(engine.New(2), r, rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, len(res.FixSets))
+		for i, fs := range res.FixSets {
+			out[i] = fmt.Sprintf("%#v", fs)
+			if fmt.Sprintf("%#v", res.Violations[i]) != fmt.Sprintf("%#v", fs.Violation) {
+				t.Fatalf("violation %d differs from its fix set's", i)
+			}
+		}
+		return out
+	}
+	got, want := render(kernel), render(&stripped)
+	if len(want) == 0 {
+		t.Fatal("no violations")
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("the kernel's pipeline gives %d fix sets, the per-pair pipeline %d:\n got  %q\n want %q", len(got), len(want), got, want)
 	}
 }

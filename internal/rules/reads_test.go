@@ -134,12 +134,12 @@ func outside(rng *rand.Rand, ts []model.Tuple, reads []int, scramble bool) []mod
 
 // readsOutput renders, byte for byte, everything a rule's operators make of
 // a relation: the keys Block and BlockRight give each tuple, the
-// violations Detect finds on every unit (unary) or ordered pair, the fix
-// sets DetectBlock finds on every block in both orders, and the fixes
+// violations Detect finds on every unit (unary) or ordered pair, the
+// violations DetectBlock finds on every block in both orders, and the fixes
 // GenFix proposes for each of those violations, cell values included.
 func readsOutput(r *core.Rule, ts []model.Tuple) string {
 	var b strings.Builder
-	var found []model.Violation
+	var out core.Output
 	for _, t := range ts {
 		if r.Block != nil {
 			fmt.Fprintf(&b, "block %#v\n", r.Block(t).MapKey())
@@ -150,13 +150,13 @@ func readsOutput(r *core.Rule, ts []model.Tuple) string {
 	}
 	if r.Unary {
 		for _, t := range ts {
-			found = append(found, r.Detect(core.Single(t))...)
+			r.Detect(core.Single(t), &out)
 		}
 	} else {
 		for _, l := range ts {
 			for _, rt := range ts {
 				if l.ID != rt.ID {
-					found = append(found, r.Detect(core.PairItem(l, rt))...)
+					r.Detect(core.PairItem(l, rt), &out)
 				}
 			}
 		}
@@ -173,18 +173,15 @@ func readsOutput(r *core.Rule, ts []model.Tuple) string {
 		}
 		for _, k := range keys {
 			for _, ordered := range []bool{false, true} {
-				sets, pairs := r.DetectBlock(blocks[k], ordered)
+				pairs := r.DetectBlock(blocks[k], ordered, &out)
 				fmt.Fprintf(&b, "kernel %d pairs\n", pairs)
-				for _, fs := range sets {
-					found = append(found, fs.Violation)
-				}
 			}
 		}
 	}
-	for _, v := range found {
+	for _, v := range out.Violations() {
 		fmt.Fprintf(&b, "violation %#v\n", v)
 		if r.GenFix != nil {
-			fmt.Fprintf(&b, "fixes %#v\n", r.GenFix(v))
+			fmt.Fprintf(&b, "fixes %#v\n", r.GenFix(nil, v))
 		}
 	}
 	return b.String()

@@ -69,35 +69,32 @@ func DedupRule(cfg DedupConfig, schema *model.Schema) (*core.Rule, error) {
 			return model.S(name)
 		},
 		Symmetric: true,
-		Detect: func(it core.Item) []model.Violation {
+		Detect: func(it core.Item, out *core.Output) {
 			l, r := it.Left(), it.Right()
 			ln, rn := l.Cell(nameCol).String(), r.Cell(nameCol).String()
 			if simfn.LevenshteinSimilarity(ln, rn) < nameTh {
-				return nil
+				return
 			}
-			cells := []model.Cell{
-				model.NewCell(l.ID, nameCol, l.Cell(nameCol)),
-				model.NewCell(r.ID, nameCol, r.Cell(nameCol)),
+			lName, rName := model.NewCell(l.ID, nameCol, l.Cell(nameCol)), model.NewCell(r.ID, nameCol, r.Cell(nameCol))
+			if phoneCol < 0 {
+				out.Emit(ruleID, lName, rName)
+				return
 			}
-			if phoneCol >= 0 {
-				lp, rp := l.Cell(phoneCol).String(), r.Cell(phoneCol).String()
-				if simfn.LevenshteinSimilarity(lp, rp) < phoneTh {
-					return nil
-				}
-				cells = append(cells,
-					model.NewCell(l.ID, phoneCol, l.Cell(phoneCol)),
-					model.NewCell(r.ID, phoneCol, r.Cell(phoneCol)))
+			lp, rp := l.Cell(phoneCol).String(), r.Cell(phoneCol).String()
+			if simfn.LevenshteinSimilarity(lp, rp) < phoneTh {
+				return
 			}
-			return []model.Violation{model.NewViolation(ruleID, cells...)}
+			out.Emit(ruleID, lName, rName,
+				model.NewCell(l.ID, phoneCol, l.Cell(phoneCol)),
+				model.NewCell(r.ID, phoneCol, r.Cell(phoneCol)))
 		},
-		GenFix: func(v model.Violation) []model.Fix {
+		GenFix: func(dst []model.Fix, v model.Violation) []model.Fix {
 			// One equality per attribute, each on its adjacent (left, right)
 			// pair of the violation's cells.
-			var fixes []model.Fix
 			for i := 0; i+1 < len(v.Cells); i += 2 {
-				fixes = append(fixes, model.CellFixOf(v.Cells[i:i+2:i+2], model.OpEQ))
+				dst = append(dst, model.CellFixOf(v.Cells[i:i+2:i+2], model.OpEQ))
 			}
-			return fixes
+			return dst
 		},
 	}, nil
 }
