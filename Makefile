@@ -43,15 +43,15 @@ unused:
 # two spawned workers: DetectFDNet), DC-detection through OCJoin (DetectDC)
 # and through the same-key block kernel (DetectDCSameKey), session-stream,
 # FD-clean, hypergraph-repair and equivalence-class-repair benchmarks. The
-# detection and clean benchmarks run with -benchmem, so the log shows B/op
-# and allocs/op beside the B/violation they report.
+# detection, session-stream and clean benchmarks run with -benchmem, so the
+# log shows B/op and allocs/op beside what they report.
 bench-smoke:
 	cd benchmark && $(GO) test ./...
 	$(GO) test -run xxx -bench ReadCSV -benchtime 1x ./internal/model/
 	$(GO) test -run xxx -bench 'GroupByKeySpill|ReduceByKeySpill' -benchtime 1x ./internal/engine/
 	$(GO) test -run xxx -bench 'DetectFD|DetectFDDisk|DetectFDSpill|DetectDC' -benchtime 1x -benchmem ./internal/core/
 	$(GO) test -run xxx -bench DetectFDNet -benchtime 1x -benchmem ./internal/netexec/
-	$(GO) test -run xxx -bench SessionStream -benchtime 1x ./internal/cleanse/
+	$(GO) test -run xxx -bench SessionStream -benchtime 1x -benchmem ./internal/cleanse/
 	$(GO) test -run xxx -bench CleanFD -benchtime 1x -benchmem ./internal/cleanse/
 	$(GO) test -run xxx -bench HypergraphRepair -benchtime 1x ./internal/repair/
 	$(GO) test -run xxx -bench EquivalenceRepair -benchtime 1x ./internal/repair/

@@ -54,7 +54,8 @@ type Session struct {
 
 	frozen  map[model.CellKey]bool
 	updates map[model.CellKey]int
-	dirty   []int64 // tuple IDs changed since the detector last saw them
+	dirty   []int64        // tuple IDs changed since the detector last saw them
+	sets    []model.FixSet // a round's buffer for one block's fix sets
 
 	nextID int64
 	closed bool
@@ -219,37 +220,73 @@ func (s *Session) flushLocked() (Report, error) {
 		rsp := obs.BeginSpan(nil, fmt.Sprintf("round %d", iter+1), engine.SpanRound)
 		done, err := func() (bool, error) {
 			t0 := time.Now()
-			det, err := s.detect()
+			view, err := s.detect()
 			if err != nil {
 				return false, fmt.Errorf("cleanse: detection (iteration %d): %w", iter+1, err)
 			}
+			// Parallel repair takes its components from the view's blocks
+			// when it is by block; a learning algorithm fits on the flat
+			// hand-off, so it keeps that.
+			_, fits := s.algo.(repair.Fitter)
+			byBlock := cfg.parallel && !fits && view.ByBlock()
+			var det *core.DetectResult
+			if !byBlock {
+				det = view.Result()
+			}
 			rep.DetectTime += time.Since(t0)
+			violations := view.NumViolations()
 			if iter == 0 {
-				rep.InitialViolations = len(det.Violations)
+				rep.InitialViolations = violations
 			}
 			rep.Iterations = iter + 1
-			rsp.Attr(engine.AttrViolations, int64(len(det.Violations)))
+			rsp.Attr(engine.AttrViolations, int64(violations))
 
 			// Drop violations whose every fix touches a frozen cell: they have
 			// no usable possible fixes anymore (Section 2.2's stopping rule).
-			// actionable aliases det.FixSets until the first set is dropped,
-			// and from then on holds copies of the kept ones.
-			actionable := det.FixSets
-			remaining := 0
-			for i, fs := range det.FixSets {
-				if s.usable(fs) {
-					if remaining > 0 {
-						actionable = append(actionable, fs)
+			// On the flat path, actionable aliases det.FixSets until the
+			// first set is dropped, and from then on holds copies of the
+			// kept ones; on the block path repair filters each block itself.
+			var actionable []model.FixSet
+			// eachActionable visits the fix sets repair is handed.
+			eachActionable := func(visit func(model.FixSet)) {
+				if !byBlock {
+					for _, fs := range actionable {
+						visit(fs)
 					}
-					continue
+					return
 				}
-				if remaining == 0 {
-					actionable = append(make([]model.FixSet, 0, len(det.FixSets)-1), det.FixSets[:i]...)
+				for i := range view.NumBlocks() {
+					s.sets = view.AppendBlock(s.sets[:0], i)
+					for _, fs := range s.sets {
+						if s.usable(fs) {
+							visit(fs)
+						}
+					}
 				}
-				remaining++
+				clear(s.sets) // do not pin the detector's slabs
 			}
-			if len(actionable) == 0 {
-				rep.RemainingViolations = remaining
+			kept := 0
+			if byBlock {
+				eachActionable(func(model.FixSet) { kept++ })
+			} else {
+				actionable = det.FixSets
+				dropped := 0
+				for i, fs := range det.FixSets {
+					if s.usable(fs) {
+						if dropped > 0 {
+							actionable = append(actionable, fs)
+						}
+						continue
+					}
+					if dropped == 0 {
+						actionable = append(make([]model.FixSet, 0, len(det.FixSets)-1), det.FixSets[:i]...)
+					}
+					dropped++
+				}
+				kept = len(actionable)
+			}
+			if kept == 0 {
+				rep.RemainingViolations = violations
 				return true, nil
 			}
 
@@ -265,7 +302,14 @@ func (s *Session) flushLocked() (Report, error) {
 			}
 			var assignments []repair.Assignment
 			if cfg.parallel {
-				as, rr, err := repair.RepairParallel(actionable, s.algo, s.ropts)
+				var as []repair.Assignment
+				var rr *repair.Report
+				var err error
+				if byBlock {
+					as, rr, err = repair.RepairBlocks(view, s.usable, s.algo, s.ropts)
+				} else {
+					as, rr, err = repair.RepairParallel(actionable, s.algo, s.ropts)
+				}
 				if err != nil {
 					return false, fmt.Errorf("cleanse: parallel repair (iteration %d): %w", iter+1, err)
 				}
@@ -294,6 +338,20 @@ func (s *Session) flushLocked() (Report, error) {
 			n := repair.ApplyIndexed(s.rel, s.idx, assignments, s.frozen)
 			rep.UpdatesApplied += n
 			rsp.Attr(engine.AttrAssignments, int64(n))
+			// With nothing applicable applied, the cells of the fixes repair
+			// was handed are frozen to guarantee forward progress: found now,
+			// while the frozen set is the one that chose them, and frozen
+			// after the updates are counted.
+			var stuck []model.CellKey
+			if n == 0 {
+				eachActionable(func(fs model.FixSet) {
+					for _, f := range fs.Fixes {
+						for _, cell := range f.Cells() {
+							stuck = append(stuck, cell.MapKey())
+						}
+					}
+				})
+			}
 			s.dirty = s.dirty[:0]
 			seenChanged := map[int64]bool{}
 			for _, a := range assignments {
@@ -310,17 +368,10 @@ func (s *Session) flushLocked() (Report, error) {
 					s.frozen[k] = true
 				}
 			}
-			if n == 0 {
-				// The algorithm proposed nothing applicable; freeze the cells
-				// of the remaining fixes to guarantee forward progress.
-				for _, fs := range actionable {
-					for _, f := range fs.Fixes {
-						for _, cell := range f.Cells() {
-							s.frozen[cell.MapKey()] = true
-						}
-					}
-				}
-			} else {
+			for _, k := range stuck {
+				s.frozen[k] = true
+			}
+			if n > 0 {
 				applied = append(applied, assignments...)
 			}
 			return false, nil
@@ -339,7 +390,7 @@ func (s *Session) flushLocked() (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	rep.RemainingViolations = len(det.Violations)
+	rep.RemainingViolations = det.NumViolations()
 	return s.finishFlush(rep, applied), nil
 }
 
@@ -379,13 +430,14 @@ func (s *Session) own(assignments []repair.Assignment) {
 }
 
 // detect runs one detection pass over the tuples changed since the last.
-func (s *Session) detect() (*core.DetectResult, error) {
-	res, err := s.det.Detect(s.rel, s.idx, s.dirty)
+// The view it returns is valid until the next.
+func (s *Session) detect() (*core.DetectView, error) {
+	v, err := s.det.View(s.rel, s.idx, s.dirty)
 	if err != nil {
 		return nil, err
 	}
 	s.dirty = s.dirty[:0]
-	return res, nil
+	return v, nil
 }
 
 // finishFlush stamps the flush-invariant report fields and folds the

@@ -105,3 +105,11 @@ func outputOf(vs []model.Violation) Output {
 	}
 	return o
 }
+
+// SourceBlocks is the view's incremental rule source i (in rule order,
+// fallback rules skipped) as a view by block over its violating blocks,
+// whether or not the view itself is by block, so a test can take any
+// blocked rule's components from its blocks.
+func (v *DetectView) SourceBlocks(i int) *DetectView {
+	return &DetectView{full: &DetectResult{}, blocks: v.srcs[i].parts[0]}
+}

@@ -86,10 +86,11 @@ type ruleState struct {
 	pos     []int
 	ends    []int
 	spans   [][]model.Tuple
-	// outs gathers the violating blocks' outputs for result, reused from
-	// call to call: the result holds windows on their slabs, not the
-	// records.
-	outs []Output
+	// ranks sorts the violating blocks and outs gathers their outputs for
+	// view, both reused from call to call: the view holds the outputs, and
+	// its result windows on their slabs.
+	ranks []*block
+	outs  []Output
 }
 
 // at returns block k, creating it (ranked last) when it is new.
@@ -170,13 +171,25 @@ func (d *IncrementalDetector) Observe(rel *model.Relation, idx map[int64]int, ch
 	return d.incrementalPasses(rel, idx, changed)
 }
 
-// Detect runs a pass. changed lists the tuple IDs updated or appended since
-// the last pass (empty reuses every cache that is not stale); idx is the
-// caller's live tuple ID → position index of rel. Only the first call (or
-// Observe) primes the detector with a full pass. The result is the
-// caller's to keep but not to modify: with no incrementalizable rule it is
-// the fallback pass's own result, returned again until a change re-runs it.
+// Detect runs a pass and returns its result: View's Result. changed lists
+// the tuple IDs updated or appended since the last pass (empty reuses every
+// cache that is not stale); idx is the caller's live tuple ID → position
+// index of rel. Only the first call (or Observe) primes the detector with a
+// full pass. The result is the caller's to keep but not to modify: with no
+// incrementalizable rule it is the fallback pass's own result, returned
+// again until a change re-runs it.
 func (d *IncrementalDetector) Detect(rel *model.Relation, idx map[int64]int, changed []int64) (*DetectResult, error) {
+	v, err := d.View(rel, idx, changed)
+	if err != nil {
+		return nil, err
+	}
+	return v.Result(), nil
+}
+
+// View runs a pass as Detect does and returns the detector's state as it
+// holds it, without assembling a result. The view reads the detector's
+// caches: it is valid until the next View, Detect or Observe.
+func (d *IncrementalDetector) View(rel *model.Relation, idx map[int64]int, changed []int64) (*DetectView, error) {
 	if !d.primed {
 		if err := d.prime(rel); err != nil {
 			return nil, err
@@ -192,7 +205,7 @@ func (d *IncrementalDetector) Detect(rel *model.Relation, idx map[int64]int, cha
 			return nil, err
 		}
 	}
-	return d.result(), nil
+	return d.view(), nil
 }
 
 // incrementalPasses runs incrementalPass for every incrementalizable rule.
@@ -428,31 +441,103 @@ func (bo *blockOutputs) next() Output {
 	return o
 }
 
-// result snapshots the state into a result: the incremental rules in index
-// order, each rule's blocks in first-seen order, then the fallback rules'
+// view snapshots the state: the incremental rules in index order, each
+// rule's violating blocks in first-seen order, then the fallback rules'
 // result — the same order on every run. Each rule is one source of the
-// hand-off, and the fallback result another. With no incremental rule the
-// fallback result is already assembled and is returned as it is.
-func (d *IncrementalDetector) result() *DetectResult {
+// hand-off, and the fallback result another.
+func (d *IncrementalDetector) view() *DetectView {
+	v := &DetectView{full: d.full}
 	if len(d.fallback) == len(d.rules) {
-		return d.full
+		v.res = d.full
+		return v
 	}
-	var srcs []detected
+	live, only := 0, -1
 	for _, st := range d.state {
 		if st == nil {
 			continue
 		}
-		bs := make([]*block, 0, len(st.violating))
+		st.ranks = st.ranks[:0]
 		for b := range st.violating {
-			bs = append(bs, b)
+			st.ranks = append(st.ranks, b)
 		}
-		slices.SortFunc(bs, func(a, b *block) int { return cmp.Compare(a.rank, b.rank) })
+		slices.SortFunc(st.ranks, func(a, b *block) int { return cmp.Compare(a.rank, b.rank) })
 		clear(st.outs) // do not pin the slabs of blocks that stopped violating
 		st.outs = st.outs[:0]
-		for _, b := range bs {
+		for _, b := range st.ranks {
 			st.outs = append(st.outs, b.out)
 		}
-		srcs = append(srcs, detected{parts: [][]Output{st.outs}, unique: st.unique})
+		clear(st.ranks) // nor the blocks themselves
+		if len(st.outs) > 0 {
+			live, only = live+1, len(v.srcs)
+		}
+		v.srcs = append(v.srcs, detected{parts: [][]Output{st.outs}, unique: st.unique})
 	}
-	return assemble(append(srcs, detected{lists: [][]model.FixSet{d.full.FixSets}}))
+	if len(d.full.FixSets) > 0 {
+		live++
+	}
+	if live == 1 && only >= 0 && v.srcs[only].unique {
+		v.blocks = v.srcs[only].parts[0]
+	}
+	return v
+}
+
+// DetectView is a pass's result as the detector holds it: per incremental
+// rule, the violating blocks' outputs in first-seen order, and the fallback
+// rules' result. Result assembles the flat result from them on request.
+//
+// When one source holds every violation and repeats none by construction
+// (the case in which assemble copies it without a seen-set), that source is
+// one blocked, scope-free rule, and the view is by block: a tuple lies in
+// one block and a fix names cells of its violation's tuples, so no cell is
+// touched by fix sets of two blocks, and repair may find the components
+// block by block (repair.RepairBlocks reads NumBlocks and AppendBlock).
+//
+// A view reads the detector's caches: it is valid until the detector's next
+// View, Detect or Observe.
+type DetectView struct {
+	srcs   []detected
+	full   *DetectResult
+	blocks []Output // the violating blocks of the one live source, when by block
+	res    *DetectResult
+}
+
+// Result is the flat hand-off of the view's violations, assembled (and
+// deduplicated across sources) on the first call.
+func (v *DetectView) Result() *DetectResult {
+	if v.res == nil {
+		v.res = assemble(append(v.srcs, detected{lists: [][]model.FixSet{v.full.FixSets}}))
+	}
+	return v.res
+}
+
+// ByBlock reports whether the view is by block: one blocked rule that
+// repeats no violation holds them all.
+func (v *DetectView) ByBlock() bool { return v.blocks != nil }
+
+// NumViolations is the number of violations Result lists, counted without
+// assembling it when the view is by block.
+func (v *DetectView) NumViolations() int {
+	if v.blocks == nil {
+		return len(v.Result().Violations)
+	}
+	n := 0
+	for i := range v.blocks {
+		n += len(v.blocks[i].ends)
+	}
+	return n
+}
+
+// NumBlocks is the number of violating blocks of a view by block (0
+// otherwise).
+func (v *DetectView) NumBlocks() int { return len(v.blocks) }
+
+// AppendBlock appends the fix sets of violating block i, in the order
+// Result lists them, to dst; their violations and fixes are windows on the
+// detector's slabs.
+func (v *DetectView) AppendBlock(dst []model.FixSet, i int) []model.FixSet {
+	o := &v.blocks[i]
+	for j := range o.ends {
+		dst = append(dst, o.fixSet(j))
+	}
+	return dst
 }

@@ -47,8 +47,10 @@ type DetectFunc func(it Item, out *Output)
 
 // GenFixFunc computes the possible fixes for one violation (Section 3.1,
 // operator 5), appending them to dst and returning the extended slice, as
-// append does. A cell fix may share the violation's cells
-// (model.CellFixOf): they stay put for as long as the fixes live.
+// append does. A fix names cells of the violation's tuples only, so the
+// fixes of a blocked rule stay within its block (DetectView). A cell fix
+// may share the violation's cells (model.CellFixOf): they stay put for as
+// long as the fixes live.
 type GenFixFunc func(dst []model.Fix, v model.Violation) []model.Fix
 
 // BlockDetectFunc is a block kernel: Detect over every pair of one block at

@@ -215,9 +215,18 @@ func (v Value) Float() float64 {
 	}
 }
 
-// Equal reports whether two values are equal. Numeric values of different
-// kinds compare by numeric value, so I(2) equals F(2).
-func (v Value) Equal(o Value) bool { return Compare(v, o) == 0 }
+// Equal reports whether two values are equal: Compare(v, o) == 0. Numeric
+// values of different kinds compare by numeric value, so I(2) equals F(2).
+// Two strings, and two ints, are compared directly, without ordering them.
+func (v Value) Equal(o Value) bool {
+	switch {
+	case v.Kind == KindString && o.Kind == KindString:
+		return v.Str == o.Str
+	case v.Kind == KindInt && o.Kind == KindInt:
+		return v.Int == o.Int
+	}
+	return Compare(v, o) == 0
+}
 
 // numeric reports whether the value carries a numeric kind.
 func (v Value) numeric() bool { return v.Kind == KindInt || v.Kind == KindFloat }

@@ -167,6 +167,28 @@ func TestCompareProperties(t *testing.T) {
 	}
 }
 
+// TestEqualIsCompareZero pins Equal to Compare's equality over every kind
+// pair, the edge values (null, ±0, NaN, ±Inf, numeric strings) and random
+// values.
+func TestEqualIsCompareZero(t *testing.T) {
+	edge := []Value{
+		Null(), S(""), S("a"), S("b"), S("2"), S("2.0"), S("-0"), S("NaN"),
+		I(0), I(2), I(-3), I(math.MaxInt64), F(0), F(math.Copysign(0, -1)),
+		F(2), F(2.5), F(-3), F(math.NaN()), F(math.Inf(1)), F(math.Inf(-1)),
+	}
+	r := rand.New(rand.NewSource(11))
+	for i := 0; i < 2000; i++ {
+		edge = append(edge, randomValue(r))
+	}
+	for _, a := range edge {
+		for _, b := range edge[:40] {
+			if a.Equal(b) != (Compare(a, b) == 0) || b.Equal(a) != (Compare(b, a) == 0) {
+				t.Fatalf("%#v vs %#v: Equal %v, Compare %d", a, b, a.Equal(b), Compare(a, b))
+			}
+		}
+	}
+}
+
 func TestValueKeyInjectiveOnStrings(t *testing.T) {
 	f := func(a, b string) bool {
 		if a == b {

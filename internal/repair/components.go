@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"math/bits"
 	"slices"
 
 	"bigdansing/internal/model"
@@ -19,10 +20,20 @@ import (
 // connected and each component is rooted at its smallest index. No
 // per-fix-set key list is built.
 func fixSetComponents(fixSets []model.FixSet) []int32 {
-	o := &cellOwners{rows: map[int64]int32{}}
-	uf := newMinRootUF(len(fixSets))
+	return unionByCells(fixSets, &cellOwners{rows: map[int64]int32{}}, newMinRootUF(len(fixSets)))
+}
+
+// ownerSlots gives every cell an int32 owner slot, -1 until set. A slot
+// is valid until the next call.
+type ownerSlots interface {
+	slot(c model.Cell) *int32
+}
+
+// unionByCells is fixSetComponents' pass, over the owner slots of owners
+// and the union-find uf of one element per fix set: it returns uf's labels.
+func unionByCells[O ownerSlots](fixSets []model.FixSet, owners O, uf minRootUF) []int32 {
 	touch := func(i int32, c model.Cell) {
-		switch slot := o.slot(c); *slot {
+		switch slot := owners.slot(c); *slot {
 		case -1:
 			*slot = i
 		case i:
@@ -141,21 +152,121 @@ func (u minRootUF) labels() []int32 {
 }
 
 // countingSort orders the indexes of keys, each in [0, n), by key, keeping
-// index order within a key: key k's indexes are order[at[k]:at[k+1]].
-func countingSort(keys []int32, n int) (order, at []int32) {
-	at = make([]int32, n+2) // counts sit one slot right of the starts, so placing leaves the starts
+// index order within a key: key k's indexes are order[at[k]:at[k+1]]. The
+// result reuses order's and at's arrays (nil for new ones).
+func countingSort(keys []int32, n int, order, at []int32) ([]int32, []int32) {
+	at = grown(at, n+2) // counts sit one slot right of the starts, so placing leaves the starts
 	for _, k := range keys {
 		at[k+2]++
 	}
 	for k := 2; k < n+2; k++ {
 		at[k] += at[k-1]
 	}
-	order = make([]int32, len(keys))
+	order = grown(order, len(keys))
 	for i, k := range keys {
 		order[at[k+1]] = int32(i)
 		at[k+1]++
 	}
 	return order, at[:n+1]
+}
+
+// grown returns s resized to n zeroed elements, in its own array when it
+// has the room.
+func grown(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// cellIDs interns cells to dense IDs in first-seen order: an
+// open-addressing table (linear probing) of ID+1 over the dense key list,
+// kept at most half full. It is scratch memory: reset empties it for the
+// next component or block at a cost of the keys it holds, so one table
+// serves many.
+type cellIDs struct {
+	keys  []model.CellKey
+	slots []int32 // ID+1 per slot, 0 when empty; a power of two long
+	shift uint8   // 64 - log2(len(slots))
+}
+
+// id returns c's ID, and whether this call interned it.
+func (t *cellIDs) id(c model.Cell) (int32, bool) {
+	k := c.MapKey()
+	if 2*(len(t.keys)+1) > len(t.slots) {
+		t.grow()
+	}
+	mask := len(t.slots) - 1
+	for s := t.home(k); ; s = (s + 1) & mask {
+		switch v := t.slots[s]; {
+		case v == 0:
+			t.keys = append(t.keys, k)
+			t.slots[s] = int32(len(t.keys))
+			return int32(len(t.keys) - 1), true
+		case t.keys[v-1] == k:
+			return v - 1, false
+		}
+	}
+}
+
+// home is k's first probe slot: a multiplicative hash's top bits.
+func (t *cellIDs) home(k model.CellKey) int {
+	return int((uint64(k.TupleID)*0x9e3779b97f4a7c15 + uint64(k.Col)) * 0xbf58476d1ce4e5b9 >> t.shift)
+}
+
+// grow doubles the table (64 slots at first) and re-inserts the keys.
+func (t *cellIDs) grow() {
+	n := max(64, 2*len(t.slots))
+	t.slots, t.shift = make([]int32, n), uint8(64-bits.TrailingZeros(uint(n)))
+	for i, k := range t.keys {
+		s := t.home(k)
+		for t.slots[s] != 0 {
+			s = (s + 1) & (n - 1)
+		}
+		t.slots[s] = int32(i + 1)
+	}
+}
+
+// reset empties the table. A table much larger than its keys clears only
+// their slots, each found from its home slot (clearing may have emptied
+// slots of its probe run, so the walk looks for the ID, not for a gap).
+func (t *cellIDs) reset() {
+	if len(t.slots) <= 8*len(t.keys) {
+		clear(t.slots)
+	} else {
+		mask := len(t.slots) - 1
+		for i, k := range t.keys {
+			s := t.home(k)
+			for t.slots[s] != int32(i+1) {
+				s = (s + 1) & mask
+			}
+			t.slots[s] = 0
+		}
+	}
+	t.keys = t.keys[:0]
+}
+
+// blockOwners are owner slots for the cells of one block at a time: a
+// cellIDs table and one slot per ID, emptied by reset, so a pool worker
+// reuses them from block to block.
+type blockOwners struct {
+	cells cellIDs
+	owner []int32
+}
+
+func (b *blockOwners) slot(c model.Cell) *int32 {
+	id, fresh := b.cells.id(c)
+	if fresh {
+		b.owner = append(b.owner, -1)
+	}
+	return &b.owner[id]
+}
+
+func (b *blockOwners) reset() {
+	b.cells.reset()
+	b.owner = b.owner[:0]
 }
 
 // cellKeysOfFixSet collects the distinct cells a fix set touches — the

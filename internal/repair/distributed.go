@@ -86,6 +86,7 @@ func (d *DistributedEquivalenceClass) Repair(component []model.FixSet) ([]Assign
 	// Preprocessing (the "connected component ID" the paper's first map
 	// assumes available): the equivalence classes, each named by its root.
 	c := buildClasses(component)
+	defer c.release()
 
 	// ---- Job 1 input: one vote per element (value counted once per
 	// element, satisfying "if an element exists in multiple fixes, we only

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 	"strings"
+	"sync"
 
 	"bigdansing/internal/model"
 )
@@ -53,24 +54,34 @@ type eqClasses struct {
 	// Class r (a root is its class's smallest ID) is members[classAt[r]:classAt[r+1]];
 	// cell c's constant fixes are constFixes[byCell[constAt[c]:constAt[c+1]]].
 	members, classAt, byCell, constAt []int32
+
+	// The construction's scratch: the cell table, the union-find and each
+	// constant fix's cell.
+	ids        cellIDs
+	uf         minRootUF
+	constCells []int32
 }
+
+// classesPool recycles eqClasses, so a component's classes cost no
+// allocation once the pool holds a set as large. An eqClasses holds indexes
+// and cell keys only, never the component's cells.
+var classesPool = sync.Pool{New: func() any { return new(eqClasses) }}
 
 // buildClasses interns the cells of equality fixes to dense IDs in
 // first-occurrence order, unions the two sides of every cell fix on a
 // min-root union-find and groups the classes, and each cell's constants, by
 // counting sorts. Every equivalence-class algorithm builds its classes here.
-func buildClasses(component []model.FixSet) eqClasses {
-	ids := map[model.CellKey]int32{}
-	var c eqClasses
-	var uf minRootUF
-	var constCells []int32 // per constant fix: its cell
+// The classes live in pooled memory: the caller hands them back with
+// release when done.
+func buildClasses(component []model.FixSet) *eqClasses {
+	c := classesPool.Get().(*eqClasses)
+	c.ids.reset()
+	c.first, c.constFixes, c.uf, c.constCells = c.first[:0], c.constFixes[:0], c.uf[:0], c.constCells[:0]
 	intern := func(cell model.Cell, r cellRef) int32 {
-		id, ok := ids[cell.MapKey()]
-		if !ok {
-			id = int32(len(c.first))
-			ids[cell.MapKey()] = id
+		id, fresh := c.ids.id(cell)
+		if fresh {
 			c.first = append(c.first, r)
-			uf = append(uf, id)
+			c.uf = append(c.uf, id)
 		}
 		return id
 	}
@@ -82,21 +93,21 @@ func buildClasses(component []model.FixSet) eqClasses {
 			r := cellRef{int32(si), int32(fi) << 1}
 			l := intern(f.Left(), r)
 			if !f.RightIsCell {
-				constCells, c.constFixes = append(constCells, l), append(c.constFixes, r)
+				c.constCells, c.constFixes = append(c.constCells, l), append(c.constFixes, r)
 				continue
 			}
 			r.slot |= 1
-			uf.union(l, intern(f.RightCell(), r))
+			c.uf.union(l, intern(f.RightCell(), r))
 		}
 	}
 	n := len(c.first)
-	if n == 0 {
-		return c
-	}
-	c.byCell, c.constAt = countingSort(constCells, n)
-	c.members, c.classAt = countingSort(uf.labels(), n)
+	c.byCell, c.constAt = countingSort(c.constCells, n, c.byCell, c.constAt)
+	c.members, c.classAt = countingSort(c.uf.labels(), n, c.members, c.classAt)
 	return c
 }
+
+// release returns the classes to the pool; c must not be used after.
+func (c *eqClasses) release() { classesPool.Put(c) }
 
 // class returns the IDs of class r's cells, ascending; it is empty unless r
 // is a root.
@@ -117,6 +128,7 @@ func (c *eqClasses) needsRepair(class []int32) bool {
 // cell, in component order.
 func EquivalenceClasses(component []model.FixSet) ([][]model.Cell, map[model.CellKey][]model.Value) {
 	c := buildClasses(component)
+	defer c.release()
 	var classes [][]model.Cell
 	consts := map[model.CellKey][]model.Value{}
 	for r := range c.first {
@@ -140,6 +152,7 @@ func EquivalenceClasses(component []model.FixSet) ([][]model.Cell, map[model.Cel
 // each class's target from its members' values, prior votes and constants.
 func (e *EquivalenceClass) Repair(component []model.FixSet) ([]Assignment, error) {
 	c := buildClasses(component)
+	defer c.release()
 	n := len(c.first)
 	if n == 0 {
 		return nil, nil

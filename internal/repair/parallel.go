@@ -57,6 +57,107 @@ type Report struct {
 //     protocol), which always terminates because settled values never
 //     change again.
 func RepairParallel(fixSets []model.FixSet, algo Algorithm, opts Options) ([]Assignment, *Report, error) {
+	if len(fixSets) == 0 {
+		return nil, &Report{}, nil
+	}
+	r := newParallelRun(algo, opts)
+	defer r.sp.End()
+
+	// 1-2. Connected components, laid out component by component.
+	csp := r.obs.BeginSpan(r.sp, "components", engine.SpanRepair)
+	sets, bounds := gatherComponents(fixSets, fixSetComponents(fixSets))
+	nComp := len(bounds) - 1
+	csp.Attr(engine.AttrComponents, int64(nComp))
+	csp.End()
+
+	// 3-4. One task per component, on its window of the gathered fix sets.
+	return r.run(nComp, func(slot int, w *worker, out *taskResult) {
+		lo, hi := bounds[slot], bounds[slot+1]
+		r.instance(slot, sets[lo:hi:hi], out)
+	})
+}
+
+// Blocks is fix sets laid out in blocks that no component crosses: no cell
+// is touched by fix sets of two blocks. The violating blocks of one
+// blocked, scope-free rule are such a layout (core.DetectView).
+type Blocks interface {
+	// NumBlocks is the number of blocks.
+	NumBlocks() int
+	// AppendBlock appends block i's fix sets, in order, to dst.
+	AppendBlock(dst []model.FixSet, i int) []model.FixSet
+}
+
+// RepairBlocks is RepairParallel over the fix sets of blocks that keep
+// accepts, taking the components from the blocks: since no component
+// crosses two blocks, the worker that takes a block splits its kept fix
+// sets into components as fixSetComponents does, on a cell table of its
+// own reset per block (an FD block is one component), and runs one
+// instance per component, on a buffer of its own
+// that it reuses from block to block. The components, and the fix sets
+// each instance receives, are those RepairParallel finds over the kept fix
+// sets concatenated in block order, so the assignments and the report are
+// the same. The algorithm must not keep its component past Repair.
+func RepairBlocks(blocks Blocks, keep func(model.FixSet) bool, algo Algorithm, opts Options) ([]Assignment, *Report, error) {
+	n := blocks.NumBlocks()
+	if n == 0 {
+		return nil, &Report{}, nil
+	}
+	r := newParallelRun(algo, opts)
+	defer r.sp.End()
+
+	// 1-2. The blocks are the tasks; each splits into its components where
+	// it is repaired.
+	csp := r.obs.BeginSpan(r.sp, "components", engine.SpanRepair)
+	csp.Attr(engine.AttrPartitions, int64(n))
+	csp.End()
+
+	// 3-4. One task per block, an instance per component.
+	return r.run(n, func(slot int, w *worker, out *taskResult) {
+		w.sets = blocks.AppendBlock(w.sets[:0], slot)
+		kept := w.sets[:0]
+		for _, fs := range w.sets {
+			if keep(fs) {
+				kept = append(kept, fs)
+			}
+		}
+		clear(w.sets[len(kept):])
+		w.sets = kept
+		if len(kept) == 0 {
+			return
+		}
+		labels, nc := w.components(kept)
+		if nc == 1 {
+			r.instance(slot, kept, out)
+		} else {
+			for root, l := range labels {
+				if int(l) != root {
+					continue
+				}
+				w.comp = w.comp[:0]
+				for i, li := range labels[root:] {
+					if li == l {
+						w.comp = append(w.comp, kept[root+i])
+					}
+				}
+				r.instance(slot, w.comp, out)
+				poison(w.comp)
+			}
+		}
+		poison(w.sets)
+	})
+}
+
+// parallelRun is one RepairParallel or RepairBlocks call: its settings and
+// its "repair" span.
+type parallelRun struct {
+	algo Algorithm
+	opts Options
+	obs  engine.Observer
+	sp   engine.Span
+	isp  engine.Span // the "instances" span, while the tasks run
+}
+
+func newParallelRun(algo Algorithm, opts Options) *parallelRun {
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = 4
 	}
@@ -66,97 +167,154 @@ func RepairParallel(fixSets []model.FixSet, algo Algorithm, opts Options) ([]Ass
 	if opts.MaxReconcileIters <= 0 {
 		opts.MaxReconcileIters = 10
 	}
-	obs := opts.Observer
-	if obs == nil {
-		obs = engine.Discard
+	r := &parallelRun{algo: algo, opts: opts, obs: opts.Observer}
+	if r.obs == nil {
+		r.obs = engine.Discard
 	}
-	report := &Report{}
-	if len(fixSets) == 0 {
-		return nil, report, nil
+	r.sp = r.obs.BeginSpan(nil, "repair", engine.SpanRepair)
+	r.sp.Attr(engine.AttrAlgorithm, AlgorithmCode(algo.Name()))
+	return r
+}
+
+// poisonedRule is the rule ID of the fix sets a race build writes over a
+// component buffer after its instance returns (see poison).
+const poisonedRule = "repair: poisoned component buffer"
+
+// poison empties a pooled component buffer once its instance has returned,
+// so the buffer pins no detector slab. A race build overwrites it with
+// poisoned fix sets instead: an algorithm that keeps its component past
+// Repair then reads them, not silently the next block's fix sets.
+func poison(sets []model.FixSet) {
+	if !raceEnabled {
+		clear(sets)
+		return
 	}
-	sp := obs.BeginSpan(nil, "repair", engine.SpanRepair)
-	defer sp.End()
-	sp.Attr(engine.AttrAlgorithm, AlgorithmCode(algo.Name()))
+	for i := range sets {
+		sets[i] = model.FixSet{Violation: model.Violation{RuleID: poisonedRule}}
+	}
+}
 
-	// 1-2. Connected components, laid out component by component.
-	csp := obs.BeginSpan(sp, "components", engine.SpanRepair)
-	sets, bounds := gatherComponents(fixSets, fixSetComponents(fixSets))
-	nComp := len(bounds) - 1
-	report.Components = nComp
-	csp.Attr(engine.AttrComponents, int64(nComp))
-	csp.End()
+// worker is the scratch one pool worker keeps from task to task.
+type worker struct {
+	sets, comp []model.FixSet
+	owners     blockOwners
+	uf         minRootUF
+}
 
-	// 3-4. Repair instances in parallel, one per component, run by a pool
-	// of Parallelism workers that take component slots from a shared
-	// counter: each instance gets its component's window of the gathered
-	// fix sets. Instance spans pass their parent explicitly — they begin
-	// concurrently, so the observer's scoped nesting cannot apply. Per-slot
-	// conflict counts are summed after the join; the instances never write
-	// shared state.
-	isp := obs.BeginSpan(sp, "instances", engine.SpanRepair)
-	results := make([][]Assignment, nComp)
-	errs := make([]error, nComp)
-	splits := make([]bool, nComp)
-	conflicts := make([]int, nComp)
-	instance := func(slot int) {
-		lo, hi := bounds[slot], bounds[slot+1]
-		esp := obs.BeginSpan(isp, "instance", engine.SpanRepair)
-		defer func() {
-			esp.Attr(engine.AttrPart, int64(slot))
-			esp.Attr(engine.AttrAssignments, int64(len(results[slot])))
-			esp.Attr(engine.AttrConflicts, int64(conflicts[slot]))
-			esp.End()
-			if r := recover(); r != nil {
-				errs[slot] = fmt.Errorf("repair: instance for component %d of %d panicked: %v", slot, nComp, r)
-			}
-		}()
-		comp := sets[lo:hi:hi]
-		if opts.MaxComponentSize > 0 && len(comp) > opts.MaxComponentSize {
-			splits[slot] = true
-			as, nc, err := repairSplit(comp, algo, opts, obs, esp)
-			conflicts[slot] = nc
-			results[slot], errs[slot] = as, err
-			return
+// components is fixSetComponents over one block's fix sets, on the
+// worker's scratch, with the number of components. The labels are the
+// worker's until its next call.
+func (w *worker) components(sets []model.FixSet) ([]int32, int) {
+	w.owners.reset()
+	w.uf = w.uf[:0]
+	for i := range sets {
+		w.uf = append(w.uf, int32(i))
+	}
+	labels, n := unionByCells(sets, &w.owners, w.uf), 0
+	for i, l := range labels {
+		if int(l) == i {
+			n++
 		}
-		as, err := repairWith(algo, comp, obs, esp)
-		results[slot], errs[slot] = as, err
 	}
+	return labels, n
+}
+
+// taskResult is what one task's instances decided.
+type taskResult struct {
+	assignments        []Assignment
+	components, splits int
+	conflicts          int
+	err                error
+}
+
+// run runs tasks [0, n) on a pool of Parallelism workers that take task
+// slots from a shared counter, each with scratch of its own, and merges
+// what their instances decided into the report. The instances never write
+// shared state: each task writes its own result.
+func (r *parallelRun) run(n int, task func(slot int, w *worker, out *taskResult)) ([]Assignment, *Report, error) {
+	r.isp = r.obs.BeginSpan(r.sp, "instances", engine.SpanRepair)
+	results := make([]taskResult, n)
 	var wg sync.WaitGroup
 	var next atomic.Int64
-	for range min(opts.Parallelism, nComp) {
+	for range min(r.opts.Parallelism, n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for slot := int(next.Add(1) - 1); slot < nComp; slot = int(next.Add(1) - 1) {
-				instance(slot)
+			var w worker
+			for slot := int(next.Add(1) - 1); slot < n; slot = int(next.Add(1) - 1) {
+				task(slot, &w, &results[slot])
 			}
 		}()
 	}
 	wg.Wait()
-	isp.End()
+	r.isp.End()
+
+	report := &Report{}
 	total := 0
 	for i := range results {
-		if errs[i] != nil {
-			return nil, nil, errs[i]
+		if results[i].err != nil {
+			return nil, nil, results[i].err
 		}
-		total += len(results[i])
+		total += len(results[i].assignments)
 	}
 	all := slices.Grow([]Assignment(nil), total)
 	for i := range results {
-		if splits[i] {
-			report.SplitComponents++
-		}
-		report.Conflicts += conflicts[i]
-		all = append(all, results[i]...)
+		res := &results[i]
+		report.Components += res.components
+		report.SplitComponents += res.splits
+		report.Conflicts += res.conflicts
+		all = append(all, res.assignments...)
 	}
 	all = dedupeAssignments(all)
 	sortAssignments(all)
 	report.Assignments = len(all)
-	sp.Attr(engine.AttrComponents, int64(report.Components))
-	sp.Attr(engine.AttrSplitComponents, int64(report.SplitComponents))
-	sp.Attr(engine.AttrConflicts, int64(report.Conflicts))
-	sp.Attr(engine.AttrAssignments, int64(report.Assignments))
+	r.sp.Attr(engine.AttrComponents, int64(report.Components))
+	r.sp.Attr(engine.AttrSplitComponents, int64(report.SplitComponents))
+	r.sp.Attr(engine.AttrConflicts, int64(report.Conflicts))
+	r.sp.Attr(engine.AttrAssignments, int64(report.Assignments))
 	return all, report, nil
+}
+
+// instance runs one repair instance over comp, task slot's next component,
+// under an "instance" span (its parent passed explicitly: instances begin
+// concurrently, so the observer's scoped nesting cannot apply), splitting
+// the component k-ways when it exceeds MaxComponentSize. A panic becomes
+// the task's error; after a task's first error its later components are
+// not repaired.
+func (r *parallelRun) instance(slot int, comp []model.FixSet, out *taskResult) {
+	if out.err != nil {
+		return
+	}
+	out.components++
+	esp := r.obs.BeginSpan(r.isp, "instance", engine.SpanRepair)
+	var as []Assignment
+	conflicts := 0
+	defer func() {
+		esp.Attr(engine.AttrPart, int64(slot))
+		esp.Attr(engine.AttrAssignments, int64(len(as)))
+		esp.Attr(engine.AttrConflicts, int64(conflicts))
+		esp.End()
+		if p := recover(); p != nil {
+			out.err = fmt.Errorf("repair: instance %d of task %d panicked: %v", out.components, slot, p)
+		}
+	}()
+	var err error
+	if r.opts.MaxComponentSize > 0 && len(comp) > r.opts.MaxComponentSize {
+		out.splits++
+		as, conflicts, err = repairSplit(comp, r.algo, r.opts, r.obs, esp)
+		out.conflicts += conflicts
+	} else {
+		as, err = repairWith(r.algo, comp, r.obs, esp)
+	}
+	if err != nil {
+		out.err = err
+		return
+	}
+	if out.assignments == nil {
+		out.assignments = as // a task's only component, or its first
+	} else {
+		out.assignments = append(out.assignments, as...)
+	}
 }
 
 // gatherComponents lays the fix sets out component by component,
@@ -170,7 +328,7 @@ func gatherComponents(fixSets []model.FixSet, comp []int32) (sets []model.FixSet
 	sets = fixSets
 	var order []int32 // when copying, the fix set at each position
 	if !slices.IsSorted(comp) {
-		order, _ = countingSort(comp, len(comp))
+		order, _ = countingSort(comp, len(comp), nil, nil)
 		sets = make([]model.FixSet, len(fixSets))
 	}
 	for p := range comp {
