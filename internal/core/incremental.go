@@ -456,13 +456,13 @@ func (d *IncrementalDetector) view() *DetectView {
 		if st == nil {
 			continue
 		}
-		st.ranks = st.ranks[:0]
+		st.ranks = slices.Grow(st.ranks[:0], len(st.violating))
 		for b := range st.violating {
 			st.ranks = append(st.ranks, b)
 		}
 		slices.SortFunc(st.ranks, func(a, b *block) int { return cmp.Compare(a.rank, b.rank) })
 		clear(st.outs) // do not pin the slabs of blocks that stopped violating
-		st.outs = st.outs[:0]
+		st.outs = slices.Grow(st.outs[:0], len(st.ranks))
 		for _, b := range st.ranks {
 			st.outs = append(st.outs, b.out)
 		}
